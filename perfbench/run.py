@@ -26,7 +26,10 @@ With ``--trace 0`` the metrics are the end-to-end ones, measured for about
 Times are CPU times because the checker is single-threaded and does no
 I/O, so on an idle machine its wall time equals its CPU time, while on a
 shared one the wall clock also counts waits for a core that other
-tenants impose.  The wall-clock figures are in the details.
+tenants impose.  Each verdict's CPU time is further scaled by the speed
+the processor showed just around it (see ``scaled``), because on a
+shared host that speed changes by tens of percent from minute to minute.
+The unscaled and wall-clock figures are in the details.
 
 With ``--trace 1`` the worker runs a fixed number of blocks twice,
 untraced and then with every layer's public functions wrapped, and
@@ -39,7 +42,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import resource
 import statistics
 import subprocess
 import sys
@@ -56,6 +58,10 @@ SETUP_RUNS = 5
 # are equal across commits for one seed.
 TRACE_BLOCKS = {"axioms": 2, "circuits": 1, "protocols": 1}
 WORKER_TIMEOUT_S = 170
+# Typical CPU seconds of worker.reference_cpu_s on the machine the
+# baseline was measured on.  Verdict times are scaled to that speed,
+# because the processor speed of a shared machine drifts between runs.
+REFERENCE_CPU_S = 0.025
 
 
 def worker_env() -> dict:
@@ -77,21 +83,22 @@ def run_worker(args: list) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def timed_setups(workload: str, seed: int) -> tuple[list, list, set]:
-    """Wall and CPU seconds of SETUP_RUNS set-up-only processes, and the
-    input fingerprints they computed."""
-    walls, cpus, prints = [], [], set()
+def timed_setups(workload: str, seed: int) -> tuple[list, list]:
+    """Wall seconds and outputs of SETUP_RUNS set-up-only processes."""
+    walls, outs = [], []
     for _ in range(SETUP_RUNS):
-        before = resource.getrusage(resource.RUSAGE_CHILDREN)
         t0 = time.perf_counter()
-        out = run_worker(["--workload", workload, "--seed", str(seed),
-                          "--setup-only"])
+        outs.append(run_worker(["--workload", workload, "--seed", str(seed),
+                                "--setup-only"]))
         walls.append(time.perf_counter() - t0)
-        after = resource.getrusage(resource.RUSAGE_CHILDREN)
-        cpus.append(after.ru_utime + after.ru_stime
-                    - before.ru_utime - before.ru_stime)
-        prints.add(out["fingerprint"])
-    return walls, cpus, prints
+    return walls, outs
+
+
+def scaled(cpu_s: float, reference_cpu_s: float) -> float:
+    """A verdict's CPU seconds as if the processor had run at the speed at
+    which the reference elimination takes REFERENCE_CPU_S, given the
+    reference's median time just before and just after the verdict."""
+    return cpu_s * REFERENCE_CPU_S / reference_cpu_s
 
 
 def tail(values: list) -> dict:
@@ -117,33 +124,39 @@ def typical_block(records: list, key: str) -> float:
 
 
 def measure(args) -> tuple[dict, dict, dict]:
-    setup_walls, setup_cpus, prints = timed_setups(args.workload, args.seed)
+    setup_walls, setups = timed_setups(args.workload, args.seed)
+    setup_cpus = [o["setup_cpu_s"] for o in setups]
     out = run_worker(["--workload", args.workload, "--seed", str(args.seed),
                       "--seconds", str(args.seconds)])
-    prints.add(out["fingerprint"])
+    prints = {o["fingerprint"] for o in setups + [out]}
     if len(prints) != 1:
         raise RuntimeError(f"inputs differ between processes: {sorted(prints)}")
     ok = [r for r in out["records"] if not r["error"]]
     if not ok:
         raise RuntimeError("every verdict failed")
-    cpu_ms = [r["cpu"] * 1000 for r in ok]
+    for r in ok:
+        r["scaled"] = scaled(r["cpu"], r["reference_cpu_s"])
+    cpu_ms = [r["scaled"] * 1000 for r in ok]
     wall_ms = [r["s"] * 1000 for r in ok]
     metrics = {
-        "cpu_s": {"value": typical_block(ok, "cpu"), "unit": "s"},
+        "cpu_s": {"value": typical_block(ok, "scaled"), "unit": "s"},
         "verdict_cpu_ms_p50": {"value": statistics.median(cpu_ms), "unit": "ms"},
         "setup_s": {"value": statistics.median(setup_cpus), "unit": "s"},
         "peak_rss_mb": {"value": out["peak_rss_mb"], "unit": "MB"},
     }
     families: dict = {}
     for r in ok:
-        families.setdefault(r["family"], []).append(r["cpu"])
+        families.setdefault(r["family"], []).append(r["scaled"])
     details = {
         "fingerprint": out["fingerprint"],
         "blocks": len(out["block_walls"]),
+        "unscaled_cpu_s": typical_block(ok, "cpu"),
+        "unscaled_verdict_cpu_ms_p50": statistics.median(r["cpu"] * 1000 for r in ok),
         "wall_s": typical_block(ok, "s"),
         "verdict_ms_p50": statistics.median(wall_ms),
         "verdict_ms_tail": tail(wall_ms),
         "verdict_cpu_ms_tail": tail(cpu_ms),
+        "reference_cpu_s_p50": statistics.median(r["reference_cpu_s"] for r in ok),
         "failed_share": sum(1 for r in out["records"] if r["error"])
                         / len(out["records"]),
         "block_walls_s": out["block_walls"],

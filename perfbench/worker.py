@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import io
 import json
+import random
 import resource
+import statistics
 import sys
 import time
 import traceback
@@ -26,6 +29,9 @@ import workloads
 # the others just before they run.  A run stops early, rather than repeat
 # inputs, if a much faster checker gets through all of them.
 MAX_BLOCKS = {"axioms": 24, "circuits": 16, "protocols": 4}
+
+# Seconds of verdict CPU time per timing of the reference elimination.
+REFERENCE_EVERY_S = 0.25
 
 # A verdict slower than this counts as failed; the slowest verdicts of the
 # three workloads took about 1, 6 and 15 s when the benchmark was written.
@@ -76,6 +82,34 @@ def prepare(qpdl, item: dict) -> dict:
             for name, spec in item["vals"].items()}
     return {**item, "env": qpdl.Environment(frame, vals),
             "parsed": qpdl.parse_formula(item["formula"])}
+
+
+def reference_cpu_s() -> float:
+    """CPU seconds of a fixed exact elimination that uses the standard
+    library only, so that no change to qpdl moves it.  Timed between
+    verdicts, it shows how fast the processor ran at that moment.  The
+    collector is off, so that a large heap left by the checker cannot
+    slow it down."""
+    rng = random.Random(0)
+    work = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(16)]
+            for _ in range(16)]
+    gc.disable()
+    try:
+        start = time.process_time()
+        for c in range(16):
+            pivot = next((r for r in range(c, 16) if work[r][c]), None)
+            if pivot is None:
+                continue
+            work[c], work[pivot] = work[pivot], work[c]
+            inv = 1 / work[c][c]
+            work[c] = [inv * x for x in work[c]]
+            for r in range(16):
+                if r != c and work[r][c]:
+                    f = work[r][c]
+                    work[r] = [x - f * y for x, y in zip(work[r], work[c])]
+        return time.process_time() - start
+    finally:
+        gc.enable()
 
 
 def _clock() -> tuple[float, float]:
@@ -183,6 +217,8 @@ def main(argv=None) -> int:
         specs = specs[:args.blocks]
     first = [prepare(qpdl, item) for item in specs[0]]
     if args.setup_only:
+        # CPU time since the process started, interpreter start-up included
+        result["setup_cpu_s"] = time.process_time()
         print(json.dumps(result))
         return 0
 
@@ -195,11 +231,18 @@ def main(argv=None) -> int:
             if elapsed * (len(block_walls) + 1) / len(block_walls) > args.seconds:
                 break
         block = first if b == 0 else [prepare(qpdl, item) for item in spec]
+        before = [reference_cpu_s()]
         t0 = time.perf_counter()
         for slot, item in enumerate(block):
             rec = run_item(qpdl, args.workload, item)
-            rec.update(block=b, slot=slot)
+            # about one reference per REFERENCE_EVERY_S of verdict, so a
+            # long verdict is scaled by a steadier median
+            after = [reference_cpu_s() for _ in
+                     range(1 + int((rec["cpu"] or 0.0) / REFERENCE_EVERY_S))]
+            rec.update(block=b, slot=slot,
+                       reference_cpu_s=statistics.median(before + after))
             records.append(rec)
+            before = after
         block_walls.append(time.perf_counter() - t0)
     result.update({
         "records": records,
