@@ -3,6 +3,7 @@
 They check the benchmark's arithmetic and gates, not the checker."""
 
 import sys
+import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -64,8 +65,20 @@ def test_gate_flags_a_wrong_expected_answer():
     assert "expected REFUTED" in worker.check_claim(qpdl, worker.prepare(qpdl, wrong))[1]
     refuted = {**right, "formula": "0_1 -> [X_1]0_1", "expect": "REFUTED"}
     assert worker.check_claim(qpdl, worker.prepare(qpdl, refuted))[1] == ""
-    rec = worker.run_item(qpdl, "circuits", worker.prepare(qpdl, {**refuted, "expect": "VALID"}))
+    rec = worker.run_item(qpdl, "circuits",
+                          worker.prepare(qpdl, {**refuted, "expect": "VALID"}), 30.0)
     assert rec["error"]
+
+
+def test_a_verdict_over_its_limit_is_interrupted_and_failed():
+    import qpdl
+    slow = next(i for i in workloads.generate("circuits", 1, 1)[0] if i["n"] == 6)
+    item = worker.prepare(qpdl, slow)
+    start = time.perf_counter()
+    rec = worker.run_item(qpdl, "circuits", item, 0.05)
+    assert time.perf_counter() - start < 1.0
+    assert "over the limit" in rec["error"]
+    assert "not run" in worker.run_item(qpdl, "circuits", item, 0.0)["error"]
 
 
 def test_tracer_reports_a_missing_name_as_absent():

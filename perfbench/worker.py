@@ -5,7 +5,9 @@ Run by ``run.py`` with ``PYTHONPATH`` pointing at the checkout's
 ``--setup-only`` stops after it (the parent times several such
 processes).  Otherwise the worker runs whole blocks, either until
 ``--seconds`` would be exceeded or, with ``--blocks``, exactly that many,
-and prints one JSON object on its last line.
+and prints one JSON object on its last line.  No verdict runs past its
+limit or past ``--budget`` wall seconds from the worker's start: it is
+interrupted, and it and every verdict not yet started count as failed.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import io
 import json
 import random
 import resource
+import signal
 import statistics
 import sys
 import time
@@ -30,12 +33,25 @@ import workloads
 # inputs, if a much faster checker gets through all of them.
 MAX_BLOCKS = {"axioms": 24, "circuits": 16, "protocols": 4}
 
-# Seconds of verdict CPU time per timing of the reference elimination.
+# Seconds of verdict CPU time per timing of the reference elimination
+# while a verdict runs.
 REFERENCE_EVERY_S = 0.25
 
 # A verdict slower than this counts as failed; the slowest verdicts of the
 # three workloads took about 1, 6 and 15 s when the benchmark was written.
 VERDICT_LIMIT_S = {"axioms": 30.0, "circuits": 120.0, "protocols": 150.0}
+
+# References timed before and after set-up, to scale set-up time.
+SETUP_REFERENCES = 3
+
+
+class OverLimit(BaseException):
+    """Raised by the alarm in a verdict that ran past its limit.  Not an
+    Exception, so that no handler inside the checker can swallow it."""
+
+
+def _alarm(signum, frame):
+    raise OverLimit()
 
 
 def build_value(qpdl, frame, spec):
@@ -95,7 +111,7 @@ def reference_cpu_s() -> float:
             for _ in range(16)]
     gc.disable()
     try:
-        start = time.process_time()
+        start = time.thread_time()
         for c in range(16):
             pivot = next((r for r in range(c, 16) if work[r][c]), None)
             if pivot is None:
@@ -107,20 +123,61 @@ def reference_cpu_s() -> float:
                 if r != c and work[r][c]:
                     f = work[r][c]
                     work[r] = [x - f * y for x, y in zip(work[r], work[c])]
-        return time.process_time() - start
+        return time.thread_time() - start
     finally:
         gc.enable()
 
 
-def _clock() -> tuple[float, float]:
-    return time.perf_counter(), time.process_time()
+class Sampler:
+    """Times the reference every REFERENCE_EVERY_S of CPU time while a
+    verdict runs, from the handler of a CPU-time timer, so that a long
+    verdict is scaled by the speed the processor showed during it and not
+    only around it.  The time the references take is kept apart, to be
+    left out of the verdict's."""
+
+    def __init__(self):
+        self.samples: list[float] = []
+        self.wall = 0.0
+        self.cpu = 0.0
+        self._busy = False
+
+    def start(self) -> None:
+        signal.signal(signal.SIGPROF, self._sample)
+        signal.setitimer(signal.ITIMER_PROF, REFERENCE_EVERY_S, REFERENCE_EVERY_S)
+
+    def stop(self) -> None:
+        signal.setitimer(signal.ITIMER_PROF, 0)
+
+    def _sample(self, signum, frame) -> None:
+        if self._busy:
+            return
+        self._busy = True
+        wall, cpu = time.perf_counter(), time.thread_time()
+        try:
+            self.samples.append(reference_cpu_s())
+        finally:
+            self.wall += time.perf_counter() - wall
+            self.cpu += time.thread_time() - cpu
+            self._busy = False
 
 
-def _since(start: tuple[float, float]) -> dict:
-    """Wall and CPU seconds since ``start``.  CPU time is the process's
-    own (all threads); the checker starts no processes."""
-    wall, cpu = _clock()
-    return {"s": wall - start[0], "cpu": cpu - start[1]}
+SAMPLER = Sampler()
+
+
+def _clock() -> tuple:
+    SAMPLER.start()
+    return time.perf_counter(), time.thread_time(), SAMPLER.wall, SAMPLER.cpu
+
+
+def _since(start: tuple) -> dict:
+    """Wall and CPU seconds since ``start``, less the references taken
+    meanwhile.  CPU time is the thread's, because the checker starts no
+    threads, and because the process's clock turns coarse (a tick, some
+    milliseconds) while a CPU-time timer is armed."""
+    SAMPLER.stop()
+    wall, cpu = time.perf_counter(), time.thread_time()
+    return {"s": wall - start[0] - (SAMPLER.wall - start[2]),
+            "cpu": cpu - start[1] - (SAMPLER.cpu - start[3])}
 
 
 def check_claim(qpdl, item: dict) -> tuple[dict, str]:
@@ -177,17 +234,30 @@ def check_protocol(item: dict) -> tuple[dict, str]:
     return took, ""
 
 
-def run_item(qpdl, workload: str, item: dict) -> dict:
+def run_item(qpdl, workload: str, item: dict, limit_s: float) -> dict:
+    """Run one verdict under the gate, interrupted after ``limit_s`` wall
+    seconds.  A crash or an interrupted verdict is a failed verdict, not
+    a failed run."""
+    if limit_s <= 0:
+        return {"family": item["family"], "s": None, "cpu": None,
+                "error": "not run: the run's time budget is spent"}
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.setitimer(signal.ITIMER_REAL, limit_s)
     try:
         if workload == "protocols":
             took, error = check_protocol(item)
         else:
             took, error = check_claim(qpdl, item)
-    except Exception:  # a crash is a failed verdict, not a failed run
+    except OverLimit:
+        return {"family": item["family"], "s": None, "cpu": None,
+                "error": f"interrupted after {limit_s:.1f} s, over the limit"}
+    except Exception:
         return {"family": item["family"], "s": None, "cpu": None,
                 "error": traceback.format_exc(limit=3)}
-    if not error and took["s"] > VERDICT_LIMIT_S[workload]:
-        error = f"over the {VERDICT_LIMIT_S[workload]} s verdict limit"
+    finally:
+        SAMPLER.stop()
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
     return {"family": item["family"], **took, "error": error}
 
 
@@ -198,9 +268,17 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=0.0)
     ap.add_argument("--blocks", type=int, default=0)
     ap.add_argument("--trace", type=int, default=0)
+    ap.add_argument("--budget", type=float, default=150.0)
     ap.add_argument("--setup-only", action="store_true")
     args = ap.parse_args(argv)
+    deadline = time.perf_counter() + args.budget
 
+    if args.setup_only:
+        # set-up starts at the import of qpdl: interpreter start-up is
+        # the same for every commit, and does not slow down with the
+        # processor the way the references and the checker do
+        references = [reference_cpu_s() for _ in range(SETUP_REFERENCES)]
+        setup_start = time.thread_time()
     spans = None
     if args.trace:
         from tracer import Tracer
@@ -217,8 +295,9 @@ def main(argv=None) -> int:
         specs = specs[:args.blocks]
     first = [prepare(qpdl, item) for item in specs[0]]
     if args.setup_only:
-        # CPU time since the process started, interpreter start-up included
-        result["setup_cpu_s"] = time.process_time()
+        result["setup_cpu_s"] = time.thread_time() - setup_start
+        references += [reference_cpu_s() for _ in range(SETUP_REFERENCES)]
+        result["reference_cpu_s"] = statistics.median(references)
         print(json.dumps(result))
         return 0
 
@@ -234,13 +313,14 @@ def main(argv=None) -> int:
         before = [reference_cpu_s()]
         t0 = time.perf_counter()
         for slot, item in enumerate(block):
-            rec = run_item(qpdl, args.workload, item)
-            # about one reference per REFERENCE_EVERY_S of verdict, so a
-            # long verdict is scaled by a steadier median
-            after = [reference_cpu_s() for _ in
-                     range(1 + int((rec["cpu"] or 0.0) / REFERENCE_EVERY_S))]
-            rec.update(block=b, slot=slot,
-                       reference_cpu_s=statistics.median(before + after))
+            limit = min(VERDICT_LIMIT_S[args.workload],
+                        deadline - time.perf_counter())
+            taken = len(SAMPLER.samples)
+            rec = run_item(qpdl, args.workload, item, limit)
+            during = SAMPLER.samples[taken:]
+            after = [reference_cpu_s()]
+            rec.update(block=b, slot=slot, references=len(during) + 2,
+                       reference_cpu_s=statistics.median(before + during + after))
             records.append(rec)
             before = after
         block_walls.append(time.perf_counter() - t0)
