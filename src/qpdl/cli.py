@@ -2,7 +2,9 @@
 
 Exit codes: 0 for valid / PASS / TRUE, 1 for a refuted claim (the
 witness is printed), 2 for usage or syntax errors, 3 for formulas
-outside the fragment the symbolic evaluator decides.
+outside the fragment the symbolic evaluator decides, 4 for an internal
+error (a crash, or the two evaluators disagreeing), which is never
+reported as a verdict.
 """
 
 from __future__ import annotations
@@ -201,6 +203,10 @@ def main(argv=None) -> int:
     except CheckError as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

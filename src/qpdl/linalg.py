@@ -1,16 +1,19 @@
 """Exact dense linear algebra over the Gaussian rationals.
 
 Scalars are complex numbers whose real and imaginary parts are
-``fractions.Fraction`` values, so all arithmetic here is exact: row
-reduction, kernels, Gram inverses and solvability verdicts never see
-rounding.  Matrices are immutable; reduced row echelon form (with
-pivots normalised to 1) is the canonical representative used for
-subspace identity throughout the package.
+``fractions.Fraction`` values, so all arithmetic here is exact.  Row
+reduction (rank, reduced row echelon form, kernels, inverses) runs on
+Gaussian integers: each row is scaled to integer real and imaginary
+parts and eliminated fraction-free, and only the final reduced form is
+turned back into Fractions.  Matrices are immutable; reduced row echelon
+form (with pivots normalised to 1) is the canonical representative used
+for subspace identity throughout the package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -70,14 +73,14 @@ class GaussianRational:
         return GaussianRational(-self.re, -self.im)
 
     def conj(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return GaussianRational(self.re, -self.im) if self.im else self
 
     def abs2(self) -> Fraction:
         """Squared modulus; always a nonnegative rational."""
         return self.re * self.re + self.im * self.im
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self.re or self.im)
 
     def __bool__(self):
         return not self.is_zero()
@@ -108,9 +111,9 @@ class GaussianRational:
 
 ScalarLike = Union[int, Fraction, GaussianRational]
 
-ZERO = GaussianRational(0)
+_NIL = Fraction(0)
+ZERO = GaussianRational(_NIL)
 ONE = GaussianRational(1)
-IM = GaussianRational(0, 1)
 
 
 def gr(re: Rational = 0, im: Rational = 0) -> GaussianRational:
@@ -146,10 +149,6 @@ class Matrix:
         return Matrix([[ZERO] * cols for _ in range(rows)], cols=cols)
 
     @staticmethod
-    def row_vector(v: Sequence[ScalarLike]) -> "Matrix":
-        return Matrix([list(v)])
-
-    @staticmethod
     def vstack(mats: Sequence["Matrix"]) -> "Matrix":
         cols = mats[0].cols
         if any(m.cols != cols for m in mats):
@@ -158,27 +157,6 @@ class Matrix:
         for m in mats:
             out.extend(m.entries)
         return Matrix(out, cols=cols)
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix(
-            [[a + b for a, b in zip(r, s)] for r, s in zip(self.entries, other.entries)],
-            cols=self.cols,
-        )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix(
-            [[a - b for a, b in zip(r, s)] for r, s in zip(self.entries, other.entries)],
-            cols=self.cols,
-        )
-
-    def __neg__(self) -> "Matrix":
-        return self.scale(-1)
-
-    def scale(self, k: ScalarLike) -> "Matrix":
-        k = GaussianRational.of(k)
-        return Matrix([[k * x for x in row] for row in self.entries], cols=self.cols)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -257,67 +235,58 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.shape[0]}x{self.shape[1]})"
 
-    def _same_shape(self, other: "Matrix"):
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
+    def _integer_rows(self) -> list:
+        """The nonzero rows, each scaled by the lcm of its denominators
+        into a primitive Gaussian-integer row."""
+        work = []
+        for row in self.entries:
+            parts = [x.re for x in row] + [x.im for x in row]
+            dens = [q.denominator for q in parts]
+            den = lcm(*dens)
+            nums = [q.numerator * (den // d) for q, d in zip(parts, dens)]
+            if any(nums):
+                work.append(_primitive(nums[:self.cols], nums[self.cols:]))
+        return work
 
-    def _reduced(self):
-        """Gauss-Jordan elimination; returns (rows, pivot column list)."""
-        work = [list(row) for row in self.entries]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            pivot_row = None
-            for i in range(r, len(work)):
-                if not work[i][c].is_zero():
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            work[r], work[pivot_row] = work[pivot_row], work[r]
-            inv = ONE / work[r][c]
-            work[r] = [inv * x for x in work[r]]
-            for i in range(len(work)):
-                if i != r and not work[i][c].is_zero():
-                    f = work[i][c]
-                    work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-            pivots.append(c)
-            r += 1
-            if r == len(work):
-                break
-        return work, pivots
+    def _reduced(self) -> tuple[list, list]:
+        """The nonzero RREF rows (pivots normalised to 1) and the pivot columns."""
+        work = self._integer_rows()
+        pivots = _eliminate(work, self.cols)
+        return _rational_rows(work, pivots), pivots
 
     def rref(self) -> tuple["Matrix", int]:
         """Reduced row echelon form (same shape) and the rank."""
-        work, pivots = self._reduced()
-        return Matrix(work, cols=self.cols), len(pivots)
+        rows, pivots = self._reduced()
+        rows.extend([ZERO] * self.cols for _ in range(self.rows - len(rows)))
+        return Matrix(rows, cols=self.cols), len(pivots)
 
     def rank(self) -> int:
-        return len(self._reduced()[1])
+        return len(_eliminate(self._integer_rows(), self.cols))
 
     def row_basis(self) -> "Matrix":
         """The nonzero rows of the RREF: a canonical basis of the row space."""
-        work, pivots = self._reduced()
-        return Matrix(work[: len(pivots)], cols=self.cols)
+        return Matrix(self._reduced()[0], cols=self.cols)
 
     def kernel_basis(self) -> "Matrix":
-        """Rows spanning the right null space {x : M x = 0}, in RREF.
-
-        Row count is cols - rank (rank-nullity).
-        """
-        work, pivots = self._reduced()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
+        """Rows spanning the right null space {x : M x = 0}, in RREF;
+        there are cols - rank of them."""
+        work = self._integer_rows()
+        pivots = _eliminate(work, self.cols)
+        # Free column f gives e_f - sum_r (x_r[f] / p_r) e_{c_r}, where x_r is
+        # pivot row r and p_r = x_r[c_r]; scaled by the lcm of the |p_r|^2.
+        norms = [re[c] * re[c] + im[c] * im[c] for (re, im), c in zip(work, pivots)]
+        den = lcm(*norms)
         vectors = []
-        for f in free:
-            v = [ZERO] * self.cols
-            v[f] = ONE
-            for r, c in enumerate(pivots):
-                v[c] = -work[r][f]
-            vectors.append(v)
-        if not vectors:
-            return Matrix([], cols=self.cols)
-        return Matrix(vectors, cols=self.cols).row_basis()
+        for f in sorted(set(range(self.cols)) - set(pivots)):
+            re, im = [0] * self.cols, [0] * self.cols
+            re[f] = den
+            for (xr, xi), c, norm in zip(work, pivots, norms):
+                pr, pi, a, b = xr[c], xi[c], xr[f], xi[f]
+                re[c] = (a * pr + b * pi) * (-den // norm)
+                im[c] = (b * pr - a * pi) * (-den // norm)
+            vectors.append(_primitive(re, im))
+        pivots = _eliminate(vectors, self.cols)
+        return Matrix(_rational_rows(vectors, pivots), cols=self.cols)
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
@@ -331,40 +300,66 @@ class Matrix:
         return Matrix([row[n:] for row in work], cols=n)
 
 
-def rref(m: Matrix) -> tuple[Matrix, int]:
-    return m.rref()
+def _primitive(re: list, im: list) -> tuple:
+    """The Gaussian-integer row (re, im) divided by its integer content."""
+    g = gcd(*re, *im)
+    if g > 1:
+        re = [a // g for a in re]
+        im = [b // g for b in im]
+    return re, im
 
 
-def kernel_basis(m: Matrix) -> Matrix:
-    return m.kernel_basis()
+def _eliminate(work: list, cols: int) -> list:
+    """Fraction-free Gauss-Jordan elimination over the Gaussian integers.
 
-
-def conj_transpose(m: Matrix) -> Matrix:
-    return m.conj_transpose()
-
-
-def solve_in_rowspace(target: Matrix, basis: Matrix) -> Optional[Matrix]:
-    """Coefficients C with C * basis == target, or None if some row escapes.
-
-    A None verdict means a target row lies outside the row space of
-    ``basis``; it is an answer, not an error.
+    The pivot row p clears column c from every other primitive row of
+    ``work`` by ``row := p[c]*row - row[c]*p``, made primitive again.
+    Returns the pivot columns; ``work`` is left holding the pivot rows,
+    row k with zeros in every pivot column but pivots[k].
     """
-    if target.cols != basis.cols:
-        raise ValueError("ambient dimensions differ")
-    bt = basis.transpose()
-    coeff_rows = []
-    for i in range(target.rows):
-        aug = Matrix([list(brow) + [t] for brow, t in
-                      zip(bt.entries, target.row(i))], cols=basis.rows + 1) \
-            if basis.rows else Matrix([[t] for t in target.row(i)], cols=1)
-        work, pivots = aug._reduced()
-        if basis.rows in pivots:
-            return None
-        sol = [ZERO] * basis.rows
-        for r, c in enumerate(pivots):
-            sol[c] = work[r][basis.rows]
-        coeff_rows.append(sol)
-    return Matrix(coeff_rows, cols=basis.rows)
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == len(work):
+            break
+        for k in range(r, len(work)):
+            if work[k][0][c] or work[k][1][c]:
+                break
+        else:
+            continue
+        work[r], work[k] = work[k], work[r]
+        pre, pim = work[r]
+        pr, pi = pre[c], pim[c]
+        for k, (re, im) in enumerate(work):
+            fr, fi = re[c], im[c]
+            if k == r or not (fr or fi):
+                continue
+            work[k] = _primitive(
+                [pr * a - pi * b - fr * x + fi * y
+                 for a, b, x, y in zip(re, im, pre, pim)],
+                [pr * b + pi * a - fr * y - fi * x
+                 for a, b, x, y in zip(re, im, pre, pim)])
+        pivots.append(c)
+        r += 1
+    del work[r:]
+    return pivots
+
+
+def _rational_rows(work: list, pivots: list) -> list:
+    """Each pivot row of ``_eliminate`` divided by its pivot p, as a row of
+    GaussianRational: x / p = x * conj(p) / |p|^2."""
+    rows = []
+    for (re, im), c in zip(work, pivots):
+        pr, pi = re[c], im[c]
+        norm = pr * pr + pi * pi
+        rows.append([_quotient(a * pr + b * pi, b * pr - a * pi, norm) if a or b else ZERO
+                     for a, b in zip(re, im)])
+    return rows
+
+
+def _quotient(re: int, im: int, den: int) -> GaussianRational:
+    return GaussianRational(Fraction(re, den) if re else _NIL,
+                            Fraction(im, den) if im else _NIL)
 
 
 def parse_rational(text: str) -> Fraction:

@@ -5,10 +5,15 @@ would have been accepted there.  The only backtracking point is a
 parenthesised group in program position, which may turn out to be a
 parenthesised formula followed by ``?``; the parser reports the failure
 that got farthest when both readings die.
+
+Input nested deeper than ``MAX_DEPTH`` levels of syntax tree is a
+ParseError, so deep input fails with a message instead of exhausting the
+stack of the parser or of the evaluators that walk the tree.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from typing import Optional
@@ -127,10 +132,29 @@ def tokenize(text: str) -> list[Token]:
 _PROGRAM_ONLY_WORDS = {"id", "set0", "proj0", "unary1", "mov", "adj"}
 
 
+# Each level costs the evaluators a few stack frames; 200 keeps every
+# shape of formula inside the interpreter's default recursion limit.
+MAX_DEPTH = 200
+
+
+def _nested(parse):
+    """Parse one level deeper in the syntax tree."""
+    @functools.wraps(parse)
+    def deeper(self):
+        base = self.depth
+        self.descend()
+        try:
+            return parse(self)
+        finally:
+            self.depth = base
+    return deeper
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.far_pos = 0
         self.far_expected: set = set()
 
@@ -152,6 +176,13 @@ class _Parser:
         if tok is None:
             self.fail(f"expected {kind!r}")
         return tok
+
+    def descend(self):
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            tok = self.peek()
+            raise ParseError(f"nesting deeper than {MAX_DEPTH} levels",
+                             tok.line, tok.col)
 
     def _note(self, kind: str):
         if self.pos > self.far_pos:
@@ -191,6 +222,7 @@ class _Parser:
 
     # ----- formulas -----------------------------------------------------------
 
+    @_nested
     def formula(self) -> ast.Formula:
         left = self.f_or()
         if self.accept("->"):
@@ -198,17 +230,24 @@ class _Parser:
         return left
 
     def f_or(self) -> ast.Formula:
+        base = self.depth
         left = self.f_and()
         while self.accept("|"):
+            self.descend()
             left = ast.Or(left, self.f_and())
+        self.depth = base
         return left
 
     def f_and(self) -> ast.Formula:
+        base = self.depth
         left = self.f_unary()
         while self.accept("&"):
+            self.descend()
             left = ast.And(left, self.f_unary())
+        self.depth = base
         return left
 
+    @_nested
     def f_unary(self) -> ast.Formula:
         if self.accept("!"):
             return ast.Not(self.f_unary())
@@ -363,16 +402,21 @@ class _Parser:
 
     # ----- programs -----------------------------------------------------------
 
+    @_nested
     def program(self) -> ast.Program:
         left = self.p_seq()
         while self.accept("+"):
+            self.descend()
             left = ast.UnionP(left, self.p_seq())
         return left
 
     def p_seq(self) -> ast.Program:
+        base = self.depth
         left = self.p_factor()
         while self.accept(";"):
+            self.descend()
             left = ast.SeqP(left, self.p_factor())
+        self.depth = base
         return left
 
     def p_factor(self) -> ast.Program:

@@ -3,10 +3,12 @@ subcommand, including the error paths."""
 
 import pytest
 
+import qpdl.cli
 from qpdl.checker import Environment, check_state
 from qpdl.cli import main
 from qpdl.frame import Frame, parse_state
 from qpdl.parser import parse_formula
+from qpdl.regions import WitnessSearchExhausted
 
 
 def run(capsys, argv):
@@ -110,6 +112,28 @@ def test_syntax_errors_exit_two(capsys):
     code, _, err = run(capsys, ["valid", "-n", "1", "(0_1"])
     assert code == 2
     assert err.startswith("syntax error:")
+
+
+def test_deep_nesting_is_a_syntax_error(capsys):
+    nested = "(" * 3000 + "0_1" + ")" * 3000
+    code, out, err = run(capsys, ["valid", "-n", "1", nested])
+    assert (code, out) == (2, "")
+    assert err.startswith("syntax error: nesting deeper than")
+
+
+@pytest.mark.parametrize("error", [
+    RuntimeError("symbolic and pointwise evaluation disagree on the witness"),
+    WitnessSearchExhausted("no witness among 4 candidates"),
+    KeyError("surprise\nacross lines"),
+])
+def test_internal_errors_exit_four(monkeypatch, capsys, error):
+    def broken(env, formula):
+        raise error
+    monkeypatch.setattr(qpdl.cli, "check_valid", broken)
+    code, out, err = run(capsys, ["valid", "-n", "1", "0_1"])
+    assert (code, out) == (4, "")
+    assert err.startswith(f"internal error: {type(error).__name__}: ")
+    assert err.count("\n") == 1
 
 
 def test_unbound_variable_exits_two(capsys):

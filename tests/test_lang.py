@@ -6,7 +6,7 @@ import pytest
 
 from qpdl import ast
 from qpdl.ast import pretty
-from qpdl.parser import ParseError, parse_formula, parse_program
+from qpdl.parser import MAX_DEPTH, ParseError, parse_formula, parse_program
 
 N = 3
 
@@ -241,3 +241,21 @@ def test_parse_errors():
     # a malformed gate name is still a legal identifier; it is caught
     # as an unbound variable at evaluation time, not by the parser
     assert parse_formula("CNOT_1") == ast.Var("CNOT_1")
+
+
+def test_nesting_depth_limit():
+    # Below the limit every shape parses, and its tree stays shallow
+    # enough for the evaluators' recursion.
+    k = MAX_DEPTH - 10
+    assert parse_formula("!" * k + "0_1") is not None
+    assert parse_formula(" & ".join(["0_1"] * k)) is not None
+    assert parse_formula("[" + ";".join(["X_1"] * k) + "]0_1") is not None
+    assert parse_program("(" * (k // 2) + "X_1" + ")" * (k // 2)) is not None
+    # Past it, prefix chains, flat chains and brackets all fail cleanly.
+    k = MAX_DEPTH + 10
+    for text in ["~" * k + "0_1", "0_1 -> " * k + "0_1",
+                 " | ".join(["0_1"] * k), "[X_1]" * k + "0_1",
+                 "[" + "+".join(["X_1"] * k) + "]0_1",
+                 "(" * k + "0_1" + ")" * k]:
+        with pytest.raises(ParseError, match="nesting deeper"):
+            parse_formula(text)

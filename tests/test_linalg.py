@@ -3,15 +3,10 @@
 import random
 from fractions import Fraction
 
-from qpdl.linalg import (
-    GaussianRational,
-    Matrix,
-    gr,
-    kernel_basis,
-    parse_rational,
-    rref,
-    solve_in_rowspace,
-)
+import pytest
+
+from qpdl.frame import Subspace
+from qpdl.linalg import ONE, ZERO, Matrix, gr, parse_rational
 
 
 def rand_scalar(rng, nonzero=False):
@@ -58,9 +53,9 @@ def test_rref_shape_and_rank():
     rng = random.Random(102)
     for _ in range(50):
         m = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        r, rank = rref(m)
+        r, rank = m.rref()
         assert rank <= min(m.rows, m.cols)
-        again, rank2 = rref(r)
+        again, rank2 = r.rref()
         assert rank2 == rank
         # reduction is idempotent on the nonzero rows
         assert again.row_basis() == r.row_basis()
@@ -70,7 +65,7 @@ def test_kernel_is_annihilated():
     rng = random.Random(103)
     for _ in range(60):
         m = rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 5))
-        k = kernel_basis(m)
+        k = m.kernel_basis()
         assert k.rows == m.cols - m.rank()
         for i in range(k.rows):
             out = m.apply(k.row(i))
@@ -108,25 +103,156 @@ def test_conj_transpose_involution_and_product():
         assert (a * b).conj_transpose() == b.conj_transpose() * a.conj_transpose()
 
 
-def test_solve_in_rowspace_reconstructs():
+def test_rowspace_contains_combinations():
     rng = random.Random(107)
     for _ in range(40):
-        basis = rand_matrix(rng, rng.randint(1, 3), 4).row_basis()
-        if basis.rows == 0:
+        space = Subspace(rand_matrix(rng, rng.randint(1, 3), 4), 4)
+        if space.is_zero():
             continue
-        coeffs = [rand_scalar(rng) for _ in range(basis.rows)]
+        coeffs = [rand_scalar(rng) for _ in range(space.dim)]
         target = [gr(0)] * 4
-        for c, i in zip(coeffs, range(basis.rows)):
-            target = [t + c * x for t, x in zip(target, basis.row(i))]
-        sol = solve_in_rowspace(Matrix.row_vector(target), basis)
-        assert sol is not None
-        rebuilt = [gr(0)] * 4
-        for j in range(basis.rows):
-            rebuilt = [t + sol.entries[0][j] * x
-                       for t, x in zip(rebuilt, basis.row(j))]
-        assert tuple(rebuilt) == tuple(target)
+        for c, i in zip(coeffs, range(space.dim)):
+            target = [t + c * x for t, x in zip(target, space.basis.row(i))]
+        assert space.contains_vector(target)
 
 
-def test_solve_in_rowspace_rejects_outside():
-    basis = Matrix([[1, 0, 0, 0], [0, 1, 0, 0]])
-    assert solve_in_rowspace(Matrix.row_vector([0, 0, 1, 0]), basis) is None
+def test_rowspace_rejects_outside():
+    space = Subspace(Matrix([[1, 0, 0, 0], [0, 1, 0, 0]]), 4)
+    assert not space.contains_vector([0, 0, 1, 0])
+    assert not space.contains_vector([1, 1, gr(0, 1), 0])
+    assert space.contains_vector([gr(3, -2), Fraction(1, 7), 0, 0])
+
+
+# ----- differential test against Gauss-Jordan over the Gaussian rationals ----
+
+
+def reference_reduced(m):
+    """Gauss-Jordan elimination done entirely in Fractions: the routine
+    the Gaussian-integer core replaced, kept as its oracle."""
+    work = [list(row) for row in m.entries]
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        pivot_row = next((i for i in range(r, len(work))
+                          if not work[i][c].is_zero()), None)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        inv = ONE / work[r][c]
+        work[r] = [inv * x for x in work[r]]
+        for i in range(len(work)):
+            if i != r and not work[i][c].is_zero():
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return work, pivots
+
+
+def reference_row_basis(m):
+    work, pivots = reference_reduced(m)
+    return Matrix(work[:len(pivots)], cols=m.cols)
+
+
+def reference_kernel_basis(m):
+    work, pivots = reference_reduced(m)
+    vectors = []
+    for f in sorted(set(range(m.cols)) - set(pivots)):
+        v = [ZERO] * m.cols
+        v[f] = ONE
+        for r, c in enumerate(pivots):
+            v[c] = -work[r][f]
+        vectors.append(v)
+    return reference_row_basis(Matrix(vectors, cols=m.cols))
+
+
+def reference_inverse(m):
+    n = m.rows
+    aug = Matrix([list(row) + [ONE if i == j else ZERO for j in range(n)]
+                  for i, row in enumerate(m.entries)], cols=2 * n)
+    work, pivots = reference_reduced(aug)
+    if pivots[:n] != list(range(n)):
+        return None
+    return Matrix([row[n:] for row in work], cols=n)
+
+
+def exact(rows):
+    """Entries as (re, im) Fraction pairs, so equality is entry for entry."""
+    return [[(x.re, x.im) for x in row] for row in rows]
+
+
+def combination_matrix(rng, rows, cols, rank, scalar):
+    """rows x cols matrix whose rows are random combinations of `rank` rows."""
+    base = [[scalar() for _ in range(cols)] for _ in range(rank)]
+    out = []
+    for _ in range(rows):
+        coeffs = [rand_scalar(rng) for _ in range(rank)]
+        out.append([sum((c * b[j] for c, b in zip(coeffs, base)), ZERO)
+                    for j in range(cols)])
+    return Matrix(out, cols=cols)
+
+
+def differential_inputs():
+    rng = random.Random(108)
+    small = lambda: rand_scalar(rng)
+    sparse = lambda: rand_scalar(rng) if rng.random() < 0.4 else ZERO
+    complex_ = lambda: gr(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                          Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
+                                   rng.randint(1, 4)))
+    huge = lambda: gr(Fraction(rng.randint(-10 ** 15, 10 ** 15),
+                               rng.randint(1, 10 ** 12)),
+                      Fraction(rng.randint(-10 ** 15, 10 ** 15),
+                               rng.randint(1, 10 ** 12)))
+    real = lambda: gr(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+    out = [Matrix([], cols=c) for c in range(1, 5)]
+    for scalar in (small, sparse, complex_, huge, real):
+        for n in range(1, 6):                                      # square
+            out.append(Matrix([[scalar() for _ in range(n)] for _ in range(n)]))
+        for _ in range(25):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            out.append(Matrix([[scalar() for _ in range(cols)]
+                               for _ in range(rows)]))
+        for _ in range(10):
+            rows, cols = rng.randint(1, 3), rng.randint(5, 9)    # wide
+            out.append(Matrix([[scalar() for _ in range(cols)]
+                               for _ in range(rows)]))
+            out.append(Matrix([[scalar() for _ in range(rows)]  # tall
+                               for _ in range(cols)]))
+        for _ in range(15):
+            n = rng.randint(2, 6)
+            out.append(combination_matrix(rng, n, n, rng.randint(1, n - 1),
+                                          scalar))                 # singular
+            rows, cols = rng.randint(2, 7), rng.randint(2, 7)
+            out.append(combination_matrix(rng, rows, cols,
+                                          rng.randint(1, 2), scalar))
+        for _ in range(10):
+            rows, cols = rng.randint(2, 6), rng.randint(1, 6)
+            entries = [[scalar() for _ in range(cols)] for _ in range(rows)]
+            for i in rng.sample(range(rows), rng.randint(1, rows - 1)):
+                entries[i] = [ZERO] * cols                         # zero rows
+            out.append(Matrix(entries, cols=cols))
+    return out
+
+
+def test_elimination_matches_fraction_reference():
+    for m in differential_inputs():
+        work, pivots = reference_reduced(m)
+        got_work, got_pivots = m._reduced()
+        assert got_pivots == pivots
+        assert exact(got_work) == exact(work[:len(pivots)])
+        r, rank = m.rref()
+        assert rank == len(pivots) == m.rank()
+        assert exact(r.entries) == exact(work)
+        assert exact(m.row_basis().entries) == exact(reference_row_basis(m).entries)
+        kernel = m.kernel_basis()
+        assert kernel.shape == (m.cols - rank, m.cols)
+        assert exact(kernel.entries) == exact(reference_kernel_basis(m).entries)
+        if m.rows == m.cols:
+            want = reference_inverse(m)
+            if want is None:
+                with pytest.raises(ValueError):
+                    m.inverse()
+            else:
+                assert exact(m.inverse().entries) == exact(want.entries)
