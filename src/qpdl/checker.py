@@ -22,16 +22,15 @@ from typing import Optional
 from . import ast
 from .desugar import desugar_formula, desugar_program
 from .errors import (
-    CheckError,
     NonDeterministicProgram,
     SpatialAtomInSymbolicMode,
     UnboundVariable,
     UnsupportedNesting,
     UnsupportedShape,
 )
-from .frame import Frame, PartialMap, QAction, Ray, Subspace
+from .frame import LOCAL_STATES, Frame, PartialMap, QAction, Ray, Subspace
 from .linalg import GaussianRational, Matrix, ONE, ZERO
-from .regions import Region, emptiness, wp
+from .regions import Region, wp
 
 
 class Environment:
@@ -84,19 +83,14 @@ def _denote(env: Environment, prog: ast.Program):
     if isinstance(prog, ast.Test):
         closed = _eval(env, prog.formula).closure()
         return QAction([PartialMap(closed.projector())])
-    if isinstance(prog, ast.SeqP):
+    if isinstance(prog, (ast.SeqP, ast.UnionP)):
         left = _denote(env, prog.left)
         right = _denote(env, prog.right)
         if isinstance(left, LocalTrivial) or isinstance(right, LocalTrivial):
             raise UnsupportedShape("T{I} cannot be composed; it may only "
                                    "stand alone under a modality")
-        return left.then(right)
-    if isinstance(prog, ast.UnionP):
-        left = _denote(env, prog.left)
-        right = _denote(env, prog.right)
-        if isinstance(left, LocalTrivial) or isinstance(right, LocalTrivial):
-            raise UnsupportedShape("T{I} cannot be composed; it may only "
-                                   "stand alone under a modality")
+        if isinstance(prog, ast.SeqP):
+            return left.then(right)
         return left.union(right)
     raise TypeError(f"not a core program node: {prog!r}")
 
@@ -105,7 +99,7 @@ def _atom_subspace(env: Environment, f: ast.Formula) -> Subspace:
     """The subspace named by one of the state atoms."""
     fr = env.frame
     if isinstance(f, ast.Const):
-        return fr.local_lift(f.char, f.qubit)
+        return fr.state_lift(LOCAL_STATES[f.char], (f.qubit,))
     if isinstance(f, ast.RayF):
         return fr.state_lift(f.amps, f.qubits)
     if isinstance(f, ast.GHZ):
@@ -164,7 +158,7 @@ def _eval(env: Environment, f: ast.Formula) -> Region:
     if isinstance(f, ast.Box):
         if isinstance(f.prog, ast.TopP):
             if len(f.prog.qubits) == env.frame.n:
-                valid = emptiness(_eval(env, f.body).complement()) is None
+                valid = _eval(env, f.body).complement().is_empty()
                 return Region.full(dim) if valid else Region.empty(dim)
             raise SpatialAtomInSymbolicMode(
                 "[T{I}] needs a concrete state")
@@ -346,7 +340,7 @@ def _holds(env: Environment, s: Ray, f: ast.Formula) -> bool:
         if isinstance(f.prog, ast.TopP):
             reach = Region.of_subspace(fr.reachable(s, f.prog.qubits))
             bad = _symbolic_here(env, ast.Not(f.body))
-            return reach.intersect(bad).is_empty_rayset()
+            return reach.intersect(bad).is_empty()
         act = _denote(env, f.prog)
         for pm in act.branches:
             out = pm.apply_ray(s)
@@ -377,7 +371,7 @@ def check_valid(env: Environment, f: ast.Formula) -> Optional[Ray]:
     """None when the formula holds at every state; otherwise a
     counterexample ray, re-verified pointwise."""
     core = desugar_formula(f, env.frame.n)
-    witness = emptiness(_eval(env, ast.Not(core)))
+    witness = _eval(env, ast.Not(core)).witness()
     if witness is None:
         return None
     if _holds(env, witness, core):

@@ -26,6 +26,10 @@ from .frame import Frame, Ray, Subspace, format_state, parse_state
 from .parser import ParseError, parse_formula, parse_program
 from .protocols import DEFAULT_SEED, TARGETS, run_target
 
+# Maps are dense 2^n x 2^n matrices: past 10 qubits a check would run for
+# hours or exhaust memory instead of answering.
+MAX_QUBITS = 10
+
 
 def _load_ray(path: str, n: int) -> Ray:
     with open(path, encoding="ascii") as fh:
@@ -56,6 +60,14 @@ def _bindings(pairs, n: int, fr: Frame) -> dict:
     return out
 
 
+def _environment(args) -> Environment:
+    """The -n qubit frame with the -b bindings; no frame above MAX_QUBITS."""
+    if args.n > MAX_QUBITS:
+        raise ValueError(f"-n {args.n} exceeds the limit of {MAX_QUBITS} qubits")
+    fr = Frame(args.n)
+    return Environment(fr, _bindings(args.bind, args.n, fr))
+
+
 def _ray_lines(ray: Ray) -> str:
     return " + ".join(f"({a})e{idx}" for idx, a in enumerate(ray.amps)
                       if not a.is_zero())
@@ -73,8 +85,7 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_valid(args) -> int:
-    fr = Frame(args.n)
-    env = Environment(fr, _bindings(args.bind, args.n, fr))
+    env = _environment(args)
     witness = check_valid(env, parse_formula(args.formula))
     if witness is None:
         print("VALID")
@@ -85,8 +96,7 @@ def _cmd_valid(args) -> int:
 
 
 def _cmd_holds(args) -> int:
-    fr = Frame(args.n)
-    env = Environment(fr, _bindings(args.bind, args.n, fr))
+    env = _environment(args)
     ray = _load_ray(args.state, args.n)
     if check_state(env, ray, parse_formula(args.formula)):
         print("TRUE")
@@ -96,8 +106,7 @@ def _cmd_holds(args) -> int:
 
 
 def _cmd_denote(args) -> int:
-    fr = Frame(args.n)
-    env = Environment(fr, _bindings(args.bind, args.n, fr))
+    env = _environment(args)
     action = denote_program(env, parse_program(args.program))
     if isinstance(action, LocalTrivial):
         qs = ",".join(str(q) for q in action.qubits)
@@ -106,14 +115,11 @@ def _cmd_denote(args) -> int:
     for k, branch in enumerate(action.branches, start=1):
         print(f"branch {k}:")
         print(branch.matrix)
-    if not action.branches:
-        print("no branches (nowhere-defined action)")
     return 0
 
 
 def _cmd_eval(args) -> int:
-    fr = Frame(args.n)
-    env = Environment(fr, _bindings(args.bind, args.n, fr))
+    env = _environment(args)
     region = eval_symbolic(env, parse_formula(args.formula))
     if region.is_empty():
         print("EMPTY")

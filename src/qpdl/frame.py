@@ -7,23 +7,17 @@ partial linear maps.  Qubit 1 occupies the most significant bit of a
 basis index, so |b1 b2 ... bn> sits at index b1*2^(n-1) + ... + bn.
 
 Everything here is exact: subspace identity goes through canonical RREF
-bases, projectors through Gram-matrix inversion, and separability through
-integer ranks of reshaped amplitude matrices.
+bases, and separability through integer ranks of reshaped amplitude
+matrices.  Preimages are kernels against a basis of the orthocomplement;
+only tests (f?) need an orthogonal projector, built by Gram-matrix
+inversion.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .linalg import (
-    GaussianRational,
-    Matrix,
-    ONE,
-    ZERO,
-    gr,
-    parse_rational,
-)
+from .linalg import GaussianRational, Matrix, ONE, ZERO, parse_rational
 
 
 class BadIndex(ValueError):
@@ -231,11 +225,15 @@ class PartialMap:
         return Subspace.from_rows(rows, self.dim)
 
     def preimage_closed(self, sub: Subspace) -> Subspace:
-        """{x : M x lands in sub (possibly at zero)} = ker(P_perp * M)."""
+        """{x : M x lands in sub (possibly at zero)} = ker(conj(B) * M),
+
+        where the rows of B span sub's orthocomplement: a vector lies in
+        sub exactly when it is orthogonal to every row of B.
+        """
         perp = sub.ortho()
         if perp.is_zero():
             return Subspace.full(self.dim)
-        reduced = perp.projector() * self.matrix
+        reduced = perp.basis.conj() * self.matrix
         return Subspace(reduced.kernel_basis(), self.dim, _canonical=True)
 
     def is_local(self, frame: "Frame", qubits: frozenset) -> bool:
@@ -354,9 +352,6 @@ class Frame:
 
     # ----- states ------------------------------------------------------------
 
-    def basis_ray(self, index: int) -> Ray:
-        return Ray([ONE if i == index else ZERO for i in range(self.dim)])
-
     def product_ray(self, chars: str) -> Ray:
         """Product state from one of 0 1 + - per qubit, e.g. '0+1'."""
         if len(chars) != self.n:
@@ -376,21 +371,6 @@ class Frame:
         if r.dim != self.dim:
             raise ValueError("amplitude count differs from frame dimension")
         return r
-
-    def local_lift(self, char: str, qubit: int) -> Subspace:
-        """All states whose given qubit carries the named 1-qubit state."""
-        self.check_qubits([qubit])
-        a0, a1 = LOCAL_STATES[char]
-        rows = []
-        for rest in range(self.dim // 2):
-            v = [ZERO] * self.dim
-            low = rest & ((1 << (self.n - qubit)) - 1)
-            high = rest >> (self.n - qubit)
-            base = (high << (self.n - qubit + 1)) | low
-            v[self.with_bit(base, qubit, 0)] = a0
-            v[self.with_bit(base, qubit, 1)] = a1
-            rows.append(v)
-        return Subspace.from_rows(rows, self.dim)
 
     # ----- gates -------------------------------------------------------------
 
@@ -467,12 +447,10 @@ class Frame:
         if not inside or len(inside) == self.n:
             trivial = Ray([ONE])
             return (trivial, ray) if not inside else (ray, trivial)
-        m = self.reshape(ray.amps, inside)
-        if m.rank() != 1:
+        split = _rank_one_split(self.reshape(ray.amps, inside))
+        if split is None:
             return None
-        r0, c0 = next((r, c) for r in range(m.rows) for c in range(m.cols)
-                      if not m.entries[r][c].is_zero())
-        return Ray(m.column(c0)), Ray(m.row(r0))
+        return Ray(split[0]), Ray(split[1])
 
     def reachable(self, ray: Ray, qubits: Iterable[int]) -> Subspace:
         """States reachable from the ray by actions local to the given qubits.
@@ -516,25 +494,10 @@ class Frame:
         """
         if g.shape != (2, 2):
             raise ValueError("need a 2x2 matrix")
-        self.check_qubits([i, j])
-        if g.is_zero():
-            return Subspace.zero(self.dim)
-        inside = sorted([i, j])
-        rest_n = self.dim // 4
-        rows = []
-        for t in range(rest_n):
-            v = [ZERO] * self.dim
-            for alpha in (0, 1):
-                for beta in (0, 1):
-                    val = g.entries[beta][alpha]
-                    if val.is_zero():
-                        continue
-                    a = 0
-                    for q in inside:
-                        a = (a << 1) | (alpha if q == i else beta)
-                    v[self.merge_index(inside, a, t)] = val
-            rows.append(v)
-        return Subspace.from_rows(rows, self.dim)
+        # g[beta][alpha] goes on |alpha>_i |beta>_j, and state_lift takes
+        # the lower-numbered qubit as the high bit
+        pairs = zip(*g.entries) if i < j else g.entries
+        return self.state_lift([x for pair in pairs for x in pair], (i, j))
 
     def state_lift(self, amps: Sequence, qubits: Iterable[int]) -> Subspace:
         """States whose I-component is the given part-state: part x H_rest.
@@ -592,57 +555,18 @@ class Frame:
             return ("right", part, rest_rays[0])
         return None
 
-    def cylinder(self, sub: Subspace, qubits: Iterable[int]) -> Optional[Subspace]:
-        """The I-part V when sub == V tensor H_rest; None if it is no cylinder."""
-        inside = sorted(self.check_qubits(qubits))
-        cols = []
-        for r in range(sub.dim):
-            m = self.reshape(sub.basis.row(r), inside)
-            cols.extend(m.transpose().entries)
-        part = Subspace.from_rows(cols, 2 ** len(inside))
-        if part.dim * (self.dim // 2 ** len(inside)) != sub.dim:
-            return None
-        lifted = []
-        for i in range(part.dim):
-            for b in range(self.dim // 2 ** len(inside)):
-                v = [ZERO] * self.dim
-                for a in range(2 ** len(inside)):
-                    val = part.basis.entries[i][a]
-                    if not val.is_zero():
-                        v[self.merge_index(inside, a, b)] = val
-                lifted.append(v)
-        if Subspace.from_rows(lifted, self.dim) == sub:
-            return part
-        return None
-
-    def component_span(self, sub: Subspace, qubits: Iterable[int]) -> Subspace:
-        """Span of the I-side factors of the subspace's vectors."""
-        inside = sorted(self.check_qubits(qubits))
-        cols = []
-        for r in range(sub.dim):
-            m = self.reshape(sub.basis.row(r), inside)
-            cols.extend(m.transpose().entries)
-        return Subspace.from_rows(cols, 2 ** len(inside))
-
     def __repr__(self):
         return f"Frame(n={self.n})"
 
 
-def _rank_one_split(m: Matrix) -> Optional[tuple[list, list]]:
-    """(column, row) with m = column x row as an outer product, else None."""
-    pivot_pos = next(((r, c) for r in range(m.rows) for c in range(m.cols)
-                      if not m.entries[r][c].is_zero()), None)
-    if pivot_pos is None:
+def _rank_one_split(m: Matrix) -> Optional[tuple[tuple, tuple]]:
+    """(column, row) through a nonzero entry when m has rank 1, so that m
+    is their outer product up to a scalar; None otherwise."""
+    if m.rank() != 1:
         return None
-    r0, c0 = pivot_pos
-    col = [m.entries[r][c0] for r in range(m.rows)]
-    pivot = m.entries[r0][c0]
-    row = [m.entries[r0][c] / pivot for c in range(m.cols)]
-    for r in range(m.rows):
-        for c in range(m.cols):
-            if m.entries[r][c] != col[r] * row[c]:
-                return None
-    return col, row
+    r0, c0 = next((r, c) for r in range(m.rows) for c in range(m.cols)
+                  if not m.entries[r][c].is_zero())
+    return m.column(c0), m.row(r0)
 
 
 # ----- state files ---------------------------------------------------------

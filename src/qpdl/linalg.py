@@ -205,13 +205,6 @@ class Matrix:
     def conj_transpose(self) -> "Matrix":
         return self.transpose().conj()
 
-    def kron(self, other: "Matrix") -> "Matrix":
-        out = []
-        for arow in self.entries:
-            for brow in other.entries:
-                out.append([a * b for a in arow for b in brow])
-        return Matrix(out, cols=self.cols * other.cols)
-
     def row(self, i: int) -> tuple:
         return self.entries[i]
 
@@ -253,12 +246,6 @@ class Matrix:
         work = self._integer_rows()
         pivots = _eliminate(work, self.cols)
         return _rational_rows(work, pivots), pivots
-
-    def rref(self) -> tuple["Matrix", int]:
-        """Reduced row echelon form (same shape) and the rank."""
-        rows, pivots = self._reduced()
-        rows.extend([ZERO] * self.cols for _ in range(self.rows - len(rows)))
-        return Matrix(rows, cols=self.cols), len(pivots)
 
     def rank(self) -> int:
         return len(_eliminate(self._integer_rows(), self.cols))

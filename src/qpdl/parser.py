@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import ast
@@ -157,6 +157,8 @@ class _Parser:
         self.depth = 0
         self.far_pos = 0
         self.far_expected: set = set()
+        # (position, depth) pairs where a test reading already failed
+        self.failed_tests: set = set()
 
     # ----- token plumbing ---------------------------------------------------
 
@@ -435,14 +437,18 @@ class _Parser:
             if self.accept("?"):
                 return ast.Test(ast.Top(qs))
             return ast.TopP(qs)
-        # Anything else should be a test: a formula followed by '?'.
-        save = self.pos
-        try:
-            body = self.formula()
-            self.expect("?")
-            return ast.Test(body)
-        except ParseError:
-            self.pos = save
+        # Anything else should be a test: a formula followed by '?'.  Its
+        # outcome depends on nothing but the position and the depth, and
+        # nested '(' would retry a failed reading exponentially often.
+        save = (self.pos, self.depth)
+        if save not in self.failed_tests:
+            try:
+                body = self.formula()
+                self.expect("?")
+                return ast.Test(body)
+            except ParseError:
+                self.pos = save[0]
+                self.failed_tests.add(save)
         if self.accept("("):
             prog = self.program()
             self.expect(")")

@@ -14,7 +14,8 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from itertools import combinations
+from typing import Optional
 
 from . import ast
 from .checker import (
@@ -73,14 +74,17 @@ def _line(name: str, r: InstanceResult) -> str:
     return text
 
 
-def _report(name: str, instances, seed, start, branches=None) -> Report:
+def _report(name: str, instances, seed, start, branches=None,
+            corroborations=()) -> Report:
+    """The headline counts the instances; corroborations are listed after
+    them and must pass too."""
     ok = sum(r.valid for r in instances)
-    passed = ok == len(instances)
+    passed = ok == len(instances) and all(r.valid for r in corroborations)
     unit = f"{ok}/{len(instances)} instances"
     if branches is not None:
         unit += f", {branches} branches"
     headline = f"{'PASS' if passed else 'FAIL'} ({unit})"
-    lines = tuple(_line(name, r) for r in instances)
+    lines = tuple(_line(name, r) for r in (*instances, *corroborations))
     return Report(name, passed, headline, lines, seed,
                   time.perf_counter() - start)
 
@@ -188,14 +192,9 @@ def teleportation(seed: int = DEFAULT_SEED, drop_x: bool = False,
                            tuple(f"x={x},y={y}" for x, y in pairs))
     out = check_schematic(Environment(Frame(3)), claim,
                           rng=random.Random(seed), samples=samples)
-    report = _report("teleportation", out.instances + out.corroborations,
-                     seed, start, branches=out.branch_count)
-    ok = sum(r.valid for r in out.instances)
-    headline = (f"{'PASS' if report.passed else 'FAIL'} "
-                f"({ok}/{len(out.instances)} instances, "
-                f"{out.branch_count} branches)")
-    return Report(report.name, report.passed, headline, report.lines, seed,
-                  report.duration)
+    return _report("teleportation", out.instances, seed, start,
+                   branches=out.branch_count,
+                   corroborations=out.corroborations)
 
 
 def _qss_branch(x: int, y: int, z: int, omit_z: bool, signs: str) -> str:
@@ -239,15 +238,9 @@ def quantum_secret_sharing(seed: int = DEFAULT_SEED, omit_z: bool = False,
             f"eqi{{2,4}}(img({signs[z]}_3?, ghz[2,3,4]), bell[{z},0,2,4])"))
         extra.append(InstanceResult(f"ghz intermediate z={z}",
                                     witness is None, witness))
-    instances = out.instances + tuple(extra)
-    report = _report("qss", instances + out.corroborations, seed, start,
-                     branches=out.branch_count)
-    ok = sum(r.valid for r in instances)
-    headline = (f"{'PASS' if report.passed else 'FAIL'} "
-                f"({ok}/{len(instances)} instances, "
-                f"{out.branch_count} branches)")
-    return Report(report.name, report.passed, headline, report.lines, seed,
-                  report.duration)
+    return _report("qss", out.instances + tuple(extra), seed, start,
+                   branches=out.branch_count,
+                   corroborations=out.corroborations)
 
 
 # ----- lemma suite ---------------------------------------------------------------
@@ -863,7 +856,7 @@ def _ax_derived(rng, count: int) -> list:
     for n in (2, 3):
         env = Environment(Frame(n))
         for size in range(1, n + 1):
-            for I in _subsets(n, size):
+            for I in combinations(range(1, n + 1), size):
                 txt = ",".join(str(q) for q in I)
                 out.append(_valid(env, f"eqf(~T{{{txt}}}, false)",
                                   f"ortho-trivial n={n} I={list(I)}"))
@@ -927,11 +920,6 @@ def _ax_derived(rng, count: int) -> list:
                         ast.PerpF(p_node, ast.Var("q"))))
         out.append(_valid(env, both, f"perp-component #{t + 1} i={i}"))
     return out
-
-
-def _subsets(n: int, size: int):
-    from itertools import combinations
-    return combinations(range(1, n + 1), size)
 
 
 def axiom_suite(seed: int = DEFAULT_SEED) -> Report:

@@ -9,8 +9,11 @@ check.
 
 The emptiness verdict rests on the covering fact that a subspace over an
 infinite field is never a finite union of proper subspaces, so a
-normalised term with a nonzero positive part always contains a ray; a
-small deterministic search produces one.
+normalised term with a nonzero positive part always contains a ray:
+``Region.is_empty`` reads emptiness off the terms, and ``Region.witness``
+runs a small deterministic search for a ray only when one is wanted.
+The measurement modalities box and dia have no code of their own here;
+the checker reaches them as tests (f?), through ``wp``.
 """
 
 from __future__ import annotations
@@ -135,6 +138,8 @@ class Region:
         return Region(sub.ambient, [make_term(sub, [])])
 
     def is_empty(self) -> bool:
+        """Whether the region has no rays: terms are normalised, so a
+        region without terms is the only empty one."""
         return not self.terms
 
     def contains_ray(self, ray: Ray) -> bool:
@@ -178,19 +183,16 @@ class Region:
         return self.closure().ortho()
 
     def witness(self) -> Optional[Ray]:
+        """A ray of the region, or None when it is empty."""
         if self.is_empty():
             return None
         return self.terms[0].witness()
 
     def contains_region(self, other: "Region") -> bool:
-        return other.intersect(self.complement()).is_empty_rayset()
+        return other.intersect(self.complement()).is_empty()
 
     def same_rayset(self, other: "Region") -> bool:
         return self.contains_region(other) and other.contains_region(self)
-
-    def is_empty_rayset(self) -> bool:
-        # Terms are normalised, so syntactic emptiness is semantic emptiness.
-        return self.is_empty()
 
     def _same_ambient(self, other: "Region"):
         if self.ambient != other.ambient:
@@ -198,28 +200,6 @@ class Region:
 
     def __repr__(self):
         return f"Region(ambient={self.ambient}, terms={len(self.terms)})"
-
-
-def emptiness(region: Region) -> Optional[Ray]:
-    """None when the region has no rays, else a witness ray."""
-    if region.is_empty():
-        return None
-    return region.witness()
-
-
-def box(region: Region) -> Subspace:
-    """[measurement]region: states orthogonal to every ray outside it."""
-    return region.complement().closure().ortho()
-
-
-def diamond(region: Region) -> Region:
-    """States from which a measurement can land in the region."""
-    return Region.of_subspace(box(region.complement()).ortho())
-
-
-def sasaki_closure(region: Region) -> Subspace:
-    """The double orthocomplement, i.e. closure of the ray set."""
-    return region.closure()
 
 
 def wp_map(pm: PartialMap, region: Region) -> Region:

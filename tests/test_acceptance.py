@@ -3,6 +3,7 @@ with its wall-clock budget.  A summary line per criterion is printed at
 the end of the run (see conftest.py)."""
 
 import functools
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -37,6 +38,21 @@ from test_checker import coherent_formula, rand_ray
 from test_lang import rand_formula, rand_program
 
 CRITERIA = []
+
+# sha256 of each target's render_text() at the default seed: the reports
+# are byte-stable, so a changed verdict, witness or line shows here.
+REPORT_SHA256 = {
+    "axioms": "848c3d41ddac5bb3a6c8481315c769aa8e41894854604151cd9f6aefa9e3dd5f",
+    "teleportation":
+        "2e5e6c39446e77ad620c5fb02eead8ff383bee4da49f6cf135a3a2968233cd52",
+    "qss": "26cb3c96c1d0ff08f0b8ab3f62103202570d6dddd81e0785fa4346db01625137",
+    "lemmas": "972c9666a0dbbcc146c16bce923ba4ffe71af317496d7c19d4fdee344788c915",
+}
+
+
+def assert_report_bytes(report):
+    digest = hashlib.sha256(report.render_text().encode()).hexdigest()
+    assert digest == REPORT_SHA256[report.name], report.name
 
 
 def criterion(number, bound_seconds):
@@ -351,6 +367,7 @@ AXIOM_SCHEMAS = [
 def test_axiom_suite():
     suite = axiom_suite()
     assert suite.passed, suite.headline
+    assert_report_bytes(suite)
     for name in AXIOM_SCHEMAS:
         assert any(name in line for line in suite.lines), name
     # round-robin families get a top-up so every schema sees >= 50 draws
@@ -371,6 +388,7 @@ def test_teleportation_with_mutations():
     report = teleportation()
     assert report.passed, report.headline
     assert report.headline == "PASS (12/12 instances, 4 branches)"
+    assert_report_bytes(report)
     env = Environment(Frame(3))
     union = " + ".join(_teleport_branch(x, y, False, False)
                        for x in (0, 1) for y in (0, 1))
@@ -415,6 +433,7 @@ def test_quantum_secret_sharing():
     report = quantum_secret_sharing()
     assert report.passed, report.headline
     assert report.headline == "PASS (26/26 instances, 8 branches)"
+    assert_report_bytes(report)
     ghz = [line for line in report.lines if "ghz intermediate" in line]
     assert len(ghz) == 2
     assert all("\tPASS" in line for line in ghz)
@@ -435,6 +454,7 @@ LEMMA_FAMILIES = [
 def test_lemma_suite():
     suite = lemma_suite()
     assert suite.passed, suite.headline
+    assert_report_bytes(suite)
     for name in LEMMA_FAMILIES:
         assert any(name in line for line in suite.lines), name
     return f"{len(suite.lines)} instances across {len(LEMMA_FAMILIES)} families"

@@ -169,10 +169,10 @@ def test_double_box_is_universal():
         env = env_pq(rng, fr)
         region = eval_symbolic(env, parse_formula("p"))
         got = eval_symbolic(env, parse_formula("box (box p)"))
-        if region.complement().is_empty_rayset():
-            assert got.complement().is_empty_rayset()
+        if region.complement().is_empty():
+            assert got.complement().is_empty()
         else:
-            assert got.is_empty_rayset()
+            assert got.is_empty()
 
 
 def test_adjunction_paired_validity():
@@ -194,10 +194,10 @@ def test_box_of_trivial_program_on_all_qubits():
         env = env_pq(rng, fr)
         region = eval_symbolic(env, parse_formula("p"))
         got = eval_symbolic(env, parse_formula("[T{1,2}]p"))
-        if region.complement().is_empty_rayset():
-            assert got.complement().is_empty_rayset()
+        if region.complement().is_empty():
+            assert got.complement().is_empty()
         else:
-            assert got.is_empty_rayset()
+            assert got.is_empty()
 
 
 # ----- phase sensitivity ---------------------------------------------------------
@@ -333,7 +333,7 @@ def test_eqi_formula_at_states():
 
 def test_local_formula_and_program():
     fr = Frame(2)
-    env = Environment(fr, {"p": fr.local_lift("+", 1)})
+    env = Environment(fr, {"p": fr.state_lift((1, 1), (1,))})
     assert check_valid(env, parse_formula("local{1}(p)")) is None
     assert check_valid(env, parse_formula("local{2}(p)")) is not None
     assert check_valid(env, parse_formula("localp{1}(X_1 + 0_1?)")) is None
@@ -389,7 +389,7 @@ def test_trivial_program_composition_is_refused():
 
 def test_environment_coerces_subspaces():
     fr = Frame(1)
-    env = Environment(fr, {"p": fr.local_lift("0", 1)})
+    env = Environment(fr, {"p": fr.state_lift((1, 0), (1,))})
     assert isinstance(env.lookup("p"), Region)
     assert check_valid(env, parse_formula("p -> [X_1]1_1")) is None
 

@@ -5,7 +5,7 @@ import pytest
 
 import qpdl.cli
 from qpdl.checker import Environment, check_state
-from qpdl.cli import main
+from qpdl.cli import MAX_QUBITS, main
 from qpdl.frame import Frame, parse_state
 from qpdl.parser import parse_formula
 from qpdl.regions import WitnessSearchExhausted
@@ -167,6 +167,19 @@ def test_bad_bindings_exit_two(tmp_path, capsys):
     code, _, err = run(capsys, ["valid", "-n", "2", "-b", f"p=@{zero}", "p"])
     assert code == 2
     assert "expected n=2" in err
+
+
+def test_qubit_count_above_cap_exits_two(capsys):
+    for argv in (["valid", "-n", "11", "x"],
+                 ["holds", "-n", "11", "--state", "nope", "x"],
+                 ["denote", "-n", "11", "x?"],
+                 ["eval", "-n", "11", "x"]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: -n 11 exceeds the limit of {MAX_QUBITS} qubits\n"
+    # at the cap the frame is accepted, and the unbound variable is the error
+    code, _, err = run(capsys, ["valid", "-n", str(MAX_QUBITS), "x"])
+    assert code == 2 and "unbound" in err
 
 
 def test_missing_state_file_exits_two(tmp_path, capsys):

@@ -1,10 +1,12 @@
 """Rays, subspaces, partial maps and the n-qubit frame."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+import qpdl.frame as frame_module
 from qpdl.frame import (
     BadIndex,
     Frame,
@@ -96,9 +98,9 @@ def test_h_matrix_is_unnormalised():
 def test_qubit_one_is_most_significant():
     fr = Frame(2)
     pm = fr.gate("X", (1,))
-    assert pm.apply_ray(fr.basis_ray(0b00)) == fr.basis_ray(0b10)
+    assert pm.apply_ray(fr.product_ray("00")) == fr.ray([0, 0, 1, 0])
     pm2 = fr.gate("X", (2,))
-    assert pm2.apply_ray(fr.basis_ray(0b00)) == fr.basis_ray(0b01)
+    assert pm2.apply_ray(fr.product_ray("00")) == fr.ray([0, 1, 0, 0])
 
 
 def test_cnot_table():
@@ -139,7 +141,7 @@ def test_separability_of_products_and_entangled():
 
 def test_reachable_by_local_actions():
     fr = Frame(2)
-    got = fr.reachable(fr.basis_ray(0), (2,))
+    got = fr.reachable(fr.product_ray("00"), (2,))
     assert got == Subspace.from_rows([[1, 0, 0, 0], [0, 1, 0, 0]], 4)
     bell = fr.ray([1, 0, 0, 1])
     assert fr.reachable(bell, (1,)).is_full()
@@ -152,7 +154,9 @@ def test_state_lift_and_local_lift():
     assert plus2.contains_ray(fr.product_ray("0+"))
     assert plus2.contains_ray(fr.product_ray("1+"))
     assert not plus2.contains_ray(fr.product_ray("00"))
-    assert fr.local_lift("+", 2) == plus2
+    assert plus2 == Subspace.from_rows([[1, 1, 0, 0], [0, 0, 1, 1]], 4)
+    assert fr.state_lift((0, 1), (1,)) == \
+        Subspace.from_rows([[0, 0, 1, 0], [0, 0, 0, 1]], 4)
     both = fr.state_lift((1, 0, 0, 1), (1, 2))
     assert both.dim == 1
 
@@ -174,7 +178,9 @@ def test_restrict_first_inverts_encoding():
                     for _ in range(2)])
         if g.is_zero():
             continue
-        full = g.kron(Matrix.identity(2))
+        # g tensor identity: qubit 1 is the high bit of both indices
+        full = Matrix([[g.entries[r >> 1][c >> 1] if r % 2 == c % 2 else 0
+                        for c in range(4)] for r in range(4)])
         got = fr.restrict_first(PartialMap(full))
         # equal up to scale: compare induced subspace of the flattened entries
         flat_got = [x for row in got.entries for x in row]
@@ -252,3 +258,139 @@ def test_state_file_round_trip():
         parse_state("n=1\n1 0\n")  # wrong number of amplitude lines
     with pytest.raises(ValueError):
         parse_state("n=1\n0 0\n0 0\n")  # zero vector is not a state
+
+
+# ----- differential tests against the routines these replaced ------------------
+
+
+def reference_preimage(pm, sub):
+    """ker(P_perp * M) through the Gram-inverse projector onto sub's
+    orthocomplement: the oracle for PartialMap.preimage_closed."""
+    perp = sub.ortho()
+    if perp.is_zero():
+        return Subspace.full(pm.dim)
+    return Subspace((perp.projector() * pm.matrix).kernel_basis(), pm.dim)
+
+
+def singular_matrix(rng, dim):
+    """Every row a combination of the same dim - 1 rows."""
+    base = [rand_amps(rng, dim) for _ in range(dim - 1)]
+    rows = []
+    for _ in range(dim):
+        coeffs = [rng.randint(-2, 2) for _ in base]
+        rows.append([sum((c * b[j] for c, b in zip(coeffs, base)), gr(0))
+                     for j in range(dim)])
+    return Matrix(rows)
+
+
+def preimage_inputs():
+    rng = random.Random(208)
+    pairs = []
+    for n in (1, 2, 3):
+        dim = 2 ** n
+        fr = Frame(n)
+        maps = [
+            Matrix.zeros(dim, dim),
+            Matrix.identity(dim),
+            fr.gate("H", (1,)).matrix,
+            Subspace.of_ray(Ray(rand_amps(rng, dim))).projector(),
+            Matrix([rand_amps(rng, dim, real=True) for _ in range(dim)]),
+            Matrix([rand_amps(rng, dim) for _ in range(dim)]),
+            Matrix([rand_amps(rng, dim) for _ in range(dim)]),
+            singular_matrix(rng, dim),
+            singular_matrix(rng, dim),
+            # a zero row and column
+            Matrix([[0] * dim] + [rand_amps(rng, dim)[:-1] + (0,)
+                                  for _ in range(dim - 1)]),
+        ]
+        subs = [Subspace.zero(dim), Subspace.full(dim)]
+        subs += [rand_sub(rng, dim, k) for k in range(1, dim)]
+        subs += [rand_sub(rng, dim, rng.randint(1, dim)) for _ in range(8 - dim)]
+        subs += [Subspace.of_ray(fr.product_ray("0" * n)),
+                 Subspace.of_ray(Ray(rand_amps(rng, dim, real=True)))]
+        pairs += [(PartialMap(m), sub) for m in maps for sub in subs]
+    return pairs
+
+
+def test_preimage_matches_projector_reference():
+    pairs = preimage_inputs()
+    assert len(pairs) >= 200
+    for pm, sub in pairs:
+        assert pm.preimage_closed(sub) == reference_preimage(pm, sub)
+
+
+def reference_rank_one_split(m):
+    """(column, row) with m = column x row in Fraction arithmetic, else
+    None: the oracle for the rank test in separability and product_form."""
+    pivot_pos = next(((r, c) for r in range(m.rows) for c in range(m.cols)
+                      if not m.entries[r][c].is_zero()), None)
+    if pivot_pos is None:
+        return None
+    r0, c0 = pivot_pos
+    col = [m.entries[r][c0] for r in range(m.rows)]
+    pivot = m.entries[r0][c0]
+    row = [m.entries[r0][c] / pivot for c in range(m.cols)]
+    for r in range(m.rows):
+        for c in range(m.cols):
+            if m.entries[r][c] != col[r] * row[c]:
+                return None
+    return col, row
+
+
+def product_amps(fr, inside, part, rest):
+    amps = [gr(0)] * fr.dim
+    for a, x in enumerate(part):
+        for b, y in enumerate(rest):
+            amps[fr.merge_index(inside, a, b)] = x * y
+    return amps
+
+
+def split_inputs():
+    """(frame, qubits, rays, subspaces): product and entangled rays, and
+    subspaces of the forms x_I (x) V, V_I (x) y and neither."""
+    rng = random.Random(209)
+    out = []
+    for n in (2, 3):
+        fr = Frame(n)
+        for size in range(1, n):
+            for inside in itertools.combinations(range(1, n + 1), size):
+                k, rest_k = 2 ** size, fr.dim // 2 ** size
+                part = lambda: rand_amps(rng, k)
+                rest = lambda: rand_amps(rng, rest_k)
+                rays = [Ray(product_amps(fr, inside, part(), rest()))
+                        for _ in range(6)]
+                rays += [Ray(rand_amps(rng, fr.dim)) for _ in range(4)]
+                rays += [fr.product_ray("0" * n), fr.product_ray("+" * n),
+                         fr.ray([1] + [0] * (fr.dim - 2) + [1])]
+                x, y = part(), rest()
+                subs = [
+                    Subspace.from_rows([product_amps(fr, inside, x, rest())
+                                        for _ in range(2)], fr.dim),
+                    Subspace.from_rows([product_amps(fr, inside, part(), y)
+                                        for _ in range(2)], fr.dim),
+                    Subspace.from_rows([product_amps(fr, inside, part(), rest())
+                                        for _ in range(2)], fr.dim),
+                    fr.state_lift(part(), inside),
+                    Subspace.of_ray(rays[0]),
+                    rand_sub(rng, fr.dim, 2),
+                ]
+                out.append((fr, inside, rays, subs))
+    return out
+
+
+def test_rank_one_split_matches_fraction_reference(monkeypatch):
+    cases = split_inputs()
+    new = [([fr.separability(r, inside) for r in rays],
+            [fr.product_form(s, inside) for s in subs])
+           for fr, inside, rays, subs in cases]
+    monkeypatch.setattr(frame_module, "_rank_one_split",
+                        reference_rank_one_split)
+    old = [([fr.separability(r, inside) for r in rays],
+            [fr.product_form(s, inside) for s in subs])
+           for fr, inside, rays, subs in cases]
+    assert new == old
+    seps = [s for rays, _ in new for s in rays]
+    forms = [f[0] if f else None for _, fs in new for f in fs]
+    # both outcomes of each routine occur
+    assert None in seps and any(s is not None for s in seps)
+    assert {None, "left", "right"} <= set(forms)

@@ -1,6 +1,7 @@
 """Concrete syntax: parsing, printing, and their round trip."""
 
 import random
+import time
 
 import pytest
 
@@ -259,3 +260,13 @@ def test_nesting_depth_limit():
                  "(" * k + "0_1" + ")" * k]:
         with pytest.raises(ParseError, match="nesting deeper"):
             parse_formula(text)
+
+
+def test_nested_test_readings_fail_fast():
+    # Each '(' in program position may open a test 'f?'; a reading that
+    # failed is not retried, so the work stops doubling with every level.
+    text = "<(" * 40 + "0_1?" + ")>0_1" * 40
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="line 1 column 91"):
+        parse_formula(text)
+    assert time.perf_counter() - start < 1.0

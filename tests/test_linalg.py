@@ -53,12 +53,11 @@ def test_rref_shape_and_rank():
     rng = random.Random(102)
     for _ in range(50):
         m = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        r, rank = m.rref()
-        assert rank <= min(m.rows, m.cols)
-        again, rank2 = r.rref()
-        assert rank2 == rank
+        r = m.row_basis()
+        assert r.rows == m.rank() <= min(m.rows, m.cols)
+        assert r.rank() == r.rows
         # reduction is idempotent on the nonzero rows
-        assert again.row_basis() == r.row_basis()
+        assert r.row_basis() == r
 
 
 def test_kernel_is_annihilated():
@@ -82,16 +81,6 @@ def test_inverse_of_random_invertible():
         found += 1
         assert m * m.inverse() == Matrix.identity(3)
         assert m.inverse() * m == Matrix.identity(3)
-
-
-def test_kron_mixed_product():
-    rng = random.Random(105)
-    for _ in range(30):
-        a = rand_matrix(rng, 2, 2)
-        b = rand_matrix(rng, 2, 2)
-        c = rand_matrix(rng, 2, 2)
-        d = rand_matrix(rng, 2, 2)
-        assert a.kron(b) * c.kron(d) == (a * c).kron(b * d)
 
 
 def test_conj_transpose_involution_and_product():
@@ -242,12 +231,10 @@ def test_elimination_matches_fraction_reference():
         got_work, got_pivots = m._reduced()
         assert got_pivots == pivots
         assert exact(got_work) == exact(work[:len(pivots)])
-        r, rank = m.rref()
-        assert rank == len(pivots) == m.rank()
-        assert exact(r.entries) == exact(work)
+        assert m.rank() == len(pivots)
         assert exact(m.row_basis().entries) == exact(reference_row_basis(m).entries)
         kernel = m.kernel_basis()
-        assert kernel.shape == (m.cols - rank, m.cols)
+        assert kernel.shape == (m.cols - len(pivots), m.cols)
         assert exact(kernel.entries) == exact(reference_kernel_basis(m).entries)
         if m.rows == m.cols:
             want = reference_inverse(m)

@@ -3,18 +3,11 @@
 import random
 from fractions import Fraction
 
+from qpdl.checker import Environment, eval_symbolic
 from qpdl.frame import Frame, PartialMap, QAction, Ray, Subspace
 from qpdl.linalg import Matrix, gr
-from qpdl.regions import (
-    Region,
-    box,
-    diamond,
-    emptiness,
-    make_term,
-    sasaki_closure,
-    wp,
-    wp_map,
-)
+from qpdl.parser import parse_formula
+from qpdl.regions import Region, make_term, wp, wp_map
 
 
 def rand_amps(rng, dim):
@@ -77,9 +70,9 @@ def test_emptiness_returns_member_or_none():
     rng = random.Random(303)
     for _ in range(60):
         a = rand_region(rng, 4)
-        w = emptiness(a)
+        w = a.witness()
         if w is None:
-            assert a.is_empty_rayset()
+            assert a.is_empty()
             rays = [Ray(rand_amps(rng, 4)) for _ in range(10)]
             assert not any(a.contains_ray(s) for s in rays)
         else:
@@ -87,13 +80,13 @@ def test_emptiness_returns_member_or_none():
 
 
 def test_empty_and_full():
-    assert emptiness(Region.empty(4)) is None
-    w = emptiness(Region.full(4))
+    assert Region.empty(4).witness() is None
+    w = Region.full(4).witness()
     assert w is not None
     sub = Subspace.from_rows([[1, 0, 0, 0]], 4)
     gone = Region.of_subspace(sub).intersect(
         Region.of_subspace(sub).complement())
-    assert emptiness(gone) is None
+    assert gone.is_empty() and gone.witness() is None
 
 
 def test_term_witness_avoids_cuts():
@@ -163,14 +156,19 @@ def test_box_diamond_sasaki():
     rng = random.Random(306)
     for _ in range(30):
         region = rand_region(rng, 4)
-        b = box(region)
+        env = Environment(Frame(2), {"p": region})
         # box is the orthocomplement of the complement's closure
-        assert b == region.complement().closure().ortho()
+        b = eval_symbolic(env, parse_formula("box p"))
+        assert b.same_rayset(
+            Region.of_subspace(region.complement().closure().ortho()))
         # the quantum diamond ~box~ is the closure, the least testable
         # property the region can reach
-        d = diamond(region)
+        d = eval_symbolic(env, parse_formula("~box !p"))
         assert d.same_rayset(Region.of_subspace(region.closure()))
-        assert sasaki_closure(region) == region.closure()
+        # dia p is !box !p: the rays not orthogonal to the region
+        d = eval_symbolic(env, parse_formula("dia p"))
+        assert d.same_rayset(
+            Region.of_subspace(region.closure().ortho()).complement())
 
 
 def test_contains_region_and_same_rayset():
