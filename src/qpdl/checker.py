@@ -141,6 +141,7 @@ def _eval(env: Environment, f: ast.Formula) -> Region:
     if isinstance(f, (ast.Const, ast.RayF, ast.GHZ, ast.Gamma, ast.Ent)):
         return Region.of_subspace(_atom_subspace(env, f))
     if isinstance(f, ast.Top):
+        env.frame.check_qubits(f.qubits)
         if not f.qubits or len(f.qubits) == env.frame.n:
             return Region.full(dim)
         raise SpatialAtomInSymbolicMode(
@@ -153,10 +154,12 @@ def _eval(env: Environment, f: ast.Formula) -> Region:
         if isinstance(f.body, ast.Top):
             # basis states are I-separated for every I, so T{I} spans the
             # whole space and its orthocomplement is zero
+            env.frame.check_qubits(f.body.qubits)
             return Region.empty(dim)
         return Region.of_subspace(_eval(env, f.body).ortho())
     if isinstance(f, ast.Box):
         if isinstance(f.prog, ast.TopP):
+            env.frame.check_qubits(f.prog.qubits)
             if len(f.prog.qubits) == env.frame.n:
                 valid = _eval(env, f.body).complement().is_empty()
                 return Region.full(dim) if valid else Region.empty(dim)
@@ -294,9 +297,9 @@ def _region_is_local(env: Environment, region: Region, qubits) -> bool:
 def _program_is_local(env: Environment, prog: ast.Program, qubits) -> bool:
     act = _denote(env, prog)
     if isinstance(act, LocalTrivial):
-        return set(act.qubits) <= set(qubits)
-    want = frozenset(qubits)
-    return all(pm.is_local(env.frame, want) for pm in act.branches)
+        inside = env.frame.check_qubits(qubits)
+        return set(env.frame.check_qubits(act.qubits)) <= set(inside)
+    return all(pm.is_local(env.frame, qubits) for pm in act.branches)
 
 
 # ----- pointwise evaluation ----------------------------------------------------
@@ -334,6 +337,7 @@ def _holds(env: Environment, s: Ray, f: ast.Formula) -> bool:
         return _holds(env, s, f.left) and _holds(env, s, f.right)
     if isinstance(f, ast.Ortho):
         if isinstance(f.body, ast.Top):
+            fr.check_qubits(f.body.qubits)
             return False
         return _symbolic_here(env, f.body).ortho().contains_ray(s)
     if isinstance(f, ast.Box):

@@ -5,6 +5,8 @@ nonzero amplitude vectors identified up to a scalar.  Properties that can
 be tested by measurement are subspaces; actions are finite unions of
 partial linear maps.  Qubit 1 occupies the most significant bit of a
 basis index, so |b1 b2 ... bn> sits at index b1*2^(n-1) + ... + bn.
+``Frame.layout`` is the one place that decides this order: gates, lifts,
+reshapes and the locality test all read its index tables.
 
 Everything here is exact: subspace identity goes through canonical RREF
 bases, and separability through integer ranks of reshaped amplitude
@@ -236,30 +238,11 @@ class PartialMap:
         reduced = perp.basis.conj() * self.matrix
         return Subspace(reduced.kernel_basis(), self.dim, _canonical=True)
 
-    def is_local(self, frame: "Frame", qubits: frozenset) -> bool:
-        """True iff the map factors as (something on qubits) tensor identity."""
+    def is_local(self, frame: "Frame", qubits: Iterable[int]) -> bool:
+        """True iff the map factors as (something on qubits) tensor identity,
+        that is, equals the lift of its own block on those qubits."""
         inside = sorted(qubits)
-        outside = [q for q in range(1, frame.n + 1) if q not in qubits]
-        k = len(inside)
-        m = self.matrix
-        ref: dict[tuple, GaussianRational] = {}
-        for r in range(frame.dim):
-            a_out = tuple(frame.bit(r, q) for q in outside)
-            a_in = tuple(frame.bit(r, q) for q in inside)
-            for c in range(frame.dim):
-                b_out = tuple(frame.bit(c, q) for q in outside)
-                b_in = tuple(frame.bit(c, q) for q in inside)
-                val = m.entries[r][c]
-                if a_out != b_out:
-                    if not val.is_zero():
-                        return False
-                    continue
-                key = (a_in, b_in)
-                if key in ref and ref[key] != val:
-                    return False
-                ref.setdefault(key, val)
-        # All diagonal-in-outside blocks agreed with a single k-qubit pattern.
-        return len(ref) == (2 ** k) ** 2
+        return self == frame.lift(frame.block(self, inside), inside)
 
     def __eq__(self, other):
         if not isinstance(other, PartialMap):
@@ -308,10 +291,12 @@ class QAction:
         return f"QAction({len(self.branches)} branches, dim={self.dim})"
 
 
-GATE_1Q = {
+# Each gate on its own qubits, the first target being the high bit.
+GATES = {
     "X": Matrix([[0, 1], [1, 0]]),
     "Z": Matrix([[1, 0], [0, -1]]),
     "H": Matrix([[1, 1], [1, -1]]),
+    "CNOT": Matrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
 }
 
 LOCAL_STATES = {
@@ -331,24 +316,40 @@ class Frame:
         self.n = n
         self.dim = 2 ** n
         self._gates: dict = {}
+        self._layouts: dict = {}
 
-    # ----- index bookkeeping -------------------------------------------------
+    # ----- qubit layout ------------------------------------------------------
 
-    def bit(self, index: int, qubit: int) -> int:
-        return (index >> (self.n - qubit)) & 1
-
-    def with_bit(self, index: int, qubit: int, value: int) -> int:
-        mask = 1 << (self.n - qubit)
-        return (index | mask) if value else (index & ~mask)
-
-    def check_qubits(self, qubits: Iterable[int], distinct: bool = True) -> tuple:
+    def check_qubits(self, qubits: Iterable[int]) -> tuple:
         qs = tuple(qubits)
         for q in qs:
             if not 1 <= q <= self.n:
                 raise BadIndex(f"qubit {q} outside 1..{self.n}")
-        if distinct and len(set(qs)) != len(qs):
+        if len(set(qs)) != len(qs):
             raise BadIndex(f"repeated qubit in {qs}")
         return qs
+
+    def layout(self, qubits: Iterable[int]) -> tuple:
+        """The basis index of |a> on the listed qubits and |b> on the rest,
+        as table[a][b].
+
+        The first listed qubit is the high bit of a; b lists the other
+        qubits in ascending order.  This is the one place where a qubit
+        number becomes a bit position: qubit q is bit n - q of an index.
+        """
+        key = tuple(qubits)
+        table = self._layouts.get(key)
+        if table is None:
+            self.check_qubits(key)
+            rest = tuple(q for q in range(1, self.n + 1) if q not in key)
+            flat = [0]
+            for q in key + rest:
+                flat = [i | b << (self.n - q) for i in flat for b in (0, 1)]
+            width = self.dim >> len(key)
+            table = tuple(tuple(flat[a:a + width])
+                          for a in range(0, self.dim, width))
+            self._layouts[key] = table
+        return table
 
     # ----- states ------------------------------------------------------------
 
@@ -356,14 +357,9 @@ class Frame:
         """Product state from one of 0 1 + - per qubit, e.g. '0+1'."""
         if len(chars) != self.n:
             raise ValueError(f"need {self.n} qubit symbols, got {chars!r}")
-        amps = []
-        for idx in range(self.dim):
-            acc = ONE
-            for q in range(1, self.n + 1):
-                acc = acc * LOCAL_STATES[chars[q - 1]][self.bit(idx, q)]
-                if acc.is_zero():
-                    break
-            amps.append(acc)
+        amps = (ONE,)
+        for c in chars:
+            amps = tuple(x * y for x in amps for y in LOCAL_STATES[c])
         return Ray(amps)
 
     def ray(self, amps: Iterable) -> Ray:
@@ -372,69 +368,52 @@ class Frame:
             raise ValueError("amplitude count differs from frame dimension")
         return r
 
-    # ----- gates -------------------------------------------------------------
+    # ----- gates and blocks --------------------------------------------------
 
     def gate(self, kind: str, targets: Sequence[int]) -> PartialMap:
         key = (kind, tuple(targets))
-        if key in self._gates:
-            return self._gates[key]
-        if kind in GATE_1Q:
-            (q,) = self.check_qubits(targets)
-            g = GATE_1Q[kind]
-            entries = [[ZERO] * self.dim for _ in range(self.dim)]
-            for c in range(self.dim):
-                a = self.bit(c, q)
-                for b in (0, 1):
-                    val = g.entries[b][a]
-                    if not val.is_zero():
-                        entries[self.with_bit(c, q, b)][c] = val
-            pm = PartialMap(Matrix(entries, cols=self.dim))
-        elif kind == "CNOT":
-            ctrl, tgt = self.check_qubits(targets)
-            entries = [[ZERO] * self.dim for _ in range(self.dim)]
-            for c in range(self.dim):
-                r = c ^ (1 << (self.n - tgt)) if self.bit(c, ctrl) else c
-                entries[r][c] = ONE
-            pm = PartialMap(Matrix(entries, cols=self.dim))
-        else:
-            raise BadIndex(f"unknown gate {kind!r}")
-        self._gates[key] = pm
-        return pm
+        if key not in self._gates:
+            if kind not in GATES:
+                raise BadIndex(f"unknown gate {kind!r}")
+            self._gates[key] = self.lift(GATES[kind], targets)
+        return self._gates[key]
+
+    def lift(self, g: Matrix, qubits: Sequence[int]) -> PartialMap:
+        """g on the listed qubits (in layout order) tensor identity elsewhere."""
+        table = self.layout(qubits)
+        if g.shape != (len(table), len(table)):
+            raise BadIndex(f"a {g.rows}x{g.cols} matrix cannot act on {qubits}")
+        entries = [[ZERO] * self.dim for _ in range(self.dim)]
+        for out_row, g_row in zip(table, g.entries):
+            for in_row, val in zip(table, g_row):
+                if not val.is_zero():
+                    for r, c in zip(out_row, in_row):
+                        entries[r][c] = val
+        return PartialMap(Matrix(entries, cols=self.dim))
+
+    def block(self, pm: PartialMap, qubits: Sequence[int]) -> Matrix:
+        """The map on the listed qubits with the others held at |0...0>:
+        entry [a][c] is the amplitude of |a>|0...0> in M(|c>|0...0>)."""
+        if pm.dim != self.dim:
+            raise ValueError("map dimension differs from frame")
+        at_zero = [row[0] for row in self.layout(qubits)]
+        m = pm.matrix.entries
+        return Matrix([[m[r][c] for c in at_zero] for r in at_zero])
+
+    def restrict_first(self, pm: PartialMap) -> Matrix:
+        """The 2x2 map x -> P_W F(x tensor |0...0>) on the first qubit,
+
+        where W is spanned by |0...0> and |10...0>.
+        """
+        return self.block(pm, (1,))
 
     # ----- locality ----------------------------------------------------------
 
-    def split_index(self, index: int, inside: Sequence[int]) -> tuple[int, int]:
-        """Index of the inside-qubit bits and of the remaining bits."""
-        outside = [q for q in range(1, self.n + 1) if q not in inside]
-        a = 0
-        for q in inside:
-            a = (a << 1) | self.bit(index, q)
-        b = 0
-        for q in outside:
-            b = (b << 1) | self.bit(index, q)
-        return a, b
-
-    def merge_index(self, inside: Sequence[int], a: int, b: int) -> int:
-        outside = [q for q in range(1, self.n + 1) if q not in inside]
-        idx = 0
-        for pos, q in enumerate(reversed(inside)):
-            if (a >> pos) & 1:
-                idx |= 1 << (self.n - q)
-        for pos, q in enumerate(reversed(outside)):
-            if (b >> pos) & 1:
-                idx |= 1 << (self.n - q)
-        return idx
-
     def reshape(self, amps: Sequence, qubits: Iterable[int]) -> Matrix:
         """Amplitudes as a 2^|I| x 2^(n-|I|) matrix, I-qubits indexing rows."""
-        inside = sorted(self.check_qubits(qubits))
-        rows_n = 2 ** len(inside)
-        cols_n = self.dim // rows_n
-        entries = [[ZERO] * cols_n for _ in range(rows_n)]
-        for idx, amp in enumerate(amps):
-            a, b = self.split_index(idx, inside)
-            entries[a][b] = GaussianRational.of(amp)
-        return Matrix(entries, cols=cols_n)
+        table = self.layout(sorted(qubits))
+        return Matrix([[amps[i] for i in row] for row in table],
+                      cols=len(table[0]))
 
     def separability(self, ray: Ray, qubits: Iterable[int]
                      ) -> Optional[tuple[Ray, Ray]]:
@@ -458,31 +437,16 @@ class Frame:
         An I-local map turns the reshaped matrix M into G*M, so reachable
         states are exactly H_I tensor (row space of M).
         """
-        inside = sorted(self.check_qubits(qubits))
-        m = self.reshape(ray.amps, inside)
-        rows = m.row_basis()
+        inside = sorted(qubits)
+        rows = self.reshape(ray.amps, inside).row_basis()
         vectors = []
-        for a in range(2 ** len(inside)):
+        for positions in self.layout(inside):
             for i in range(rows.rows):
                 v = [ZERO] * self.dim
-                for b in range(rows.cols):
-                    val = rows.entries[i][b]
-                    if not val.is_zero():
-                        v[self.merge_index(inside, a, b)] = val
+                for idx, val in zip(positions, rows.entries[i]):
+                    v[idx] = val
                 vectors.append(v)
         return Subspace.from_rows(vectors, self.dim)
-
-    def restrict_first(self, pm: PartialMap) -> Matrix:
-        """The 2x2 map x -> P_W F(x tensor |0...0>) on the first qubit,
-
-        where W is spanned by |0...0> and |10...0>.
-        """
-        if pm.dim != self.dim:
-            raise ValueError("map dimension differs from frame")
-        s = self.dim // 2
-        m = pm.matrix
-        return Matrix([[m.entries[0][0], m.entries[0][s]],
-                       [m.entries[s][0], m.entries[s][s]]])
 
     def map_to_state(self, g: Matrix, i: int, j: int) -> Subspace:
         """States whose {i,j} component encodes the 2x2 map g.
@@ -505,18 +469,17 @@ class Frame:
         One amplitude per part basis index, the lowest-numbered qubit of I
         being the most significant bit, as everywhere else.
         """
-        inside = sorted(self.check_qubits(qubits))
+        table = self.layout(sorted(qubits))
         part = [GaussianRational.of(a) for a in amps]
-        if len(part) != 2 ** len(inside):
+        if len(part) != len(table):
             raise ValueError("need one amplitude per part basis state")
         if all(a.is_zero() for a in part):
             return Subspace.zero(self.dim)
         rows = []
-        for t in range(self.dim // len(part)):
+        for column in zip(*table):
             v = [ZERO] * self.dim
-            for a, val in enumerate(part):
-                if not val.is_zero():
-                    v[self.merge_index(inside, a, t)] = val
+            for idx, val in zip(column, part):
+                v[idx] = val
             rows.append(v)
         return Subspace.from_rows(rows, self.dim)
 

@@ -116,10 +116,6 @@ ZERO = GaussianRational(_NIL)
 ONE = GaussianRational(1)
 
 
-def gr(re: Rational = 0, im: Rational = 0) -> GaussianRational:
-    return GaussianRational(re, im)
-
-
 class Matrix:
     """Immutable dense matrix of Gaussian rationals."""
 

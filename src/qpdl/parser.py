@@ -4,7 +4,9 @@ Errors carry a 1-based line and column plus the set of token kinds that
 would have been accepted there.  The only backtracking point is a
 parenthesised group in program position, which may turn out to be a
 parenthesised formula followed by ``?``; the parser reports the failure
-that got farthest when both readings die.
+that got farthest when both readings die.  A test reading that ran past
+``MAX_DEPTH`` where no ``(`` starts the other reading reports the depth
+limit.
 
 Input nested deeper than ``MAX_DEPTH`` levels of syntax tree is a
 ParseError, so deep input fails with a message instead of exhausting the
@@ -27,6 +29,10 @@ class ParseError(ValueError):
         self.line = line
         self.col = col
         self.expected = expected
+
+
+class _TooDeep(ParseError):
+    """Nesting past MAX_DEPTH: final, whichever reading was being tried."""
 
 
 @dataclass
@@ -157,8 +163,8 @@ class _Parser:
         self.depth = 0
         self.far_pos = 0
         self.far_expected: set = set()
-        # (position, depth) pairs where a test reading already failed
-        self.failed_tests: set = set()
+        # (position, depth) -> the error of a test reading that failed there
+        self.failed_tests: dict = {}
 
     # ----- token plumbing ---------------------------------------------------
 
@@ -183,8 +189,8 @@ class _Parser:
         self.depth += 1
         if self.depth > MAX_DEPTH:
             tok = self.peek()
-            raise ParseError(f"nesting deeper than {MAX_DEPTH} levels",
-                             tok.line, tok.col)
+            raise _TooDeep(f"nesting deeper than {MAX_DEPTH} levels",
+                           tok.line, tok.col)
 
     def _note(self, kind: str):
         if self.pos > self.far_pos:
@@ -446,13 +452,16 @@ class _Parser:
                 body = self.formula()
                 self.expect("?")
                 return ast.Test(body)
-            except ParseError:
+            except ParseError as exc:
                 self.pos = save[0]
-                self.failed_tests.add(save)
+                self.failed_tests[save] = exc
         if self.accept("("):
             prog = self.program()
             self.expect(")")
             return prog
+        if isinstance(self.failed_tests[save], _TooDeep):
+            # no other reading starts here: the depth limit is the error
+            raise self.failed_tests[save]
         self._note("program")
         self.fail("expected a program")
 

@@ -569,13 +569,12 @@ def _product_ray(rng, fr: Frame, cut=None) -> Ray:
             part = random_part_state(rng, 1)
             amps = tuple(a * b for a in amps for b in part)
         return Ray(amps)
-    inside = sorted(cut)
-    left = random_part_state(rng, len(inside))
-    right = random_part_state(rng, fr.n - len(inside))
+    left = random_part_state(rng, len(cut))
+    right = random_part_state(rng, fr.n - len(cut))
     amps = [None] * fr.dim
-    for a, la in enumerate(left):
-        for b, rb in enumerate(right):
-            amps[fr.merge_index(inside, a, b)] = la * rb
+    for positions, la in zip(fr.layout(sorted(cut)), left):
+        for idx, rb in zip(positions, right):
+            amps[idx] = la * rb
     return Ray(amps)
 
 

@@ -25,7 +25,7 @@ from qpdl.errors import (
     UnsupportedShape,
 )
 from qpdl.frame import Frame, PartialMap, Ray, Subspace
-from qpdl.linalg import Matrix, gr
+from qpdl.linalg import Matrix
 from qpdl.parser import parse_formula, parse_program
 from qpdl.protocols import (
     _random_program,

@@ -182,6 +182,24 @@ def test_qubit_count_above_cap_exits_two(capsys):
     assert code == 2 and "unbound" in err
 
 
+@pytest.mark.parametrize("formula, qubit", [
+    ("T{0,5}", 0),
+    ("[T{3,4}]true", 3),
+    ("~T{0,5}", 0),
+    ("localp{0}(X_1)", 0),
+    ("localp{1}(T{0})", 0),
+    ("localp{5}(X_1)", 5),
+])
+def test_out_of_range_qubits_exit_two(tmp_path, capsys, formula, qubit):
+    state = write_state(tmp_path, "s.state", "n=2\n1 0\n0 0\n0 0\n0 0\n")
+    for argv in (["valid", "-n", "2", formula],
+                 ["holds", "-n", "2", "--state", state, formula],
+                 ["eval", "-n", "2", formula]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: qubit {qubit} outside 1..2\n"
+
+
 def test_missing_state_file_exits_two(tmp_path, capsys):
     code, _, err = run(capsys, ["holds", "-n", "1",
                                "--state", str(tmp_path / "nope"), "0_1"])

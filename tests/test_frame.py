@@ -17,13 +17,14 @@ from qpdl.frame import (
     format_state,
     parse_state,
 )
-from qpdl.linalg import Matrix, gr
+from qpdl.linalg import ONE, ZERO, GaussianRational, Matrix
 
 
 def rand_amps(rng, dim, real=False):
     while True:
-        amps = [gr(Fraction(rng.randint(-6, 6), rng.randint(1, 3)),
-                   0 if real else Fraction(rng.randint(-6, 6), rng.randint(1, 3)))
+        amps = [GaussianRational(
+                    Fraction(rng.randint(-6, 6), rng.randint(1, 3)),
+                    0 if real else Fraction(rng.randint(-6, 6), rng.randint(1, 3)))
                 for _ in range(dim)]
         if any(not a.is_zero() for a in amps):
             return tuple(amps)
@@ -41,7 +42,8 @@ def test_ray_scalar_and_phase_invariance():
     rng = random.Random(201)
     for _ in range(50):
         amps = rand_amps(rng, 4)
-        scale = gr(Fraction(rng.randint(1, 5)), Fraction(rng.randint(-5, 5)))
+        scale = GaussianRational(Fraction(rng.randint(1, 5)),
+                                 Fraction(rng.randint(-5, 5)))
         assert Ray(amps) == Ray(tuple(scale * a for a in amps))
     assert Ray((1, 0, 0, 1)) != Ray((1, 0, 0, -1))
 
@@ -52,7 +54,8 @@ def test_inner_and_orthogonality():
     c = Ray((1, 1))
     assert a.is_orthogonal(b)
     assert not a.is_orthogonal(c)
-    assert Ray((1, gr(0, 1))).is_orthogonal(Ray((1, gr(0, -1))))
+    i = GaussianRational(0, 1)
+    assert Ray((1, i)).is_orthogonal(Ray((1, -i)))
 
 
 def test_subspace_lattice_laws():
@@ -115,14 +118,25 @@ def test_cnot_table():
     assert pm.apply_ray(fr.product_ray("++")) == fr.product_ray("++")
 
 
-def test_split_merge_round_trip():
-    fr = Frame(3)
-    rng = random.Random(204)
-    for _ in range(60):
-        idx = rng.randrange(fr.dim)
-        inside = sorted(rng.sample([1, 2, 3], rng.randint(1, 2)))
-        a, b = fr.split_index(idx, inside)
-        assert fr.merge_index(inside, a, b) == idx
+def test_layout_tables_are_permutations_with_qubit_one_high():
+    for n in range(1, 5):
+        fr = Frame(n)
+        everything = tuple(range(1, n + 1))
+        assert fr.layout(()) == (tuple(range(fr.dim)),)
+        assert fr.layout(everything) == tuple((i,) for i in range(fr.dim))
+        half = fr.dim // 2
+        assert fr.layout((1,)) == (tuple(range(half)),
+                                   tuple(range(half, fr.dim)))
+        for size in range(n + 1):
+            for qubits in itertools.permutations(everything, size):
+                table = fr.layout(qubits)
+                assert (len(table), len(table[0])) == \
+                    (2 ** size, fr.dim // 2 ** size)
+                assert sorted(i for row in table for i in row) == \
+                    list(range(fr.dim))
+                assert fr.layout(list(qubits)) is table
+    with pytest.raises(BadIndex):
+        Frame(2).layout((2, 2))
 
 
 def test_separability_of_products_and_entangled():
@@ -174,8 +188,8 @@ def test_restrict_first_inverts_encoding():
     fr = Frame(2)
     rng = random.Random(206)
     for _ in range(20):
-        g = Matrix([[gr(Fraction(rng.randint(-4, 4))) for _ in range(2)]
-                    for _ in range(2)])
+        g = Matrix([[GaussianRational(Fraction(rng.randint(-4, 4)))
+                     for _ in range(2)] for _ in range(2)])
         if g.is_zero():
             continue
         # g tensor identity: qubit 1 is the high bit of both indices
@@ -192,7 +206,7 @@ def test_restrict_first_inverts_encoding():
 def test_partial_map_adjoint_characterisation():
     rng = random.Random(207)
     for _ in range(60):
-        m = Matrix([[gr(Fraction(rng.randint(-5, 5)),
+        m = Matrix([[GaussianRational(Fraction(rng.randint(-5, 5)),
                         Fraction(rng.randint(-5, 5))) for _ in range(4)]
                     for _ in range(4)])
         if m.is_zero():
@@ -248,7 +262,7 @@ def test_product_form_both_sides():
 
 def test_state_file_round_trip():
     fr = Frame(2)
-    ray = fr.ray([1, 0, gr(0, 1), Fraction(1, 2)])
+    ray = fr.ray([1, 0, GaussianRational(0, 1), Fraction(1, 2)])
     text = format_state(2, ray)
     n, back = parse_state(text)
     assert n == 2 and back == ray
@@ -278,7 +292,7 @@ def singular_matrix(rng, dim):
     rows = []
     for _ in range(dim):
         coeffs = [rng.randint(-2, 2) for _ in base]
-        rows.append([sum((c * b[j] for c, b in zip(coeffs, base)), gr(0))
+        rows.append([sum((c * b[j] for c, b in zip(coeffs, base)), ZERO)
                      for j in range(dim)])
     return Matrix(rows)
 
@@ -338,10 +352,10 @@ def reference_rank_one_split(m):
 
 
 def product_amps(fr, inside, part, rest):
-    amps = [gr(0)] * fr.dim
-    for a, x in enumerate(part):
-        for b, y in enumerate(rest):
-            amps[fr.merge_index(inside, a, b)] = x * y
+    amps = [ZERO] * fr.dim
+    for positions, x in zip(fr.layout(inside), part):
+        for idx, y in zip(positions, rest):
+            amps[idx] = x * y
     return amps
 
 
@@ -394,3 +408,217 @@ def test_rank_one_split_matches_fraction_reference(monkeypatch):
     # both outcomes of each routine occur
     assert None in seps and any(s is not None for s in seps)
     assert {None, "left", "right"} <= set(forms)
+
+
+# ----- differential tests against the bit arithmetic of Frame.layout ----------
+
+
+def old_bit(fr, index, qubit):
+    return (index >> (fr.n - qubit)) & 1
+
+
+def old_with_bit(fr, index, qubit, value):
+    mask = 1 << (fr.n - qubit)
+    return (index | mask) if value else (index & ~mask)
+
+
+def old_merge_index(fr, inside, a, b):
+    outside = [q for q in range(1, fr.n + 1) if q not in inside]
+    idx = 0
+    for pos, q in enumerate(reversed(inside)):
+        if (a >> pos) & 1:
+            idx |= 1 << (fr.n - q)
+    for pos, q in enumerate(reversed(outside)):
+        if (b >> pos) & 1:
+            idx |= 1 << (fr.n - q)
+    return idx
+
+
+def old_split_index(fr, index, inside):
+    outside = [q for q in range(1, fr.n + 1) if q not in inside]
+    a = 0
+    for q in inside:
+        a = (a << 1) | old_bit(fr, index, q)
+    b = 0
+    for q in outside:
+        b = (b << 1) | old_bit(fr, index, q)
+    return a, b
+
+
+def old_gate(fr, kind, targets):
+    """One-qubit gates bit by bit, CNOT as an XOR on the target bit."""
+    entries = [[ZERO] * fr.dim for _ in range(fr.dim)]
+    if kind == "CNOT":
+        ctrl, tgt = targets
+        for c in range(fr.dim):
+            r = c ^ (1 << (fr.n - tgt)) if old_bit(fr, c, ctrl) else c
+            entries[r][c] = ONE
+    else:
+        (q,) = targets
+        g = {"X": [[0, 1], [1, 0]], "Z": [[1, 0], [0, -1]],
+             "H": [[1, 1], [1, -1]]}[kind]
+        for c in range(fr.dim):
+            a = old_bit(fr, c, q)
+            for b in (0, 1):
+                if g[b][a]:
+                    entries[old_with_bit(fr, c, q, b)][c] = \
+                        GaussianRational(g[b][a])
+    return PartialMap(Matrix(entries, cols=fr.dim))
+
+
+def old_is_local(pm, fr, qubits):
+    """Every entry's inside and outside bit tuples, rebuilt one by one."""
+    inside = sorted(qubits)
+    outside = [q for q in range(1, fr.n + 1) if q not in qubits]
+    ref = {}
+    for r in range(fr.dim):
+        a_out = tuple(old_bit(fr, r, q) for q in outside)
+        a_in = tuple(old_bit(fr, r, q) for q in inside)
+        for c in range(fr.dim):
+            b_out = tuple(old_bit(fr, c, q) for q in outside)
+            b_in = tuple(old_bit(fr, c, q) for q in inside)
+            val = pm.matrix.entries[r][c]
+            if a_out != b_out:
+                if not val.is_zero():
+                    return False
+                continue
+            key = (a_in, b_in)
+            if key in ref and ref[key] != val:
+                return False
+            ref.setdefault(key, val)
+    return len(ref) == (2 ** len(inside)) ** 2
+
+
+def old_reshape(fr, amps, qubits):
+    inside = sorted(qubits)
+    rows_n = 2 ** len(inside)
+    entries = [[ZERO] * (fr.dim // rows_n) for _ in range(rows_n)]
+    for idx, amp in enumerate(amps):
+        a, b = old_split_index(fr, idx, inside)
+        entries[a][b] = amp
+    return Matrix(entries, cols=fr.dim // rows_n)
+
+
+def old_state_lift(fr, amps, qubits):
+    inside = sorted(qubits)
+    rows = []
+    for t in range(fr.dim // len(amps)):
+        v = [ZERO] * fr.dim
+        for a, val in enumerate(amps):
+            v[old_merge_index(fr, inside, a, t)] = val
+        rows.append(v)
+    return Subspace.from_rows(rows, fr.dim)
+
+
+def old_reachable(fr, ray, qubits):
+    inside = sorted(qubits)
+    rows = old_reshape(fr, ray.amps, inside).row_basis()
+    vectors = []
+    for a in range(2 ** len(inside)):
+        for i in range(rows.rows):
+            v = [ZERO] * fr.dim
+            for b in range(rows.cols):
+                v[old_merge_index(fr, inside, a, b)] = rows.entries[i][b]
+            vectors.append(v)
+    return Subspace.from_rows(vectors, fr.dim)
+
+
+def all_subsets(n):
+    return [qs for size in range(n + 1)
+            for qs in itertools.combinations(range(1, n + 1), size)]
+
+
+def test_layout_matches_merge_and_split():
+    for n in range(1, 5):
+        fr = Frame(n)
+        for size in range(n + 1):
+            for qubits in itertools.permutations(range(1, n + 1), size):
+                for a, row in enumerate(fr.layout(qubits)):
+                    for b, idx in enumerate(row):
+                        assert idx == old_merge_index(fr, qubits, a, b)
+                        assert old_split_index(fr, idx, qubits) == (a, b)
+
+
+def test_gates_match_bit_arithmetic():
+    for n in range(1, 5):
+        fr = Frame(n)
+        for q in range(1, n + 1):
+            for kind in "XZH":
+                assert fr.gate(kind, (q,)) == old_gate(fr, kind, (q,))
+        for pair in itertools.permutations(range(1, n + 1), 2):
+            assert fr.gate("CNOT", pair) == old_gate(fr, "CNOT", pair)
+
+
+def locality_maps(rng, fr):
+    """Gates, gate words, test projectors, dense maps and I-local blocks."""
+    gates = [fr.gate(kind, (q,)) for kind in "XZH" for q in range(1, fr.n + 1)]
+    gates += [fr.gate("CNOT", pair)
+              for pair in itertools.permutations(range(1, fr.n + 1), 2)]
+    maps = list(gates)
+    for _ in range(6):
+        word = rng.sample(gates, min(3, len(gates)))
+        pm = word[0]
+        for g in word[1:]:
+            pm = pm.then(g)
+        maps.append(pm)
+    for qubits in all_subsets(fr.n)[1:]:
+        lifted = fr.state_lift(rand_amps(rng, 2 ** len(qubits)), qubits)
+        maps.append(PartialMap(lifted.projector()))
+    maps.append(PartialMap(rand_sub(rng, fr.dim).projector()))
+    dense = Matrix([rand_amps(rng, fr.dim) for _ in range(fr.dim)])
+    maps += [PartialMap(dense), PartialMap(Matrix.identity(fr.dim)),
+             PartialMap(Matrix.zeros(fr.dim, fr.dim))]
+    for qubits in all_subsets(fr.n):
+        k = 2 ** len(qubits)
+        g = [rand_amps(rng, k) for _ in range(k)]
+        entries = [[ZERO] * fr.dim for _ in range(fr.dim)]
+        for a in range(k):
+            for c in range(k):
+                for b in range(fr.dim // k):
+                    entries[old_merge_index(fr, qubits, a, b)][
+                        old_merge_index(fr, qubits, c, b)] = g[a][c]
+        maps.append(PartialMap(Matrix(entries, cols=fr.dim)))
+    return maps
+
+
+def test_is_local_matches_bit_tuples():
+    rng = random.Random(210)
+    verdicts = []
+    for n in (1, 2, 3):
+        fr = Frame(n)
+        for pm in locality_maps(rng, fr):
+            for qubits in all_subsets(n):
+                got = pm.is_local(fr, frozenset(qubits))
+                assert got == old_is_local(pm, fr, frozenset(qubits))
+                verdicts.append(got)
+    assert True in verdicts and False in verdicts
+
+
+def test_restrict_first_is_the_qubit_one_block():
+    rng = random.Random(211)
+    for n in (1, 2, 3):
+        fr = Frame(n)
+        for pm in locality_maps(rng, fr):
+            m, s = pm.matrix.entries, fr.dim // 2
+            assert fr.restrict_first(pm) == Matrix([[m[0][0], m[0][s]],
+                                                    [m[s][0], m[s][s]]])
+
+
+def test_reshape_lift_and_reachable_match_bit_arithmetic():
+    rng = random.Random(212)
+    for n in (1, 2, 3):
+        fr = Frame(n)
+        rays = [Ray(rand_amps(rng, fr.dim)) for _ in range(3)]
+        rays += [fr.product_ray("0" * n), fr.product_ray("+-01"[:n]),
+                 fr.ray([1] + [0] * (fr.dim - 2) + [1])]
+        for qubits in all_subsets(n):
+            shuffled = rng.sample(qubits, len(qubits))
+            for ray in rays:
+                assert fr.reshape(ray.amps, shuffled) == \
+                    old_reshape(fr, ray.amps, qubits)
+                assert fr.reachable(ray, shuffled) == \
+                    old_reachable(fr, ray, qubits)
+            for _ in range(3):
+                part = rand_amps(rng, 2 ** len(qubits))
+                assert fr.state_lift(part, shuffled) == \
+                    old_state_lift(fr, part, qubits)

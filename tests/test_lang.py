@@ -267,6 +267,14 @@ def test_nested_test_readings_fail_fast():
     # failed is not retried, so the work stops doubling with every level.
     text = "<(" * 40 + "0_1?" + ")>0_1" * 40
     start = time.perf_counter()
-    with pytest.raises(ParseError, match="line 1 column 91"):
+    with pytest.raises(ParseError) as exc:
         parse_formula(text)
+    assert str(exc.value) == \
+        "expected one of &, ->, ?, | (found >) at line 1 column 91"
     assert time.perf_counter() - start < 1.0
+    # Past the depth limit the limit itself is the error, not whatever the
+    # '( program )' reading reports once the test readings are cut short.
+    text = "<(" * 60 + "0_1?" + ")>0_1" * 60
+    with pytest.raises(ParseError,
+                       match=f"nesting deeper than {MAX_DEPTH} levels"):
+        parse_formula(text)

@@ -6,13 +6,13 @@ from fractions import Fraction
 import pytest
 
 from qpdl.frame import Subspace
-from qpdl.linalg import ONE, ZERO, Matrix, gr, parse_rational
+from qpdl.linalg import ONE, ZERO, GaussianRational, Matrix, parse_rational
 
 
 def rand_scalar(rng, nonzero=False):
     while True:
-        x = gr(Fraction(rng.randint(-8, 8), rng.randint(1, 5)),
-               Fraction(rng.randint(-8, 8), rng.randint(1, 5)))
+        x = GaussianRational(Fraction(rng.randint(-8, 8), rng.randint(1, 5)),
+                             Fraction(rng.randint(-8, 8), rng.randint(1, 5)))
         if not (nonzero and x.is_zero()):
             return x
 
@@ -28,7 +28,7 @@ def test_scalar_field_laws():
         a, b = rand_scalar(rng), rand_scalar(rng)
         c = rand_scalar(rng, nonzero=True)
         assert (a + b) * c == a * c + b * c
-        assert a - a == gr(0)
+        assert a - a == ZERO
         assert (a / c) * c == a
         assert (a * b).conj() == a.conj() * b.conj()
         assert a.abs2() == (a * a.conj()).re
@@ -36,11 +36,11 @@ def test_scalar_field_laws():
 
 
 def test_scalar_str_forms():
-    assert str(gr(3)) == "3"
-    assert str(gr(0, 1)) == "i"
-    assert str(gr(0, -1)) == "-i"
-    assert str(gr(Fraction(1, 2), Fraction(-3, 4))) == "1/2-3/4i"
-    assert str(gr(0)) == "0"
+    assert str(GaussianRational(3)) == "3"
+    assert str(GaussianRational(0, 1)) == "i"
+    assert str(GaussianRational(0, -1)) == "-i"
+    assert str(GaussianRational(Fraction(1, 2), Fraction(-3, 4))) == "1/2-3/4i"
+    assert str(GaussianRational(0)) == "0"
 
 
 def test_parse_rational():
@@ -99,7 +99,7 @@ def test_rowspace_contains_combinations():
         if space.is_zero():
             continue
         coeffs = [rand_scalar(rng) for _ in range(space.dim)]
-        target = [gr(0)] * 4
+        target = [ZERO] * 4
         for c, i in zip(coeffs, range(space.dim)):
             target = [t + c * x for t, x in zip(target, space.basis.row(i))]
         assert space.contains_vector(target)
@@ -108,8 +108,9 @@ def test_rowspace_contains_combinations():
 def test_rowspace_rejects_outside():
     space = Subspace(Matrix([[1, 0, 0, 0], [0, 1, 0, 0]]), 4)
     assert not space.contains_vector([0, 0, 1, 0])
-    assert not space.contains_vector([1, 1, gr(0, 1), 0])
-    assert space.contains_vector([gr(3, -2), Fraction(1, 7), 0, 0])
+    assert not space.contains_vector([1, 1, GaussianRational(0, 1), 0])
+    assert space.contains_vector(
+        [GaussianRational(3, -2), Fraction(1, 7), 0, 0])
 
 
 # ----- differential test against Gauss-Jordan over the Gaussian rationals ----
@@ -187,14 +188,14 @@ def differential_inputs():
     rng = random.Random(108)
     small = lambda: rand_scalar(rng)
     sparse = lambda: rand_scalar(rng) if rng.random() < 0.4 else ZERO
-    complex_ = lambda: gr(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
-                          Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
-                                   rng.randint(1, 4)))
-    huge = lambda: gr(Fraction(rng.randint(-10 ** 15, 10 ** 15),
-                               rng.randint(1, 10 ** 12)),
-                      Fraction(rng.randint(-10 ** 15, 10 ** 15),
-                               rng.randint(1, 10 ** 12)))
-    real = lambda: gr(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+    complex_ = lambda: GaussianRational(
+        Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+        Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4)))
+    huge = lambda: GaussianRational(
+        Fraction(rng.randint(-10 ** 15, 10 ** 15), rng.randint(1, 10 ** 12)),
+        Fraction(rng.randint(-10 ** 15, 10 ** 15), rng.randint(1, 10 ** 12)))
+    real = lambda: GaussianRational(
+        Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
     out = [Matrix([], cols=c) for c in range(1, 5)]
     for scalar in (small, sparse, complex_, huge, real):
         for n in range(1, 6):                                      # square

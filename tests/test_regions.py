@@ -5,15 +5,15 @@ from fractions import Fraction
 
 from qpdl.checker import Environment, eval_symbolic
 from qpdl.frame import Frame, PartialMap, QAction, Ray, Subspace
-from qpdl.linalg import Matrix, gr
+from qpdl.linalg import GaussianRational, Matrix
 from qpdl.parser import parse_formula
 from qpdl.regions import Region, make_term, wp, wp_map
 
 
 def rand_amps(rng, dim):
     while True:
-        amps = [gr(Fraction(rng.randint(-6, 6), rng.randint(1, 3)),
-                   Fraction(rng.randint(-6, 6), rng.randint(1, 3)))
+        amps = [GaussianRational(Fraction(rng.randint(-6, 6), rng.randint(1, 3)),
+                                 Fraction(rng.randint(-6, 6), rng.randint(1, 3)))
                 for _ in range(dim)]
         if any(not a.is_zero() for a in amps):
             return tuple(amps)
@@ -125,8 +125,9 @@ def test_closure_joins_positives():
 def test_wp_matches_pointwise_execution():
     rng = random.Random(304)
     for _ in range(40):
-        m = Matrix([[gr(Fraction(rng.randint(-4, 4)),
-                        Fraction(rng.randint(-4, 4))) for _ in range(4)]
+        m = Matrix([[GaussianRational(Fraction(rng.randint(-4, 4)),
+                                      Fraction(rng.randint(-4, 4)))
+                     for _ in range(4)]
                     for _ in range(4)])
         pm = PartialMap(m)
         region = rand_region(rng, 4)
