@@ -1,6 +1,8 @@
 """Abstract syntax for formulas and programs, with a canonical printer.
 
-The printer and the parser are inverse on ASTs: ``parse(pretty(t)) == t``.
+The printer and the parser are inverse on ASTs: ``parse(pretty(t)) == t``
+for every node but ``RayF``, which is built by code and has no concrete
+syntax: its ``ray{...}(...)`` text is printed but not parsed.
 Formula precedence, loosest first: ``->``, ``|``, ``&``, unary prefixes
 (``!`` ``~`` ``box`` ``dia`` ``[p]`` ``<p>``), atoms.  Program precedence:
 ``+``, then ``;``, then atoms; ``?`` binds to a formula atom.

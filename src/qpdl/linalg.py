@@ -5,9 +5,12 @@ Scalars are complex numbers whose real and imaginary parts are
 reduction (rank, reduced row echelon form, kernels, inverses) runs on
 Gaussian integers: each row is scaled to integer real and imaginary
 parts and eliminated fraction-free, and only the final reduced form is
-turned back into Fractions.  Matrices are immutable; reduced row echelon
-form (with pivots normalised to 1) is the canonical representative used
-for subspace identity throughout the package.
+turned back into Fractions.  Products run on Gaussian integers too, over
+nonzero factor pairs only: each row of the left factor and each column of
+the right one is scaled to integers, and each output entry is built once.
+Matrices are immutable; reduced row echelon form (with pivots normalised
+to 1) is the canonical representative used for subspace identity
+throughout the package.
 """
 
 from __future__ import annotations
@@ -83,7 +86,7 @@ class GaussianRational:
         return not (self.re or self.im)
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.re or self.im)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -137,40 +140,38 @@ class Matrix:
         self.cols = cols
 
     @staticmethod
+    def _of_rows(rows: tuple, cols: int) -> "Matrix":
+        """A matrix on ``rows``, a tuple of equal-length tuples of
+        GaussianRational, taken as they are."""
+        m = object.__new__(Matrix)
+        m.entries = rows
+        m.rows = len(rows)
+        m.cols = cols
+        return m
+
+    @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return Matrix._of_rows(tuple(tuple(ONE if i == j else ZERO for j in range(n))
+                                     for i in range(n)), n)
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix([[ZERO] * cols for _ in range(rows)], cols=cols)
+        return Matrix._of_rows(((ZERO,) * cols,) * rows, cols)
 
     @staticmethod
     def vstack(mats: Sequence["Matrix"]) -> "Matrix":
         cols = mats[0].cols
         if any(m.cols != cols for m in mats):
             raise ValueError("column counts differ")
-        out = []
-        for m in mats:
-            out.extend(m.entries)
-        return Matrix(out, cols=cols)
+        return Matrix._of_rows(tuple(row for m in mats for row in m.entries), cols)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} * {other.shape}")
-        ot = list(zip(*other.entries)) if other.entries else [()] * other.cols
-        out = []
-        for row in self.entries:
-            out_row = []
-            for col in ot:
-                acc = ZERO
-                for a, b in zip(row, col):
-                    if not (a.is_zero() or b.is_zero()):
-                        acc = acc + a * b
-                out_row.append(acc)
-            out.append(out_row)
-        return Matrix(out, cols=other.cols)
+        return Matrix._of_rows(_product(self.entries, other.entries, other.cols),
+                               other.cols)
 
     @property
     def shape(self):
@@ -180,23 +181,17 @@ class Matrix:
         """Matrix-vector product, the vector given and returned as a tuple."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        v = [GaussianRational.of(x) for x in vec]
-        out = []
-        for row in self.entries:
-            acc = ZERO
-            for a, b in zip(row, v):
-                if not (a.is_zero() or b.is_zero()):
-                    acc = acc + a * b
-            out.append(acc)
-        return tuple(out)
+        column = [(GaussianRational.of(x),) for x in vec]
+        return tuple(row[0] for row in _product(self.entries, column, 1))
 
     def transpose(self) -> "Matrix":
         if not self.entries:
-            return Matrix([[] for _ in range(self.cols)], cols=0)
-        return Matrix([list(col) for col in zip(*self.entries)], cols=self.rows)
+            return Matrix._of_rows(((),) * self.cols, 0)
+        return Matrix._of_rows(tuple(zip(*self.entries)), self.rows)
 
     def conj(self) -> "Matrix":
-        return Matrix([[x.conj() for x in row] for row in self.entries], cols=self.cols)
+        return Matrix._of_rows(tuple(tuple(x.conj() for x in row) for row in self.entries),
+                               self.cols)
 
     def conj_transpose(self) -> "Matrix":
         return self.transpose().conj()
@@ -281,6 +276,43 @@ class Matrix:
         if pivots[:n] != list(range(n)):
             raise ValueError("matrix is singular")
         return Matrix([row[n:] for row in work], cols=n)
+
+
+def _product(a: Sequence[tuple], b: Sequence[tuple], cols: int) -> tuple:
+    """The rows of the product of the rows ``a`` and the ``cols``-wide rows
+    ``b``, over nonzero factor pairs only.
+
+    Column j of b is scaled by e_j, the lcm of its denominators, and row i
+    of a by d_i, so the sums run on Gaussian integers; entry (i, j) is the
+    integer sum divided by d_i * e_j.
+    """
+    nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in b]
+    scale = [1] * cols
+    for row in nonzero:
+        for j, x in row:
+            scale[j] = lcm(scale[j], x.re.denominator, x.im.denominator)
+    b_int = [[(j, x.re.numerator * (scale[j] // x.re.denominator),
+               x.im.numerator * (scale[j] // x.im.denominator)) for j, x in row]
+             for row in nonzero]
+    zero_row = (ZERO,) * cols
+    out = []
+    for row in a:
+        pairs = [(x, b_int[k]) for k, x in enumerate(row) if x and b_int[k]]
+        if not pairs:
+            out.append(zero_row)
+            continue
+        d = lcm(*(x.re.denominator for x, _ in pairs),
+                *(x.im.denominator for x, _ in pairs))
+        re, im = [0] * cols, [0] * cols
+        for x, b_row in pairs:
+            xr = x.re.numerator * (d // x.re.denominator)
+            xi = x.im.numerator * (d // x.im.denominator)
+            for j, yr, yi in b_row:
+                re[j] += xr * yr - xi * yi
+                im[j] += xr * yi + xi * yr
+        out.append(tuple(_quotient(r, i, d * e) if r or i else ZERO
+                         for r, i, e in zip(re, im, scale)))
+    return tuple(out)
 
 
 def _primitive(re: list, im: list) -> tuple:

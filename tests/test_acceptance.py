@@ -2,13 +2,16 @@
 with its wall-clock budget.  A summary line per criterion is printed at
 the end of the run (see conftest.py)."""
 
+import contextlib
 import functools
 import hashlib
+import io
 import random
 import time
 from fractions import Fraction
 
 from qpdl import ast
+from qpdl.cli import main
 from qpdl.checker import (
     Environment,
     check_state,
@@ -530,3 +533,16 @@ def test_parser_round_trip_corpus():
     assert isinstance(claim.left, ast.Img) and isinstance(claim.right, ast.Img)
     assert isinstance(claim.right.prog, ast.Mov)
     return f"{corpus} random round trips + protocol texts"
+
+
+# ----- 12: scaling in the qubit count ----------------------------------------------
+
+
+@criterion(12, 15.0)
+def test_valid_scales_to_eight_qubits():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["valid", "-n", "8",
+                     "0_1 -> [H_1 ; CNOT_1_2 ; CNOT_2_3]!(0_1 & 1_3)"])
+    assert (code, out.getvalue()) == (0, "VALID\n")
+    return "qpdl valid -n 8 on a 3-gate claim over 256 x 256 maps"

@@ -231,6 +231,16 @@ def test_spatial_atom_text():
     assert h == ast.Component(ast.Const("+", 1), (2,))
 
 
+def test_ray_formula_prints_but_does_not_parse():
+    # RayF is the one node with no concrete syntax (see the ast docstring)
+    for node in (ast.RayF((1,), (1, 0)), ast.And(ast.Var("p"), ast.RayF((2,), (0, 1)))):
+        text = pretty(node)
+        assert "ray{" in text
+        with pytest.raises(ParseError):
+            parse_formula(text)
+    assert pretty(ast.RayF((1,), (1, 0))) == "ray{1}(1, 0)"
+
+
 def test_parse_errors():
     for bad in ["p &", "(p", "[X_1 p", "bell[2,0,1,2]", "vec{1}(01)",
                 "T{}", "p -> -> q", "mov[1](X_1)", "0_"]:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qpdl.frame import Subspace
+from qpdl.frame import Frame, Subspace
 from qpdl.linalg import ONE, ZERO, GaussianRational, Matrix, parse_rational
 
 
@@ -244,3 +244,119 @@ def test_elimination_matches_fraction_reference():
                     m.inverse()
             else:
                 assert exact(m.inverse().entries) == exact(want.entries)
+
+
+# ----- differential test against the dense triple-loop product ---------------
+
+
+def reference_product(a, b):
+    """The dense (row, column, k) product over Gaussian rationals that the
+    sparse integer kernel replaced, kept as its oracle."""
+    cols = list(zip(*b.entries)) if b.entries else [()] * b.cols
+    out = []
+    for row in a.entries:
+        out_row = []
+        for col in cols:
+            acc = ZERO
+            for x, y in zip(row, col):
+                if not (x.is_zero() or y.is_zero()):
+                    acc = acc + x * y
+            out_row.append(acc)
+        out.append(out_row)
+    return Matrix(out, cols=b.cols)
+
+
+def reference_apply(m, vec):
+    v = [GaussianRational.of(x) for x in vec]
+    out = []
+    for row in m.entries:
+        acc = ZERO
+        for x, y in zip(row, v):
+            if not (x.is_zero() or y.is_zero()):
+                acc = acc + x * y
+        out.append(acc)
+    return tuple(out)
+
+
+def assert_exact_scalars(rows):
+    for row in rows:
+        assert isinstance(row, tuple)
+        for x in row:
+            assert isinstance(x, GaussianRational)
+            assert type(x.re) is Fraction and type(x.im) is Fraction
+
+
+def product_inputs():
+    rng = random.Random(109)
+    small = lambda: rand_scalar(rng)
+    sparse = lambda: rand_scalar(rng) if rng.random() < 0.3 else ZERO
+    complex_ = lambda: GaussianRational(
+        Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+        Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4)))
+    huge = lambda: GaussianRational(
+        Fraction(rng.randint(-10 ** 15, 10 ** 15), rng.randint(1, 10 ** 12)),
+        Fraction(rng.randint(-10 ** 15, 10 ** 15), rng.randint(1, 10 ** 12)))
+    real = lambda: GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+    fill = lambda rows, cols, scalar: Matrix(
+        [[scalar() for _ in range(cols)] for _ in range(rows)], cols=cols)
+    pairs = []
+    for k in range(4):                                  # empty shapes
+        for r in range(3):
+            pairs.append((Matrix([], cols=k), fill(k, r, small)))
+            pairs.append((fill(r, k, small), fill(k, 0, small)))
+            pairs.append((fill(r, 0, small), Matrix([], cols=k)))
+    for n in range(1, 6):                               # zero and identity
+        m = fill(n, n, complex_)
+        pairs += [(Matrix.zeros(n, n), m), (m, Matrix.zeros(n, 2)),
+                  (Matrix.identity(n), m), (m, Matrix.identity(n)),
+                  (Matrix.identity(n), Matrix.identity(n))]
+    for n in range(1, 5):                               # lifted gates
+        fr = Frame(n)
+        gates = [fr.gate(kind, (q,)).matrix for kind in "XZH"
+                 for q in range(1, n + 1)]
+        gates += [fr.gate("CNOT", (i, j)).matrix for i in range(1, n + 1)
+                  for j in range(1, n + 1) if i != j]
+        for _ in range(12):
+            g, h = rng.choice(gates), rng.choice(gates)
+            pairs += [(g, h), (g, fill(fr.dim, rng.randint(1, 3), sparse)),
+                      (fill(rng.randint(1, 3), fr.dim, complex_), h)]
+        for _ in range(3):                              # Gram-inverse projectors
+            sub = Subspace(fill(rng.randint(1, fr.dim), fr.dim, sparse), fr.dim)
+            p = sub.projector()
+            pairs += [(p, rng.choice(gates)), (sub.basis.conj(), p),
+                      (p, fill(fr.dim, fr.dim, complex_))]
+    for scalar in (small, sparse, complex_, huge, real):
+        for _ in range(20):
+            r, k, c = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+            pairs.append((fill(r, k, scalar), fill(k, c, scalar)))
+        for _ in range(8):
+            k = rng.randint(5, 9)
+            pairs.append((fill(rng.randint(1, 3), k, scalar),        # wide
+                          fill(k, rng.randint(1, 3), scalar)))
+            m = rng.randint(1, 3)
+            pairs.append((fill(k, m, scalar), fill(m, k, scalar)))   # tall
+            pairs.append((fill(k, k, scalar), fill(k, k, sparse)))   # square
+    return rng, pairs
+
+
+def test_product_matches_dense_reference():
+    rng, pairs = product_inputs()
+    assert len(pairs) >= 400
+    for a, b in pairs:
+        got, want = a * b, reference_product(a, b)
+        assert got.shape == want.shape == (a.rows, b.cols)
+        assert_exact_scalars(got.entries)
+        assert exact(got.entries) == exact(want.entries)
+        vectors = [[0] * a.cols, [ONE if j == a.cols - 1 else ZERO
+                                  for j in range(a.cols)]]
+        vectors.append([rand_scalar(rng) for _ in range(a.cols)])
+        if b.cols:                                      # a column of b
+            vectors.append(b.column(rng.randrange(b.cols)))
+        for v in vectors:                               # zero, basis, dense
+            got_v = a.apply(v)
+            assert_exact_scalars([got_v])
+            assert exact([got_v]) == exact([reference_apply(a, v)])
+    with pytest.raises(ValueError):
+        Matrix.identity(2) * Matrix.identity(3)
+    with pytest.raises(ValueError):
+        Matrix.identity(2).apply([1, 0, 0])
