@@ -8,11 +8,13 @@ basis index, so |b1 b2 ... bn> sits at index b1*2^(n-1) + ... + bn.
 ``Frame.layout`` is the one place that decides this order: gates, lifts,
 reshapes and the locality test all read its index tables.
 
-Everything here is exact: subspace identity goes through canonical RREF
-bases, and separability through integer ranks of reshaped amplitude
-matrices.  Preimages are kernels against a basis of the orthocomplement;
-only tests (f?) need an orthogonal projector, built by Gram-matrix
-inversion.
+Everything here is exact: subspace identity compares the integer parts
+of canonical RREF bases, and separability goes through integer ranks of
+reshaped amplitude matrices.  Gate lifts, blocks, state lifts, reachable
+sets and rank-one splits read and write a matrix's integer rows
+directly; amplitudes become GaussianRational values only in rays.
+Preimages are kernels against a basis of the orthocomplement; only
+tests (f?) need an orthogonal projector, built by Gram-matrix inversion.
 """
 
 from __future__ import annotations
@@ -122,11 +124,7 @@ class Subspace:
         return self.basis.rows == self.ambient
 
     def contains_vector(self, vec: Sequence) -> bool:
-        v = [GaussianRational.of(x) for x in vec]
-        if all(x.is_zero() for x in v):
-            return True
-        stacked = Matrix.vstack([self.basis, Matrix([v], cols=self.ambient)]) \
-            if self.basis.rows else Matrix([v], cols=self.ambient)
+        stacked = Matrix.vstack([self.basis, Matrix([vec], cols=self.ambient)])
         return stacked.rank() == self.dim
 
     def contains_ray(self, ray: Ray) -> bool:
@@ -135,8 +133,6 @@ class Subspace:
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.is_zero():
             return True
-        if self.is_zero():
-            return False
         stacked = Matrix.vstack([self.basis, other.basis])
         return stacked.rank() == self.dim
 
@@ -383,13 +379,15 @@ class Frame:
         table = self.layout(qubits)
         if g.shape != (len(table), len(table)):
             raise BadIndex(f"a {g.rows}x{g.cols} matrix cannot act on {qubits}")
-        entries = [[ZERO] * self.dim for _ in range(self.dim)]
-        for out_row, g_row in zip(table, g.entries):
-            for in_row, val in zip(table, g_row):
-                if not val.is_zero():
+        re = [[0] * self.dim for _ in range(self.dim)]
+        im = [[0] * self.dim for _ in range(self.dim)]
+        for out_row, g_re, g_im in zip(table, g.re, g.im):
+            for in_row, a, b in zip(table, g_re, g_im):
+                if a or b:
                     for r, c in zip(out_row, in_row):
-                        entries[r][c] = val
-        return PartialMap(Matrix(entries, cols=self.dim))
+                        re[r][c], im[r][c] = a, b
+        return PartialMap(Matrix.from_parts([(x, y, g.den) for x, y in zip(re, im)],
+                                            self.dim))
 
     def block(self, pm: PartialMap, qubits: Sequence[int]) -> Matrix:
         """The map on the listed qubits with the others held at |0...0>:
@@ -397,8 +395,10 @@ class Frame:
         if pm.dim != self.dim:
             raise ValueError("map dimension differs from frame")
         at_zero = [row[0] for row in self.layout(qubits)]
-        m = pm.matrix.entries
-        return Matrix([[m[r][c] for c in at_zero] for r in at_zero])
+        m = pm.matrix
+        return Matrix.from_parts([([m.re[r][c] for c in at_zero],
+                                   [m.im[r][c] for c in at_zero], m.den)
+                                  for r in at_zero], len(at_zero))
 
     def restrict_first(self, pm: PartialMap) -> Matrix:
         """The 2x2 map x -> P_W F(x tensor |0...0>) on the first qubit,
@@ -441,12 +441,12 @@ class Frame:
         rows = self.reshape(ray.amps, inside).row_basis()
         vectors = []
         for positions in self.layout(inside):
-            for i in range(rows.rows):
-                v = [ZERO] * self.dim
-                for idx, val in zip(positions, rows.entries[i]):
-                    v[idx] = val
-                vectors.append(v)
-        return Subspace.from_rows(vectors, self.dim)
+            for row_re, row_im in zip(rows.re, rows.im):
+                re, im = [0] * self.dim, [0] * self.dim
+                for idx, a, b in zip(positions, row_re, row_im):
+                    re[idx], im[idx] = a, b
+                vectors.append((re, im, rows.den))
+        return Subspace(Matrix.from_parts(vectors, self.dim), self.dim)
 
     def map_to_state(self, g: Matrix, i: int, j: int) -> Subspace:
         """States whose {i,j} component encodes the 2x2 map g.
@@ -470,18 +470,16 @@ class Frame:
         being the most significant bit, as everywhere else.
         """
         table = self.layout(sorted(qubits))
-        part = [GaussianRational.of(a) for a in amps]
-        if len(part) != len(table):
+        part = Matrix([amps])
+        if part.cols != len(table):
             raise ValueError("need one amplitude per part basis state")
-        if all(a.is_zero() for a in part):
-            return Subspace.zero(self.dim)
         rows = []
         for column in zip(*table):
-            v = [ZERO] * self.dim
-            for idx, val in zip(column, part):
-                v[idx] = val
-            rows.append(v)
-        return Subspace.from_rows(rows, self.dim)
+            re, im = [0] * self.dim, [0] * self.dim
+            for idx, a, b in zip(column, part.re[0], part.im[0]):
+                re[idx], im[idx] = a, b
+            rows.append((re, im, part.den))
+        return Subspace(Matrix.from_parts(rows, self.dim), self.dim)
 
     def product_form(self, sub: Subspace, qubits: Iterable[int]):
         """Recognize sub as x_I tensor V ("left") or V_I tensor y ("right").
@@ -527,8 +525,8 @@ def _rank_one_split(m: Matrix) -> Optional[tuple[tuple, tuple]]:
     is their outer product up to a scalar; None otherwise."""
     if m.rank() != 1:
         return None
-    r0, c0 = next((r, c) for r in range(m.rows) for c in range(m.cols)
-                  if not m.entries[r][c].is_zero())
+    r0, c0 = next((r, c) for r, (re, im) in enumerate(zip(m.re, m.im))
+                  for c in range(m.cols) if re[c] or im[c])
     return m.column(c0), m.row(r0)
 
 
@@ -546,10 +544,10 @@ def parse_state(text: str) -> tuple[int, Ray]:
         raise ValueError("bad qubit count in state file") from exc
     if n < 1:
         raise ValueError("state file needs at least one qubit")
-    want = 2 ** n
     body = lines[1:]
-    if len(body) != want:
-        raise ValueError(f"expected {want} amplitude lines, found {len(body)}")
+    # n is bounded by the line count before 2 ** n is formed
+    if n > len(body).bit_length() or len(body) != 2 ** n:
+        raise ValueError(f"expected 2^{n} amplitude lines, found {len(body)}")
     amps = []
     for ln in body:
         parts = ln.split()

@@ -1,22 +1,27 @@
-"""Exact dense linear algebra over the Gaussian rationals.
+"""Exact matrices over the Gaussian rationals.
 
-Scalars are complex numbers whose real and imaginary parts are
-``fractions.Fraction`` values, so all arithmetic here is exact.  Row
-reduction (rank, reduced row echelon form, kernels, inverses) runs on
-Gaussian integers: each row is scaled to integer real and imaginary
-parts and eliminated fraction-free, and only the final reduced form is
-turned back into Fractions.  Products run on Gaussian integers too, over
-nonzero factor pairs only: each row of the left factor and each column of
-the right one is scaled to integers, and each output entry is built once.
-Matrices are immutable; reduced row echelon form (with pivots normalised
-to 1) is the canonical representative used for subspace identity
-throughout the package.
+A scalar is a complex number whose real and imaginary parts are
+``fractions.Fraction`` values.  A ``Matrix`` stores integer real and
+imaginary parts over one positive common denominator ``den``: entry
+(i, j) is (re[i][j] + im[i][j] i) / den, and gcd(den, every part) = 1.
+That form is unique, so equal matrices hold equal integers, and equality
+and hashing compare them.  ``GaussianRational`` values appear only at
+the boundary: the constructor reads them, and ``entries``, ``row`` and
+``column`` build them for rays, witnesses and printing.
+
+Products sum over nonzero factor pairs only.  Rank, reduced row echelon
+form, kernels and inverses come from one fraction-free Gauss-Jordan
+elimination on the integer rows.  A reduced row is kept as its primitive
+multiple with a positive integer pivot, so it maps one-to-one onto the
+RREF row with pivot 1; the RREF basis is the canonical representative
+used for subspace identity throughout the package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from re import fullmatch
 from typing import Iterable, Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -78,10 +83,6 @@ class GaussianRational:
     def conj(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im) if self.im else self
 
-    def abs2(self) -> Fraction:
-        """Squared modulus; always a nonnegative rational."""
-        return self.re * self.re + self.im * self.im
-
     def is_zero(self) -> bool:
         return not (self.re or self.im)
 
@@ -114,64 +115,103 @@ class GaussianRational:
 
 ScalarLike = Union[int, Fraction, GaussianRational]
 
-_NIL = Fraction(0)
-ZERO = GaussianRational(_NIL)
+ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 
 
 class Matrix:
-    """Immutable dense matrix of Gaussian rationals."""
+    """Immutable matrix of Gaussian rationals: integer parts over one denominator."""
 
-    __slots__ = ("entries", "rows", "cols")
+    __slots__ = ("re", "im", "den", "rows", "cols")
 
     def __init__(self, entries: Iterable[Iterable[ScalarLike]], cols: Optional[int] = None):
-        rows = tuple(tuple(GaussianRational.of(x) for x in row) for row in entries)
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged matrix")
-            if cols is not None and cols != width:
-                raise ValueError("cols mismatch")
-            cols = width
-        elif cols is None:
+        rows = [[GaussianRational.of(x) for x in row] for row in entries]
+        if cols is None and not rows:
             raise ValueError("empty matrix needs an explicit column count")
-        self.entries = rows
-        self.rows = len(rows)
-        self.cols = cols
+        cols = len(rows[0]) if cols is None else cols
+        if any(len(r) != cols for r in rows):
+            raise ValueError(f"every row needs {cols} entries")
+        scaled = []
+        for row in rows:
+            s = lcm(*(q.denominator for x in row for q in (x.re, x.im)))
+            scaled.append(([x.re.numerator * (s // x.re.denominator) for x in row],
+                           [x.im.numerator * (s // x.im.denominator) for x in row], s))
+        m = Matrix.from_parts(scaled, cols)
+        self.re, self.im, self.den, self.rows, self.cols = m.re, m.im, m.den, m.rows, cols
 
     @staticmethod
-    def _of_rows(rows: tuple, cols: int) -> "Matrix":
-        """A matrix on ``rows``, a tuple of equal-length tuples of
-        GaussianRational, taken as they are."""
+    def _of(re: tuple, im: tuple, den: int, cols: int) -> "Matrix":
+        """The matrix on the row tuples ``re``, ``im`` over ``den``, as they are."""
         m = object.__new__(Matrix)
-        m.entries = rows
-        m.rows = len(rows)
-        m.cols = cols
+        m.re, m.im, m.den, m.rows, m.cols = re, im, den, len(re), cols
         return m
 
     @staticmethod
+    def from_parts(rows: Sequence[tuple], cols: int) -> "Matrix":
+        """The matrix whose row k is (re_k + im_k i) / s_k, for ``rows`` of
+        Gaussian-integer parts given as (re_k, im_k, s_k) with s_k > 0.
+
+        Every row is brought to the lcm of the s_k, and that denominator is
+        divided by its gcd with every part.  All-zero rows share one tuple.
+        """
+        den = lcm(*(s for _, _, s in rows))
+        g = den
+        scaled = []
+        for re, im, s in rows:
+            if s != den:
+                re = [a * (den // s) for a in re]
+                im = [b * (den // s) for b in im]
+            if g > 1:
+                g = gcd(g, *re, *im)
+            scaled.append((re, im))
+        zero = (0,) * cols
+
+        def part(xs):
+            if not any(xs):
+                return zero
+            return tuple([x // g for x in xs]) if g > 1 else tuple(xs)
+
+        return Matrix._of(tuple(part(re) for re, _ in scaled),
+                          tuple(part(im) for _, im in scaled), den // g, cols)
+
+    @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix._of_rows(tuple(tuple(ONE if i == j else ZERO for j in range(n))
-                                     for i in range(n)), n)
+        zero = (0,) * n
+        return Matrix._of(tuple(zero[:i] + (1,) + zero[i + 1:] for i in range(n)),
+                          (zero,) * n, 1, n)
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix._of_rows(((ZERO,) * cols,) * rows, cols)
+        zero = ((0,) * cols,) * rows
+        return Matrix._of(zero, zero, 1, cols)
 
     @staticmethod
     def vstack(mats: Sequence["Matrix"]) -> "Matrix":
         cols = mats[0].cols
         if any(m.cols != cols for m in mats):
             raise ValueError("column counts differ")
-        return Matrix._of_rows(tuple(row for m in mats for row in m.entries), cols)
+        return Matrix.from_parts([(re, im, m.den) for m in mats
+                                  for re, im in zip(m.re, m.im)], cols)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
+        """The product, summed over nonzero factor pairs only."""
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} * {other.shape}")
-        return Matrix._of_rows(_product(self.entries, other.entries, other.cols),
-                               other.cols)
+        cols, den = other.cols, self.den * other.den
+        b = [[(j, y, z) for j, (y, z) in enumerate(zip(re, im)) if y or z]
+             for re, im in zip(other.re, other.im)]
+        out = []
+        for xre, xim in zip(self.re, self.im):
+            re, im = [0] * cols, [0] * cols
+            for xr, xi, b_row in zip(xre, xim, b):
+                if xr or xi:
+                    for j, yr, yi in b_row:
+                        re[j] += xr * yr - xi * yi
+                        im[j] += xr * yi + xi * yr
+            out.append((re, im, den))
+        return Matrix.from_parts(out, cols)
 
     @property
     def shape(self):
@@ -179,39 +219,39 @@ class Matrix:
 
     def apply(self, vec: Sequence[ScalarLike]) -> tuple:
         """Matrix-vector product, the vector given and returned as a tuple."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        column = [(GaussianRational.of(x),) for x in vec]
-        return tuple(row[0] for row in _product(self.entries, column, 1))
+        return (self * Matrix([[x] for x in vec], cols=1)).column(0)
 
     def transpose(self) -> "Matrix":
-        if not self.entries:
-            return Matrix._of_rows(((),) * self.cols, 0)
-        return Matrix._of_rows(tuple(zip(*self.entries)), self.rows)
+        if not self.rows:
+            return Matrix.zeros(self.cols, 0)
+        return Matrix._of(tuple(zip(*self.re)), tuple(zip(*self.im)), self.den, self.rows)
 
     def conj(self) -> "Matrix":
-        return Matrix._of_rows(tuple(tuple(x.conj() for x in row) for row in self.entries),
-                               self.cols)
+        im = tuple(tuple([-b for b in row]) if any(row) else row for row in self.im)
+        return Matrix._of(self.re, im, self.den, self.cols)
 
     def conj_transpose(self) -> "Matrix":
         return self.transpose().conj()
 
     def row(self, i: int) -> tuple:
-        return self.entries[i]
+        return tuple(_scalar(a, b, self.den) for a, b in zip(self.re[i], self.im[i]))
 
     def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.entries)
+        return tuple(_scalar(re[j], im[j], self.den) for re, im in zip(self.re, self.im))
 
-    def is_zero(self) -> bool:
-        return all(x.is_zero() for row in self.entries for x in row)
+    @property
+    def entries(self) -> tuple:
+        """The rows as tuples of GaussianRational, built on each read."""
+        return tuple(self.row(i) for i in range(self.rows))
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.shape == other.shape and self.entries == other.entries
+        return (self.cols == other.cols and self.den == other.den
+                and self.re == other.re and self.im == other.im)
 
     def __hash__(self):
-        return hash((self.shape, self.entries))
+        return hash((self.cols, self.den, self.re, self.im))
 
     def __str__(self):
         return "\n".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.entries)
@@ -219,100 +259,52 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.shape[0]}x{self.shape[1]})"
 
-    def _integer_rows(self) -> list:
-        """The nonzero rows, each scaled by the lcm of its denominators
-        into a primitive Gaussian-integer row."""
-        work = []
-        for row in self.entries:
-            parts = [x.re for x in row] + [x.im for x in row]
-            dens = [q.denominator for q in parts]
-            den = lcm(*dens)
-            nums = [q.numerator * (den // d) for q, d in zip(parts, dens)]
-            if any(nums):
-                work.append(_primitive(nums[:self.cols], nums[self.cols:]))
-        return work
-
-    def _reduced(self) -> tuple[list, list]:
-        """The nonzero RREF rows (pivots normalised to 1) and the pivot columns."""
-        work = self._integer_rows()
-        pivots = _eliminate(work, self.cols)
-        return _rational_rows(work, pivots), pivots
+    def _nonzero_rows(self) -> list:
+        return [(re, im) for re, im in zip(self.re, self.im) if any(re) or any(im)]
 
     def rank(self) -> int:
-        return len(_eliminate(self._integer_rows(), self.cols))
+        return len(_eliminate(self._nonzero_rows(), self.cols))
 
     def row_basis(self) -> "Matrix":
         """The nonzero rows of the RREF: a canonical basis of the row space."""
-        return Matrix(self._reduced()[0], cols=self.cols)
+        return Matrix.from_parts(_rref(self._nonzero_rows(), self.cols)[0], self.cols)
 
     def kernel_basis(self) -> "Matrix":
         """Rows spanning the right null space {x : M x = 0}, in RREF;
         there are cols - rank of them."""
-        work = self._integer_rows()
-        pivots = _eliminate(work, self.cols)
-        # Free column f gives e_f - sum_r (x_r[f] / p_r) e_{c_r}, where x_r is
-        # pivot row r and p_r = x_r[c_r]; scaled by the lcm of the |p_r|^2.
-        norms = [re[c] * re[c] + im[c] * im[c] for (re, im), c in zip(work, pivots)]
-        den = lcm(*norms)
+        rows, pivots = _rref(self._nonzero_rows(), self.cols)
+        # Free column f gives e_f - sum_r (x_r[f] / s_r) e_{c_r}, where x_r / s_r
+        # is RREF row r with pivot column c_r; scaled by the lcm of the s_r.
+        den = lcm(*(s for _, _, s in rows))
         vectors = []
         for f in sorted(set(range(self.cols)) - set(pivots)):
             re, im = [0] * self.cols, [0] * self.cols
             re[f] = den
-            for (xr, xi), c, norm in zip(work, pivots, norms):
-                pr, pi, a, b = xr[c], xi[c], xr[f], xi[f]
-                re[c] = (a * pr + b * pi) * (-den // norm)
-                im[c] = (b * pr - a * pi) * (-den // norm)
-            vectors.append(_primitive(re, im))
-        pivots = _eliminate(vectors, self.cols)
-        return Matrix(_rational_rows(vectors, pivots), cols=self.cols)
+            for (xr, xi, s), c in zip(rows, pivots):
+                re[c] = -xr[f] * (den // s)
+                im[c] = -xi[f] * (den // s)
+            vectors.append((re, im))
+        return Matrix.from_parts(_rref(vectors, self.cols)[0], self.cols)
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        aug = Matrix([list(row) + list(idrow) for row, idrow in
-                      zip(self.entries, Matrix.identity(n).entries)], cols=2 * n)
-        work, pivots = aug._reduced()
+        zero = [0] * n
+        # [den * M | den * I] has the RREF [I | M^-1].
+        work = [(list(re) + zero[:i] + [self.den] + zero[i + 1:], list(im) + zero)
+                for i, (re, im) in enumerate(zip(self.re, self.im))]
+        rows, pivots = _rref(work, 2 * n)
         if pivots[:n] != list(range(n)):
             raise ValueError("matrix is singular")
-        return Matrix([row[n:] for row in work], cols=n)
+        return Matrix.from_parts([(re[n:], im[n:], s) for re, im, s in rows], n)
 
 
-def _product(a: Sequence[tuple], b: Sequence[tuple], cols: int) -> tuple:
-    """The rows of the product of the rows ``a`` and the ``cols``-wide rows
-    ``b``, over nonzero factor pairs only.
-
-    Column j of b is scaled by e_j, the lcm of its denominators, and row i
-    of a by d_i, so the sums run on Gaussian integers; entry (i, j) is the
-    integer sum divided by d_i * e_j.
-    """
-    nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in b]
-    scale = [1] * cols
-    for row in nonzero:
-        for j, x in row:
-            scale[j] = lcm(scale[j], x.re.denominator, x.im.denominator)
-    b_int = [[(j, x.re.numerator * (scale[j] // x.re.denominator),
-               x.im.numerator * (scale[j] // x.im.denominator)) for j, x in row]
-             for row in nonzero]
-    zero_row = (ZERO,) * cols
-    out = []
-    for row in a:
-        pairs = [(x, b_int[k]) for k, x in enumerate(row) if x and b_int[k]]
-        if not pairs:
-            out.append(zero_row)
-            continue
-        d = lcm(*(x.re.denominator for x, _ in pairs),
-                *(x.im.denominator for x, _ in pairs))
-        re, im = [0] * cols, [0] * cols
-        for x, b_row in pairs:
-            xr = x.re.numerator * (d // x.re.denominator)
-            xi = x.im.numerator * (d // x.im.denominator)
-            for j, yr, yi in b_row:
-                re[j] += xr * yr - xi * yi
-                im[j] += xr * yi + xi * yr
-        out.append(tuple(_quotient(r, i, d * e) if r or i else ZERO
-                         for r, i, e in zip(re, im, scale)))
-    return tuple(out)
+def _scalar(re: int, im: int, den: int) -> GaussianRational:
+    """The entry (re + im i) / den as a GaussianRational."""
+    if not (re or im):
+        return ZERO
+    return GaussianRational(Fraction(re, den), Fraction(im, den))
 
 
 def _primitive(re: list, im: list) -> tuple:
@@ -327,7 +319,7 @@ def _primitive(re: list, im: list) -> tuple:
 def _eliminate(work: list, cols: int) -> list:
     """Fraction-free Gauss-Jordan elimination over the Gaussian integers.
 
-    The pivot row p clears column c from every other primitive row of
+    The pivot row p clears column c from every other row (re, im) of
     ``work`` by ``row := p[c]*row - row[c]*p``, made primitive again.
     Returns the pivot columns; ``work`` is left holding the pivot rows,
     row k with zeros in every pivot column but pivots[k].
@@ -360,26 +352,29 @@ def _eliminate(work: list, cols: int) -> list:
     return pivots
 
 
-def _rational_rows(work: list, pivots: list) -> list:
-    """Each pivot row of ``_eliminate`` divided by its pivot p, as a row of
-    GaussianRational: x / p = x * conj(p) / |p|^2."""
+def _rref(work: list, cols: int) -> tuple[list, list]:
+    """The nonzero RREF rows of the Gaussian-integer rows ``work`` and their
+    pivot columns.  Each row is (re, im, s), standing for (re + im i) / s
+    with pivot 1: pivot row x with pivot p, times conj(p), made primitive,
+    has the positive integer s as its pivot."""
+    pivots = _eliminate(work, cols)
     rows = []
     for (re, im), c in zip(work, pivots):
         pr, pi = re[c], im[c]
-        norm = pr * pr + pi * pi
-        rows.append([_quotient(a * pr + b * pi, b * pr - a * pi, norm) if a or b else ZERO
-                     for a, b in zip(re, im)])
-    return rows
-
-
-def _quotient(re: int, im: int, den: int) -> GaussianRational:
-    return GaussianRational(Fraction(re, den) if re else _NIL,
-                            Fraction(im, den) if im else _NIL)
+        if pi or pr < 0:  # a positive integer p leaves primitive(x) as it is
+            re, im = ([a * pr + b * pi for a, b in zip(re, im)],
+                      [b * pr - a * pi for a, b in zip(re, im)])
+        re, im = _primitive(re, im)
+        rows.append((re, im, re[c]))
+    return rows, pivots
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse 'p' or 'p/q' with optional sign into an exact Fraction."""
+    text = text.strip()
+    if not fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", text):
+        raise ValueError(f"bad rational {text!r}")
     try:
-        return Fraction(text.strip())
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational {text!r}") from exc

@@ -169,6 +169,16 @@ def test_bad_bindings_exit_two(tmp_path, capsys):
     assert "expected n=2" in err
 
 
+def test_huge_state_file_header_exits_two(tmp_path, capsys):
+    huge = write_state(tmp_path, "huge.state", "n=1000000000000\n1 0\n0 0\n")
+    for argv in (["holds", "-n", "1", "--state", huge, "0_1"],
+                 ["valid", "-n", "1", "-b", f"p=@{huge}", "p"]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: expected 2^1000000000000 amplitude lines")
+        assert err.count("\n") == 1
+
+
 def test_qubit_count_above_cap_exits_two(capsys):
     for argv in (["valid", "-n", "11", "x"],
                  ["holds", "-n", "11", "--state", "nope", "x"],

@@ -1,7 +1,9 @@
 """Exact scalar and matrix arithmetic."""
 
 import random
+import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -31,7 +33,6 @@ def test_scalar_field_laws():
         assert a - a == ZERO
         assert (a / c) * c == a
         assert (a * b).conj() == a.conj() * b.conj()
-        assert a.abs2() == (a * a.conj()).re
         assert (a * a.conj()).im == 0
 
 
@@ -47,6 +48,18 @@ def test_parse_rational():
     assert parse_rational("3/4") == Fraction(3, 4)
     assert parse_rational("-2") == Fraction(-2)
     assert parse_rational("0") == 0
+    assert parse_rational("-3/4") == Fraction(-3, 4)
+    assert parse_rational("+5") == 5
+    assert parse_rational(" 7 ") == 7
+
+
+@pytest.mark.parametrize("text", ["1e3", "2.5", "1_000", "1e999999999",
+                                  "1/0", "", "/2", "3/", "--1", "1/-2", "١"])
+def test_parse_rational_accepts_only_p_or_p_over_q(text):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="bad rational"):
+        parse_rational(text)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_rref_shape_and_rank():
@@ -173,6 +186,25 @@ def exact(rows):
     return [[(x.re, x.im) for x in row] for row in rows]
 
 
+def assert_canonical(m, want=None):
+    """m holds integer parts over a positive denominator sharing no factor
+    with them, so its integers are the one form of its entries; with
+    ``want``, a list of rows of scalars, the entries are exactly those."""
+    parts = m.re + m.im
+    assert type(m.den) is int and m.den > 0
+    assert len(m.re) == len(m.im) == m.rows
+    assert all(type(row) is tuple and len(row) == m.cols for row in parts)
+    assert all(type(x) is int for row in parts for x in row)
+    assert gcd(m.den, *(x for row in parts for x in row)) == 1
+    if want is not None:
+        assert exact(m.entries) == exact(
+            [[GaussianRational.of(x) for x in row] for row in want])
+
+
+def pivot_columns(m):
+    return [next(c for c, x in enumerate(row) if x) for row in m.entries]
+
+
 def combination_matrix(rng, rows, cols, rank, scalar):
     """rows x cols matrix whose rows are random combinations of `rank` rows."""
     base = [[scalar() for _ in range(cols)] for _ in range(rank)]
@@ -228,22 +260,61 @@ def differential_inputs():
 
 def test_elimination_matches_fraction_reference():
     for m in differential_inputs():
+        assert_canonical(m)
+        assert Matrix(m.entries, cols=m.cols) == m
         work, pivots = reference_reduced(m)
-        got_work, got_pivots = m._reduced()
-        assert got_pivots == pivots
-        assert exact(got_work) == exact(work[:len(pivots)])
+        assert_canonical(Matrix(work, cols=m.cols), work)
+        basis = m.row_basis()
+        assert_canonical(basis, work[:len(pivots)])
+        assert pivot_columns(basis) == pivots
         assert m.rank() == len(pivots)
-        assert exact(m.row_basis().entries) == exact(reference_row_basis(m).entries)
         kernel = m.kernel_basis()
         assert kernel.shape == (m.cols - len(pivots), m.cols)
-        assert exact(kernel.entries) == exact(reference_kernel_basis(m).entries)
+        assert_canonical(kernel, reference_kernel_basis(m).entries)
         if m.rows == m.cols:
             want = reference_inverse(m)
             if want is None:
                 with pytest.raises(ValueError):
                     m.inverse()
             else:
-                assert exact(m.inverse().entries) == exact(want.entries)
+                assert_canonical(m.inverse(), want.entries)
+
+
+def spanning_sets(rng, base):
+    """Spanning sets of the row space of ``base``: its rows permuted,
+    scaled by nonzero Gaussian scalars, with combinations of them and
+    zero rows mixed in."""
+    rows = list(base.entries)
+    width = base.cols
+
+    def combine():
+        coeffs = [rand_scalar(rng) for _ in rows]
+        return [sum((c * r[j] for c, r in zip(coeffs, rows)), ZERO)
+                for j in range(width)]
+
+    for _ in range(4):
+        scales = [rand_scalar(rng, nonzero=True) for _ in rows]
+        out = [[c * x for x in r] for c, r in zip(scales, rows)]
+        out += [combine() for _ in range(rng.randint(0, 2))]
+        out += [[ZERO] * width for _ in range(rng.randint(0, 2))]
+        rng.shuffle(out)
+        yield Matrix(out, cols=width)
+
+
+def test_spanning_sets_of_one_subspace_give_one_value():
+    rng = random.Random(110)
+    checked = 0
+    for base in differential_inputs():
+        if not base.rows or rng.random() < 0.6:
+            continue
+        want = Subspace(base, base.cols)
+        for m in spanning_sets(rng, base):
+            got = Subspace(m, m.cols)
+            assert got == want and hash(got) == hash(want)
+            assert (got.basis.re, got.basis.im, got.basis.den) == \
+                (want.basis.re, want.basis.im, want.basis.den)
+            checked += 1
+    assert checked >= 300
 
 
 # ----- differential test against the dense triple-loop product ---------------
@@ -284,6 +355,14 @@ def assert_exact_scalars(rows):
         for x in row:
             assert isinstance(x, GaussianRational)
             assert type(x.re) is Fraction and type(x.im) is Fraction
+
+
+def reference_conj(m):
+    return [[x.conj() for x in row] for row in m.entries]
+
+
+def reference_transpose(m):
+    return [list(col) for col in zip(*m.entries)] if m.rows else [[]] * m.cols
 
 
 def product_inputs():
@@ -346,7 +425,13 @@ def test_product_matches_dense_reference():
         got, want = a * b, reference_product(a, b)
         assert got.shape == want.shape == (a.rows, b.cols)
         assert_exact_scalars(got.entries)
-        assert exact(got.entries) == exact(want.entries)
+        assert_canonical(got, want.entries)
+        for m in (a, b):
+            assert_canonical(m.conj(), reference_conj(m))
+            assert_canonical(m.transpose(), reference_transpose(m))
+            assert m.conj_transpose().conj_transpose() == m
+        if a.cols == b.cols:
+            assert_canonical(Matrix.vstack([a, b]), a.entries + b.entries)
         vectors = [[0] * a.cols, [ONE if j == a.cols - 1 else ZERO
                                   for j in range(a.cols)]]
         vectors.append([rand_scalar(rng) for _ in range(a.cols)])
@@ -356,6 +441,12 @@ def test_product_matches_dense_reference():
             got_v = a.apply(v)
             assert_exact_scalars([got_v])
             assert exact([got_v]) == exact([reference_apply(a, v)])
+    for n in range(6):
+        assert_canonical(Matrix.identity(n),
+                         [[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        for c in range(4):
+            assert_canonical(Matrix.zeros(n, c), [[ZERO] * c] * n)
+            assert Matrix.zeros(n, c) == Matrix([[0] * c] * n, cols=c)
     with pytest.raises(ValueError):
         Matrix.identity(2) * Matrix.identity(3)
     with pytest.raises(ValueError):
