@@ -480,7 +480,7 @@ def random_part_state(rng, nqubits: int, real_only: bool = False) -> tuple:
             im = Fraction(0) if real_only else Fraction(rng.randint(-6, 6),
                                                         rng.randint(1, 3))
             amps.append(GaussianRational(re, im))
-        if any(not a.is_zero() for a in amps):
+        if any(amps):
             return tuple(amps)
 
 

@@ -23,6 +23,7 @@ from .checker import (
 )
 from .errors import CheckError, UnboundVariable
 from .frame import Frame, Ray, Subspace, format_state, parse_state
+from .linalg import Matrix
 from .parser import ParseError, parse_formula, parse_program
 from .protocols import DEFAULT_SEED, TARGETS, run_target
 
@@ -52,7 +53,7 @@ def _bindings(pairs, n: int, fr: Frame) -> dict:
                 if not part.startswith("@"):
                     raise ValueError(f"bad binding {raw!r}, span needs @files")
                 rays.append(_load_ray(part[1:], n))
-            out[name] = Subspace.from_rows([r.amps for r in rays], fr.dim)
+            out[name] = Subspace(Matrix.vstack([r.row for r in rays]), fr.dim)
         elif rhs.startswith("@"):
             out[name] = Subspace.of_ray(_load_ray(rhs[1:], n))
         else:
@@ -68,9 +69,8 @@ def _environment(args) -> Environment:
     return Environment(fr, _bindings(args.bind, args.n, fr))
 
 
-def _ray_lines(ray: Ray) -> str:
-    return " + ".join(f"({a})e{idx}" for idx, a in enumerate(ray.amps)
-                      if not a.is_zero())
+def _ray_lines(amps: tuple) -> str:
+    return " + ".join(f"({a})e{idx}" for idx, a in enumerate(amps) if a)
 
 
 def _cmd_parse(args) -> int:
@@ -129,12 +129,12 @@ def _cmd_eval(args) -> int:
         return 0
     for k, term in enumerate(region.terms, start=1):
         print(f"term {k}: span of dimension {term.positive.dim}")
-        for i in range(term.positive.basis.rows):
-            print(f"  {_ray_lines(Ray(term.positive.basis.row(i)))}")
+        for row in term.positive.basis.entries:
+            print(f"  {_ray_lines(row)}")
         for cut in term.negatives:
             print(f"  minus span of dimension {cut.dim}")
-            for i in range(cut.basis.rows):
-                print(f"    {_ray_lines(Ray(cut.basis.row(i)))}")
+            for row in cut.basis.entries:
+                print(f"    {_ray_lines(row)}")
     return 0
 
 

@@ -8,11 +8,14 @@ basis index, so |b1 b2 ... bn> sits at index b1*2^(n-1) + ... + bn.
 ``Frame.layout`` is the one place that decides this order: gates, lifts,
 reshapes and the locality test all read its index tables.
 
-Everything here is exact: subspace identity compares the integer parts
-of canonical RREF bases, and separability goes through integer ranks of
-reshaped amplitude matrices.  Gate lifts, blocks, state lifts, reachable
-sets and rank-one splits read and write a matrix's integer rows
-directly; amplitudes become GaussianRational values only in rays.
+Everything here is exact and runs on integer rows.  A ray holds its
+amplitudes as a one-row matrix, and ray and subspace identity compare
+the integer parts of a canonical RREF basis; a ray's is its one row with
+lead 1.  Separability goes through integer ranks of reshaped amplitude
+matrices.  Gate lifts, blocks, images, state lifts, reachable sets and
+rank-one splits read and write a matrix's integer rows directly.
+Scalars appear only at the boundary: parsed, printed and stored
+amplitudes, and the part-states that ``state_lift`` takes.
 Preimages are kernels against a basis of the orthocomplement; only
 tests (f?) need an orthogonal projector, built by Gram-matrix inversion.
 """
@@ -31,50 +34,45 @@ class BadIndex(ValueError):
 class Ray:
     """A nonzero amplitude vector up to scalar multiples.
 
-    Equality and hashing use the canonical representative whose first
-    nonzero amplitude is 1.
+    ``row`` holds the amplitudes as given, as a one-row matrix.  Equality
+    and hashing compare ``basis``, its RREF: the canonical row whose first
+    nonzero amplitude is 1, which is also the basis of the ray's span.
     """
 
-    __slots__ = ("amps", "_canon")
+    __slots__ = ("row", "basis")
 
     def __init__(self, amps: Iterable):
-        amps = tuple(GaussianRational.of(a) for a in amps)
-        if all(a.is_zero() for a in amps):
+        row = Matrix([list(amps)])
+        if row == Matrix.zeros(1, row.cols):
             raise ValueError("a ray needs a nonzero amplitude vector")
-        self.amps = amps
-        lead = next(a for a in amps if not a.is_zero())
-        self._canon = tuple(a / lead for a in amps)
+        self.row, self.basis = row, row.row_basis()
+
+    @staticmethod
+    def _of(row: Matrix) -> "Ray":
+        """The ray of the nonzero one-row matrix ``row``, as it is."""
+        ray = object.__new__(Ray)
+        ray.row, ray.basis = row, row.row_basis()
+        return ray
 
     @property
     def dim(self) -> int:
-        return len(self.amps)
+        return self.row.cols
 
-    def canonical(self) -> tuple:
-        return self._canon
-
-    def inner(self, other: "Ray") -> GaussianRational:
-        """<self|other> with conjugation on the left argument."""
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        acc = ZERO
-        for a, b in zip(self.amps, other.amps):
-            if not (a.is_zero() or b.is_zero()):
-                acc = acc + a.conj() * b
-        return acc
-
-    def is_orthogonal(self, other: "Ray") -> bool:
-        return self.inner(other).is_zero()
+    @property
+    def amps(self) -> tuple:
+        """The amplitudes as given, as GaussianRational values."""
+        return self.row.entries[0]
 
     def __eq__(self, other):
         if not isinstance(other, Ray):
             return NotImplemented
-        return self._canon == other._canon
+        return self.basis == other.basis
 
     def __hash__(self):
-        return hash(self._canon)
+        return hash(self.basis)
 
     def __str__(self):
-        return "(" + ", ".join(str(a) for a in self._canon) + ")"
+        return "(" + ", ".join(str(a) for a in self.basis.entries[0]) + ")"
 
     def __repr__(self):
         return f"Ray{self.__str__()}"
@@ -103,7 +101,7 @@ class Subspace:
 
     @staticmethod
     def zero(ambient: int) -> "Subspace":
-        return Subspace(Matrix([], cols=ambient), ambient, _canonical=True)
+        return Subspace(Matrix.zeros(0, ambient), ambient, _canonical=True)
 
     @staticmethod
     def full(ambient: int) -> "Subspace":
@@ -111,7 +109,7 @@ class Subspace:
 
     @staticmethod
     def of_ray(ray: Ray) -> "Subspace":
-        return Subspace(Matrix([list(ray.canonical())]), ray.dim)
+        return Subspace(ray.basis, ray.dim, _canonical=True)
 
     @property
     def dim(self) -> int:
@@ -123,12 +121,12 @@ class Subspace:
     def is_full(self) -> bool:
         return self.basis.rows == self.ambient
 
-    def contains_vector(self, vec: Sequence) -> bool:
-        stacked = Matrix.vstack([self.basis, Matrix([vec], cols=self.ambient)])
-        return stacked.rank() == self.dim
+    def contains_vector(self, vec: Matrix) -> bool:
+        """Whether the one-row matrix ``vec`` lies in the subspace."""
+        return Matrix.vstack([self.basis, vec]).rank() == self.dim
 
     def contains_ray(self, ray: Ray) -> bool:
-        return self.contains_vector(ray.amps)
+        return self.contains_vector(ray.row)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.is_zero():
@@ -168,7 +166,7 @@ class Subspace:
     def any_ray(self) -> Ray:
         if self.is_zero():
             raise ValueError("the zero subspace has no rays")
-        return Ray(self.basis.row(0))
+        return Ray._of(self.basis.row(0))
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -201,10 +199,8 @@ class PartialMap:
         return self.matrix.rows
 
     def apply_ray(self, ray: Ray) -> Optional[Ray]:
-        out = self.matrix.apply(ray.amps)
-        if all(a.is_zero() for a in out):
-            return None
-        return Ray(out)
+        out = self._images(ray.row)
+        return None if out == Matrix.zeros(1, self.dim) else Ray._of(out)
 
     def adjoint(self) -> "PartialMap":
         return PartialMap(self.matrix.conj_transpose())
@@ -218,9 +214,11 @@ class PartialMap:
 
     def image_of(self, sub: Subspace) -> Subspace:
         """Span of the pointwise image of a subspace."""
-        rows = [self.matrix.apply(sub.basis.row(i)) for i in range(sub.dim)]
-        rows = [r for r in rows if any(not a.is_zero() for a in r)]
-        return Subspace.from_rows(rows, self.dim)
+        return Subspace(self._images(sub.basis), self.dim)
+
+    def _images(self, rows: Matrix) -> Matrix:
+        """M x for each row x of ``rows``, one row each."""
+        return (self.matrix * rows.transpose()).transpose()
 
     def preimage_closed(self, sub: Subspace) -> Subspace:
         """{x : M x lands in sub (possibly at zero)} = ker(conj(B) * M),
@@ -409,11 +407,13 @@ class Frame:
 
     # ----- locality ----------------------------------------------------------
 
-    def reshape(self, amps: Sequence, qubits: Iterable[int]) -> Matrix:
-        """Amplitudes as a 2^|I| x 2^(n-|I|) matrix, I-qubits indexing rows."""
+    def reshape(self, vec: Matrix, qubits: Iterable[int]) -> Matrix:
+        """The one-row matrix ``vec`` as a 2^|I| x 2^(n-|I|) matrix,
+        I-qubits indexing rows."""
         table = self.layout(sorted(qubits))
-        return Matrix([[amps[i] for i in row] for row in table],
-                      cols=len(table[0]))
+        re, im = vec.re[0], vec.im[0]
+        return Matrix.from_parts([([re[i] for i in row], [im[i] for i in row], vec.den)
+                                  for row in table], len(table[0]))
 
     def separability(self, ray: Ray, qubits: Iterable[int]
                      ) -> Optional[tuple[Ray, Ray]]:
@@ -426,10 +426,10 @@ class Frame:
         if not inside or len(inside) == self.n:
             trivial = Ray([ONE])
             return (trivial, ray) if not inside else (ray, trivial)
-        split = _rank_one_split(self.reshape(ray.amps, inside))
+        split = _rank_one_split(self.reshape(ray.row, inside))
         if split is None:
             return None
-        return Ray(split[0]), Ray(split[1])
+        return Ray._of(split[0]), Ray._of(split[1])
 
     def reachable(self, ray: Ray, qubits: Iterable[int]) -> Subspace:
         """States reachable from the ray by actions local to the given qubits.
@@ -438,7 +438,7 @@ class Frame:
         states are exactly H_I tensor (row space of M).
         """
         inside = sorted(qubits)
-        rows = self.reshape(ray.amps, inside).row_basis()
+        rows = self.reshape(ray.row, inside).row_basis()
         vectors = []
         for positions in self.layout(inside):
             for row_re, row_im in zip(rows.re, rows.im):
@@ -496,7 +496,7 @@ class Frame:
             return ("left", Ray([ONE]), sub)
         if len(inside) == self.n:
             if sub.dim == 1:
-                return ("left", Ray(sub.basis.row(0)), Subspace.full(1))
+                return ("left", Ray._of(sub.basis.row(0)), Subspace.full(1))
             return ("right", sub, Ray([ONE]))
         splits = []
         for r in range(sub.dim):
@@ -504,25 +504,24 @@ class Frame:
             if split is None:
                 return None
             splits.append(split)
-        part_rays = [Ray(col) for col, _ in splits]
+        part_rays = [Ray._of(col) for col, _ in splits]
         if all(p == part_rays[0] for p in part_rays):
-            rest = Subspace.from_rows([row for _, row in splits],
-                                      self.dim // 2 ** len(inside))
-            return ("left", part_rays[0], rest)
-        rest_rays = [Ray(row) for _, row in splits]
+            rest = Matrix.vstack([row for _, row in splits])
+            return ("left", part_rays[0], Subspace(rest, rest.cols))
+        rest_rays = [Ray._of(row) for _, row in splits]
         if all(p == rest_rays[0] for p in rest_rays):
-            part = Subspace.from_rows([col for col, _ in splits],
-                                      2 ** len(inside))
-            return ("right", part, rest_rays[0])
+            part = Matrix.vstack([col for col, _ in splits])
+            return ("right", Subspace(part, part.cols), rest_rays[0])
         return None
 
     def __repr__(self):
         return f"Frame(n={self.n})"
 
 
-def _rank_one_split(m: Matrix) -> Optional[tuple[tuple, tuple]]:
+def _rank_one_split(m: Matrix) -> Optional[tuple[Matrix, Matrix]]:
     """(column, row) through a nonzero entry when m has rank 1, so that m
-    is their outer product up to a scalar; None otherwise."""
+    is their outer product up to a scalar; None otherwise.  Both are
+    one-row matrices."""
     if m.rank() != 1:
         return None
     r0, c0 = next((r, c) for r, (re, im) in enumerate(zip(m.re, m.im))

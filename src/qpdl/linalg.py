@@ -5,9 +5,11 @@ A scalar is a complex number whose real and imaginary parts are
 imaginary parts over one positive common denominator ``den``: entry
 (i, j) is (re[i][j] + im[i][j] i) / den, and gcd(den, every part) = 1.
 That form is unique, so equal matrices hold equal integers, and equality
-and hashing compare them.  ``GaussianRational`` values appear only at
-the boundary: the constructor reads them, and ``entries``, ``row`` and
-``column`` build them for rays, witnesses and printing.
+and hashing compare them.  A vector is a one-row matrix, which is what
+``row`` and ``column`` return.  Scalars appear only at the boundary: the
+constructor reads ``GaussianRational`` values and ``entries`` builds
+them, for printing, state files and parsed amplitudes.  No scalar is
+ever divided.
 
 Products sum over nonzero factor pairs only.  Rank, reduced row echelon
 form, kernels and inverses come from one fraction-free Gauss-Jordan
@@ -64,27 +66,11 @@ class GaussianRational:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = GaussianRational.of(other)
-        n = o.re * o.re + o.im * o.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero scalar")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / n,
-            (self.im * o.re - self.re * o.im) / n,
-        )
-
-    def __rtruediv__(self, other):
-        return GaussianRational.of(other) / self
-
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
 
     def conj(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im) if self.im else self
-
-    def is_zero(self) -> bool:
-        return not (self.re or self.im)
 
     def __bool__(self):
         return bool(self.re or self.im)
@@ -217,10 +203,6 @@ class Matrix:
     def shape(self):
         return (self.rows, self.cols)
 
-    def apply(self, vec: Sequence[ScalarLike]) -> tuple:
-        """Matrix-vector product, the vector given and returned as a tuple."""
-        return (self * Matrix([[x] for x in vec], cols=1)).column(0)
-
     def transpose(self) -> "Matrix":
         if not self.rows:
             return Matrix.zeros(self.cols, 0)
@@ -233,16 +215,20 @@ class Matrix:
     def conj_transpose(self) -> "Matrix":
         return self.transpose().conj()
 
-    def row(self, i: int) -> tuple:
-        return tuple(_scalar(a, b, self.den) for a, b in zip(self.re[i], self.im[i]))
+    def row(self, i: int) -> "Matrix":
+        """Row i as a one-row matrix."""
+        return Matrix.from_parts([(self.re[i], self.im[i], self.den)], self.cols)
 
-    def column(self, j: int) -> tuple:
-        return tuple(_scalar(re[j], im[j], self.den) for re, im in zip(self.re, self.im))
+    def column(self, j: int) -> "Matrix":
+        """Column j, transposed: a one-row matrix."""
+        return Matrix.from_parts([([re[j] for re in self.re], [im[j] for im in self.im],
+                                   self.den)], self.rows)
 
     @property
     def entries(self) -> tuple:
         """The rows as tuples of GaussianRational, built on each read."""
-        return tuple(self.row(i) for i in range(self.rows))
+        return tuple(tuple(_scalar(a, b, self.den) for a, b in zip(re, im))
+                     for re, im in zip(self.re, self.im))
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):

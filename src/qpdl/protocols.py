@@ -59,10 +59,10 @@ class Report:
 
 
 def _ray_text(ray: Ray) -> str:
-    n = (len(ray.amps) - 1).bit_length()
+    n = (ray.dim - 1).bit_length()
     parts = []
     for idx, a in enumerate(ray.amps):
-        if not a.is_zero():
+        if a:
             parts.append(f"({a})|{format(idx, f'0{n}b')}>")
     return " + ".join(parts)
 

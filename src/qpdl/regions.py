@@ -12,16 +12,20 @@ infinite field is never a finite union of proper subspaces, so a
 normalised term with a nonzero positive part always contains a ray:
 ``Region.is_empty`` reads emptiness off the terms, and ``Region.witness``
 runs a small deterministic search for a ray only when one is wanted.
+Its candidates are integer rows over the denominator of the positive
+basis, and negatives are ordered by exact Fractions read off the integer
+parts; scalars appear only at the boundary, when a witness is printed.
 The measurement modalities box and dia have no code of their own here;
 the checker reaches them as tests (f?), through ``wp``.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable, Optional
 
 from .frame import PartialMap, QAction, Ray, Subspace
-from .linalg import ONE, ZERO
+from .linalg import Matrix
 
 
 class WitnessSearchExhausted(RuntimeError):
@@ -29,8 +33,9 @@ class WitnessSearchExhausted(RuntimeError):
 
 
 def _subspace_key(sub: Subspace):
-    return (sub.dim, tuple((x.re, x.im)
-                           for row in sub.basis.entries for x in row))
+    b = sub.basis
+    return (sub.dim, tuple((Fraction(x, b.den), Fraction(y, b.den))
+                           for re, im in zip(b.re, b.im) for x, y in zip(re, im)))
 
 
 class Term:
@@ -60,23 +65,19 @@ class Term:
         search always lands outside every negative.
         """
         basis = self.positive.basis
-        k = basis.rows
-        candidates = []
-        for i in range(k):
-            candidates.append(basis.row(i))
-        limit = max(8, (k - 1) * len(self.negatives) + 2)
+        rows = list(zip(basis.re, basis.im))
+        candidates = list(rows)
+        limit = max(8, (basis.rows - 1) * len(self.negatives) + 2)
         for t in range(1, limit + 1):
-            weight = ONE
-            v = [ZERO] * basis.cols
-            for j in range(k):
-                row = basis.row(j)
-                v = [acc + weight * x for acc, x in zip(v, row)]
-                weight = weight * t
-            candidates.append(tuple(v))
-        for cand in candidates:
-            if all(a.is_zero() for a in cand):
+            re, im = [0] * basis.cols, [0] * basis.cols
+            for j, (row_re, row_im) in enumerate(rows):
+                re = [acc + t ** j * x for acc, x in zip(re, row_re)]
+                im = [acc + t ** j * y for acc, y in zip(im, row_im)]
+            candidates.append((re, im))
+        for re, im in candidates:
+            if not (any(re) or any(im)):
                 continue
-            ray = Ray(cand)
+            ray = Ray._of(Matrix.from_parts([(re, im, basis.den)], basis.cols))
             if all(not b.contains_ray(ray) for b in self.negatives):
                 return ray
         raise WitnessSearchExhausted(f"no witness among {len(candidates)} candidates")
@@ -108,7 +109,8 @@ def make_term(positive: Subspace, negatives: Iterable[Subspace]) -> Optional[Ter
     # A negative inside another negative removes nothing extra.
     pruned = [b for b in kept
               if not any(o != b and o.contains_subspace(b) for o in kept)]
-    pruned.sort(key=_subspace_key)
+    if len(pruned) > 1:
+        pruned.sort(key=_subspace_key)
     return Term(positive, tuple(pruned))
 
 

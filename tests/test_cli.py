@@ -1,8 +1,14 @@
 """Command-line behaviour: output text and exit codes for every
 subcommand, including the error paths."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import qpdl
 import qpdl.cli
 from qpdl.checker import Environment, check_state
 from qpdl.cli import MAX_QUBITS, main
@@ -30,6 +36,16 @@ def test_parse_reports_formula_or_program(capsys):
     code, out, _ = run(capsys, ["parse", "X_1 ; H_2"])
     assert code == 0
     assert out == "program: X_1;H_2\n"
+
+
+def test_package_runs_as_a_module():
+    src = str(Path(qpdl.__file__).resolve().parent.parent)
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-m", "qpdl", "parse", "0_1"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout == "formula: 0_1\n"
 
 
 def test_valid_formula_exits_zero(capsys):

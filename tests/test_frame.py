@@ -19,6 +19,10 @@ from qpdl.frame import (
     parse_state,
 )
 from qpdl.linalg import ONE, ZERO, GaussianRational, Matrix
+from qpdl.regions import make_term
+
+from exact_reference import orthogonal, quotient
+from test_linalg import exact, reference_apply
 
 
 def rand_amps(rng, dim, real=False):
@@ -27,7 +31,7 @@ def rand_amps(rng, dim, real=False):
                     Fraction(rng.randint(-6, 6), rng.randint(1, 3)),
                     0 if real else Fraction(rng.randint(-6, 6), rng.randint(1, 3)))
                 for _ in range(dim)]
-        if any(not a.is_zero() for a in amps):
+        if any(amps):
             return tuple(amps)
 
 
@@ -53,10 +57,10 @@ def test_inner_and_orthogonality():
     a = Ray((1, 0))
     b = Ray((0, 1))
     c = Ray((1, 1))
-    assert a.is_orthogonal(b)
-    assert not a.is_orthogonal(c)
+    assert orthogonal(a, b)
+    assert not orthogonal(a, c)
     i = GaussianRational(0, 1)
-    assert Ray((1, i)).is_orthogonal(Ray((1, -i)))
+    assert orthogonal(Ray((1, i)), Ray((1, -i)))
 
 
 def test_subspace_lattice_laws():
@@ -79,8 +83,8 @@ def test_projector_is_idempotent_selfadjoint():
         assert p * p == p
         assert p.conj_transpose() == p
         v = rand_amps(rng, 4)
-        out = p.apply(v)
-        assert s.contains_vector(out)
+        out = p * Matrix([v]).transpose()
+        assert s.contains_vector(out.transpose())
 
 
 def test_single_gate_tables():
@@ -217,8 +221,8 @@ def test_partial_map_adjoint_characterisation():
         fs = pm.apply_ray(s)
         at = pm.adjoint().apply_ray(t)
         # t perp F(s) iff F+(t) perp s, reading undefined as orthogonal
-        left = fs is None or fs.is_orthogonal(t)
-        right = at is None or at.is_orthogonal(s)
+        left = fs is None or orthogonal(fs, t)
+        right = at is None or orthogonal(at, s)
         assert left == right
 
 
@@ -344,21 +348,22 @@ def test_preimage_matches_projector_reference():
 
 
 def reference_rank_one_split(m):
-    """(column, row) with m = column x row in Fraction arithmetic, else
-    None: the oracle for the rank test in separability and product_form."""
+    """(column, row) with m = column x row in Fraction arithmetic, as
+    one-row matrices, else None: the oracle for the rank test in
+    separability and product_form."""
     pivot_pos = next(((r, c) for r in range(m.rows) for c in range(m.cols)
-                      if not m.entries[r][c].is_zero()), None)
+                      if m.entries[r][c]), None)
     if pivot_pos is None:
         return None
     r0, c0 = pivot_pos
     col = [m.entries[r][c0] for r in range(m.rows)]
     pivot = m.entries[r0][c0]
-    row = [m.entries[r0][c] / pivot for c in range(m.cols)]
+    row = [quotient(m.entries[r0][c], pivot) for c in range(m.cols)]
     for r in range(m.rows):
         for c in range(m.cols):
             if m.entries[r][c] != col[r] * row[c]:
                 return None
-    return col, row
+    return Matrix([col]), Matrix([row])
 
 
 def product_amps(fr, inside, part, rest):
@@ -489,7 +494,7 @@ def old_is_local(pm, fr, qubits):
             b_in = tuple(old_bit(fr, c, q) for q in inside)
             val = pm.matrix.entries[r][c]
             if a_out != b_out:
-                if not val.is_zero():
+                if val:
                     return False
                 continue
             key = (a_in, b_in)
@@ -624,7 +629,7 @@ def test_reshape_lift_and_reachable_match_bit_arithmetic():
         for qubits in all_subsets(n):
             shuffled = rng.sample(qubits, len(qubits))
             for ray in rays:
-                assert fr.reshape(ray.amps, shuffled) == \
+                assert fr.reshape(ray.row, shuffled) == \
                     old_reshape(fr, ray.amps, qubits)
                 assert fr.reachable(ray, shuffled) == \
                     old_reachable(fr, ray, qubits)
@@ -632,3 +637,133 @@ def test_reshape_lift_and_reachable_match_bit_arithmetic():
                 part = rand_amps(rng, 2 ** len(qubits))
                 assert fr.state_lift(part, shuffled) == \
                     old_state_lift(fr, part, qubits)
+
+
+# ----- differential tests against Fraction-arithmetic rays --------------------
+
+
+class LeadOneRay:
+    """Rays as they were before they moved to integer rows: identity is
+    every amplitude divided by the first nonzero one, in Fractions."""
+
+    def __init__(self, amps):
+        self.amps = tuple(GaussianRational.of(a) for a in amps)
+        if not any(self.amps):
+            raise ValueError("a ray needs a nonzero amplitude vector")
+        lead = next(a for a in self.amps if a)
+        self.canon = tuple(quotient(a, lead) for a in self.amps)
+
+    def __eq__(self, other):
+        return self.canon == other.canon
+
+    def __str__(self):
+        return "(" + ", ".join(str(a) for a in self.canon) + ")"
+
+
+def ray_batches():
+    """Per dimension 1..16, vectors together with Gaussian, i, -1 and -i
+    multiples of them: small, 12-digit-denominator, lone-nonzero,
+    negative-lead and complex-lead vectors."""
+    rng = random.Random(213)
+    i = GaussianRational(0, 1)
+    big = lambda: GaussianRational(
+        Fraction(rng.randint(-10 ** 15, 10 ** 15), rng.randint(1, 10 ** 12)),
+        Fraction(rng.randint(-10 ** 15, 10 ** 15), rng.randint(1, 10 ** 12)))
+    for dim in range(1, 17):
+        lone = [ZERO] * dim
+        lone[rng.randrange(dim)] = GaussianRational(Fraction(-7, 3), 2)
+        negative = list(rand_amps(rng, dim, real=True))
+        negative[0] = GaussianRational(-5)
+        complex_lead = list(rand_amps(rng, dim))
+        complex_lead[0] = GaussianRational(Fraction(2, 3), Fraction(-1, 2))
+        bases = [rand_amps(rng, dim), [big() for _ in range(dim)], lone,
+                 negative, complex_lead]
+        batch = []
+        for amps in bases:
+            scale = GaussianRational(Fraction(rng.randint(1, 9), rng.randint(1, 9)),
+                                     Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+            batch += [amps] + [[c * a for a in amps] for c in (scale, i, -1, -i)]
+        yield dim, batch
+
+
+def test_ray_matches_lead_one_reference():
+    checked = 0
+    for dim, batch in ray_batches():
+        new = [Ray(amps) for amps in batch]
+        old = [LeadOneRay(amps) for amps in batch]
+        for r, o in zip(new, old):
+            assert exact([r.amps]) == exact([o.amps])
+            assert str(r) == str(o)
+            assert exact(r.basis.entries) == exact([o.canon])
+            assert Subspace.of_ray(r) == Subspace(Matrix([o.canon]), dim)
+            for r2, o2 in zip(new, old):
+                assert (r == r2) == (o == o2)
+                if r == r2:
+                    assert hash(r) == hash(r2)
+        checked += len(batch)
+    assert checked >= 300
+    for amps in ([], [0, 0], [ZERO]):
+        with pytest.raises(ValueError):
+            Ray(amps)
+
+
+def gaussian_rational_witness(term):
+    """The witness search as it ran on GaussianRational rows: basis rows,
+    then moment-curve points sum_j t^j b_j."""
+    rows = term.positive.basis.entries
+    candidates = list(rows)
+    limit = max(8, (len(rows) - 1) * len(term.negatives) + 2)
+    for t in range(1, limit + 1):
+        weight, v = ONE, [ZERO] * term.positive.ambient
+        for row in rows:
+            v = [acc + weight * x for acc, x in zip(v, row)]
+            weight = weight * t
+        candidates.append(tuple(v))
+    for cand in candidates:
+        if any(cand) and not any(b.contains_vector(Matrix([cand]))
+                                 for b in term.negatives):
+            return cand
+
+
+def test_witness_matches_gaussian_rational_search():
+    rng = random.Random(214)
+    sources = []
+    for dim in (2, 4, 8):
+        for _ in range(40):
+            positive = rand_sub(rng, dim, rng.randint(1, dim))
+            rows = positive.basis.entries
+            # negatives through basis rows push the search along the rows
+            # and, once every row is cut, onto the moment curve
+            negatives = [Subspace.from_rows(rows[:k], dim)
+                         for k in range(1, len(rows))]
+            if rng.random() < 0.5:
+                negatives += [Subspace.from_rows([row], dim) for row in rows]
+            negatives += [rand_sub(rng, dim, rng.randint(1, dim))
+                          for _ in range(rng.randint(0, 3))]
+            term = make_term(positive, negatives)
+            if term is None:
+                continue
+            want = gaussian_rational_witness(term)
+            assert exact([term.witness().amps]) == exact([want])
+            sources.append((want in rows, positive.basis.den > 1))
+    assert len(sources) >= 50
+    assert {(True, True), (False, True)} <= set(sources)
+
+
+def test_apply_ray_and_image_of_match_dense_product():
+    rng = random.Random(215)
+    pairs = preimage_inputs()
+    for pm, sub in pairs:
+        rays = [Ray(rand_amps(rng, pm.dim)) for _ in range(2)]
+        if not sub.is_zero():
+            rays.append(sub.any_ray())
+        for ray in rays:
+            want = reference_apply(pm.matrix, ray.amps)
+            got = pm.apply_ray(ray)
+            if any(want):
+                assert exact([got.amps]) == exact([want])
+            else:
+                assert got is None
+        images = [reference_apply(pm.matrix, row) for row in sub.basis.entries]
+        assert pm.image_of(sub) == Subspace.from_rows(
+            [v for v in images if any(v)], pm.dim)

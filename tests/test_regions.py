@@ -15,7 +15,7 @@ def rand_amps(rng, dim):
         amps = [GaussianRational(Fraction(rng.randint(-6, 6), rng.randint(1, 3)),
                                  Fraction(rng.randint(-6, 6), rng.randint(1, 3)))
                 for _ in range(dim)]
-        if any(not a.is_zero() for a in amps):
+        if any(amps):
             return tuple(amps)
 
 
