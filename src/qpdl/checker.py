@@ -218,39 +218,25 @@ def _image_region(env: Environment, f: ast.Img) -> Region:
 
 
 def _component_profile(env: Environment, region: Region, qubits):
-    """The I-components occurring in the region: (rays, subspaces), or
-    None when some ray of the region is not I-separated.
+    """The I-components occurring in the region, as a set of part
+    subspaces, or None when some ray of the region is not I-separated.
 
     Every term must be a plain subspace.  A subspace whose rays are all
-    I-separated factors as x_I (x) V (one shared component) or V_I (x) y
-    (components = the rays of V_I); anything else contains an entangled
-    superposition, which settles the answer.
+    I-separated factors as x_I (x) V (one shared component, a single ray
+    being its one-dimensional span) or V_I (x) y (components = the rays of
+    V_I); anything else contains an entangled superposition, which
+    settles the answer.
     """
-    rays = set()
-    subs = set()
+    parts = set()
     for t in region.terms:
         if t.negatives:
             raise UnsupportedShape(
                 "=_I compares unions of subspaces or states only")
-        s = t.positive
-        if s.dim == 1:
-            sep = env.frame.separability(s.any_ray(), qubits)
-            if sep is None:
-                return None
-            rays.add(sep[0])
-            continue
-        form = env.frame.product_form(s, qubits)
+        form = env.frame.product_form(t.positive, qubits)
         if form is None:
             return None
-        if form[0] == "left":
-            rays.add(form[1])
-        else:
-            part = form[1]
-            if part.dim == 1:
-                rays.add(part.any_ray())
-            else:
-                subs.add(part)
-    return frozenset(rays), frozenset(subs)
+        parts.add(form[0])
+    return frozenset(parts)
 
 
 def eq_component(env: Environment, left: Region, right: Region, qubits) -> bool:
@@ -272,7 +258,6 @@ def _region_is_local(env: Environment, region: Region, qubits) -> bool:
     if len(inside) == env.frame.n:
         return True
     forms = []
-    covered = set()
     for t in region.terms:
         if t.negatives:
             raise UnsupportedShape(
@@ -281,17 +266,8 @@ def _region_is_local(env: Environment, region: Region, qubits) -> bool:
         if form is None:
             return False
         forms.append(form)
-        if form[0] == "left" and form[2].is_full():
-            covered.add(form[1])
-    for form in forms:
-        if form[0] == "left":
-            if form[1] not in covered:
-                return False
-        else:
-            part = form[1]
-            if part.dim != 1 or part.any_ray() not in covered:
-                return False
-    return True
+    covered = {part for part, rest in forms if rest.is_full()}
+    return all(part in covered for part, _ in forms)
 
 
 def _program_is_local(env: Environment, prog: ast.Program, qubits) -> bool:

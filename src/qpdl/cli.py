@@ -158,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr")
     p.set_defaults(run=_cmd_parse)
 
-    def add_frame_flags(cmd, formula=True):
+    def add_frame_flags(cmd):
         cmd.add_argument("-n", type=int, required=True, metavar="QUBITS")
         cmd.add_argument("-b", "--bind", action="append", metavar="VAR=@FILE",
                          help="bind a variable to a state file's span, or to "
@@ -213,7 +213,3 @@ def main(argv=None) -> int:
         message = " ".join(str(exc).split())
         print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 4
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -9,11 +9,14 @@ basis index, so |b1 b2 ... bn> sits at index b1*2^(n-1) + ... + bn.
 reshapes and the locality test all read its index tables.
 
 Everything here is exact and runs on integer rows.  A ray holds its
-amplitudes as a one-row matrix, and ray and subspace identity compare
-the integer parts of a canonical RREF basis; a ray's is its one row with
-lead 1.  Separability goes through integer ranks of reshaped amplitude
-matrices.  Gate lifts, blocks, images, state lifts, reachable sets and
-rank-one splits read and write a matrix's integer rows directly.
+amplitudes as a one-row matrix, and its identity is its span: two rays
+are equal when their one-dimensional subspaces are, and subspace
+identity compares the integer parts of a canonical RREF basis.  One
+tensor factorization, ``Frame.product_form``, splits a subspace as
+part (x) rest through integer ranks of reshaped basis rows; separability,
+=_I and local{I} all read it.  Gate lifts, blocks, images, state lifts,
+reachable sets and rank-one splits read and write a matrix's integer
+rows directly.
 Scalars appear only at the boundary: parsed, printed and stored
 amplitudes, and the part-states that ``state_lift`` takes.
 Preimages are kernels against a basis of the orthocomplement; only
@@ -34,24 +37,24 @@ class BadIndex(ValueError):
 class Ray:
     """A nonzero amplitude vector up to scalar multiples.
 
-    ``row`` holds the amplitudes as given, as a one-row matrix.  Equality
-    and hashing compare ``basis``, its RREF: the canonical row whose first
-    nonzero amplitude is 1, which is also the basis of the ray's span.
+    ``row`` holds the amplitudes as given, as a one-row matrix; building a
+    ray runs no elimination.  Its identity is its span: equality, hashing
+    and printing go through ``Subspace.of_ray``, whose basis is the row
+    scaled so that its first nonzero amplitude is 1.
     """
 
-    __slots__ = ("row", "basis")
+    __slots__ = ("row",)
 
     def __init__(self, amps: Iterable):
-        row = Matrix([list(amps)])
-        if row == Matrix.zeros(1, row.cols):
+        self.row = Matrix([list(amps)])
+        if self.row == Matrix.zeros(1, self.row.cols):
             raise ValueError("a ray needs a nonzero amplitude vector")
-        self.row, self.basis = row, row.row_basis()
 
     @staticmethod
     def _of(row: Matrix) -> "Ray":
         """The ray of the nonzero one-row matrix ``row``, as it is."""
         ray = object.__new__(Ray)
-        ray.row, ray.basis = row, row.row_basis()
+        ray.row = row
         return ray
 
     @property
@@ -66,13 +69,14 @@ class Ray:
     def __eq__(self, other):
         if not isinstance(other, Ray):
             return NotImplemented
-        return self.basis == other.basis
+        return Subspace.of_ray(self) == Subspace.of_ray(other)
 
     def __hash__(self):
-        return hash(self.basis)
+        return hash(Subspace.of_ray(self))
 
     def __str__(self):
-        return "(" + ", ".join(str(a) for a in self.basis.entries[0]) + ")"
+        lead_one = Subspace.of_ray(self).basis.entries[0]
+        return "(" + ", ".join(str(a) for a in lead_one) + ")"
 
     def __repr__(self):
         return f"Ray{self.__str__()}"
@@ -109,7 +113,7 @@ class Subspace:
 
     @staticmethod
     def of_ray(ray: Ray) -> "Subspace":
-        return Subspace(ray.basis, ray.dim, _canonical=True)
+        return Subspace(ray.row, ray.dim)
 
     @property
     def dim(self) -> int:
@@ -129,8 +133,6 @@ class Subspace:
         return self.contains_vector(ray.row)
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        if other.is_zero():
-            return True
         stacked = Matrix.vstack([self.basis, other.basis])
         return stacked.rank() == self.dim
 
@@ -347,15 +349,6 @@ class Frame:
 
     # ----- states ------------------------------------------------------------
 
-    def product_ray(self, chars: str) -> Ray:
-        """Product state from one of 0 1 + - per qubit, e.g. '0+1'."""
-        if len(chars) != self.n:
-            raise ValueError(f"need {self.n} qubit symbols, got {chars!r}")
-        amps = (ONE,)
-        for c in chars:
-            amps = tuple(x * y for x in amps for y in LOCAL_STATES[c])
-        return Ray(amps)
-
     def ray(self, amps: Iterable) -> Ray:
         r = Ray(amps)
         if r.dim != self.dim:
@@ -419,17 +412,13 @@ class Frame:
                      ) -> Optional[tuple[Ray, Ray]]:
         """(I-component, rest-component) when the ray splits; None otherwise.
 
-        A state is I-separated exactly when its reshaped amplitude matrix
-        has rank 1; the components are then the factors, unique as rays.
+        A state is I-separated exactly when its span factors; the
+        components are then the factors, unique as rays.
         """
-        inside = sorted(self.check_qubits(qubits))
-        if not inside or len(inside) == self.n:
-            trivial = Ray([ONE])
-            return (trivial, ray) if not inside else (ray, trivial)
-        split = _rank_one_split(self.reshape(ray.row, inside))
-        if split is None:
+        form = self.product_form(Subspace.of_ray(ray), qubits)
+        if form is None:
             return None
-        return Ray._of(split[0]), Ray._of(split[1])
+        return form[0].any_ray(), form[1].any_ray()
 
     def reachable(self, ray: Ray, qubits: Iterable[int]) -> Subspace:
         """States reachable from the ray by actions local to the given qubits.
@@ -481,38 +470,29 @@ class Frame:
             rows.append((re, im, part.den))
         return Subspace(Matrix.from_parts(rows, self.dim), self.dim)
 
-    def product_form(self, sub: Subspace, qubits: Iterable[int]):
-        """Recognize sub as x_I tensor V ("left") or V_I tensor y ("right").
+    def product_form(self, sub: Subspace, qubits: Iterable[int]
+                     ) -> Optional[tuple[Subspace, Subspace]]:
+        """(part, rest) with sub = part (x) rest, part on I and one of the
+        two a single ray; None otherwise, and for the zero subspace.
 
-        Returns ("left", Ray, Subspace), ("right", Subspace, Ray), or None.
-        A nonzero subspace all of whose rays are I-separated always has one
-        of the two forms: two elements differing in both factors would
-        superpose to an entangled vector.
+        Each basis row is split by rank one; part and rest are the spans
+        of the columns and the rows.  A nonzero subspace all of whose rays
+        are I-separated always has this form: two elements differing in
+        both factors would superpose to an entangled vector.
         """
         inside = sorted(self.check_qubits(qubits))
         if sub.is_zero():
             return None
-        if not inside:
-            return ("left", Ray([ONE]), sub)
-        if len(inside) == self.n:
-            if sub.dim == 1:
-                return ("left", Ray._of(sub.basis.row(0)), Subspace.full(1))
-            return ("right", sub, Ray([ONE]))
         splits = []
         for r in range(sub.dim):
             split = _rank_one_split(self.reshape(sub.basis.row(r), inside))
             if split is None:
                 return None
             splits.append(split)
-        part_rays = [Ray._of(col) for col, _ in splits]
-        if all(p == part_rays[0] for p in part_rays):
-            rest = Matrix.vstack([row for _, row in splits])
-            return ("left", part_rays[0], Subspace(rest, rest.cols))
-        rest_rays = [Ray._of(row) for _, row in splits]
-        if all(p == rest_rays[0] for p in rest_rays):
-            part = Matrix.vstack([col for col, _ in splits])
-            return ("right", Subspace(part, part.cols), rest_rays[0])
-        return None
+        cols, rows = zip(*splits)
+        part = Subspace(Matrix.vstack(cols), cols[0].cols)
+        rest = Subspace(Matrix.vstack(rows), rows[0].cols)
+        return (part, rest) if part.dim == 1 or rest.dim == 1 else None
 
     def __repr__(self):
         return f"Frame(n={self.n})"

@@ -190,12 +190,6 @@ class Region:
             return None
         return self.terms[0].witness()
 
-    def contains_region(self, other: "Region") -> bool:
-        return other.intersect(self.complement()).is_empty()
-
-    def same_rayset(self, other: "Region") -> bool:
-        return self.contains_region(other) and other.contains_region(self)
-
     def _same_ambient(self, other: "Region"):
         if self.ambient != other.ambient:
             raise ValueError("ambient dimensions differ")

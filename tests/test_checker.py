@@ -35,6 +35,8 @@ from qpdl.protocols import (
 )
 from qpdl.regions import Region, wp_map
 
+from exact_reference import product_ray, same_rayset
+
 
 def rand_ray(rng, n):
     return Ray(random_part_state(rng, n))
@@ -56,7 +58,7 @@ def test_ortho_is_closure_orthocomplement():
         via_eval = eval_symbolic(env, parse_formula("~p"))
         direct = Region.of_subspace(
             eval_symbolic(env, parse_formula("p")).closure().ortho())
-        assert via_eval.same_rayset(direct)
+        assert same_rayset(via_eval, direct)
 
 
 def test_test_box_is_projector_wp():
@@ -68,7 +70,7 @@ def test_test_box_is_projector_wp():
         proj = PartialMap(
             eval_symbolic(env, parse_formula("p")).closure().projector())
         direct = wp_map(proj, eval_symbolic(env, parse_formula("q")))
-        assert via_eval.same_rayset(direct)
+        assert same_rayset(via_eval, direct)
 
 
 def test_modal_box_is_orthocomplement_of_complement_closure():
@@ -79,7 +81,7 @@ def test_modal_box_is_orthocomplement_of_complement_closure():
         via_eval = eval_symbolic(env, parse_formula("box p"))
         p = eval_symbolic(env, parse_formula("p"))
         direct = Region.of_subspace(p.complement().closure().ortho())
-        assert via_eval.same_rayset(direct)
+        assert same_rayset(via_eval, direct)
 
 
 def test_double_ortho_is_closure():
@@ -90,7 +92,7 @@ def test_double_ortho_is_closure():
         via_eval = eval_symbolic(env, parse_formula("~(~p)"))
         direct = Region.of_subspace(
             eval_symbolic(env, parse_formula("p")).closure())
-        assert via_eval.same_rayset(direct)
+        assert same_rayset(via_eval, direct)
 
 
 def test_testability_equivalences():
@@ -120,7 +122,7 @@ def test_ent_atom_matches_hand_built_map_state():
         direct = Region.of_subspace(Subspace.from_rows([amps], 4))
         via_eval = eval_symbolic(Environment(big),
                                  parse_formula(f"ent[1,2]({word})"))
-        assert via_eval.same_rayset(direct)
+        assert same_rayset(via_eval, direct)
 
 
 # ----- native atoms against their defining circuits, both directions ----------
@@ -303,7 +305,7 @@ def test_separation_atom_at_states():
     fr = Frame(2)
     env = Environment(fr)
     top1 = parse_formula("T{1}")
-    assert check_state(env, fr.product_ray("01"), top1)
+    assert check_state(env, product_ray(fr, "01"), top1)
     assert check_state(env, fr.ray([1, 1, 2, 2]), top1)
     assert not check_state(env, fr.ray([1, 0, 0, 1]), top1)
     assert check_state(env, fr.ray([1, 0, 0, 1]), parse_formula("T{1,2}"))
@@ -315,9 +317,9 @@ def test_component_formula_at_states():
     fr = Frame(2)
     env = Environment(fr)
     f = parse_formula("cmp{2}(+_1)")
-    assert check_state(env, fr.product_ray("0+"), f)
+    assert check_state(env, product_ray(fr, "0+"), f)
     assert check_state(env, fr.ray([3, 3, 1, 1]), f)
-    assert not check_state(env, fr.product_ray("00"), f)
+    assert not check_state(env, product_ray(fr, "00"), f)
     assert not check_state(env, fr.ray([1, 0, 0, 1]), f)
 
 
@@ -340,10 +342,30 @@ def test_local_formula_and_program():
     assert check_valid(env, parse_formula("localp{2}(X_1)")) is not None
 
 
+def test_eqi_and_local_read_both_product_forms():
+    # on I = {1}: p is x (x) V, a ray on qubit 1 and anything on qubit 2;
+    # q and r are V_I (x) y, anything on qubit 1 and + or - on qubit 2
+    fr = Frame(2)
+    env = Environment(fr, {
+        "p": fr.state_lift((1, 2), (1,)),
+        "q": Subspace.from_rows([[1, 1, 0, 0], [0, 0, 1, 1]], 4),
+        "r": Subspace.from_rows([[1, -1, 0, 0], [0, 0, 1, -1]], 4),
+    })
+    # p's one component against all of qubit 1
+    assert check_valid(env, parse_formula("eqi{1}(p, q)")) is not None
+    # q and r share the component V_I; on qubit 2 they differ
+    assert check_valid(env, parse_formula("eqi{1}(q, r)")) is None
+    assert check_valid(env, parse_formula("eqi{2}(q, r)")) is not None
+    # a V_I (x) y term constrains qubit 2, so q is not 1-local but 2-local
+    assert check_valid(env, parse_formula("local{1}(q)")) is not None
+    assert check_valid(env, parse_formula("local{1}(p | q)")) is not None
+    assert check_valid(env, parse_formula("local{2}(q | r)")) is None
+
+
 def test_pointwise_recurses_through_deterministic_boxes():
     fr = Frame(2)
     env = Environment(fr)
-    s = fr.product_ray("00")
+    s = product_ray(fr, "00")
     # spatial atoms are fine under a box: the output states are checked
     # one by one
     assert check_state(env, s, parse_formula("[X_1](T{1} & 1_1)"))

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import qpdl.frame as frame_module
+import qpdl.linalg as linalg_module
 from qpdl.frame import (
     BadIndex,
     Frame,
@@ -21,7 +22,7 @@ from qpdl.frame import (
 from qpdl.linalg import ONE, ZERO, GaussianRational, Matrix
 from qpdl.regions import make_term
 
-from exact_reference import orthogonal, quotient
+from exact_reference import orthogonal, product_ray, quotient
 from test_linalg import exact, reference_apply
 
 
@@ -51,6 +52,28 @@ def test_ray_scalar_and_phase_invariance():
                                  Fraction(rng.randint(-5, 5)))
         assert Ray(amps) == Ray(tuple(scale * a for a in amps))
     assert Ray((1, 0, 0, 1)) != Ray((1, 0, 0, -1))
+
+
+def test_rays_are_built_without_elimination(monkeypatch):
+    """A ray is its amplitudes as given: building one, as Ray(amps), Ray._of
+    or an image under a map, eliminates nothing; comparing two reduces
+    their spans."""
+    h = Frame(2).gate("H", (1,))
+    amps = (GaussianRational(0, 2), 1, -3, Fraction(1, 2))
+    row = Matrix([[GaussianRational(0, 4), 2, -6, 1]])
+    calls = []
+    eliminate = linalg_module._eliminate
+
+    def counting(work, cols):
+        calls.append(cols)
+        return eliminate(work, cols)
+
+    monkeypatch.setattr(linalg_module, "_eliminate", counting)
+    a, b = Ray(amps), Ray._of(row)
+    image = h.apply_ray(a)
+    assert calls == []
+    assert a == b and image != a
+    assert calls
 
 
 def test_inner_and_orthogonality():
@@ -95,7 +118,7 @@ def test_single_gate_tables():
     for g, rows in table.items():
         pm = fr.gate(g, (1,))
         for pre, post in rows.items():
-            assert pm.apply_ray(fr.product_ray(pre)) == fr.product_ray(post)
+            assert pm.apply_ray(product_ray(fr, pre)) == product_ray(fr, post)
 
 
 def test_h_matrix_is_unnormalised():
@@ -106,9 +129,9 @@ def test_h_matrix_is_unnormalised():
 def test_qubit_one_is_most_significant():
     fr = Frame(2)
     pm = fr.gate("X", (1,))
-    assert pm.apply_ray(fr.product_ray("00")) == fr.ray([0, 0, 1, 0])
+    assert pm.apply_ray(product_ray(fr, "00")) == fr.ray([0, 0, 1, 0])
     pm2 = fr.gate("X", (2,))
-    assert pm2.apply_ray(fr.product_ray("00")) == fr.ray([0, 1, 0, 0])
+    assert pm2.apply_ray(product_ray(fr, "00")) == fr.ray([0, 1, 0, 0])
 
 
 def test_cnot_table():
@@ -117,10 +140,10 @@ def test_cnot_table():
     plain = {"00": "00", "01": "01", "0+": "0+",
              "10": "11", "11": "10", "1+": "1+"}
     for pre, post in plain.items():
-        assert pm.apply_ray(fr.product_ray(pre)) == fr.product_ray(post)
-    assert pm.apply_ray(fr.product_ray("+0")) == fr.ray([1, 0, 0, 1])
-    assert pm.apply_ray(fr.product_ray("+1")) == fr.ray([0, 1, 1, 0])
-    assert pm.apply_ray(fr.product_ray("++")) == fr.product_ray("++")
+        assert pm.apply_ray(product_ray(fr, pre)) == product_ray(fr, post)
+    assert pm.apply_ray(product_ray(fr, "+0")) == fr.ray([1, 0, 0, 1])
+    assert pm.apply_ray(product_ray(fr, "+1")) == fr.ray([0, 1, 1, 0])
+    assert pm.apply_ray(product_ray(fr, "++")) == product_ray(fr, "++")
 
 
 def test_layout_tables_are_permutations_with_qubit_one_high():
@@ -160,7 +183,7 @@ def test_separability_of_products_and_entangled():
 
 def test_reachable_by_local_actions():
     fr = Frame(2)
-    got = fr.reachable(fr.product_ray("00"), (2,))
+    got = fr.reachable(product_ray(fr, "00"), (2,))
     assert got == Subspace.from_rows([[1, 0, 0, 0], [0, 1, 0, 0]], 4)
     bell = fr.ray([1, 0, 0, 1])
     assert fr.reachable(bell, (1,)).is_full()
@@ -170,9 +193,9 @@ def test_state_lift_and_local_lift():
     fr = Frame(2)
     plus2 = fr.state_lift((1, 1), (2,))
     assert plus2.dim == 2
-    assert plus2.contains_ray(fr.product_ray("0+"))
-    assert plus2.contains_ray(fr.product_ray("1+"))
-    assert not plus2.contains_ray(fr.product_ray("00"))
+    assert plus2.contains_ray(product_ray(fr, "0+"))
+    assert plus2.contains_ray(product_ray(fr, "1+"))
+    assert not plus2.contains_ray(product_ray(fr, "00"))
     assert plus2 == Subspace.from_rows([[1, 1, 0, 0], [0, 0, 1, 1]], 4)
     assert fr.state_lift((0, 1), (1,)) == \
         Subspace.from_rows([[0, 0, 1, 0], [0, 0, 0, 1]], 4)
@@ -242,8 +265,8 @@ def test_qaction_composition():
     assert not act.is_deterministic()
     seq = act.then(QAction([fr.gate("H", (1,))]))
     assert len(seq.branches) == 2
-    outs = {b.apply_ray(fr.product_ray("0")) for b in seq.branches}
-    assert outs == {fr.product_ray("+"), fr.product_ray("-")}
+    outs = {b.apply_ray(product_ray(fr, "0")) for b in seq.branches}
+    assert outs == {product_ray(fr, "+"), product_ray(fr, "-")}
 
 
 def test_check_qubits_rejects_bad_indices():
@@ -258,11 +281,17 @@ def test_check_qubits_rejects_bad_indices():
 
 def test_product_form_both_sides():
     fr = Frame(2)
+    # x (x) V: the part is the ray (1, 2), the rest all of qubit 2
     lifted = fr.state_lift((1, 2), (1,))
-    got = fr.product_form(lifted, (1,))
-    assert got is not None
+    part, rest = fr.product_form(lifted, (1,))
+    assert part == Subspace.of_ray(Ray((1, 2))) and rest.is_full()
+    # V (x) y: the part is all of qubit 1, the rest the ray |+>
+    plus2 = Subspace.from_rows([[1, 1, 0, 0], [0, 0, 1, 1]], 4)
+    part, rest = fr.product_form(plus2, (1,))
+    assert part.is_full() and rest == Subspace.of_ray(Ray((1, 1)))
     bell_span = Subspace.of_ray(fr.ray([1, 0, 0, 1]))
     assert fr.product_form(bell_span, (1,)) is None
+    assert fr.product_form(Subspace.zero(4), (1,)) is None
 
 
 def test_state_file_round_trip():
@@ -334,7 +363,7 @@ def preimage_inputs():
         subs = [Subspace.zero(dim), Subspace.full(dim)]
         subs += [rand_sub(rng, dim, k) for k in range(1, dim)]
         subs += [rand_sub(rng, dim, rng.randint(1, dim)) for _ in range(8 - dim)]
-        subs += [Subspace.of_ray(fr.product_ray("0" * n)),
+        subs += [Subspace.of_ray(product_ray(fr, "0" * n)),
                  Subspace.of_ray(Ray(rand_amps(rng, dim, real=True)))]
         pairs += [(PartialMap(m), sub) for m in maps for sub in subs]
     return pairs
@@ -389,7 +418,7 @@ def split_inputs():
                 rays = [Ray(product_amps(fr, inside, part(), rest()))
                         for _ in range(6)]
                 rays += [Ray(rand_amps(rng, fr.dim)) for _ in range(4)]
-                rays += [fr.product_ray("0" * n), fr.product_ray("+" * n),
+                rays += [product_ray(fr, "0" * n), product_ray(fr, "+" * n),
                          fr.ray([1] + [0] * (fr.dim - 2) + [1])]
                 x, y = part(), rest()
                 subs = [
@@ -419,10 +448,67 @@ def test_rank_one_split_matches_fraction_reference(monkeypatch):
            for fr, inside, rays, subs in cases]
     assert new == old
     seps = [s for rays, _ in new for s in rays]
-    forms = [f[0] if f else None for _, fs in new for f in fs]
-    # both outcomes of each routine occur
+    forms = [f for _, fs in new for f in fs]
+    # both outcomes of separability occur, and product_form meets None,
+    # a single-ray part with a wider rest and a single-ray rest with a
+    # wider part
     assert None in seps and any(s is not None for s in seps)
-    assert {None, "left", "right"} <= set(forms)
+    assert None in forms
+    assert any(f and f[0].dim == 1 < f[1].dim for f in forms)
+    assert any(f and f[1].dim == 1 < f[0].dim for f in forms)
+
+
+def tagged_product_form(fr, sub, qubits):
+    """product_form as it was before it returned two subspaces: x_I (x) V
+    as ("left", x, V), V_I (x) y as ("right", V, y), with its own cases
+    for I empty and I all qubits; None otherwise."""
+    inside = sorted(fr.check_qubits(qubits))
+    if sub.is_zero():
+        return None
+    if not inside:
+        return ("left", Ray([ONE]), sub)
+    if len(inside) == fr.n:
+        if sub.dim == 1:
+            return ("left", sub.any_ray(), Subspace.full(1))
+        return ("right", sub, Ray([ONE]))
+    splits = []
+    for r in range(sub.dim):
+        split = reference_rank_one_split(fr.reshape(sub.basis.row(r), inside))
+        if split is None:
+            return None
+        splits.append(split)
+    part_rays = [Ray(col.entries[0]) for col, _ in splits]
+    if all(p == part_rays[0] for p in part_rays):
+        rest = Matrix.vstack([row for _, row in splits])
+        return ("left", part_rays[0], Subspace(rest, rest.cols))
+    rest_rays = [Ray(row.entries[0]) for _, row in splits]
+    if all(p == rest_rays[0] for p in rest_rays):
+        part = Matrix.vstack([col for col, _ in splits])
+        return ("right", Subspace(part, part.cols), rest_rays[0])
+    return None
+
+
+def test_product_form_matches_tagged_reference():
+    cases = split_inputs()
+    for n in (1, 2, 3):
+        fr = Frame(n)
+        rng = random.Random(214 + n)
+        subs = [rand_sub(rng, fr.dim, k) for k in range(1, fr.dim + 1)]
+        subs += [Subspace.of_ray(Ray(rand_amps(rng, fr.dim))), Subspace.zero(fr.dim)]
+        cases += [(fr, inside, [], subs) for inside in ((), range(1, n + 1))]
+    tags = set()
+    for fr, inside, _, subs in cases:
+        for sub in subs:
+            got = fr.product_form(sub, inside)
+            want = tagged_product_form(fr, sub, inside)
+            if want is None:
+                assert got is None
+            elif want[0] == "left":
+                assert got == (Subspace.of_ray(want[1]), want[2])
+            else:
+                assert got == (want[1], Subspace.of_ray(want[2]))
+            tags.add(want and want[0])
+    assert tags == {None, "left", "right"}
 
 
 # ----- differential tests against the bit arithmetic of Frame.layout ----------
@@ -624,7 +710,7 @@ def test_reshape_lift_and_reachable_match_bit_arithmetic():
     for n in (1, 2, 3):
         fr = Frame(n)
         rays = [Ray(rand_amps(rng, fr.dim)) for _ in range(3)]
-        rays += [fr.product_ray("0" * n), fr.product_ray("+-01"[:n]),
+        rays += [product_ray(fr, "0" * n), product_ray(fr, "+-01"[:n]),
                  fr.ray([1] + [0] * (fr.dim - 2) + [1])]
         for qubits in all_subsets(n):
             shuffled = rng.sample(qubits, len(qubits))
@@ -694,7 +780,7 @@ def test_ray_matches_lead_one_reference():
         for r, o in zip(new, old):
             assert exact([r.amps]) == exact([o.amps])
             assert str(r) == str(o)
-            assert exact(r.basis.entries) == exact([o.canon])
+            assert exact(Subspace.of_ray(r).basis.entries) == exact([o.canon])
             assert Subspace.of_ray(r) == Subspace(Matrix([o.canon]), dim)
             for r2, o2 in zip(new, old):
                 assert (r == r2) == (o == o2)
