@@ -33,7 +33,6 @@ from .frame import (
     Frame,
     PartialMap,
     QAction,
-    Ray,
     Subspace,
     format_state,
     parse_state,
@@ -56,7 +55,6 @@ __all__ = [
     "PartialMap",
     "Program",
     "QAction",
-    "Ray",
     "Region",
     "SchematicClaim",
     "SchematicOutcome",

@@ -2,9 +2,10 @@
 
 Symbolic: formula -> Region, for everything whose meaning is a finite
 boolean combination of subspaces.  Pointwise: formula at one concrete
-ray, which additionally covers the separation constructs.  Schematic:
-universally quantified state variables, decided by instantiating over
-{0,1,+} per qubit and corroborated on random rational states.
+state, a one-dimensional subspace, which additionally covers the
+separation constructs.  Schematic: universally quantified state
+variables, decided by instantiating over {0,1,+} per qubit and
+corroborated on random rational states.
 
 A counterexample found symbolically is re-checked pointwise before it
 is reported; the two evaluators share no interpretation code for the
@@ -28,7 +29,7 @@ from .errors import (
     UnsupportedNesting,
     UnsupportedShape,
 )
-from .frame import LOCAL_STATES, Frame, PartialMap, QAction, Ray, Subspace
+from .frame import LOCAL_STATES, Frame, PartialMap, QAction, Subspace
 from .linalg import GaussianRational, Matrix, ONE, ZERO
 from .regions import Region, wp
 
@@ -116,7 +117,9 @@ def _atom_subspace(env: Environment, f: ast.Formula) -> Subspace:
         if not act.is_deterministic():
             raise NonDeterministicProgram(
                 "ent encodes one linear map, not a union")
-        g = fr.restrict_first(act.single())
+        # the 2x2 map x -> P_W F(x (x) |0...0>) on the first qubit, W being
+        # spanned by |0...0> and |10...0>
+        g = fr.block(act.single(), (1,))
         return fr.map_to_state(g, f.i, f.j)
     raise TypeError(f"not a state atom: {f!r}")
 
@@ -195,8 +198,8 @@ def _component_region(env: Environment, f: ast.Component) -> Region:
     if closed.dim != 1:
         raise SpatialAtomInSymbolicMode(
             "cmp{I} of anything but a single state needs a concrete state")
-    ray = closed.any_ray()
-    return Region.of_subspace(env.frame.state_lift(ray.amps, f.qubits))
+    return Region.of_subspace(
+        env.frame.state_lift(closed.basis.entries[0], f.qubits))
 
 
 def _image_region(env: Environment, f: ast.Img) -> Region:
@@ -281,8 +284,11 @@ def _program_is_local(env: Environment, prog: ast.Program, qubits) -> bool:
 # ----- pointwise evaluation ----------------------------------------------------
 
 
-def check_state(env: Environment, s: Ray, f: ast.Formula) -> bool:
-    """Whether the concrete state satisfies the surface formula."""
+def check_state(env: Environment, s: Subspace, f: ast.Formula) -> bool:
+    """Whether the concrete state, a one-dimensional subspace, satisfies
+    the surface formula."""
+    if s.dim != 1:
+        raise ValueError(f"a state is one-dimensional, not of dimension {s.dim}")
     return _holds(env, s, desugar_formula(f, env.frame.n))
 
 
@@ -295,7 +301,7 @@ def _symbolic_here(env: Environment, f: ast.Formula) -> Region:
         ) from None
 
 
-def _holds(env: Environment, s: Ray, f: ast.Formula) -> bool:
+def _holds(env: Environment, s: Subspace, f: ast.Formula) -> bool:
     fr = env.frame
     if isinstance(f, ast.Var):
         return env.lookup(f.name).contains_ray(s)
@@ -304,9 +310,9 @@ def _holds(env: Environment, s: Ray, f: ast.Formula) -> bool:
     if isinstance(f, ast.FalseF):
         return False
     if isinstance(f, (ast.Const, ast.RayF, ast.GHZ, ast.Gamma, ast.Ent)):
-        return _atom_subspace(env, f).contains_ray(s)
+        return _atom_subspace(env, f).contains_subspace(s)
     if isinstance(f, ast.Top):
-        return fr.separability(s, f.qubits) is not None
+        return fr.product_form(s, f.qubits) is not None
     if isinstance(f, ast.Not):
         return not _holds(env, s, f.body)
     if isinstance(f, ast.And):
@@ -315,7 +321,7 @@ def _holds(env: Environment, s: Ray, f: ast.Formula) -> bool:
         if isinstance(f.body, ast.Top):
             fr.check_qubits(f.body.qubits)
             return False
-        return _symbolic_here(env, f.body).ortho().contains_ray(s)
+        return _symbolic_here(env, f.body).ortho().contains_subspace(s)
     if isinstance(f, ast.Box):
         if isinstance(f.prog, ast.TopP):
             reach = Region.of_subspace(fr.reachable(s, f.prog.qubits))
@@ -323,18 +329,18 @@ def _holds(env: Environment, s: Ray, f: ast.Formula) -> bool:
             return reach.intersect(bad).is_empty()
         act = _denote(env, f.prog)
         for pm in act.branches:
-            out = pm.apply_ray(s)
-            if out is not None and not _holds(env, out, f.body):
+            out = pm.image_of(s)
+            if not out.is_zero() and not _holds(env, out, f.body):
                 return False
         return True
     if isinstance(f, ast.EqI):
         return eq_component(env, _symbolic_here(env, f.left),
                             _symbolic_here(env, f.right), f.qubits)
     if isinstance(f, ast.Component):
-        sep = fr.separability(s, f.qubits)
-        if sep is None:
+        form = fr.product_form(s, f.qubits)
+        if form is None:
             return False
-        return _holds(Environment(Frame(len(f.qubits))), sep[0], f.body)
+        return _holds(Environment(Frame(len(f.qubits))), form[0], f.body)
     if isinstance(f, ast.LocalF):
         return _region_is_local(env, _symbolic_here(env, f.body), f.qubits)
     if isinstance(f, ast.LocalP):
@@ -347,9 +353,9 @@ def _holds(env: Environment, s: Ray, f: ast.Formula) -> bool:
 # ----- validity ----------------------------------------------------------------
 
 
-def check_valid(env: Environment, f: ast.Formula) -> Optional[Ray]:
+def check_valid(env: Environment, f: ast.Formula) -> Optional[Subspace]:
     """None when the formula holds at every state; otherwise a
-    counterexample ray, re-verified pointwise."""
+    counterexample state, re-verified pointwise."""
     core = desugar_formula(f, env.frame.n)
     witness = _eval(env, ast.Not(core)).witness()
     if witness is None:
@@ -380,7 +386,7 @@ class SchematicClaim:
 class InstanceResult:
     label: str
     valid: bool
-    witness: Optional[Ray]
+    witness: Optional[Subspace]
 
 
 @dataclass(frozen=True)
@@ -392,12 +398,6 @@ class SchematicOutcome:
     @property
     def passed(self) -> bool:
         return all(r.valid for r in self.instances + self.corroborations)
-
-    def failing(self) -> Optional[InstanceResult]:
-        for r in self.instances + self.corroborations:
-            if not r.valid:
-                return r
-        return None
 
 
 def substitute(node, mapping: dict):

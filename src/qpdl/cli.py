@@ -22,7 +22,7 @@ from .checker import (
     eval_symbolic,
 )
 from .errors import CheckError, UnboundVariable
-from .frame import Frame, Ray, Subspace, format_state, parse_state
+from .frame import Frame, Subspace, format_state, parse_state
 from .linalg import Matrix
 from .parser import ParseError, parse_formula, parse_program
 from .protocols import DEFAULT_SEED, TARGETS, run_target
@@ -32,30 +32,31 @@ from .protocols import DEFAULT_SEED, TARGETS, run_target
 MAX_QUBITS = 10
 
 
-def _load_ray(path: str, n: int) -> Ray:
+def _load_state(path: str, n: int) -> Subspace:
     with open(path, encoding="ascii") as fh:
-        k, ray = parse_state(fh.read())
+        k, state = parse_state(fh.read())
     if k != n:
         raise ValueError(f"{path} holds a {k}-qubit state, expected n={n}")
-    return ray
+    return state
 
 
 def _bindings(pairs, n: int, fr: Frame) -> dict:
-    """-b name=@file binds a ray's span; -b name=span:@f1,@f2 a joined span."""
+    """-b name=@file binds a state (a ray's span); -b name=span:@f1,@f2 the
+    span of several."""
     out = {}
     for raw in pairs or ():
         name, eq, rhs = raw.partition("=")
         if not eq or not name.isidentifier():
             raise ValueError(f"bad binding {raw!r}, expected name=@file")
         if rhs.startswith("span:"):
-            rays = []
+            states = []
             for part in rhs[len("span:"):].split(","):
                 if not part.startswith("@"):
                     raise ValueError(f"bad binding {raw!r}, span needs @files")
-                rays.append(_load_ray(part[1:], n))
-            out[name] = Subspace(Matrix.vstack([r.row for r in rays]), fr.dim)
+                states.append(_load_state(part[1:], n))
+            out[name] = Subspace(Matrix.vstack([s.basis for s in states]), fr.dim)
         elif rhs.startswith("@"):
-            out[name] = Subspace.of_ray(_load_ray(rhs[1:], n))
+            out[name] = _load_state(rhs[1:], n)
         else:
             raise ValueError(f"bad binding {raw!r}, expected @file or span:")
     return out
@@ -97,8 +98,8 @@ def _cmd_valid(args) -> int:
 
 def _cmd_holds(args) -> int:
     env = _environment(args)
-    ray = _load_ray(args.state, args.n)
-    if check_state(env, ray, parse_formula(args.formula)):
+    state = _load_state(args.state, args.n)
+    if check_state(env, state, parse_formula(args.formula)):
         print("TRUE")
         return 0
     print("FALSE")

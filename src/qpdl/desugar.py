@@ -17,10 +17,6 @@ from . import ast
 from .errors import UnsupportedNesting, UnsupportedShape
 
 
-def _not(f: ast.Formula) -> ast.Formula:
-    return ast.Not(f)
-
-
 def _and_all(parts) -> ast.Formula:
     out = parts[0]
     for p in parts[1:]:
@@ -132,23 +128,23 @@ def desugar_formula(node: ast.Formula, n: int) -> ast.Formula:
         return ast.And(desugar_formula(node.left, n),
                        desugar_formula(node.right, n))
     if isinstance(node, ast.Or):
-        return _not(ast.And(_not(desugar_formula(node.left, n)),
-                            _not(desugar_formula(node.right, n))))
+        return ast.Not(ast.And(ast.Not(desugar_formula(node.left, n)),
+                               ast.Not(desugar_formula(node.right, n))))
     if isinstance(node, ast.Implies):
-        return _not(ast.And(desugar_formula(node.left, n),
-                            _not(desugar_formula(node.right, n))))
+        return ast.Not(ast.And(desugar_formula(node.left, n),
+                               ast.Not(desugar_formula(node.right, n))))
     if isinstance(node, ast.BoxM):
-        return ast.Box(ast.Test(_not(desugar_formula(node.body, n))),
+        return ast.Box(ast.Test(ast.Not(desugar_formula(node.body, n))),
                        ast.FalseF())
     if isinstance(node, ast.DiaM):
-        return _not(ast.Box(ast.Test(desugar_formula(node.body, n)),
-                            ast.FalseF()))
+        return ast.Not(ast.Box(ast.Test(desugar_formula(node.body, n)),
+                               ast.FalseF()))
     if isinstance(node, ast.Box):
         return ast.Box(desugar_program(node.prog, n),
                        desugar_formula(node.body, n))
     if isinstance(node, ast.Dia):
-        return _not(ast.Box(desugar_program(node.prog, n),
-                            _not(desugar_formula(node.body, n))))
+        return ast.Not(ast.Box(desugar_program(node.prog, n),
+                               ast.Not(desugar_formula(node.body, n))))
     if isinstance(node, ast.Sqcup):
         return ast.Ortho(ast.And(ast.Ortho(desugar_formula(node.left, n)),
                                  ast.Ortho(desugar_formula(node.right, n))))
@@ -164,7 +160,7 @@ def desugar_formula(node: ast.Formula, n: int) -> ast.Formula:
         return desugar_formula(ast.Leq(ast.Ortho(ast.Ortho(node.body)),
                                        node.body), n)
     if isinstance(node, ast.Dom):
-        return _not(ast.Box(desugar_program(node.prog, n), ast.FalseF()))
+        return ast.Not(ast.Box(desugar_program(node.prog, n), ast.FalseF()))
     if isinstance(node, ast.PostF):
         return ast.Ortho(ast.Box(adjoint(desugar_program(node.prog, n)),
                                  ast.Ortho(desugar_formula(node.body, n))))

@@ -1,30 +1,32 @@
 """Quantum frames over exact scalars.
 
-A frame fixes a register of n qubits (dimension 2^n).  States are rays:
-nonzero amplitude vectors identified up to a scalar.  Properties that can
-be tested by measurement are subspaces; actions are finite unions of
-partial linear maps.  Qubit 1 occupies the most significant bit of a
-basis index, so |b1 b2 ... bn> sits at index b1*2^(n-1) + ... + bn.
+A frame fixes a register of n qubits (dimension 2^n).  A state is a ray,
+a one-dimensional subspace: a nonzero amplitude vector up to a scalar.
+Properties that can be tested by measurement are subspaces; actions are
+finite unions of partial linear maps.  Qubit 1 occupies the most
+significant bit of a basis index, so |b1 b2 ... bn> sits at index
+b1*2^(n-1) + ... + bn.
 ``Frame.layout`` is the one place that decides this order: gates, lifts,
 reshapes and the locality test all read its index tables.
 
-Everything here is exact and runs on integer rows.  A ray holds its
-amplitudes as a one-row matrix, and its identity is its span: two rays
-are equal when their one-dimensional subspaces are, and subspace
-identity compares the integer parts of a canonical RREF basis.  One
-tensor factorization, ``Frame.product_form``, splits a subspace as
-part (x) rest through integer ranks of reshaped basis rows; separability,
-=_I and local{I} all read it.  Gate lifts, blocks, images, state lifts,
+Everything here is exact and runs on integer rows.  States and
+properties are one type, ``Subspace``, whose identity compares the
+integer parts of a canonical RREF basis; a state's basis is its one
+amplitude row scaled so that its first nonzero entry is 1.  One tensor
+factorization, ``Frame.product_form``, splits a subspace as part (x) rest
+through integer ranks of reshaped basis rows; T{I}, cmp{I}, =_I and
+local{I} all read it.  Gate lifts, blocks, images, state lifts,
 reachable sets and rank-one splits read and write a matrix's integer
 rows directly.
-Scalars appear only at the boundary: parsed, printed and stored
-amplitudes, and the part-states that ``state_lift`` takes.
+Scalars appear only at the boundary: parsed and printed amplitudes,
+and the part-states that ``state_lift`` takes.
 Preimages are kernels against a basis of the orthocomplement; only
 tests (f?) need an orthogonal projector, built by Gram-matrix inversion.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Optional, Sequence
 
 from .linalg import GaussianRational, Matrix, ONE, ZERO, parse_rational
@@ -32,54 +34,6 @@ from .linalg import GaussianRational, Matrix, ONE, ZERO, parse_rational
 
 class BadIndex(ValueError):
     """A qubit index is out of range or repeated."""
-
-
-class Ray:
-    """A nonzero amplitude vector up to scalar multiples.
-
-    ``row`` holds the amplitudes as given, as a one-row matrix; building a
-    ray runs no elimination.  Its identity is its span: equality, hashing
-    and printing go through ``Subspace.of_ray``, whose basis is the row
-    scaled so that its first nonzero amplitude is 1.
-    """
-
-    __slots__ = ("row",)
-
-    def __init__(self, amps: Iterable):
-        self.row = Matrix([list(amps)])
-        if self.row == Matrix.zeros(1, self.row.cols):
-            raise ValueError("a ray needs a nonzero amplitude vector")
-
-    @staticmethod
-    def _of(row: Matrix) -> "Ray":
-        """The ray of the nonzero one-row matrix ``row``, as it is."""
-        ray = object.__new__(Ray)
-        ray.row = row
-        return ray
-
-    @property
-    def dim(self) -> int:
-        return self.row.cols
-
-    @property
-    def amps(self) -> tuple:
-        """The amplitudes as given, as GaussianRational values."""
-        return self.row.entries[0]
-
-    def __eq__(self, other):
-        if not isinstance(other, Ray):
-            return NotImplemented
-        return Subspace.of_ray(self) == Subspace.of_ray(other)
-
-    def __hash__(self):
-        return hash(Subspace.of_ray(self))
-
-    def __str__(self):
-        lead_one = Subspace.of_ray(self).basis.entries[0]
-        return "(" + ", ".join(str(a) for a in lead_one) + ")"
-
-    def __repr__(self):
-        return f"Ray{self.__str__()}"
 
 
 class Subspace:
@@ -111,10 +65,6 @@ class Subspace:
     def full(ambient: int) -> "Subspace":
         return Subspace(Matrix.identity(ambient), ambient, _canonical=True)
 
-    @staticmethod
-    def of_ray(ray: Ray) -> "Subspace":
-        return Subspace(ray.row, ray.dim)
-
     @property
     def dim(self) -> int:
         return self.basis.rows
@@ -124,13 +74,6 @@ class Subspace:
 
     def is_full(self) -> bool:
         return self.basis.rows == self.ambient
-
-    def contains_vector(self, vec: Matrix) -> bool:
-        """Whether the one-row matrix ``vec`` lies in the subspace."""
-        return Matrix.vstack([self.basis, vec]).rank() == self.dim
-
-    def contains_ray(self, ray: Ray) -> bool:
-        return self.contains_vector(ray.row)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         stacked = Matrix.vstack([self.basis, other.basis])
@@ -165,10 +108,11 @@ class Subspace:
                 self._projector = b.transpose() * gram.inverse() * b.conj()
         return self._projector
 
-    def any_ray(self) -> Ray:
+    def any_ray(self) -> "Subspace":
+        """The span of the first basis row, a one-dimensional subspace."""
         if self.is_zero():
             raise ValueError("the zero subspace has no rays")
-        return Ray._of(self.basis.row(0))
+        return Subspace(self.basis.row(0), self.ambient, _canonical=True)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -187,7 +131,7 @@ class Subspace:
 
 
 class PartialMap:
-    """A linear map acting on rays; undefined where it sends a vector to 0."""
+    """A linear map acting on states; undefined where it sends a vector to 0."""
 
     __slots__ = ("matrix",)
 
@@ -200,10 +144,6 @@ class PartialMap:
     def dim(self) -> int:
         return self.matrix.rows
 
-    def apply_ray(self, ray: Ray) -> Optional[Ray]:
-        out = self._images(ray.row)
-        return None if out == Matrix.zeros(1, self.dim) else Ray._of(out)
-
     def adjoint(self) -> "PartialMap":
         return PartialMap(self.matrix.conj_transpose())
 
@@ -215,12 +155,9 @@ class PartialMap:
         return Subspace(self.matrix.kernel_basis(), self.dim, _canonical=True)
 
     def image_of(self, sub: Subspace) -> Subspace:
-        """Span of the pointwise image of a subspace."""
-        return Subspace(self._images(sub.basis), self.dim)
-
-    def _images(self, rows: Matrix) -> Matrix:
-        """M x for each row x of ``rows``, one row each."""
-        return (self.matrix * rows.transpose()).transpose()
+        """Span of the pointwise image of a subspace: M x for each basis
+        row x, one row each."""
+        return Subspace((self.matrix * sub.basis.transpose()).transpose(), self.dim)
 
     def preimage_closed(self, sub: Subspace) -> Subspace:
         """{x : M x lands in sub (possibly at zero)} = ker(conj(B) * M),
@@ -349,11 +286,14 @@ class Frame:
 
     # ----- states ------------------------------------------------------------
 
-    def ray(self, amps: Iterable) -> Ray:
-        r = Ray(amps)
-        if r.dim != self.dim:
+    def ray(self, amps: Iterable) -> Subspace:
+        """The state of a nonzero amplitude vector: its one-dimensional span."""
+        row = Matrix([list(amps)])
+        if row == Matrix.zeros(1, row.cols):
+            raise ValueError("a ray needs a nonzero amplitude vector")
+        if row.cols != self.dim:
             raise ValueError("amplitude count differs from frame dimension")
-        return r
+        return Subspace(row, self.dim)
 
     # ----- gates and blocks --------------------------------------------------
 
@@ -391,13 +331,6 @@ class Frame:
                                    [m.im[r][c] for c in at_zero], m.den)
                                   for r in at_zero], len(at_zero))
 
-    def restrict_first(self, pm: PartialMap) -> Matrix:
-        """The 2x2 map x -> P_W F(x tensor |0...0>) on the first qubit,
-
-        where W is spanned by |0...0> and |10...0>.
-        """
-        return self.block(pm, (1,))
-
     # ----- locality ----------------------------------------------------------
 
     def reshape(self, vec: Matrix, qubits: Iterable[int]) -> Matrix:
@@ -408,26 +341,14 @@ class Frame:
         return Matrix.from_parts([([re[i] for i in row], [im[i] for i in row], vec.den)
                                   for row in table], len(table[0]))
 
-    def separability(self, ray: Ray, qubits: Iterable[int]
-                     ) -> Optional[tuple[Ray, Ray]]:
-        """(I-component, rest-component) when the ray splits; None otherwise.
-
-        A state is I-separated exactly when its span factors; the
-        components are then the factors, unique as rays.
-        """
-        form = self.product_form(Subspace.of_ray(ray), qubits)
-        if form is None:
-            return None
-        return form[0].any_ray(), form[1].any_ray()
-
-    def reachable(self, ray: Ray, qubits: Iterable[int]) -> Subspace:
-        """States reachable from the ray by actions local to the given qubits.
+    def reachable(self, state: Subspace, qubits: Iterable[int]) -> Subspace:
+        """States reachable from a state by actions local to the given qubits.
 
         An I-local map turns the reshaped matrix M into G*M, so reachable
         states are exactly H_I tensor (row space of M).
         """
         inside = sorted(qubits)
-        rows = self.reshape(ray.row, inside).row_basis()
+        rows = self.reshape(state.basis, inside).row_basis()
         vectors = []
         for positions in self.layout(inside):
             for row_re, row_im in zip(rows.re, rows.im):
@@ -512,15 +433,17 @@ def _rank_one_split(m: Matrix) -> Optional[tuple[Matrix, Matrix]]:
 # ----- state files ---------------------------------------------------------
 
 
-def parse_state(text: str) -> tuple[int, Ray]:
-    """Read the 'n=<k>' header plus 2^k lines of '<re> <im>' rationals."""
+def parse_state(text: str) -> tuple[int, Subspace]:
+    """Read the 'n=<k>' header plus 2^k lines of '<re> <im>' rationals.
+
+    k is ASCII decimal digits with no leading zero: no sign, space, '_'
+    or digits of another script."""
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("n="):
         raise ValueError("state file must start with 'n=<qubits>'")
-    try:
-        n = int(lines[0][2:])
-    except ValueError as exc:
-        raise ValueError("bad qubit count in state file") from exc
+    if not re.fullmatch(r"n=(0|[1-9][0-9]*)", lines[0]):
+        raise ValueError("bad qubit count in state file")
+    n = int(lines[0][2:])
     if n < 1:
         raise ValueError("state file needs at least one qubit")
     body = lines[1:]
@@ -533,11 +456,12 @@ def parse_state(text: str) -> tuple[int, Ray]:
         if len(parts) != 2:
             raise ValueError(f"amplitude line needs '<re> <im>': {ln!r}")
         amps.append(GaussianRational(parse_rational(parts[0]), parse_rational(parts[1])))
-    return n, Ray(amps)
+    return n, Frame(n).ray(amps)
 
 
-def format_state(n: int, ray: Ray) -> str:
+def format_state(n: int, state: Subspace) -> str:
+    """The state file of a state: its amplitudes scaled to a leading 1."""
     lines = [f"n={n}"]
-    for a in ray.amps:
+    for a in state.basis.entries[0]:
         lines.append(f"{a.re} {a.im}")
     return "\n".join(lines) + "\n"

@@ -28,7 +28,7 @@ from .checker import (
     eval_symbolic,
     random_part_state,
 )
-from .frame import Frame, Ray, Subspace
+from .frame import Frame, Subspace
 from .linalg import GaussianRational
 from .parser import parse_formula, parse_program
 from .regions import Region
@@ -58,10 +58,10 @@ class Report:
         return "\n".join(out)
 
 
-def _ray_text(ray: Ray) -> str:
-    n = (ray.dim - 1).bit_length()
+def _ray_text(ray: Subspace) -> str:
+    n = (ray.ambient - 1).bit_length()
     parts = []
-    for idx, a in enumerate(ray.amps):
+    for idx, a in enumerate(ray.basis.entries[0]):
         if a:
             parts.append(f"({a})|{format(idx, f'0{n}b')}>")
     return " + ".join(parts)
@@ -156,8 +156,8 @@ def _random_region(rng, fr: Frame) -> Region:
     return region
 
 
-def _random_ray(rng, fr: Frame, real_only: bool = False) -> Ray:
-    return Ray(random_part_state(rng, fr.n, real_only))
+def _random_ray(rng, fr: Frame, real_only: bool = False) -> Subspace:
+    return fr.ray(random_part_state(rng, fr.n, real_only))
 
 
 def _local_ray_formula(rng, qubit: int, real_only: bool = False) -> ast.Formula:
@@ -296,7 +296,7 @@ def _lemma_bell_measurement(rng) -> list:
         i, j, k = rng.sample([1, 2, 3], 3)
         x, y = rng.randrange(2), rng.randrange(2)
         fr = Frame(3)
-        p = (Region.of_subspace(Subspace.of_ray(_random_ray(rng, fr)))
+        p = (Region.of_subspace(_random_ray(rng, fr))
              if t % 2 else Region.of_subspace(_random_subspace(rng, fr, 2)))
         env = Environment(fr, {"p": p})
         out.append(_valid(
@@ -386,7 +386,7 @@ def _lemma_agreement(rng) -> list:
             v = _random_word(rng, tests=False).replace("_1", f"_{i}")
             a, b = f"{c}_{i}? ; {u}", f"{c}_{i}? ; {v}"
             inside, outside = str(i), rest
-        env = Environment(fr, {"p": Subspace.of_ray(_random_ray(rng, fr))})
+        env = Environment(fr, {"p": _random_ray(rng, fr)})
         out.append(_valid(
             env,
             f"testable(p) & localp{{{inside}}}({a}) & localp{{{inside}}}({b})"
@@ -437,8 +437,9 @@ def _lemma_preparation(rng) -> list:
             if image.is_empty():
                 q = _local_ray_formula(rng, j, real_only=True)
             else:
-                comp = fr.separability(image.closure().any_ray(), (j,))[0]
-                q = ast.RayF((j,), (comp.amps[1].conj(), -comp.amps[0].conj()))
+                part = fr.product_form(image.closure().any_ray(), (j,))[0]
+                comp = part.basis.entries[0]
+                q = ast.RayF((j,), (comp[1].conj(), -comp[0].conj()))
         formula = ast.Implies(
             ast.PerpF(ast.Img(mov, p), q),
             ast.PerpF(ast.Ent(i, j, parse_program(pi)), ast.And(p, q)))
@@ -560,7 +561,7 @@ def _ax_adjunction(rng, count: int) -> list:
     return out
 
 
-def _product_ray(rng, fr: Frame, cut=None) -> Ray:
+def _product_ray(rng, fr: Frame, cut=None) -> Subspace:
     """A product state across the given bipartition (default: fully
     product, one factor per qubit)."""
     if cut is None:
@@ -568,14 +569,14 @@ def _product_ray(rng, fr: Frame, cut=None) -> Ray:
         for _ in range(fr.n - 1):
             part = random_part_state(rng, 1)
             amps = tuple(a * b for a in amps for b in part)
-        return Ray(amps)
+        return fr.ray(amps)
     left = random_part_state(rng, len(cut))
     right = random_part_state(rng, fr.n - len(cut))
     amps = [None] * fr.dim
     for positions, la in zip(fr.layout(sorted(cut)), left):
         for idx, rb in zip(positions, right):
             amps[idx] = la * rb
-    return Ray(amps)
+    return fr.ray(amps)
 
 
 def _ax_separation(rng, count: int) -> list:

@@ -1,8 +1,9 @@
 """Ray-set algebra for the separation-free fragment.
 
-A Region denotes a set of rays as a finite union of Terms, each the rays
-of a positive subspace minus the rays of finitely many proper subspaces
-of it.  The class is closed under complement, intersection, union, the
+A ray, or state, is a one-dimensional ``Subspace``.  A Region denotes a
+set of rays as a finite union of Terms, each the rays of a positive
+subspace minus the rays of finitely many proper subspaces of it.  The
+class is closed under complement, intersection, union, the
 orthocomplement-style closure, and weakest preconditions of partial
 linear maps, which is what makes validity decidable by an emptiness
 check.
@@ -13,8 +14,9 @@ normalised term with a nonzero positive part always contains a ray:
 ``Region.is_empty`` reads emptiness off the terms, and ``Region.witness``
 runs a small deterministic search for a ray only when one is wanted.
 Its candidates are integer rows over the denominator of the positive
-basis, and negatives are ordered by exact Fractions read off the integer
-parts; scalars appear only at the boundary, when a witness is printed.
+basis, each already the canonical basis of its span, and negatives are
+ordered by exact Fractions read off the integer parts; scalars appear
+only at the boundary, when a witness is printed.
 The measurement modalities box and dia have no code of their own here;
 the checker reaches them as tests (f?), through ``wp``.
 """
@@ -24,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .frame import PartialMap, QAction, Ray, Subspace
+from .frame import PartialMap, QAction, Subspace
 from .linalg import Matrix
 
 
@@ -51,18 +53,22 @@ class Term:
         self.positive = positive
         self.negatives = negatives
 
-    def contains_ray(self, ray: Ray) -> bool:
-        if not self.positive.contains_ray(ray):
+    def contains_ray(self, ray: Subspace) -> bool:
+        """Whether the one-dimensional subspace ``ray`` is a ray of the term."""
+        if not self.positive.contains_subspace(ray):
             return False
-        return all(not b.contains_ray(ray) for b in self.negatives)
+        return all(not b.contains_subspace(ray) for b in self.negatives)
 
-    def witness(self) -> Ray:
+    def witness(self) -> Subspace:
         """A ray of the term, found by a deterministic exact search.
 
         Single basis rows are tried first, then points on the moment
         curve sum_j t^j b_j; a linear functional vanishing on a proper
         subspace kills at most dim-1 of those points, so the bounded
-        search always lands outside every negative.
+        search always lands outside every negative.  The basis is in RREF,
+        so a candidate's first nonzero entry is a pivot 1 (b_0's on the
+        curve, where the other rows are 0): it is already the canonical
+        basis of its span, and prints as it was built.
         """
         basis = self.positive.basis
         rows = list(zip(basis.re, basis.im))
@@ -77,8 +83,9 @@ class Term:
         for re, im in candidates:
             if not (any(re) or any(im)):
                 continue
-            ray = Ray._of(Matrix.from_parts([(re, im, basis.den)], basis.cols))
-            if all(not b.contains_ray(ray) for b in self.negatives):
+            ray = Subspace(Matrix.from_parts([(re, im, basis.den)], basis.cols),
+                           basis.cols, _canonical=True)
+            if all(not b.contains_subspace(ray) for b in self.negatives):
                 return ray
         raise WitnessSearchExhausted(f"no witness among {len(candidates)} candidates")
 
@@ -144,7 +151,7 @@ class Region:
         region without terms is the only empty one."""
         return not self.terms
 
-    def contains_ray(self, ray: Ray) -> bool:
+    def contains_ray(self, ray: Subspace) -> bool:
         return any(t.contains_ray(ray) for t in self.terms)
 
     def union(self, other: "Region") -> "Region":
@@ -184,7 +191,7 @@ class Region:
     def ortho(self) -> Subspace:
         return self.closure().ortho()
 
-    def witness(self) -> Optional[Ray]:
+    def witness(self) -> Optional[Subspace]:
         """A ray of the region, or None when it is empty."""
         if self.is_empty():
             return None

@@ -15,8 +15,9 @@ def quotient(a, b):
 
 
 def orthogonal(s, t):
-    """Whether <s|t> = sum conj(s_k) t_k is 0 for two rays' amplitudes."""
-    return not sum((a.conj() * b for a, b in zip(s.amps, t.amps)), ZERO)
+    """Whether <s|t> = sum conj(s_k) t_k is 0 for two states' amplitudes."""
+    s, t = s.basis.entries[0], t.basis.entries[0]
+    return not sum((a.conj() * b for a, b in zip(s, t)), ZERO)
 
 
 def product_ray(fr, chars):

@@ -24,7 +24,7 @@ from qpdl.errors import (
     UnboundVariable,
     UnsupportedShape,
 )
-from qpdl.frame import Frame, PartialMap, Ray, Subspace
+from qpdl.frame import Frame, PartialMap, Subspace
 from qpdl.linalg import Matrix
 from qpdl.parser import parse_formula, parse_program
 from qpdl.protocols import (
@@ -39,7 +39,7 @@ from exact_reference import product_ray, same_rayset
 
 
 def rand_ray(rng, n):
-    return Ray(random_part_state(rng, n))
+    return Frame(n).ray(random_part_state(rng, n))
 
 
 def env_pq(rng, fr):
@@ -309,6 +309,14 @@ def test_separation_atom_at_states():
     assert check_state(env, fr.ray([1, 1, 2, 2]), top1)
     assert not check_state(env, fr.ray([1, 0, 0, 1]), top1)
     assert check_state(env, fr.ray([1, 0, 0, 1]), parse_formula("T{1,2}"))
+
+
+def test_check_state_takes_a_one_dimensional_subspace():
+    fr = Frame(2)
+    env = Environment(fr)
+    for sub in (fr.state_lift((1, 0), (1,)), Subspace.zero(fr.dim)):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            check_state(env, sub, parse_formula("true"))
 
 
 def test_component_formula_at_states():

@@ -195,6 +195,14 @@ def test_huge_state_file_header_exits_two(tmp_path, capsys):
         assert err.count("\n") == 1
 
 
+def test_non_decimal_state_file_header_exits_two(tmp_path, capsys):
+    # int() would read "n=+1" as 1, and the body fits one qubit
+    signed = write_state(tmp_path, "signed.state", "n=+1\n1 0\n0 0\n")
+    code, out, err = run(capsys, ["holds", "-n", "1", "--state", signed, "0_1"])
+    assert (code, out) == (2, "")
+    assert err == "error: bad qubit count in state file\n"
+
+
 def test_qubit_count_above_cap_exits_two(capsys):
     for argv in (["valid", "-n", "11", "x"],
                  ["holds", "-n", "11", "--state", "nope", "x"],

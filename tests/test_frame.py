@@ -1,4 +1,4 @@
-"""Rays, subspaces, partial maps and the n-qubit frame."""
+"""States, subspaces, partial maps and the n-qubit frame."""
 
 import itertools
 import random
@@ -8,13 +8,11 @@ from fractions import Fraction
 import pytest
 
 import qpdl.frame as frame_module
-import qpdl.linalg as linalg_module
 from qpdl.frame import (
     BadIndex,
     Frame,
     PartialMap,
     QAction,
-    Ray,
     Subspace,
     format_state,
     parse_state,
@@ -46,44 +44,36 @@ def rand_sub(rng, dim, k=None):
 
 def test_ray_scalar_and_phase_invariance():
     rng = random.Random(201)
+    fr = Frame(2)
     for _ in range(50):
         amps = rand_amps(rng, 4)
         scale = GaussianRational(Fraction(rng.randint(1, 5)),
                                  Fraction(rng.randint(-5, 5)))
-        assert Ray(amps) == Ray(tuple(scale * a for a in amps))
-    assert Ray((1, 0, 0, 1)) != Ray((1, 0, 0, -1))
+        assert fr.ray(amps) == fr.ray(tuple(scale * a for a in amps))
+    assert fr.ray((1, 0, 0, 1)) != fr.ray((1, 0, 0, -1))
 
 
-def test_rays_are_built_without_elimination(monkeypatch):
-    """A ray is its amplitudes as given: building one, as Ray(amps), Ray._of
-    or an image under a map, eliminates nothing; comparing two reduces
-    their spans."""
-    h = Frame(2).gate("H", (1,))
-    amps = (GaussianRational(0, 2), 1, -3, Fraction(1, 2))
-    row = Matrix([[GaussianRational(0, 4), 2, -6, 1]])
-    calls = []
-    eliminate = linalg_module._eliminate
-
-    def counting(work, cols):
-        calls.append(cols)
-        return eliminate(work, cols)
-
-    monkeypatch.setattr(linalg_module, "_eliminate", counting)
-    a, b = Ray(amps), Ray._of(row)
-    image = h.apply_ray(a)
-    assert calls == []
-    assert a == b and image != a
-    assert calls
+def test_ray_is_a_one_dimensional_subspace_and_keeps_its_errors():
+    fr = Frame(2)
+    state = fr.ray((GaussianRational(0, 2), 1, -3, Fraction(1, 2)))
+    assert isinstance(state, Subspace) and state.dim == 1
+    assert state.ambient == fr.dim
+    assert state.any_ray() == state
+    with pytest.raises(ValueError, match="amplitude count"):
+        fr.ray((1, 0))
+    with pytest.raises(ValueError, match="nonzero amplitude vector"):
+        fr.ray((0, 0, 0, 0))
 
 
 def test_inner_and_orthogonality():
-    a = Ray((1, 0))
-    b = Ray((0, 1))
-    c = Ray((1, 1))
+    fr = Frame(1)
+    a = fr.ray((1, 0))
+    b = fr.ray((0, 1))
+    c = fr.ray((1, 1))
     assert orthogonal(a, b)
     assert not orthogonal(a, c)
     i = GaussianRational(0, 1)
-    assert orthogonal(Ray((1, i)), Ray((1, -i)))
+    assert orthogonal(fr.ray((1, i)), fr.ray((1, -i)))
 
 
 def test_subspace_lattice_laws():
@@ -107,7 +97,7 @@ def test_projector_is_idempotent_selfadjoint():
         assert p.conj_transpose() == p
         v = rand_amps(rng, 4)
         out = p * Matrix([v]).transpose()
-        assert s.contains_vector(out.transpose())
+        assert s.contains_subspace(Subspace(out.transpose(), 4))
 
 
 def test_single_gate_tables():
@@ -118,7 +108,7 @@ def test_single_gate_tables():
     for g, rows in table.items():
         pm = fr.gate(g, (1,))
         for pre, post in rows.items():
-            assert pm.apply_ray(product_ray(fr, pre)) == product_ray(fr, post)
+            assert pm.image_of(product_ray(fr, pre)) == product_ray(fr, post)
 
 
 def test_h_matrix_is_unnormalised():
@@ -129,9 +119,9 @@ def test_h_matrix_is_unnormalised():
 def test_qubit_one_is_most_significant():
     fr = Frame(2)
     pm = fr.gate("X", (1,))
-    assert pm.apply_ray(product_ray(fr, "00")) == fr.ray([0, 0, 1, 0])
+    assert pm.image_of(product_ray(fr, "00")) == fr.ray([0, 0, 1, 0])
     pm2 = fr.gate("X", (2,))
-    assert pm2.apply_ray(product_ray(fr, "00")) == fr.ray([0, 1, 0, 0])
+    assert pm2.image_of(product_ray(fr, "00")) == fr.ray([0, 1, 0, 0])
 
 
 def test_cnot_table():
@@ -140,10 +130,10 @@ def test_cnot_table():
     plain = {"00": "00", "01": "01", "0+": "0+",
              "10": "11", "11": "10", "1+": "1+"}
     for pre, post in plain.items():
-        assert pm.apply_ray(product_ray(fr, pre)) == product_ray(fr, post)
-    assert pm.apply_ray(product_ray(fr, "+0")) == fr.ray([1, 0, 0, 1])
-    assert pm.apply_ray(product_ray(fr, "+1")) == fr.ray([0, 1, 1, 0])
-    assert pm.apply_ray(product_ray(fr, "++")) == product_ray(fr, "++")
+        assert pm.image_of(product_ray(fr, pre)) == product_ray(fr, post)
+    assert pm.image_of(product_ray(fr, "+0")) == fr.ray([1, 0, 0, 1])
+    assert pm.image_of(product_ray(fr, "+1")) == fr.ray([0, 1, 1, 0])
+    assert pm.image_of(product_ray(fr, "++")) == product_ray(fr, "++")
 
 
 def test_layout_tables_are_permutations_with_qubit_one_high():
@@ -174,11 +164,11 @@ def test_separability_of_products_and_entangled():
         left = rand_amps(rng, 2)
         right = rand_amps(rng, 2)
         amps = [a * b for a in left for b in right]
-        got = fr.separability(Ray(amps), (1,))
+        got = fr.product_form(fr.ray(amps), (1,))
         assert got is not None
-        assert got[0] == Ray(left) and got[1] == Ray(right)
-    assert fr.separability(fr.ray([1, 0, 0, 1]), (1,)) is None
-    assert fr.separability(fr.ray([0, 1, -1, 0]), (2,)) is None
+        assert got[0] == Frame(1).ray(left) and got[1] == Frame(1).ray(right)
+    assert fr.product_form(fr.ray([1, 0, 0, 1]), (1,)) is None
+    assert fr.product_form(fr.ray([0, 1, -1, 0]), (2,)) is None
 
 
 def test_reachable_by_local_actions():
@@ -193,9 +183,9 @@ def test_state_lift_and_local_lift():
     fr = Frame(2)
     plus2 = fr.state_lift((1, 1), (2,))
     assert plus2.dim == 2
-    assert plus2.contains_ray(product_ray(fr, "0+"))
-    assert plus2.contains_ray(product_ray(fr, "1+"))
-    assert not plus2.contains_ray(product_ray(fr, "00"))
+    assert plus2.contains_subspace(product_ray(fr, "0+"))
+    assert plus2.contains_subspace(product_ray(fr, "1+"))
+    assert not plus2.contains_subspace(product_ray(fr, "00"))
     assert plus2 == Subspace.from_rows([[1, 1, 0, 0], [0, 0, 1, 1]], 4)
     assert fr.state_lift((0, 1), (1,)) == \
         Subspace.from_rows([[0, 0, 1, 0], [0, 0, 0, 1]], 4)
@@ -223,7 +213,7 @@ def test_restrict_first_inverts_encoding():
         # g tensor identity: qubit 1 is the high bit of both indices
         full = Matrix([[g.entries[r >> 1][c >> 1] if r % 2 == c % 2 else 0
                         for c in range(4)] for r in range(4)])
-        got = fr.restrict_first(PartialMap(full))
+        got = fr.block(PartialMap(full), (1,))
         # equal up to scale: compare induced subspace of the flattened entries
         flat_got = [x for row in got.entries for x in row]
         flat_g = [x for row in g.entries for x in row]
@@ -240,12 +230,12 @@ def test_partial_map_adjoint_characterisation():
         if m == Matrix.zeros(*m.shape):
             continue
         pm = PartialMap(m)
-        s, t = Ray(rand_amps(rng, 4)), Ray(rand_amps(rng, 4))
-        fs = pm.apply_ray(s)
-        at = pm.adjoint().apply_ray(t)
+        s, t = Frame(2).ray(rand_amps(rng, 4)), Frame(2).ray(rand_amps(rng, 4))
+        fs = pm.image_of(s)
+        at = pm.adjoint().image_of(t)
         # t perp F(s) iff F+(t) perp s, reading undefined as orthogonal
-        left = fs is None or orthogonal(fs, t)
-        right = at is None or orthogonal(at, s)
+        left = fs.is_zero() or orthogonal(fs, t)
+        right = at.is_zero() or orthogonal(at, s)
         assert left == right
 
 
@@ -265,7 +255,7 @@ def test_qaction_composition():
     assert not act.is_deterministic()
     seq = act.then(QAction([fr.gate("H", (1,))]))
     assert len(seq.branches) == 2
-    outs = {b.apply_ray(product_ray(fr, "0")) for b in seq.branches}
+    outs = {b.image_of(product_ray(fr, "0")) for b in seq.branches}
     assert outs == {product_ray(fr, "+"), product_ray(fr, "-")}
 
 
@@ -284,12 +274,12 @@ def test_product_form_both_sides():
     # x (x) V: the part is the ray (1, 2), the rest all of qubit 2
     lifted = fr.state_lift((1, 2), (1,))
     part, rest = fr.product_form(lifted, (1,))
-    assert part == Subspace.of_ray(Ray((1, 2))) and rest.is_full()
+    assert part == Frame(1).ray((1, 2)) and rest.is_full()
     # V (x) y: the part is all of qubit 1, the rest the ray |+>
     plus2 = Subspace.from_rows([[1, 1, 0, 0], [0, 0, 1, 1]], 4)
     part, rest = fr.product_form(plus2, (1,))
-    assert part.is_full() and rest == Subspace.of_ray(Ray((1, 1)))
-    bell_span = Subspace.of_ray(fr.ray([1, 0, 0, 1]))
+    assert part.is_full() and rest == Frame(1).ray((1, 1))
+    bell_span = fr.ray([1, 0, 0, 1])
     assert fr.product_form(bell_span, (1,)) is None
     assert fr.product_form(Subspace.zero(4), (1,)) is None
 
@@ -306,6 +296,24 @@ def test_state_file_round_trip():
         parse_state("n=1\n1 0\n")  # wrong number of amplitude lines
     with pytest.raises(ValueError):
         parse_state("n=1\n0 0\n0 0\n")  # zero vector is not a state
+
+
+def test_state_file_prints_the_lead_one_amplitudes():
+    fr = Frame(2)
+    assert format_state(2, fr.ray([2, 0, 0, 2])) == "n=2\n1 0\n0 0\n0 0\n1 0\n"
+    assert format_state(2, fr.ray([0, GaussianRational(0, 2), 0, 4])) == \
+        "n=2\n0 0\n1 0\n0 0\n0 -2\n"
+
+
+def test_state_file_header_is_ascii_decimal_digits():
+    body = "\n1 0\n0 0\n"
+    assert parse_state("n=1" + body)[0] == 1
+    # int() reads all of these as 1 or 10
+    for header in ("n=1_0", "n=+1", "n= 1", "n=01", "n=\u0661"):
+        with pytest.raises(ValueError, match="bad qubit count"):
+            parse_state(header + body)
+    with pytest.raises(ValueError, match="at least one qubit"):
+        parse_state("n=0" + body)
 
 
 def test_state_file_qubit_count_is_bounded_by_its_lines():
@@ -350,7 +358,7 @@ def preimage_inputs():
             Matrix.zeros(dim, dim),
             Matrix.identity(dim),
             fr.gate("H", (1,)).matrix,
-            Subspace.of_ray(Ray(rand_amps(rng, dim))).projector(),
+            fr.ray(rand_amps(rng, dim)).projector(),
             Matrix([rand_amps(rng, dim, real=True) for _ in range(dim)]),
             Matrix([rand_amps(rng, dim) for _ in range(dim)]),
             Matrix([rand_amps(rng, dim) for _ in range(dim)]),
@@ -363,8 +371,7 @@ def preimage_inputs():
         subs = [Subspace.zero(dim), Subspace.full(dim)]
         subs += [rand_sub(rng, dim, k) for k in range(1, dim)]
         subs += [rand_sub(rng, dim, rng.randint(1, dim)) for _ in range(8 - dim)]
-        subs += [Subspace.of_ray(product_ray(fr, "0" * n)),
-                 Subspace.of_ray(Ray(rand_amps(rng, dim, real=True)))]
+        subs += [product_ray(fr, "0" * n), fr.ray(rand_amps(rng, dim, real=True))]
         pairs += [(PartialMap(m), sub) for m in maps for sub in subs]
     return pairs
 
@@ -379,7 +386,7 @@ def test_preimage_matches_projector_reference():
 def reference_rank_one_split(m):
     """(column, row) with m = column x row in Fraction arithmetic, as
     one-row matrices, else None: the oracle for the rank test in
-    separability and product_form."""
+    product_form."""
     pivot_pos = next(((r, c) for r in range(m.rows) for c in range(m.cols)
                       if m.entries[r][c]), None)
     if pivot_pos is None:
@@ -415,9 +422,9 @@ def split_inputs():
                 k, rest_k = 2 ** size, fr.dim // 2 ** size
                 part = lambda: rand_amps(rng, k)
                 rest = lambda: rand_amps(rng, rest_k)
-                rays = [Ray(product_amps(fr, inside, part(), rest()))
+                rays = [fr.ray(product_amps(fr, inside, part(), rest()))
                         for _ in range(6)]
-                rays += [Ray(rand_amps(rng, fr.dim)) for _ in range(4)]
+                rays += [fr.ray(rand_amps(rng, fr.dim)) for _ in range(4)]
                 rays += [product_ray(fr, "0" * n), product_ray(fr, "+" * n),
                          fr.ray([1] + [0] * (fr.dim - 2) + [1])]
                 x, y = part(), rest()
@@ -429,7 +436,7 @@ def split_inputs():
                     Subspace.from_rows([product_amps(fr, inside, part(), rest())
                                         for _ in range(2)], fr.dim),
                     fr.state_lift(part(), inside),
-                    Subspace.of_ray(rays[0]),
+                    rays[0],
                     rand_sub(rng, fr.dim, 2),
                 ]
                 out.append((fr, inside, rays, subs))
@@ -438,20 +445,20 @@ def split_inputs():
 
 def test_rank_one_split_matches_fraction_reference(monkeypatch):
     cases = split_inputs()
-    new = [([fr.separability(r, inside) for r in rays],
+    new = [([fr.product_form(r, inside) for r in rays],
             [fr.product_form(s, inside) for s in subs])
            for fr, inside, rays, subs in cases]
     monkeypatch.setattr(frame_module, "_rank_one_split",
                         reference_rank_one_split)
-    old = [([fr.separability(r, inside) for r in rays],
+    old = [([fr.product_form(r, inside) for r in rays],
             [fr.product_form(s, inside) for s in subs])
            for fr, inside, rays, subs in cases]
     assert new == old
     seps = [s for rays, _ in new for s in rays]
     forms = [f for _, fs in new for f in fs]
-    # both outcomes of separability occur, and product_form meets None,
-    # a single-ray part with a wider rest and a single-ray rest with a
-    # wider part
+    # rays both split and do not, and wider subspaces meet None, a
+    # single-ray part with a wider rest and a single-ray rest with a wider
+    # part
     assert None in seps and any(s is not None for s in seps)
     assert None in forms
     assert any(f and f[0].dim == 1 < f[1].dim for f in forms)
@@ -461,27 +468,28 @@ def test_rank_one_split_matches_fraction_reference(monkeypatch):
 def tagged_product_form(fr, sub, qubits):
     """product_form as it was before it returned two subspaces: x_I (x) V
     as ("left", x, V), V_I (x) y as ("right", V, y), with its own cases
-    for I empty and I all qubits; None otherwise."""
+    for I empty and I all qubits; None otherwise.  The rays x and y are
+    one-dimensional subspaces."""
     inside = sorted(fr.check_qubits(qubits))
     if sub.is_zero():
         return None
     if not inside:
-        return ("left", Ray([ONE]), sub)
+        return ("left", Subspace.full(1), sub)
     if len(inside) == fr.n:
         if sub.dim == 1:
             return ("left", sub.any_ray(), Subspace.full(1))
-        return ("right", sub, Ray([ONE]))
+        return ("right", sub, Subspace.full(1))
     splits = []
     for r in range(sub.dim):
         split = reference_rank_one_split(fr.reshape(sub.basis.row(r), inside))
         if split is None:
             return None
         splits.append(split)
-    part_rays = [Ray(col.entries[0]) for col, _ in splits]
+    part_rays = [Subspace(col, col.cols) for col, _ in splits]
     if all(p == part_rays[0] for p in part_rays):
         rest = Matrix.vstack([row for _, row in splits])
         return ("left", part_rays[0], Subspace(rest, rest.cols))
-    rest_rays = [Ray(row.entries[0]) for _, row in splits]
+    rest_rays = [Subspace(row, row.cols) for _, row in splits]
     if all(p == rest_rays[0] for p in rest_rays):
         part = Matrix.vstack([col for col, _ in splits])
         return ("right", Subspace(part, part.cols), rest_rays[0])
@@ -494,7 +502,7 @@ def test_product_form_matches_tagged_reference():
         fr = Frame(n)
         rng = random.Random(214 + n)
         subs = [rand_sub(rng, fr.dim, k) for k in range(1, fr.dim + 1)]
-        subs += [Subspace.of_ray(Ray(rand_amps(rng, fr.dim))), Subspace.zero(fr.dim)]
+        subs += [fr.ray(rand_amps(rng, fr.dim)), Subspace.zero(fr.dim)]
         cases += [(fr, inside, [], subs) for inside in ((), range(1, n + 1))]
     tags = set()
     for fr, inside, _, subs in cases:
@@ -503,10 +511,8 @@ def test_product_form_matches_tagged_reference():
             want = tagged_product_form(fr, sub, inside)
             if want is None:
                 assert got is None
-            elif want[0] == "left":
-                assert got == (Subspace.of_ray(want[1]), want[2])
             else:
-                assert got == (want[1], Subspace.of_ray(want[2]))
+                assert got == want[1:]
             tags.add(want and want[0])
     assert tags == {None, "left", "right"}
 
@@ -613,7 +619,7 @@ def old_state_lift(fr, amps, qubits):
 
 def old_reachable(fr, ray, qubits):
     inside = sorted(qubits)
-    rows = old_reshape(fr, ray.amps, inside).row_basis()
+    rows = old_reshape(fr, ray.basis.entries[0], inside).row_basis()
     vectors = []
     for a in range(2 ** len(inside)):
         for i in range(rows.rows):
@@ -696,27 +702,29 @@ def test_is_local_matches_bit_tuples():
 
 
 def test_restrict_first_is_the_qubit_one_block():
+    """The first qubit's block is x -> P_W F(x (x) |0...0>), W spanned by
+    |0...0> and |10...0>: entries at indices 0 and 2^(n-1)."""
     rng = random.Random(211)
     for n in (1, 2, 3):
         fr = Frame(n)
         for pm in locality_maps(rng, fr):
             m, s = pm.matrix.entries, fr.dim // 2
-            assert fr.restrict_first(pm) == Matrix([[m[0][0], m[0][s]],
-                                                    [m[s][0], m[s][s]]])
+            assert fr.block(pm, (1,)) == Matrix([[m[0][0], m[0][s]],
+                                                 [m[s][0], m[s][s]]])
 
 
 def test_reshape_lift_and_reachable_match_bit_arithmetic():
     rng = random.Random(212)
     for n in (1, 2, 3):
         fr = Frame(n)
-        rays = [Ray(rand_amps(rng, fr.dim)) for _ in range(3)]
+        rays = [fr.ray(rand_amps(rng, fr.dim)) for _ in range(3)]
         rays += [product_ray(fr, "0" * n), product_ray(fr, "+-01"[:n]),
                  fr.ray([1] + [0] * (fr.dim - 2) + [1])]
         for qubits in all_subsets(n):
             shuffled = rng.sample(qubits, len(qubits))
             for ray in rays:
-                assert fr.reshape(ray.row, shuffled) == \
-                    old_reshape(fr, ray.amps, qubits)
+                assert fr.reshape(ray.basis, shuffled) == \
+                    old_reshape(fr, ray.basis.entries[0], qubits)
                 assert fr.reachable(ray, shuffled) == \
                     old_reachable(fr, ray, qubits)
             for _ in range(3):
@@ -726,6 +734,11 @@ def test_reshape_lift_and_reachable_match_bit_arithmetic():
 
 
 # ----- differential tests against Fraction-arithmetic rays --------------------
+
+
+def lead_one_text(state):
+    """A state's amplitudes as they print: its canonical basis row."""
+    return "(" + ", ".join(str(a) for a in state.basis.entries[0]) + ")"
 
 
 class LeadOneRay:
@@ -775,13 +788,14 @@ def ray_batches():
 def test_ray_matches_lead_one_reference():
     checked = 0
     for dim, batch in ray_batches():
-        new = [Ray(amps) for amps in batch]
+        new = [Subspace(Matrix([amps]), dim) for amps in batch]
         old = [LeadOneRay(amps) for amps in batch]
         for r, o in zip(new, old):
-            assert exact([r.amps]) == exact([o.amps])
-            assert str(r) == str(o)
-            assert exact(Subspace.of_ray(r).basis.entries) == exact([o.canon])
-            assert Subspace.of_ray(r) == Subspace(Matrix([o.canon]), dim)
+            assert lead_one_text(r) == str(o)
+            assert exact(r.basis.entries) == exact([o.canon])
+            assert r == Subspace(Matrix([o.canon]), dim)
+            if dim & (dim - 1) == 0 and dim > 1:
+                assert Frame(dim.bit_length() - 1).ray(o.amps) == r
             for r2, o2 in zip(new, old):
                 assert (r == r2) == (o == o2)
                 if r == r2:
@@ -790,7 +804,7 @@ def test_ray_matches_lead_one_reference():
     assert checked >= 300
     for amps in ([], [0, 0], [ZERO]):
         with pytest.raises(ValueError):
-            Ray(amps)
+            Frame(1).ray(amps)
 
 
 def gaussian_rational_witness(term):
@@ -806,8 +820,9 @@ def gaussian_rational_witness(term):
             weight = weight * t
         candidates.append(tuple(v))
     for cand in candidates:
-        if any(cand) and not any(b.contains_vector(Matrix([cand]))
-                                 for b in term.negatives):
+        if any(cand) and not any(
+                b.contains_subspace(Subspace.from_rows([cand], len(cand)))
+                for b in term.negatives):
             return cand
 
 
@@ -830,7 +845,10 @@ def test_witness_matches_gaussian_rational_search():
             if term is None:
                 continue
             want = gaussian_rational_witness(term)
-            assert exact([term.witness().amps]) == exact([want])
+            got = term.witness()
+            assert exact(got.basis.entries) == exact([want])
+            # built without elimination, the witness is in canonical form
+            assert got.basis == got.basis.row_basis()
             sources.append((want in rows, positive.basis.den > 1))
     assert len(sources) >= 50
     assert {(True, True), (False, True)} <= set(sources)
@@ -840,16 +858,17 @@ def test_apply_ray_and_image_of_match_dense_product():
     rng = random.Random(215)
     pairs = preimage_inputs()
     for pm, sub in pairs:
-        rays = [Ray(rand_amps(rng, pm.dim)) for _ in range(2)]
+        rays = [Subspace(Matrix([rand_amps(rng, pm.dim)]), pm.dim)
+                for _ in range(2)]
         if not sub.is_zero():
             rays.append(sub.any_ray())
         for ray in rays:
-            want = reference_apply(pm.matrix, ray.amps)
-            got = pm.apply_ray(ray)
+            want = reference_apply(pm.matrix, ray.basis.entries[0])
+            got = pm.image_of(ray)
             if any(want):
-                assert exact([got.amps]) == exact([want])
+                assert got == Subspace(Matrix([want]), pm.dim)
             else:
-                assert got is None
+                assert got.is_zero()
         images = [reference_apply(pm.matrix, row) for row in sub.basis.entries]
         assert pm.image_of(sub) == Subspace.from_rows(
             [v for v in images if any(v)], pm.dim)

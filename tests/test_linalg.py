@@ -115,15 +115,16 @@ def test_rowspace_contains_combinations():
         target = [ZERO] * 4
         for c, i in zip(coeffs, range(space.dim)):
             target = [t + c * x for t, x in zip(target, space.basis.entries[i])]
-        assert space.contains_vector(Matrix([target]))
+        assert space.contains_subspace(Subspace(Matrix([target]), 4))
 
 
 def test_rowspace_rejects_outside():
     space = Subspace(Matrix([[1, 0, 0, 0], [0, 1, 0, 0]]), 4)
-    assert not space.contains_vector(Matrix([[0, 0, 1, 0]]))
-    assert not space.contains_vector(Matrix([[1, 1, GaussianRational(0, 1), 0]]))
-    assert space.contains_vector(
-        Matrix([[GaussianRational(3, -2), Fraction(1, 7), 0, 0]]))
+    assert not space.contains_subspace(Subspace(Matrix([[0, 0, 1, 0]]), 4))
+    assert not space.contains_subspace(
+        Subspace(Matrix([[1, 1, GaussianRational(0, 1), 0]]), 4))
+    assert space.contains_subspace(
+        Subspace(Matrix([[GaussianRational(3, -2), Fraction(1, 7), 0, 0]]), 4))
 
 
 # ----- differential test against Gauss-Jordan over the Gaussian rationals ----
