@@ -10,14 +10,17 @@ b1*2^(n-1) + ... + bn.
 reshapes and the locality test all read its index tables.
 
 Everything here is exact and runs on integer rows.  States and
-properties are one type, ``Subspace``, whose identity compares the
-integer parts of a canonical RREF basis; a state's basis is its one
-amplitude row scaled so that its first nonzero entry is 1.  One tensor
-factorization, ``Frame.product_form``, splits a subspace as part (x) rest
-through integer ranks of reshaped basis rows; T{I}, cmp{I}, =_I and
-local{I} all read it.  Gate lifts, blocks, images, state lifts,
-reachable sets and rank-one splits read and write a matrix's integer
-rows directly.
+properties are one type, ``Subspace``, held as a canonical RREF basis; a
+state's basis is its one amplitude row scaled so that its first nonzero
+entry is 1.  Subspaces are interned: the constructor returns the live
+instance of its canonical basis, so equal spans are one object, equality
+is identity and a projector is built once per span.  ``ortho`` is
+computed once per instance and linked back, since (W^perp)^perp = W.
+One tensor factorization, ``Frame.product_form``, splits a subspace as
+part (x) rest through integer ranks of reshaped basis rows; T{I},
+cmp{I}, =_I and local{I} all read it.  Gate lifts, blocks, images, state
+lifts, reachable sets and rank-one splits read and write a matrix's
+integer rows directly.
 Scalars appear only at the boundary: parsed and printed amplitudes,
 and the part-states that ``state_lift`` takes.
 Preimages are kernels against a basis of the orthocomplement; only
@@ -27,6 +30,7 @@ tests (f?) need an orthogonal projector, built by Gram-matrix inversion.
 from __future__ import annotations
 
 import re
+import weakref
 from typing import Iterable, Optional, Sequence
 
 from .linalg import GaussianRational, Matrix, ONE, ZERO, parse_rational
@@ -36,19 +40,35 @@ class BadIndex(ValueError):
     """A qubit index is out of range or repeated."""
 
 
+# The live subspace of each canonical basis.  It holds no subspace alive,
+# so it is bounded by the subspaces in use.
+_INTERNED: "weakref.WeakValueDictionary[Matrix, Subspace]" = \
+    weakref.WeakValueDictionary()
+
+
 class Subspace:
-    """A linear subspace, held as a canonical RREF basis (one row per dimension)."""
+    """A linear subspace, held as a canonical RREF basis (one row per dimension).
 
-    __slots__ = ("basis", "ambient", "_projector")
+    Hash-consed: there is one live instance per basis, so equal spans are
+    the same object, and equality and hashing are identity.
+    """
 
-    def __init__(self, basis: Matrix, ambient: int, _canonical: bool = False):
+    __slots__ = ("basis", "ambient", "_projector", "_ortho", "__weakref__")
+
+    def __new__(cls, basis: Matrix, ambient: int, _canonical: bool = False):
         if basis.cols != ambient:
             raise ValueError("basis width differs from ambient dimension")
         if not _canonical:
             basis = basis.row_basis()
-        self.basis = basis
-        self.ambient = ambient
-        self._projector = None
+        self = _INTERNED.get(basis)
+        if self is None:
+            self = object.__new__(cls)
+            self.basis = basis
+            self.ambient = ambient
+            self._projector = None
+            self._ortho = None
+            _INTERNED[basis] = self
+        return self
 
     @staticmethod
     def from_rows(rows: Iterable[Sequence], ambient: int) -> "Subspace":
@@ -88,10 +108,14 @@ class Subspace:
         return Subspace(Matrix.vstack([self.basis, other.basis]), self.ambient)
 
     def ortho(self) -> "Subspace":
-        """Orthocomplement under the conjugate-linear inner product."""
-        if self.is_zero():
-            return Subspace.full(self.ambient)
-        return Subspace(self.basis.conj().kernel_basis(), self.ambient, _canonical=True)
+        """Orthocomplement under the conjugate-linear inner product,
+        computed once per span and linked back, as (W^perp)^perp = W."""
+        if self._ortho is None:
+            # conj keeps the pivots 1 of the RREF basis and the zeros around them
+            perp = Subspace(self.basis.conj()._kernel_of_rref(), self.ambient,
+                            _canonical=True)
+            self._ortho, perp._ortho = perp, self
+        return self._ortho
 
     def meet(self, other: "Subspace") -> "Subspace":
         self._same_ambient(other)
@@ -113,14 +137,6 @@ class Subspace:
         if self.is_zero():
             raise ValueError("the zero subspace has no rays")
         return Subspace(self.basis.row(0), self.ambient, _canonical=True)
-
-    def __eq__(self, other):
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        return self.ambient == other.ambient and self.basis == other.basis
-
-    def __hash__(self):
-        return hash((self.ambient, self.basis))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"

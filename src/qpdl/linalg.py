@@ -258,19 +258,15 @@ class Matrix:
     def kernel_basis(self) -> "Matrix":
         """Rows spanning the right null space {x : M x = 0}, in RREF;
         there are cols - rank of them."""
-        rows, pivots = _rref(self._nonzero_rows(), self.cols)
-        # Free column f gives e_f - sum_r (x_r[f] / s_r) e_{c_r}, where x_r / s_r
-        # is RREF row r with pivot column c_r; scaled by the lcm of the s_r.
-        den = lcm(*(s for _, _, s in rows))
-        vectors = []
-        for f in sorted(set(range(self.cols)) - set(pivots)):
-            re, im = [0] * self.cols, [0] * self.cols
-            re[f] = den
-            for (xr, xi, s), c in zip(rows, pivots):
-                re[c] = -xr[f] * (den // s)
-                im[c] = -xi[f] * (den // s)
-            vectors.append((re, im))
-        return Matrix.from_parts(_rref(vectors, self.cols)[0], self.cols)
+        return _kernel(*_rref(self._nonzero_rows(), self.cols), self.cols)
+
+    def _kernel_of_rref(self) -> "Matrix":
+        """``kernel_basis`` of a matrix whose rows already are an RREF, such
+        as the conjugate of a ``row_basis``: one elimination fewer."""
+        rows = [(re, im, self.den) for re, im in zip(self.re, self.im)]
+        # each pivot is 1, i.e. den, the first nonzero part of its row
+        pivots = [next(c for c, a in enumerate(re) if a) for re in self.re]
+        return _kernel(rows, pivots, self.cols)
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
@@ -353,6 +349,24 @@ def _rref(work: list, cols: int) -> tuple[list, list]:
         re, im = _primitive(re, im)
         rows.append((re, im, re[c]))
     return rows, pivots
+
+
+def _kernel(rows: list, pivots: list, cols: int) -> Matrix:
+    """The RREF basis of the null space of a matrix already in RREF, given
+    as its rows (re, im, s) with pivot s and their pivot columns: one
+    elimination, of the kernel vectors."""
+    # Free column f gives e_f - sum_r (x_r[f] / s_r) e_{c_r}, where x_r / s_r
+    # is RREF row r with pivot column c_r; scaled by the lcm of the s_r.
+    den = lcm(*(s for _, _, s in rows))
+    vectors = []
+    for f in sorted(set(range(cols)) - set(pivots)):
+        re, im = [0] * cols, [0] * cols
+        re[f] = den
+        for (xr, xi, s), c in zip(rows, pivots):
+            re[c] = -xr[f] * (den // s)
+            im[c] = -xi[f] * (den // s)
+        vectors.append((re, im))
+    return Matrix.from_parts(_rref(vectors, cols)[0], cols)
 
 
 def parse_rational(text: str) -> Fraction:

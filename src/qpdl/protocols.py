@@ -629,13 +629,18 @@ def _ax_trivial_local(rng, count: int) -> list:
     return out
 
 
+# Testable local properties at I != N are atoms: any consistent I-local
+# property below one equals it.
+LOCAL_STATES_AXIOM = ("testable(p) & local{I}(p) & local{I}(q) & !eqf(q, false)"
+                      " & leq(q, p) -> eqf(q, p)")
+
+
 def _ax_local_states(rng, count: int) -> list:
-    """Testable local properties at I != N are atoms: any consistent
-    I-local property below one equals it."""
+    """Instances of LOCAL_STATES_AXIOM on three qubits, p the lift of a
+    random part-state."""
     fr = Frame(3)
     out = []
-    text = ("testable(p) & local{I}(p) & local{I}(q) & !eqf(q, false)"
-            " & leq(q, p) -> eqf(q, p)")
+    text = LOCAL_STATES_AXIOM
     for t in range(count):
         qubits = sorted(rng.sample([1, 2, 3], rng.randint(1, 2)))
         txt = ",".join(str(q) for q in qubits)

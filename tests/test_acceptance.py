@@ -490,18 +490,28 @@ def test_phase_counterexample():
 def test_symbolic_pointwise_coherence():
     rng = random.Random(1010)
     pairs = 0
-    formulas = 0
+    cases = []
     while pairs < 1000:
         n = rng.randint(1, 2)
         env = Environment(Frame(n))
         f = parse_formula(coherent_formula(rng, n, rng.randint(1, 3)))
-        formulas += 1
         region = eval_symbolic(env, f)
+        answers = []
         for _ in range(4):
             s = rand_ray(rng, n)
-            assert region.contains_ray(s) == check_state(env, s, f), str(f)
+            answers.append((s, region.contains_ray(s)))
+            assert answers[-1][1] == check_state(env, s, f), str(f)
             pairs += 1
-    return f"{pairs} (formula, ray) pairs over {formulas} formulas"
+        cases.append((env, f, answers))
+    # the same pairs again, now that their subspaces and orthocomplements
+    # are interned and memoised: the warm pass must answer as the first
+    for env, f, answers in cases:
+        region = eval_symbolic(env, f)
+        for s, inside in answers:
+            assert region.contains_ray(s) == check_state(env, s, f) == inside, \
+                str(f)
+    return (f"{pairs} (formula, ray) pairs over {len(cases)} formulas, "
+            f"each checked twice")
 
 
 # ----- 11: parser round trips ------------------------------------------------------

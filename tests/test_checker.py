@@ -350,6 +350,28 @@ def test_local_formula_and_program():
     assert check_valid(env, parse_formula("localp{2}(X_1)")) is not None
 
 
+@pytest.mark.parametrize("n, formula, valid", [
+    (2, "local{1}(0_1)", True),
+    (2, "local{1}(0_1 | 1_1)", True),
+    (2, "local{1}(0_1 | (0_1 & +_2))", True),
+    (2, "local{1}(false)", True),
+    (3, "local{1,2}((0_1 & 1_2) | (1_1 & 0_2))", True),
+    (2, "local{1}(true)", False),
+    (2, "local{2}(true)", False),
+    (2, "local{1}(1_2 | !1_2)", False),
+    (3, "local{1,2}(0_1)", False),
+    (2, "local{1}(0_2)", False),
+    (2, "local{2}(0_2 | (0_1 & 1_2))", False),
+    (3, "local{1,2}(0_1 | 0_3)", False),
+])
+def test_local_means_part_states_tensor_rest(n, formula, valid):
+    # below N, I-local regions are S' (x) H_rest for a set S' of
+    # part-states, so true and 0_1 on I = {1,2} at n = 3 are not local:
+    # the atoms axiom of protocols needs that (test_protocols)
+    env = Environment(Frame(n))
+    assert (check_valid(env, parse_formula(formula)) is None) == valid
+
+
 def test_eqi_and_local_read_both_product_forms():
     # on I = {1}: p is x (x) V, a ray on qubit 1 and anything on qubit 2;
     # q and r are V_I (x) y, anything on qubit 1 and + or - on qubit 2

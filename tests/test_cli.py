@@ -38,14 +38,32 @@ def test_parse_reports_formula_or_program(capsys):
     assert out == "program: X_1;H_2\n"
 
 
-def test_package_runs_as_a_module():
+def run_module(*argv):
+    """``python -m qpdl argv`` in a fresh process, on this checkout's sources."""
     src = str(Path(qpdl.__file__).resolve().parent.parent)
     path = filter(None, [src, os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    proc = subprocess.run([sys.executable, "-m", "qpdl", "parse", "0_1"],
+    return subprocess.run([sys.executable, "-m", "qpdl", *argv],
                           env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_package_runs_as_a_module():
+    proc = run_module("parse", "0_1")
     assert proc.returncode == 0
     assert proc.stdout == "formula: 0_1\n"
+
+
+def test_cold_process_matches_warm_run(capsys):
+    # a fresh process starts with no interned subspace and no memoised
+    # orthocomplement; the in-process run reuses those of its warm-up
+    argv = ["verify", "qss", "--seed", "2026"]
+    cold = run_module(*argv)
+    assert cold.returncode == 0
+    run(capsys, argv)
+    code, warm, _ = run(capsys, argv)
+    assert code == 0
+    assert warm == cold.stdout
+    assert warm.startswith("qss: PASS")
 
 
 def test_valid_formula_exits_zero(capsys):

@@ -1,8 +1,10 @@
 """States, subspaces, partial maps and the n-qubit frame."""
 
+import gc
 import itertools
 import random
 import time
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -81,11 +83,23 @@ def test_subspace_lattice_laws():
     for _ in range(40):
         s = rand_sub(rng, 4)
         t = rand_sub(rng, 4)
-        assert s.ortho().ortho() == s
+        assert s.ortho().ortho() is s
         assert s.join(t).ortho() == s.ortho().meet(t.ortho())
         assert s.meet(t).dim + s.join(t).dim <= s.dim + t.dim
         assert s.join(t).contains_subspace(s)
         assert s.contains_subspace(s.meet(t))
+
+
+def test_intern_table_drops_dead_subspaces():
+    rng = random.Random(214)
+    subs = [rand_sub(rng, 8, 3) for _ in range(5)]
+    keys = [s.basis for s in subs] + [s.ortho().basis for s in subs]
+    assert all(frame_module._INTERNED.get(k) is not None for k in keys)
+    refs = [weakref.ref(s) for s in subs]
+    del subs
+    gc.collect()  # a subspace and its linked orthocomplement form a cycle
+    assert all(r() is None for r in refs)
+    assert all(k not in frame_module._INTERNED for k in keys)
 
 
 def test_projector_is_idempotent_selfadjoint():
@@ -725,7 +739,7 @@ def test_reshape_lift_and_reachable_match_bit_arithmetic():
             for ray in rays:
                 assert fr.reshape(ray.basis, shuffled) == \
                     old_reshape(fr, ray.basis.entries[0], qubits)
-                assert fr.reachable(ray, shuffled) == \
+                assert fr.reachable(ray, shuffled) is \
                     old_reachable(fr, ray, qubits)
             for _ in range(3):
                 part = rand_amps(rng, 2 ** len(qubits))

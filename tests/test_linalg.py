@@ -7,6 +7,7 @@ from math import gcd
 
 import pytest
 
+from qpdl import linalg
 from qpdl.frame import Frame, Subspace
 from qpdl.linalg import ONE, ZERO, GaussianRational, Matrix, parse_rational
 
@@ -310,12 +311,59 @@ def test_spanning_sets_of_one_subspace_give_one_value():
             continue
         want = Subspace(base, base.cols)
         for m in spanning_sets(rng, base):
-            got = Subspace(m, m.cols)
-            assert got == want and hash(got) == hash(want)
-            assert (got.basis.re, got.basis.im, got.basis.den) == \
-                (want.basis.re, want.basis.im, want.basis.den)
+            assert Subspace(m, m.cols) is want
             checked += 1
     assert checked >= 300
+
+
+def ortho_inputs():
+    """Subspaces at ambient 1..16: zero, full, and spans of k random small
+    Gaussian-integer rows padded with a dependent one, for k = 1, about
+    half the ambient dimension and one less than it."""
+    rng = random.Random(111)
+    small = lambda: GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2))
+    for n in range(1, 17):
+        yield Subspace.zero(n)
+        yield Subspace.full(n)
+        for k in sorted({1, n // 2, n - 1} - {0}):
+            rows = [[small() for _ in range(n)] for _ in range(k)]
+            rows.append([a - b for a, b in zip(rows[0], rows[-1])])
+            yield Subspace(Matrix(rows), n)
+
+
+def test_memoised_ortho_matches_uncached_kernel_and_fraction_reference():
+    checked = 0
+    for s in ortho_inputs():
+        n = s.ambient
+        perp = s.ortho()
+        assert s.ortho() is perp and perp.ortho() is s
+        assert Subspace(s.basis.conj().kernel_basis(), n) is perp
+        want = reference_kernel_basis(Matrix(reference_conj(s.basis), cols=n))
+        assert_canonical(perp.basis, want.entries)
+        assert perp.dim == n - s.dim
+        checked += 1
+    assert checked >= 70
+
+
+def test_ortho_eliminates_once_cold_and_never_warm(monkeypatch):
+    rng = random.Random(112)
+    subs = [Subspace(rand_matrix(rng, k, n), n)
+            for n in range(2, 9) for k in range(1, n)]
+    calls = []
+    eliminate = linalg._eliminate
+
+    def counted(work, cols):
+        calls.append(cols)
+        return eliminate(work, cols)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    for s in subs:
+        calls.clear()
+        perp = s.ortho()
+        assert calls == [s.ambient]
+        calls.clear()
+        assert s.ortho() is perp and perp.ortho() is s
+        assert calls == []
 
 
 # ----- differential test against the dense triple-loop product ---------------

@@ -6,8 +6,12 @@ import random
 
 import pytest
 
+from qpdl.checker import Environment, check_valid, eval_symbolic
+from qpdl.frame import Frame, Subspace
+from qpdl.parser import parse_formula
 from qpdl.protocols import (
     DEFAULT_SEED,
+    LOCAL_STATES_AXIOM,
     _ax_superpositions,
     _lemma_bell_preparation,
     quantum_secret_sharing,
@@ -112,3 +116,21 @@ def test_exhaustive_families_hold():
     rows = _ax_superpositions()
     assert len(rows) == 10
     assert all(r.valid for r in rows)
+
+
+@pytest.mark.parametrize("qubits, p", [
+    ("1", "true"), ("2", "true"), ("1,2", "true"), ("1,3", "true"),
+    ("1,2", "0_1"), ("1,3", "0_1 | 1_3"), ("2", "+_2 | !+_2"),
+])
+def test_local_states_axiom_holds_for_p_beyond_a_part_state(qubits, p):
+    # the axiom suite draws p as the lift of one part-state; a p that
+    # spans more than one part-state on I must not refute it either
+    fr = Frame(3)
+    text = LOCAL_STATES_AXIOM.replace("{I}", "{" + qubits + "}")
+    for q in ("0_1", "0_1 & 0_2", "0_1 & 1_3", "+_2", "0_1 | 1_1"):
+        env = Environment(fr, {"p": region(fr, p), "q": region(fr, q)})
+        assert check_valid(env, parse_formula(text)) is None, (qubits, p, q)
+
+
+def region(fr, text):
+    return eval_symbolic(Environment(fr), parse_formula(text))
