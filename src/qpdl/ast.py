@@ -6,6 +6,9 @@ syntax: its ``ray{...}(...)`` text is printed but not parsed.
 Formula precedence, loosest first: ``->``, ``|``, ``&``, unary prefixes
 (``!`` ``~`` ``box`` ``dia`` ``[p]`` ``<p>``), atoms.  Program precedence:
 ``+``, then ``;``, then atoms; ``?`` binds to a formula atom.
+An identifier that is not a keyword is a variable: ``Var`` in formula
+position, ``PVar`` in program position.  Schemas are written over both
+and instantiated by ``checker.substitute``.
 """
 
 from __future__ import annotations
@@ -241,6 +244,12 @@ class Img(Formula):
 
 
 @dataclass(frozen=True)
+class PVar(Program):
+    """A schema's program variable, filled by substitution."""
+    name: str
+
+
+@dataclass(frozen=True)
 class TopP(Program):
     """Arbitrary action local to the named qubits."""
     qubits: Tuple[int, ...]
@@ -410,6 +419,8 @@ def _p(node: Program, level: int) -> str:
 
 
 def _program_text(node: Program) -> tuple[str, int]:
+    if isinstance(node, PVar):
+        return node.name, _P_ATOM
     if isinstance(node, TopP):
         return "T" + _qubits(node.qubits), _P_ATOM
     if isinstance(node, Test):

@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedShape,
 )
 from .frame import LOCAL_STATES, Frame, PartialMap, QAction, Subspace
-from .linalg import GaussianRational, Matrix, ONE, ZERO
+from .linalg import GaussianRational, Matrix
 from .regions import Region, wp
 
 
@@ -103,13 +103,6 @@ def _atom_subspace(env: Environment, f: ast.Formula) -> Subspace:
         return fr.state_lift(LOCAL_STATES[f.char], (f.qubit,))
     if isinstance(f, ast.RayF):
         return fr.state_lift(f.amps, f.qubits)
-    if isinstance(f, ast.GHZ):
-        amps = [ZERO] * 8
-        amps[0] = ONE
-        amps[7] = ONE
-        return fr.state_lift(amps, (f.i, f.j, f.k))
-    if isinstance(f, ast.Gamma):
-        return fr.state_lift((ONE, ONE, ONE, ONE), (f.i, f.j))
     if isinstance(f, ast.Ent):
         act = _denote(env, f.prog)
         if isinstance(act, LocalTrivial):
@@ -141,7 +134,7 @@ def _eval(env: Environment, f: ast.Formula) -> Region:
         return Region.full(dim)
     if isinstance(f, ast.FalseF):
         return Region.empty(dim)
-    if isinstance(f, (ast.Const, ast.RayF, ast.GHZ, ast.Gamma, ast.Ent)):
+    if isinstance(f, (ast.Const, ast.RayF, ast.Ent)):
         return Region.of_subspace(_atom_subspace(env, f))
     if isinstance(f, ast.Top):
         env.frame.check_qubits(f.qubits)
@@ -309,7 +302,7 @@ def _holds(env: Environment, s: Subspace, f: ast.Formula) -> bool:
         return True
     if isinstance(f, ast.FalseF):
         return False
-    if isinstance(f, (ast.Const, ast.RayF, ast.GHZ, ast.Gamma, ast.Ent)):
+    if isinstance(f, (ast.Const, ast.RayF, ast.Ent)):
         return _atom_subspace(env, f).contains_subspace(s)
     if isinstance(f, ast.Top):
         return fr.product_form(s, f.qubits) is not None
@@ -401,8 +394,8 @@ class SchematicOutcome:
 
 
 def substitute(node, mapping: dict):
-    """Replace Var nodes by formulas throughout a formula or program."""
-    if isinstance(node, ast.Var) and node.name in mapping:
+    """Fill a schema: each Var and PVar named in the mapping is replaced."""
+    if isinstance(node, (ast.Var, ast.PVar)) and node.name in mapping:
         return mapping[node.name]
     changes = {}
     for fld in dataclasses.fields(node):

@@ -1,10 +1,11 @@
 """Rewrites surface constructs into the core the evaluator handles.
 
-Core formulas: Var, TrueF, FalseF, Const, Top, Not, Ortho, And, Box,
-Ent, GHZ, Gamma, EqI, Component, LocalF, LocalP, Img.  Core programs:
-Test, GateP, Id, SeqP, UnionP, TopP.  Everything else is a definitional
-rewrite.  Adjoints distribute down to the atoms, which are all
-self-adjoint (gates, tests, swaps built from gates), so no Adj survives.
+Core formulas: Var, TrueF, FalseF, Const, RayF, Top, Not, Ortho, And,
+Box, Ent, EqI, Component, LocalF, LocalP, Img.  Core programs: Test,
+GateP, Id, SeqP, UnionP, TopP.  Everything else is a definitional
+rewrite (``ghz`` and ``gamma`` become RayF).  Adjoints distribute down to
+the atoms, which are all self-adjoint (gates, tests, swaps built from
+gates), so no Adj survives.  An unsubstituted PVar is an UnboundVariable.
 
 Rewrites are frame-relative only where they must be: ``one`` and
 ``plus`` name the fully separated all-|1> and all-|+> states, so they
@@ -14,7 +15,8 @@ expand to one conjunct per qubit.
 from __future__ import annotations
 
 from . import ast
-from .errors import UnsupportedNesting, UnsupportedShape
+from .errors import UnboundVariable, UnsupportedNesting, UnsupportedShape
+from .linalg import ONE, ZERO
 
 
 def _and_all(parts) -> ast.Formula:
@@ -100,6 +102,8 @@ def _check_first_qubit_only(node, context: str):
     if isinstance(node, ast.Adj):
         _check_first_qubit_only(node.prog, context)
         return
+    if isinstance(node, ast.PVar):
+        raise UnboundVariable(node.name)
     raise UnsupportedNesting(
         f"{context} takes a one-qubit program, not {type(node).__name__}")
 
@@ -179,8 +183,10 @@ def desugar_formula(node: ast.Formula, n: int) -> ast.Formula:
         return ast.LocalP(desugar_program(node.prog, n), node.qubits)
     if isinstance(node, ast.Bell):
         return ast.Ent(node.i, node.j, _bell_program(node.x, node.y))
-    if isinstance(node, (ast.GHZ, ast.Gamma)):
-        return node
+    if isinstance(node, ast.GHZ):
+        return ast.RayF((node.i, node.j, node.k), (ONE,) + (ZERO,) * 6 + (ONE,))
+    if isinstance(node, ast.Gamma):
+        return ast.RayF((node.i, node.j), (ONE,) * 4)
     if isinstance(node, ast.Ent):
         return ast.Ent(node.i, node.j, _one_qubit_program(node.prog, "ent"))
     raise TypeError(f"not a formula node: {node!r}")
@@ -219,4 +225,6 @@ def desugar_program(node: ast.Program, n: int) -> ast.Program:
     if isinstance(node, ast.UnionP):
         return ast.UnionP(desugar_program(node.left, n),
                           desugar_program(node.right, n))
+    if isinstance(node, ast.PVar):
+        raise UnboundVariable(node.name)
     raise TypeError(f"not a program node: {node!r}")

@@ -160,9 +160,6 @@ class PartialMap:
     def dim(self) -> int:
         return self.matrix.rows
 
-    def adjoint(self) -> "PartialMap":
-        return PartialMap(self.matrix.conj_transpose())
-
     def then(self, other: "PartialMap") -> "PartialMap":
         """self followed by other (matrix other * self)."""
         return PartialMap(other.matrix * self.matrix)
@@ -232,9 +229,6 @@ class QAction:
 
     def union(self, other: "QAction") -> "QAction":
         return QAction(self.branches + other.branches)
-
-    def adjoint(self) -> "QAction":
-        return QAction([f.adjoint() for f in self.branches])
 
     def __repr__(self):
         return f"QAction({len(self.branches)} branches, dim={self.dim})"

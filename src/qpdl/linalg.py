@@ -212,9 +212,6 @@ class Matrix:
         im = tuple(tuple([-b for b in row]) if any(row) else row for row in self.im)
         return Matrix._of(self.re, im, self.den, self.cols)
 
-    def conj_transpose(self) -> "Matrix":
-        return self.transpose().conj()
-
     def row(self, i: int) -> "Matrix":
         """Row i as a one-row matrix."""
         return Matrix.from_parts([(self.re[i], self.im[i], self.den)], self.cols)

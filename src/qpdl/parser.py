@@ -1,11 +1,12 @@
 """Tokenizer and recursive-descent parser for the concrete syntax.
 
 Errors carry a 1-based line and column plus the set of token kinds that
-would have been accepted there.  The only backtracking point is a
-parenthesised group in program position, which may turn out to be a
-parenthesised formula followed by ``?``; the parser reports the failure
-that got farthest when both readings die.  A test reading that ran past
-``MAX_DEPTH`` where no ``(`` starts the other reading reports the depth
+would have been accepted there.  The only backtracking point is in
+program position, where a test ``f?`` is tried first: failing that, a
+``(`` opens a parenthesised program, and an identifier that is not a
+keyword is a program variable (``PVar``).  The parser reports the
+failure that got farthest when every reading dies.  A test reading that
+ran past ``MAX_DEPTH`` where no other reading starts reports the depth
 limit.
 
 Input nested deeper than ``MAX_DEPTH`` levels of syntax tree is a
@@ -443,9 +444,9 @@ class _Parser:
             if self.accept("?"):
                 return ast.Test(ast.Top(qs))
             return ast.TopP(qs)
-        # Anything else should be a test: a formula followed by '?'.  Its
-        # outcome depends on nothing but the position and the depth, and
-        # nested '(' would retry a failed reading exponentially often.
+        # Anything else is first read as a test: a formula followed by '?'.
+        # Its outcome depends on nothing but the position and the depth,
+        # and nested '(' would retry a failed reading exponentially often.
         save = (self.pos, self.depth)
         if save not in self.failed_tests:
             try:
@@ -459,6 +460,9 @@ class _Parser:
             prog = self.program()
             self.expect(")")
             return prog
+        if tok.kind == "word" and tok.value not in RESERVED:
+            self.pos += 1
+            return ast.PVar(tok.value)
         if isinstance(self.failed_tests[save], _TooDeep):
             # no other reading starts here: the depth limit is the error
             raise self.failed_tests[save]

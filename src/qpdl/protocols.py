@@ -6,6 +6,11 @@ Every target returns a Report whose rendered text is byte-identical for
 a fixed seed.  Mutation switches (drop_x, drop_z, omit_z, invert_sign)
 damage a protocol on purpose so tests can confirm the checker catches
 the bug with a concrete witness.
+
+A schema is text over variables (p, q, w, ...), parsed once per family
+call (once per distinct choice of qubit indices) and filled by
+``substitute``; random words are program trees.  The exhaustive tables
+stay as text, one parse per instance.  Nothing is parsed at import.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from typing import Optional
 
@@ -27,10 +33,11 @@ from .checker import (
     check_valid,
     eval_symbolic,
     random_part_state,
+    substitute,
 )
 from .frame import Frame, Subspace
 from .linalg import GaussianRational
-from .parser import parse_formula, parse_program
+from .parser import parse_formula
 from .regions import Region
 
 DEFAULT_SEED = 2026
@@ -92,34 +99,35 @@ def _report(name: str, instances, seed, start, branches=None,
 # ----- random material ---------------------------------------------------------
 
 
-def _random_word(rng, tests: bool = True) -> str:
-    """A deterministic program on qubit 1: a short gate word, sometimes
+def _random_word(rng, tests: bool = True, qubit: int = 1) -> ast.Program:
+    """A deterministic program on one qubit: a short gate word, sometimes
     with one basis test inserted."""
-    parts = [f"{rng.choice('XZH')}_1" for _ in range(rng.randint(1, 4))]
+    steps = [ast.GateP(rng.choice("XZH"), (qubit,))
+             for _ in range(rng.randint(1, 4))]
     if tests and rng.random() < 0.3:
-        parts.insert(rng.randrange(len(parts) + 1),
-                     f"{rng.choice('01+-')}_1?")
-    return " ; ".join(parts)
+        steps.insert(rng.randrange(len(steps) + 1),
+                     ast.Test(ast.Const(rng.choice("01+-"), qubit)))
+    return reduce(ast.SeqP, steps)
 
 
 def _random_program(rng, n: int, qubits=None, deterministic: bool = True,
-                    tests: bool = True) -> str:
+                    tests: bool = True) -> ast.Program:
     """A gate word of length <= 6 over the given qubits (default all)."""
     qs = sorted(qubits) if qubits else list(range(1, n + 1))
-    parts = []
+    steps = []
     for _ in range(rng.randint(1, 6)):
         roll = rng.random()
         if tests and roll < 0.15:
-            parts.append(f"{rng.choice('01+-')}_{rng.choice(qs)}?")
+            steps.append(ast.Test(ast.Const(rng.choice("01+-"),
+                                            rng.choice(qs))))
         elif roll < 0.35 and len(qs) >= 2:
-            a, b = rng.sample(qs, 2)
-            parts.append(f"CNOT_{a}_{b}")
+            steps.append(ast.GateP("CNOT", tuple(rng.sample(qs, 2))))
         else:
-            parts.append(f"{rng.choice('XZH')}_{rng.choice(qs)}")
-    text = " ; ".join(parts)
+            steps.append(ast.GateP(rng.choice("XZH"), (rng.choice(qs),)))
+    word = reduce(ast.SeqP, steps)
     if not deterministic:
-        text = f"({text}) + ({_random_program(rng, n, qubits, True, tests)})"
-    return text
+        word = ast.UnionP(word, _random_program(rng, n, qubits, True, tests))
+    return word
 
 
 def _random_subspace(rng, fr: Frame, max_dim: Optional[int] = None) -> Subspace:
@@ -253,21 +261,33 @@ def _valid(env: Environment, formula, label: str) -> InstanceResult:
     return InstanceResult(label, witness is None, witness)
 
 
+def _schemas():
+    """Parse each distinct schema text once; substitute per instance."""
+    parsed = {}
+
+    def instance(text: str, **binding) -> ast.Formula:
+        if text not in parsed:
+            parsed[text] = parse_formula(text)
+        return substitute(parsed[text], binding)
+    return instance
+
+
 def _lemma_teleportation_property(rng) -> list:
     """(sigma_jk? ; pi_ij?)(p_i) =_k (pi_ij ; sigma_jk)(p_i)."""
     env = Environment(Frame(3))
+    fill = _schemas()
     out = []
-    cases = [((1, 2, 3), "id", "id", ast.VecC((1,), "+"))]
+    cases = [((1, 2, 3), ast.Id(), ast.Id(), ast.VecC((1,), "+"))]
     while len(cases) < 10:
         i, j, k = rng.sample([1, 2, 3], 3)
         cases.append(((i, j, k), _random_word(rng), _random_word(rng),
                       _local_ray_formula(rng, i)))
     for t, ((i, j, k), pi, sg, p) in enumerate(cases):
-        left = ast.Img(parse_program(
-            f"ent[{j},{k}]({sg})? ; ent[{i},{j}]({pi})?"), p)
-        right = ast.Img(parse_program(
-            f"mov[{i},{j}]({pi}) ; mov[{j},{k}]({sg})"), p)
-        out.append(_valid(env, ast.EqI(left, right, (k,)),
+        claim = fill(
+            f"eqi{{{k}}}(img(ent[{j},{k}](sg)? ; ent[{i},{j}](pi)?, p),"
+            f" img(mov[{i},{j}](pi) ; mov[{j},{k}](sg), p))",
+            pi=pi, sg=sg, p=p)
+        out.append(_valid(env, claim,
                           f"teleportation property #{t + 1} i={i},j={j},k={k}"))
     return out
 
@@ -275,17 +295,16 @@ def _lemma_teleportation_property(rng) -> list:
 def _lemma_corollary6(rng) -> list:
     """pi_ij?(p_i & sigma_jk) =_k (pi_ij ; sigma_jk)(p_i)."""
     env = Environment(Frame(3))
+    fill = _schemas()
     out = []
     for t in range(8):
         i, j, k = rng.sample([1, 2, 3], 3)
         pi, sg = _random_word(rng), _random_word(rng)
-        p = _local_ray_formula(rng, i)
-        left = ast.Img(ast.Test(ast.Ent(i, j, parse_program(pi))),
-                       ast.And(p, ast.Ent(j, k, parse_program(sg))))
-        right = ast.Img(parse_program(
-            f"mov[{i},{j}]({pi}) ; mov[{j},{k}]({sg})"), p)
-        out.append(_valid(env, ast.EqI(left, right, (k,)),
-                          f"corollary 6 #{t + 1} i={i},j={j},k={k}"))
+        claim = fill(
+            f"eqi{{{k}}}(img(ent[{i},{j}](pi)?, p & ent[{j},{k}](sg)),"
+            f" img(mov[{i},{j}](pi) ; mov[{j},{k}](sg), p))",
+            pi=pi, sg=sg, p=_local_ray_formula(rng, i))
+        out.append(_valid(env, claim, f"corollary 6 #{t + 1} i={i},j={j},k={k}"))
     return out
 
 
@@ -326,23 +345,20 @@ def _lemma_composition(rng) -> list:
     """Measuring j,k of two entangled pairs by a map-state composes the
     maps onto i,l, with the k-side local map adjointed."""
     env = Environment(Frame(4))
+    fill = _schemas()
     out = []
-    cases = [((1, 2, 3, 4), "id", "id", "id", "id", "id")]
+    cases = [((1, 2, 3, 4), *[ast.Id()] * 5)]
     while len(cases) < 8:
         i, j, k, l = rng.sample([1, 2, 3, 4], 4)
         cases.append(((i, j, k, l),
-                      _random_word(rng, tests=False),
-                      _random_word(rng, tests=False),
-                      _random_word(rng, tests=False),
-                      _random_word(rng, tests=False),
-                      _random_word(rng, tests=False)))
+                      *[_random_word(rng, tests=False) for _ in range(5)]))
     for t, ((i, j, k, l), pi, pi2, mid, sg, rho) in enumerate(cases):
-        formula = (
-            f"ent[{i},{j}]({pi}) & ent[{k},{l}]({pi2}) -> "
-            f"[mov[{j},{j}]({sg}) ; mov[{k},{k}]({rho}) ;"
-            f" ent[{j},{k}]({mid})?]"
-            f" ent[{i},{l}]({pi} ; {sg} ; {mid} ; adj({rho}) ; {pi2})")
-        out.append(_valid(env, formula,
+        claim = fill(
+            f"ent[{i},{j}](pi) & ent[{k},{l}](pi2) -> "
+            f"[mov[{j},{j}](sg) ; mov[{k},{k}](rho) ; ent[{j},{k}](mid)?]"
+            f" ent[{i},{l}](pi ; sg ; mid ; adj(rho) ; pi2)",
+            pi=pi, pi2=pi2, mid=mid, sg=sg, rho=rho)
+        out.append(_valid(env, claim,
                           f"entanglement composition #{t + 1} "
                           f"i={i},j={j},k={k},l={l}"))
     return out
@@ -350,6 +366,7 @@ def _lemma_composition(rng) -> list:
 
 def _lemma_compatibility(rng) -> list:
     """Deterministic programs on disjoint qubit sets commute."""
+    fill = _schemas()
     out = []
     sets = [({1}, {2}), ({1}, {2, 3}), ({2}, {3}), ({1, 2}, {3})]
     for t in range(8):
@@ -360,61 +377,57 @@ def _lemma_compatibility(rng) -> list:
         env = Environment(fr, {"r": _random_union_region(rng, fr)})
         one_txt = ",".join(str(q) for q in sorted(one))
         two_txt = ",".join(str(q) for q in sorted(two))
+        claim = fill(f"localp{{{one_txt}}}(a) & localp{{{two_txt}}}(b) ->"
+                       f" eqf(img(a ; b, r), img(b ; a, r))", a=a, b=b)
         out.append(_valid(
-            env,
-            f"localp{{{one_txt}}}({a}) & localp{{{two_txt}}}({b}) ->"
-            f" eqf(img({a} ; {b}, r), img({b} ; {a}, r))",
-            f"compatibility #{t + 1} I={{{one_txt}}},J={{{two_txt}}}"))
+            env, claim, f"compatibility #{t + 1} I={{{one_txt}}},J={{{two_txt}}}"))
     return out
 
 
 def _lemma_agreement(rng) -> list:
     """Same-domain I-local maps that separate the input agree outside I."""
+    fill = _schemas()
     out = []
     for t in range(8):
         fr = Frame(3)
         if t == 7:
-            test = "vec{1,2}(0,+)?"
-            a = f"{test} ; CNOT_1_2"
-            b = f"{test} ; H_1 ; H_2"
+            test = ast.Test(ast.VecC((1, 2), "0+"))
+            a = ast.SeqP(test, ast.GateP("CNOT", (1, 2)))
+            b = ast.SeqP(ast.SeqP(test, ast.GateP("H", (1,))),
+                         ast.GateP("H", (2,)))
             inside, outside = "1,2", "3"
         else:
             c = rng.choice("01+-")
             i = rng.choice([1, 2, 3])
-            rest = ",".join(str(q) for q in sorted({1, 2, 3} - {i}))
-            u = _random_word(rng, tests=False).replace("_1", f"_{i}")
-            v = _random_word(rng, tests=False).replace("_1", f"_{i}")
-            a, b = f"{c}_{i}? ; {u}", f"{c}_{i}? ; {v}"
-            inside, outside = str(i), rest
+            test = ast.Test(ast.Const(c, i))
+            a = ast.SeqP(test, _random_word(rng, tests=False, qubit=i))
+            b = ast.SeqP(test, _random_word(rng, tests=False, qubit=i))
+            inside = str(i)
+            outside = ",".join(str(q) for q in sorted({1, 2, 3} - {i}))
         env = Environment(fr, {"p": _random_ray(rng, fr)})
-        out.append(_valid(
-            env,
-            f"testable(p) & localp{{{inside}}}({a}) & localp{{{inside}}}({b})"
-            f" & eqf(dom({a}), dom({b}))"
-            f" & eqi{{{inside}}}(img({a}, p), img({a}, p))"
-            f" & eqi{{{inside}}}(img({b}, p), img({b}, p))"
-            f" -> eqi{{{outside}}}(img({a}, p), img({b}, p))",
-            f"agreement #{t + 1} I={{{inside}}}"))
+        claim = fill(
+            f"testable(p) & localp{{{inside}}}(a) & localp{{{inside}}}(b)"
+            f" & eqf(dom(a), dom(b))"
+            f" & eqi{{{inside}}}(img(a, p), img(a, p))"
+            f" & eqi{{{inside}}}(img(b, p), img(b, p))"
+            f" -> eqi{{{outside}}}(img(a, p), img(b, p))", a=a, b=b)
+        out.append(_valid(env, claim, f"agreement #{t + 1} I={{{inside}}}"))
     return out
 
 
 def _lemma_dual_entanglement(rng) -> list:
     """T(q_j) -> q_j?(pi_ij) =_i adj(pi_ij)(q_j)."""
     env = Environment(Frame(3))
+    fill = _schemas()
     out = []
     for t in range(8):
         i, j = rng.sample([1, 2, 3], 2)
         pi = _random_word(rng)
         q = (_local_ray_formula(rng, j, real_only=True)
              if t % 2 else ast.VecC((j,), rng.choice("01+-")))
-        prog = parse_program(pi)
-        formula = ast.Implies(
-            ast.Testable(q),
-            ast.EqI(ast.Img(ast.Test(q), ast.Ent(i, j, prog)),
-                    ast.Img(parse_program(f"adj(mov[{i},{j}]({pi}))"), q),
-                    (i,)))
-        out.append(_valid(env, formula,
-                          f"dual entanglement #{t + 1} i={i},j={j}"))
+        claim = fill(f"testable(q) -> eqi{{{i}}}(img(q?, ent[{i},{j}](pi)),"
+                       f" img(adj(mov[{i},{j}](pi)), q))", pi=pi, q=q)
+        out.append(_valid(env, claim, f"dual entanglement #{t + 1} i={i},j={j}"))
     return out
 
 
@@ -422,28 +435,25 @@ def _lemma_preparation(rng) -> list:
     """pi_ij(p_i) perp q_j -> ent state perp (p_i & q_j)."""
     env = Environment(Frame(3))
     fr = env.frame
+    fill = _schemas()
     out = []
     for t in range(10):
         i, j = rng.sample([1, 2, 3], 2)
         pi = _random_word(rng)
         p = _local_ray_formula(rng, i, real_only=True)
-        mov = parse_program(f"mov[{i},{j}]({pi})")
-        if t % 2:
+        image = (None if t % 2
+                 else eval_symbolic(env, ast.Img(ast.Mov(i, j, pi), p)))
+        if image is None or image.is_empty():
             q = _local_ray_formula(rng, j, real_only=True)
         else:
             # engineer q orthogonal to the image's j-component, making
             # the antecedent hold
-            image = eval_symbolic(env, ast.Img(mov, p))
-            if image.is_empty():
-                q = _local_ray_formula(rng, j, real_only=True)
-            else:
-                part = fr.product_form(image.closure().any_ray(), (j,))[0]
-                comp = part.basis.entries[0]
-                q = ast.RayF((j,), (comp[1].conj(), -comp[0].conj()))
-        formula = ast.Implies(
-            ast.PerpF(ast.Img(mov, p), q),
-            ast.PerpF(ast.Ent(i, j, parse_program(pi)), ast.And(p, q)))
-        out.append(_valid(env, formula,
+            part = fr.product_form(image.closure().any_ray(), (j,))[0]
+            comp = part.basis.entries[0]
+            q = ast.RayF((j,), (comp[1].conj(), -comp[0].conj()))
+        claim = fill(f"perpf(img(mov[{i},{j}](pi), p), q) ->"
+                       f" perpf(ent[{i},{j}](pi), p & q)", pi=pi, p=p, q=q)
+        out.append(_valid(env, claim,
                           f"entanglement preparation #{t + 1} i={i},j={j}"))
     return out
 
@@ -473,44 +483,46 @@ def lemma_suite(seed: int = DEFAULT_SEED) -> Report:
 def _ax_dynamic(rng, count: int) -> list:
     """Modal axioms over arbitrary properties and programs at n=2."""
     fr = Frame(2)
+    fill = _schemas()
+    schemas = [
+        ("kripke", "[w](p -> q) -> ([w]p -> [w]q)"),
+        ("testability-axiom", "box p -> [q?]p"),
+        ("partial-functionality", "!([p?]q) -> [p?](!q)"),
+        ("adequacy", "p & q -> <p?>q"),
+        ("proper-superpositions-41", "<w>(box box p) -> [w2]p"),
+    ]
     out = []
     for t in range(count):
         env = Environment(fr, {"p": _random_region(rng, fr),
                                "q": _random_region(rng, fr)})
         w = _random_program(rng, 2, deterministic=bool(t % 2))
         w2 = _random_program(rng, 2)
-        schemas = [
-            ("kripke", f"[{w}](p -> q) -> ([{w}]p -> [{w}]q)"),
-            ("testability-axiom", f"box p -> [q?]p"),
-            ("partial-functionality", "!([p?]q) -> [p?](!q)"),
-            ("adequacy", "p & q -> <p?>q"),
-            ("proper-superpositions-41", f"<{w}>(box box p) -> [{w2}]p"),
-        ]
         name, text = schemas[t % len(schemas)]
-        out.append(_valid(env, text, f"{name} #{t // len(schemas) + 1}"))
+        out.append(_valid(env, fill(text, w=w, w2=w2),
+                          f"{name} #{t // len(schemas) + 1}"))
     return out
 
 
 def _ax_unitary(rng, count: int) -> list:
     """Unitary functionality, bijectivity and the adjointness axiom."""
     fr = Frame(2)
+    fill = _schemas()
+    schemas = [
+        ("unitary-functionality",
+         "(!([u]q) -> [u](!q)) & ([u](!q) -> !([u]q))"),
+        ("unitary-bijectivity-1", "(p -> [u ; adj(u)]p) & ([u ; adj(u)]p -> p)"),
+        ("unitary-bijectivity-2", "(p -> [adj(u) ; u]p) & ([adj(u) ; u]p -> p)"),
+        ("adjointness-axiom", "p -> [w](box <adj(w)> dia p)"),
+    ]
     out = []
     for t in range(count):
         env = Environment(fr, {"p": _random_region(rng, fr),
                                "q": _random_region(rng, fr)})
         u = _random_program(rng, 2, tests=False)
         w = _random_program(rng, 2)
-        schemas = [
-            ("unitary-functionality",
-             f"(!([{u}]q) -> [{u}](!q)) & ([{u}](!q) -> !([{u}]q))"),
-            ("unitary-bijectivity-1",
-             f"(p -> [{u} ; adj({u})]p) & ([{u} ; adj({u})]p -> p)"),
-            ("unitary-bijectivity-2",
-             f"(p -> [adj({u}) ; {u}]p) & ([adj({u}) ; {u}]p -> p)"),
-            ("adjointness-axiom", f"p -> [{w}](box <adj({w})> dia p)"),
-        ]
         name, text = schemas[t % len(schemas)]
-        out.append(_valid(env, text, f"{name} #{t // len(schemas) + 1}"))
+        out.append(_valid(env, fill(text, u=u, w=w),
+                          f"{name} #{t // len(schemas) + 1}"))
     return out
 
 
@@ -518,21 +530,23 @@ def _ax_testable(rng, count: int) -> list:
     """Repeatability, testability closure, quantum modus ponens and weak
     modularity, over testable (subspace) valuations."""
     fr = Frame(2)
+    fill = _schemas()
+    schemas = [
+        ("repeatability", "testable(p) -> [p?]p"),
+        ("testability-closure",
+         "testable(p & q) & testable([w]p) & testable(box p)"
+         " & testable(~p) & testable(post(w, p))"),
+        ("quantum-modus-ponens", "leq(p & [p?]q, q)"),
+        ("weak-modularity", "leq(p & sqcup(~p, p & q), q)"),
+    ]
     out = []
     for t in range(count):
         env = Environment(fr, {"p": _random_subspace(rng, fr),
                                "q": _random_subspace(rng, fr)})
         w = _random_program(rng, 2)
-        schemas = [
-            ("repeatability", "testable(p) -> [p?]p"),
-            ("testability-closure",
-             f"testable(p & q) & testable([{w}]p) & testable(box p)"
-             f" & testable(~p) & testable(post({w}, p))"),
-            ("quantum-modus-ponens", "leq(p & [p?]q, q)"),
-            ("weak-modularity", "leq(p & sqcup(~p, p & q), q)"),
-        ]
         name, text = schemas[t % len(schemas)]
-        out.append(_valid(env, text, f"{name} #{t // len(schemas) + 1}"))
+        out.append(_valid(env, fill(text, w=w),
+                          f"{name} #{t // len(schemas) + 1}"))
     return out
 
 
@@ -540,20 +554,21 @@ def _ax_adjunction(rng, count: int) -> list:
     """Two paired-validity laws: the strongest-postcondition adjunction
     and the adjointness theorem, each over random deterministic maps."""
     fr = Frame(2)
+    fill = _schemas()
     out = []
     for t in range(count):
         w = _random_program(rng, 2)
         if t % 2 == 0:
             env = Environment(fr, {"p": _random_region(rng, fr),
                                    "q": _random_subspace(rng, fr)})
-            a = check_valid(env, parse_formula(f"leq(post({w}, p), q)"))
-            b = check_valid(env, parse_formula(f"leq(p, [{w}]q)"))
+            a = check_valid(env, fill("leq(post(w, p), q)", w=w))
+            b = check_valid(env, fill("leq(p, [w]q)", w=w))
             name = "post-adjunction"
         else:
             env = Environment(fr, {"p": _random_subspace(rng, fr),
                                    "q": _random_subspace(rng, fr)})
-            a = check_valid(env, parse_formula(f"perpf(p, post({w}, q))"))
-            b = check_valid(env, parse_formula(f"perpf(post(adj({w}), p), q)"))
+            a = check_valid(env, fill("perpf(p, post(w, q))", w=w))
+            b = check_valid(env, fill("perpf(post(adj(w), p), q)", w=w))
             name = "adjointness-theorem"
         agree = (a is None) == (b is None)
         out.append(InstanceResult(f"{name} #{t // 2 + 1}", agree,
@@ -563,20 +578,14 @@ def _ax_adjunction(rng, count: int) -> list:
 
 def _product_ray(rng, fr: Frame, cut=None) -> Subspace:
     """A product state across the given bipartition (default: fully
-    product, one factor per qubit)."""
+    product, one factor per qubit): the meet of one lift per factor."""
+    every = range(1, fr.n + 1)
     if cut is None:
-        amps = random_part_state(rng, 1)
-        for _ in range(fr.n - 1):
-            part = random_part_state(rng, 1)
-            amps = tuple(a * b for a in amps for b in part)
-        return fr.ray(amps)
-    left = random_part_state(rng, len(cut))
-    right = random_part_state(rng, fr.n - len(cut))
-    amps = [None] * fr.dim
-    for positions, la in zip(fr.layout(sorted(cut)), left):
-        for idx, rb in zip(positions, right):
-            amps[idx] = la * rb
-    return fr.ray(amps)
+        factors = [[q] for q in every]
+    else:
+        factors = [sorted(cut), [q for q in every if q not in cut]]
+    return reduce(Subspace.meet, [
+        fr.state_lift(random_part_state(rng, len(qs)), qs) for qs in factors])
 
 
 def _ax_separation(rng, count: int) -> list:
@@ -611,15 +620,15 @@ def _ax_separation(rng, count: int) -> list:
 def _ax_trivial_local(rng, count: int) -> list:
     """T{I} is an I-local program and the weakest one."""
     fr = Frame(3)
+    fill = _schemas()
     out = []
     for t in range(count):
         qubits = sorted(rng.sample([1, 2, 3], rng.randint(1, 2)))
         txt = ",".join(str(q) for q in qubits)
         env = Environment(fr, {"p": _random_region(rng, fr)})
-        ok = check_valid(
-            env, parse_formula(f"localp{{{txt}}}(T{{{txt}}})")) is None
-        w = _random_program(rng, 3, qubits)
-        weaker = parse_formula(f"<{w}>p -> <T{{{txt}}}>p")
+        ok = check_valid(env, fill(f"localp{{{txt}}}(T{{{txt}}})")) is None
+        weaker = fill(f"<w>p -> <T{{{txt}}}>p",
+                        w=_random_program(rng, 3, qubits))
         states = [_random_ray(rng, fr) for _ in range(6)]
         states += [_product_ray(rng, fr, cut=frozenset(qubits))
                    for _ in range(2)]
@@ -639,8 +648,8 @@ def _ax_local_states(rng, count: int) -> list:
     """Instances of LOCAL_STATES_AXIOM on three qubits, p the lift of a
     random part-state."""
     fr = Frame(3)
+    fill = _schemas()
     out = []
-    text = LOCAL_STATES_AXIOM
     for t in range(count):
         qubits = sorted(rng.sample([1, 2, 3], rng.randint(1, 2)))
         txt = ",".join(str(q) for q in qubits)
@@ -655,28 +664,28 @@ def _ax_local_states(rng, count: int) -> list:
         else:
             q = Subspace.zero(fr.dim)
         env = Environment(fr, {"p": p, "q": q})
-        out.append(_valid(env, text.replace("{I}", f"{{{txt}}}"),
-                          f"local-states #{t + 1} I={qubits}"))
+        claim = fill(LOCAL_STATES_AXIOM.replace("{I}", f"{{{txt}}}"))
+        out.append(_valid(env, claim, f"local-states #{t + 1} I={qubits}"))
     return out
 
 
 def _ax_basic_testability(rng, count: int) -> list:
     """Basis constants and map-states are testable and local."""
     env = Environment(Frame(3))
+    fill = _schemas()
     out = []
     for t in range(count):
         c = rng.choice("01+-")
         i, j = rng.sample([1, 2, 3], 2)
         qubits = sorted(rng.sample([1, 2, 3], rng.randint(1, 2)))
-        chars = ",".join(rng.choice("01+-") for _ in qubits)
+        chars = "".join(rng.choice("01+-") for _ in qubits)
         txt = ",".join(str(q) for q in qubits)
-        w = _random_word(rng)
-        out.append(_valid(
-            env,
-            f"testable({c}_{i}) & local{{{txt}}}(vec{{{txt}}}({chars}))"
-            f" & testable(ent[{i},{j}]({w}))"
-            f" & local{{{i},{j}}}(ent[{i},{j}]({w}))",
-            f"basic-testability #{t + 1} c={c},i={i},j={j}"))
+        claim = fill(f"testable(c) & local{{{txt}}}(v) & testable(ent[{i},{j}](w))"
+                       f" & local{{{i},{j}}}(ent[{i},{j}](w))",
+                       c=ast.Const(c, i), v=ast.VecC(tuple(qubits), chars),
+                       w=_random_word(rng))
+        out.append(_valid(env, claim,
+                          f"basic-testability #{t + 1} c={c},i={i},j={j}"))
     return out
 
 
@@ -697,22 +706,18 @@ def _ax_determinacy(rng, count: int) -> list:
     """Deterministic maps agreeing on all {0,1,+} product states agree
     everywhere."""
     fr = Frame(2)
+    fill = _schemas()
     vecs = [f"vec{{1,2}}({a},{b})" for a in "01+" for b in "01+"]
+    texts = [" & ".join(f"eqf(img(w1, {v}), img({w2}, {v}))" for v in vecs)
+             + f" -> eqf(img(w1, p), img({w2}, p))"
+             for w2 in ("w1 ; X_1 ; X_1", "Z_2 ; Z_2 ; w1", "w2")]
     out = []
     for t in range(count):
-        w1 = _random_program(rng, 2)
-        roll = t % 3
-        if roll == 0:
-            w2 = f"{w1} ; X_1 ; X_1"
-        elif roll == 1:
-            w2 = f"Z_2 ; Z_2 ; {w1}"
-        else:
-            w2 = _random_program(rng, 2)
-        ante = " & ".join(f"eqf(img({w1}, {v}), img({w2}, {v}))"
-                          for v in vecs)
+        words = {"w1": _random_program(rng, 2)}
+        if t % 3 == 2:
+            words["w2"] = _random_program(rng, 2)
         env = Environment(fr, {"p": _random_union_region(rng, fr)})
-        out.append(_valid(env,
-                          f"{ante} -> eqf(img({w1}, p), img({w2}, p))",
+        out.append(_valid(env, fill(texts[t % 3], **words),
                           f"determinacy #{t + 1}"))
     return out
 
@@ -720,20 +725,15 @@ def _ax_determinacy(rng, count: int) -> list:
 def _ax_entanglement(rng, words: int) -> list:
     """T(p_i) -> p_i?(ent state of w) =_j (w moved to i,j)(p_i),
     schematically over p with real random corroborations."""
+    fill = _schemas()
     out = []
     for t in range(words):
         i, j = rng.sample([1, 2, 3], 2)
-        w = _random_word(rng)
-        env = Environment(Frame(3))
-        prog = parse_program(w)
-        template = ast.Implies(
-            ast.Testable(ast.Var("p")),
-            ast.EqI(ast.Img(ast.Test(ast.Var("p")), ast.Ent(i, j, prog)),
-                    ast.Img(parse_program(f"mov[{i},{j}]({w})"),
-                            ast.Var("p")),
-                    (j,)))
+        template = fill(f"testable(p) -> eqi{{{j}}}(img(p?, ent[{i},{j}](w)),"
+                          f" img(mov[{i},{j}](w), p))", w=_random_word(rng))
         claim = SchematicClaim((("p", (i,)),), template)
-        got = check_schematic(env, claim, rng=rng, samples=2, real_only=True)
+        got = check_schematic(Environment(Frame(3)), claim, rng=rng, samples=2,
+                              real_only=True)
         for r in got.instances + got.corroborations:
             out.append(InstanceResult(
                 f"entanglement-axiom word {t + 1} i={i},j={j}: {r.label}",
@@ -842,8 +842,7 @@ def _ax_characterizations() -> list:
     for (sx, sy), amps in bells.items():
         ray = fr.ray(amps)
         for (fx, fy) in bells:
-            holds = check_state(env2, ray,
-                                parse_formula(f"bell[{fx},{fy},1,2]"))
+            holds = check_state(env2, ray, ast.Bell(fx, fy, 1, 2))
             expected = (sx, sy) == (fx, fy)
             out.append(InstanceResult(
                 f"bell table state {sx}{sy} vs formula {fx}{fy}",
@@ -866,6 +865,7 @@ def _ax_derived(rng, count: int) -> list:
                 out.append(_valid(env, f"eqf(~T{{{txt}}}, false)",
                                   f"ortho-trivial n={n} I={list(I)}"))
     fr = Frame(3)
+    fill = _schemas()
     for t in range(count):
         qubits = sorted(rng.sample([1, 2, 3], rng.randint(1, 2)))
         txt = ",".join(str(q) for q in qubits)
@@ -875,14 +875,11 @@ def _ax_derived(rng, count: int) -> list:
         r = fr.state_lift(random_part_state(rng, len(other)), other)
         w = _random_program(rng, 3, qubits)
         env = Environment(fr, {"p": p, "q": q, "r": r})
-        union = ",".join(str(k) for k in sorted(set(qubits) | set(other)))
-        out.append(_valid(
-            env,
-            f"local{{{txt}}}(p | q) & local{{{txt}}}(p & !q)"
-            f" & local{{{txt}}}(p & [{w}]q) & local{{{union}}}(p & r)"
-            f" & localp{{{txt}}}(({w}) + ({w})) & localp{{{txt}}}(p?)"
-            f" & localp{{{txt}}}(T{{{txt}}})",
-            f"locality-closure #{t + 1} I={qubits}"))
+        claim = fill(f"local{{{txt}}}(p | q) & local{{{txt}}}(p & !q)"
+                       f" & local{{{txt}}}(p & [w]q) & local{{1,2,3}}(p & r)"
+                       f" & localp{{{txt}}}(w + w) & localp{{{txt}}}(p?)"
+                       f" & localp{{{txt}}}(T{{{txt}}})", w=w)
+        out.append(_valid(env, claim, f"locality-closure #{t + 1} I={qubits}"))
     for t in range(count):
         i = rng.choice([1, 2, 3])
         rest = sorted({1, 2, 3} - {i})
@@ -897,16 +894,15 @@ def _ax_derived(rng, count: int) -> list:
         env = Environment(fr, {"p": pv, "q": qv})
         # a test inside w can annihilate p, emptying the image; the law
         # presupposes the program applies, so guard on nonemptiness
+        claim = fill(f"localp{{{i}}}(w) & eqi{{{i}}}(p, q)"
+                       f" & !eqf(img(w, p), false) & !eqf(img(w, q), false) ->"
+                       f" eqi{{{rest_txt}}}(p, img(w, p))"
+                       f" & eqi{{{i}}}(img(w, p), img(w, q))", w=w)
+        out.append(_valid(env, claim, f"act-locally #{t + 1} i={i}"))
         out.append(_valid(
             env,
-            f"localp{{{i}}}({w}) & eqi{{{i}}}(p, q)"
-            f" & !eqf(img({w}, p), false) & !eqf(img({w}, q), false) ->"
-            f" eqi{{{rest_txt}}}(p, img({w}, p))"
-            f" & eqi{{{i}}}(img({w}, p), img({w}, q))",
-            f"act-locally #{t + 1} i={i}"))
-        out.append(_valid(
-            env,
-            f"eqi{{{i}}}(p, q) & eqi{{{rest_txt}}}(p, q) -> eqi{{1,2,3}}(p, q)",
+            fill(f"eqi{{{i}}}(p, q) & eqi{{{rest_txt}}}(p, q)"
+                   f" -> eqi{{1,2,3}}(p, q)"),
             f"identical-parts #{t + 1} i={i}"))
     for t in range(count):
         i = rng.choice([1, 2, 3])
@@ -915,14 +911,10 @@ def _ax_derived(rng, count: int) -> list:
         qv = fr.state_lift(comp, (i,))
         for q in rest:
             qv = qv.meet(fr.state_lift(random_part_state(rng, 1), (q,)))
-        p_node = _local_ray_formula(rng, i, real_only=True)
-        q_comp = ast.RayF((i,), comp)
         env = Environment(fr, {"q": qv})
-        both = ast.And(
-            ast.Implies(ast.PerpF(p_node, ast.Var("q")),
-                        ast.PerpF(p_node, q_comp)),
-            ast.Implies(ast.PerpF(p_node, q_comp),
-                        ast.PerpF(p_node, ast.Var("q"))))
+        both = fill("(perpf(p, q) -> perpf(p, c)) & (perpf(p, c) -> perpf(p, q))",
+                      p=_local_ray_formula(rng, i, real_only=True),
+                      c=ast.RayF((i,), comp))
         out.append(_valid(env, both, f"perp-component #{t + 1} i={i}"))
     return out
 

@@ -17,6 +17,7 @@ from qpdl.checker import (
     random_part_state,
     substitute,
 )
+from qpdl.desugar import desugar_formula
 from qpdl.errors import (
     CheckError,
     NonDeterministicProgram,
@@ -25,7 +26,7 @@ from qpdl.errors import (
     UnsupportedShape,
 )
 from qpdl.frame import Frame, PartialMap, Subspace
-from qpdl.linalg import Matrix
+from qpdl.linalg import ONE, ZERO, Matrix
 from qpdl.parser import parse_formula, parse_program
 from qpdl.protocols import (
     _random_program,
@@ -115,7 +116,7 @@ def test_ent_atom_matches_hand_built_map_state():
     for _ in range(30):
         word = _random_word(rng)
         env1 = Environment(one)
-        act = denote_program(env1, parse_program(word))
+        act = denote_program(env1, word)
         g = act.single().matrix
         amps = (g.entries[0][0], g.entries[1][0],
                 g.entries[0][1], g.entries[1][1])
@@ -450,10 +451,32 @@ def test_environment_coerces_subspaces():
 
 
 def test_substitute_replaces_variables_everywhere():
-    template = parse_formula("eqi{2}(img(q? ; X_1, q & 0_2), img(id, q))")
-    filled = substitute(template, {"q": ast.Const("+", 1)})
+    # one mapping fills a formula variable (Var) and a program variable
+    # (PVar), also inside ent and adj
+    template = parse_formula(
+        "eqi{2}(img(q? ; w, q & ent[1,2](w)), img(adj(w), q))")
+    filled = substitute(template, {"q": ast.Const("+", 1),
+                                   "w": parse_program("X_1 ; Z_1")})
     assert filled == parse_formula(
-        "eqi{2}(img(+_1? ; X_1, +_1 & 0_2), img(id, +_1))")
+        "eqi{2}(img(+_1? ; (X_1 ; Z_1), +_1 & ent[1,2](X_1 ; Z_1)),"
+        " img(adj(X_1 ; Z_1), +_1))")
+    # a variable the mapping does not name is left, and is unbound
+    partly = substitute(template, {"q": ast.Const("+", 1)})
+    assert partly.left.prog.right == partly.right.prog.prog == ast.PVar("w")
+    with pytest.raises(UnboundVariable):
+        check_valid(Environment(Frame(2)), partly)
+
+
+def test_ghz_and_gamma_desugar_to_their_rays():
+    assert desugar_formula(ast.GHZ(3, 1, 2), 3) == ast.RayF(
+        (3, 1, 2), (ONE,) + (ZERO,) * 6 + (ONE,))
+    assert desugar_formula(ast.Gamma(1, 2), 2) == ast.RayF((1, 2), (ONE,) * 4)
+    fr = Frame(3)
+    ghz = eval_symbolic(Environment(fr), parse_formula("ghz[1,2,3]"))
+    assert same_rayset(ghz, Region.of_subspace(fr.ray([1, 0, 0, 0, 0, 0, 0, 1])))
+    gamma = eval_symbolic(Environment(fr), parse_formula("gamma[2,3]"))
+    assert same_rayset(gamma, Region.of_subspace(
+        fr.state_lift([1, 1, 1, 1], (2, 3))))
 
 
 def test_schematic_claim_enumerates_and_corroborates():

@@ -176,6 +176,26 @@ def test_unbound_variable_exits_two(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["valid", "-n", "2", "[w]true"],
+    ["valid", "-n", "2", "ent[1,2](w)"],
+    ["denote", "-n", "2", "mov[1,2](w)"],
+    ["denote", "-n", "2", "adj(w)"],
+    ["valid", "-n", "2", "localp{1}(w)"],
+])
+def test_unsubstituted_program_variable_exits_two(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == "error: unbound variable 'w'\n"
+
+
+def test_malformed_gate_in_program_position_is_unbound(capsys):
+    # closed world: CNOT takes two qubits, so CNOT_1 is an identifier
+    code, out, err = run(capsys, ["valid", "-n", "2", "[CNOT_1]p"])
+    assert (code, out) == (2, "")
+    assert err == "error: unbound variable 'CNOT_1'\n"
+
+
 def test_bindings_from_state_files(tmp_path, capsys):
     zero = write_state(tmp_path, "zero.state", "n=1\n1 0\n0 0\n")
     one = write_state(tmp_path, "one.state", "n=1\n0 0\n1 0\n")

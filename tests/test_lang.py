@@ -156,6 +156,29 @@ def test_program_round_trip():
         seen += 1
 
 
+def test_program_variable_round_trip():
+    # in program position a non-keyword identifier is a program variable,
+    # read only once the test reading f? has failed
+    w, u = ast.PVar("w"), ast.PVar("u")
+    for text, node in [
+        ("w", w),
+        ("w;X_1 + adj(u)", ast.UnionP(ast.SeqP(w, ast.GateP("X", (1,))),
+                                      ast.Adj(u))),
+        ("mov[1,2](w)", ast.Mov(1, 2, w)),
+        ("CNOT_1", ast.PVar("CNOT_1")),
+    ]:
+        assert parse_program(text) == node
+        assert pretty(node) == text
+    assert parse_program("w?") == ast.Test(ast.Var("w"))
+    assert parse_program("(w & q)?") == ast.Test(ast.And(ast.Var("w"), ast.Var("q")))
+    kripke = parse_formula("[w](p -> q) -> ([w]p -> [w]q)")
+    assert kripke.left.prog == w
+    assert parse_formula(pretty(kripke)) == kripke
+    for keyword in ("true", "bell", "T"):
+        with pytest.raises(ParseError):
+            parse_program(keyword)
+
+
 def test_connective_precedence():
     f = parse_formula("p & q | r -> !p")
     assert f == ast.Implies(ast.Or(ast.And(ast.Var("p"), ast.Var("q")),

@@ -2,10 +2,15 @@
 sanity mutations that must fail, and the rendering the command line
 prints."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from qpdl import parser, protocols
 from qpdl.checker import Environment, check_valid, eval_symbolic
 from qpdl.frame import Frame, Subspace
 from qpdl.parser import parse_formula
@@ -134,3 +139,48 @@ def test_local_states_axiom_holds_for_p_beyond_a_part_state(qubits, p):
 
 def region(fr, text):
     return eval_symbolic(Environment(fr), parse_formula(text))
+
+
+def test_suites_parse_each_schema_once(monkeypatch):
+    # schemas are parsed once per family and filled by substitution;
+    # random words are trees and are never printed and parsed back
+    counts = {"formula": 0, "program": 0}
+
+    def counting(kind, parse):
+        def counted(text):
+            counts[kind] += 1
+            return parse(text)
+        return counted
+
+    monkeypatch.setattr(protocols, "parse_formula",
+                        counting("formula", parser.parse_formula))
+    monkeypatch.setattr(protocols, "parse_program",
+                        counting("program", parser.parse_program), raising=False)
+    monkeypatch.setattr(parser, "parse_program",
+                        counting("program", parser.parse_program))
+    assert protocols.axiom_suite(seed=2026).passed
+    assert counts["formula"] <= 320 and counts["program"] == 0, counts
+    counts["program"] = 0
+    assert protocols.lemma_suite(seed=2026).passed
+    assert counts["program"] == 0
+
+
+def test_importing_protocols_parses_nothing():
+    probe = (
+        "import sys\n"
+        "calls = []\n"
+        "def profile(frame, event, arg):\n"
+        "    if (event == 'call' and frame.f_code.co_name == 'tokenize'\n"
+        "            and frame.f_globals.get('__name__') == 'qpdl.parser'):\n"
+        "        calls.append(1)\n"
+        "sys.setprofile(profile)\n"
+        "import qpdl.protocols\n"
+        "sys.setprofile(None)\n"
+        "print(len(calls))\n")
+    src = str(Path(protocols.__file__).resolve().parent.parent)
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
