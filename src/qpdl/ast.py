@@ -1,8 +1,10 @@
 """Abstract syntax for formulas and programs, with a canonical printer.
 
-The printer and the parser are inverse on ASTs: ``parse(pretty(t)) == t``
-for every node but ``RayF``, which is built by code and has no concrete
-syntax: its ``ray{...}(...)`` text is printed but not parsed.
+``SYNTAX`` states the concrete form of every keyword node once; the
+printer and the parser both read it.  They are inverse on ASTs,
+``parse(pretty(t)) == t``, for every node but ``RayF``, which is built by
+code and has no concrete syntax: its ``ray{...}(...)`` text is printed
+but not parsed.
 Formula precedence, loosest first: ``->``, ``|``, ``&``, unary prefixes
 (``!`` ``~`` ``box`` ``dia`` ``[p]`` ``<p>``), atoms.  Program precedence:
 ``+``, then ``;``, then atoms; ``?`` binds to a formula atom.
@@ -13,8 +15,11 @@ and instantiated by ``checker.substitute``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+import re
+from dataclasses import dataclass, fields
+from typing import NamedTuple, Tuple
+
+Bit = int  # a number field whose value must be 0 or 1
 
 
 class Formula:
@@ -196,8 +201,8 @@ class LocalP(Formula):
 
 @dataclass(frozen=True)
 class Bell(Formula):
-    x: int
-    y: int
+    x: Bit
+    y: Bit
     i: int
     j: int
 
@@ -316,6 +321,70 @@ class SeqP(Program):
     right: Program
 
 
+# ----- keyword forms ---------------------------------------------------------
+
+# The concrete syntax of every keyword node, read by both the parser and the
+# printer.  A form is the keyword, then in text order: number fields in
+# brackets, one index-set field in braces (printed sorted), and argument
+# fields in parentheses.  An argument is read as a formula or a program by
+# its field's type, and a number field typed ``Bit`` must be 0 or 1.
+SYNTAX = {
+    TrueF: "true",
+    FalseF: "false",
+    One: "one",
+    Plus: "plus",
+    Top: "T{qubits}",
+    Bell: "bell[x,y,i,j]",
+    GHZ: "ghz[i,j,k]",
+    Gamma: "gamma[i,j]",
+    Ent: "ent[i,j](prog)",
+    Component: "cmp{qubits}(body)",
+    LocalF: "local{qubits}(body)",
+    LocalP: "localp{qubits}(prog)",
+    EqI: "eqi{qubits}(left,right)",
+    Testable: "testable(body)",
+    Leq: "leq(left,right)",
+    EqF: "eqf(left,right)",
+    PerpF: "perpf(left,right)",
+    Sqcup: "sqcup(left,right)",
+    Dom: "dom(prog)",
+    PostF: "post(prog,body)",
+    Img: "img(prog,body)",
+    TopP: "T{qubits}",
+    Id: "id",
+    Set0: "set0{qubits}",
+    Proj0: "proj0{qubits}",
+    Unary1: "unary1(prog)",
+    Mov: "mov[i,j](prog)",
+    Adj: "adj(prog)",
+}
+
+
+class Form(NamedTuple):
+    word: str
+    numbers: tuple  # bracketed number fields, in text order
+    bits: tuple     # those of them typed Bit
+    qubits: str     # the index-set field, or ""
+    args: tuple     # (field, is_formula) per argument, in text order
+
+
+_FORM_RE = re.compile(r"(\w+)(?:\[([\w,]+)\])?(?:\{(\w+)\})?(?:\(([\w,]+)\))?")
+
+
+def _form(cls, text: str) -> Form:
+    word, numbers, qubits, args = _FORM_RE.fullmatch(text).groups()
+    numbers = tuple(numbers.split(",")) if numbers else ()
+    args = tuple(args.split(",")) if args else ()
+    types = {f.name: f.type for f in fields(cls)}
+    if sorted(numbers + args + ((qubits,) if qubits else ())) != sorted(types):
+        raise TypeError(f"{cls.__name__}: form {text!r} must name each field once")
+    return Form(word, numbers, tuple(n for n in numbers if types[n] == "Bit"),
+                qubits or "", tuple((a, types[a] == "Formula") for a in args))
+
+
+FORMS = {cls: _form(cls, text) for cls, text in SYNTAX.items()}
+
+
 # ----- printer ---------------------------------------------------------------
 
 _F_IMPLIES, _F_OR, _F_AND, _F_UNARY, _F_ATOM = 1, 2, 3, 4, 5
@@ -336,18 +405,10 @@ def _f(node: Formula, level: int) -> str:
 def _formula_text(node: Formula) -> tuple[str, int]:
     if isinstance(node, Var):
         return node.name, _F_ATOM
-    if isinstance(node, TrueF):
-        return "true", _F_ATOM
-    if isinstance(node, FalseF):
-        return "false", _F_ATOM
-    if isinstance(node, Top):
-        return "T" + _qubits(node.qubits), _F_ATOM
+    if type(node) in FORMS and isinstance(node, Formula):
+        return _keyword_text(node), _F_ATOM
     if isinstance(node, Const):
         return f"{node.char}_{node.qubit}", _F_ATOM
-    if isinstance(node, One):
-        return "one", _F_ATOM
-    if isinstance(node, Plus):
-        return "plus", _F_ATOM
     if isinstance(node, VecC):
         return "vec" + _qubits(node.qubits) + "(" + ",".join(node.chars) + ")", _F_ATOM
     if isinstance(node, RayF):
@@ -371,44 +432,19 @@ def _formula_text(node: Formula) -> tuple[str, int]:
         return _f(node.left, _F_OR) + " | " + _f(node.right, _F_AND), _F_OR
     if isinstance(node, Implies):
         return _f(node.left, _F_OR) + " -> " + _f(node.right, _F_IMPLIES), _F_IMPLIES
-    if isinstance(node, Sqcup):
-        return _call("sqcup", node.left, node.right), _F_ATOM
-    if isinstance(node, Leq):
-        return _call("leq", node.left, node.right), _F_ATOM
-    if isinstance(node, EqF):
-        return _call("eqf", node.left, node.right), _F_ATOM
-    if isinstance(node, PerpF):
-        return _call("perpf", node.left, node.right), _F_ATOM
-    if isinstance(node, Testable):
-        return _call("testable", node.body), _F_ATOM
-    if isinstance(node, EqI):
-        return ("eqi" + _qubits(node.qubits)
-                + "(" + pretty(node.left) + ", " + pretty(node.right) + ")", _F_ATOM)
-    if isinstance(node, Component):
-        return "cmp" + _qubits(node.qubits) + "(" + pretty(node.body) + ")", _F_ATOM
-    if isinstance(node, LocalF):
-        return "local" + _qubits(node.qubits) + "(" + pretty(node.body) + ")", _F_ATOM
-    if isinstance(node, LocalP):
-        return "localp" + _qubits(node.qubits) + "(" + pretty(node.prog) + ")", _F_ATOM
-    if isinstance(node, Bell):
-        return f"bell[{node.x},{node.y},{node.i},{node.j}]", _F_ATOM
-    if isinstance(node, GHZ):
-        return f"ghz[{node.i},{node.j},{node.k}]", _F_ATOM
-    if isinstance(node, Gamma):
-        return f"gamma[{node.i},{node.j}]", _F_ATOM
-    if isinstance(node, Ent):
-        return f"ent[{node.i},{node.j}](" + pretty(node.prog) + ")", _F_ATOM
-    if isinstance(node, Dom):
-        return "dom(" + pretty(node.prog) + ")", _F_ATOM
-    if isinstance(node, PostF):
-        return "post(" + pretty(node.prog) + ", " + pretty(node.body) + ")", _F_ATOM
-    if isinstance(node, Img):
-        return "img(" + pretty(node.prog) + ", " + pretty(node.body) + ")", _F_ATOM
     raise TypeError(f"not a formula node: {node!r}")
 
 
-def _call(name: str, *args) -> str:
-    return name + "(" + ", ".join(pretty(a) for a in args) + ")"
+def _keyword_text(node) -> str:
+    form = FORMS[type(node)]
+    text = form.word
+    if form.numbers:
+        text += "[" + ",".join(str(getattr(node, n)) for n in form.numbers) + "]"
+    if form.qubits:
+        text += _qubits(getattr(node, form.qubits))
+    if form.args:
+        text += "(" + ", ".join(pretty(getattr(node, a)) for a, _ in form.args) + ")"
+    return text
 
 
 def _p(node: Program, level: int) -> str:
@@ -421,29 +457,14 @@ def _p(node: Program, level: int) -> str:
 def _program_text(node: Program) -> tuple[str, int]:
     if isinstance(node, PVar):
         return node.name, _P_ATOM
-    if isinstance(node, TopP):
-        return "T" + _qubits(node.qubits), _P_ATOM
+    if type(node) in FORMS and isinstance(node, Program):
+        return _keyword_text(node), _P_ATOM
     if isinstance(node, Test):
-        body, lvl = _formula_text(node.formula)
-        if lvl < _F_ATOM:
-            body = "(" + body + ")"
-        return body + "?", _P_ATOM
+        return _f(node.formula, _F_ATOM) + "?", _P_ATOM
     if isinstance(node, GateP):
         return node.kind + "".join(f"_{t}" for t in node.targets), _P_ATOM
-    if isinstance(node, Id):
-        return "id", _P_ATOM
     if isinstance(node, Flip):
         return f"flip_{node.i}_{node.j}", _P_ATOM
-    if isinstance(node, Set0):
-        return "set0" + _qubits(node.qubits), _P_ATOM
-    if isinstance(node, Proj0):
-        return "proj0" + _qubits(node.qubits), _P_ATOM
-    if isinstance(node, Unary1):
-        return "unary1(" + pretty(node.prog) + ")", _P_ATOM
-    if isinstance(node, Mov):
-        return f"mov[{node.i},{node.j}](" + pretty(node.prog) + ")", _P_ATOM
-    if isinstance(node, Adj):
-        return "adj(" + pretty(node.prog) + ")", _P_ATOM
     if isinstance(node, SeqP):
         return _p(node.left, _P_SEQ) + ";" + _p(node.right, _P_ATOM), _P_SEQ
     if isinstance(node, UnionP):

@@ -105,8 +105,6 @@ def _atom_subspace(env: Environment, f: ast.Formula) -> Subspace:
         return fr.state_lift(f.amps, f.qubits)
     if isinstance(f, ast.Ent):
         act = _denote(env, f.prog)
-        if isinstance(act, LocalTrivial):
-            raise UnsupportedShape("ent needs a deterministic program")
         if not act.is_deterministic():
             raise NonDeterministicProgram(
                 "ent encodes one linear map, not a union")
@@ -394,9 +392,14 @@ class SchematicOutcome:
 
 
 def substitute(node, mapping: dict):
-    """Fill a schema: each Var and PVar named in the mapping is replaced."""
+    """Fill a schema: each named Var by a formula, each named PVar by a program."""
     if isinstance(node, (ast.Var, ast.PVar)) and node.name in mapping:
-        return mapping[node.name]
+        value = mapping[node.name]
+        kind = ast.Formula if isinstance(node, ast.Var) else ast.Program
+        if not isinstance(value, kind):
+            raise TypeError(f"variable {node.name!r} takes a "
+                            f"{kind.__name__.lower()}, not {value!r}")
+        return value
     changes = {}
     for fld in dataclasses.fields(node):
         value = getattr(node, fld.name)

@@ -1,13 +1,14 @@
 """Tokenizer and recursive-descent parser for the concrete syntax.
 
-Errors carry a 1-based line and column plus the set of token kinds that
-would have been accepted there.  The only backtracking point is in
-program position, where a test ``f?`` is tried first: failing that, a
-``(`` opens a parenthesised program, and an identifier that is not a
-keyword is a program variable (``PVar``).  The parser reports the
-failure that got farthest when every reading dies.  A test reading that
-ran past ``MAX_DEPTH`` where no other reading starts reports the depth
-limit.
+Every keyword form of ``ast.SYNTAX`` is read by one method, ``keyword``,
+and ``RESERVED`` is derived from that table.  Errors carry a 1-based line
+and column plus the set of token kinds that would have been accepted
+there.  The only backtracking point is in program position, where a test
+``f?`` is tried first: failing that, a ``(`` opens a parenthesised
+program, and an identifier that is not a keyword is a program variable
+(``PVar``).  The parser reports the failure that got farthest when every
+reading dies.  A test reading that ran past ``MAX_DEPTH`` where no other
+reading starts reports the depth limit.
 
 Input nested deeper than ``MAX_DEPTH`` levels of syntax tree is a
 ParseError, so deep input fails with a message instead of exhausting the
@@ -50,13 +51,13 @@ _FLIP_RE = re.compile(r"^flip_([0-9]+)_([0-9]+)$")
 _WORD_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _NUM_RE = re.compile(r"[0-9]+")
 
-RESERVED = {
-    "true", "false", "one", "plus", "id", "box", "dia", "T",
-    "bell", "ghz", "gamma", "ent", "cmp", "local", "localp",
-    "testable", "leq", "eqf", "eqi", "perpf", "sqcup",
-    "img", "post", "dom", "vec", "set0", "proj0", "unary1", "mov",
-    "adj", "X", "Z", "H", "CNOT", "flip",
-}
+# The keyword forms of ast.SYNTAX by keyword, one table per position.
+_FORMULA_WORDS, _PROGRAM_WORDS = (
+    {form.word: cls for cls, form in ast.FORMS.items() if issubclass(cls, kind)}
+    for kind in (ast.Formula, ast.Program))
+# Keywords are never variables; the last eight have bespoke syntax.
+RESERVED = frozenset(_FORMULA_WORDS.keys() | _PROGRAM_WORDS.keys() | {
+    "box", "dia", "vec", "flip", "X", "Z", "H", "CNOT"})
 
 _SYMBOLS = ("->", "?", ";", "&", "|", "!", "~", "[", "]", "<", ">",
             "(", ")", "{", "}", ",", "+", "-")
@@ -136,9 +137,6 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-_PROGRAM_ONLY_WORDS = {"id", "set0", "proj0", "unary1", "mov", "adj"}
-
-
 # Each level costs the evaluators a few stack frames; 200 keeps every
 # shape of formula inside the interpreter's default recursion limit.
 MAX_DEPTH = 200
@@ -211,23 +209,38 @@ class _Parser:
 
     # ----- shared pieces ------------------------------------------------------
 
-    def index_set(self) -> tuple:
-        self.expect("{")
-        out = [self.expect("number").value]
+    def listed(self, opening: str, item, closing: str) -> list:
+        """A non-empty comma-separated list of items between delimiters."""
+        self.expect(opening)
+        out = [item()]
         while self.accept(","):
-            out.append(self.expect("number").value)
-        self.expect("}")
-        return tuple(sorted(set(out)))
-
-    def bracket_numbers(self, count: int) -> list[int]:
-        self.expect("[")
-        out = [self.expect("number").value]
-        while self.accept(","):
-            out.append(self.expect("number").value)
-        self.expect("]")
-        if len(out) != count:
-            self.fail(f"expected {count} indices")
+            out.append(item())
+        self.expect(closing)
         return out
+
+    def number(self) -> int:
+        return self.expect("number").value
+
+    def keyword(self, cls):
+        """The keyword form ``ast.SYNTAX[cls]``, read field by field."""
+        form = ast.FORMS[cls]
+        self.pos += 1
+        fields = {}
+        if form.numbers:
+            numbers = self.listed("[", self.number, "]")
+            if len(numbers) != len(form.numbers):
+                self.fail(f"expected {len(form.numbers)} indices")
+            fields.update(zip(form.numbers, numbers))
+            if any(fields[bit] not in (0, 1) for bit in form.bits):
+                self.fail(f"{form.word} bits must be 0 or 1")
+        if form.qubits:
+            fields[form.qubits] = tuple(sorted(set(self.listed("{", self.number, "}"))))
+        for k, (name, is_formula) in enumerate(form.args):
+            self.expect("," if k else "(")
+            fields[name] = self.formula() if is_formula else self.program()
+        if form.args:
+            self.expect(")")
+        return cls(**fields)
 
     # ----- formulas -----------------------------------------------------------
 
@@ -288,114 +301,24 @@ class _Parser:
         if tok.kind == "const":
             self.pos += 1
             return ast.Const(tok.value[0], tok.value[1])
-        if tok.kind == "word":
-            return self.f_word_atom(tok)
-        self._note("formula")
-        self.fail("expected a formula")
-
-    def f_word_atom(self, tok: Token) -> ast.Formula:
+        if tok.kind != "word":
+            self._note("formula")
+            self.fail("expected a formula")
         word = tok.value
-        self.pos += 1
-        if word == "true":
-            return ast.TrueF()
-        if word == "false":
-            return ast.FalseF()
-        if word == "one":
-            return ast.One()
-        if word == "plus":
-            return ast.Plus()
-        if word == "T":
-            return ast.Top(self.index_set())
+        if word in _FORMULA_WORDS:
+            return self.keyword(_FORMULA_WORDS[word])
         if word == "vec":
             # Order is kept: the k-th symbol goes with the k-th listed qubit.
-            self.expect("{")
-            qs = [self.expect("number").value]
-            while self.accept(","):
-                qs.append(self.expect("number").value)
-            self.expect("}")
-            qs = tuple(qs)
-            self.expect("(")
-            chars = []
-            chars.append(self.vec_char())
-            while self.accept(","):
-                chars.append(self.vec_char())
-            self.expect(")")
+            self.pos += 1
+            qs = tuple(self.listed("{", self.number, "}"))
+            chars = self.listed("(", self.vec_char, ")")
             if len(chars) != len(qs):
                 self.fail("one state symbol per qubit expected")
             return ast.VecC(qs, "".join(chars))
-        if word == "bell":
-            x, y, i, j = self.bracket_numbers(4)
-            if x not in (0, 1) or y not in (0, 1):
-                self.fail("bell bits must be 0 or 1")
-            return ast.Bell(x, y, i, j)
-        if word == "ghz":
-            i, j, k = self.bracket_numbers(3)
-            return ast.GHZ(i, j, k)
-        if word == "gamma":
-            i, j = self.bracket_numbers(2)
-            return ast.Gamma(i, j)
-        if word == "ent":
-            i, j = self.bracket_numbers(2)
-            self.expect("(")
-            prog = self.program()
-            self.expect(")")
-            return ast.Ent(i, j, prog)
-        if word == "cmp":
-            qs = self.index_set()
-            self.expect("(")
-            body = self.formula()
-            self.expect(")")
-            return ast.Component(body, qs)
-        if word == "local":
-            qs = self.index_set()
-            self.expect("(")
-            body = self.formula()
-            self.expect(")")
-            return ast.LocalF(body, qs)
-        if word == "localp":
-            qs = self.index_set()
-            self.expect("(")
-            prog = self.program()
-            self.expect(")")
-            return ast.LocalP(prog, qs)
-        if word == "eqi":
-            qs = self.index_set()
-            self.expect("(")
-            left = self.formula()
-            self.expect(",")
-            right = self.formula()
-            self.expect(")")
-            return ast.EqI(left, right, qs)
-        if word in ("testable",):
-            self.expect("(")
-            body = self.formula()
-            self.expect(")")
-            return ast.Testable(body)
-        if word in ("leq", "eqf", "perpf", "sqcup"):
-            self.expect("(")
-            left = self.formula()
-            self.expect(",")
-            right = self.formula()
-            self.expect(")")
-            cls = {"leq": ast.Leq, "eqf": ast.EqF,
-                   "perpf": ast.PerpF, "sqcup": ast.Sqcup}[word]
-            return cls(left, right)
-        if word == "dom":
-            self.expect("(")
-            prog = self.program()
-            self.expect(")")
-            return ast.Dom(prog)
-        if word in ("img", "post"):
-            self.expect("(")
-            prog = self.program()
-            self.expect(",")
-            body = self.formula()
-            self.expect(")")
-            return (ast.Img if word == "img" else ast.PostF)(prog, body)
         if word in RESERVED:
-            self.pos -= 1
             self._note("formula")
             self.fail(f"{word!r} cannot appear here")
+        self.pos += 1
         return ast.Var(word)
 
     def vec_char(self) -> str:
@@ -436,14 +359,11 @@ class _Parser:
         if tok.kind == "flip":
             self.pos += 1
             return ast.Flip(tok.value[0], tok.value[1])
-        if tok.kind == "word" and tok.value in _PROGRAM_ONLY_WORDS:
-            return self.p_word(tok)
-        if tok.kind == "word" and tok.value == "T":
-            self.pos += 1
-            qs = self.index_set()
-            if self.accept("?"):
-                return ast.Test(ast.Top(qs))
-            return ast.TopP(qs)
+        if tok.kind == "word" and tok.value in _PROGRAM_WORDS:
+            node = self.keyword(_PROGRAM_WORDS[tok.value])
+            if isinstance(node, ast.TopP) and self.accept("?"):
+                return ast.Test(ast.Top(node.qubits))
+            return node
         # Anything else is first read as a test: a formula followed by '?'.
         # Its outcome depends on nothing but the position and the depth,
         # and nested '(' would retry a failed reading exponentially often.
@@ -468,33 +388,6 @@ class _Parser:
             raise self.failed_tests[save]
         self._note("program")
         self.fail("expected a program")
-
-    def p_word(self, tok: Token) -> ast.Program:
-        word = tok.value
-        self.pos += 1
-        if word == "id":
-            return ast.Id()
-        if word == "set0":
-            return ast.Set0(self.index_set())
-        if word == "proj0":
-            return ast.Proj0(self.index_set())
-        if word == "unary1":
-            self.expect("(")
-            prog = self.program()
-            self.expect(")")
-            return ast.Unary1(prog)
-        if word == "mov":
-            i, j = self.bracket_numbers(2)
-            self.expect("(")
-            prog = self.program()
-            self.expect(")")
-            return ast.Mov(i, j, prog)
-        if word == "adj":
-            self.expect("(")
-            prog = self.program()
-            self.expect(")")
-            return ast.Adj(prog)
-        raise AssertionError(word)
 
 
 def parse_formula(text: str) -> ast.Formula:

@@ -465,6 +465,11 @@ def test_substitute_replaces_variables_everywhere():
     assert partly.left.prog.right == partly.right.prog.prog == ast.PVar("w")
     with pytest.raises(UnboundVariable):
         check_valid(Environment(Frame(2)), partly)
+    # a Var takes a formula and a PVar a program, checked as they are filled
+    with pytest.raises(TypeError, match="variable 'p' takes a program"):
+        substitute(parse_formula("[p]p"), {"p": ast.Const("0", 1)})
+    with pytest.raises(TypeError, match="variable 'q' takes a formula"):
+        substitute(template, {"q": parse_program("X_1")})
 
 
 def test_ghz_and_gamma_desugar_to_their_rays():

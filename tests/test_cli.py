@@ -189,6 +189,20 @@ def test_unsubstituted_program_variable_exits_two(capsys, argv):
     assert err == "error: unbound variable 'w'\n"
 
 
+@pytest.mark.parametrize("formula, message", [
+    ("ent[1,2](T{1})", "ent takes a one-qubit program, not TopP"),
+    ("ent[1,2](CNOT_1_2)", "ent takes a one-qubit program"),
+    ("ent[1,2](X_2)", "ent takes a one-qubit program"),
+    ("ent[1,2](X_1 + Z_1)", "ent encodes one linear map, not a union"),
+    ("[mov[1,2](H_2)]true", "mov takes a one-qubit program"),
+])
+def test_one_qubit_program_restrictions_exit_three(capsys, formula, message):
+    # ent and mov take a deterministic program on qubit 1 alone
+    code, out, err = run(capsys, ["valid", "-n", "2", formula])
+    assert (code, out) == (3, "")
+    assert err == f"unsupported: {message}\n"
+
+
 def test_malformed_gate_in_program_position_is_unbound(capsys):
     # closed world: CNOT takes two qubits, so CNOT_1 is an identifier
     code, out, err = run(capsys, ["valid", "-n", "2", "[CNOT_1]p"])

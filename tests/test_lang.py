@@ -1,5 +1,6 @@
 """Concrete syntax: parsing, printing, and their round trip."""
 
+import dataclasses
 import random
 import time
 
@@ -7,7 +8,8 @@ import pytest
 
 from qpdl import ast
 from qpdl.ast import pretty
-from qpdl.parser import MAX_DEPTH, ParseError, parse_formula, parse_program
+from qpdl.parser import (MAX_DEPTH, RESERVED, ParseError, parse_formula,
+                          parse_program)
 
 N = 3
 
@@ -264,17 +266,171 @@ def test_ray_formula_prints_but_does_not_parse():
     assert pretty(ast.RayF((1,), (1, 0))) == "ray{1}(1, 0)"
 
 
+# Exact messages, among them one or more malformed inputs per keyword form:
+# a wrong index count, a missing delimiter, bell bits out of range, a
+# keyword used as a variable and a keyword in the other position.
+FORMULA_ERRORS = [
+    ("p &", "expected a formula (found eof) at line 1 column 4"),
+    ("(p", "expected ')' (found eof) at line 1 column 3"),
+    ("[X_1 p", "expected ']' (found word) at line 1 column 6"),
+    ("p -> -> q", "expected a formula (found ->) at line 1 column 6"),
+    ("0_", "qubit index expected after '_' at line 1 column 1"),
+    ("T{}", "expected 'number' (found }) at line 1 column 3"),
+    ("T{1", "expected '}' (found eof) at line 1 column 4"),
+    ("T{1,}", "expected 'number' (found }) at line 1 column 5"),
+    ("T[1]", "expected '{' (found [) at line 1 column 2"),
+    ("true(p)", "unparsed input after formula (found () at line 1 column 5"),
+    ("one[1]", "unparsed input after formula (found [) at line 1 column 4"),
+    ("bell[0,0,1]", "expected 4 indices (found eof) at line 1 column 12"),
+    ("bell[0,2,1,2]", "bell bits must be 0 or 1 (found eof) at line 1 column 14"),
+    ("bell[2,0,1,2]", "bell bits must be 0 or 1 (found eof) at line 1 column 14"),
+    ("bell(0,0,1,2)", "expected '[' (found () at line 1 column 5"),
+    ("bell[0,0,1,2", "expected ']' (found eof) at line 1 column 13"),
+    ("ghz[1,2]", "expected 3 indices (found eof) at line 1 column 9"),
+    ("ghz{1,2,3}", "expected '[' (found {) at line 1 column 4"),
+    ("gamma[1]", "expected 2 indices (found eof) at line 1 column 9"),
+    ("gamma[1,2](p)", "unparsed input after formula (found () at line 1 column 11"),
+    ("ent[1](X_1)", "expected 2 indices (found () at line 1 column 7"),
+    ("ent[1,2]X_1", "expected '(' (found gate) at line 1 column 9"),
+    ("ent[1,2](X_1", "expected ')' (found eof) at line 1 column 13"),
+    ("ent[1,2](true)", "expected one of &, ->, ?, | (found )) at line 1 column 14"),
+    ("cmp{1}p", "expected '(' (found word) at line 1 column 7"),
+    ("cmp{1}(p, q)", "expected ')' (found ,) at line 1 column 9"),
+    ("cmp[1](p)", "expected '{' (found [) at line 1 column 4"),
+    ("cmp{1}(X_1)", "expected a formula (found gate) at line 1 column 8"),
+    ("local(p)", "expected '{' (found () at line 1 column 6"),
+    ("local{1}(p", "expected ')' (found eof) at line 1 column 11"),
+    ("localp{1}X_1", "expected '(' (found gate) at line 1 column 10"),
+    ("localp{1}(true)", "expected one of &, ->, ?, | (found )) at line 1 column 15"),
+    ("eqi{1}(p q)", "expected ',' (found word) at line 1 column 10"),
+    ("eqi{1}(p)", "expected ',' (found )) at line 1 column 9"),
+    ("eqi(p, q)", "expected '{' (found () at line 1 column 4"),
+    ("eqi{1}p, q)", "expected '(' (found word) at line 1 column 7"),
+    ("testable p", "expected '(' (found word) at line 1 column 10"),
+    ("testable(p, q)", "expected ')' (found ,) at line 1 column 11"),
+    ("leq(p q)", "expected ',' (found word) at line 1 column 7"),
+    ("leq p, q", "expected '(' (found word) at line 1 column 5"),
+    ("eqf(p,)", "expected a formula (found )) at line 1 column 7"),
+    ("perpf(p, q", "expected ')' (found eof) at line 1 column 11"),
+    ("sqcup(,q)", "expected a formula (found ,) at line 1 column 7"),
+    ("dom X_1", "expected '(' (found gate) at line 1 column 5"),
+    ("dom(X_1, p)", "expected ')' (found ,) at line 1 column 8"),
+    ("dom(true)", "expected one of &, ->, ?, | (found )) at line 1 column 9"),
+    ("post(X_1)", "expected ',' (found )) at line 1 column 9"),
+    ("post(X_1 p)", "expected ',' (found word) at line 1 column 10"),
+    ("img X_1, p", "expected '(' (found gate) at line 1 column 5"),
+    ("img(X_1, X_1)", "expected a formula (found gate) at line 1 column 10"),
+    ("vec{1}(01)", "number with a leading zero at line 1 column 8"),
+    ("vec{1,2}(0)", "one state symbol per qubit expected (found eof) at line 1 column 12"),
+    ("vec{1}(2)", "expected one of 0 1 + - (found number) at line 1 column 8"),
+    ("vec(0)", "expected '{' (found () at line 1 column 4"),
+    ("vec{1}0", "expected '(' (found number) at line 1 column 7"),
+    ("p & leq", "expected '(' (found eof) at line 1 column 8"),
+    ("[X_1]cmp", "expected '{' (found eof) at line 1 column 9"),
+    ("testable -> p", "expected '(' (found ->) at line 1 column 10"),
+    ("box", "expected a formula (found eof) at line 1 column 4"),
+    ("dia & p", "expected a formula (found &) at line 1 column 5"),
+    ("vec", "expected '{' (found eof) at line 1 column 4"),
+    ("flip", "'flip' cannot appear here (found word) at line 1 column 1"),
+    ("X", "'X' cannot appear here (found word) at line 1 column 1"),
+    ("H & p", "'H' cannot appear here (found word) at line 1 column 1"),
+    ("CNOT", "'CNOT' cannot appear here (found word) at line 1 column 1"),
+    ("T", "expected '{' (found eof) at line 1 column 2"),
+    ("id", "'id' cannot appear here (found word) at line 1 column 1"),
+    ("set0{1}", "'set0' cannot appear here (found word) at line 1 column 1"),
+    ("proj0{1}", "'proj0' cannot appear here (found word) at line 1 column 1"),
+    ("unary1(X_1)", "'unary1' cannot appear here (found word) at line 1 column 1"),
+    ("mov[1,2](X_1)", "'mov' cannot appear here (found word) at line 1 column 1"),
+    ("mov[1](X_1)", "'mov' cannot appear here (found word) at line 1 column 1"),
+    ("adj(X_1)", "'adj' cannot appear here (found word) at line 1 column 1"),
+    ("T{1}?", "unparsed input after formula (found ?) at line 1 column 5"),
+    ("[true]p", "expected one of &, ->, ?, | (found ]) at line 1 column 6"),
+    ("<false>p", "expected one of &, ->, ?, | (found >) at line 1 column 7"),
+    ("[bell[0,0,1,2]]p", "expected one of &, ->, ?, | (found ]) at line 1 column 15"),
+    ("<leq(p, q)>p", "expected one of &, ->, ?, | (found >) at line 1 column 11"),
+]
+PROGRAM_ERRORS = [
+    ("X_1 ;", "expected a program (found eof) at line 1 column 6"),
+    ("(X_1", "expected ')' (found eof) at line 1 column 5"),
+    ("X_1 + + Z_1", "expected a program (found +) at line 1 column 7"),
+    ("?p", "expected a program (found ?) at line 1 column 1"),
+    ("T", "expected '{' (found eof) at line 1 column 2"),
+    ("T{}", "expected 'number' (found }) at line 1 column 3"),
+    ("T{1}? ?", "unparsed input after program (found ?) at line 1 column 7"),
+    ("id(X_1)", "unparsed input after program (found () at line 1 column 3"),
+    ("set0", "expected '{' (found eof) at line 1 column 5"),
+    ("set0{}", "expected 'number' (found }) at line 1 column 6"),
+    ("set0[1]", "expected '{' (found [) at line 1 column 5"),
+    ("proj0{1,}", "expected 'number' (found }) at line 1 column 9"),
+    ("unary1 X_1", "expected '(' (found gate) at line 1 column 8"),
+    ("unary1(X_1", "expected ')' (found eof) at line 1 column 11"),
+    ("mov[1](X_1)", "expected 2 indices (found () at line 1 column 7"),
+    ("mov[1,2,3](X_1)", "expected 2 indices (found () at line 1 column 11"),
+    ("mov[1,2]X_1", "expected '(' (found gate) at line 1 column 9"),
+    ("adj X_1", "expected '(' (found gate) at line 1 column 5"),
+    ("adj()", "expected a program (found )) at line 1 column 5"),
+    ("flip", "expected a program (found word) at line 1 column 1"),
+    ("flip_1_2(X_1)", "unparsed input after program (found () at line 1 column 9"),
+    ("Z", "expected a program (found word) at line 1 column 1"),
+    ("CNOT", "expected a program (found word) at line 1 column 1"),
+    ("true", "expected one of &, ->, ?, | (found eof) at line 1 column 5"),
+    ("bell[0,0,1,2]", "expected one of &, ->, ?, | (found eof) at line 1 column 14"),
+    ("leq(p, q)", "expected one of &, ->, ?, | (found eof) at line 1 column 10"),
+    ("cmp{1}(p)", "expected one of &, ->, ?, | (found eof) at line 1 column 10"),
+    ("vec{1}(0)", "expected one of &, ->, ?, | (found eof) at line 1 column 10"),
+    ("dom(X_1)", "expected one of &, ->, ?, | (found eof) at line 1 column 9"),
+    ("ghz[1,2,3]", "expected one of &, ->, ?, | (found eof) at line 1 column 11"),
+    ("box", "expected one of !, (, <, [, formula, ~ (found eof) at line 1 column 4"),
+    ("<bell>p", "expected one of [ (found >) at line 1 column 6"),
+]
+
+
 def test_parse_errors():
-    for bad in ["p &", "(p", "[X_1 p", "bell[2,0,1,2]", "vec{1}(01)",
-                "T{}", "p -> -> q", "mov[1](X_1)", "0_"]:
-        with pytest.raises(ParseError):
-            parse_formula(bad)
-    for bad in ["X_1 ;", "(X_1", "X_1 + + Z_1", "?p"]:
-        with pytest.raises(ParseError):
-            parse_program(bad)
+    for text, message in FORMULA_ERRORS:
+        with pytest.raises(ParseError) as exc:
+            parse_formula(text)
+        assert str(exc.value) == message, text
+    for text, message in PROGRAM_ERRORS:
+        with pytest.raises(ParseError) as exc:
+            parse_program(text)
+        assert str(exc.value) == message, text
     # a malformed gate name is still a legal identifier; it is caught
     # as an unbound variable at evaluation time, not by the parser
     assert parse_formula("CNOT_1") == ast.Var("CNOT_1")
+
+
+def subtrees(node):
+    yield node
+    for fld in dataclasses.fields(node):
+        value = getattr(node, fld.name)
+        if isinstance(value, (ast.Formula, ast.Program)):
+            yield from subtrees(value)
+
+
+def test_generators_cover_every_node_and_keyword_form():
+    # A node class added without syntax, or a keyword form lost, fails here.
+    rng = random.Random(403)
+    seen = {}
+    for _ in range(300):
+        for node in (rand_formula(rng, 4), rand_program(rng, 4)):
+            for sub in subtrees(node):
+                seen.setdefault(type(sub), sub)
+    nodes = {cls for cls in vars(ast).values()
+             if dataclasses.is_dataclass(cls)
+             and issubclass(cls, (ast.Formula, ast.Program))}
+    # RayF has no concrete syntax; PVar is covered by
+    # test_program_variable_round_trip
+    assert set(seen) == nodes - {ast.RayF, ast.PVar}
+    for cls in ast.SYNTAX:
+        parse = parse_formula if issubclass(cls, ast.Formula) else parse_program
+        assert parse(pretty(seen[cls])) == seen[cls]
+    assert RESERVED == {
+        "true", "false", "one", "plus", "id", "box", "dia", "T",
+        "bell", "ghz", "gamma", "ent", "cmp", "local", "localp",
+        "testable", "leq", "eqf", "eqi", "perpf", "sqcup",
+        "img", "post", "dom", "vec", "set0", "proj0", "unary1", "mov",
+        "adj", "X", "Z", "H", "CNOT", "flip",
+    }
 
 
 def test_nesting_depth_limit():
