@@ -11,10 +11,15 @@ Formula precedence, loosest first: ``->``, ``|``, ``&``, unary prefixes
 An identifier that is not a keyword is a variable: ``Var`` in formula
 position, ``PVar`` in program position.  Schemas are written over both
 and instantiated by ``checker.substitute``.
+
+``PARTS`` states which fields of each node class are subterms; ``parts``
+and ``rebuild`` read it for every walk over a tree (desugaring, the
+one-qubit check, substitution).
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, fields
 from typing import NamedTuple, Tuple
@@ -319,6 +324,45 @@ class UnionP(Program):
 class SeqP(Program):
     left: Program
     right: Program
+
+
+# ----- subterms --------------------------------------------------------------
+
+# The fields of every node class that hold a formula or a program, in field
+# order.  Every walk over the tree reads this one table.
+PARTS = {cls: tuple(f.name for f in fields(cls) if f.type in ("Formula", "Program"))
+         for cls in Formula.__subclasses__() + Program.__subclasses__()}
+_ONLY_PARTS = {cls for cls, names in PARTS.items() if len(names) == len(fields(cls))}
+
+
+def _getter(names):
+    # attrgetter gives a bare value, not a tuple, for a single name
+    if len(names) > 1:
+        return operator.attrgetter(*names)
+    if names:
+        get = operator.attrgetter(names[0])
+        return lambda node: (get(node),)
+    return lambda node: ()
+
+
+_GETTERS = {cls: _getter(names) for cls, names in PARTS.items()}
+
+
+def parts(node) -> tuple:
+    """The subterms of ``node``, in ``PARTS`` order."""
+    return _GETTERS[type(node)](node)
+
+
+def rebuild(node, new_parts):
+    """``node`` with its subterms replaced, in ``PARTS`` order, by
+    ``new_parts``; ``node`` itself when each is the subterm it replaces."""
+    new_parts = tuple(new_parts)
+    if all(map(operator.is_, new_parts, parts(node))):
+        return node
+    cls = type(node)
+    if cls in _ONLY_PARTS:
+        return cls(*new_parts)
+    return cls(**{**vars(node), **dict(zip(PARTS[cls], new_parts))})
 
 
 # ----- keyword forms ---------------------------------------------------------

@@ -14,7 +14,6 @@ connectives, so agreement is meaningful.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -400,14 +399,7 @@ def substitute(node, mapping: dict):
             raise TypeError(f"variable {node.name!r} takes a "
                             f"{kind.__name__.lower()}, not {value!r}")
         return value
-    changes = {}
-    for fld in dataclasses.fields(node):
-        value = getattr(node, fld.name)
-        if isinstance(value, (ast.Formula, ast.Program)):
-            replaced = substitute(value, mapping)
-            if replaced is not value:
-                changes[fld.name] = replaced
-    return dataclasses.replace(node, **changes) if changes else node
+    return ast.rebuild(node, map(substitute, ast.parts(node), itertools.repeat(mapping)))
 
 
 def _union_branches(prog: ast.Program) -> list:

@@ -201,10 +201,8 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return 2
-    except UnboundVariable as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (UnboundVariable, ValueError, OSError) as exc:
+        # before CheckError: an unbound variable is a CheckError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CheckError as exc:

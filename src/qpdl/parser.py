@@ -137,8 +137,11 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-# Each level costs the evaluators a few stack frames; 200 keeps every
-# shape of formula inside the interpreter's default recursion limit.
+# A level of syntax costs the parser or the evaluators at most about four
+# stack frames, so 200 levels stay inside the interpreter's default
+# recursion limit of 1000 with 300 frames to spare for the caller.  A
+# keyword form with arguments counts a level of its own, since it stands
+# for up to ten levels of core tree (perpf) and eight parser frames.
 MAX_DEPTH = 200
 
 
@@ -222,7 +225,8 @@ class _Parser:
         return self.expect("number").value
 
     def keyword(self, cls):
-        """The keyword form ``ast.SYNTAX[cls]``, read field by field."""
+        """The keyword form ``ast.SYNTAX[cls]``, read field by field; its
+        arguments are one level deeper than the form itself."""
         form = ast.FORMS[cls]
         self.pos += 1
         fields = {}
@@ -235,11 +239,14 @@ class _Parser:
                 self.fail(f"{form.word} bits must be 0 or 1")
         if form.qubits:
             fields[form.qubits] = tuple(sorted(set(self.listed("{", self.number, "}"))))
+        if form.args:
+            self.descend()
         for k, (name, is_formula) in enumerate(form.args):
             self.expect("," if k else "(")
             fields[name] = self.formula() if is_formula else self.program()
         if form.args:
             self.expect(")")
+            self.depth -= 1
         return cls(**fields)
 
     # ----- formulas -----------------------------------------------------------

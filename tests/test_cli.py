@@ -4,6 +4,7 @@ subcommand, including the error paths."""
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ import qpdl
 import qpdl.cli
 from qpdl.checker import Environment, check_state
 from qpdl.cli import MAX_QUBITS, main
+from qpdl.desugar import MAX_NODES
 from qpdl.frame import Frame, parse_state
 from qpdl.parser import parse_formula
 from qpdl.regions import WitnessSearchExhausted
@@ -155,6 +157,19 @@ def test_deep_nesting_is_a_syntax_error(capsys):
     assert err.startswith("syntax error: nesting deeper than")
 
 
+@pytest.mark.parametrize("formula", [
+    "testable(" * 60 + "0_1" + ")" * 60,
+    "eqf(0_1, " * 40 + "0_1" + ")" * 40,
+])
+def test_exponential_expansion_exits_two_fast(capsys, formula):
+    # each level doubles the core tree; desugaring stops at a node budget
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["valid", "-n", "1", formula])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == f"error: expression expands past {MAX_NODES} nodes\n"
+
+
 @pytest.mark.parametrize("error", [
     RuntimeError("symbolic and pointwise evaluation disagree on the witness"),
     WitnessSearchExhausted("no witness among 4 candidates"),
@@ -190,14 +205,17 @@ def test_unsubstituted_program_variable_exits_two(capsys, argv):
 
 
 @pytest.mark.parametrize("formula, message", [
-    ("ent[1,2](T{1})", "ent takes a one-qubit program, not TopP"),
-    ("ent[1,2](CNOT_1_2)", "ent takes a one-qubit program"),
-    ("ent[1,2](X_2)", "ent takes a one-qubit program"),
+    ("ent[1,2](T{1})", "ent takes a one-qubit program, not T{1}"),
+    ("ent[1,2](CNOT_1_2)", "ent takes a one-qubit program, not CNOT_1_2"),
+    ("ent[1,2](X_2)", "ent takes a one-qubit program, not X_2"),
     ("ent[1,2](X_1 + Z_1)", "ent encodes one linear map, not a union"),
-    ("[mov[1,2](H_2)]true", "mov takes a one-qubit program"),
+    ("[mov[1,2](H_2)]true", "mov takes a one-qubit program, not H_2"),
+    ("[unary1(X_1; (0_1 & 1_2)?)]true", "unary1 takes a one-qubit program, not 1_2"),
+    ("ent[1,2](T{1}?)", "ent takes a one-qubit program, not T{1}"),
 ])
 def test_one_qubit_program_restrictions_exit_three(capsys, formula, message):
-    # ent and mov take a deterministic program on qubit 1 alone
+    # ent, unary1 and mov take a deterministic program on qubit 1 alone;
+    # a rejection names the subterm that breaks the rule
     code, out, err = run(capsys, ["valid", "-n", "2", formula])
     assert (code, out) == (3, "")
     assert err == f"unsupported: {message}\n"

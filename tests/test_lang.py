@@ -8,6 +8,10 @@ import pytest
 
 from qpdl import ast
 from qpdl.ast import pretty
+from qpdl.checker import Environment, check_valid
+from qpdl.desugar import desugar_formula, desugar_program
+from qpdl.errors import CheckError, UnsupportedNesting
+from qpdl.frame import Frame
 from qpdl.parser import (MAX_DEPTH, RESERVED, ParseError, parse_formula,
                           parse_program)
 
@@ -401,10 +405,8 @@ def test_parse_errors():
 
 def subtrees(node):
     yield node
-    for fld in dataclasses.fields(node):
-        value = getattr(node, fld.name)
-        if isinstance(value, (ast.Formula, ast.Program)):
-            yield from subtrees(value)
+    for part in ast.parts(node):
+        yield from subtrees(part)
 
 
 def test_generators_cover_every_node_and_keyword_form():
@@ -433,9 +435,28 @@ def test_generators_cover_every_node_and_keyword_form():
     }
 
 
+# Each shape nests one construct k levels deep, with the outcome
+# check_valid gives at n = 2 at the deepest k the parser accepts.
+DEEP_SHAPES = [
+    (lambda k: "!" * k + "0_1", "refuted"),
+    (lambda k: "[X_1]" * k + "0_1", "refuted"),
+    (lambda k: "<X_1>" * k + "0_1", "refuted"),
+    (lambda k: "0_1 -> " * k + "0_1", "valid"),
+    (lambda k: "[" + ";".join(["X_1"] * k) + "]0_1", "refuted"),
+    (lambda k: "leq(" * k + "0_1" + ", 0_1)" * k, "refuted"),
+    (lambda k: "perpf(0_1, " * k + "0_1" + ")" * k, "valid"),
+    (lambda k: "sqcup(0_1, " * k + "0_1" + ")" * k, "refuted"),
+    (lambda k: "post(X_1, " * k + "0_1" + ")" * k, "refuted"),
+    (lambda k: "img(X_1, " * k + "0_1" + ")" * k, "refuted"),
+    (lambda k: "[" + "adj(" * k + "X_1" + ")" * k + "]0_1", "refuted"),
+    # a one-qubit program holds no unary1 or mov: refused at the second level
+    (lambda k: "[" + "unary1(" * k + "X_1" + ")" * k + "]0_1", "unsupported"),
+    (lambda k: "[" + "mov[1,2](" * k + "X_1" + ")" * k + "]0_1", "unsupported"),
+]
+
+
 def test_nesting_depth_limit():
-    # Below the limit every shape parses, and its tree stays shallow
-    # enough for the evaluators' recursion.
+    # Below the limit every shape parses.
     k = MAX_DEPTH - 10
     assert parse_formula("!" * k + "0_1") is not None
     assert parse_formula(" & ".join(["0_1"] * k)) is not None
@@ -449,6 +470,51 @@ def test_nesting_depth_limit():
                  "(" * k + "0_1" + ")" * k]:
         with pytest.raises(ParseError, match="nesting deeper"):
             parse_formula(text)
+    # At the deepest nesting the parser accepts, the tree stays shallow
+    # enough for the evaluators' recursion: each shape gets its answer.
+    env = Environment(Frame(2))
+    for shape, outcome in DEEP_SHAPES:
+        accepted, refused = 1, MAX_DEPTH + 1
+        while refused - accepted > 1:
+            k = (accepted + refused) // 2
+            try:
+                parse_formula(shape(k))
+                accepted = k
+            except ParseError as exc:
+                assert "nesting deeper" in str(exc)
+                refused = k
+        try:
+            valid = check_valid(env, parse_formula(shape(accepted))) is None
+            got = "valid" if valid else "refuted"
+        except UnsupportedNesting:
+            got = "unsupported"
+        assert got == outcome, shape(1)
+
+
+CORE = {ast.Var, ast.TrueF, ast.FalseF, ast.Const, ast.RayF, ast.Top, ast.Not,
+        ast.Ortho, ast.And, ast.Box, ast.Ent, ast.EqI, ast.Component, ast.LocalF,
+        ast.LocalP, ast.Img, ast.Test, ast.GateP, ast.Id, ast.SeqP, ast.UnionP,
+        ast.TopP}
+
+
+def test_desugared_trees_are_core_only():
+    # A class missing from the desugaring rules would pass through to the
+    # evaluators, which reject it as "not a core node" (an internal error).
+    rng = random.Random(1313)
+    desugared = 0
+    for k in range(2000):
+        n = 1 + k % 4
+        if k % 2:
+            tree, desugar = rand_formula(rng, rng.randint(1, 4)), desugar_formula
+        else:
+            tree, desugar = rand_program(rng, rng.randint(1, 4)), desugar_program
+        try:
+            core = desugar(tree, n)
+        except CheckError:
+            continue
+        desugared += 1
+        assert {type(sub) for sub in subtrees(core)} <= CORE, pretty(tree)
+    assert desugared > 1000
 
 
 def test_nested_test_readings_fail_fast():
