@@ -32,7 +32,6 @@ from .frame import (
     BadIndex,
     Frame,
     PartialMap,
-    QAction,
     Subspace,
     format_state,
     parse_state,
@@ -54,7 +53,6 @@ __all__ = [
     "ParseError",
     "PartialMap",
     "Program",
-    "QAction",
     "Region",
     "SchematicClaim",
     "SchematicOutcome",

@@ -7,6 +7,12 @@ separation constructs.  Schematic: universally quantified state
 variables, decided by instantiating over {0,1,+} per qubit and
 corroborated on random rational states.
 
+A program denotes a nonempty tuple of partial maps, one per branch:
+``;`` composes branch by branch and ``+`` concatenates.  T{I} stands for
+every I-local map at once, which no tuple holds, so it is read only
+alone under a box, by reachability, or in localp; anywhere else it is
+UnsupportedShape.
+
 A counterexample found symbolically is re-checked pointwise before it
 is reported; the two evaluators share no interpretation code for the
 connectives, so agreement is meaningful.
@@ -28,7 +34,7 @@ from .errors import (
     UnsupportedNesting,
     UnsupportedShape,
 )
-from .frame import LOCAL_STATES, Frame, PartialMap, QAction, Subspace
+from .frame import LOCAL_STATES, Frame, PartialMap, Subspace
 from .linalg import GaussianRational, Matrix
 from .regions import Region, wp
 
@@ -57,41 +63,31 @@ class Environment:
             raise UnboundVariable(name) from None
 
 
-@dataclass(frozen=True)
-class LocalTrivial:
-    """Marker denotation of the program T{I}: every I-local action at
-    once.  It has no matrix; modalities treat it through reachability."""
-    qubits: tuple
-
-
 # ----- program denotation ----------------------------------------------------
 
 
-def denote_program(env: Environment, prog: ast.Program):
-    """QAction for a surface program, or LocalTrivial for T{I}."""
+def denote_program(env: Environment, prog: ast.Program) -> tuple:
+    """The branches of a surface program: one partial map each, in order."""
     return _denote(env, desugar_program(prog, env.frame.n))
 
 
-def _denote(env: Environment, prog: ast.Program):
+def _denote(env: Environment, prog: ast.Program) -> tuple:
     fr = env.frame
     if isinstance(prog, ast.GateP):
-        return QAction([fr.gate(prog.kind, prog.targets)])
+        return (fr.gate(prog.kind, prog.targets),)
     if isinstance(prog, ast.Id):
-        return QAction([PartialMap(Matrix.identity(fr.dim))])
-    if isinstance(prog, ast.TopP):
-        return LocalTrivial(prog.qubits)
+        return (PartialMap(Matrix.identity(fr.dim)),)
     if isinstance(prog, ast.Test):
         closed = _eval(env, prog.formula).closure()
-        return QAction([PartialMap(closed.projector())])
-    if isinstance(prog, (ast.SeqP, ast.UnionP)):
-        left = _denote(env, prog.left)
-        right = _denote(env, prog.right)
-        if isinstance(left, LocalTrivial) or isinstance(right, LocalTrivial):
-            raise UnsupportedShape("T{I} cannot be composed; it may only "
-                                   "stand alone under a modality")
-        if isinstance(prog, ast.SeqP):
-            return left.then(right)
-        return left.union(right)
+        return (PartialMap(closed.projector()),)
+    if isinstance(prog, ast.SeqP):
+        left, right = _denote(env, prog.left), _denote(env, prog.right)
+        return tuple(f.then(g) for f in left for g in right)
+    if isinstance(prog, ast.UnionP):
+        return _denote(env, prog.left) + _denote(env, prog.right)
+    if isinstance(prog, ast.TopP):
+        # every I-local map at once: no finite union of maps
+        raise UnsupportedShape("T{I} may only stand alone under a box or in localp")
     raise TypeError(f"not a core program node: {prog!r}")
 
 
@@ -103,13 +99,13 @@ def _atom_subspace(env: Environment, f: ast.Formula) -> Subspace:
     if isinstance(f, ast.RayF):
         return fr.state_lift(f.amps, f.qubits)
     if isinstance(f, ast.Ent):
-        act = _denote(env, f.prog)
-        if not act.is_deterministic():
+        maps = _denote(env, f.prog)
+        if len(maps) != 1:
             raise NonDeterministicProgram(
                 "ent encodes one linear map, not a union")
         # the 2x2 map x -> P_W F(x (x) |0...0>) on the first qubit, W being
         # spanned by |0...0> and |10...0>
-        g = fr.block(act.single(), (1,))
+        g = fr.block(maps[0], (1,))
         return fr.map_to_state(g, f.i, f.j)
     raise TypeError(f"not a state atom: {f!r}")
 
@@ -158,8 +154,7 @@ def _eval(env: Environment, f: ast.Formula) -> Region:
                 return Region.full(dim) if valid else Region.empty(dim)
             raise SpatialAtomInSymbolicMode(
                 "[T{I}] needs a concrete state")
-        act = _denote(env, f.prog)
-        return wp(act, _eval(env, f.body))
+        return wp(_denote(env, f.prog), _eval(env, f.body))
     if isinstance(f, ast.EqI):
         same = eq_component(env, _eval(env, f.left), _eval(env, f.right),
                             f.qubits)
@@ -193,16 +188,14 @@ def _component_region(env: Environment, f: ast.Component) -> Region:
 
 
 def _image_region(env: Environment, f: ast.Img) -> Region:
-    act = _denote(env, f.prog)
-    if isinstance(act, LocalTrivial):
-        raise UnsupportedShape("images through T{I} are not supported")
+    maps = _denote(env, f.prog)
     inner = _eval(env, f.body)
     out = Region.empty(env.frame.dim)
     for t in inner.terms:
         if t.negatives:
             raise UnsupportedShape(
                 "images are taken of unions of subspaces only")
-        for pm in act.branches:
+        for pm in maps:
             out = out.union(Region.of_subspace(pm.image_of(t.positive)))
     return out
 
@@ -264,11 +257,10 @@ def _region_is_local(env: Environment, region: Region, qubits) -> bool:
 
 
 def _program_is_local(env: Environment, prog: ast.Program, qubits) -> bool:
-    act = _denote(env, prog)
-    if isinstance(act, LocalTrivial):
+    if isinstance(prog, ast.TopP):
         inside = env.frame.check_qubits(qubits)
-        return set(env.frame.check_qubits(act.qubits)) <= set(inside)
-    return all(pm.is_local(env.frame, qubits) for pm in act.branches)
+        return set(env.frame.check_qubits(prog.qubits)) <= set(inside)
+    return all(pm.is_local(env.frame, qubits) for pm in _denote(env, prog))
 
 
 # ----- pointwise evaluation ----------------------------------------------------
@@ -317,8 +309,7 @@ def _holds(env: Environment, s: Subspace, f: ast.Formula) -> bool:
             reach = Region.of_subspace(fr.reachable(s, f.prog.qubits))
             bad = _symbolic_here(env, ast.Not(f.body))
             return reach.intersect(bad).is_empty()
-        act = _denote(env, f.prog)
-        for pm in act.branches:
+        for pm in _denote(env, f.prog):
             out = pm.image_of(s)
             if not out.is_zero() and not _holds(env, out, f.body):
                 return False

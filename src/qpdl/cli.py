@@ -12,15 +12,15 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .ast import pretty
+from .ast import TopP, pretty
 from .checker import (
     Environment,
-    LocalTrivial,
     check_state,
     check_valid,
     denote_program,
     eval_symbolic,
 )
+from .desugar import desugar_program
 from .errors import CheckError, UnboundVariable
 from .frame import Frame, Subspace, format_state, parse_state
 from .linalg import Matrix
@@ -108,12 +108,12 @@ def _cmd_holds(args) -> int:
 
 def _cmd_denote(args) -> int:
     env = _environment(args)
-    action = denote_program(env, parse_program(args.program))
-    if isinstance(action, LocalTrivial):
-        qs = ",".join(str(q) for q in action.qubits)
+    prog = desugar_program(parse_program(args.program), args.n)
+    if isinstance(prog, TopP):
+        qs = ",".join(str(q) for q in prog.qubits)
         print(f"trivial local program on qubits {{{qs}}}")
         return 0
-    for k, branch in enumerate(action.branches, start=1):
+    for k, branch in enumerate(denote_program(env, prog), start=1):
         print(f"branch {k}:")
         print(branch.matrix)
     return 0

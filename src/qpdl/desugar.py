@@ -14,8 +14,10 @@ all-|1> and all-|+> product states, so they expand to one conjunct per
 qubit of the frame.
 
 A rule that uses a part twice (``eqf``, ``testable``) rewrites it twice,
-so nesting them doubles the core tree per level: past ``MAX_NODES``
-rewrites desugaring stops with a ValueError.
+so nesting them doubles the core tree per level.  Desugaring stops with
+a ValueError past ``MAX_NODES`` rewrites, and refuses a finished core
+tree of more than ``MAX_NODES`` nodes, a part used twice counting twice,
+since the evaluators walk it twice.
 """
 
 from __future__ import annotations
@@ -27,9 +29,10 @@ from . import ast
 from .errors import UnboundVariable, UnsupportedNesting, UnsupportedShape
 from .linalg import ONE, ZERO
 
-# Rewrites for one formula or program.  The most that `qpdl verify all`
-# and the test suite take is 699 (a core tree of 993 nodes); 10,000 keeps
-# the evaluation of a core tree to about a second.
+# Rewrites for one formula or program, and nodes of its core tree.  The
+# most that `qpdl verify all` and the test suite take is 699 rewrites and
+# a core tree of 993 nodes; 10,000 keeps the evaluation of a core tree to
+# about a second.
 MAX_NODES = 10_000
 
 
@@ -146,18 +149,21 @@ RULES = {
 
 
 class _Desugaring:
-    """One call of desugar_formula or desugar_program, with the rewrites
-    it has left."""
+    """A budget of MAX_NODES steps: the rewrites of one desugaring, or
+    the nodes of its core tree as ``_desugar`` counts them."""
 
     __slots__ = ("left",)
 
     def __init__(self):
         self.left = MAX_NODES
 
-    def core(self, node, n: int):
+    def spend(self):
         self.left -= 1
         if self.left < 0:
             raise ValueError(f"expression expands past {MAX_NODES} nodes")
+
+    def core(self, node, n: int):
+        self.spend()
         rule = RULES.get(type(node))
         if rule is not None:
             return rule(self, node, n)
@@ -167,13 +173,24 @@ class _Desugaring:
         return ast.rebuild(node, map(self.core, parts, repeat(n)))
 
 
+def _desugar(node, n: int):
+    """The core tree of ``node``, refused past MAX_NODES rewrites or
+    MAX_NODES nodes, a part that a rule uses twice counting twice."""
+    tree = _Desugaring().core(node, n)
+    budget, todo = _Desugaring(), [tree]
+    while todo:
+        budget.spend()
+        todo.extend(ast.parts(todo.pop()))
+    return tree
+
+
 def desugar_formula(node: ast.Formula, n: int) -> ast.Formula:
     if not isinstance(node, ast.Formula):
         raise TypeError(f"not a formula node: {node!r}")
-    return _Desugaring().core(node, n)
+    return _desugar(node, n)
 
 
 def desugar_program(node: ast.Program, n: int) -> ast.Program:
     if not isinstance(node, ast.Program):
         raise TypeError(f"not a program node: {node!r}")
-    return _Desugaring().core(node, n)
+    return _desugar(node, n)

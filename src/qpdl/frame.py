@@ -2,8 +2,9 @@
 
 A frame fixes a register of n qubits (dimension 2^n).  A state is a ray,
 a one-dimensional subspace: a nonzero amplitude vector up to a scalar.
-Properties that can be tested by measurement are subspaces; actions are
-finite unions of partial linear maps.  Qubit 1 occupies the most
+Properties that can be tested by measurement are subspaces; a program
+denotes a finite union of partial linear maps, which the checker holds
+as a tuple of ``PartialMap``, one per branch.  Qubit 1 occupies the most
 significant bit of a basis index, so |b1 b2 ... bn> sits at index
 b1*2^(n-1) + ... + bn.
 ``Frame.layout`` is the one place that decides this order: gates, lifts,
@@ -195,43 +196,8 @@ class PartialMap:
             return NotImplemented
         return self.matrix == other.matrix
 
-    def __hash__(self):
-        return hash(self.matrix)
-
     def __repr__(self):
         return f"PartialMap({self.dim}x{self.dim})"
-
-
-class QAction:
-    """A finite union of partial maps (a nondeterministic quantum action)."""
-
-    __slots__ = ("branches",)
-
-    def __init__(self, branches: Iterable[PartialMap]):
-        self.branches = tuple(branches)
-        if not self.branches:
-            raise ValueError("an action needs at least one branch")
-
-    @property
-    def dim(self) -> int:
-        return self.branches[0].dim
-
-    def is_deterministic(self) -> bool:
-        return len(self.branches) == 1
-
-    def single(self) -> PartialMap:
-        if not self.is_deterministic():
-            raise ValueError("action has several branches")
-        return self.branches[0]
-
-    def then(self, other: "QAction") -> "QAction":
-        return QAction([f.then(g) for f in self.branches for g in other.branches])
-
-    def union(self, other: "QAction") -> "QAction":
-        return QAction(self.branches + other.branches)
-
-    def __repr__(self):
-        return f"QAction({len(self.branches)} branches, dim={self.dim})"
 
 
 # Each gate on its own qubits, the first target being the high bit.

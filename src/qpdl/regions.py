@@ -24,9 +24,10 @@ the checker reaches them as tests (f?), through ``wp``.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Optional
 
-from .frame import PartialMap, QAction, Subspace
+from .frame import PartialMap, Subspace
 from .linalg import Matrix
 
 
@@ -94,9 +95,6 @@ class Term:
             return NotImplemented
         return (self.positive == other.positive
                 and set(self.negatives) == set(other.negatives))
-
-    def __hash__(self):
-        return hash((self.positive, frozenset(self.negatives)))
 
     def __repr__(self):
         return f"Term(dim={self.positive.dim}, minus={len(self.negatives)})"
@@ -222,10 +220,6 @@ def wp_map(pm: PartialMap, region: Region) -> Region:
     return Region(region.ambient, terms)
 
 
-def wp(action: QAction, region: Region) -> Region:
-    """[action]region: intersection of the branch preconditions."""
-    result = None
-    for pm in action.branches:
-        part = wp_map(pm, region)
-        result = part if result is None else result.intersect(part)
-    return result
+def wp(maps: tuple, region: Region) -> Region:
+    """[F_1 + ... + F_k]region: intersection of the branch preconditions."""
+    return reduce(Region.intersect, (wp_map(pm, region) for pm in maps))

@@ -422,7 +422,8 @@ def test_teleportation_with_mutations():
         # the pointwise evaluator confirms the witness refutes the claim
         assert check_state(env, witness, claim) is False
         # and the skipped correction is visible on the output's third qubit
-        out = denote_program(env, parse_program(branch)).single().image_of(inp)
+        (branch_map,) = denote_program(env, parse_program(branch))
+        out = branch_map.image_of(inp)
         part = fr.product_form(out, (3,))[0]
         assert part == Frame(1).ray(uncorrected)
         assert part != Frame(1).ray(wanted)
@@ -471,8 +472,8 @@ def test_lemma_suite():
 def test_phase_counterexample():
     fr = Frame(1)
     env = Environment(fr)
-    z = denote_program(env, parse_program("Z_1")).single()
-    ident = denote_program(env, parse_program("id")).single()
+    (z,) = denote_program(env, parse_program("Z_1"))
+    (ident,) = denote_program(env, parse_program("id"))
     for ray in (product_ray(fr, "0"), product_ray(fr, "1")):
         assert z.image_of(ray) == ray
         assert ident.image_of(ray) == ray

@@ -116,8 +116,8 @@ def test_ent_atom_matches_hand_built_map_state():
     for _ in range(30):
         word = _random_word(rng)
         env1 = Environment(one)
-        act = denote_program(env1, word)
-        g = act.single().matrix
+        (pm,) = denote_program(env1, word)
+        g = pm.matrix
         amps = (g.entries[0][0], g.entries[1][0],
                 g.entries[0][1], g.entries[1][1])
         direct = Region.of_subspace(Subspace.from_rows([amps], 4))

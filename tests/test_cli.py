@@ -110,6 +110,10 @@ def test_denote_prints_branch_matrices(capsys):
     code, out, _ = run(capsys, ["denote", "-n", "1", "X_1 + Z_1"])
     assert code == 0
     assert out.count("branch") == 2
+    # `;` composes branch by branch, in the order of the union's branches
+    code, out, _ = run(capsys, ["denote", "-n", "1", "(X_1 + Z_1) ; H_1"])
+    assert code == 0
+    assert out == "branch 1:\n[1, 1]\n[-1, 1]\nbranch 2:\n[1, -1]\n[1, 1]\n"
     # orthogonal tests compose to the nowhere-defined zero map
     code, out, _ = run(capsys, ["denote", "-n", "1", "0_1? ; 1_1?"])
     assert code == 0
@@ -117,8 +121,28 @@ def test_denote_prints_branch_matrices(capsys):
 
 
 def test_denote_trivial_local_program(capsys):
-    code, out, _ = run(capsys, ["denote", "-n", "2", "T{1,2}"])
-    assert (code, out) == (0, "trivial local program on qubits {1,2}\n")
+    for program in ("T{1,2}", "adj(T{1,2})"):
+        code, out, _ = run(capsys, ["denote", "-n", "2", program])
+        assert (code, out) == (0, "trivial local program on qubits {1,2}\n")
+
+
+@pytest.mark.parametrize("formula, expected", [
+    ("localp{1,2}(T{1})", 0),
+    ("dom(T{1,2})", 0),
+    ("[T{1,2}]true", 0),
+    ("localp{2}(T{1})", 1),
+    ("[T{1} ; X_1]0_1", 3),
+    ("[T{1} + X_1]0_1", 3),
+    ("img(T{1}, 0_1)", 3),
+    ("localp{1}(T{1} ; X_1)", 3),
+    ("post(T{1}, 0_1)", 3),
+])
+def test_trivial_program_only_alone_under_a_box_or_in_localp(capsys, formula,
+                                                             expected):
+    # T{I} is every I-local map at once, which no tuple of maps denotes
+    code, _, err = run(capsys, ["valid", "-n", "2", formula])
+    assert code == expected
+    assert err.startswith("unsupported:") == (expected == 3)
 
 
 def test_eval_prints_region_shape(capsys):
@@ -166,6 +190,18 @@ def test_exponential_expansion_exits_two_fast(capsys, formula):
     start = time.perf_counter()
     code, out, err = run(capsys, ["valid", "-n", "1", formula])
     assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == f"error: expression expands past {MAX_NODES} nodes\n"
+
+
+@pytest.mark.parametrize("depth", [9, 10, 11])
+def test_core_tree_past_the_node_budget_exits_two_fast(capsys, depth):
+    # eqf uses each part twice, so a tower of 9 or more needs few
+    # rewrites but unfolds into more than MAX_NODES core nodes
+    formula = "eqf(0_1, " * depth + "0_1" + ")" * depth
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["valid", "-n", "1", formula])
+    assert time.perf_counter() - start < 0.5
     assert (code, out) == (2, "")
     assert err == f"error: expression expands past {MAX_NODES} nodes\n"
 

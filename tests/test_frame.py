@@ -14,12 +14,13 @@ from qpdl.frame import (
     BadIndex,
     Frame,
     PartialMap,
-    QAction,
     Subspace,
     format_state,
     parse_state,
 )
+from qpdl.checker import Environment, denote_program
 from qpdl.linalg import ONE, ZERO, GaussianRational, Matrix
+from qpdl.parser import parse_program
 from qpdl.regions import make_term
 
 from exact_reference import orthogonal, product_ray, quotient
@@ -264,12 +265,15 @@ def test_is_local():
 
 
 def test_qaction_composition():
+    # a quantum action is a tuple of partial maps, one per branch: `+`
+    # concatenates and `;` composes branch by branch
     fr = Frame(1)
-    act = QAction([fr.gate("X", (1,))]).union(QAction([fr.gate("Z", (1,))]))
-    assert not act.is_deterministic()
-    seq = act.then(QAction([fr.gate("H", (1,))]))
-    assert len(seq.branches) == 2
-    outs = {b.image_of(product_ray(fr, "0")) for b in seq.branches}
+    env = Environment(fr)
+    x, z, h = (fr.gate(g, (1,)) for g in "XZH")
+    assert denote_program(env, parse_program("X_1 + Z_1")) == (x, z)
+    seq = denote_program(env, parse_program("(X_1 + Z_1) ; H_1"))
+    assert seq == (x.then(h), z.then(h))
+    outs = {b.image_of(product_ray(fr, "0")) for b in seq}
     assert outs == {product_ray(fr, "+"), product_ray(fr, "-")}
 
 

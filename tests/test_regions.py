@@ -3,10 +3,10 @@
 import random
 from fractions import Fraction
 
-from qpdl.checker import Environment, eval_symbolic
-from qpdl.frame import Frame, PartialMap, QAction, Subspace
+from qpdl.checker import Environment, denote_program, eval_symbolic
+from qpdl.frame import Frame, PartialMap, Subspace
 from qpdl.linalg import GaussianRational, Matrix
-from qpdl.parser import parse_formula
+from qpdl.parser import parse_formula, parse_program
 from qpdl.regions import Region, make_term, wp, wp_map
 
 from exact_reference import same_rayset
@@ -144,12 +144,13 @@ def test_wp_matches_pointwise_execution():
 def test_wp_of_union_is_conjunction():
     rng = random.Random(305)
     fr = Frame(2)
+    union = denote_program(Environment(fr), parse_program("H_1 + CNOT_1_2"))
+    h, cx = fr.gate("H", (1,)), fr.gate("CNOT", (1, 2))
+    assert union == (h, cx)
     for _ in range(20):
         region = rand_region(rng, 4)
-        a = QAction([fr.gate("H", (1,))])
-        b = QAction([fr.gate("CNOT", (1, 2))])
-        both = wp(a.union(b), region)
-        split = wp(a, region).intersect(wp(b, region))
+        both = wp(union, region)
+        split = wp((h,), region).intersect(wp((cx,), region))
         for _ in range(6):
             s = Frame(2).ray(rand_amps(rng, 4))
             assert both.contains_ray(s) == split.contains_ray(s)
