@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import reduce
 
 from .ast import TopP, pretty
 from .checker import (
@@ -23,7 +24,6 @@ from .checker import (
 from .desugar import desugar_program
 from .errors import CheckError, UnboundVariable
 from .frame import Frame, Subspace, format_state, parse_state
-from .linalg import Matrix
 from .parser import ParseError, parse_formula, parse_program
 from .protocols import DEFAULT_SEED, TARGETS, run_target
 
@@ -40,7 +40,7 @@ def _load_state(path: str, n: int) -> Subspace:
     return state
 
 
-def _bindings(pairs, n: int, fr: Frame) -> dict:
+def _bindings(pairs, n: int) -> dict:
     """-b name=@file binds a state (a ray's span); -b name=span:@f1,@f2 the
     span of several."""
     out = {}
@@ -54,7 +54,7 @@ def _bindings(pairs, n: int, fr: Frame) -> dict:
                 if not part.startswith("@"):
                     raise ValueError(f"bad binding {raw!r}, span needs @files")
                 states.append(_load_state(part[1:], n))
-            out[name] = Subspace(Matrix.vstack([s.basis for s in states]), fr.dim)
+            out[name] = reduce(Subspace.join, states)
         elif rhs.startswith("@"):
             out[name] = _load_state(rhs[1:], n)
         else:
@@ -66,8 +66,7 @@ def _environment(args) -> Environment:
     """The -n qubit frame with the -b bindings; no frame above MAX_QUBITS."""
     if args.n > MAX_QUBITS:
         raise ValueError(f"-n {args.n} exceeds the limit of {MAX_QUBITS} qubits")
-    fr = Frame(args.n)
-    return Environment(fr, _bindings(args.bind, args.n, fr))
+    return Environment(Frame(args.n), _bindings(args.bind, args.n))
 
 
 def _ray_lines(amps: tuple) -> str:

@@ -8,20 +8,21 @@ as a tuple of ``PartialMap``, one per branch.  Qubit 1 occupies the most
 significant bit of a basis index, so |b1 b2 ... bn> sits at index
 b1*2^(n-1) + ... + bn.
 ``Frame.layout`` is the one place that decides this order: gates, lifts,
-reshapes and the locality test all read its index tables.
+blocks and the locality test all read its index tables.
 
-Everything here is exact and runs on integer rows.  States and
-properties are one type, ``Subspace``, held as a canonical RREF basis; a
-state's basis is its one amplitude row scaled so that its first nonzero
-entry is 1.  Subspaces are interned: the constructor returns the live
-instance of its canonical basis, so equal spans are one object, equality
-is identity and a projector is built once per span.  ``ortho`` is
-computed once per instance and linked back, since (W^perp)^perp = W.
+Everything here is exact.  States and properties are one type,
+``Subspace``, held as a canonical RREF basis; a state's basis is its one
+amplitude row scaled so that its first nonzero entry is 1.  Subspaces
+are interned: the constructor returns the live instance of its
+canonical basis, so equal spans are one object, equality is identity
+and a projector is built once per span.  ``ortho`` is computed once per
+instance and linked back, since (W^perp)^perp = W.
+A layout table is the index table of ``Matrix.tensor``, which places
+gate lifts g (x) I, state lifts part (x) I and reachable sets I (x) rest,
+and of ``Matrix.gather``, which reads blocks and reshaped basis rows.
 One tensor factorization, ``Frame.product_form``, splits a subspace as
-part (x) rest through integer ranks of reshaped basis rows; T{I},
-cmp{I}, =_I and local{I} all read it.  Gate lifts, blocks, images, state
-lifts, reachable sets and rank-one splits read and write a matrix's
-integer rows directly.
+part (x) rest through the spans of the columns and of the rows of its
+reshaped basis rows; T{I}, cmp{I}, =_I and local{I} all read it.
 Scalars appear only at the boundary: parsed and printed amplitudes,
 and the part-states that ``state_lift`` takes.
 Preimages are kernels against a basis of the orthocomplement; only
@@ -282,19 +283,16 @@ class Frame:
         return self._gates[key]
 
     def lift(self, g: Matrix, qubits: Sequence[int]) -> PartialMap:
-        """g on the listed qubits (in layout order) tensor identity elsewhere."""
+        """g on the listed qubits (in layout order) tensor identity elsewhere:
+        row (a, b) of g (x) I, placed by the layout, is row table[a][b]."""
         table = self.layout(qubits)
         if g.shape != (len(table), len(table)):
             raise BadIndex(f"a {g.rows}x{g.cols} matrix cannot act on {qubits}")
-        re = [[0] * self.dim for _ in range(self.dim)]
-        im = [[0] * self.dim for _ in range(self.dim)]
-        for out_row, g_re, g_im in zip(table, g.re, g.im):
-            for in_row, a, b in zip(table, g_re, g_im):
-                if a or b:
-                    for r, c in zip(out_row, in_row):
-                        re[r][c], im[r][c] = a, b
-        return PartialMap(Matrix.from_parts([(x, y, g.den) for x, y in zip(re, im)],
-                                            self.dim))
+        product = g.tensor(Matrix.identity(len(table[0])), table)
+        order = [0] * self.dim
+        for k, r in enumerate(r for row in table for r in row):
+            order[r] = k
+        return PartialMap(product.gather(order, (range(self.dim),)))
 
     def block(self, pm: PartialMap, qubits: Sequence[int]) -> Matrix:
         """The map on the listed qubits with the others held at |0...0>:
@@ -302,20 +300,9 @@ class Frame:
         if pm.dim != self.dim:
             raise ValueError("map dimension differs from frame")
         at_zero = [row[0] for row in self.layout(qubits)]
-        m = pm.matrix
-        return Matrix.from_parts([([m.re[r][c] for c in at_zero],
-                                   [m.im[r][c] for c in at_zero], m.den)
-                                  for r in at_zero], len(at_zero))
+        return pm.matrix.gather(at_zero, (at_zero,))
 
     # ----- locality ----------------------------------------------------------
-
-    def reshape(self, vec: Matrix, qubits: Iterable[int]) -> Matrix:
-        """The one-row matrix ``vec`` as a 2^|I| x 2^(n-|I|) matrix,
-        I-qubits indexing rows."""
-        table = self.layout(sorted(qubits))
-        re, im = vec.re[0], vec.im[0]
-        return Matrix.from_parts([([re[i] for i in row], [im[i] for i in row], vec.den)
-                                  for row in table], len(table[0]))
 
     def reachable(self, state: Subspace, qubits: Iterable[int]) -> Subspace:
         """States reachable from a state by actions local to the given qubits.
@@ -323,16 +310,9 @@ class Frame:
         An I-local map turns the reshaped matrix M into G*M, so reachable
         states are exactly H_I tensor (row space of M).
         """
-        inside = sorted(qubits)
-        rows = self.reshape(state.basis, inside).row_basis()
-        vectors = []
-        for positions in self.layout(inside):
-            for row_re, row_im in zip(rows.re, rows.im):
-                re, im = [0] * self.dim, [0] * self.dim
-                for idx, a, b in zip(positions, row_re, row_im):
-                    re[idx], im[idx] = a, b
-                vectors.append((re, im, rows.den))
-        return Subspace(Matrix.from_parts(vectors, self.dim), self.dim)
+        table = self.layout(sorted(qubits))
+        rows = state.basis.gather((0,), table).row_basis()
+        return Subspace(Matrix.identity(len(table)).tensor(rows, table), self.dim)
 
     def map_to_state(self, g: Matrix, i: int, j: int) -> Subspace:
         """States whose {i,j} component encodes the 2x2 map g.
@@ -359,51 +339,31 @@ class Frame:
         part = Matrix([amps])
         if part.cols != len(table):
             raise ValueError("need one amplitude per part basis state")
-        rows = []
-        for column in zip(*table):
-            re, im = [0] * self.dim, [0] * self.dim
-            for idx, a, b in zip(column, part.re[0], part.im[0]):
-                re[idx], im[idx] = a, b
-            rows.append((re, im, part.den))
-        return Subspace(Matrix.from_parts(rows, self.dim), self.dim)
+        return Subspace(part.tensor(Matrix.identity(len(table[0])), table), self.dim)
 
     def product_form(self, sub: Subspace, qubits: Iterable[int]
                      ) -> Optional[tuple[Subspace, Subspace]]:
         """(part, rest) with sub = part (x) rest, part on I and one of the
         two a single ray; None otherwise, and for the zero subspace.
 
-        Each basis row is split by rank one; part and rest are the spans
-        of the columns and the rows.  A nonzero subspace all of whose rays
-        are I-separated always has this form: two elements differing in
-        both factors would superpose to an entangled vector.
+        Each basis row, reshaped with I indexing rows, contributes its
+        columns to part and its rows to rest.  When one span is a ray x,
+        every reshaped row is x times a row, so sub = part (x) rest; a row
+        of rank 2 or more makes both spans at least two-dimensional.  A
+        nonzero subspace all of whose rays are I-separated always has this
+        form: two elements differing in both factors would superpose to an
+        entangled vector.
         """
-        inside = sorted(self.check_qubits(qubits))
+        table = self.layout(sorted(self.check_qubits(qubits)))
         if sub.is_zero():
             return None
-        splits = []
-        for r in range(sub.dim):
-            split = _rank_one_split(self.reshape(sub.basis.row(r), inside))
-            if split is None:
-                return None
-            splits.append(split)
-        cols, rows = zip(*splits)
-        part = Subspace(Matrix.vstack(cols), cols[0].cols)
-        rest = Subspace(Matrix.vstack(rows), rows[0].cols)
+        rows = range(sub.dim)
+        part = Subspace(sub.basis.gather(rows, tuple(zip(*table))), len(table))
+        rest = Subspace(sub.basis.gather(rows, table), len(table[0]))
         return (part, rest) if part.dim == 1 or rest.dim == 1 else None
 
     def __repr__(self):
         return f"Frame(n={self.n})"
-
-
-def _rank_one_split(m: Matrix) -> Optional[tuple[Matrix, Matrix]]:
-    """(column, row) through a nonzero entry when m has rank 1, so that m
-    is their outer product up to a scalar; None otherwise.  Both are
-    one-row matrices."""
-    if m.rank() != 1:
-        return None
-    r0, c0 = next((r, c) for r, (re, im) in enumerate(zip(m.re, m.im))
-                  for c in range(m.cols) if re[c] or im[c])
-    return m.column(c0), m.row(r0)
 
 
 # ----- state files ---------------------------------------------------------

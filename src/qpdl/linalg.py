@@ -5,24 +5,33 @@ A scalar is a complex number whose real and imaginary parts are
 imaginary parts over one positive common denominator ``den``: entry
 (i, j) is (re[i][j] + im[i][j] i) / den, and gcd(den, every part) = 1.
 That form is unique, so equal matrices hold equal integers, and equality
-and hashing compare them.  A vector is a one-row matrix, which is what
-``row`` and ``column`` return.  Scalars appear only at the boundary: the
+and hashing compare them.  The integer rows are this module's own: no
+other module reads or writes them.  A vector is a one-row matrix, which
+is what ``row`` returns.  Scalars appear only at the boundary: the
 constructor reads ``GaussianRational`` values and ``entries`` builds
 them, for printing, state files and parsed amplitudes.  No scalar is
 ever divided.
 
-Products sum over nonzero factor pairs only.  Rank, reduced row echelon
-form, kernels and inverses come from one fraction-free Gauss-Jordan
-elimination on the integer rows.  A reduced row is kept as its primitive
-multiple with a positive integer pivot, so it maps one-to-one onto the
-RREF row with pivot 1; the RREF basis is the canonical representative
-used for subspace identity throughout the package.
+Composite systems are built and read by two primitives on one
+convention, a table of lines of column indices: ``tensor`` puts
+x_j * y_l of x (x) y at column at[j][l], and ``gather`` reads
+[x[c] for c in t] out of a row x for each line t.
+
+Products and tensors sum over nonzero factor pairs only.  Rank, reduced
+row echelon form, kernels and inverses come from one fraction-free
+Gauss-Jordan elimination on the integer rows.  A reduced row is kept as
+its primitive multiple with a positive integer pivot, so it maps
+one-to-one onto the RREF row with pivot 1; the RREF basis is the
+canonical representative used for subspace identity throughout the
+package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
+from operator import itemgetter, or_
 from re import fullmatch
 from typing import Iterable, Optional, Sequence, Union
 
@@ -186,8 +195,7 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} * {other.shape}")
         cols, den = other.cols, self.den * other.den
-        b = [[(j, y, z) for j, (y, z) in enumerate(zip(re, im)) if y or z]
-             for re, im in zip(other.re, other.im)]
+        b = other._sparse_rows()
         out = []
         for xre, xim in zip(self.re, self.im):
             re, im = [0] * cols, [0] * cols
@@ -216,10 +224,36 @@ class Matrix:
         """Row i as a one-row matrix."""
         return Matrix.from_parts([(self.re[i], self.im[i], self.den)], self.cols)
 
-    def column(self, j: int) -> "Matrix":
-        """Column j, transposed: a one-row matrix."""
-        return Matrix.from_parts([([re[j] for re in self.re], [im[j] for im in self.im],
-                                   self.den)], self.rows)
+    def tensor(self, other: "Matrix", at: Sequence[Sequence[int]]) -> "Matrix":
+        """The placed tensor product: for each row x of self and then each
+        row y of other, the row x (x) y that puts x_j * y_l at column
+        at[j][l].  ``at`` has a line per column of self and an entry per
+        column of other, and its entries number the columns once each.
+        Built in one pass over nonzero factor pairs only."""
+        cols, den = self.cols * other.cols, self.den * other.den
+        b = other._sparse_rows()
+        out = []
+        for xre, xim in zip(self.re, self.im):
+            a = [(line, xr, xi) for line, xr, xi in zip(at, xre, xim) if xr or xi]
+            for b_row in b:
+                re, im = [0] * cols, [0] * cols
+                for line, xr, xi in a:
+                    for l, yr, yi in b_row:
+                        c = line[l]
+                        re[c] = xr * yr - xi * yi
+                        im[c] = xr * yi + xi * yr
+                out.append((re, im, den))
+        return Matrix.from_parts(out, cols)
+
+    def gather(self, rows: Iterable[int], table: Sequence[Sequence[int]]) -> "Matrix":
+        """For each listed row x, in order, one row [x[c] for c in t] per
+        line t of ``table``, all lines being equally long."""
+        # itemgetter of one index returns the entry, and a slice a tuple
+        lines = [itemgetter(*t) if len(t) != 1 else itemgetter(slice(t[0], t[0] + 1))
+                 for t in table]
+        picked = [(self.re[r], self.im[r]) for r in rows]
+        return Matrix.from_parts([(get(re), get(im), self.den)
+                                  for re, im in picked for get in lines], len(table[0]))
 
     @property
     def entries(self) -> tuple:
@@ -241,6 +275,12 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.shape[0]}x{self.shape[1]})"
+
+    def _sparse_rows(self) -> list:
+        """Each row as its nonzero entries, (column, re, im) triples."""
+        # y | z is 0 exactly when both parts are: the scan runs in C
+        return [[(j, re[j], im[j]) for j in compress(range(self.cols), map(or_, re, im))]
+                for re, im in zip(self.re, self.im)]
 
     def _nonzero_rows(self) -> list:
         return [(re, im) for re, im in zip(self.re, self.im) if any(re) or any(im)]

@@ -36,7 +36,7 @@ from .checker import (
     substitute,
 )
 from .frame import Frame, Subspace
-from .linalg import GaussianRational
+from .linalg import GaussianRational, Matrix
 from .parser import parse_formula
 from .regions import Region
 
@@ -576,16 +576,24 @@ def _ax_adjunction(rng, count: int) -> list:
     return out
 
 
+def _product_state(fr: Frame, qubits, part: tuple, rest: list) -> Subspace:
+    """The product state of the amplitudes ``part`` on the listed qubits
+    and, on the others in ascending order, the Kronecker product of the
+    part-states ``rest``: one placed tensor."""
+    def kron(x: Matrix, y: Matrix) -> Matrix:
+        return x.tensor(y, [range(j * y.cols, (j + 1) * y.cols) for j in range(x.cols)])
+    other = reduce(kron, [Matrix([amps]) for amps in rest], Matrix.identity(1))
+    return Subspace(Matrix([part]).tensor(other, fr.layout(sorted(qubits))), fr.dim)
+
+
 def _product_ray(rng, fr: Frame, cut=None) -> Subspace:
     """A product state across the given bipartition (default: fully
-    product, one factor per qubit): the meet of one lift per factor."""
-    every = range(1, fr.n + 1)
+    product, one factor per qubit)."""
     if cut is None:
-        factors = [[q] for q in every]
-    else:
-        factors = [sorted(cut), [q for q in every if q not in cut]]
-    return reduce(Subspace.meet, [
-        fr.state_lift(random_part_state(rng, len(qs)), qs) for qs in factors])
+        factors = [random_part_state(rng, 1) for _ in range(fr.n)]
+        return _product_state(fr, [1], factors[0], factors[1:])
+    part = random_part_state(rng, len(cut))
+    return _product_state(fr, cut, part, [random_part_state(rng, fr.n - len(cut))])
 
 
 def _ax_separation(rng, count: int) -> list:
@@ -885,11 +893,10 @@ def _ax_derived(rng, count: int) -> list:
         rest = sorted({1, 2, 3} - {i})
         rest_txt = ",".join(str(q) for q in rest)
         shared = random_part_state(rng, 1)
-        pv = fr.state_lift(shared, (i,))
-        qv = fr.state_lift(shared, (i,))
-        for q in rest:
-            pv = pv.meet(fr.state_lift(random_part_state(rng, 1), (q,)))
-            qv = qv.meet(fr.state_lift(random_part_state(rng, 1), (q,)))
+        factors = [(random_part_state(rng, 1), random_part_state(rng, 1))
+                   for _ in rest]
+        pv = _product_state(fr, (i,), shared, [x for x, _ in factors])
+        qv = _product_state(fr, (i,), shared, [y for _, y in factors])
         w = _random_program(rng, 3, [i])
         env = Environment(fr, {"p": pv, "q": qv})
         # a test inside w can annihilate p, emptying the image; the law
@@ -908,9 +915,8 @@ def _ax_derived(rng, count: int) -> list:
         i = rng.choice([1, 2, 3])
         rest = sorted({1, 2, 3} - {i})
         comp = random_part_state(rng, 1, real_only=True)
-        qv = fr.state_lift(comp, (i,))
-        for q in rest:
-            qv = qv.meet(fr.state_lift(random_part_state(rng, 1), (q,)))
+        qv = _product_state(fr, (i,), comp,
+                            [random_part_state(rng, 1) for _ in rest])
         env = Environment(fr, {"q": qv})
         both = fill("(perpf(p, q) -> perpf(p, c)) & (perpf(p, c) -> perpf(p, q))",
                       p=_local_ray_formula(rng, i, real_only=True),

@@ -13,17 +13,15 @@ infinite field is never a finite union of proper subspaces, so a
 normalised term with a nonzero positive part always contains a ray:
 ``Region.is_empty`` reads emptiness off the terms, and ``Region.witness``
 runs a small deterministic search for a ray only when one is wanted.
-Its candidates are integer rows over the denominator of the positive
-basis, each already the canonical basis of its span, and negatives are
-ordered by exact Fractions read off the integer parts; scalars appear
-only at the boundary, when a witness is printed.
+Its candidates are the rows of one matrix product, [I; moment curve]
+times the positive basis, each already the canonical basis of its span,
+and negatives are ordered by the exact entries of their bases.
 The measurement modalities box and dia have no code of their own here;
 the checker reaches them as tests (f?), through ``wp``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Optional
 
@@ -36,9 +34,7 @@ class WitnessSearchExhausted(RuntimeError):
 
 
 def _subspace_key(sub: Subspace):
-    b = sub.basis
-    return (sub.dim, tuple((Fraction(x, b.den), Fraction(y, b.den))
-                           for re, im in zip(b.re, b.im) for x, y in zip(re, im)))
+    return (sub.dim, tuple((x.re, x.im) for row in sub.basis.entries for x in row))
 
 
 class Term:
@@ -72,23 +68,15 @@ class Term:
         basis of its span, and prints as it was built.
         """
         basis = self.positive.basis
-        rows = list(zip(basis.re, basis.im))
-        candidates = list(rows)
         limit = max(8, (basis.rows - 1) * len(self.negatives) + 2)
-        for t in range(1, limit + 1):
-            re, im = [0] * basis.cols, [0] * basis.cols
-            for j, (row_re, row_im) in enumerate(rows):
-                re = [acc + t ** j * x for acc, x in zip(re, row_re)]
-                im = [acc + t ** j * y for acc, y in zip(im, row_im)]
-            candidates.append((re, im))
-        for re, im in candidates:
-            if not (any(re) or any(im)):
-                continue
-            ray = Subspace(Matrix.from_parts([(re, im, basis.den)], basis.cols),
-                           basis.cols, _canonical=True)
+        curve = Matrix([[t ** j for j in range(basis.rows)]
+                        for t in range(1, limit + 1)])
+        candidates = Matrix.vstack([Matrix.identity(basis.rows), curve]) * basis
+        for k in range(candidates.rows):
+            ray = Subspace(candidates.row(k), basis.cols, _canonical=True)
             if all(not b.contains_subspace(ray) for b in self.negatives):
                 return ray
-        raise WitnessSearchExhausted(f"no witness among {len(candidates)} candidates")
+        raise WitnessSearchExhausted(f"no witness among {candidates.rows} candidates")
 
     def __eq__(self, other):
         if not isinstance(other, Term):

@@ -235,7 +235,8 @@ def prop_compatibility(rng, fr):
     def span(ids):
         if not ids:
             return Subspace.zero(fr.dim)
-        return Subspace(Matrix.vstack([g.column(i) for i in ids]), fr.dim)
+        columns = g.transpose()
+        return Subspace(Matrix.vstack([columns.row(i) for i in ids]), fr.dim)
     a = [i for i in range(fr.dim) if rng.random() < 0.5]
     b = [i for i in range(fr.dim) if rng.random() < 0.5]
     sa, sb = span(a), span(b)

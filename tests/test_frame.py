@@ -461,15 +461,34 @@ def split_inputs():
     return out
 
 
-def test_rank_one_split_matches_fraction_reference(monkeypatch):
+def reference_splits(fr, sub, inside):
+    """Each basis row reshaped by bit arithmetic and split by rank one in
+    Fraction arithmetic; None when a row does not split."""
+    splits = [reference_rank_one_split(old_reshape(fr, amps, inside))
+              for amps in sub.basis.entries]
+    return None if None in splits else splits
+
+
+def per_row_product_form(fr, sub, qubits):
+    """product_form as it was built on rank-one splits: part and rest are
+    the spans of the split columns and rows, returned when one of them is
+    a ray."""
+    splits = not sub.is_zero() and reference_splits(fr, sub, sorted(qubits))
+    if not splits:
+        return None
+    cols, rows = zip(*splits)
+    part = Subspace(Matrix.vstack(cols), cols[0].cols)
+    rest = Subspace(Matrix.vstack(rows), rows[0].cols)
+    return (part, rest) if part.dim == 1 or rest.dim == 1 else None
+
+
+def test_rank_one_split_matches_fraction_reference():
     cases = split_inputs()
     new = [([fr.product_form(r, inside) for r in rays],
             [fr.product_form(s, inside) for s in subs])
            for fr, inside, rays, subs in cases]
-    monkeypatch.setattr(frame_module, "_rank_one_split",
-                        reference_rank_one_split)
-    old = [([fr.product_form(r, inside) for r in rays],
-            [fr.product_form(s, inside) for s in subs])
+    old = [([per_row_product_form(fr, r, inside) for r in rays],
+            [per_row_product_form(fr, s, inside) for s in subs])
            for fr, inside, rays, subs in cases]
     assert new == old
     seps = [s for rays, _ in new for s in rays]
@@ -497,12 +516,9 @@ def tagged_product_form(fr, sub, qubits):
         if sub.dim == 1:
             return ("left", sub.any_ray(), Subspace.full(1))
         return ("right", sub, Subspace.full(1))
-    splits = []
-    for r in range(sub.dim):
-        split = reference_rank_one_split(fr.reshape(sub.basis.row(r), inside))
-        if split is None:
-            return None
-        splits.append(split)
+    splits = reference_splits(fr, sub, inside)
+    if splits is None:
+        return None
     part_rays = [Subspace(col, col.cols) for col, _ in splits]
     if all(p == part_rays[0] for p in part_rays):
         rest = Matrix.vstack([row for _, row in splits])
@@ -741,7 +757,8 @@ def test_reshape_lift_and_reachable_match_bit_arithmetic():
         for qubits in all_subsets(n):
             shuffled = rng.sample(qubits, len(qubits))
             for ray in rays:
-                assert fr.reshape(ray.basis, shuffled) == \
+                table = fr.layout(sorted(shuffled))
+                assert ray.basis.gather((0,), table) == \
                     old_reshape(fr, ray.basis.entries[0], qubits)
                 assert fr.reachable(ray, shuffled) is \
                     old_reachable(fr, ray, qubits)

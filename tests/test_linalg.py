@@ -482,14 +482,14 @@ def test_product_matches_dense_reference():
             for i, row in enumerate(m.entries):
                 assert_canonical(m.row(i), [row])
             for j, col in enumerate(reference_transpose(m)):
-                assert_canonical(m.column(j), [col])
+                assert_canonical(m.transpose().row(j), [col])
         if a.cols == b.cols:
             assert_canonical(Matrix.vstack([a, b]), a.entries + b.entries)
         vectors = [[0] * a.cols, [ONE if j == a.cols - 1 else ZERO
                                   for j in range(a.cols)]]
         vectors.append([rand_scalar(rng) for _ in range(a.cols)])
         if b.cols:                                      # a column of b
-            vectors.append(b.column(rng.randrange(b.cols)).entries[0])
+            vectors.append(b.transpose().entries[rng.randrange(b.cols)])
         for v in vectors:                               # zero, basis, dense
             got_v = (a * Matrix([v], cols=a.cols).transpose()).transpose()
             assert_exact_scalars(got_v.entries)
@@ -504,3 +504,83 @@ def test_product_matches_dense_reference():
         Matrix.identity(2) * Matrix.identity(3)
     with pytest.raises(ValueError):
         Matrix.identity(2) * Matrix([[1, 0, 0]]).transpose()
+
+
+# ----- differential test of the placed tensor and the gather ------------------
+
+
+def reference_tensor(a, b, at):
+    """Row x (x) y for each row x of a, then each row y of b, with
+    x_j * y_l at column at[j][l], from GaussianRational products."""
+    out = []
+    for x in a.entries:
+        for y in b.entries:
+            row = [ZERO] * (a.cols * b.cols)
+            for j, xj in enumerate(x):
+                for l, yl in enumerate(y):
+                    row[at[j][l]] = xj * yl
+            out.append(row)
+    return out
+
+
+def reference_gather(m, rows, table):
+    return [[m.entries[r][c] for c in t] for r in rows for t in table]
+
+
+def index_tables(rng, k, m):
+    """Tables with k lines of m entries numbering k*m columns once each:
+    row-major, column-major, a random permutation, and, for powers of two,
+    frame layouts of shuffled qubits."""
+    perm = rng.sample(range(k * m), k * m)
+    tables = [[range(j * m, (j + 1) * m) for j in range(k)],
+              [[j + l * k for l in range(m)] for j in range(k)],
+              [perm[j * m:(j + 1) * m] for j in range(k)]]
+    n, part = (k * m).bit_length() - 1, k.bit_length() - 1
+    if k * m == 2 ** n and k == 2 ** part and n:
+        tables.append(Frame(n).layout(rng.sample(range(1, n + 1), part)))
+    return tables
+
+
+def tensor_inputs():
+    rng = random.Random(110)
+    sparse = lambda: rand_scalar(rng) if rng.random() < 0.4 else ZERO
+    real = lambda: GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+    mixed = lambda: GaussianRational(   # denominators differ entry by entry
+        Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 7, 12, 35])),
+        Fraction(rng.randint(-9, 9), rng.choice([1, 4, 5, 9, 11])))
+    fill = lambda rows, cols, scalar: Matrix(
+        [[scalar() for _ in range(cols)] for _ in range(rows)], cols=cols)
+    mats = []
+    for cols in range(1, 5):
+        mats += [Matrix.identity(cols), Matrix.zeros(1, cols), Matrix([], cols=cols),
+                 fill(1, cols, mixed), fill(1, cols, real)]
+        for scalar in (lambda: rand_scalar(rng), sparse, real, mixed):
+            mats.append(fill(rng.randint(1, 3), cols, scalar))
+        with_zero = fill(3, cols, mixed).entries
+        mats.append(Matrix([with_zero[0], [ZERO] * cols, with_zero[2]]))
+    return rng, mats
+
+
+def test_tensor_and_gather_match_entrywise_products():
+    rng, mats = tensor_inputs()
+    pairs = 0
+    for a in mats:
+        for b in rng.sample(mats, 12):
+            for at in index_tables(rng, a.cols, b.cols):
+                got = a.tensor(b, at)
+                assert got.shape == (a.rows * b.rows, a.cols * b.cols)
+                assert_canonical(got, reference_tensor(a, b, at))
+                pairs += 1
+        for table in index_tables(rng, a.cols, 1) + [
+                [[rng.randrange(a.cols) for _ in range(3)] for _ in range(2)],
+                [list(range(a.cols))[::-1]]]:
+            for rows in ([], list(range(a.rows)),
+                         [rng.randrange(a.rows) for _ in range(4)] if a.rows else []):
+                got = a.gather(rows, table)
+                assert got.shape == (len(rows) * len(table), len(table[0]))
+                assert_canonical(got, reference_gather(a, rows, table))
+    assert pairs >= 500
+    # the row-major table gives the Kronecker product
+    i = GaussianRational(0, 1)
+    assert Matrix([[1, 2]]).tensor(Matrix([[3, i]]), [range(0, 2), range(2, 4)]) \
+        == Matrix([[3, i, 6, 2 * i]])

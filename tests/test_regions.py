@@ -7,7 +7,7 @@ from qpdl.checker import Environment, denote_program, eval_symbolic
 from qpdl.frame import Frame, PartialMap, Subspace
 from qpdl.linalg import GaussianRational, Matrix
 from qpdl.parser import parse_formula, parse_program
-from qpdl.regions import Region, make_term, wp, wp_map
+from qpdl.regions import Region, _subspace_key, make_term, wp, wp_map
 
 from exact_reference import same_rayset
 
@@ -103,6 +103,74 @@ def test_term_witness_avoids_cuts():
     assert term.contains_ray(w)
     assert positive.contains_subspace(w)
     assert not any(c.contains_subspace(w) for c in cuts)
+
+
+def reference_witness(term):
+    """The first of the basis rows and then the moment-curve points
+    sum_j t^j b_j, summed in GaussianRationals, outside every negative."""
+    rows = term.positive.basis.entries
+    cols = term.positive.ambient
+    limit = max(8, (len(rows) - 1) * len(term.negatives) + 2)
+    candidates = list(rows)
+    candidates += [[sum((t ** j * row[c] for j, row in enumerate(rows)),
+                        GaussianRational(0)) for c in range(cols)]
+                   for t in range(1, limit + 1)]
+    for amps in candidates:
+        ray = Subspace.from_rows([amps], cols)
+        if not any(b.contains_subspace(ray) for b in term.negatives):
+            return ray, amps
+
+
+def test_witness_matches_scalar_moment_curve():
+    rng = random.Random(307)
+    terms = []
+    for dim in (2, 4, 8):
+        for _ in range(12):
+            terms += rand_region(rng, dim).terms
+        positive = rand_sub(rng, dim, dim // 2 + 1)
+        terms.append(make_term(positive, [positive.meet(rand_sub(rng, dim, dim - 1))
+                                          for _ in range(3)]))
+        if dim == 2:
+            continue
+        # every basis row and the first two curve points cut away
+        positive = rand_sub(rng, dim, 3)
+        rows = positive.basis.entries
+        points = [[sum((t ** j * row[c] for j, row in enumerate(rows)),
+                       GaussianRational(0)) for c in range(dim)] for t in (1, 2)]
+        cuts = [Subspace.from_rows([row, rand_amps(rng, dim)], dim) for row in rows]
+        cuts += [Subspace.from_rows([p], dim) for p in points]
+        terms.append(make_term(positive, cuts))
+    assert sum(1 for t in terms if len(t.negatives) > 1) >= 3
+    from_curve = 0
+    for term in terms:
+        ray, amps = reference_witness(term)
+        from_curve += amps not in term.positive.basis.entries
+        got = term.witness()
+        # the same ray, already canonical as it was built
+        assert got is ray
+        assert got.basis == Matrix([amps])
+    assert from_curve >= 2
+
+
+def fraction_key(sub):
+    """The order negatives were sorted by when it was read off the integer
+    parts: exact Fractions, real then imaginary, entry by entry."""
+    b = sub.basis
+    return (sub.dim, tuple((Fraction(x, b.den), Fraction(y, b.den))
+                           for re, im in zip(b.re, b.im) for x, y in zip(re, im)))
+
+
+def test_subspace_key_keeps_the_fraction_order():
+    rng = random.Random(308)
+    subs = [Subspace.zero(4), Subspace.full(4)]
+    for dim in (2, 4, 8):
+        subs += [rand_sub(rng, dim) for _ in range(20)]
+    # rays tied on their first entries
+    subs += [Subspace.from_rows([[1, 2, GaussianRational(Fraction(k, 3), m), 1]], 4)
+             for k in range(-2, 3) for m in range(-1, 2)]
+    assert [_subspace_key(s) for s in subs] == [fraction_key(s) for s in subs]
+    rng.shuffle(subs)
+    assert sorted(subs, key=_subspace_key) == sorted(subs, key=fraction_key)
 
 
 def test_make_term_drops_zero_and_full_cuts():
