@@ -22,6 +22,7 @@ from .checker import (
 from .desugar import desugar_formula, desugar_program
 from .errors import (
     CheckError,
+    InputError,
     NonDeterministicProgram,
     SpatialAtomInSymbolicMode,
     UnboundVariable,
@@ -47,6 +48,7 @@ __all__ = [
     "Formula",
     "Frame",
     "GaussianRational",
+    "InputError",
     "InstanceResult",
     "Matrix",
     "NonDeterministicProgram",

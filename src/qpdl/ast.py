@@ -1,13 +1,11 @@
 """Abstract syntax for formulas and programs, with a canonical printer.
 
-``SYNTAX`` states the concrete form of every keyword node once; the
-printer and the parser both read it.  They are inverse on ASTs,
-``parse(pretty(t)) == t``, for every node but ``RayF``, which is built by
-code and has no concrete syntax: its ``ray{...}(...)`` text is printed
-but not parsed.
-Formula precedence, loosest first: ``->``, ``|``, ``&``, unary prefixes
-(``!`` ``~`` ``box`` ``dia`` ``[p]`` ``<p>``), atoms.  Program precedence:
-``+``, then ``;``, then atoms; ``?`` binds to a formula atom.
+``SYNTAX`` states the concrete form of every keyword node once, and
+``OPERATORS`` the spelling, precedence and associativity of every
+operator; the printer and the parser both read them.  They are inverse on
+ASTs, ``parse(pretty(t)) == t``, for every node but ``RayF``, which is
+built by code and has no concrete syntax: its ``ray{...}(...)`` text is
+printed but not parsed.  ``?`` binds to a formula atom.
 An identifier that is not a keyword is a variable: ``Var`` in formula
 position, ``PVar`` in program position.  Schemas are written over both
 and instantiated by ``checker.substitute``.
@@ -429,54 +427,56 @@ def _form(cls, text: str) -> Form:
 FORMS = {cls: _form(cls, text) for cls, text in SYNTAX.items()}
 
 
+# ----- operators -------------------------------------------------------------
+
+
+class Infix(NamedTuple):
+    cls: type
+    text: str            # printed spelling; the parser reads it stripped
+    right: bool = False  # right-associative
+
+
+class Prefix(NamedTuple):
+    cls: type
+    text: str          # printed spelling, before the body
+    closing: str = ""  # for [p]f and <p>f: closes the program before the body
+
+
+class Operators(NamedTuple):
+    infix: tuple   # loosest first
+    prefix: tuple  # tighter than every infix operator, looser than atoms
+
+
+# The operators of each position, read by both the parser and the printer.
+# Every other node is an atom: a keyword form of SYNTAX, a variable, or one
+# of the bespoke forms of the parser's f_atom and p_factor.
+OPERATORS = {
+    Formula: Operators(
+        infix=(Infix(Implies, " -> ", right=True), Infix(Or, " | "), Infix(And, " & ")),
+        prefix=(Prefix(Not, "!"), Prefix(Ortho, "~"), Prefix(BoxM, "box "),
+                Prefix(DiaM, "dia "), Prefix(Box, "[", "]"), Prefix(Dia, "<", ">"))),
+    Program: Operators(infix=(Infix(UnionP, " + "), Infix(SeqP, ";")), prefix=()),
+}
+
+
 # ----- printer ---------------------------------------------------------------
 
-_F_IMPLIES, _F_OR, _F_AND, _F_UNARY, _F_ATOM = 1, 2, 3, 4, 5
-_P_UNION, _P_SEQ, _P_ATOM = 1, 2, 3
+# Each operator class with its binding strength: its infix level, loosest
+# 0, and for a prefix form the level after the infix ones.  An atom binds
+# tighter than any operator.
+_OPS = {op.cls: (min(k, len(ops.infix)), op) for ops in OPERATORS.values()
+        for k, op in enumerate(ops.infix + ops.prefix)}
+_ATOM = 1 + max(level for level, _ in _OPS.values())
 
 
 def _qubits(qs) -> str:
     return "{" + ",".join(str(q) for q in qs) + "}"
 
 
-def _f(node: Formula, level: int) -> str:
-    text, mine = _formula_text(node)
-    if mine < level:
-        return "(" + text + ")"
-    return text
-
-
-def _formula_text(node: Formula) -> tuple[str, int]:
-    if isinstance(node, Var):
-        return node.name, _F_ATOM
-    if type(node) in FORMS and isinstance(node, Formula):
-        return _keyword_text(node), _F_ATOM
-    if isinstance(node, Const):
-        return f"{node.char}_{node.qubit}", _F_ATOM
-    if isinstance(node, VecC):
-        return "vec" + _qubits(node.qubits) + "(" + ",".join(node.chars) + ")", _F_ATOM
-    if isinstance(node, RayF):
-        amps = ", ".join(str(a) for a in node.amps)
-        return "ray" + _qubits(node.qubits) + "(" + amps + ")", _F_ATOM
-    if isinstance(node, Not):
-        return "!" + _f(node.body, _F_UNARY), _F_UNARY
-    if isinstance(node, Ortho):
-        return "~" + _f(node.body, _F_UNARY), _F_UNARY
-    if isinstance(node, BoxM):
-        return "box " + _f(node.body, _F_UNARY), _F_UNARY
-    if isinstance(node, DiaM):
-        return "dia " + _f(node.body, _F_UNARY), _F_UNARY
-    if isinstance(node, Box):
-        return "[" + _p(node.prog, _P_UNION) + "]" + _f(node.body, _F_UNARY), _F_UNARY
-    if isinstance(node, Dia):
-        return "<" + _p(node.prog, _P_UNION) + ">" + _f(node.body, _F_UNARY), _F_UNARY
-    if isinstance(node, And):
-        return _f(node.left, _F_AND) + " & " + _f(node.right, _F_UNARY), _F_AND
-    if isinstance(node, Or):
-        return _f(node.left, _F_OR) + " | " + _f(node.right, _F_AND), _F_OR
-    if isinstance(node, Implies):
-        return _f(node.left, _F_OR) + " -> " + _f(node.right, _F_IMPLIES), _F_IMPLIES
-    raise TypeError(f"not a formula node: {node!r}")
+def _at(node, level: int) -> str:
+    """``node`` printed as an operand that binds at least as tight as ``level``."""
+    text = pretty(node)
+    return "(" + text + ")" if _OPS.get(type(node), (_ATOM,))[0] < level else text
 
 
 def _keyword_text(node) -> str:
@@ -491,35 +491,30 @@ def _keyword_text(node) -> str:
     return text
 
 
-def _p(node: Program, level: int) -> str:
-    text, mine = _program_text(node)
-    if mine < level:
-        return "(" + text + ")"
-    return text
-
-
-def _program_text(node: Program) -> tuple[str, int]:
-    if isinstance(node, PVar):
-        return node.name, _P_ATOM
-    if type(node) in FORMS and isinstance(node, Program):
-        return _keyword_text(node), _P_ATOM
-    if isinstance(node, Test):
-        return _f(node.formula, _F_ATOM) + "?", _P_ATOM
-    if isinstance(node, GateP):
-        return node.kind + "".join(f"_{t}" for t in node.targets), _P_ATOM
-    if isinstance(node, Flip):
-        return f"flip_{node.i}_{node.j}", _P_ATOM
-    if isinstance(node, SeqP):
-        return _p(node.left, _P_SEQ) + ";" + _p(node.right, _P_ATOM), _P_SEQ
-    if isinstance(node, UnionP):
-        return _p(node.left, _P_UNION) + " + " + _p(node.right, _P_SEQ), _P_UNION
-    raise TypeError(f"not a program node: {node!r}")
-
-
 def pretty(node) -> str:
     """Canonical concrete syntax; the parser accepts exactly this back."""
-    if isinstance(node, Formula):
-        return _formula_text(node)[0]
-    if isinstance(node, Program):
-        return _program_text(node)[0]
+    cls = type(node)
+    if cls in _OPS:
+        level, op = _OPS[cls]
+        if isinstance(op, Infix):
+            return (_at(node.left, level + op.right) + op.text
+                    + _at(node.right, level + (not op.right)))
+        prog = pretty(node.prog) + op.closing if op.closing else ""
+        return op.text + prog + _at(node.body, level)
+    if cls in FORMS:
+        return _keyword_text(node)
+    if cls in (Var, PVar):
+        return node.name
+    if cls is Const:
+        return f"{node.char}_{node.qubit}"
+    if cls is VecC:
+        return "vec" + _qubits(node.qubits) + "(" + ",".join(node.chars) + ")"
+    if cls is RayF:
+        return "ray" + _qubits(node.qubits) + "(" + ", ".join(map(str, node.amps)) + ")"
+    if cls is Test:
+        return _at(node.formula, _ATOM) + "?"
+    if cls is GateP:
+        return node.kind + "".join(f"_{t}" for t in node.targets)
+    if cls is Flip:
+        return f"flip_{node.i}_{node.j}"
     raise TypeError(f"not an AST node: {node!r}")

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 for valid / PASS / TRUE, 1 for a refuted claim (the
-witness is printed), 2 for usage or syntax errors, 3 for formulas
+witness is printed), 2 for usage, syntax and other input errors
+(``InputError``), unbound variables and I/O errors, 3 for formulas
 outside the fragment the symbolic evaluator decides, 4 for an internal
 error (a crash, or the two evaluators disagreeing), which is never
 reported as a verdict.
@@ -22,7 +23,7 @@ from .checker import (
     eval_symbolic,
 )
 from .desugar import desugar_program
-from .errors import CheckError, UnboundVariable
+from .errors import CheckError, InputError, UnboundVariable
 from .frame import Frame, Subspace, format_state, parse_state
 from .parser import ParseError, parse_formula, parse_program
 from .protocols import DEFAULT_SEED, TARGETS, run_target
@@ -36,7 +37,7 @@ def _load_state(path: str, n: int) -> Subspace:
     with open(path, encoding="ascii") as fh:
         k, state = parse_state(fh.read())
     if k != n:
-        raise ValueError(f"{path} holds a {k}-qubit state, expected n={n}")
+        raise InputError(f"{path} holds a {k}-qubit state, expected n={n}")
     return state
 
 
@@ -47,25 +48,25 @@ def _bindings(pairs, n: int) -> dict:
     for raw in pairs or ():
         name, eq, rhs = raw.partition("=")
         if not eq or not name.isidentifier():
-            raise ValueError(f"bad binding {raw!r}, expected name=@file")
+            raise InputError(f"bad binding {raw!r}, expected name=@file")
         if rhs.startswith("span:"):
             states = []
             for part in rhs[len("span:"):].split(","):
                 if not part.startswith("@"):
-                    raise ValueError(f"bad binding {raw!r}, span needs @files")
+                    raise InputError(f"bad binding {raw!r}, span needs @files")
                 states.append(_load_state(part[1:], n))
             out[name] = reduce(Subspace.join, states)
         elif rhs.startswith("@"):
             out[name] = _load_state(rhs[1:], n)
         else:
-            raise ValueError(f"bad binding {raw!r}, expected @file or span:")
+            raise InputError(f"bad binding {raw!r}, expected @file or span:")
     return out
 
 
 def _environment(args) -> Environment:
     """The -n qubit frame with the -b bindings; no frame above MAX_QUBITS."""
     if args.n > MAX_QUBITS:
-        raise ValueError(f"-n {args.n} exceeds the limit of {MAX_QUBITS} qubits")
+        raise InputError(f"-n {args.n} exceeds the limit of {MAX_QUBITS} qubits")
     return Environment(Frame(args.n), _bindings(args.bind, args.n))
 
 
@@ -200,7 +201,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return 2
-    except (UnboundVariable, ValueError, OSError) as exc:
+    except (InputError, UnboundVariable, OSError) as exc:
         # before CheckError: an unbound variable is a CheckError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,7 +15,7 @@ qubit of the frame.
 
 A rule that uses a part twice (``eqf``, ``testable``) rewrites it twice,
 so nesting them doubles the core tree per level.  Desugaring stops with
-a ValueError past ``MAX_NODES`` rewrites, and refuses a finished core
+an InputError past ``MAX_NODES`` rewrites, and refuses a finished core
 tree of more than ``MAX_NODES`` nodes, a part used twice counting twice,
 since the evaluators walk it twice.
 """
@@ -26,7 +26,7 @@ from functools import reduce
 from itertools import repeat
 
 from . import ast
-from .errors import UnboundVariable, UnsupportedNesting, UnsupportedShape
+from .errors import InputError, UnboundVariable, UnsupportedNesting, UnsupportedShape
 from .linalg import ONE, ZERO
 
 # Rewrites for one formula or program, and nodes of its core tree.  The
@@ -160,7 +160,7 @@ class _Desugaring:
     def spend(self):
         self.left -= 1
         if self.left < 0:
-            raise ValueError(f"expression expands past {MAX_NODES} nodes")
+            raise InputError(f"expression expands past {MAX_NODES} nodes")
 
     def core(self, node, n: int):
         self.spend()

@@ -1,4 +1,10 @@
-"""Shared error types for evaluation and rewriting."""
+"""Shared error types for input, evaluation and rewriting."""
+
+
+class InputError(ValueError):
+    """Input the checker refuses before deciding anything: a syntax error,
+    a malformed state file, binding, rational or qubit index, a frame past
+    the qubit cap, or a formula that unfolds past the node budget."""
 
 
 class CheckError(Exception):

@@ -26,7 +26,8 @@ reshaped basis rows; T{I}, cmp{I}, =_I and local{I} all read it.
 Scalars appear only at the boundary: parsed and printed amplitudes,
 and the part-states that ``state_lift`` takes.
 Preimages are kernels against a basis of the orthocomplement; only
-tests (f?) need an orthogonal projector, built by Gram-matrix inversion.
+tests (f?) need an orthogonal projector, built by solving one system in
+the Gram matrix.
 """
 
 from __future__ import annotations
@@ -35,10 +36,11 @@ import re
 import weakref
 from typing import Iterable, Optional, Sequence
 
+from .errors import InputError
 from .linalg import GaussianRational, Matrix, ONE, ZERO, parse_rational
 
 
-class BadIndex(ValueError):
+class BadIndex(InputError):
     """A qubit index is out of range or repeated."""
 
 
@@ -129,9 +131,10 @@ class Subspace:
             if self.is_zero():
                 self._projector = Matrix.zeros(self.ambient, self.ambient)
             else:
+                # B^T G^-1 conj(B) for the Gram matrix G = conj(B) B^T
                 b = self.basis
                 gram = b.conj() * b.transpose()
-                self._projector = b.transpose() * gram.inverse() * b.conj()
+                self._projector = b.transpose() * gram.solve(b.conj())
         return self._projector
 
     def any_ray(self) -> "Subspace":
@@ -267,9 +270,9 @@ class Frame:
         """The state of a nonzero amplitude vector: its one-dimensional span."""
         row = Matrix([list(amps)])
         if row == Matrix.zeros(1, row.cols):
-            raise ValueError("a ray needs a nonzero amplitude vector")
+            raise InputError("a ray needs a nonzero amplitude vector")
         if row.cols != self.dim:
-            raise ValueError("amplitude count differs from frame dimension")
+            raise InputError("amplitude count differs from frame dimension")
         return Subspace(row, self.dim)
 
     # ----- gates and blocks --------------------------------------------------
@@ -358,8 +361,11 @@ class Frame:
         if sub.is_zero():
             return None
         rows = range(sub.dim)
-        part = Subspace(sub.basis.gather(rows, tuple(zip(*table))), len(table))
         rest = Subspace(sub.basis.gather(rows, table), len(table[0]))
+        # a ray part x makes the reshaped rows x (x) r_k, r_k independent
+        if rest.dim not in (1, sub.dim):
+            return None
+        part = Subspace(sub.basis.gather(rows, tuple(zip(*table))), len(table))
         return (part, rest) if part.dim == 1 or rest.dim == 1 else None
 
     def __repr__(self):
@@ -376,21 +382,21 @@ def parse_state(text: str) -> tuple[int, Subspace]:
     or digits of another script."""
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("n="):
-        raise ValueError("state file must start with 'n=<qubits>'")
+        raise InputError("state file must start with 'n=<qubits>'")
     if not re.fullmatch(r"n=(0|[1-9][0-9]*)", lines[0]):
-        raise ValueError("bad qubit count in state file")
+        raise InputError("bad qubit count in state file")
     n = int(lines[0][2:])
     if n < 1:
-        raise ValueError("state file needs at least one qubit")
+        raise InputError("state file needs at least one qubit")
     body = lines[1:]
     # n is bounded by the line count before 2 ** n is formed
     if n > len(body).bit_length() or len(body) != 2 ** n:
-        raise ValueError(f"expected 2^{n} amplitude lines, found {len(body)}")
+        raise InputError(f"expected 2^{n} amplitude lines, found {len(body)}")
     amps = []
     for ln in body:
         parts = ln.split()
         if len(parts) != 2:
-            raise ValueError(f"amplitude line needs '<re> <im>': {ln!r}")
+            raise InputError(f"amplitude line needs '<re> <im>': {ln!r}")
         amps.append(GaussianRational(parse_rational(parts[0]), parse_rational(parts[1])))
     return n, Frame(n).ray(amps)
 

@@ -18,12 +18,12 @@ x_j * y_l of x (x) y at column at[j][l], and ``gather`` reads
 [x[c] for c in t] out of a row x for each line t.
 
 Products and tensors sum over nonzero factor pairs only.  Rank, reduced
-row echelon form, kernels and inverses come from one fraction-free
-Gauss-Jordan elimination on the integer rows.  A reduced row is kept as
-its primitive multiple with a positive integer pivot, so it maps
-one-to-one onto the RREF row with pivot 1; the RREF basis is the
-canonical representative used for subspace identity throughout the
-package.
+row echelon form, kernels and the solution of a square system come from
+one fraction-free Gauss-Jordan elimination on the integer rows.  A
+reduced row is kept as its primitive multiple with a positive integer
+pivot, so it maps one-to-one onto the RREF row with pivot 1; the RREF
+basis is the canonical representative used for subspace identity
+throughout the package.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ from math import gcd, lcm
 from operator import itemgetter, or_
 from re import fullmatch
 from typing import Iterable, Optional, Sequence, Union
+
+from .errors import InputError
 
 Rational = Union[int, Fraction]
 
@@ -305,18 +307,20 @@ class Matrix:
         pivots = [next(c for c, a in enumerate(re) if a) for re in self.re]
         return _kernel(rows, pivots, self.cols)
 
-    def inverse(self) -> "Matrix":
-        if self.rows != self.cols:
-            raise ValueError("inverse of a non-square matrix")
+    def solve(self, rhs: "Matrix") -> "Matrix":
+        """The X with self * X = rhs, for an invertible square self: the
+        RREF of [self | rhs] is [I | X], one elimination."""
         n = self.rows
-        zero = [0] * n
-        # [den * M | den * I] has the RREF [I | M^-1].
-        work = [(list(re) + zero[:i] + [self.den] + zero[i + 1:], list(im) + zero)
-                for i, (re, im) in enumerate(zip(self.re, self.im))]
-        rows, pivots = _rref(work, 2 * n)
+        if self.cols != n or rhs.rows != n:
+            raise ValueError(f"cannot solve {self.shape} * X = {rhs.shape}")
+        # [self | rhs] with every row times den * rhs.den, a positive integer
+        work = [([a * rhs.den for a in re] + [c * self.den for c in rre],
+                 [b * rhs.den for b in im] + [d * self.den for d in rim])
+                for re, im, rre, rim in zip(self.re, self.im, rhs.re, rhs.im)]
+        rows, pivots = _rref(work, n + rhs.cols)
         if pivots[:n] != list(range(n)):
             raise ValueError("matrix is singular")
-        return Matrix.from_parts([(re[n:], im[n:], s) for re, im, s in rows], n)
+        return Matrix.from_parts([(re[n:], im[n:], s) for re, im, s in rows], rhs.cols)
 
 
 def _scalar(re: int, im: int, den: int) -> GaussianRational:
@@ -410,8 +414,8 @@ def parse_rational(text: str) -> Fraction:
     """Parse 'p' or 'p/q' with optional sign into an exact Fraction."""
     text = text.strip()
     if not fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", text):
-        raise ValueError(f"bad rational {text!r}")
+        raise InputError(f"bad rational {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad rational {text!r}") from exc
+        raise InputError(f"bad rational {text!r}") from exc

@@ -1,7 +1,11 @@
 """Tokenizer and recursive-descent parser for the concrete syntax.
 
-Every keyword form of ``ast.SYNTAX`` is read by one method, ``keyword``,
-and ``RESERVED`` is derived from that table.  Errors carry a 1-based line
+Every keyword form of ``ast.SYNTAX`` is read by one method, ``keyword``.
+The operators of ``ast.OPERATORS`` are read by one precedence loop,
+``infix``, in formula and program position alike, and the prefix forms by
+one method, ``f_unary``.  ``RESERVED`` is derived from both tables.  The
+bespoke atoms (constants, ``vec``, gates, ``flip``, tests and variables)
+are read by ``f_atom`` and ``p_factor``.  Errors carry a 1-based line
 and column plus the set of token kinds that would have been accepted
 there.  The only backtracking point is in program position, where a test
 ``f?`` is tried first: failing that, a ``(`` opens a parenthesised
@@ -17,15 +21,15 @@ stack of the parser or of the evaluators that walk the tree.
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
 from typing import Optional
 
 from . import ast
+from .errors import InputError
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     def __init__(self, message: str, line: int, col: int, expected: frozenset = frozenset()):
         super().__init__(f"{message} at line {line} column {col}")
         self.line = line
@@ -55,9 +59,18 @@ _NUM_RE = re.compile(r"[0-9]+")
 _FORMULA_WORDS, _PROGRAM_WORDS = (
     {form.word: cls for cls, form in ast.FORMS.items() if issubclass(cls, kind)}
     for kind in (ast.Formula, ast.Program))
-# Keywords are never variables; the last eight have bespoke syntax.
+# ast.OPERATORS by the token that reads each operator: infix ones as (token,
+# class, right-associative), loosest first; prefix forms as (token, is a
+# keyword such as "box", read from a word token, class, closing).
+_FORMULA_INFIX, _PROGRAM_INFIX = (
+    tuple((op.text.strip(), op.cls, op.right) for op in ast.OPERATORS[kind].infix)
+    for kind in (ast.Formula, ast.Program))
+_PREFIX = tuple((op.text.strip(), op.text.strip().isalpha(), op.cls, op.closing)
+                for op in ast.OPERATORS[ast.Formula].prefix)
+# Keywords are never variables; the last six have bespoke syntax.
 RESERVED = frozenset(_FORMULA_WORDS.keys() | _PROGRAM_WORDS.keys() | {
-    "box", "dia", "vec", "flip", "X", "Z", "H", "CNOT"})
+    token for token, word, _, _ in _PREFIX if word} | {
+    "vec", "flip", "X", "Z", "H", "CNOT"})
 
 _SYMBOLS = ("->", "?", ";", "&", "|", "!", "~", "[", "]", "<", ">",
             "(", ")", "{", "}", ",", "+", "-")
@@ -143,19 +156,6 @@ def tokenize(text: str) -> list[Token]:
 # keyword form with arguments counts a level of its own, since it stands
 # for up to ten levels of core tree (perpf) and eight parser frames.
 MAX_DEPTH = 200
-
-
-def _nested(parse):
-    """Parse one level deeper in the syntax tree."""
-    @functools.wraps(parse)
-    def deeper(self):
-        base = self.depth
-        self.descend()
-        try:
-            return parse(self)
-        finally:
-            self.depth = base
-    return deeper
 
 
 class _Parser:
@@ -249,55 +249,56 @@ class _Parser:
             self.depth -= 1
         return cls(**fields)
 
+    def infix(self, ops: tuple, operand, level: int = 0):
+        """Operands read by ``operand`` joined by the infix operators
+        ``ops[level:]``, loosest first.  Each operator reads its right
+        operand one level deeper: the rest of its own level if it is
+        right-associative, else its tighter levels."""
+        token, cls, right = ops[level]
+        base = self.depth
+        left = self.infix(ops, operand, level + 1) if level + 1 < len(ops) else operand()
+        while self.accept(token):
+            self.descend()
+            inner = level if right else level + 1
+            left = cls(left, self.infix(ops, operand, inner) if inner < len(ops)
+                       else operand())
+        self.depth = base
+        return left
+
     # ----- formulas -----------------------------------------------------------
 
-    @_nested
+    # formula, program and f_unary each read one level of the syntax tree.
+    # They restore the depth inline, not through a wrapper, so that a level
+    # costs the parser at most about four stack frames.
+
     def formula(self) -> ast.Formula:
-        left = self.f_or()
-        if self.accept("->"):
-            return ast.Implies(left, self.formula())
-        return left
-
-    def f_or(self) -> ast.Formula:
         base = self.depth
-        left = self.f_and()
-        while self.accept("|"):
+        try:
             self.descend()
-            left = ast.Or(left, self.f_and())
-        self.depth = base
-        return left
+            return self.infix(_FORMULA_INFIX, self.f_unary)
+        finally:
+            self.depth = base
 
-    def f_and(self) -> ast.Formula:
-        base = self.depth
-        left = self.f_unary()
-        while self.accept("&"):
-            self.descend()
-            left = ast.And(left, self.f_unary())
-        self.depth = base
-        return left
-
-    @_nested
     def f_unary(self) -> ast.Formula:
-        if self.accept("!"):
-            return ast.Not(self.f_unary())
-        if self.accept("~"):
-            return ast.Ortho(self.f_unary())
-        tok = self.peek()
-        if tok.kind == "word" and tok.value == "box":
-            self.pos += 1
-            return ast.BoxM(self.f_unary())
-        if tok.kind == "word" and tok.value == "dia":
-            self.pos += 1
-            return ast.DiaM(self.f_unary())
-        if self.accept("["):
-            prog = self.program()
-            self.expect("]")
-            return ast.Box(prog, self.f_unary())
-        if self.accept("<"):
-            prog = self.program()
-            self.expect(">")
-            return ast.Dia(prog, self.f_unary())
-        return self.f_atom()
+        """A prefix form of ``ast.OPERATORS``, its body one level deeper, or
+        an atom."""
+        base = self.depth
+        try:
+            self.descend()
+            tok = self.peek()
+            for token, word, cls, closing in _PREFIX:
+                if word and tok.kind == "word" and tok.value == token:
+                    self.pos += 1
+                elif word or not self.accept(token):
+                    continue
+                if not closing:
+                    return cls(self.f_unary())
+                prog = self.program()
+                self.expect(closing)
+                return cls(prog, self.f_unary())
+            return self.f_atom()
+        finally:
+            self.depth = base
 
     def f_atom(self) -> ast.Formula:
         tok = self.peek()
@@ -341,22 +342,13 @@ class _Parser:
 
     # ----- programs -----------------------------------------------------------
 
-    @_nested
     def program(self) -> ast.Program:
-        left = self.p_seq()
-        while self.accept("+"):
-            self.descend()
-            left = ast.UnionP(left, self.p_seq())
-        return left
-
-    def p_seq(self) -> ast.Program:
         base = self.depth
-        left = self.p_factor()
-        while self.accept(";"):
+        try:
             self.descend()
-            left = ast.SeqP(left, self.p_factor())
-        self.depth = base
-        return left
+            return self.infix(_PROGRAM_INFIX, self.p_factor)
+        finally:
+            self.depth = base
 
     def p_factor(self) -> ast.Program:
         tok = self.peek()

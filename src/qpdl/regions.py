@@ -14,8 +14,10 @@ normalised term with a nonzero positive part always contains a ray:
 ``Region.is_empty`` reads emptiness off the terms, and ``Region.witness``
 runs a small deterministic search for a ray only when one is wanted.
 Its candidates are the rows of one matrix product, [I; moment curve]
-times the positive basis, each already the canonical basis of its span,
-and negatives are ordered by the exact entries of their bases.
+times the positive basis, each already the canonical basis of its span.
+Negatives are ordered by the exact entries of their bases, so a Term is
+a value, the tuple (positive, negatives), and a Region drops repeated
+terms by hashing.
 The measurement modalities box and dia have no code of their own here;
 the checker reaches them as tests (f?), through ``wp``.
 """
@@ -23,7 +25,7 @@ the checker reaches them as tests (f?), through ``wp``.
 from __future__ import annotations
 
 from functools import reduce
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .frame import PartialMap, Subspace
 from .linalg import Matrix
@@ -37,18 +39,17 @@ def _subspace_key(sub: Subspace):
     return (sub.dim, tuple((x.re, x.im) for row in sub.basis.entries for x in row))
 
 
-class Term:
+class Term(NamedTuple):
     """Rays of ``positive`` outside every subspace in ``negatives``.
 
     Normalised: every negative is a nonzero proper subspace of the
-    positive part, so a Term is never empty.  Use ``make_term``.
+    positive part, so a Term is never empty.  ``make_term`` also puts the
+    negatives in one canonical order, so a term is a value: equal terms
+    are equal tuples.  Use ``make_term``.
     """
 
-    __slots__ = ("positive", "negatives")
-
-    def __init__(self, positive: Subspace, negatives: tuple):
-        self.positive = positive
-        self.negatives = negatives
+    positive: Subspace
+    negatives: tuple
 
     def contains_ray(self, ray: Subspace) -> bool:
         """Whether the one-dimensional subspace ``ray`` is a ray of the term."""
@@ -77,12 +78,6 @@ class Term:
             if all(not b.contains_subspace(ray) for b in self.negatives):
                 return ray
         raise WitnessSearchExhausted(f"no witness among {candidates.rows} candidates")
-
-    def __eq__(self, other):
-        if not isinstance(other, Term):
-            return NotImplemented
-        return (self.positive == other.positive
-                and set(self.negatives) == set(other.negatives))
 
     def __repr__(self):
         return f"Term(dim={self.positive.dim}, minus={len(self.negatives)})"
@@ -114,10 +109,8 @@ class Region:
 
     def __init__(self, ambient: int, terms: Iterable[Term] = ()):
         self.ambient = ambient
-        uniq = []
-        for t in terms:
-            if t is not None and t not in uniq:
-                uniq.append(t)
+        uniq = dict.fromkeys(terms)  # keeps the first of equal terms
+        uniq.pop(None, None)
         self.terms = tuple(uniq)
 
     @staticmethod

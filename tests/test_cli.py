@@ -210,6 +210,7 @@ def test_core_tree_past_the_node_budget_exits_two_fast(capsys, depth):
     RuntimeError("symbolic and pointwise evaluation disagree on the witness"),
     WitnessSearchExhausted("no witness among 4 candidates"),
     KeyError("surprise\nacross lines"),
+    ValueError("shape mismatch (2, 2) * (4, 4)"),
 ])
 def test_internal_errors_exit_four(monkeypatch, capsys, error):
     def broken(env, formula):

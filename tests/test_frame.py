@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import qpdl.frame as frame_module
+from qpdl import linalg
 from qpdl.frame import (
     BadIndex,
     Frame,
@@ -300,6 +301,23 @@ def test_product_form_both_sides():
     bell_span = fr.ray([1, 0, 0, 1])
     assert fr.product_form(bell_span, (1,)) is None
     assert fr.product_form(Subspace.zero(4), (1,)) is None
+
+
+def test_entangled_ray_is_refused_after_one_elimination(monkeypatch):
+    # rest spans two dimensions, neither 1 nor the ray's own: part is not
+    # eliminated
+    fr = Frame(3)
+    ray = fr.ray([1, 0, 0, 0, 0, 0, 1, 2])
+    calls = []
+    eliminate = linalg._eliminate
+
+    def counted(work, cols):
+        calls.append(cols)
+        return eliminate(work, cols)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    assert fr.product_form(ray, (1,)) is None
+    assert calls == [4]
 
 
 def test_state_file_round_trip():

@@ -435,6 +435,22 @@ def test_generators_cover_every_node_and_keyword_form():
     }
 
 
+# The nodes with a form of their own, read by f_atom or p_factor, and
+# RayF, which is printed but not parsed.
+BESPOKE = [ast.Var, ast.PVar, ast.Const, ast.VecC, ast.RayF, ast.Test,
+           ast.GateP, ast.Flip]
+
+
+def test_every_node_has_exactly_one_printed_form():
+    # A node class added without syntax fails here, not when printed.
+    operators = [op.cls for kind, ops in ast.OPERATORS.items()
+                 for op in ops.infix + ops.prefix if issubclass(op.cls, kind)]
+    forms = list(ast.SYNTAX) + operators + BESPOKE
+    nodes = ast.Formula.__subclasses__() + ast.Program.__subclasses__()
+    # as lists: a class with two forms is counted twice
+    assert sorted(forms, key=repr) == sorted(nodes, key=repr)
+
+
 # Each shape nests one construct k levels deep, with the outcome
 # check_valid gives at n = 2 at the deepest k the parser accepts.
 DEEP_SHAPES = [

@@ -86,6 +86,7 @@ def test_kernel_is_annihilated():
 
 
 def test_inverse_of_random_invertible():
+    # the inverse is the solution against the identity
     rng = random.Random(104)
     found = 0
     while found < 30:
@@ -93,8 +94,11 @@ def test_inverse_of_random_invertible():
         if m.rank() < 3:
             continue
         found += 1
-        assert m * m.inverse() == Matrix.identity(3)
-        assert m.inverse() * m == Matrix.identity(3)
+        inverse = m.solve(Matrix.identity(3))
+        assert m * inverse == Matrix.identity(3)
+        assert inverse * m == Matrix.identity(3)
+        rhs = rand_matrix(rng, 3, rng.randint(1, 4))
+        assert m * m.solve(rhs) == rhs
 
 
 def test_conj_transpose_involution_and_product():
@@ -277,9 +281,9 @@ def test_elimination_matches_fraction_reference():
             want = reference_inverse(m)
             if want is None:
                 with pytest.raises(ValueError):
-                    m.inverse()
+                    m.solve(Matrix.identity(m.rows))
             else:
-                assert_canonical(m.inverse(), want.entries)
+                assert_canonical(m.solve(Matrix.identity(m.rows)), want.entries)
 
 
 def spanning_sets(rng, base):
@@ -364,6 +368,23 @@ def test_ortho_eliminates_once_cold_and_never_warm(monkeypatch):
         calls.clear()
         assert s.ortho() is perp and perp.ortho() is s
         assert calls == []
+
+
+def test_projector_matches_fraction_gram_inverse():
+    # B^T G^-1 conj(B) for the Gram matrix G = conj(B) B^T, with the
+    # inverse and the products in Fractions, against one solve in G
+    checked = 0
+    for s in ortho_inputs():
+        if s.is_zero() or s.ambient > 10:
+            continue
+        b = s.basis
+        cb = Matrix(reference_conj(b), cols=b.cols)
+        bt = Matrix(reference_transpose(b), cols=b.rows)
+        inverse = reference_inverse(reference_product(cb, bt))
+        want = reference_product(reference_product(bt, inverse), cb)
+        assert_canonical(s.projector(), want.entries)
+        checked += 1
+    assert checked >= 30
 
 
 # ----- differential test against the dense triple-loop product ---------------

@@ -182,6 +182,20 @@ def test_make_term_drops_zero_and_full_cuts():
     assert make_term(Subspace.zero(4), []) is None
 
 
+def test_terms_are_values_and_regions_keep_the_first_of_equal_terms():
+    positive = Subspace.full(4)
+    a, b, c = (Subspace.from_rows([row], 4) for row in
+               ([1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]))
+    # the negatives are put in one order, so reordered cuts give one value
+    ab, ba = make_term(positive, [a, b]), make_term(positive, [b, a])
+    assert ab == ba and hash(ab) == hash(ba) and ab.negatives == ba.negatives
+    only_c = make_term(positive, [c])
+    lone_a = make_term(a, [])
+    region = Region(4, [only_c, ab, None, lone_a, ba, only_c, lone_a])
+    assert region.terms == (only_c, ab, lone_a)
+    assert region.terms[1] is ab
+
+
 def test_closure_joins_positives():
     a = Subspace.from_rows([[1, 0, 0, 0]], 4)
     b = Subspace.from_rows([[0, 1, 0, 0]], 4)
