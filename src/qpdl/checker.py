@@ -203,6 +203,20 @@ def _image_region(env: Environment, f: ast.Img) -> Region:
 # ----- component and locality judgements --------------------------------------
 
 
+def _product_forms(env: Environment, region: Region, qubits, what: str):
+    """The product form of every term of the region, or None when some
+    term is not a product; a term with negatives is refused with ``what``."""
+    forms = []
+    for t in region.terms:
+        if t.negatives:
+            raise UnsupportedShape(what)
+        form = env.frame.product_form(t.positive, qubits)
+        if form is None:
+            return None
+        forms.append(form)
+    return forms
+
+
 def _component_profile(env: Environment, region: Region, qubits):
     """The I-components occurring in the region, as a set of part
     subspaces, or None when some ray of the region is not I-separated.
@@ -213,16 +227,9 @@ def _component_profile(env: Environment, region: Region, qubits):
     V_I); anything else contains an entangled superposition, which
     settles the answer.
     """
-    parts = set()
-    for t in region.terms:
-        if t.negatives:
-            raise UnsupportedShape(
-                "=_I compares unions of subspaces or states only")
-        form = env.frame.product_form(t.positive, qubits)
-        if form is None:
-            return None
-        parts.add(form[0])
-    return frozenset(parts)
+    forms = _product_forms(env, region, qubits,
+                           "=_I compares unions of subspaces or states only")
+    return None if forms is None else frozenset(part for part, _ in forms)
 
 
 def eq_component(env: Environment, left: Region, right: Region, qubits) -> bool:
@@ -243,15 +250,10 @@ def _region_is_local(env: Environment, region: Region, qubits) -> bool:
     inside = env.frame.check_qubits(qubits)
     if len(inside) == env.frame.n:
         return True
-    forms = []
-    for t in region.terms:
-        if t.negatives:
-            raise UnsupportedShape(
-                "locality is judged on unions of subspaces only")
-        form = env.frame.product_form(t.positive, inside)
-        if form is None:
-            return False
-        forms.append(form)
+    forms = _product_forms(env, region, inside,
+                           "locality is judged on unions of subspaces only")
+    if forms is None:
+        return False
     covered = {part for part, rest in forms if rest.is_full()}
     return all(part in covered for part, _ in forms)
 

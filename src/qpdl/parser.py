@@ -1,5 +1,11 @@
 """Tokenizer and recursive-descent parser for the concrete syntax.
 
+``tokenize`` matches one compiled token pattern once per token.  Its
+symbols are the operator spellings of ``ast.OPERATORS`` plus fixed
+punctuation, and its gate words are the names of ``frame.GATES``, each
+with one index per qubit the gate acts on.  Every index is decimal
+without a leading zero.
+
 Every keyword form of ``ast.SYNTAX`` is read by one method, ``keyword``.
 The operators of ``ast.OPERATORS`` are read by one precedence loop,
 ``infix``, in formula and program position alike, and the prefix forms by
@@ -27,6 +33,7 @@ from typing import Optional
 
 from . import ast
 from .errors import InputError
+from .frame import GATES
 
 
 class ParseError(InputError):
@@ -49,12 +56,6 @@ class Token:
     col: int
 
 
-_GATE1_RE = re.compile(r"^(X|Z|H)_([0-9]+)$")
-_CNOT_RE = re.compile(r"^CNOT_([0-9]+)_([0-9]+)$")
-_FLIP_RE = re.compile(r"^flip_([0-9]+)_([0-9]+)$")
-_WORD_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_NUM_RE = re.compile(r"[0-9]+")
-
 # The keyword forms of ast.SYNTAX by keyword, one table per position.
 _FORMULA_WORDS, _PROGRAM_WORDS = (
     {form.word: cls for cls, form in ast.FORMS.items() if issubclass(cls, kind)}
@@ -67,86 +68,72 @@ _FORMULA_INFIX, _PROGRAM_INFIX = (
     for kind in (ast.Formula, ast.Program))
 _PREFIX = tuple((op.text.strip(), op.text.strip().isalpha(), op.cls, op.closing)
                 for op in ast.OPERATORS[ast.Formula].prefix)
-# Keywords are never variables; the last six have bespoke syntax.
+# Keywords are never variables; vec, flip and the gates have bespoke syntax.
 RESERVED = frozenset(_FORMULA_WORDS.keys() | _PROGRAM_WORDS.keys() | {
-    token for token, word, _, _ in _PREFIX if word} | {
-    "vec", "flip", "X", "Z", "H", "CNOT"})
+    token for token, word, _, _ in _PREFIX if word} | {"vec", "flip"} | GATES.keys())
 
-_SYMBOLS = ("->", "?", ";", "&", "|", "!", "~", "[", "]", "<", ">",
-            "(", ")", "{", "}", ",", "+", "-")
+# The token pattern, one alternative per token kind, tried in order and
+# matched once per token.  A gate word is a GATES name with one index per
+# qubit it acts on (log2 of its size), flip takes two, and the word must
+# end there, so CNOT_1 and X_01 are identifiers.  Symbols go longest first,
+# so that -> is not read as - and >.
+_DECIMAL = "0|[1-9][0-9]*"  # every number and index: no leading zero
+_INDEX = f"_(?:{_DECIMAL})"
+_GATE_WORDS = "|".join(f"{re.escape(name)}(?:{_INDEX}){{{g.rows.bit_length() - 1}}}"
+                       for name, g in GATES.items())
+_SYMBOLS = sorted({token for token, _, _ in _FORMULA_INFIX + _PROGRAM_INFIX}
+                  | {text for token, word, _, closing in _PREFIX if not word
+                     for text in (token, closing) if text}
+                  | set("?(){},-"), key=lambda s: (-len(s), s))
+_TOKEN = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in (
+    ("space", "[ \t\r]+"),
+    ("newline", "\n"),
+    ("const", "[01+-]_[0-9]*"),
+    ("number", "[0-9]+"),
+    ("gate", f"(?:{_GATE_WORDS})(?![A-Za-z0-9_])"),
+    ("flip", f"flip(?:{_INDEX}){{2}}(?![A-Za-z0-9_])"),
+    ("word", "[A-Za-z][A-Za-z0-9_]*"),
+    ("symbol", "|".join(map(re.escape, _SYMBOLS))),
+    ("other", "."))))
+
+
+def _decimal(digits: str, line: int, col: int) -> int:
+    """A number or index as written at line:col; none is an index missing
+    after a '_'."""
+    if not digits:
+        raise ParseError("qubit index expected after '_'", line, col)
+    if not re.fullmatch(_DECIMAL, digits):
+        raise ParseError("number with a leading zero", line, col)
+    return int(digits)
 
 
 def tokenize(text: str) -> list[Token]:
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "space":
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        value = m.group()
+        col = m.start() - line_start + 1
+        if kind == "symbol":
+            kind = value
+        elif kind == "number":
+            value = _decimal(value, line, col)
+        elif kind == "gate" or kind == "flip":
+            name, *qubits = value.split("_")
+            value = tuple(map(int, qubits))
+            if kind == "gate":
+                value = (name, value)
+        elif kind == "const":
+            value = (value[0], _decimal(value[2:], line, col + 2))
+        elif kind == "newline":
+            line, line_start = line + 1, m.end()
             continue
-        start_line, start_col = line, col
-
-        def emit(kind, value, width):
-            nonlocal i, col
-            tokens.append(Token(kind, value, start_line, start_col))
-            i += width
-            col += width
-
-        if ch in "+-" and i + 1 < n and text[i + 1] == "_":
-            m = _NUM_RE.match(text, i + 2)
-            if not m:
-                raise ParseError("qubit index expected after '_'", line, col + 2)
-            emit("const", (ch, int(m.group())), m.end() - i)
-            continue
-        if text.startswith("->", i):
-            emit("->", "->", 2)
-            continue
-        m = _NUM_RE.match(text, i)
-        if m:
-            word = m.group()
-            if len(word) > 1 and word[0] == "0":
-                raise ParseError("number with a leading zero", line, col)
-            rest = text[m.end():m.end() + 1]
-            if word in ("0", "1") and rest == "_":
-                m2 = _NUM_RE.match(text, m.end() + 1)
-                if not m2:
-                    raise ParseError("qubit index expected after '_'", line, col)
-                emit("const", (word, int(m2.group())), m2.end() - i)
-            else:
-                emit("number", int(word), m.end() - i)
-            continue
-        m = _WORD_RE.match(text, i)
-        if m:
-            word = m.group()
-            g = _GATE1_RE.match(word)
-            if g:
-                emit("gate", (g.group(1), (int(g.group(2)),)), len(word))
-                continue
-            g = _CNOT_RE.match(word)
-            if g:
-                emit("gate", ("CNOT", (int(g.group(1)), int(g.group(2)))), len(word))
-                continue
-            g = _FLIP_RE.match(word)
-            if g:
-                emit("flip", (int(g.group(1)), int(g.group(2))), len(word))
-                continue
-            emit("word", word, len(word))
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                emit(sym, sym, len(sym))
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", None, line, col))
+        elif kind == "other":
+            raise ParseError(f"unexpected character {value!r}", line, col)
+        tokens.append(Token(kind, value, line, col))
+    tokens.append(Token("eof", None, line, len(text) - line_start + 1))
     return tokens
 
 

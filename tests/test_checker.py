@@ -428,6 +428,18 @@ def test_image_of_proper_cut_region_is_refused():
         eval_symbolic(env, parse_formula("img(X_1, !0_1)"))
 
 
+def test_component_and_locality_refuse_cut_regions():
+    env = Environment(Frame(2))
+    for text, message in [
+        ("eqi{1}(!0_1, 0_1)", "=_I compares unions of subspaces or states only"),
+        ("eqi{1}(0_1, !0_1)", "=_I compares unions of subspaces or states only"),
+        ("local{1}(!0_2)", "locality is judged on unions of subspaces only"),
+    ]:
+        with pytest.raises(UnsupportedShape) as exc:
+            eval_symbolic(env, parse_formula(text))
+        assert str(exc.value) == message, text
+
+
 def test_separation_atom_is_not_symbolic():
     env = Environment(Frame(2))
     with pytest.raises(SpatialAtomInSymbolicMode):

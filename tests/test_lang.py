@@ -1,7 +1,9 @@
 """Concrete syntax: parsing, printing, and their round trip."""
 
 import dataclasses
+import operator
 import random
+import re
 import time
 
 import pytest
@@ -11,9 +13,11 @@ from qpdl.ast import pretty
 from qpdl.checker import Environment, check_valid
 from qpdl.desugar import desugar_formula, desugar_program
 from qpdl.errors import CheckError, UnsupportedNesting
-from qpdl.frame import Frame
+from qpdl.frame import GATES, Frame
 from qpdl.parser import (MAX_DEPTH, RESERVED, ParseError, parse_formula,
-                          parse_program)
+                          parse_program, tokenize)
+
+import lexer_reference
 
 N = 3
 
@@ -278,7 +282,12 @@ FORMULA_ERRORS = [
     ("(p", "expected ')' (found eof) at line 1 column 3"),
     ("[X_1 p", "expected ']' (found word) at line 1 column 6"),
     ("p -> -> q", "expected a formula (found ->) at line 1 column 6"),
-    ("0_", "qubit index expected after '_' at line 1 column 1"),
+    ("0_", "qubit index expected after '_' at line 1 column 3"),
+    ("1_ & p", "qubit index expected after '_' at line 1 column 3"),
+    ("+_", "qubit index expected after '_' at line 1 column 3"),
+    ("0_01", "number with a leading zero at line 1 column 3"),
+    ("+_01", "number with a leading zero at line 1 column 3"),
+    ("p & -_007", "number with a leading zero at line 1 column 7"),
     ("T{}", "expected 'number' (found }) at line 1 column 3"),
     ("T{1", "expected '}' (found eof) at line 1 column 4"),
     ("T{1,}", "expected 'number' (found }) at line 1 column 5"),
@@ -325,6 +334,8 @@ FORMULA_ERRORS = [
     ("img X_1, p", "expected '(' (found gate) at line 1 column 5"),
     ("img(X_1, X_1)", "expected a formula (found gate) at line 1 column 10"),
     ("vec{1}(01)", "number with a leading zero at line 1 column 8"),
+    ("T{01}", "number with a leading zero at line 1 column 3"),
+    ("bell[0,0,01,2]", "number with a leading zero at line 1 column 10"),
     ("vec{1,2}(0)", "one state symbol per qubit expected (found eof) at line 1 column 12"),
     ("vec{1}(2)", "expected one of 0 1 + - (found number) at line 1 column 8"),
     ("vec(0)", "expected '{' (found () at line 1 column 4"),
@@ -386,6 +397,8 @@ PROGRAM_ERRORS = [
     ("ghz[1,2,3]", "expected one of &, ->, ?, | (found eof) at line 1 column 11"),
     ("box", "expected one of !, (, <, [, formula, ~ (found eof) at line 1 column 4"),
     ("<bell>p", "expected one of [ (found >) at line 1 column 6"),
+    ("(1_01)?", "number with a leading zero at line 1 column 4"),
+    ("X_1 ; 0_?", "qubit index expected after '_' at line 1 column 9"),
 ]
 
 
@@ -398,9 +411,14 @@ def test_parse_errors():
         with pytest.raises(ParseError) as exc:
             parse_program(text)
         assert str(exc.value) == message, text
-    # a malformed gate name is still a legal identifier; it is caught
-    # as an unbound variable at evaluation time, not by the parser
-    assert parse_formula("CNOT_1") == ast.Var("CNOT_1")
+    # a malformed gate or flip word, a wrong qubit count or an index with
+    # a leading zero, is still a legal identifier; it is caught as an
+    # unbound variable at evaluation time, not by the parser
+    for word in ("CNOT_1", "X_1_2", "X_1x", "X_01", "CNOT_01_2", "CNOT_1_02",
+                 "flip_01_2", "flip_1"):
+        assert parse_formula(word) == ast.Var(word)
+        assert parse_program(word) == ast.PVar(word)
+    assert parse_formula("[X_01]p") == ast.Box(ast.PVar("X_01"), ast.Var("p"))
 
 
 def subtrees(node):
@@ -449,6 +467,119 @@ def test_every_node_has_exactly_one_printed_form():
     nodes = ast.Formula.__subclasses__() + ast.Program.__subclasses__()
     # as lists: a class with two forms is counted twice
     assert sorted(forms, key=repr) == sorted(nodes, key=repr)
+
+
+_FIELDS = operator.attrgetter("kind", "value", "line", "col")
+
+
+def lexed(lex, text):
+    """The tokens as tuples, or the ParseError as (message, line, column)."""
+    try:
+        return list(map(_FIELDS, lex(text)))
+    except ParseError as exc:
+        return (str(exc), exc.line, exc.col)
+
+
+def test_every_operator_and_gate_word_lexes_as_one_token():
+    def one_token(text, kind, value):
+        return lexed(tokenize, text) == [(kind, value, 1, 1),
+                                         ("eof", None, 1, len(text) + 1)]
+    for ops in ast.OPERATORS.values():
+        for op in ops.infix + ops.prefix:
+            for text in filter(None, (op.text.strip(), getattr(op, "closing", ""))):
+                assert one_token(text, "word" if text.isalpha() else text, text)
+    for name, g in GATES.items():
+        qubits = tuple(range(1, g.rows.bit_length()))
+        assert one_token(pretty(ast.GateP(name, qubits)), "gate", (name, qubits))
+        assert one_token(name, "word", name) and name in RESERVED
+    assert one_token(pretty(ast.Flip(2, 3)), "flip", (2, 3))
+
+
+# Inputs on which the lexer's one rule for indices changes the reference's
+# outcome contain a '_' followed by a leading zero or by no digit.
+INDEX_RULE = re.compile("_(?:0[0-9]|(?![0-9]))")
+_WORD = re.compile("[A-Za-z][A-Za-z0-9_]*")
+
+
+def index_rule_applied(text, outcome):
+    """The reference lexer's outcome on ``text`` with every index read by
+    one rule, decimal without a leading zero: a constant whose index has
+    one is an error at the index, a gate or flip word with one is an
+    identifier, and '0_' or '1_' without an index is reported after the
+    '_', as '+_' is."""
+    starts = [0] + [m.end() for m in re.finditer("\n", text)]
+    at = lambda line, col: starts[line - 1] + col - 1
+    tokens, error = outcome, None
+    if isinstance(outcome, tuple):
+        message, line, col = error = outcome
+        cut = at(line, col)
+        if message.startswith("qubit index expected"):
+            if text[cut:cut + 1] in ("0", "1"):
+                error = (f"qubit index expected after '_' at line {line} column {col + 2}",
+                         line, col + 2)
+            else:
+                cut -= 2  # '+_' and '-_' are reported after the '_'
+        tokens = lexed(lexer_reference.tokenize, text[:cut])[:-1]
+    out = []
+    for kind, value, line, col in tokens:
+        if kind in ("gate", "flip"):
+            word = _WORD.match(text, at(line, col)).group()
+            if re.search("_0[0-9]", word):
+                kind, value = "word", word
+        if kind == "const" and re.match("0[0-9]", text[at(line, col) + 2:]):
+            return (f"number with a leading zero at line {line} column {col + 2}",
+                    line, col + 2)
+        out.append((kind, value, line, col))
+    return error or out
+
+
+LEXER_CASES = [
+    "", "\n", " \t\r\n ", "X_01", "CNOT_01_2", "CNOT_1_02", "flip_01_2",
+    "0_01", "+_01", "-_00", "vec{1}(01)", "T{01}", "bell[0,0,01,2]", "0_", "1_",
+    "+_", "-_x", "CNOT_1", "X_1_2", "X_1x", "X_0", "0_1x", "10_1", "a_$",
+    "->-", "-_1->+_2", "p\n  & é", "[X_1]0_1 -> flip_1_2",
+]
+# Single characters and fragments that make gate words, constants and
+# indices, with and without leading zeros, when spliced into a text.
+_LEXER_PIECES = list("0123456789_ \n\t+-()[]{}<>?;&|!~,pXZHx$") + [
+    "X_", "CNOT_", "flip_", "0_", "1_", "+_", "-_", "_0", "->", "box ", "T{"]
+
+
+def lexer_corpus(rng):
+    """Printed random trees, a truncation and three single-character edits
+    of each, random strings of pieces, and the hand cases."""
+    corpus = list(LEXER_CASES)
+    chars = [p for p in _LEXER_PIECES if len(p) == 1]
+    for _ in range(3000):
+        depth = rng.randint(0, 3)
+        node = rand_formula(rng, depth) if rng.random() < 0.6 else rand_program(rng, depth)
+        text = pretty(node)
+        corpus += [text, text[:rng.randrange(len(text) + 1)]]
+        for _ in range(3):
+            i = rng.randrange(len(text) + 1)
+            corpus.append(rng.choice([text[:i] + rng.choice(chars) + text[i:],
+                                      text[:i] + rng.choice(chars) + text[i + 1:],
+                                      text[:i] + text[i + 1:]]))
+    for _ in range(5000):
+        corpus.append("".join(rng.choices(_LEXER_PIECES, k=rng.randint(1, 12))))
+    return corpus
+
+
+def test_lexer_matches_reference_outside_the_index_rule():
+    corpus = lexer_corpus(random.Random(417))
+    assert len(corpus) >= 20_000
+    changed, differ = 0, []
+    for text in corpus:
+        want = lexed(lexer_reference.tokenize, text)
+        if INDEX_RULE.search(text):
+            fixed = index_rule_applied(text, want)
+            changed += fixed != want
+            want = fixed
+        if lexed(tokenize, text) != want:
+            differ.append(text)
+    assert differ == []
+    # the hand cases are in that class, and the edits add to it
+    assert changed >= 500
 
 
 # Each shape nests one construct k levels deep, with the outcome

@@ -175,12 +175,15 @@ def test_importing_protocols_parses_nothing():
         "        calls.append(1)\n"
         "sys.setprofile(profile)\n"
         "import qpdl.protocols\n"
+        "at_import = len(calls)\n"
+        "qpdl.protocols.parse_formula('p')\n"
         "sys.setprofile(None)\n"
-        "print(len(calls))\n")
+        "print(at_import, len(calls))\n")
     src = str(Path(protocols.__file__).resolve().parent.parent)
     path = filter(None, [src, os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     proc = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "0\n"
+    # none at import, and the probe does see the one call of a parse
+    assert proc.stdout == "0 1\n"
