@@ -16,10 +16,17 @@ amplitude row scaled so that its first nonzero entry is 1.  Subspaces
 are interned: the constructor returns the live instance of its
 canonical basis, so equal spans are one object, equality is identity
 and a projector is built once per span.  ``ortho`` is computed once per
-instance and linked back, since (W^perp)^perp = W.
+instance and linked back, since (W^perp)^perp = W.  Partial maps are
+interned by their matrix the same way, and a map's kernel is computed
+once.  The join of two live subspaces is remembered in a table that
+keeps neither them nor the join alive, so a repeated meet runs no
+elimination; the full and zero subspaces are built once per ambient
+dimension, and a frame remembers its state lifts for as long as it
+lives.
 A layout table is the index table of ``Matrix.tensor``, which places
-gate lifts g (x) I, state lifts part (x) I and reachable sets I (x) rest,
-and of ``Matrix.gather``, which reads blocks and reshaped basis rows.
+gate lifts g (x) I (rows and columns alike), state lifts part (x) I and
+reachable sets I (x) rest, and of ``Matrix.gather``, which reads blocks
+and reshaped basis rows.
 One tensor factorization, ``Frame.product_form``, splits a subspace as
 part (x) rest through the spans of the columns and of the rows of its
 reshaped basis rows; T{I}, cmp{I}, =_I and local{I} all read it.
@@ -34,6 +41,7 @@ from __future__ import annotations
 
 import re
 import weakref
+from functools import cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError
@@ -44,10 +52,18 @@ class BadIndex(InputError):
     """A qubit index is out of range or repeated."""
 
 
-# The live subspace of each canonical basis.  It holds no subspace alive,
-# so it is bounded by the subspaces in use.
+# The live subspace of each canonical basis, and the live map of each
+# matrix.  They hold no value alive, so they are bounded by the values in
+# use.
 _INTERNED: "weakref.WeakValueDictionary[Matrix, Subspace]" = \
     weakref.WeakValueDictionary()
+_MAPS: "weakref.WeakValueDictionary[Matrix, PartialMap]" = \
+    weakref.WeakValueDictionary()
+
+# Joins of live subspaces: (id(a), id(b)) in ascending order -> weak
+# references to a, b and their join.  The first of the three to die
+# removes the entry, before its id can be reused.
+_JOINS: dict = {}
 
 
 class Subspace:
@@ -82,10 +98,12 @@ class Subspace:
         return Subspace(Matrix(rows, cols=ambient), ambient)
 
     @staticmethod
+    @cache
     def zero(ambient: int) -> "Subspace":
         return Subspace(Matrix.zeros(0, ambient), ambient, _canonical=True)
 
     @staticmethod
+    @cache
     def full(ambient: int) -> "Subspace":
         return Subspace(Matrix.identity(ambient), ambient, _canonical=True)
 
@@ -104,12 +122,21 @@ class Subspace:
         return stacked.rank() == self.dim
 
     def join(self, other: "Subspace") -> "Subspace":
+        """The span of both, computed once per live pair in either order."""
         self._same_ambient(other)
         if self.is_zero():
             return other
         if other.is_zero():
             return self
-        return Subspace(Matrix.vstack([self.basis, other.basis]), self.ambient)
+        key = tuple(sorted((id(self), id(other))))
+        refs = _JOINS.get(key)
+        joined = refs and refs[2]()
+        if joined is None:
+            joined = Subspace(Matrix.vstack([self.basis, other.basis]), self.ambient)
+            # pop is bound now, since a callback may run as the module is torn down
+            drop = lambda _, pop=_JOINS.pop: pop(key, None)
+            _JOINS[key] = tuple(weakref.ref(x, drop) for x in (self, other, joined))
+        return joined
 
     def ortho(self) -> "Subspace":
         """Orthocomplement under the conjugate-linear inner product,
@@ -152,14 +179,24 @@ class Subspace:
 
 
 class PartialMap:
-    """A linear map acting on states; undefined where it sends a vector to 0."""
+    """A linear map acting on states; undefined where it sends a vector to 0.
 
-    __slots__ = ("matrix",)
+    Hash-consed as subspaces are: there is one live instance per matrix,
+    so equality and hashing are identity.
+    """
 
-    def __init__(self, matrix: Matrix):
+    __slots__ = ("matrix", "_kernel", "__weakref__")
+
+    def __new__(cls, matrix: Matrix):
         if matrix.rows != matrix.cols:
             raise ValueError("maps must be square")
-        self.matrix = matrix
+        self = _MAPS.get(matrix)
+        if self is None:
+            self = object.__new__(cls)
+            self.matrix = matrix
+            self._kernel = None
+            _MAPS[matrix] = self
+        return self
 
     @property
     def dim(self) -> int:
@@ -170,7 +207,11 @@ class PartialMap:
         return PartialMap(other.matrix * self.matrix)
 
     def kernel(self) -> Subspace:
-        return Subspace(self.matrix.kernel_basis(), self.dim, _canonical=True)
+        """The states the map is undefined on, computed once per map."""
+        if self._kernel is None:
+            self._kernel = Subspace(self.matrix.kernel_basis(), self.dim,
+                                    _canonical=True)
+        return self._kernel
 
     def image_of(self, sub: Subspace) -> Subspace:
         """Span of the pointwise image of a subspace: M x for each basis
@@ -193,12 +234,7 @@ class PartialMap:
         """True iff the map factors as (something on qubits) tensor identity,
         that is, equals the lift of its own block on those qubits."""
         inside = sorted(qubits)
-        return self == frame.lift(frame.block(self, inside), inside)
-
-    def __eq__(self, other):
-        if not isinstance(other, PartialMap):
-            return NotImplemented
-        return self.matrix == other.matrix
+        return self is frame.lift(frame.block(self, inside), inside)
 
     def __repr__(self):
         return f"PartialMap({self.dim}x{self.dim})"
@@ -230,6 +266,7 @@ class Frame:
         self.dim = 2 ** n
         self._gates: dict = {}
         self._layouts: dict = {}
+        self._lifts: dict = {}
 
     # ----- qubit layout ------------------------------------------------------
 
@@ -287,15 +324,12 @@ class Frame:
 
     def lift(self, g: Matrix, qubits: Sequence[int]) -> PartialMap:
         """g on the listed qubits (in layout order) tensor identity elsewhere:
-        row (a, b) of g (x) I, placed by the layout, is row table[a][b]."""
+        row (a, b) of g (x) I, placed by the layout, is row table[a][b],
+        and so is its column."""
         table = self.layout(qubits)
         if g.shape != (len(table), len(table)):
             raise BadIndex(f"a {g.rows}x{g.cols} matrix cannot act on {qubits}")
-        product = g.tensor(Matrix.identity(len(table[0])), table)
-        order = [0] * self.dim
-        for k, r in enumerate(r for row in table for r in row):
-            order[r] = k
-        return PartialMap(product.gather(order, (range(self.dim),)))
+        return PartialMap(g.tensor(Matrix.identity(len(table[0])), table, table))
 
     def block(self, pm: PartialMap, qubits: Sequence[int]) -> Matrix:
         """The map on the listed qubits with the others held at |0...0>:
@@ -336,13 +370,20 @@ class Frame:
         """States whose I-component is the given part-state: part x H_rest.
 
         One amplitude per part basis index, the lowest-numbered qubit of I
-        being the most significant bit, as everywhere else.
+        being the most significant bit, as everywhere else.  Computed once
+        per frame, amplitudes and qubit set; an error is never remembered.
         """
-        table = self.layout(sorted(qubits))
-        part = Matrix([amps])
-        if part.cols != len(table):
-            raise ValueError("need one amplitude per part basis state")
-        return Subspace(part.tensor(Matrix.identity(len(table[0])), table), self.dim)
+        key = (tuple(amps), tuple(sorted(qubits)))
+        lifted = self._lifts.get(key)
+        if lifted is None:
+            table = self.layout(key[1])
+            part = Matrix([key[0]])
+            if part.cols != len(table):
+                raise ValueError("need one amplitude per part basis state")
+            lifted = Subspace(part.tensor(Matrix.identity(len(table[0])), table),
+                              self.dim)
+            self._lifts[key] = lifted
+        return lifted
 
     def product_form(self, sub: Subspace, qubits: Iterable[int]
                      ) -> Optional[tuple[Subspace, Subspace]]:

@@ -226,12 +226,15 @@ class Matrix:
         """Row i as a one-row matrix."""
         return Matrix.from_parts([(self.re[i], self.im[i], self.den)], self.cols)
 
-    def tensor(self, other: "Matrix", at: Sequence[Sequence[int]]) -> "Matrix":
+    def tensor(self, other: "Matrix", at: Sequence[Sequence[int]],
+               rows_at: Optional[Sequence[Sequence[int]]] = None) -> "Matrix":
         """The placed tensor product: for each row x of self and then each
         row y of other, the row x (x) y that puts x_j * y_l at column
         at[j][l].  ``at`` has a line per column of self and an entry per
         column of other, and its entries number the columns once each.
-        Built in one pass over nonzero factor pairs only."""
+        A table ``rows_at`` of the same convention for the rows puts row
+        x_i (x) y_k at row rows_at[i][k] instead.  Built in one pass over
+        nonzero factor pairs only."""
         cols, den = self.cols * other.cols, self.den * other.den
         b = other._sparse_rows()
         out = []
@@ -245,6 +248,11 @@ class Matrix:
                         re[c] = xr * yr - xi * yi
                         im[c] = xr * yi + xi * yr
                 out.append((re, im, den))
+        if rows_at is not None:
+            placed = [None] * len(out)
+            for row, r in zip(out, (r for line in rows_at for r in line)):
+                placed[r] = row
+            out = placed
         return Matrix.from_parts(out, cols)
 
     def gather(self, rows: Iterable[int], table: Sequence[Sequence[int]]) -> "Matrix":

@@ -25,7 +25,7 @@ from qpdl.parser import parse_program
 from qpdl.regions import make_term
 
 from exact_reference import orthogonal, product_ray, quotient
-from test_linalg import exact, reference_apply
+from test_linalg import exact, reference_apply, reference_kernel_basis
 
 
 def rand_amps(rng, dim, real=False):
@@ -44,6 +44,19 @@ def rand_sub(rng, dim, k=None):
         sub = Subspace.from_rows(rows, dim)
         if not sub.is_zero():
             return sub
+
+
+def counted_eliminations(monkeypatch):
+    """The column counts of the eliminations run from here on."""
+    calls = []
+    eliminate = linalg._eliminate
+
+    def counted(work, cols):
+        calls.append(cols)
+        return eliminate(work, cols)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    return calls
 
 
 def test_ray_scalar_and_phase_invariance():
@@ -308,14 +321,7 @@ def test_entangled_ray_is_refused_after_one_elimination(monkeypatch):
     # eliminated
     fr = Frame(3)
     ray = fr.ray([1, 0, 0, 0, 0, 0, 1, 2])
-    calls = []
-    eliminate = linalg._eliminate
-
-    def counted(work, cols):
-        calls.append(cols)
-        return eliminate(work, cols)
-
-    monkeypatch.setattr(linalg, "_eliminate", counted)
+    calls = counted_eliminations(monkeypatch)
     assert fr.product_form(ray, (1,)) is None
     assert calls == [4]
 
@@ -925,3 +931,145 @@ def test_apply_ray_and_image_of_match_dense_product():
         images = [reference_apply(pm.matrix, row) for row in sub.basis.entries]
         assert pm.image_of(sub) == Subspace.from_rows(
             [v for v in images if any(v)], pm.dim)
+
+
+# ----- one-pass lifts, memoised values and their lifetimes ---------------------
+
+
+def two_pass_lift(fr, g, qubits):
+    """The lift as it was built before rows were placed by the tensor:
+    g (x) I in (a, b) row order, then a gather into layout order."""
+    table = fr.layout(qubits)
+    product = g.tensor(Matrix.identity(len(table[0])), table)
+    order = [0] * fr.dim
+    for k, r in enumerate(r for row in table for r in row):
+        order[r] = k
+    return PartialMap(product.gather(order, (range(fr.dim),)))
+
+
+def test_one_pass_lift_matches_two_pass_reference():
+    checked = 0
+    for n in range(1, 6):
+        fr = Frame(n)
+        for g in frame_module.GATES.values():
+            k = g.rows.bit_length() - 1
+            for targets in itertools.permutations(range(1, n + 1), k):
+                assert fr.lift(g, targets) is two_pass_lift(fr, g, targets)
+                checked += 1
+    assert checked == 3 * (1 + 2 + 3 + 4 + 5) + (2 + 6 + 12 + 20)
+
+
+def test_full_and_zero_are_built_once_per_ambient(monkeypatch):
+    Subspace.full.cache_clear()
+    Subspace.zero.cache_clear()
+    cold = {n: (Subspace.full(n), Subspace.zero(n)) for n in (1, 2, 5, 16)}
+
+    def built_again(*args):
+        raise AssertionError("a warm full or zero subspace was built again")
+
+    monkeypatch.setattr(Matrix, "identity", staticmethod(built_again))
+    monkeypatch.setattr(Matrix, "zeros", staticmethod(built_again))
+    for n, (full, zero) in cold.items():
+        assert Subspace.full(n) is full and Subspace.zero(n) is zero
+        assert Subspace(Matrix([[int(i == j) for j in range(n)]
+                                for i in range(n)]), n) is full
+        assert Subspace(Matrix([[0] * n]), n) is zero
+        assert full.is_full() and full.dim == n and zero.dim == 0
+        assert full.ortho() is zero
+
+
+def test_state_lift_is_remembered_per_frame():
+    rng = random.Random(216)
+    for n in (1, 2, 3, 4):
+        fr = Frame(n)
+        for qubits in all_subsets(n)[1:]:
+            part = rand_amps(rng, 2 ** len(qubits))
+            cold = fr.state_lift(part, qubits)
+            assert fr.state_lift(list(part), rng.sample(qubits, len(qubits))) \
+                is cold
+            assert cold is old_state_lift(fr, part, qubits)
+            # another frame of the same size computes it afresh, to the same value
+            assert Frame(n).state_lift(part, qubits) is cold
+
+
+def test_state_lift_remembers_no_error():
+    fr = Frame(3)
+    with pytest.raises(ValueError, match="one amplitude per part"):
+        fr.state_lift((1, 0, 0), (1, 2))
+    lifted = fr.state_lift((1, 0, 0, 1), (1, 2))
+    with pytest.raises(ValueError, match="one amplitude per part"):
+        fr.state_lift((1, 0, 0), (1, 2))
+    with pytest.raises(BadIndex):
+        fr.state_lift((1, 0), (4,))
+    assert fr.state_lift((1, 0, 0, 1), (2, 1)) is lifted
+
+
+def test_maps_are_interned_and_kernels_remembered(monkeypatch):
+    pairs = preimage_inputs()
+    maps = list(dict.fromkeys(pm for pm, _ in pairs))
+    for pm in maps:
+        m = pm.matrix
+        assert PartialMap(m) is pm and PartialMap(Matrix(m.entries)) is pm
+        cold = pm.kernel()
+        assert pm.kernel() is cold
+        assert cold is Subspace(m.kernel_basis(), m.cols)
+        want = reference_kernel_basis(m)
+        assert exact(cold.basis.entries) == exact(want.entries)
+    calls = counted_eliminations(monkeypatch)
+    assert all(pm.kernel() is pm.kernel() for pm in maps)
+    assert calls == []
+    fr = Frame(2)
+    assert fr.gate("H", (1,)) is PartialMap(Matrix(
+        [[1, 0, 1, 0], [0, 1, 0, 1], [1, 0, -1, 0], [0, 1, 0, -1]]))
+
+
+def test_join_is_remembered_per_pair_and_warm_meet_eliminates_nothing(
+        monkeypatch):
+    rng = random.Random(218)
+    pairs = [(rand_sub(rng, dim), rand_sub(rng, dim))
+             for dim in (2, 4, 8) for _ in range(12)]
+    meets = []
+    for s, t in pairs:
+        cold = s.join(t)
+        assert s.join(t) is cold and t.join(s) is cold
+        uncached = Subspace(Matrix(s.basis.entries + t.basis.entries), s.ambient)
+        assert cold is uncached
+        meets.append(s.meet(t))
+        # the vectors orthogonal to both orthocomplements, in Fractions
+        perps = Matrix(s.ortho().basis.entries + t.ortho().basis.entries,
+                       cols=s.ambient).conj()
+        assert meets[-1] is Subspace(reference_kernel_basis(perps), s.ambient)
+    calls = counted_eliminations(monkeypatch)
+    for (s, t), meet in zip(pairs, meets):
+        assert s.meet(t) is meet and t.meet(s) is meet
+    assert calls == []
+
+
+def test_map_and_join_tables_drop_dead_values():
+    rng = random.Random(219)
+    mats = [Matrix([rand_amps(rng, 4) for _ in range(4)]) for _ in range(5)]
+    maps = [PartialMap(m) for m in mats]
+    assert all(frame_module._MAPS.get(m) is pm for m, pm in zip(mats, maps))
+    before = set(frame_module._JOINS)
+    subs = [rand_sub(rng, 8, 2) for _ in range(6)]
+    kept = subs[0].join(subs[1])  # outlives both of its operands
+    joins = [a.join(b) for a, b in zip(subs, subs[1:])]
+    added = set(frame_module._JOINS) - before
+    assert len(added) == 5
+    refs = [weakref.ref(x) for x in maps + subs + joins[1:]]
+    del maps, subs, joins
+    gc.collect()
+    assert all(r() is None for r in refs)
+    assert all(m not in frame_module._MAPS for m in mats)
+    assert not added & set(frame_module._JOINS)
+    assert kept.dim == 4
+
+
+def test_lift_table_dies_with_its_frame():
+    fr = Frame(3)
+    lifted = weakref.ref(fr.state_lift((1, 2), (2,)))
+    frame = weakref.ref(fr)
+    assert lifted() is fr.state_lift((1, 2), (2,))
+    del fr
+    gc.collect()
+    assert frame() is None and lifted() is None

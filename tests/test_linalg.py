@@ -590,8 +590,16 @@ def test_tensor_and_gather_match_entrywise_products():
             for at in index_tables(rng, a.cols, b.cols):
                 got = a.tensor(b, at)
                 assert got.shape == (a.rows * b.rows, a.cols * b.cols)
-                assert_canonical(got, reference_tensor(a, b, at))
+                want = reference_tensor(a, b, at)
+                assert_canonical(got, want)
                 pairs += 1
+                if a.rows and b.rows:
+                    # rows placed by a table of the same convention
+                    rows_at = rng.choice(index_tables(rng, a.rows, b.rows))
+                    placed = [None] * len(want)
+                    for row, r in zip(want, (r for line in rows_at for r in line)):
+                        placed[r] = row
+                    assert_canonical(a.tensor(b, at, rows_at), placed)
         for table in index_tables(rng, a.cols, 1) + [
                 [[rng.randrange(a.cols) for _ in range(3)] for _ in range(2)],
                 [list(range(a.cols))[::-1]]]:
