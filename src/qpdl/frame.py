@@ -16,13 +16,13 @@ amplitude row scaled so that its first nonzero entry is 1.  Subspaces
 are interned: the constructor returns the live instance of its
 canonical basis, so equal spans are one object, equality is identity
 and a projector is built once per span.  ``ortho`` is computed once per
-instance and linked back, since (W^perp)^perp = W.  Partial maps are
-interned by their matrix the same way, and a map's kernel is computed
-once.  The join of two live subspaces is remembered in a table that
-keeps neither them nor the join alive, so a repeated meet runs no
-elimination; the full and zero subspaces are built once per ambient
-dimension, and a frame remembers its state lifts for as long as it
-lives.
+instance and linked back, since (W^perp)^perp = W.  The join of two
+live subspaces is remembered in a table that keeps neither them nor the
+join alive, so a repeated meet runs no elimination; the full and zero
+subspaces are built once per ambient dimension, and a frame remembers
+its state lifts, with their orthos and projectors, for as long as it
+lives.  Partial maps are not interned, since a map's kernel is seldom
+asked for twice.
 A layout table is the index table of ``Matrix.tensor``, which places
 gate lifts g (x) I (rows and columns alike), state lifts part (x) I and
 reachable sets I (x) rest, and of ``Matrix.gather``, which reads blocks
@@ -52,12 +52,9 @@ class BadIndex(InputError):
     """A qubit index is out of range or repeated."""
 
 
-# The live subspace of each canonical basis, and the live map of each
-# matrix.  They hold no value alive, so they are bounded by the values in
-# use.
+# The live subspace of each canonical basis.  It holds no subspace alive,
+# so it is bounded by the subspaces in use.
 _INTERNED: "weakref.WeakValueDictionary[Matrix, Subspace]" = \
-    weakref.WeakValueDictionary()
-_MAPS: "weakref.WeakValueDictionary[Matrix, PartialMap]" = \
     weakref.WeakValueDictionary()
 
 # Joins of live subspaces: (id(a), id(b)) in ascending order -> weak
@@ -179,24 +176,14 @@ class Subspace:
 
 
 class PartialMap:
-    """A linear map acting on states; undefined where it sends a vector to 0.
+    """A linear map acting on states; undefined where it sends a vector to 0."""
 
-    Hash-consed as subspaces are: there is one live instance per matrix,
-    so equality and hashing are identity.
-    """
+    __slots__ = ("matrix",)
 
-    __slots__ = ("matrix", "_kernel", "__weakref__")
-
-    def __new__(cls, matrix: Matrix):
+    def __init__(self, matrix: Matrix):
         if matrix.rows != matrix.cols:
             raise ValueError("maps must be square")
-        self = _MAPS.get(matrix)
-        if self is None:
-            self = object.__new__(cls)
-            self.matrix = matrix
-            self._kernel = None
-            _MAPS[matrix] = self
-        return self
+        self.matrix = matrix
 
     @property
     def dim(self) -> int:
@@ -207,11 +194,7 @@ class PartialMap:
         return PartialMap(other.matrix * self.matrix)
 
     def kernel(self) -> Subspace:
-        """The states the map is undefined on, computed once per map."""
-        if self._kernel is None:
-            self._kernel = Subspace(self.matrix.kernel_basis(), self.dim,
-                                    _canonical=True)
-        return self._kernel
+        return Subspace(self.matrix.kernel_basis(), self.dim, _canonical=True)
 
     def image_of(self, sub: Subspace) -> Subspace:
         """Span of the pointwise image of a subspace: M x for each basis
@@ -234,7 +217,12 @@ class PartialMap:
         """True iff the map factors as (something on qubits) tensor identity,
         that is, equals the lift of its own block on those qubits."""
         inside = sorted(qubits)
-        return self is frame.lift(frame.block(self, inside), inside)
+        return self == frame.lift(frame.block(self, inside), inside)
+
+    def __eq__(self, other):
+        if not isinstance(other, PartialMap):
+            return NotImplemented
+        return self.matrix == other.matrix
 
     def __repr__(self):
         return f"PartialMap({self.dim}x{self.dim})"

@@ -954,7 +954,7 @@ def test_one_pass_lift_matches_two_pass_reference():
         for g in frame_module.GATES.values():
             k = g.rows.bit_length() - 1
             for targets in itertools.permutations(range(1, n + 1), k):
-                assert fr.lift(g, targets) is two_pass_lift(fr, g, targets)
+                assert fr.lift(g, targets) == two_pass_lift(fr, g, targets)
                 checked += 1
     assert checked == 3 * (1 + 2 + 3 + 4 + 5) + (2 + 6 + 12 + 20)
 
@@ -978,18 +978,23 @@ def test_full_and_zero_are_built_once_per_ambient(monkeypatch):
         assert full.ortho() is zero
 
 
-def test_state_lift_is_remembered_per_frame():
+def test_state_lift_is_remembered_per_frame(monkeypatch):
     rng = random.Random(216)
+    asked = []
     for n in (1, 2, 3, 4):
         fr = Frame(n)
         for qubits in all_subsets(n)[1:]:
             part = rand_amps(rng, 2 ** len(qubits))
             cold = fr.state_lift(part, qubits)
-            assert fr.state_lift(list(part), rng.sample(qubits, len(qubits))) \
-                is cold
             assert cold is old_state_lift(fr, part, qubits)
             # another frame of the same size computes it afresh, to the same value
             assert Frame(n).state_lift(part, qubits) is cold
+            asked.append((fr, part, qubits, cold))
+    calls = counted_eliminations(monkeypatch)
+    for fr, part, qubits, cold in asked:
+        assert fr.state_lift(list(part), rng.sample(qubits, len(qubits))) \
+            is cold
+    assert calls == []
 
 
 def test_state_lift_remembers_no_error():
@@ -1002,25 +1007,6 @@ def test_state_lift_remembers_no_error():
     with pytest.raises(BadIndex):
         fr.state_lift((1, 0), (4,))
     assert fr.state_lift((1, 0, 0, 1), (2, 1)) is lifted
-
-
-def test_maps_are_interned_and_kernels_remembered(monkeypatch):
-    pairs = preimage_inputs()
-    maps = list(dict.fromkeys(pm for pm, _ in pairs))
-    for pm in maps:
-        m = pm.matrix
-        assert PartialMap(m) is pm and PartialMap(Matrix(m.entries)) is pm
-        cold = pm.kernel()
-        assert pm.kernel() is cold
-        assert cold is Subspace(m.kernel_basis(), m.cols)
-        want = reference_kernel_basis(m)
-        assert exact(cold.basis.entries) == exact(want.entries)
-    calls = counted_eliminations(monkeypatch)
-    assert all(pm.kernel() is pm.kernel() for pm in maps)
-    assert calls == []
-    fr = Frame(2)
-    assert fr.gate("H", (1,)) is PartialMap(Matrix(
-        [[1, 0, 1, 0], [0, 1, 0, 1], [1, 0, -1, 0], [0, 1, 0, -1]]))
 
 
 def test_join_is_remembered_per_pair_and_warm_meet_eliminates_nothing(
@@ -1045,22 +1031,18 @@ def test_join_is_remembered_per_pair_and_warm_meet_eliminates_nothing(
     assert calls == []
 
 
-def test_map_and_join_tables_drop_dead_values():
+def test_join_table_drops_dead_values():
     rng = random.Random(219)
-    mats = [Matrix([rand_amps(rng, 4) for _ in range(4)]) for _ in range(5)]
-    maps = [PartialMap(m) for m in mats]
-    assert all(frame_module._MAPS.get(m) is pm for m, pm in zip(mats, maps))
     before = set(frame_module._JOINS)
     subs = [rand_sub(rng, 8, 2) for _ in range(6)]
     kept = subs[0].join(subs[1])  # outlives both of its operands
     joins = [a.join(b) for a, b in zip(subs, subs[1:])]
     added = set(frame_module._JOINS) - before
     assert len(added) == 5
-    refs = [weakref.ref(x) for x in maps + subs + joins[1:]]
-    del maps, subs, joins
+    refs = [weakref.ref(x) for x in subs + joins[1:]]
+    del subs, joins
     gc.collect()
     assert all(r() is None for r in refs)
-    assert all(m not in frame_module._MAPS for m in mats)
     assert not added & set(frame_module._JOINS)
     assert kept.dim == 4
 
