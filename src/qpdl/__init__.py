@@ -9,8 +9,6 @@ from .ast import Formula, Program
 from .checker import (
     Environment,
     InstanceResult,
-    SchematicClaim,
-    SchematicOutcome,
     check_schematic,
     check_state,
     check_valid,
@@ -56,8 +54,6 @@ __all__ = [
     "PartialMap",
     "Program",
     "Region",
-    "SchematicClaim",
-    "SchematicOutcome",
     "SpatialAtomInSymbolicMode",
     "Subspace",
     "UnboundVariable",

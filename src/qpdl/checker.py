@@ -1,11 +1,12 @@
-"""The three evaluators.
+"""The two evaluators and the schematic claims decided through them.
 
 Symbolic: formula -> Region, for everything whose meaning is a finite
 boolean combination of subspaces.  Pointwise: formula at one concrete
 state, a one-dimensional subspace, which additionally covers the
-separation constructs.  Schematic: universally quantified state
-variables, decided by instantiating over {0,1,+} per qubit and
-corroborated on random rational states.
+separation constructs.  A schematic claim is a schema with one state
+variable and an optional program variable ``w``: it is decided by
+filling the state variable with {0,1,+} per qubit and ``w`` with each
+branch in turn, and corroborated on random rational states.
 
 A program denotes a nonempty tuple of partial maps, one per branch:
 ``;`` composes branch by branch and ``+`` concatenates.  T{I} stands for
@@ -23,6 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Optional
 
 from . import ast
@@ -353,34 +355,10 @@ def check_valid(env: Environment, f: ast.Formula) -> Optional[Subspace]:
 
 
 @dataclass(frozen=True)
-class SchematicClaim:
-    """A template valid for every state assigned to its metavariables.
-
-    Each metavariable (name, qubits) stands for a state of len(qubits)
-    qubits; occurrences are Var nodes in formula position.  When the
-    template's outer program is a union, branch_labels may name the
-    branches for reporting."""
-    metavariables: tuple
-    template: ast.Formula
-    branch_labels: tuple = ()
-
-
-@dataclass(frozen=True)
 class InstanceResult:
     label: str
     valid: bool
     witness: Optional[Subspace]
-
-
-@dataclass(frozen=True)
-class SchematicOutcome:
-    instances: tuple
-    corroborations: tuple
-    branch_count: int
-
-    @property
-    def passed(self) -> bool:
-        return all(r.valid for r in self.instances + self.corroborations)
 
 
 def substitute(node, mapping: dict):
@@ -393,39 +371,6 @@ def substitute(node, mapping: dict):
                             f"{kind.__name__.lower()}, not {value!r}")
         return value
     return ast.rebuild(node, map(substitute, ast.parts(node), itertools.repeat(mapping)))
-
-
-def _union_branches(prog: ast.Program) -> list:
-    if isinstance(prog, ast.UnionP):
-        return _union_branches(prog.left) + _union_branches(prog.right)
-    return [prog]
-
-
-def _modal_split(template: ast.Formula):
-    """(rebuild, branches): branch-wise claims when the template's outer
-    program is a union.
-
-    [p + q]f is the conjunction of [p]f and [q]f, and an image through a
-    union is the union of the branch images, so =_I against a fixed right
-    side must hold branch by branch.  Otherwise the template itself is
-    the only branch."""
-    if (isinstance(template, ast.Implies)
-            and isinstance(template.right, ast.Box)):
-        box = template.right
-        branches = _union_branches(box.prog)
-        if len(branches) > 1:
-            def rebuild(branch):
-                return ast.Implies(template.left, ast.Box(branch, box.body))
-            return rebuild, branches
-    if isinstance(template, ast.EqI) and isinstance(template.left, ast.Img):
-        img = template.left
-        branches = _union_branches(img.prog)
-        if len(branches) > 1:
-            def rebuild(branch):
-                return ast.EqI(ast.Img(branch, img.body), template.right,
-                               template.qubits)
-            return rebuild, branches
-    return (lambda _one: template), [None]
 
 
 def random_part_state(rng, nqubits: int, real_only: bool = False) -> tuple:
@@ -441,42 +386,35 @@ def random_part_state(rng, nqubits: int, real_only: bool = False) -> tuple:
             return tuple(amps)
 
 
-def check_schematic(env: Environment, claim: SchematicClaim, rng=None,
-                    samples: int = 20,
-                    real_only: bool = False) -> SchematicOutcome:
-    rebuild, branches = _modal_split(claim.template)
-    arities = [(name, len(qubits)) for name, qubits in claim.metavariables]
+def check_schematic(env: Environment, template: ast.Formula, var: str, qubits,
+                    branches: Optional[dict] = None, rng=None, samples: int = 20,
+                    real_only: bool = False) -> tuple:
+    """(instances, corroborations) of a schema claimed for every state of
+    ``var`` on ``qubits``.
+
+    An instance fills ``var`` with a product of 0, 1 and + per qubit and,
+    when ``branches`` maps labels to programs, the program variable ``w``
+    with one branch: [p + q]f is [p]f & [q]f, and an image through a
+    union is the union of the branch images, so =_I against a fixed
+    right side must hold branch by branch.  A corroboration fills ``var``
+    with a random rational state and ``w`` with the union of every
+    branch."""
+    fills = [(f" {label}", {"w": prog})
+             for label, prog in (branches or {}).items()] or [("", {})]
     instances = []
-    spaces = [tuple("01+") for _ in range(sum(a for _, a in arities))]
-    for chars in itertools.product(*spaces):
-        mapping = {}
-        pos = 0
-        labels = []
-        for (name, qubits), (_, arity) in zip(claim.metavariables, arities):
-            picked = "".join(chars[pos:pos + arity])
-            pos += arity
-            mapping[name] = ast.VecC(tuple(qubits), picked)
-            labels.append(f"{name}={picked}")
-        for b_index, branch in enumerate(branches):
-            formula = substitute(rebuild(branch), mapping)
-            witness = check_valid(env, formula)
-            label = ", ".join(labels)
-            if len(branches) > 1:
-                if len(claim.branch_labels) == len(branches):
-                    label += f" {claim.branch_labels[b_index]}"
-                else:
-                    label += f" branch {b_index + 1}"
-            instances.append(InstanceResult(label, witness is None, witness))
+    for chars in itertools.product("01+", repeat=len(qubits)):
+        state = ast.VecC(tuple(qubits), "".join(chars))
+        for suffix, fill in fills:
+            witness = check_valid(env, substitute(template, {var: state, **fill}))
+            instances.append(InstanceResult(f"{var}={state.chars}{suffix}",
+                                            witness is None, witness))
+    union = {"w": reduce(ast.UnionP, branches.values())} if branches else {}
     corroborations = []
     if rng is not None:
         for k in range(samples):
-            mapping = {
-                name: ast.RayF(tuple(qubits),
-                               random_part_state(rng, len(qubits), real_only))
-                for name, qubits in claim.metavariables}
-            witness = check_valid(env, substitute(claim.template, mapping))
+            state = ast.RayF(tuple(qubits),
+                             random_part_state(rng, len(qubits), real_only))
+            witness = check_valid(env, substitute(template, {var: state, **union}))
             corroborations.append(
-                InstanceResult(f"random state {k + 1}", witness is None,
-                               witness))
-    return SchematicOutcome(tuple(instances), tuple(corroborations),
-                            len(branches))
+                InstanceResult(f"random state {k + 1}", witness is None, witness))
+    return tuple(instances), tuple(corroborations)

@@ -76,11 +76,15 @@ def _ray_lines(amps: tuple) -> str:
 
 def _cmd_parse(args) -> int:
     try:
-        node = parse_formula(args.expr)
-        kind = "formula"
-    except ParseError:
-        node = parse_program(args.expr)
-        kind = "program"
+        node, kind = parse_formula(args.expr), "formula"
+    except ParseError as formula_error:
+        try:
+            node, kind = parse_program(args.expr), "program"
+        except ParseError as program_error:
+            # the reading that got further explains the text; a tie is
+            # read as a formula
+            raise max(formula_error, program_error,
+                      key=lambda e: (e.line, e.col)) from None
     print(f"{kind}: {pretty(node)}")
     return 0
 

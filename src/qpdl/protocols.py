@@ -27,7 +27,6 @@ from . import ast
 from .checker import (
     Environment,
     InstanceResult,
-    SchematicClaim,
     check_schematic,
     check_state,
     check_valid,
@@ -37,7 +36,7 @@ from .checker import (
 )
 from .frame import Frame, Subspace
 from .linalg import GaussianRational, Matrix
-from .parser import parse_formula
+from .parser import parse_formula, parse_program
 from .regions import Region
 
 DEFAULT_SEED = 2026
@@ -191,18 +190,15 @@ def teleportation(seed: int = DEFAULT_SEED, drop_x: bool = False,
     image of q_1 & bell00_23 has 3-component q.  drop_x / drop_z omit
     Bob's corrections and must make the claim fail."""
     start = time.perf_counter()
-    pairs = [(x, y) for x in (0, 1) for y in (0, 1)]
-    prog = " + ".join(_teleport_branch(x, y, drop_x, drop_z)
-                      for x, y in pairs)
+    branches = {f"x={x},y={y}": parse_program(_teleport_branch(x, y, drop_x, drop_z))
+                for x in (0, 1) for y in (0, 1)}
     template = parse_formula(
-        f"eqi{{3}}(img({prog}, q & bell[0,0,2,3]), img(mov[1,3](id), q))")
-    claim = SchematicClaim((("q", (1,)),), template,
-                           tuple(f"x={x},y={y}" for x, y in pairs))
-    out = check_schematic(Environment(Frame(3)), claim,
-                          rng=random.Random(seed), samples=samples)
-    return _report("teleportation", out.instances, seed, start,
-                   branches=out.branch_count,
-                   corroborations=out.corroborations)
+        "eqi{3}(img(w, q & bell[0,0,2,3]), img(mov[1,3](id), q))")
+    instances, corroborations = check_schematic(
+        Environment(Frame(3)), template, "q", (1,), branches,
+        rng=random.Random(seed), samples=samples)
+    return _report("teleportation", instances, seed, start,
+                   branches=len(branches), corroborations=corroborations)
 
 
 def _qss_branch(x: int, y: int, z: int, omit_z: bool, signs: str) -> str:
@@ -230,25 +226,22 @@ def quantum_secret_sharing(seed: int = DEFAULT_SEED, omit_z: bool = False,
     leaves {2,4} in the Bell state bell[z,0,2,4]."""
     start = time.perf_counter()
     signs = "-+" if invert_sign else "+-"
-    triples = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
-    prog = " + ".join(_qss_branch(x, y, z, omit_z, signs)
-                      for x, y, z in triples)
+    branches = {f"x={x},y={y},z={z}": parse_program(_qss_branch(x, y, z, omit_z, signs))
+                for x in (0, 1) for y in (0, 1) for z in (0, 1)}
     template = parse_formula(
-        f"eqi{{4}}(img({prog}, q & ghz[2,3,4]), img(mov[1,4](id), q))")
-    claim = SchematicClaim((("q", (1,)),), template,
-                           tuple(f"x={x},y={y},z={z}" for x, y, z in triples))
+        "eqi{4}(img(w, q & ghz[2,3,4]), img(mov[1,4](id), q))")
     env = Environment(Frame(4))
-    out = check_schematic(env, claim, rng=random.Random(seed),
-                          samples=samples)
+    instances, corroborations = check_schematic(
+        env, template, "q", (1,), branches, rng=random.Random(seed),
+        samples=samples)
     extra = []
     for z in (0, 1):
         witness = check_valid(env, parse_formula(
             f"eqi{{2,4}}(img({signs[z]}_3?, ghz[2,3,4]), bell[{z},0,2,4])"))
         extra.append(InstanceResult(f"ghz intermediate z={z}",
                                     witness is None, witness))
-    return _report("qss", out.instances + tuple(extra), seed, start,
-                   branches=out.branch_count,
-                   corroborations=out.corroborations)
+    return _report("qss", instances + tuple(extra), seed, start,
+                   branches=len(branches), corroborations=corroborations)
 
 
 # ----- lemma suite ---------------------------------------------------------------
@@ -739,10 +732,10 @@ def _ax_entanglement(rng, words: int) -> list:
         i, j = rng.sample([1, 2, 3], 2)
         template = fill(f"testable(p) -> eqi{{{j}}}(img(p?, ent[{i},{j}](w)),"
                           f" img(mov[{i},{j}](w), p))", w=_random_word(rng))
-        claim = SchematicClaim((("p", (i,)),), template)
-        got = check_schematic(Environment(Frame(3)), claim, rng=rng, samples=2,
-                              real_only=True)
-        for r in got.instances + got.corroborations:
+        instances, corroborations = check_schematic(
+            Environment(Frame(3)), template, "p", (i,), rng=rng, samples=2,
+            real_only=True)
+        for r in instances + corroborations:
             out.append(InstanceResult(
                 f"entanglement-axiom word {t + 1} i={i},j={j}: {r.label}",
                 r.valid, r.witness))

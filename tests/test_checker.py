@@ -1,4 +1,4 @@
-"""The three evaluators: symbolic regions, pointwise checks, schematic claims."""
+"""The two evaluators, symbolic regions and pointwise checks, and schematic claims."""
 
 import random
 from fractions import Fraction
@@ -8,7 +8,6 @@ import pytest
 from qpdl import ast
 from qpdl.checker import (
     Environment,
-    SchematicClaim,
     check_schematic,
     check_state,
     check_valid,
@@ -499,32 +498,42 @@ def test_ghz_and_gamma_desugar_to_their_rays():
 def test_schematic_claim_enumerates_and_corroborates():
     env = Environment(Frame(2))
     template = parse_formula("eqi{2}(img(mov[1,2](id), q), img(flip_1_2, q))")
-    claim = SchematicClaim((("q", (1,)),), template)
-    out = check_schematic(env, claim, rng=random.Random(99), samples=5)
-    assert out.passed
-    assert len(out.instances) == 3
-    assert len(out.corroborations) == 5
-    labels = [r.label for r in out.instances]
-    assert labels == ["q=0", "q=1", "q=+"]
+    instances, corroborations = check_schematic(
+        env, template, "q", (1,), rng=random.Random(99), samples=5)
+    assert all(r.valid for r in instances + corroborations)
+    assert len(corroborations) == 5
+    assert [r.label for r in instances] == ["q=0", "q=1", "q=+"]
 
 
 def test_schematic_claim_splits_union_branches():
+    # [X_1 + Z_1](dia q) holds iff it holds through each branch, so each
+    # branch is an instance of its own, labelled with its name
     env = Environment(Frame(1))
-    template = parse_formula("q -> [X_1 + Z_1](dia q)")
-    claim = SchematicClaim((("q", (1,)),), template, ("flip", "phase"))
-    out = check_schematic(env, claim, rng=random.Random(99), samples=2)
-    assert out.branch_count == 2
-    assert any("flip" in r.label for r in out.instances)
-    assert len(out.instances) == 6
+    template = parse_formula("q -> [w](dia q)")
+    branches = {"flip": parse_program("X_1"), "phase": parse_program("Z_1")}
+    instances, corroborations = check_schematic(
+        env, template, "q", (1,), branches, rng=random.Random(99), samples=2)
+    assert [r.label for r in instances] == [
+        f"q={c} {name}" for c in "01+" for name in ("flip", "phase")]
+    assert [r.valid for r in instances] == [
+        False, True, False, True, True, False]
+    assert len(corroborations) == 2
+    # a corroboration fills w with the union of the branches
+    rng = random.Random(99)
+    for r in corroborations:
+        state = ast.RayF((1,), random_part_state(rng, 1))
+        union = parse_program("X_1 + Z_1")
+        filled = substitute(template, {"q": state, "w": union})
+        assert r.valid == (check_valid(env, filled) is None)
 
 
 def test_schematic_failure_carries_confirmed_witness():
     env = Environment(Frame(1))
     template = parse_formula("eqf(img(Z_1, q), img(id, q))")
-    claim = SchematicClaim((("q", (1,)),), template)
-    out = check_schematic(env, claim, rng=random.Random(99), samples=0)
-    assert not out.passed
-    bad = [r for r in out.instances if not r.valid]
+    instances, corroborations = check_schematic(
+        env, template, "q", (1,), rng=random.Random(99), samples=0)
+    assert corroborations == ()
+    bad = [r for r in instances if not r.valid]
     assert [r.label for r in bad] == ["q=+"]
     assert bad[0].witness is not None
     # the witness refutes the instantiated claim pointwise

@@ -174,6 +174,19 @@ def test_syntax_errors_exit_two(capsys):
     assert err.startswith("syntax error:")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("bell[0,2,1,2]", "bell bits must be 0 or 1"),
+    ("ghz[1,2]", "expected 3 indices"),
+    ("X_1 ;", "expected a program"),
+])
+def test_parse_reports_the_reading_that_got_further(capsys, text, message):
+    # the formula error of a bad bell or ghz atom is past the point where
+    # the program reading gave up; "X_1 ;" is a program missing its tail
+    code, out, err = run(capsys, ["parse", text])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"syntax error: {message} ")
+
+
 def test_deep_nesting_is_a_syntax_error(capsys):
     nested = "(" * 3000 + "0_1" + ")" * 3000
     code, out, err = run(capsys, ["valid", "-n", "1", nested])

@@ -2,6 +2,7 @@
 sanity mutations that must fail, and the rendering the command line
 prints."""
 
+import hashlib
 import os
 import random
 import subprocess
@@ -97,6 +98,37 @@ def test_qss_with_inverted_sign_reading_fails():
     assert all("\tFAIL" in line for line in ghz)
 
 
+# sha256 of render_text() for the mutants and a second seed, each with its
+# 20 random-state corroborations; the default reports are pinned in
+# test_acceptance.REPORT_SHA256.
+VARIANT_SHA256 = [
+    pytest.param(teleportation, {"drop_x": True},
+                 "44335bf374fcf9a2b5d9d4a70a30da7e4a2174421f2fcf3716a840b97518ec46",
+                 id="teleportation-drop_x"),
+    pytest.param(teleportation, {"drop_z": True},
+                 "e2b6c58a00a561218f7f62bb07d06ccc6d5213d93cfbe8eee9c2fbaa9583600e",
+                 id="teleportation-drop_z"),
+    pytest.param(quantum_secret_sharing, {"omit_z": True},
+                 "68b5a55fc837348c4c88f3387424e32b797bdf564134b199b9f9873ea41d58d1",
+                 id="qss-omit_z"),
+    pytest.param(quantum_secret_sharing, {"invert_sign": True},
+                 "16e150a49607a9e0888f46c237eb0e52379a7c8f2cc54d747e7135a75917dba2",
+                 id="qss-invert_sign"),
+    pytest.param(teleportation, {"seed": 7},
+                 "414151a85ab845b88acb0db41297fcc588bfb5183634fcdd77717cca892a1791",
+                 id="teleportation-seed7"),
+    pytest.param(quantum_secret_sharing, {"seed": 7},
+                 "722db0852c1176bb882328e442ca405a82c5b664b81772707ec2b242c47ed477",
+                 id="qss-seed7"),
+]
+
+
+@pytest.mark.parametrize("target, kwargs, digest", VARIANT_SHA256)
+def test_variant_reports_are_byte_pinned(target, kwargs, digest):
+    text = target(**kwargs).render_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_report_render_layout():
     report = teleportation(samples=1)
     text = report.render_text().splitlines()
@@ -155,7 +187,7 @@ def test_suites_parse_each_schema_once(monkeypatch):
     monkeypatch.setattr(protocols, "parse_formula",
                         counting("formula", parser.parse_formula))
     monkeypatch.setattr(protocols, "parse_program",
-                        counting("program", parser.parse_program), raising=False)
+                        counting("program", parser.parse_program))
     monkeypatch.setattr(parser, "parse_program",
                         counting("program", parser.parse_program))
     assert protocols.axiom_suite(seed=2026).passed
@@ -163,6 +195,12 @@ def test_suites_parse_each_schema_once(monkeypatch):
     counts["program"] = 0
     assert protocols.lemma_suite(seed=2026).passed
     assert counts["program"] == 0
+    # a protocol parses its claim once and each branch once
+    for run, formulas, programs in ((protocols.teleportation, 1, 4),
+                                    (protocols.quantum_secret_sharing, 3, 8)):
+        counts.update(formula=0, program=0)
+        assert run(samples=2).passed
+        assert counts == {"formula": formulas, "program": programs}, counts
 
 
 def test_importing_protocols_parses_nothing():
