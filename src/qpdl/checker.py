@@ -12,11 +12,18 @@ A program denotes a nonempty tuple of partial maps, one per branch:
 ``;`` composes branch by branch and ``+`` concatenates.  T{I} stands for
 every I-local map at once, which no tuple holds, so it is read only
 alone under a box, by reachability, or in localp; anywhere else it is
-UnsupportedShape.
+UnsupportedShape.  An environment remembers each tuple it denotes,
+keyed on meanings rather than syntax (see ``_denote``), so the branches
+of a protocol are composed once however many claims and input states
+use them.
 
 A counterexample found symbolically is re-checked pointwise before it
 is reported; the two evaluators share no interpretation code for the
-connectives, so agreement is meaningful.
+connectives, so agreement is meaningful.  Under a box the pointwise
+side composes no map: it runs each branch on the state one action at a
+time, a gate as the image of the state and a test on S as the Sasaki
+projection (s v S^perp) ^ S, the test semantics of Baltag and Smets'
+quantum actions, so a map composed wrongly shows as a disagreement.
 """
 
 from __future__ import annotations
@@ -45,13 +52,15 @@ class Environment:
     """Evaluation context: a frame plus a valuation for variables.
 
     Valuation values may be given as Subspace or Region; they are held
-    as Regions.
+    as Regions.  The environment also holds the memo of the programs it
+    has denoted (see ``_denote``), which dies with it.
     """
 
-    __slots__ = ("frame", "valuation")
+    __slots__ = ("frame", "valuation", "_denotations", "__weakref__")
 
     def __init__(self, frame: Frame, valuation=None):
         self.frame = frame
+        self._denotations = {}
         self.valuation = {}
         for name, value in dict(valuation or {}).items():
             if isinstance(value, Subspace):
@@ -74,23 +83,42 @@ def denote_program(env: Environment, prog: ast.Program) -> tuple:
 
 
 def _denote(env: Environment, prog: ast.Program) -> tuple:
-    fr = env.frame
+    """The branch maps of a core program, remembered per environment.
+
+    The memo is keyed on what each part means, never on its syntax: a
+    gate on its (kind, targets), ``id`` on one constant, a test on the
+    closure of its formula (an interned subspace, so one object per
+    span), and ``;`` or ``+`` on its type and the ids of the remembered
+    tuples of its two sides, which the memo keeps alive.  A key names
+    the same maps under any valuation, so the memo never goes stale."""
     if isinstance(prog, ast.GateP):
-        return (fr.gate(prog.kind, prog.targets),)
-    if isinstance(prog, ast.Id):
-        return (PartialMap(Matrix.identity(fr.dim)),)
-    if isinstance(prog, ast.Test):
-        closed = _eval(env, prog.formula).closure()
-        return (PartialMap(closed.projector()),)
-    if isinstance(prog, ast.SeqP):
+        key = (prog.kind, prog.targets)
+    elif isinstance(prog, ast.Id):
+        key = ast.Id
+    elif isinstance(prog, ast.Test):
+        key = _eval(env, prog.formula).closure()
+    elif isinstance(prog, (ast.SeqP, ast.UnionP)):
         left, right = _denote(env, prog.left), _denote(env, prog.right)
-        return tuple(f.then(g) for f in left for g in right)
-    if isinstance(prog, ast.UnionP):
-        return _denote(env, prog.left) + _denote(env, prog.right)
-    if isinstance(prog, ast.TopP):
+        key = (type(prog), id(left), id(right))
+    elif isinstance(prog, ast.TopP):
         # every I-local map at once: no finite union of maps
         raise UnsupportedShape("T{I} may only stand alone under a box or in localp")
-    raise TypeError(f"not a core program node: {prog!r}")
+    else:
+        raise TypeError(f"not a core program node: {prog!r}")
+    maps = env._denotations.get(key)
+    if maps is None:
+        if isinstance(prog, ast.GateP):
+            maps = (env.frame.gate(prog.kind, prog.targets),)
+        elif isinstance(prog, ast.Id):
+            maps = (PartialMap(Matrix.identity(env.frame.dim)),)
+        elif isinstance(prog, ast.Test):
+            maps = (PartialMap(key.projector()),)
+        elif isinstance(prog, ast.SeqP):
+            maps = tuple(f.then(g) for f in left for g in right)
+        else:
+            maps = left + right
+        env._denotations[key] = maps
+    return maps
 
 
 def _atom_subspace(env: Environment, f: ast.Formula) -> Subspace:
@@ -138,6 +166,9 @@ def _eval(env: Environment, f: ast.Formula) -> Region:
         raise SpatialAtomInSymbolicMode(
             "T{I} membership is state-by-state; use a concrete state")
     if isinstance(f, ast.Not):
+        if isinstance(f.body, ast.Not):
+            # a double complement is the region itself, without the cost
+            return _eval(env, f.body.body)
         return _eval(env, f.body).complement()
     if isinstance(f, ast.And):
         return _eval(env, f.left).intersect(_eval(env, f.right))
@@ -287,6 +318,32 @@ def _symbolic_here(env: Environment, f: ast.Formula) -> Region:
         ) from None
 
 
+def _run(env: Environment, s: Subspace, prog: ast.Program) -> list:
+    """The image of the state s under each branch of a core program, in
+    order, zero where the branch is undefined at s.  The program runs
+    one action at a time on s: no map is composed and no projector
+    built, so this shares no program semantics with ``_denote``."""
+    if isinstance(prog, ast.GateP):
+        return [env.frame.gate(prog.kind, prog.targets).image_of(s)]
+    if isinstance(prog, ast.Id):
+        return [s]
+    if isinstance(prog, ast.Test):
+        # the Sasaki projection (s v S^perp) ^ S of s onto S
+        closed = _eval(env, prog.formula).closure()
+        return [s.join(closed.ortho()).meet(closed)]
+    if isinstance(prog, ast.SeqP):
+        # a loop, not a comprehension, so a level costs one stack frame
+        outs = []
+        for mid in _run(env, s, prog.left):
+            outs += _run(env, mid, prog.right)
+        return outs
+    if isinstance(prog, ast.UnionP):
+        return _run(env, s, prog.left) + _run(env, s, prog.right)
+    if isinstance(prog, ast.TopP):
+        raise UnsupportedShape("T{I} may only stand alone under a box or in localp")
+    raise TypeError(f"not a core program node: {prog!r}")
+
+
 def _holds(env: Environment, s: Subspace, f: ast.Formula) -> bool:
     fr = env.frame
     if isinstance(f, ast.Var):
@@ -313,8 +370,7 @@ def _holds(env: Environment, s: Subspace, f: ast.Formula) -> bool:
             reach = Region.of_subspace(fr.reachable(s, f.prog.qubits))
             bad = _symbolic_here(env, ast.Not(f.body))
             return reach.intersect(bad).is_empty()
-        for pm in _denote(env, f.prog):
-            out = pm.image_of(s)
+        for out in _run(env, s, f.prog):
             if not out.is_zero() and not _holds(env, out, f.body):
                 return False
         return True

@@ -44,8 +44,9 @@ class ParseError(InputError):
         self.expected = expected
 
 
-class _TooDeep(ParseError):
-    """Nesting past MAX_DEPTH: final, whichever reading was being tried."""
+class _Final(ParseError):
+    """An error no other reading gets past: nesting past MAX_DEPTH, or a
+    bad index list of a keyword form, which has no other reading."""
 
 
 @dataclass
@@ -178,8 +179,8 @@ class _Parser:
         self.depth += 1
         if self.depth > MAX_DEPTH:
             tok = self.peek()
-            raise _TooDeep(f"nesting deeper than {MAX_DEPTH} levels",
-                           tok.line, tok.col)
+            raise _Final(f"nesting deeper than {MAX_DEPTH} levels",
+                         tok.line, tok.col)
 
     def _note(self, kind: str):
         if self.pos > self.far_pos:
@@ -196,6 +197,10 @@ class _Parser:
         if expected and at > self.pos:
             shown = "expected one of " + ", ".join(sorted(expected))
         raise ParseError(f"{shown} (found {tok.kind})", tok.line, tok.col, expected)
+
+    def fail_at(self, tok: Token, message: str):
+        """A final error at an earlier token, where the fault is."""
+        raise _Final(f"{message} (found {tok.kind})", tok.line, tok.col)
 
     # ----- shared pieces ------------------------------------------------------
 
@@ -218,12 +223,18 @@ class _Parser:
         self.pos += 1
         fields = {}
         if form.numbers:
+            start = self.pos
             numbers = self.listed("[", self.number, "]")
+            # the items are every other token after '[': an error names the
+            # first bad item, or the ']' where one is missing
+            items = self.tokens[start + 1:self.pos:2] + [self.tokens[self.pos - 1]]
             if len(numbers) != len(form.numbers):
-                self.fail(f"expected {len(form.numbers)} indices")
+                self.fail_at(items[min(len(numbers), len(form.numbers))],
+                             f"expected {len(form.numbers)} indices")
+            for name, number, tok in zip(form.numbers, numbers, items):
+                if name in form.bits and number not in (0, 1):
+                    self.fail_at(tok, f"{form.word} bits must be 0 or 1")
             fields.update(zip(form.numbers, numbers))
-            if any(fields[bit] not in (0, 1) for bit in form.bits):
-                self.fail(f"{form.word} bits must be 0 or 1")
         if form.qubits:
             fields[form.qubits] = tuple(sorted(set(self.listed("{", self.number, "}"))))
         if form.args:
@@ -369,8 +380,8 @@ class _Parser:
         if tok.kind == "word" and tok.value not in RESERVED:
             self.pos += 1
             return ast.PVar(tok.value)
-        if isinstance(self.failed_tests[save], _TooDeep):
-            # no other reading starts here: the depth limit is the error
+        if isinstance(self.failed_tests[save], _Final):
+            # no other reading starts here: the test's error is the error
             raise self.failed_tests[save]
         self._note("program")
         self.fail("expected a program")

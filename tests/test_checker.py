@@ -1,6 +1,8 @@
 """The two evaluators, symbolic regions and pointwise checks, and schematic claims."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from qpdl import ast
 from qpdl.checker import (
     Environment,
+    _run,
     check_schematic,
     check_state,
     check_valid,
@@ -24,7 +27,7 @@ from qpdl.errors import (
     UnboundVariable,
     UnsupportedShape,
 )
-from qpdl.frame import Frame, PartialMap, Subspace
+from qpdl.frame import LOCAL_STATES, Frame, PartialMap, Subspace
 from qpdl.linalg import ONE, ZERO, Matrix
 from qpdl.parser import parse_formula, parse_program
 from qpdl.protocols import (
@@ -456,6 +459,117 @@ def test_environment_coerces_subspaces():
     env = Environment(fr, {"p": fr.state_lift((1, 0), (1,))})
     assert isinstance(env.lookup("p"), Region)
     assert check_valid(env, parse_formula("p -> [X_1]1_1")) is None
+
+
+def test_a_double_negation_is_the_region_itself():
+    # _eval reads !!f as f instead of complementing twice
+    rng = random.Random(550)
+    for _ in range(60):
+        n = rng.randint(1, 2)
+        env = Environment(Frame(n))
+        f = parse_formula(coherent_formula(rng, n, rng.randint(1, 3)))
+        region = eval_symbolic(env, f)
+        assert eval_symbolic(env, ast.Not(ast.Not(f))).terms == region.terms
+        assert same_rayset(region, region.complement().complement()), str(f)
+
+
+# ----- remembered denotations and the action-by-action oracle --------------------------
+
+
+def plain_branches(fr, prog):
+    """The branch maps of a generated program by a plain fold of then,
+    each test's projector built from its constant's state lift."""
+    if isinstance(prog, ast.UnionP):
+        return plain_branches(fr, prog.left) + plain_branches(fr, prog.right)
+    if isinstance(prog, ast.SeqP):
+        return [f.then(g) for f in plain_branches(fr, prog.left)
+                for g in plain_branches(fr, prog.right)]
+    if isinstance(prog, ast.Test):
+        c = prog.formula
+        return [PartialMap(fr.state_lift(LOCAL_STATES[c.char], (c.qubit,)).projector())]
+    return [fr.gate(prog.kind, prog.targets)]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_warm_denotations_equal_cold_ones_and_a_plain_fold(n):
+    rng = random.Random(520 + n)
+    fr = Frame(n)
+    warm = Environment(fr)
+    for _ in range(40):
+        prog = _random_program(rng, n, deterministic=rng.random() < 0.5)
+        first = denote_program(warm, prog)
+        assert denote_program(warm, prog) is first
+        assert first == denote_program(Environment(fr), prog), prog
+        assert list(first) == plain_branches(fr, prog), prog
+
+
+def test_a_second_schematic_run_composes_no_maps(monkeypatch):
+    template = parse_formula("q -> [w](dia q)")
+    branches = {"a": parse_program("X_1 ; H_1 ; 0_1?"),
+                "b": parse_program("+_1? ; Z_1 + id")}
+    env = Environment(Frame(1))
+    first = check_schematic(env, template, "q", (1,), branches,
+                            rng=random.Random(7), samples=3)
+    calls, then = [], PartialMap.then
+    monkeypatch.setattr(PartialMap, "then",
+                        lambda f, g: calls.append(1) or then(f, g))
+    again = check_schematic(env, template, "q", (1,), branches,
+                            rng=random.Random(7), samples=3)
+    assert calls == []
+    assert again == first
+    cold = check_schematic(Environment(Frame(1)), template, "q", (1,),
+                           branches, rng=random.Random(7), samples=3)
+    assert cold == first
+    assert calls != []
+
+
+def test_a_changed_valuation_answers_as_a_fresh_environment():
+    rng = random.Random(530)
+    fr = Frame(2)
+    prog = parse_program("p? ; H_1 + (p | 0_2)?")
+    claim = parse_formula("[p? ; H_1 + (p | 0_2)?]p")
+    env = Environment(fr, {"p": _random_subspace(rng, fr, 3)})
+    changed = 0
+    for _ in range(10):
+        before = denote_program(env, prog)
+        check_valid(env, claim)
+        p = _random_subspace(rng, fr, 3)
+        env.valuation["p"] = Region.of_subspace(p)
+        fresh = Environment(fr, {"p": p})
+        after = denote_program(env, prog)
+        assert after == denote_program(fresh, prog)
+        assert check_valid(env, claim) == check_valid(fresh, claim)
+        changed += before != after
+    assert changed > 0
+
+
+def test_the_memo_dies_with_its_environment():
+    env = Environment(Frame(2))
+    check_valid(env, parse_formula("[X_1 ; 0_1? + H_2]0_1"))
+    assert env._denotations
+    gone = weakref.ref(env)
+    del env
+    gc.collect()
+    assert gone() is None
+
+
+def test_a_test_runs_as_the_sasaki_projection():
+    # (s v S^perp) ^ S is the ray of P_S s, and zero when s is orthogonal to S
+    rng = random.Random(540)
+    zeros = 0
+    for n in (1, 2):
+        fr = Frame(n)
+        for _ in range(30):
+            sub = _random_subspace(rng, fr)
+            env = Environment(fr, {"p": sub})
+            if sub.is_full() or rng.random() < 0.7:
+                s = rand_ray(rng, n)
+            else:
+                s = sub.ortho().any_ray()
+            [out] = _run(env, s, ast.Test(ast.Var("p")))
+            assert out == PartialMap(sub.projector()).image_of(s)
+            zeros += out.is_zero()
+    assert zeros > 0
 
 
 # ----- schematic machinery -----------------------------------------------------------

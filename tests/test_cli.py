@@ -1,7 +1,9 @@
 """Command-line behaviour: output text and exit codes for every
 subcommand, including the error paths."""
 
+import itertools
 import os
+import random
 import subprocess
 import sys
 import time
@@ -14,7 +16,7 @@ import qpdl.cli
 from qpdl.checker import Environment, check_state
 from qpdl.cli import MAX_QUBITS, main
 from qpdl.desugar import MAX_NODES
-from qpdl.frame import Frame, parse_state
+from qpdl.frame import Frame, PartialMap, parse_state
 from qpdl.parser import parse_formula
 from qpdl.regions import WitnessSearchExhausted
 
@@ -180,11 +182,14 @@ def test_syntax_errors_exit_two(capsys):
     ("X_1 ;", "expected a program"),
 ])
 def test_parse_reports_the_reading_that_got_further(capsys, text, message):
-    # the formula error of a bad bell or ghz atom is past the point where
-    # the program reading gave up; "X_1 ;" is a program missing its tail
+    # a bad bell or ghz index list fails both readings at the bad item
+    # (the program reading tests the atom and keeps its error), and a tie
+    # is read as a formula; "X_1 ;" is a program missing its tail
     code, out, err = run(capsys, ["parse", text])
     assert (code, out) == (2, "")
     assert err.startswith(f"syntax error: {message} ")
+    column = {"bell[0,2,1,2]": 8, "ghz[1,2]": 8, "X_1 ;": 6}[text]
+    assert err.endswith(f" at line 1 column {column}\n")
 
 
 def test_deep_nesting_is_a_syntax_error(capsys):
@@ -233,6 +238,38 @@ def test_internal_errors_exit_four(monkeypatch, capsys, error):
     assert (code, out) == (4, "")
     assert err.startswith(f"internal error: {type(error).__name__}: ")
     assert err.count("\n") == 1
+
+
+def test_maps_composed_in_reverse_are_a_disagreement(monkeypatch, capsys):
+    # the symbolic side composes the branch maps, while the pointwise
+    # side runs the actions one at a time, so maps composed in the wrong
+    # order refute the claim symbolically and are caught at the witness
+    claim = "0_1 -> [X_1 ; H_1]-_1"
+    assert run(capsys, ["valid", "-n", "1", claim])[:2] == (0, "VALID\n")
+    monkeypatch.setattr(PartialMap, "then",
+                        lambda f, g: PartialMap(f.matrix * g.matrix))
+    code, out, err = run(capsys, ["valid", "-n", "1", claim])
+    assert (code, out) == (4, "")
+    assert err == ("internal error: RuntimeError: symbolic and pointwise "
+                   "evaluation disagree on the witness\n")
+
+
+def test_an_implication_is_not_complemented_twice(capsys):
+    # "F -> 0_1" is !(F & !0_1), which validity negates once more; F is
+    # the conjunction of five (~a | ~b) over distinct product states a, b
+    words = ["".join(w) for w in itertools.product("01+-", repeat=4)]
+    states = random.Random(2026).sample(words, 10)
+    vec = lambda w: "vec{1,2,3,4}(" + ",".join(w) + ")"
+    f5 = " & ".join(f"(~{vec(a)} | ~{vec(b)})"
+                    for a, b in zip(states[::2], states[1::2]))
+    start = time.process_time()
+    code, out, _ = run(capsys, ["valid", "-n", "4", f"({f5}) -> 0_1"])
+    assert time.process_time() - start < 2.0
+    assert (code, out.split("\n")[0]) == (1, "COUNTEREXAMPLE:")
+    _, witness = parse_state(out.split("\n", 1)[1])
+    env = Environment(Frame(4))
+    assert check_state(env, witness, parse_formula(f5))
+    assert not check_state(env, witness, parse_formula("0_1"))
 
 
 def test_unbound_variable_exits_two(capsys):

@@ -294,16 +294,20 @@ FORMULA_ERRORS = [
     ("T[1]", "expected '{' (found [) at line 1 column 2"),
     ("true(p)", "unparsed input after formula (found () at line 1 column 5"),
     ("one[1]", "unparsed input after formula (found [) at line 1 column 4"),
-    ("bell[0,0,1]", "expected 4 indices (found eof) at line 1 column 12"),
-    ("bell[0,2,1,2]", "bell bits must be 0 or 1 (found eof) at line 1 column 14"),
-    ("bell[2,0,1,2]", "bell bits must be 0 or 1 (found eof) at line 1 column 14"),
+    ("bell[0,0,1]", "expected 4 indices (found ]) at line 1 column 11"),
+    ("bell[0,0,1,2,3] & p", "expected 4 indices (found number) at line 1 column 14"),
+    ("bell[0,2,1,2]", "bell bits must be 0 or 1 (found number) at line 1 column 8"),
+    ("bell[2,0,1,2]", "bell bits must be 0 or 1 (found number) at line 1 column 6"),
+    ("bell[0,2,1,2] & 0_1", "bell bits must be 0 or 1 (found number) at line 1 column 8"),
+    ("[bell[0,2,1,2]]p", "bell bits must be 0 or 1 (found number) at line 1 column 9"),
     ("bell(0,0,1,2)", "expected '[' (found () at line 1 column 5"),
     ("bell[0,0,1,2", "expected ']' (found eof) at line 1 column 13"),
-    ("ghz[1,2]", "expected 3 indices (found eof) at line 1 column 9"),
+    ("ghz[1,2]", "expected 3 indices (found ]) at line 1 column 8"),
+    ("ghz[1,2] | 0_1", "expected 3 indices (found ]) at line 1 column 8"),
     ("ghz{1,2,3}", "expected '[' (found {) at line 1 column 4"),
-    ("gamma[1]", "expected 2 indices (found eof) at line 1 column 9"),
+    ("gamma[1]", "expected 2 indices (found ]) at line 1 column 8"),
     ("gamma[1,2](p)", "unparsed input after formula (found () at line 1 column 11"),
-    ("ent[1](X_1)", "expected 2 indices (found () at line 1 column 7"),
+    ("ent[1](X_1)", "expected 2 indices (found ]) at line 1 column 6"),
     ("ent[1,2]X_1", "expected '(' (found gate) at line 1 column 9"),
     ("ent[1,2](X_1", "expected ')' (found eof) at line 1 column 13"),
     ("ent[1,2](true)", "expected one of &, ->, ?, | (found )) at line 1 column 14"),
@@ -379,8 +383,9 @@ PROGRAM_ERRORS = [
     ("proj0{1,}", "expected 'number' (found }) at line 1 column 9"),
     ("unary1 X_1", "expected '(' (found gate) at line 1 column 8"),
     ("unary1(X_1", "expected ')' (found eof) at line 1 column 11"),
-    ("mov[1](X_1)", "expected 2 indices (found () at line 1 column 7"),
-    ("mov[1,2,3](X_1)", "expected 2 indices (found () at line 1 column 11"),
+    ("mov[1](X_1)", "expected 2 indices (found ]) at line 1 column 6"),
+    ("mov[1,2,3](X_1)", "expected 2 indices (found number) at line 1 column 9"),
+    ("X_1 ; ghz[1,2]?", "expected 3 indices (found ]) at line 1 column 14"),
     ("mov[1,2]X_1", "expected '(' (found gate) at line 1 column 9"),
     ("adj X_1", "expected '(' (found gate) at line 1 column 5"),
     ("adj()", "expected a program (found )) at line 1 column 5"),
