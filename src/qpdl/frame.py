@@ -21,8 +21,13 @@ live subspaces is remembered in a table that keeps neither them nor the
 join alive, so a repeated meet runs no elimination; the full and zero
 subspaces are built once per ambient dimension, and a frame remembers
 its state lifts, with their orthos and projectors, for as long as it
-lives.  Partial maps are not interned, since a map's kernel is seldom
-asked for twice.
+lives.  A subspace also remembers its product form on each qubit set,
+None included, for as long as it lives.  Partial maps are not
+interned, but each remembers its kernel and the image and closed
+preimage of every subspace it was asked about, keyed on the interned
+subspace and kept alive with the map: the checker keeps a program's
+maps in its environment's denotation memo and a gate in its frame's
+gate table, so these values live as long as that environment or frame.
 A layout table is the index table of ``Matrix.tensor``, which places
 gate lifts g (x) I (rows and columns alike), state lifts part (x) I and
 reachable sets I (x) rest, and of ``Matrix.gather``, which reads blocks
@@ -70,7 +75,8 @@ class Subspace:
     the same object, and equality and hashing are identity.
     """
 
-    __slots__ = ("basis", "ambient", "_projector", "_ortho", "__weakref__")
+    __slots__ = ("basis", "ambient", "_projector", "_ortho", "_forms",
+                 "__weakref__")
 
     def __new__(cls, basis: Matrix, ambient: int, _canonical: bool = False):
         if basis.cols != ambient:
@@ -84,6 +90,7 @@ class Subspace:
             self.ambient = ambient
             self._projector = None
             self._ortho = None
+            self._forms = {}
             _INTERNED[basis] = self
         return self
 
@@ -176,14 +183,23 @@ class Subspace:
 
 
 class PartialMap:
-    """A linear map acting on states; undefined where it sends a vector to 0."""
+    """A linear map acting on states; undefined where it sends a vector to 0.
 
-    __slots__ = ("matrix",)
+    Its kernel, and the image and preimage of each subspace asked about,
+    are computed once per map.  The subspaces are interned, so they key
+    the memo by identity; the memo holds its keys, so no id is reused
+    while it is a key, and it dies with the map.
+    """
+
+    __slots__ = ("matrix", "_kernel", "_images", "_preimages", "__weakref__")
 
     def __init__(self, matrix: Matrix):
         if matrix.rows != matrix.cols:
             raise ValueError("maps must be square")
         self.matrix = matrix
+        self._kernel = None
+        self._images = {}
+        self._preimages = {}
 
     @property
     def dim(self) -> int:
@@ -194,12 +210,20 @@ class PartialMap:
         return PartialMap(other.matrix * self.matrix)
 
     def kernel(self) -> Subspace:
-        return Subspace(self.matrix.kernel_basis(), self.dim, _canonical=True)
+        if self._kernel is None:
+            self._kernel = Subspace(self.matrix.kernel_basis(), self.dim,
+                                    _canonical=True)
+        return self._kernel
 
     def image_of(self, sub: Subspace) -> Subspace:
         """Span of the pointwise image of a subspace: M x for each basis
         row x, one row each."""
-        return Subspace((self.matrix * sub.basis.transpose()).transpose(), self.dim)
+        image = self._images.get(sub)
+        if image is None:
+            image = Subspace((self.matrix * sub.basis.transpose()).transpose(),
+                             self.dim)
+            self._images[sub] = image
+        return image
 
     def preimage_closed(self, sub: Subspace) -> Subspace:
         """{x : M x lands in sub (possibly at zero)} = ker(conj(B) * M),
@@ -207,11 +231,16 @@ class PartialMap:
         where the rows of B span sub's orthocomplement: a vector lies in
         sub exactly when it is orthogonal to every row of B.
         """
-        perp = sub.ortho()
-        if perp.is_zero():
-            return Subspace.full(self.dim)
-        reduced = perp.basis.conj() * self.matrix
-        return Subspace(reduced.kernel_basis(), self.dim, _canonical=True)
+        pre = self._preimages.get(sub)
+        if pre is None:
+            perp = sub.ortho()
+            if perp.is_zero():
+                pre = Subspace.full(self.dim)
+            else:
+                reduced = perp.basis.conj() * self.matrix
+                pre = Subspace(reduced.kernel_basis(), self.dim, _canonical=True)
+            self._preimages[sub] = pre
+        return pre
 
     def is_local(self, frame: "Frame", qubits: Iterable[int]) -> bool:
         """True iff the map factors as (something on qubits) tensor identity,
@@ -384,11 +413,20 @@ class Frame:
         of rank 2 or more makes both spans at least two-dimensional.  A
         nonzero subspace all of whose rays are I-separated always has this
         form: two elements differing in both factors would superpose to an
-        entangled vector.
+        entangled vector.  Computed once per subspace and qubit set.
         """
-        table = self.layout(sorted(self.check_qubits(qubits)))
+        key = tuple(sorted(self.check_qubits(qubits)))
+        if sub.ambient != self.dim:
+            raise ValueError("subspace dimension differs from frame")
+        if key not in sub._forms:
+            sub._forms[key] = self._factor(sub, key)
+        return sub._forms[key]
+
+    def _factor(self, sub: Subspace, qubits: tuple
+                ) -> Optional[tuple[Subspace, Subspace]]:
         if sub.is_zero():
             return None
+        table = self.layout(qubits)
         rows = range(sub.dim)
         rest = Subspace(sub.basis.gather(rows, table), len(table[0]))
         # a ray part x makes the reshaped rows x (x) r_k, r_k independent

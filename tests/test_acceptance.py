@@ -6,10 +6,15 @@ import contextlib
 import functools
 import hashlib
 import io
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
+import qpdl
 from qpdl import ast
 from qpdl.cli import main
 from qpdl.checker import (
@@ -559,3 +564,46 @@ def test_valid_scales_to_eight_qubits():
                      "0_1 -> [H_1 ; CNOT_1_2 ; CNOT_2_3]!(0_1 & 1_3)"])
     assert (code, out.getvalue()) == (0, "VALID\n")
     return "qpdl valid -n 8 on a 3-gate claim over 256 x 256 maps"
+
+
+# ----- 13: a deterministic cost for verify all ---------------------------------
+
+# Counts linalg._eliminate calls over `qpdl verify all --seed 2026` and
+# prints the exit code, the count and the sha256 of stdout.
+ELIMINATION_PROBE = """\
+import contextlib, hashlib, io
+from qpdl import linalg
+from qpdl.cli import main
+calls = 0
+eliminate = linalg._eliminate
+def counted(work, cols):
+    global calls
+    calls += 1
+    return eliminate(work, cols)
+linalg._eliminate = counted
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(["verify", "all", "--seed", "2026"])
+print(code, calls, hashlib.sha256(out.getvalue().encode()).hexdigest())
+"""
+
+VERIFY_ALL_SHA256 = \
+    "bad8e8100fbefb3faf375c3fc4ce3d8549ece5775dd85bb3bae26bbf6ca9a08a"
+MAX_VERIFY_ALL_ELIMINATIONS = 20_000
+
+
+@criterion(13, 60.0)
+def test_verify_all_elimination_count():
+    # a fresh process, so that no memo warmed by an earlier test and no
+    # garbage collection left pending by one can move the count
+    src = str(Path(qpdl.__file__).resolve().parent.parent)
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-c", ELIMINATION_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, calls, digest = proc.stdout.split()
+    assert (code, digest) == ("0", VERIFY_ALL_SHA256)
+    assert int(calls) <= MAX_VERIFY_ALL_ELIMINATIONS, calls
+    return (f"{calls} eliminations over qpdl verify all --seed 2026 "
+            f"<= {MAX_VERIFY_ALL_ELIMINATIONS}")

@@ -19,9 +19,9 @@ from qpdl.frame import (
     format_state,
     parse_state,
 )
-from qpdl.checker import Environment, denote_program
+from qpdl.checker import Environment, check_valid, denote_program
 from qpdl.linalg import ONE, ZERO, GaussianRational, Matrix
-from qpdl.parser import parse_program
+from qpdl.parser import parse_formula, parse_program
 from qpdl.regions import make_term
 
 from exact_reference import orthogonal, product_ray, quotient
@@ -1055,3 +1055,113 @@ def test_lift_table_dies_with_its_frame():
     del fr
     gc.collect()
     assert frame() is None and lifted() is None
+
+
+def memo_inputs():
+    """(frame, maps, subspaces) at n = 1..3: gate words, test projectors
+    and singular maps; zero, full, random, product and lifted subspaces."""
+    rng = random.Random(221)
+    out = []
+    for n in (1, 2, 3):
+        fr = Frame(n)
+        dim = fr.dim
+        maps = []
+        for _ in range(3):
+            word = fr.gate("H", (1,))
+            for _ in range(rng.randint(1, 4)):
+                if n >= 2 and rng.random() < 0.3:
+                    g = fr.gate("CNOT", tuple(rng.sample(range(1, n + 1), 2)))
+                else:
+                    g = fr.gate(rng.choice("XZH"), (rng.randint(1, n),))
+                word = word.then(g)
+            maps.append(PartialMap(word.matrix))
+        maps += [PartialMap(rand_sub(rng, dim).projector()) for _ in range(2)]
+        maps += [PartialMap(singular_matrix(rng, dim)) for _ in range(2)]
+        maps.append(PartialMap(Matrix.zeros(dim, dim)))
+        subs = [Subspace.zero(dim), Subspace.full(dim)]
+        subs += [rand_sub(rng, dim, rng.randint(1, dim)) for _ in range(4)]
+        subs += [product_ray(fr, "".join(rng.choice("01+-") for _ in range(n)))
+                 for _ in range(2)]
+        subs += [fr.state_lift(rand_amps(rng, 2), (q,)) for q in range(1, n + 1)]
+        out.append((fr, maps, subs))
+    return out
+
+
+def memo_free_kernel(m):
+    return Subspace(m.kernel_basis(), m.rows)
+
+
+def memo_free_image(m, sub):
+    return Subspace((m * sub.basis.transpose()).transpose(), m.rows)
+
+
+def memo_free_preimage(m, sub):
+    # the rows spanning sub's orthocomplement, without the linked ortho
+    perp = sub.basis.conj().kernel_basis()
+    if perp.rows == 0:
+        return Subspace.full(m.rows)
+    return Subspace((perp.conj() * m).kernel_basis(), m.rows)
+
+
+def test_map_and_subspace_memos_match_cold_fresh_and_memo_free(monkeypatch):
+    cases = memo_inputs()
+    warm = []
+    for fr, maps, subs in cases:
+        for pm in maps:
+            fresh = PartialMap(pm.matrix)
+            cold = pm.kernel()
+            assert pm.kernel() is cold is fresh.kernel()
+            assert cold is memo_free_kernel(pm.matrix)
+            warm.append((pm.kernel, (), cold))
+            for sub in subs:
+                for ask, memo_free in ((PartialMap.image_of, memo_free_image),
+                                       (PartialMap.preimage_closed,
+                                        memo_free_preimage)):
+                    cold = ask(pm, sub)
+                    assert ask(pm, sub) is cold is ask(fresh, sub)
+                    assert cold is memo_free(pm.matrix, sub)
+                    warm.append((ask, (pm, sub), cold))
+        for sub in subs:
+            for qubits in all_subsets(fr.n):
+                cold = fr.product_form(sub, qubits)
+                assert fr.product_form(sub, qubits[::-1]) is cold
+                assert Frame(fr.n).product_form(sub, qubits) is cold
+                assert cold == per_row_product_form(fr, sub, qubits)
+                warm.append((fr.product_form, (sub, qubits), cold))
+    forms = [cold for ask, _, cold in warm if ask.__name__ == "product_form"]
+    assert None in forms and any(forms)
+    assert len(warm) >= 500
+    calls = counted_eliminations(monkeypatch)
+    for ask, args, cold in warm:
+        assert ask(*args) is cold
+    assert calls == []
+
+
+def test_product_form_refuses_a_subspace_of_another_frame():
+    wider = Frame(3).state_lift((1, 2), (1,))
+    narrower = Frame(2).state_lift((1, 2), (1,))
+    with pytest.raises(ValueError, match="differs from frame"):
+        Frame(2).product_form(wider, (1,))
+    with pytest.raises(ValueError, match="differs from frame"):
+        Frame(3).product_form(narrower, (1,))
+    # nothing was remembered under the wrong frame
+    part, rest = Frame(3).product_form(wider, (1,))
+    assert part is Frame(1).ray((1, 2)) and rest.is_full() and rest.ambient == 4
+
+
+def test_map_memos_die_with_their_environment():
+    env = Environment(Frame(2))
+    claim = "(0_1 -> [X_1 ; H_2]1_1) & (img(X_1 ; H_2, 0_1 & 0_2) -> 1_1 & +_2)"
+    assert check_valid(env, parse_formula(claim)) is None
+    pm, = denote_program(env, parse_program("X_1 ; H_2"))
+    assert pm._kernel is not None and pm._preimages and pm._images
+    image = pm.image_of(product_ray(env.frame, "00"))
+    assert image is product_ray(env.frame, "1+")
+    held = [weakref.ref(pm), weakref.ref(image)]
+    del pm, image
+    gc.collect()
+    # the image is held by the map's memo alone, the map by the environment
+    assert all(r() is not None for r in held)
+    del env
+    gc.collect()
+    assert all(r() is None for r in held)
