@@ -90,7 +90,11 @@ def _denote(env: Environment, prog: ast.Program) -> tuple:
     closure of its formula (an interned subspace, so one object per
     span), and ``;`` or ``+`` on its type and the ids of the remembered
     tuples of its two sides, which the memo keeps alive.  A key names
-    the same maps under any valuation, so the memo never goes stale."""
+    the same maps under any valuation, so the memo never goes stale.
+
+    A map takes the kernel that is known when it is built: 0 for a gate
+    and ``id``, S^perp for a test on S, and through ``PartialMap.then``
+    the first map's kernel for a composite ending in gates."""
     if isinstance(prog, ast.GateP):
         key = (prog.kind, prog.targets)
     elif isinstance(prog, ast.Id):
@@ -110,9 +114,11 @@ def _denote(env: Environment, prog: ast.Program) -> tuple:
         if isinstance(prog, ast.GateP):
             maps = (env.frame.gate(prog.kind, prog.targets),)
         elif isinstance(prog, ast.Id):
-            maps = (PartialMap(Matrix.identity(env.frame.dim)),)
+            maps = (PartialMap(Matrix.identity(env.frame.dim),
+                               Subspace.zero(env.frame.dim)),)
         elif isinstance(prog, ast.Test):
-            maps = (PartialMap(key.projector()),)
+            # the projector onto S is undefined exactly on S^perp
+            maps = (PartialMap(key.projector(), key.ortho()),)
         elif isinstance(prog, ast.SeqP):
             maps = tuple(f.then(g) for f in left for g in right)
         else:

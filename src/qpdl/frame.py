@@ -23,11 +23,16 @@ subspaces are built once per ambient dimension, and a frame remembers
 its state lifts, with their orthos and projectors, for as long as it
 lives.  A subspace also remembers its product form on each qubit set,
 None included, for as long as it lives.  Partial maps are not
-interned, but each remembers its kernel and the image and closed
-preimage of every subspace it was asked about, keyed on the interned
-subspace and kept alive with the map: the checker keeps a program's
-maps in its environment's denotation memo and a gate in its frame's
-gate table, so these values live as long as that environment or frame.
+interned.  A map whose kernel is known when it is built carries it
+from construction: a gate lift has kernel 0, as every gate is
+invertible, and f followed by a map of kernel 0 has f's kernel; the
+checker seeds ``id`` (kernel 0) and a test on S (kernel S^perp) the
+same way.  Any other kernel is computed on first use.  Each map
+remembers its kernel and the image and closed preimage of every
+subspace it was asked about, keyed on the interned subspace and kept
+alive with the map: the checker keeps a program's maps in its
+environment's denotation memo and a gate in its frame's gate table, so
+these values live as long as that environment or frame.
 A layout table is the index table of ``Matrix.tensor``, which places
 gate lifts g (x) I (rows and columns alike), state lifts part (x) I and
 reachable sets I (x) rest, and of ``Matrix.gather``, which reads blocks
@@ -185,19 +190,22 @@ class Subspace:
 class PartialMap:
     """A linear map acting on states; undefined where it sends a vector to 0.
 
-    Its kernel, and the image and preimage of each subspace asked about,
-    are computed once per map.  The subspaces are interned, so they key
-    the memo by identity; the memo holds its keys, so no id is reused
-    while it is a key, and it dies with the map.
+    A map whose kernel is known when it is built takes it here, as
+    ``kernel``: the caller vouches that it is the kernel of ``matrix``.
+    Otherwise the kernel is computed on first use.  Either way it is
+    found once per map, as are the image and preimage of each subspace
+    asked about.  The subspaces are interned, so they key the memo by
+    identity; the memo holds its keys, so no id is reused while it is a
+    key, and it dies with the map.
     """
 
     __slots__ = ("matrix", "_kernel", "_images", "_preimages", "__weakref__")
 
-    def __init__(self, matrix: Matrix):
+    def __init__(self, matrix: Matrix, kernel: Optional[Subspace] = None):
         if matrix.rows != matrix.cols:
             raise ValueError("maps must be square")
         self.matrix = matrix
-        self._kernel = None
+        self._kernel = kernel
         self._images = {}
         self._preimages = {}
 
@@ -206,8 +214,14 @@ class PartialMap:
         return self.matrix.rows
 
     def then(self, other: "PartialMap") -> "PartialMap":
-        """self followed by other (matrix other * self)."""
-        return PartialMap(other.matrix * self.matrix)
+        """self followed by other (matrix other * self).
+
+        When other is known to be injective, ker(other * self) = ker self,
+        so the composite takes self's kernel, known or not: a gate word,
+        or a test followed by gates, is never eliminated for its kernel."""
+        injective = other._kernel is not None and other._kernel.is_zero()
+        return PartialMap(other.matrix * self.matrix,
+                          self._kernel if injective else None)
 
     def kernel(self) -> Subspace:
         if self._kernel is None:
@@ -336,7 +350,9 @@ class Frame:
         if key not in self._gates:
             if kind not in GATES:
                 raise BadIndex(f"unknown gate {kind!r}")
-            self._gates[key] = self.lift(GATES[kind], targets)
+            # every gate is invertible, so its lift has kernel 0
+            self._gates[key] = PartialMap(self.lift(GATES[kind], targets).matrix,
+                                          Subspace.zero(self.dim))
         return self._gates[key]
 
     def lift(self, g: Matrix, qubits: Sequence[int]) -> PartialMap:

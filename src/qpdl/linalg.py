@@ -172,6 +172,13 @@ class Matrix:
                           tuple(part(im) for _, im in scaled), den // g, cols)
 
     @staticmethod
+    def of_integers(rows: Sequence[Sequence[int]]) -> "Matrix":
+        """The matrix of one or more equally long rows of Python integers,
+        built without scalars."""
+        zero = (0,) * len(rows[0])
+        return Matrix.from_parts([(row, zero, 1) for row in rows], len(zero))
+
+    @staticmethod
     def identity(n: int) -> "Matrix":
         zero = (0,) * n
         return Matrix._of(tuple(zero[:i] + (1,) + zero[i + 1:] for i in range(n)),

@@ -13,8 +13,9 @@ infinite field is never a finite union of proper subspaces, so a
 normalised term with a nonzero positive part always contains a ray:
 ``Region.is_empty`` reads emptiness off the terms, and ``Region.witness``
 runs a small deterministic search for a ray only when one is wanted.
-Its candidates are the rows of one matrix product, [I; moment curve]
-times the positive basis, each already the canonical basis of its span.
+Its candidates, the positive basis rows and then points on a moment
+curve through them, are built one at a time until one lies outside
+every negative; each is already the canonical basis of its span.
 Negatives are ordered by the exact entries of their bases, so a Term is
 a value, the tuple (positive, negatives), and a Region drops repeated
 terms by hashing.
@@ -24,6 +25,7 @@ the checker reaches them as tests (f?), through ``wp``.
 
 from __future__ import annotations
 
+import itertools
 from functools import reduce
 from typing import Iterable, NamedTuple, Optional
 
@@ -63,21 +65,25 @@ class Term(NamedTuple):
         Single basis rows are tried first, then points on the moment
         curve sum_j t^j b_j; a linear functional vanishing on a proper
         subspace kills at most dim-1 of those points, so the bounded
-        search always lands outside every negative.  The basis is in RREF,
-        so a candidate's first nonzero entry is a pivot 1 (b_0's on the
-        curve, where the other rows are 0): it is already the canonical
-        basis of its span, and prints as it was built.
+        search always lands outside every negative.  Candidates are built
+        one at a time, and the search stops at the first ray outside
+        every negative: a curve point is the integer row (t^j)_j times
+        the basis.  The basis is in RREF, so a candidate's first nonzero
+        entry is a pivot 1 (b_0's on the curve, where the other rows are
+        0): it is already the canonical basis of its span, and prints as
+        it was built.
         """
         basis = self.positive.basis
         limit = max(8, (basis.rows - 1) * len(self.negatives) + 2)
-        curve = Matrix([[t ** j for j in range(basis.rows)]
-                        for t in range(1, limit + 1)])
-        candidates = Matrix.vstack([Matrix.identity(basis.rows), curve]) * basis
-        for k in range(candidates.rows):
-            ray = Subspace(candidates.row(k), basis.cols, _canonical=True)
+        rows = (basis.row(k) for k in range(basis.rows))
+        points = (Matrix.of_integers([[t ** j for j in range(basis.rows)]]) * basis
+                  for t in range(1, limit + 1))
+        for candidate in itertools.chain(rows, points):
+            ray = Subspace(candidate, basis.cols, _canonical=True)
             if all(not b.contains_subspace(ray) for b in self.negatives):
                 return ray
-        raise WitnessSearchExhausted(f"no witness among {candidates.rows} candidates")
+        raise WitnessSearchExhausted(
+            f"no witness among {basis.rows + limit} candidates")
 
     def __repr__(self):
         return f"Term(dim={self.positive.dim}, minus={len(self.negatives)})"

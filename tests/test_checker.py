@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from qpdl import ast
+from qpdl import ast, linalg
 from qpdl.checker import (
     Environment,
     _run,
@@ -521,6 +521,19 @@ def test_a_second_schematic_run_composes_no_maps(monkeypatch):
                            branches, rng=random.Random(7), samples=3)
     assert cold == first
     assert calls != []
+
+
+def test_a_gate_circuit_claim_eliminates_no_full_width_matrix(monkeypatch):
+    # gate kernels are 0 from construction and a word of gates takes its
+    # first gate's kernel, so no 64 x 64 map is eliminated for one
+    rows, eliminate = [], linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate",
+                        lambda work, cols: rows.append(len(work))
+                        or eliminate(work, cols))
+    env = Environment(Frame(6))
+    witness = check_valid(env, parse_formula("[CNOT_2_1 ; H_2 ; X_4 ; H_3]false"))
+    assert witness is not None
+    assert rows and max(rows) == 1
 
 
 def test_a_changed_valuation_answers_as_a_fresh_environment():

@@ -12,6 +12,7 @@ import pytest
 import qpdl.frame as frame_module
 from qpdl import linalg
 from qpdl.frame import (
+    GATES,
     BadIndex,
     Frame,
     PartialMap,
@@ -1058,8 +1059,10 @@ def test_lift_table_dies_with_its_frame():
 
 
 def memo_inputs():
-    """(frame, maps, subspaces) at n = 1..3: gate words, test projectors
-    and singular maps; zero, full, random, product and lifted subspaces."""
+    """(frame, maps, subspaces) at n = 1..3: gate words, both as composed
+    (their kernel seeded) and as bare matrices, test projectors and
+    singular maps, and a denoted test and test followed by a gate (their
+    kernels seeded); zero, full, random, product and lifted subspaces."""
     rng = random.Random(221)
     out = []
     for n in (1, 2, 3):
@@ -1074,7 +1077,7 @@ def memo_inputs():
                 else:
                     g = fr.gate(rng.choice("XZH"), (rng.randint(1, n),))
                 word = word.then(g)
-            maps.append(PartialMap(word.matrix))
+            maps += [word, PartialMap(word.matrix)]
         maps += [PartialMap(rand_sub(rng, dim).projector()) for _ in range(2)]
         maps += [PartialMap(singular_matrix(rng, dim)) for _ in range(2)]
         maps.append(PartialMap(Matrix.zeros(dim, dim)))
@@ -1083,6 +1086,9 @@ def memo_inputs():
         subs += [product_ray(fr, "".join(rng.choice("01+-") for _ in range(n)))
                  for _ in range(2)]
         subs += [fr.state_lift(rand_amps(rng, 2), (q,)) for q in range(1, n + 1)]
+        env = Environment(fr, {"p": subs[2]})
+        for prog in ("p?", f"p? ; H_{n}"):
+            maps += denote_program(env, parse_program(prog))
         out.append((fr, maps, subs))
     return out
 
@@ -1105,9 +1111,13 @@ def memo_free_preimage(m, sub):
 
 def test_map_and_subspace_memos_match_cold_fresh_and_memo_free(monkeypatch):
     cases = memo_inputs()
-    warm = []
+    warm, seeded = [], 0
     for fr, maps, subs in cases:
         for pm in maps:
+            if pm._kernel is not None:
+                # a kernel given at construction, as elimination finds it
+                assert pm._kernel is memo_free_kernel(pm.matrix)
+                seeded += 1
             fresh = PartialMap(pm.matrix)
             cold = pm.kernel()
             assert pm.kernel() is cold is fresh.kernel()
@@ -1131,10 +1141,25 @@ def test_map_and_subspace_memos_match_cold_fresh_and_memo_free(monkeypatch):
     forms = [cold for ask, _, cold in warm if ask.__name__ == "product_form"]
     assert None in forms and any(forms)
     assert len(warm) >= 500
+    assert seeded == 15
     calls = counted_eliminations(monkeypatch)
     for ask, args, cold in warm:
         assert ask(*args) is cold
     assert calls == []
+
+
+def test_every_gate_has_full_rank():
+    # the fact behind the kernel 0 that Frame.gate gives every gate lift
+    for kind, g in GATES.items():
+        assert g.rank() == g.rows == g.cols, kind
+    for n in (1, 2, 3):
+        fr = Frame(n)
+        for kind in GATES:
+            arity = GATES[kind].rows.bit_length() - 1
+            for targets in itertools.permutations(range(1, n + 1), arity):
+                pm = fr.gate(kind, targets)
+                assert pm._kernel is Subspace.zero(fr.dim)
+                assert memo_free_kernel(pm.matrix).is_zero()
 
 
 def test_product_form_refuses_a_subspace_of_another_frame():

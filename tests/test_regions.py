@@ -91,6 +91,17 @@ def test_empty_and_full():
     assert gone.is_empty() and gone.witness() is None
 
 
+def test_a_witness_is_built_only_as_far_as_it_is_searched(monkeypatch):
+    # the first basis row of the full space is a ray outside no negative,
+    # so no moment-curve point is multiplied out
+    products, mul = [], Matrix.__mul__
+    monkeypatch.setattr(Matrix, "__mul__",
+                        lambda a, b: products.append(1) or mul(a, b))
+    w = Region.full(64).witness()
+    assert w.basis == Matrix.identity(64).row(0)
+    assert products == []
+
+
 def test_term_witness_avoids_cuts():
     # positive span of dim 3 with two 1-dim cuts: the moment-curve search
     # must land strictly outside both
