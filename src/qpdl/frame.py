@@ -42,9 +42,9 @@ part (x) rest through the spans of the columns and of the rows of its
 reshaped basis rows; T{I}, cmp{I}, =_I and local{I} all read it.
 Scalars appear only at the boundary: parsed and printed amplitudes,
 and the part-states that ``state_lift`` takes.
-Preimages are kernels against a basis of the orthocomplement; only
-tests (f?) need an orthogonal projector, built by solving one system in
-the Gram matrix.
+Preimages are kernels against a basis of the orthocomplement, and
+containment is one product with it; only tests (f?) need an orthogonal
+projector, built by solving one system in the Gram matrix.
 """
 
 from __future__ import annotations
@@ -127,8 +127,11 @@ class Subspace:
         return self.basis.rows == self.ambient
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        stacked = Matrix.vstack([self.basis, other.basis])
-        return stacked.rank() == self.dim
+        """Whether other lies in self: whether it is orthogonal to the
+        remembered orthocomplement, one product."""
+        perp = self.ortho().basis
+        product = perp.conj() * other.basis.transpose()
+        return product == Matrix.zeros(perp.rows, other.dim)
 
     def join(self, other: "Subspace") -> "Subspace":
         """The span of both, computed once per live pair in either order."""

@@ -1,11 +1,13 @@
 """Exact matrices over the Gaussian rationals.
 
 A scalar is a complex number whose real and imaginary parts are
-``fractions.Fraction`` values.  A ``Matrix`` stores integer real and
-imaginary parts over one positive common denominator ``den``: entry
-(i, j) is (re[i][j] + im[i][j] i) / den, and gcd(den, every part) = 1.
-That form is unique, so equal matrices hold equal integers, and equality
-and hashing compare them.  The integer rows are this module's own: no
+``fractions.Fraction`` values.  A ``Matrix`` stores its nonzero entries
+only, as Gaussian-integer parts over one positive common denominator
+``den``: each row is a tuple of (col, re, im) triples in ascending column
+order, none of them zero, standing for the entries (re + im i) / den, and
+gcd(den, every part) = 1.  That form is unique, so equal matrices hold
+equal tuples, and equality and hashing compare them; the hash is
+computed once per matrix.  The integer rows are this module's own: no
 other module reads or writes them.  A vector is a one-row matrix, which
 is what ``row`` returns.  Scalars appear only at the boundary: the
 constructor reads ``GaussianRational`` values and ``entries`` builds
@@ -17,21 +19,26 @@ convention, a table of lines of column indices: ``tensor`` puts
 x_j * y_l of x (x) y at column at[j][l], and ``gather`` reads
 [x[c] for c in t] out of a row x for each line t.
 
-Products and tensors sum over nonzero factor pairs only.  Rank, reduced
-row echelon form, kernels and the solution of a square system come from
-one fraction-free Gauss-Jordan elimination on the integer rows.  A
-reduced row is kept as its primitive multiple with a positive integer
-pivot, so it maps one-to-one onto the RREF row with pivot 1; the RREF
-basis is the canonical representative used for subspace identity
-throughout the package.
+Every operation visits nonzero entries only: products and tensors sum
+over nonzero factor pairs, and a monomial row of a left factor copies a
+row of the right factor.  Reduced row echelon form, kernels and the
+solution of a square system come from one fraction-free Gauss-Jordan
+elimination on rows held as dicts from column to (re, im), each with its
+leading column kept beside it.  Each row operation leaves its row
+primitive over the integers; a row whose parts outgrow 64 bits is also
+divided by the Gaussian gcd of its entries, so that no common factor
+such as 1+2i lets the entries grow with every pivot.  A reduced row is
+kept as its primitive multiple with a positive integer pivot, so it maps
+one-to-one onto the RREF row with pivot 1; the RREF basis is the
+canonical representative used for subspace identity throughout the
+package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
+from itertools import chain
 from math import gcd, lcm
-from operator import itemgetter, or_
 from re import fullmatch
 from typing import Iterable, Optional, Sequence, Union
 
@@ -117,9 +124,10 @@ ONE = GaussianRational(1)
 
 
 class Matrix:
-    """Immutable matrix of Gaussian rationals: integer parts over one denominator."""
+    """Immutable matrix of Gaussian rationals: the nonzero integer parts of
+    each row over one denominator."""
 
-    __slots__ = ("re", "im", "den", "rows", "cols")
+    __slots__ = ("triples", "den", "rows", "cols", "_hash")
 
     def __init__(self, entries: Iterable[Iterable[ScalarLike]], cols: Optional[int] = None):
         rows = [[GaussianRational.of(x) for x in row] for row in entries]
@@ -130,108 +138,118 @@ class Matrix:
             raise ValueError(f"every row needs {cols} entries")
         scaled = []
         for row in rows:
-            s = lcm(*(q.denominator for x in row for q in (x.re, x.im)))
-            scaled.append(([x.re.numerator * (s // x.re.denominator) for x in row],
-                           [x.im.numerator * (s // x.im.denominator) for x in row], s))
+            nonzero = [(j, x) for j, x in enumerate(row) if x]
+            s = lcm(*(q.denominator for _, x in nonzero for q in (x.re, x.im)))
+            scaled.append(([(j, x.re.numerator * (s // x.re.denominator),
+                             x.im.numerator * (s // x.im.denominator))
+                            for j, x in nonzero], s))
         m = Matrix.from_parts(scaled, cols)
-        self.re, self.im, self.den, self.rows, self.cols = m.re, m.im, m.den, m.rows, cols
+        self.triples, self.den, self.rows, self.cols = m.triples, m.den, m.rows, cols
 
     @staticmethod
-    def _of(re: tuple, im: tuple, den: int, cols: int) -> "Matrix":
-        """The matrix on the row tuples ``re``, ``im`` over ``den``, as they are."""
+    def _of(triples: tuple, den: int, cols: int) -> "Matrix":
+        """The matrix on the row tuples ``triples`` over ``den``, as they are."""
         m = object.__new__(Matrix)
-        m.re, m.im, m.den, m.rows, m.cols = re, im, den, len(re), cols
+        m.triples, m.den, m.rows, m.cols = triples, den, len(triples), cols
         return m
 
     @staticmethod
     def from_parts(rows: Sequence[tuple], cols: int) -> "Matrix":
-        """The matrix whose row k is (re_k + im_k i) / s_k, for ``rows`` of
-        Gaussian-integer parts given as (re_k, im_k, s_k) with s_k > 0.
+        """The matrix whose row k is x_k / s_k, for ``rows`` given as
+        (x_k, s_k) with s_k > 0 and x_k the nonzero Gaussian-integer
+        entries of the row as (col, re, im) triples in ascending column
+        order.
 
         Every row is brought to the lcm of the s_k, and that denominator is
-        divided by its gcd with every part.  All-zero rows share one tuple.
+        divided by its gcd with every part.
         """
-        den = lcm(*(s for _, _, s in rows))
+        den = lcm(*(s for _, s in rows))
         g = den
         scaled = []
-        for re, im, s in rows:
+        for row, s in rows:
             if s != den:
-                re = [a * (den // s) for a in re]
-                im = [b * (den // s) for b in im]
-            if g > 1:
-                g = gcd(g, *re, *im)
-            scaled.append((re, im))
-        zero = (0,) * cols
-
-        def part(xs):
-            if not any(xs):
-                return zero
-            return tuple([x // g for x in xs]) if g > 1 else tuple(xs)
-
-        return Matrix._of(tuple(part(re) for re, _ in scaled),
-                          tuple(part(im) for _, im in scaled), den // g, cols)
+                f = den // s
+                row = [(c, a * f, b * f) for c, a, b in row]
+            if g > 1 and row:
+                g = gcd(g, *[a for _, a, _ in row], *[b for _, _, b in row])
+            scaled.append(row)
+        if g > 1:
+            scaled = [[(c, a // g, b // g) for c, a, b in row] for row in scaled]
+        return Matrix._of(tuple(map(tuple, scaled)), den // g, cols)
 
     @staticmethod
     def of_integers(rows: Sequence[Sequence[int]]) -> "Matrix":
         """The matrix of one or more equally long rows of Python integers,
         built without scalars."""
-        zero = (0,) * len(rows[0])
-        return Matrix.from_parts([(row, zero, 1) for row in rows], len(zero))
+        return Matrix.from_parts([([(j, a, 0) for j, a in enumerate(row) if a], 1)
+                                  for row in rows], len(rows[0]))
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        zero = (0,) * n
-        return Matrix._of(tuple(zero[:i] + (1,) + zero[i + 1:] for i in range(n)),
-                          (zero,) * n, 1, n)
+        return Matrix._of(tuple(((i, 1, 0),) for i in range(n)), 1, n)
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
-        zero = ((0,) * cols,) * rows
-        return Matrix._of(zero, zero, 1, cols)
+        return Matrix._of(((),) * rows, 1, cols)
 
     @staticmethod
     def vstack(mats: Sequence["Matrix"]) -> "Matrix":
         cols = mats[0].cols
         if any(m.cols != cols for m in mats):
             raise ValueError("column counts differ")
-        return Matrix.from_parts([(re, im, m.den) for m in mats
-                                  for re, im in zip(m.re, m.im)], cols)
+        return Matrix.from_parts([(row, m.den) for m in mats for row in m.triples], cols)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
-        """The product, summed over nonzero factor pairs only."""
+        """The product, summed over nonzero factor pairs only; a monomial
+        row times b is a row of b, scaled."""
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} * {other.shape}")
-        cols, den = other.cols, self.den * other.den
-        b = other._sparse_rows()
+        b, den = other.triples, self.den * other.den
         out = []
-        for xre, xim in zip(self.re, self.im):
-            re, im = [0] * cols, [0] * cols
-            for xr, xi, b_row in zip(xre, xim, b):
-                if xr or xi:
-                    for j, yr, yi in b_row:
-                        re[j] += xr * yr - xi * yi
-                        im[j] += xr * yi + xi * yr
-            out.append((re, im, den))
-        return Matrix.from_parts(out, cols)
+        for x in self.triples:
+            if len(x) == 1:
+                (k, xr, xi), = x
+                if xr == 1 and not xi:
+                    row = b[k]
+                else:
+                    # Z[i] has no zero divisors, so no product vanishes
+                    row = [(j, xr * yr - xi * yi, xr * yi + xi * yr)
+                           for j, yr, yi in b[k]]
+            else:
+                re, im = {}, {}
+                for k, xr, xi in x:
+                    for j, yr, yi in b[k]:
+                        if j in re:
+                            re[j] += xr * yr - xi * yi
+                            im[j] += xr * yi + xi * yr
+                        else:
+                            re[j] = xr * yr - xi * yi
+                            im[j] = xr * yi + xi * yr
+                row = [(j, re[j], im[j]) for j in sorted(re) if re[j] or im[j]]
+            out.append((row, den))
+        return Matrix.from_parts(out, other.cols)
 
     @property
     def shape(self):
         return (self.rows, self.cols)
 
     def transpose(self) -> "Matrix":
-        if not self.rows:
-            return Matrix.zeros(self.cols, 0)
-        return Matrix._of(tuple(zip(*self.re)), tuple(zip(*self.im)), self.den, self.rows)
+        out = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.triples):
+            for c, a, b in row:
+                out[c].append((i, a, b))
+        return Matrix._of(tuple(map(tuple, out)), self.den, self.rows)
 
     def conj(self) -> "Matrix":
-        im = tuple(tuple([-b for b in row]) if any(row) else row for row in self.im)
-        return Matrix._of(self.re, im, self.den, self.cols)
+        return Matrix._of(tuple(tuple([(c, a, -b) for c, a, b in row])
+                                if any(b for _, _, b in row) else row
+                                for row in self.triples), self.den, self.cols)
 
     def row(self, i: int) -> "Matrix":
         """Row i as a one-row matrix."""
-        return Matrix.from_parts([(self.re[i], self.im[i], self.den)], self.cols)
+        return Matrix.from_parts([(self.triples[i], self.den)], self.cols)
 
     def tensor(self, other: "Matrix", at: Sequence[Sequence[int]],
                rows_at: Optional[Sequence[Sequence[int]]] = None) -> "Matrix":
@@ -242,50 +260,64 @@ class Matrix:
         A table ``rows_at`` of the same convention for the rows puts row
         x_i (x) y_k at row rows_at[i][k] instead.  Built in one pass over
         nonzero factor pairs only."""
-        cols, den = self.cols * other.cols, self.den * other.den
-        b = other._sparse_rows()
+        den = self.den * other.den
         out = []
-        for xre, xim in zip(self.re, self.im):
-            a = [(line, xr, xi) for line, xr, xi in zip(at, xre, xim) if xr or xi]
-            for b_row in b:
-                re, im = [0] * cols, [0] * cols
-                for line, xr, xi in a:
-                    for l, yr, yi in b_row:
-                        c = line[l]
-                        re[c] = xr * yr - xi * yi
-                        im[c] = xr * yi + xi * yr
-                out.append((re, im, den))
+        for x in self.triples:
+            placed = [(at[j], xr, xi) for j, xr, xi in x]
+            for y in other.triples:
+                # Z[i] has no zero divisors, so no product vanishes
+                row = [(line[l], xr * yr - xi * yi, xr * yi + xi * yr)
+                       for line, xr, xi in placed for l, yr, yi in y]
+                row.sort()  # columns are distinct, so only they are compared
+                out.append((row, den))
         if rows_at is not None:
             placed = [None] * len(out)
             for row, r in zip(out, (r for line in rows_at for r in line)):
                 placed[r] = row
             out = placed
-        return Matrix.from_parts(out, cols)
+        return Matrix.from_parts(out, self.cols * other.cols)
 
     def gather(self, rows: Iterable[int], table: Sequence[Sequence[int]]) -> "Matrix":
         """For each listed row x, in order, one row [x[c] for c in t] per
         line t of ``table``, all lines being equally long."""
-        # itemgetter of one index returns the entry, and a slice a tuple
-        lines = [itemgetter(*t) if len(t) != 1 else itemgetter(slice(t[0], t[0] + 1))
-                 for t in table]
-        picked = [(self.re[r], self.im[r]) for r in rows]
-        return Matrix.from_parts([(get(re), get(im), self.den)
-                                  for re, im in picked for get in lines], len(table[0]))
+        where = {}  # column -> the (line, position) pairs that read it
+        for i, t in enumerate(table):
+            for l, c in enumerate(t):
+                where.setdefault(c, []).append((i, l))
+        out = []
+        for r in rows:
+            lines = [[] for _ in table]
+            for c, a, b in self.triples[r]:
+                for i, l in where.get(c, ()):
+                    lines[i].append((l, a, b))
+            for line in lines:
+                line.sort()
+                out.append((line, self.den))
+        return Matrix.from_parts(out, len(table[0]))
 
     @property
     def entries(self) -> tuple:
         """The rows as tuples of GaussianRational, built on each read."""
-        return tuple(tuple(_scalar(a, b, self.den) for a, b in zip(re, im))
-                     for re, im in zip(self.re, self.im))
+        out = []
+        for row in self.triples:
+            dense = [ZERO] * self.cols
+            for c, a, b in row:
+                dense[c] = GaussianRational(Fraction(a, self.den), Fraction(b, self.den))
+            out.append(tuple(dense))
+        return tuple(out)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         return (self.cols == other.cols and self.den == other.den
-                and self.re == other.re and self.im == other.im)
+                and self.triples == other.triples)
 
     def __hash__(self):
-        return hash((self.cols, self.den, self.re, self.im))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.cols, self.den, self.triples))
+            return self._hash
 
     def __str__(self):
         return "\n".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.entries)
@@ -293,34 +325,25 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.shape[0]}x{self.shape[1]})"
 
-    def _sparse_rows(self) -> list:
-        """Each row as its nonzero entries, (column, re, im) triples."""
-        # y | z is 0 exactly when both parts are: the scan runs in C
-        return [[(j, re[j], im[j]) for j in compress(range(self.cols), map(or_, re, im))]
-                for re, im in zip(self.re, self.im)]
-
-    def _nonzero_rows(self) -> list:
-        return [(re, im) for re, im in zip(self.re, self.im) if any(re) or any(im)]
-
-    def rank(self) -> int:
-        return len(_eliminate(self._nonzero_rows(), self.cols))
+    def _work(self) -> list:
+        """The nonzero rows as elimination rows: dicts col -> (re, im)."""
+        return [{c: (a, b) for c, a, b in row} for row in self.triples if row]
 
     def row_basis(self) -> "Matrix":
         """The nonzero rows of the RREF: a canonical basis of the row space."""
-        return Matrix.from_parts(_rref(self._nonzero_rows(), self.cols)[0], self.cols)
+        return Matrix.from_parts(_rref(self._work(), self.cols)[0], self.cols)
 
     def kernel_basis(self) -> "Matrix":
         """Rows spanning the right null space {x : M x = 0}, in RREF;
         there are cols - rank of them."""
-        return _kernel(*_rref(self._nonzero_rows(), self.cols), self.cols)
+        return _kernel(*_rref(self._work(), self.cols), self.cols)
 
     def _kernel_of_rref(self) -> "Matrix":
         """``kernel_basis`` of a matrix whose rows already are an RREF, such
         as the conjugate of a ``row_basis``: one elimination fewer."""
-        rows = [(re, im, self.den) for re, im in zip(self.re, self.im)]
-        # each pivot is 1, i.e. den, the first nonzero part of its row
-        pivots = [next(c for c, a in enumerate(re) if a) for re in self.re]
-        return _kernel(rows, pivots, self.cols)
+        # each pivot is 1, i.e. den, the first entry of its row
+        return _kernel([(row, self.den) for row in self.triples],
+                       [row[0][0] for row in self.triples], self.cols)
 
     def solve(self, rhs: "Matrix") -> "Matrix":
         """The X with self * X = rhs, for an invertible square self: the
@@ -329,99 +352,209 @@ class Matrix:
         if self.cols != n or rhs.rows != n:
             raise ValueError(f"cannot solve {self.shape} * X = {rhs.shape}")
         # [self | rhs] with every row times den * rhs.den, a positive integer
-        work = [([a * rhs.den for a in re] + [c * self.den for c in rre],
-                 [b * rhs.den for b in im] + [d * self.den for d in rim])
-                for re, im, rre, rim in zip(self.re, self.im, rhs.re, rhs.im)]
+        work = []
+        for row, right in zip(self.triples, rhs.triples):
+            joined = {c: (a * rhs.den, b * rhs.den) for c, a, b in row}
+            for c, a, b in right:
+                joined[n + c] = (a * self.den, b * self.den)
+            if joined:
+                work.append(joined)
         rows, pivots = _rref(work, n + rhs.cols)
         if pivots[:n] != list(range(n)):
             raise ValueError("matrix is singular")
-        return Matrix.from_parts([(re[n:], im[n:], s) for re, im, s in rows], rhs.cols)
+        return Matrix.from_parts([([(c - n, a, b) for c, a, b in row if c >= n], s)
+                                  for row, s in rows], rhs.cols)
 
 
-def _scalar(re: int, im: int, den: int) -> GaussianRational:
-    """The entry (re + im i) / den as a GaussianRational."""
-    if not (re or im):
-        return ZERO
-    return GaussianRational(Fraction(re, den), Fraction(im, den))
+# A row whose largest part reaches this is divided by its Gaussian content.
+_GAUSSIAN_GCD_FROM = 1 << 64
 
 
-def _primitive(re: list, im: list) -> tuple:
-    """The Gaussian-integer row (re, im) divided by its integer content."""
-    g = gcd(*re, *im)
+def _gaussian_gcd(x: tuple, y: tuple) -> tuple:
+    """A gcd in Z[i] of x and y, (re, im) pairs, by Euclid.
+
+    A step replaces (x, y) by (y, x - q y), q being x / y = x conj(y) /
+    N(y) rounded part by part, which leaves N(x - q y) <= N(y) / 2.  While
+    y is long, steps are chosen on the leading bits of x and y and applied
+    to the whole numbers at once (Lehmer's method), and kept only if they
+    shrink N(y).  Every step keeps the ideal (x, y), so the result is
+    exact whichever steps are taken, and N(y) falls each round."""
+    xr, xi = x
+    yr, yi = y
+    while yr or yi:
+        n = yr * yr + yi * yi
+        s = n.bit_length() // 2 - 100
+        if s > 0:
+            ar, ai, br, bi = xr >> s, xi >> s, yr >> s, yi >> s
+            # (a, b) = (u x + v y, w x + z y) for Gaussian u, v, w, z
+            ur, ui, vr, vi, wr, wi, zr, zi = 1, 0, 0, 0, 0, 0, 1, 0
+            while (m := br * br + bi * bi) >> 130:
+                tr, ti = ar * br + ai * bi, ai * br - ar * bi
+                qr, qi = (2 * tr + m) // (2 * m), (2 * ti + m) // (2 * m)
+                ar, ai, br, bi = br, bi, ar - qr * br + qi * bi, ai - qr * bi - qi * br
+                ur, ui, vr, vi, wr, wi, zr, zi = (
+                    wr, wi, zr, zi, ur - qr * wr + qi * wi, ui - qr * wi - qi * wr,
+                    vr - qr * zr + qi * zi, vi - qr * zi - qi * zr)
+            pr = wr * xr - wi * xi + zr * yr - zi * yi
+            pi = wr * xi + wi * xr + zr * yi + zi * yr
+            if pr * pr + pi * pi < n:
+                xr, xi, yr, yi = (ur * xr - ui * xi + vr * yr - vi * yi,
+                                  ur * xi + ui * xr + vr * yi + vi * yr, pr, pi)
+                continue
+        tr, ti = xr * yr + xi * yi, xi * yr - xr * yi
+        qr, qi = (2 * tr + n) // (2 * n), (2 * ti + n) // (2 * n)
+        xr, xi, yr, yi = yr, yi, xr - qr * yr + qi * yi, xi - qr * yi - qi * yr
+    return xr, xi
+
+
+def _primitive(row: dict) -> dict:
+    """The elimination row ``row`` divided by its integer content, and, when
+    a part is still 64 bits or longer, by the Gaussian gcd of its entries."""
+    parts = list(chain.from_iterable(row.values()))
+    g = gcd(*parts)
     if g > 1:
-        re = [a // g for a in re]
-        im = [b // g for b in im]
-    return re, im
+        row = {j: (a // g, b // g) for j, (a, b) in row.items()}
+    if max(parts) < g * _GAUSSIAN_GCD_FROM > -min(parts):
+        return row
+    # The Gaussian content c divides every x_1 conj(x_j), x_1 being the first
+    # entry, so its norm N(c) divides their parts' gcd m, and so does c: most
+    # often m is 1, and else Euclid starts from m.
+    pairs = row.values()
+    ar, ai = next(iter(pairs))
+    m = gcd(*[ar * a + ai * b for a, b in pairs], *[ai * a - ar * b for a, b in pairs])
+    if m == 1:
+        return row
+    content = (m, 0)
+    for pair in pairs:
+        cr, ci = content = _gaussian_gcd(pair, content)
+        n = cr * cr + ci * ci
+        if n == 1:  # a unit
+            return row
+    # x / c = x conj(c) / N(c), exactly
+    return {j: ((a * cr + b * ci) // n, (b * cr - a * ci) // n)
+            for j, (a, b) in row.items()}
+
+
+def _clear(row: dict, c: int, pivot: dict) -> dict:
+    """``row`` with column c cleared by the pivot row ``pivot``: row -
+    (row[c]/p)*pivot when p = pivot[c] divides row[c] in the Gaussian
+    integers, else p*row - row[c]*pivot made primitive again (see
+    ``_primitive``).  ``row`` may be updated in place."""
+    pr, pi = pivot[c]
+    fr, fi = row[c]
+    n = pr * pr + pi * pi
+    qr, qi = fr * pr + fi * pi, fi * pr - fr * pi  # row[c] conj(p) = (row[c]/p) n
+    scaled = qr % n or qi % n
+    if scaled:
+        row = {j: (pr * a - pi * b, pr * b + pi * a) for j, (a, b) in row.items()}
+    else:
+        fr, fi = qr // n, qi // n
+    for j, (x, y) in pivot.items():
+        dr, di = fr * x - fi * y, fr * y + fi * x
+        old = row.get(j)
+        if old is None:
+            row[j] = (-dr, -di)
+        elif old[0] != dr or old[1] != di:
+            row[j] = (old[0] - dr, old[1] - di)
+        else:
+            del row[j]
+    return _primitive(row) if scaled and row else row
 
 
 def _eliminate(work: list, cols: int) -> list:
     """Fraction-free Gauss-Jordan elimination over the Gaussian integers.
 
-    The pivot row p clears column c from every other row (re, im) of
-    ``work`` by ``row := p[c]*row - row[c]*p``, made primitive again.
-    Returns the pivot columns; ``work`` is left holding the pivot rows,
-    row k with zeros in every pivot column but pivots[k].
+    Each row of ``work`` is a nonempty dict from column to its nonzero
+    (re, im) parts, and may be updated in place.  Forward, the next pivot
+    column c is the least leading column of the rows not yet pivots; of
+    the rows leading there, one leading with the least norm becomes the
+    pivot row (any would do: ``_rref`` makes the result unique), and
+    ``_clear`` clears c from the others.  A row's leading column is kept
+    beside it and found again only when an operation clears it.
+    Backward, each pivot row is cleared at the pivot columns it holds by
+    the pivot rows below it, which are reduced already, so only its own
+    entries are visited.  Returns the pivot columns; ``work`` is left
+    holding the pivot rows, row k with zeros in every pivot column but
+    pivots[k].
     """
+    # a row cleared to zero leads at ``cols``, past every column
+    leads = [min(row) for row in work]
     pivots = []
     r = 0
-    for c in range(cols):
-        if r == len(work):
+    while r < len(work):
+        rest = leads[r:]
+        c = min(rest)
+        if c == cols:
             break
-        for k in range(r, len(work)):
-            if work[k][0][c] or work[k][1][c]:
+        others = range(rest.count(c) - 1)  # the rows leading at c but one
+        k = i = leads.index(c, r)
+        a, b = work[k][c]
+        least = a * a + b * b
+        for _ in others:
+            if least == 1:
                 break
-        else:
-            continue
-        work[r], work[k] = work[k], work[r]
-        pre, pim = work[r]
-        pr, pi = pre[c], pim[c]
-        for k, (re, im) in enumerate(work):
-            fr, fi = re[c], im[c]
-            if k == r or not (fr or fi):
-                continue
-            work[k] = _primitive(
-                [pr * a - pi * b - fr * x + fi * y
-                 for a, b, x, y in zip(re, im, pre, pim)],
-                [pr * b + pi * a - fr * y - fi * x
-                 for a, b, x, y in zip(re, im, pre, pim)])
+            i = leads.index(c, i + 1)
+            a, b = work[i][c]
+            if a * a + b * b < least:
+                least, k = a * a + b * b, i
+        work[r], work[k], leads[k] = work[k], work[r], leads[r]
+        i = r
+        for _ in others:
+            i = leads.index(c, i + 1)
+            work[i] = row = _clear(work[i], c, work[r])
+            leads[i] = min(row) if row else cols
         pivots.append(c)
         r += 1
     del work[r:]
+    if r < 2:
+        return pivots
+    where = {c: k for k, c in enumerate(pivots)}
+    for k in range(r - 2, -1, -1):
+        row = work[k]
+        for j in [j for j in row if j in where and j != pivots[k]]:
+            row = _clear(row, j, work[where[j]])
+        work[k] = row
     return pivots
 
 
 def _rref(work: list, cols: int) -> tuple[list, list]:
-    """The nonzero RREF rows of the Gaussian-integer rows ``work`` and their
-    pivot columns.  Each row is (re, im, s), standing for (re + im i) / s
-    with pivot 1: pivot row x with pivot p, times conj(p), made primitive,
-    has the positive integer s as its pivot."""
+    """The nonzero RREF rows of the elimination rows ``work`` and their
+    pivot columns.  Each row is (x, s), x its (col, re, im) triples in
+    column order, standing for x / s with pivot 1: pivot row x with pivot
+    p, times conj(p), made primitive over the integers, has the positive
+    integer s as its pivot."""
     pivots = _eliminate(work, cols)
     rows = []
-    for (re, im), c in zip(work, pivots):
-        pr, pi = re[c], im[c]
+    for row, c in zip(work, pivots):
+        pr, pi = row[c]
         if pi or pr < 0:  # a positive integer p leaves primitive(x) as it is
-            re, im = ([a * pr + b * pi for a, b in zip(re, im)],
-                      [b * pr - a * pi for a, b in zip(re, im)])
-        re, im = _primitive(re, im)
-        rows.append((re, im, re[c]))
+            row = {j: (a * pr + b * pi, b * pr - a * pi) for j, (a, b) in row.items()}
+        g = gcd(*chain.from_iterable(row.values()))
+        rows.append(([(j, a // g, b // g) for j, (a, b) in sorted(row.items())],
+                     row[c][0] // g))
     return rows, pivots
 
 
 def _kernel(rows: list, pivots: list, cols: int) -> Matrix:
     """The RREF basis of the null space of a matrix already in RREF, given
-    as its rows (re, im, s) with pivot s and their pivot columns: one
+    as its rows (x, s) with pivot s and their pivot columns: one
     elimination, of the kernel vectors."""
     # Free column f gives e_f - sum_r (x_r[f] / s_r) e_{c_r}, where x_r / s_r
-    # is RREF row r with pivot column c_r; scaled by the lcm of the s_r.
-    den = lcm(*(s for _, _, s in rows))
+    # is RREF row r with pivot column c_r; scaled by the lcm of those s_r.
+    hits = {}  # free column -> the (c_r, re, im, s_r) with x_r[f] != 0
+    for (row, s), c in zip(rows, pivots):
+        for j, a, b in row:
+            if j != c:
+                hits.setdefault(j, []).append((c, a, b, s))
+    free = set(range(cols)).difference(pivots)
     vectors = []
-    for f in sorted(set(range(cols)) - set(pivots)):
-        re, im = [0] * cols, [0] * cols
-        re[f] = den
-        for (xr, xi, s), c in zip(rows, pivots):
-            re[c] = -xr[f] * (den // s)
-            im[c] = -xi[f] * (den // s)
-        vectors.append((re, im))
+    for f in sorted(free):
+        h = hits.get(f, ())
+        d = lcm(*(s for *_, s in h))
+        vector = {f: (d, 0)}
+        for c, a, b, s in h:
+            vector[c] = (-a * (d // s), -b * (d // s))
+        vectors.append(vector)
     return Matrix.from_parts(_rref(vectors, cols)[0], cols)
 
 

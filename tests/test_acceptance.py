@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -24,7 +25,7 @@ from qpdl.checker import (
     denote_program,
     eval_symbolic,
 )
-from qpdl.frame import Frame, PartialMap, Subspace
+from qpdl.frame import Frame, PartialMap, Subspace, format_state
 from qpdl.linalg import GaussianRational, Matrix
 from qpdl.parser import parse_formula, parse_program
 from qpdl.protocols import (
@@ -80,7 +81,7 @@ def criterion(number, bound_seconds):
                 CRITERIA.append(f"criterion {number:2d}: FAIL")
                 raise
             CRITERIA.append(f"criterion {number:2d}: PASS ({detail}; "
-                            f"{elapsed:.2f}s < {bound_seconds:.0f}s)")
+                            f"{elapsed:.2f}s < {bound_seconds:g}s)")
         return run
     return wrap
 
@@ -589,21 +590,66 @@ print(code, calls, hashlib.sha256(out.getvalue().encode()).hexdigest())
 
 VERIFY_ALL_SHA256 = \
     "bad8e8100fbefb3faf375c3fc4ce3d8549ece5775dd85bb3bae26bbf6ca9a08a"
-MAX_VERIFY_ALL_ELIMINATIONS = 17_000
+MAX_VERIFY_ALL_ELIMINATIONS = 16_000
+
+
+def fresh_process(args, timeout):
+    """Run python with ``args`` in a new process on this checkout's qpdl."""
+    src = str(Path(qpdl.__file__).resolve().parent.parent)
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=timeout)
 
 
 @criterion(13, 60.0)
 def test_verify_all_elimination_count():
     # a fresh process, so that no memo warmed by an earlier test and no
     # garbage collection left pending by one can move the count
-    src = str(Path(qpdl.__file__).resolve().parent.parent)
-    path = filter(None, [src, os.environ.get("PYTHONPATH")])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    proc = subprocess.run([sys.executable, "-c", ELIMINATION_PROBE], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = fresh_process(["-c", ELIMINATION_PROBE], timeout=120)
     assert proc.returncode == 0, proc.stderr
     code, calls, digest = proc.stdout.split()
     assert (code, digest) == ("0", VERIFY_ALL_SHA256)
     assert int(calls) <= MAX_VERIFY_ALL_ELIMINATIONS, calls
     return (f"{calls} eliminations over qpdl verify all --seed 2026 "
             f"<= {MAX_VERIFY_ALL_ELIMINATIONS}")
+
+
+# ----- 14: bounded entry growth on a crafted state ---------------------------------
+
+
+def crafted_line():
+    """The state orthogonal to 15 random rows with entries in
+    {-2..2} + {-2..2}i at ambient 16.  Checking it took over a minute
+    when elimination removed only the integer content of its rows, whose
+    entries then grew with every pivot."""
+    rng = random.Random(2026)
+    rows = [[GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2))
+             for _ in range(16)] for _ in range(15)]
+    return Subspace(Matrix(rows), 16).ortho()
+
+
+@criterion(14, 10.0)
+def test_crafted_state_file_is_checked_fast():
+    line = crafted_line()
+    assert line.dim == 1
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "line.state"
+        path.write_text(format_state(4, line))
+        # a fresh process, where no memo holds the line's orthocomplement
+        proc = fresh_process(["-m", "qpdl", "valid", "-n", "4", "-b", f"p=@{path}",
+                              "~p | !~p"], timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "VALID\n", "")
+    return "qpdl valid -n 4 on a crafted 16-amplitude state file"
+
+
+# ----- 15: scaling in the qubit count where the support is everything ------------
+
+
+@criterion(15, 2.5)
+def test_valid_scales_to_nine_qubits_on_full_support_rays():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["valid", "-n", "9", "plus -> [H_1 ; H_1]plus"])
+    assert (code, out.getvalue()) == (0, "VALID\n")
+    return "qpdl valid -n 9 on plus -> [H_1 ; H_1]plus over 512 x 512 maps"

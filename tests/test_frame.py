@@ -26,7 +26,7 @@ from qpdl.parser import parse_formula, parse_program
 from qpdl.regions import make_term
 
 from exact_reference import orthogonal, product_ray, quotient
-from test_linalg import exact, reference_apply, reference_kernel_basis
+from test_linalg import exact, reference_apply, reference_kernel_basis, reference_reduced
 
 
 def rand_amps(rng, dim, real=False):
@@ -104,6 +104,39 @@ def test_subspace_lattice_laws():
         assert s.meet(t).dim + s.join(t).dim <= s.dim + t.dim
         assert s.join(t).contains_subspace(s)
         assert s.contains_subspace(s.meet(t))
+
+
+def stacked_rank_contains(big, small):
+    """Containment as it was decided before the product with the
+    orthocomplement: the stacked bases have rank dim(big), here by the
+    Fraction elimination."""
+    stacked = Matrix(big.basis.entries + small.basis.entries, cols=big.ambient)
+    return len(reference_reduced(stacked)[1]) == big.dim
+
+
+def test_containment_matches_stacked_rank():
+    rng = random.Random(203)
+    answers = set()
+    for n in range(1, 5):
+        dim = 2 ** n
+        subs = [Subspace.zero(dim), Subspace.full(dim)]
+        for k in range(1, dim + 1):
+            subs.append(rand_sub(rng, dim, min(k, 3)))
+        for _ in range(6):                       # subspaces of a subspace
+            big = rand_sub(rng, dim)
+            c = GaussianRational(rng.randint(1, 3), rng.randint(-2, 2))
+            ray = Matrix([[c * x for x in big.basis.entries[0]]])
+            subs += [big, Subspace(ray, dim), big.meet(rand_sub(rng, dim))]
+        pairs = [(a, b) for a in subs for b in subs]
+        for a, b in rng.sample(pairs, min(len(pairs), 150)):
+            want = stacked_rank_contains(a, b)
+            assert a.contains_subspace(b) is want
+            answers.add(want)
+        for s in subs:
+            assert s.contains_subspace(Subspace.zero(dim))
+            assert Subspace.full(dim).contains_subspace(s)
+            assert Subspace.zero(dim).contains_subspace(s) is s.is_zero()
+    assert answers == {True, False}
 
 
 def test_intern_table_drops_dead_subspaces():
@@ -1151,7 +1184,7 @@ def test_map_and_subspace_memos_match_cold_fresh_and_memo_free(monkeypatch):
 def test_every_gate_has_full_rank():
     # the fact behind the kernel 0 that Frame.gate gives every gate lift
     for kind, g in GATES.items():
-        assert g.rank() == g.rows == g.cols, kind
+        assert g.row_basis().rows == g.rows == g.cols, kind
     for n in (1, 2, 3):
         fr = Frame(n)
         for kind in GATES:

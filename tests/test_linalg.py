@@ -69,8 +69,8 @@ def test_rref_shape_and_rank():
     for _ in range(50):
         m = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
         r = m.row_basis()
-        assert r.rows == m.rank() <= min(m.rows, m.cols)
-        assert r.rank() == r.rows
+        assert r.rows <= min(m.rows, m.cols)
+        assert r.row_basis().rows == r.rows
         # reduction is idempotent on the nonzero rows
         assert r.row_basis() == r
 
@@ -80,7 +80,7 @@ def test_kernel_is_annihilated():
     for _ in range(60):
         m = rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 5))
         k = m.kernel_basis()
-        assert k.rows == m.cols - m.rank()
+        assert k.rows == m.cols - m.row_basis().rows
         for i in range(k.rows):
             assert m * k.row(i).transpose() == Matrix.zeros(m.rows, 1)
 
@@ -91,7 +91,7 @@ def test_inverse_of_random_invertible():
     found = 0
     while found < 30:
         m = rand_matrix(rng, 3, 3)
-        if m.rank() < 3:
+        if m.row_basis().rows < 3:
             continue
         found += 1
         inverse = m.solve(Matrix.identity(3))
@@ -193,15 +193,24 @@ def exact(rows):
 
 
 def assert_canonical(m, want=None):
-    """m holds integer parts over a positive denominator sharing no factor
-    with them, so its integers are the one form of its entries; with
-    ``want``, a list of rows of scalars, the entries are exactly those."""
-    parts = m.re + m.im
+    """m holds, row by row, its nonzero entries as (col, re, im) triples
+    of ints in ascending column order over a positive denominator sharing
+    no factor with them, so its triples are the one form of its entries;
+    with ``want``, a list of rows of scalars, the entries are exactly
+    those."""
     assert type(m.den) is int and m.den > 0
-    assert len(m.re) == len(m.im) == m.rows
-    assert all(type(row) is tuple and len(row) == m.cols for row in parts)
-    assert all(type(x) is int for row in parts for x in row)
-    assert gcd(m.den, *(x for row in parts for x in row)) == 1
+    assert type(m.triples) is tuple and len(m.triples) == m.rows
+    parts = []
+    for row in m.triples:
+        assert type(row) is tuple
+        assert all(type(t) is tuple and len(t) == 3 for t in row)
+        columns = [c for c, _, _ in row]
+        assert columns == sorted(set(columns))                 # ascending
+        assert all(type(c) is int and 0 <= c < m.cols for c in columns)
+        assert all(type(a) is int and type(b) is int for _, a, b in row)
+        assert all(a or b for _, a, b in row)                  # no zero stored
+        parts += [x for _, a, b in row for x in (a, b)]
+    assert gcd(m.den, *parts) == 1
     if want is not None:
         assert exact(m.entries) == exact(
             [[GaussianRational.of(x) for x in row] for row in want])
@@ -273,7 +282,7 @@ def test_elimination_matches_fraction_reference():
         basis = m.row_basis()
         assert_canonical(basis, work[:len(pivots)])
         assert pivot_columns(basis) == pivots
-        assert m.rank() == len(pivots)
+        assert m.row_basis().rows == len(pivots)
         kernel = m.kernel_basis()
         assert kernel.shape == (m.cols - len(pivots), m.cols)
         assert_canonical(kernel, reference_kernel_basis(m).entries)
@@ -613,3 +622,187 @@ def test_tensor_and_gather_match_entrywise_products():
     i = GaussianRational(0, 1)
     assert Matrix([[1, 2]]).tensor(Matrix([[3, i]]), [range(0, 2), range(2, 4)]) \
         == Matrix([[3, i, 6, 2 * i]])
+
+
+# ----- the sparse form: shapes with few nonzeros, hashing, entry growth -------
+
+
+def sparse_shape_inputs():
+    """Matrices of the shapes lifted gates and states take: monomial rows,
+    rows of two nonzeros, zero rows among them, one-row matrices and
+    width 64, with small Gaussian entries of mixed denominators."""
+    rng = random.Random(113)
+
+    def scalar():
+        return GaussianRational(Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3])),
+                                Fraction(rng.randint(-4, 4), rng.choice([1, 5])))
+
+    def nonzero():
+        while True:
+            x = scalar()
+            if x:
+                return x
+
+    def with_nonzeros(rows, cols, k):
+        out = [[ZERO] * cols for _ in range(rows)]
+        for row in out:
+            for c in rng.sample(range(cols), min(k, cols)):
+                row[c] = nonzero()
+        return out
+
+    mats = []
+    for cols in (1, 2, 3, 5, 8, 16, 64):
+        for rows in (1, 2, 4, 7):
+            mats.append(Matrix(with_nonzeros(rows, cols, 1), cols=cols))   # monomial
+            mats.append(Matrix(with_nonzeros(rows, cols, 2), cols=cols))   # two nonzeros
+            entries = with_nonzeros(rows, cols, rng.choice([1, 2]))
+            for i in rng.sample(range(rows), rows // 2):
+                entries[i] = [ZERO] * cols                               # zero rows
+            mats.append(Matrix(entries, cols=cols))
+        # a permutation matrix with phases, and one with a row repeated
+        perm = rng.sample(range(cols), cols)
+        if cols <= 16:
+            mats.append(Matrix([[nonzero() if c == perm[r] else ZERO
+                                 for c in range(cols)] for r in range(cols)]))
+        mats.append(Matrix([[ONE if c == perm[r % len(perm[:2])] else ZERO
+                             for c in range(cols)] for r in range(3)]))
+    return rng, mats
+
+
+def test_sparse_shapes_match_fraction_references():
+    rng, mats = sparse_shape_inputs()
+    assert len(mats) >= 95
+    for m in mats:
+        assert_canonical(m)
+        assert all(len(row) <= 2 for row in m.triples) or m.rows == m.cols
+        work, pivots = reference_reduced(m)
+        basis = m.row_basis()
+        assert_canonical(basis, work[:len(pivots)])
+        assert_canonical(m.kernel_basis(), reference_kernel_basis(m).entries)
+        assert_canonical(m.conj(), reference_conj(m))
+        assert_canonical(m.transpose(), reference_transpose(m))
+        for i in range(m.rows):
+            assert_canonical(m.row(i), [m.entries[i]])
+        other = rng.choice([x for x in mats if x.rows == m.cols] or [Matrix.identity(m.cols)])
+        assert_canonical(m * other, reference_product(m, other).entries)
+        if m.rows == m.cols:
+            want = reference_inverse(m)
+            if want is not None:
+                assert_canonical(m.solve(Matrix.identity(m.rows)), want.entries)
+        if m.cols <= 8:
+            small = rng.choice([x for x in mats if x.cols <= 4])
+            for at in index_tables(rng, m.cols, small.cols):       # permuted tables
+                assert_canonical(m.tensor(small, at), reference_tensor(m, small, at))
+        for table in index_tables(rng, m.cols, 1):
+            assert_canonical(m.gather(range(m.rows), table),
+                             reference_gather(m, range(m.rows), table))
+
+
+def test_equal_matrices_built_by_different_routes_hash_alike():
+    rng = random.Random(114)
+    i = GaussianRational(0, 1)
+    checked = 0
+    for cols in (1, 2, 4, 8):
+        for _ in range(10):
+            entries = [[rand_scalar(rng) if rng.random() < 0.5 else ZERO
+                        for _ in range(cols)] for _ in range(rng.randint(1, 4))]
+            m = Matrix(entries, cols=cols)
+            routes = [
+                Matrix([list(row) for row in m.entries], cols=cols),
+                m * Matrix.identity(cols),
+                Matrix.identity(m.rows) * m,
+                m.transpose().transpose(),
+                m.conj().conj(),
+                Matrix.vstack([m.row(k) for k in range(m.rows)]),
+                m.gather(range(m.rows), [range(cols)]),
+                m.tensor(Matrix.identity(1), [[c] for c in range(cols)]),
+                Matrix([[x * i for x in row] for row in m.entries], cols=cols)
+                * Matrix([[-i if c == r else 0 for c in range(cols)] for r in range(cols)]),
+            ]
+            for other in routes:
+                assert other == m and hash(other) == hash(m)
+                assert other.triples == m.triples and other.den == m.den
+                checked += 1
+            assert hash(m) == hash(m) == m._hash      # computed once, then kept
+    assert checked >= 300
+    # interning finds one subspace for equal bases built apart
+    basis = Matrix([[1, 0, i, 0], [0, 1, 0, 1]]).row_basis()
+    again = (Matrix([[0, 2, 0, 2], [3, 0, 3 * i, 0]])).row_basis()
+    assert again is not basis and again == basis and hash(again) == hash(basis)
+    assert Subspace(basis, 4) is Subspace(again, 4)
+
+
+def textbook_gaussian_gcd(x, y):
+    """Euclid in Z[i] one exact rounded quotient at a time."""
+    (xr, xi), (yr, yi) = x, y
+    while yr or yi:
+        n = yr * yr + yi * yi
+        tr, ti = xr * yr + xi * yi, xi * yr - xr * yi
+        qr, qi = (2 * tr + n) // (2 * n), (2 * ti + n) // (2 * n)
+        xr, xi, yr, yi = yr, yi, xr - qr * yr + qi * yi, xi - qr * yi - qi * yr
+    return xr, xi
+
+
+def test_gaussian_gcd_matches_textbook_euclid():
+    # the leading-bits steps only change which unit multiple is returned
+    rng = random.Random(115)
+
+    def times(a, b):
+        return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+    def divides(d, a):
+        n = d[0] ** 2 + d[1] ** 2
+        t = times(a, (d[0], -d[1]))
+        return t[0] % n == 0 and t[1] % n == 0
+
+    for bits in (2, 30, 120, 400, 1500):
+        for _ in range(12):
+            rand = lambda k: rng.randint(-2 ** k, 2 ** k)
+            common = (rand(bits // 3), rand(bits // 3))
+            x = times(common, (rand(bits), rand(bits)))
+            y = times(common, (rand(bits), rand(bits)))
+            if rng.random() < 0.2:
+                y = times(x, (rand(8), rand(8)))                 # y a multiple of x
+            got, want = linalg._gaussian_gcd(x, y), textbook_gaussian_gcd(x, y)
+            assert got[0] ** 2 + got[1] ** 2 == want[0] ** 2 + want[1] ** 2
+            assert divides(got, x) and divides(got, y) and divides(want, got)
+    assert linalg._gaussian_gcd((6, 0), (0, 0)) == (6, 0)
+    assert linalg._gaussian_gcd((5, 0), (1, 2)) in {(1, 2), (-1, -2), (2, -1), (-2, 1)}
+
+
+def cold_ortho_largest_parts():
+    """For each ambient n in 8..16, the bit length of the largest part that
+    _eliminate leaves in the cold ortho of the line orthogonal to n - 1
+    random rows with entries in {-2..2} + {-2..2}i."""
+    rng = random.Random(2026)
+    largest = []
+    eliminate = linalg._eliminate
+
+    def recording(work, cols):
+        pivots = eliminate(work, cols)
+        largest.append(max(abs(x) for row in work for pair in row.values()
+                           for x in pair).bit_length())
+        return pivots
+
+    out = []
+    for n in range(8, 17):
+        rows = [[GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2))
+                 for _ in range(n)] for _ in range(n - 1)]
+        line = Subspace(Matrix(rows), n).ortho()
+        linalg._eliminate = recording
+        try:
+            # what a cold line.ortho() runs: its memo link is set already
+            perp = Subspace(line.basis.conj()._kernel_of_rref(), n, _canonical=True)
+        finally:
+            linalg._eliminate = eliminate
+        assert perp.dim == n - 1 and perp.ortho() is line
+        out.append(largest[-1])
+    return out
+
+
+def test_cold_ortho_entries_stay_bounded():
+    # Rows whose parts outgrow 64 bits are divided by their Gaussian
+    # content; without that the same eliminations leave parts of up to
+    # 955 bits here (up to 206,007 bits at n = 14 under the dense
+    # elimination this form replaced).
+    assert cold_ortho_largest_parts() == [48, 40, 51, 59, 61, 53, 56, 60, 64]

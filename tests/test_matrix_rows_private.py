@@ -9,12 +9,13 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "qpdl"
 
 def row_access(path):
     """(file, line, what) for each use of Matrix's integer-row form:
-    ``from_parts``, ``Matrix._of``, ``.den``, and ``.re``/``.im`` indexed
-    or zipped as rows."""
+    ``from_parts``, ``Matrix._of``, ``.den``, the sparse rows ``.triples``
+    read in any way, and ``.re``/``.im`` indexed or zipped as rows (the
+    dense parts form it replaced, should one come back)."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
-            if node.attr in ("from_parts", "den") or (
+            if node.attr in ("from_parts", "den", "triples") or (
                     node.attr == "_of" and isinstance(node.value, ast.Name)
                     and node.value.id == "Matrix"):
                 yield path.name, node.lineno, node.attr

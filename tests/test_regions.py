@@ -165,10 +165,16 @@ def test_witness_matches_scalar_moment_curve():
 
 def fraction_key(sub):
     """The order negatives were sorted by when it was read off the integer
-    parts: exact Fractions, real then imaginary, entry by entry."""
+    parts: exact Fractions, real then imaginary, entry by entry, the
+    entries a sparse row does not store being 0."""
     b = sub.basis
-    return (sub.dim, tuple((Fraction(x, b.den), Fraction(y, b.den))
-                           for re, im in zip(b.re, b.im) for x, y in zip(re, im)))
+    cells = []
+    for row in b.triples:
+        dense = [(Fraction(0), Fraction(0))] * b.cols
+        for c, x, y in row:
+            dense[c] = (Fraction(x, b.den), Fraction(y, b.den))
+        cells += dense
+    return (sub.dim, tuple(cells))
 
 
 def test_subspace_key_keeps_the_fraction_order():
