@@ -374,33 +374,12 @@ def _gaussian_gcd(x: tuple, y: tuple) -> tuple:
     """A gcd in Z[i] of x and y, (re, im) pairs, by Euclid.
 
     A step replaces (x, y) by (y, x - q y), q being x / y = x conj(y) /
-    N(y) rounded part by part, which leaves N(x - q y) <= N(y) / 2.  While
-    y is long, steps are chosen on the leading bits of x and y and applied
-    to the whole numbers at once (Lehmer's method), and kept only if they
-    shrink N(y).  Every step keeps the ideal (x, y), so the result is
-    exact whichever steps are taken, and N(y) falls each round."""
+    N(y) rounded part by part, which leaves N(x - q y) <= N(y) / 2.  Every
+    step keeps the ideal (x, y), and N(y) falls each round."""
     xr, xi = x
     yr, yi = y
     while yr or yi:
         n = yr * yr + yi * yi
-        s = n.bit_length() // 2 - 100
-        if s > 0:
-            ar, ai, br, bi = xr >> s, xi >> s, yr >> s, yi >> s
-            # (a, b) = (u x + v y, w x + z y) for Gaussian u, v, w, z
-            ur, ui, vr, vi, wr, wi, zr, zi = 1, 0, 0, 0, 0, 0, 1, 0
-            while (m := br * br + bi * bi) >> 130:
-                tr, ti = ar * br + ai * bi, ai * br - ar * bi
-                qr, qi = (2 * tr + m) // (2 * m), (2 * ti + m) // (2 * m)
-                ar, ai, br, bi = br, bi, ar - qr * br + qi * bi, ai - qr * bi - qi * br
-                ur, ui, vr, vi, wr, wi, zr, zi = (
-                    wr, wi, zr, zi, ur - qr * wr + qi * wi, ui - qr * wi - qi * wr,
-                    vr - qr * zr + qi * zi, vi - qr * zi - qi * zr)
-            pr = wr * xr - wi * xi + zr * yr - zi * yi
-            pi = wr * xi + wi * xr + zr * yi + zi * yr
-            if pr * pr + pi * pi < n:
-                xr, xi, yr, yi = (ur * xr - ui * xi + vr * yr - vi * yi,
-                                  ur * xi + ui * xr + vr * yi + vi * yr, pr, pi)
-                continue
         tr, ti = xr * yr + xi * yi, xi * yr - xr * yi
         qr, qi = (2 * tr + n) // (2 * n), (2 * ti + n) // (2 * n)
         xr, xi, yr, yi = yr, yi, xr - qr * yr + qi * yi, xi - qr * yi - qi * yr
@@ -468,14 +447,14 @@ def _eliminate(work: list, cols: int) -> list:
     (re, im) parts, and may be updated in place.  Forward, the next pivot
     column c is the least leading column of the rows not yet pivots; of
     the rows leading there, one leading with the least norm becomes the
-    pivot row (any would do: ``_rref`` makes the result unique), and
-    ``_clear`` clears c from the others.  A row's leading column is kept
-    beside it and found again only when an operation clears it.
-    Backward, each pivot row is cleared at the pivot columns it holds by
-    the pivot rows below it, which are reduced already, so only its own
-    entries are visited.  Returns the pivot columns; ``work`` is left
-    holding the pivot rows, row k with zeros in every pivot column but
-    pivots[k].
+    pivot row (any would do: ``_rref`` makes the result unique, but a
+    small pivot keeps entries small), and ``_clear`` clears c from the
+    others.  A row's leading column is kept beside it and found again only
+    when an operation clears it.  Backward, each pivot row is cleared at
+    the pivot columns it holds by the pivot rows below it, which are
+    reduced already, so only its own entries are visited.  Returns the
+    pivot columns; ``work`` is left holding the pivot rows, row k with
+    zeros in every pivot column but pivots[k].
     """
     # a row cleared to zero leads at ``cols``, past every column
     leads = [min(row) for row in work]

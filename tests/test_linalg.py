@@ -732,19 +732,17 @@ def test_equal_matrices_built_by_different_routes_hash_alike():
     assert Subspace(basis, 4) is Subspace(again, 4)
 
 
-def textbook_gaussian_gcd(x, y):
-    """Euclid in Z[i] one exact rounded quotient at a time."""
-    (xr, xi), (yr, yi) = x, y
-    while yr or yi:
-        n = yr * yr + yi * yi
-        tr, ti = xr * yr + xi * yi, xi * yr - xr * yi
-        qr, qi = (2 * tr + n) // (2 * n), (2 * ti + n) // (2 * n)
-        xr, xi, yr, yi = yr, yi, xr - qr * yr + qi * yi, xi - qr * yi - qi * yr
-    return xr, xi
+def ideal_norm(x, y):
+    """The index in Z^2 of the ideal (x, y) of Z[i], which is the norm of
+    its generator: the lattice spanned by x, ix, y and iy, whose index is
+    the gcd of the 2x2 minors of those four vectors."""
+    vectors = [x, (-x[1], x[0]), y, (-y[1], y[0])]
+    return gcd(*[a[0] * b[1] - a[1] * b[0]
+                 for k, a in enumerate(vectors) for b in vectors[k + 1:]])
 
 
-def test_gaussian_gcd_matches_textbook_euclid():
-    # the leading-bits steps only change which unit multiple is returned
+def test_gaussian_gcd_generates_the_ideal():
+    # a common divisor whose norm is the ideal's index generates the ideal
     rng = random.Random(115)
 
     def times(a, b):
@@ -763,9 +761,9 @@ def test_gaussian_gcd_matches_textbook_euclid():
             y = times(common, (rand(bits), rand(bits)))
             if rng.random() < 0.2:
                 y = times(x, (rand(8), rand(8)))                 # y a multiple of x
-            got, want = linalg._gaussian_gcd(x, y), textbook_gaussian_gcd(x, y)
-            assert got[0] ** 2 + got[1] ** 2 == want[0] ** 2 + want[1] ** 2
-            assert divides(got, x) and divides(got, y) and divides(want, got)
+            got = linalg._gaussian_gcd(x, y)
+            assert got[0] ** 2 + got[1] ** 2 == ideal_norm(x, y)
+            assert divides(got, x) and divides(got, y) and divides(common, got)
     assert linalg._gaussian_gcd((6, 0), (0, 0)) == (6, 0)
     assert linalg._gaussian_gcd((5, 0), (1, 2)) in {(1, 2), (-1, -2), (2, -1), (-2, 1)}
 
@@ -803,6 +801,8 @@ def cold_ortho_largest_parts():
 def test_cold_ortho_entries_stay_bounded():
     # Rows whose parts outgrow 64 bits are divided by their Gaussian
     # content; without that the same eliminations leave parts of up to
-    # 955 bits here (up to 206,007 bits at n = 14 under the dense
-    # elimination this form replaced).
+    # 955 bits here (up to 99,727 bits if the first row leading at a
+    # column were the pivot instead of one of least norm, and up to
+    # 206,007 bits at n = 14 under the dense elimination this form
+    # replaced).
     assert cold_ortho_largest_parts() == [48, 40, 51, 59, 61, 53, 56, 60, 64]
