@@ -16,23 +16,32 @@ amplitude row scaled so that its first nonzero entry is 1.  Subspaces
 are interned: the constructor returns the live instance of its
 canonical basis, so equal spans are one object, equality is identity
 and a projector is built once per span.  ``ortho`` is computed once per
-instance and linked back, since (W^perp)^perp = W.  The join of two
-live subspaces is remembered in a table that keeps neither them nor the
-join alive, so a repeated meet runs no elimination; the full and zero
-subspaces are built once per ambient dimension, and a frame remembers
-its state lifts, with their orthos and projectors, for as long as it
-lives.  A subspace also remembers its product form on each qubit set,
-None included, for as long as it lives.  Partial maps are not
-interned.  A map whose kernel is known when it is built carries it
-from construction: a gate lift has kernel 0, as every gate is
-invertible, and f followed by a map of kernel 0 has f's kernel; the
-checker seeds ``id`` (kernel 0) and a test on S (kernel S^perp) the
-same way.  Any other kernel is computed on first use.  Each map
-remembers its kernel and the image and closed preimage of every
-subspace it was asked about, keyed on the interned subspace and kept
-alive with the map: the checker keeps a program's maps in its
-environment's denotation memo and a gate in its frame's gate table, so
-these values live as long as that environment or frame.
+instance and linked back, since (W^perp)^perp = W.  A subspace also
+remembers its product form on each qubit set, None included, for as
+long as it lives.  Partial maps are not interned.  A map whose kernel is
+known when it is built carries it from construction: a gate lift has
+kernel 0, as every gate is invertible, and f followed by a map of kernel
+0 has f's kernel; the checker seeds ``id`` (kernel 0) and a test on S
+(kernel S^perp) the same way.  Any other kernel is computed on first
+use.  Each map remembers its kernel and the image and closed preimage
+of every subspace it was asked about, keyed on the interned subspace
+and kept alive with the map.
+
+What is remembered lives at one of three scopes:
+
+- per process, built on first use and keyed on n, as it depends on the
+  register alone: the full and zero subspaces of each dimension, the
+  ``Frame.layout`` tables, the matrix of each gate lift, and the lifts
+  of the four named one-qubit states ``LOCAL_STATES`` at each qubit, at
+  most 4n subspaces per n, each with its own memos;
+- per frame: each gate's ``PartialMap``, wrapping the shared matrix, so
+  its image and preimage memos die with the frame, and every other
+  state lift, with its ortho and projector;
+- per environment (in the checker): the maps of each denoted program,
+  with their memos.
+
+The join of two live subspaces is remembered in a table that keeps
+neither them nor the join alive, so a repeated meet runs no elimination.
 A layout table is the index table of ``Matrix.tensor``, which places
 gate lifts g (x) I (rows and columns alike), state lifts part (x) I and
 reachable sets I (x) rest, and of ``Matrix.gather``, which reads blocks
@@ -40,6 +49,8 @@ and reshaped basis rows.
 One tensor factorization, ``Frame.product_form``, splits a subspace as
 part (x) rest through the spans of the columns and of the rows of its
 reshaped basis rows; T{I}, cmp{I}, =_I and local{I} all read it.
+A state lift part (x) I is an RREF as built, so of it only the one-row
+part is eliminated.
 Scalars appear only at the boundary: parsed and printed amplitudes,
 and the part-states that ``state_lift`` takes.
 Preimages are kernels against a basis of the orthocomplement, and
@@ -289,6 +300,14 @@ LOCAL_STATES = {
     "-": (ONE, GaussianRational(-1)),
 }
 
+# Values that depend on n alone, shared by every frame of n qubits and
+# filled on first use: n -> qubits -> layout table, n -> (kind, targets)
+# -> gate-lift matrix, and n -> (amps, (q,)) -> lift of a named state.
+_LAYOUTS: dict = {}
+_GATE_MATRICES: dict = {}
+_NAMED_LIFTS: dict = {}
+_NAMED_PARTS = frozenset(LOCAL_STATES.values())
+
 
 class Frame:
     """An n-qubit register with its gates and locality structure."""
@@ -298,8 +317,10 @@ class Frame:
             raise BadIndex("a frame needs at least one qubit")
         self.n = n
         self.dim = 2 ** n
+        self._layouts = _LAYOUTS.setdefault(n, {})
+        self._gate_matrices = _GATE_MATRICES.setdefault(n, {})
+        self._named_lifts = _NAMED_LIFTS.setdefault(n, {})
         self._gates: dict = {}
-        self._layouts: dict = {}
         self._lifts: dict = {}
 
     # ----- qubit layout ------------------------------------------------------
@@ -349,14 +370,20 @@ class Frame:
     # ----- gates and blocks --------------------------------------------------
 
     def gate(self, kind: str, targets: Sequence[int]) -> PartialMap:
+        """The lift of a gate: this frame's map, with its own memos, over
+        the matrix that every frame of n qubits shares."""
         key = (kind, tuple(targets))
-        if key not in self._gates:
-            if kind not in GATES:
-                raise BadIndex(f"unknown gate {kind!r}")
+        pm = self._gates.get(key)
+        if pm is None:
+            matrix = self._gate_matrices.get(key)
+            if matrix is None:
+                if kind not in GATES:
+                    raise BadIndex(f"unknown gate {kind!r}")
+                matrix = self.lift(GATES[kind], key[1]).matrix
+                self._gate_matrices[key] = matrix
             # every gate is invertible, so its lift has kernel 0
-            self._gates[key] = PartialMap(self.lift(GATES[kind], targets).matrix,
-                                          Subspace.zero(self.dim))
-        return self._gates[key]
+            pm = self._gates[key] = PartialMap(matrix, Subspace.zero(self.dim))
+        return pm
 
     def lift(self, g: Matrix, qubits: Sequence[int]) -> PartialMap:
         """g on the listed qubits (in layout order) tensor identity elsewhere:
@@ -407,18 +434,25 @@ class Frame:
 
         One amplitude per part basis index, the lowest-numbered qubit of I
         being the most significant bit, as everywhere else.  Computed once
-        per frame, amplitudes and qubit set; an error is never remembered.
+        per frame, amplitudes and qubit set, and once per process for a
+        named state of ``LOCAL_STATES`` on one qubit; an error is never
+        remembered.
         """
         key = (tuple(amps), tuple(sorted(qubits)))
-        lifted = self._lifts.get(key)
+        lifts = self._named_lifts if key[0] in _NAMED_PARTS else self._lifts
+        lifted = lifts.get(key)
         if lifted is None:
             table = self.layout(key[1])
             part = Matrix([key[0]])
             if part.cols != len(table):
                 raise ValueError("need one amplitude per part basis state")
-            lifted = Subspace(part.tensor(Matrix.identity(len(table[0])), table),
-                              self.dim)
-            self._lifts[key] = lifted
+            # With the part scaled to lead with 1 at a0, row l of
+            # part (x) I leads with 1 at table[a0][l], a column no other
+            # row touches and one that grows with l: the layout of sorted
+            # qubits grows in a and in l.  So the rows are an RREF.
+            lifted = Subspace(part.row_basis().tensor(
+                Matrix.identity(len(table[0])), table), self.dim, _canonical=True)
+            lifts[key] = lifted
         return lifted
 
     def product_form(self, sub: Subspace, qubits: Iterable[int]

@@ -13,6 +13,7 @@ import qpdl.frame as frame_module
 from qpdl import linalg
 from qpdl.frame import (
     GATES,
+    LOCAL_STATES,
     BadIndex,
     Frame,
     PartialMap,
@@ -1029,6 +1030,122 @@ def test_state_lift_is_remembered_per_frame(monkeypatch):
         assert fr.state_lift(list(part), rng.sample(qubits, len(qubits))) \
             is cold
     assert calls == []
+
+
+def test_state_lift_eliminates_only_its_part(monkeypatch):
+    # part (x) I is built as an RREF: the same object as the old lift and
+    # as the eliminated tensor, with no elimination wider than one row
+    rng = random.Random(222)
+    lead = GaussianRational(Fraction(-3, 2), 2)
+    cases = []
+    for n in range(1, 6):
+        for qubits in all_subsets(n)[1:]:
+            k = 2 ** len(qubits)
+            parts = [rand_amps(rng, k), (ZERO,) * k]
+            # leading zeros before a non-unit Gaussian leading amplitude
+            zeros = rng.randrange(k)
+            parts.append((ZERO,) * zeros + (lead,) + rand_amps(rng, k)[zeros + 1:])
+            cases += [(n, qubits, part) for part in parts]
+    rows, eliminate = [], linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate",
+                        lambda work, cols: rows.append(len(work))
+                        or eliminate(work, cols))
+    for n, qubits, part in cases:
+        fr = Frame(n)
+        before = len(rows)
+        lifted = fr.state_lift(part, qubits)
+        assert max(rows[before:], default=0) <= 1
+        table = fr.layout(qubits)
+        tensor = Matrix([part]).tensor(Matrix.identity(len(table[0])), table)
+        assert lifted is Subspace(tensor, fr.dim)
+        assert lifted is old_state_lift(fr, part, qubits)
+        assert lifted.is_zero() == (not any(part))
+
+
+def test_a_second_frame_shares_constants_and_builds_its_own_gate_maps(
+        monkeypatch):
+    claim = parse_formula("(0_1 & +_2 & -_3) -> [H_2 ; CNOT_1_3 ; X_1 ; Z_2]"
+                          "(1_1 & 0_2 & (-_3 | 1_3))")
+    first = Environment(Frame(3))
+    assert check_valid(first, claim) is None
+    gates = [("H", (2,)), ("CNOT", (1, 3)), ("X", (1,)), ("Z", (2,))]
+    first_maps = [first.frame.gate(*g) for g in gates]
+    # count what building lifts and gates costs on a second frame
+    inside, tensors, eliminations = [0], [], []
+
+    def within(method):
+        def counted(*args):
+            inside[0] += 1
+            try:
+                return method(*args)
+            finally:
+                inside[0] -= 1
+        return counted
+
+    tensor, eliminate = Matrix.tensor, linalg._eliminate
+    monkeypatch.setattr(Frame, "state_lift", within(Frame.state_lift))
+    monkeypatch.setattr(Frame, "gate", within(Frame.gate))
+    monkeypatch.setattr(Matrix, "tensor",
+                        lambda *args: tensors.append(1) or tensor(*args))
+    monkeypatch.setattr(linalg, "_eliminate",
+                        lambda work, cols: eliminations.append(inside[0])
+                        or eliminate(work, cols))
+    second = Environment(Frame(3))
+    assert check_valid(second, claim) is None
+    assert tensors == [] and not any(eliminations)
+    for part in LOCAL_STATES.values():
+        for q in (1, 2, 3):
+            assert second.frame.state_lift(part, (q,)) is \
+                first.frame.state_lift(part, (q,))
+    assert second.frame.layout((3, 1)) is first.frame.layout((3, 1))
+    monkeypatch.undo()
+    plus = first.frame.state_lift(LOCAL_STATES["+"], (2,))
+    for g, old in zip(gates, first_maps):
+        pm = second.frame.gate(*g)
+        assert pm is not old and pm.matrix is old.matrix
+        # a memo filled through one frame's map is not the other's
+        image = old.image_of(plus)
+        assert plus in old._images and plus not in pm._images
+        assert pm.image_of(plus) is image
+
+
+def test_process_tables_stay_bounded_and_frames_drop_the_rest():
+    rng = random.Random(223)
+    arity = {kind: g.rows.bit_length() - 1 for kind, g in GATES.items()}
+    dropped = []
+    for n in range(1, 6):
+        for _ in range(6):
+            fr = Frame(n)
+            qubits = tuple(sorted(rng.sample(range(1, n + 1),
+                                             rng.randint(1, n))))
+            p = fr.state_lift(rand_amps(rng, 2 ** len(qubits)), qubits)
+            word = []
+            for _ in range(rng.randint(1, 4)):
+                kind = rng.choice([k for k in GATES if arity[k] <= n])
+                word.append((kind, tuple(rng.sample(range(1, n + 1), arity[kind]))))
+            prog = " ; ".join(f"{k}_{'_'.join(map(str, t))}" for k, t in word)
+            const = [f"{rng.choice('01+-')}_{rng.randint(1, n)}" for _ in range(2)]
+            env = Environment(fr, {"p": p})
+            for text in (f"{const[0]} -> [{prog}]{const[1]}",
+                         f"p & {const[0]} -> [{prog}](p | {const[1]})"):
+                check_valid(env, parse_formula(text))
+            dropped.append((weakref.ref(fr), weakref.ref(p),
+                            [weakref.ref(fr.gate(*g)) for g in word]))
+            del fr, p, env
+    gc.collect()
+    for fr, p, maps in dropped:
+        assert fr() is None and p() is None
+        assert all(pm() is None for pm in maps)
+    named = set(LOCAL_STATES.values())
+    for n in range(1, 6):
+        lifts = frame_module._NAMED_LIFTS[n]
+        assert 0 < len(lifts) <= 4 * n
+        assert all(amps in named and len(qs) == 1 for amps, qs in lifts)
+        matrices = frame_module._GATE_MATRICES[n]
+        targets = sum(len(list(itertools.permutations(range(n), arity[kind])))
+                      for kind in GATES)
+        assert 0 < len(matrices) <= targets
+        assert all(len(t) == arity[kind] for kind, t in matrices)
 
 
 def test_state_lift_remembers_no_error():
