@@ -43,7 +43,7 @@ from .errors import (
     UnsupportedNesting,
     UnsupportedShape,
 )
-from .frame import LOCAL_STATES, Frame, PartialMap, Subspace
+from .frame import Frame, PartialMap, Subspace
 from .linalg import GaussianRational, Matrix
 from .regions import Region, wp
 
@@ -131,7 +131,7 @@ def _atom_subspace(env: Environment, f: ast.Formula) -> Subspace:
     """The subspace named by one of the state atoms."""
     fr = env.frame
     if isinstance(f, ast.Const):
-        return fr.state_lift(LOCAL_STATES[f.char], (f.qubit,))
+        return fr.named_lift(f.char, f.qubit)
     if isinstance(f, ast.RayF):
         return fr.state_lift(f.amps, f.qubits)
     if isinstance(f, ast.Ent):

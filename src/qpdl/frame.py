@@ -32,11 +32,13 @@ What is remembered lives at one of three scopes:
 - per process, built on first use and keyed on n, as it depends on the
   register alone: the full and zero subspaces of each dimension, the
   ``Frame.layout`` tables, the matrix of each gate lift, and the lifts
-  of the four named one-qubit states ``LOCAL_STATES`` at each qubit, at
-  most 4n subspaces per n, each with its own memos;
+  of the four named one-qubit states ``LOCAL_STATES`` at each qubit,
+  found by (char, qubit) through ``Frame.named_lift``, at most 4n
+  subspaces per n, each with its own memos;
 - per frame: each gate's ``PartialMap``, wrapping the shared matrix, so
   its image and preimage memos die with the frame, and every other
-  state lift, with its ortho and projector;
+  state lift, with its ortho and projector, keyed on its amplitudes, or
+  for ``map_to_state`` on its part row;
 - per environment (in the checker): the maps of each denoted program,
   with their memos.
 
@@ -48,9 +50,13 @@ reachable sets I (x) rest, and of ``Matrix.gather``, which reads blocks
 and reshaped basis rows.
 One tensor factorization, ``Frame.product_form``, splits a subspace as
 part (x) rest through the spans of the columns and of the rows of its
-reshaped basis rows; T{I}, cmp{I}, =_I and local{I} all read it.
-A state lift part (x) I is an RREF as built, so of it only the one-row
-part is eliminated.
+reshaped basis rows; T{I}, cmp{I}, =_I and local{I} all read it.  A
+state has one reshaped row, which the rank-one test ``Matrix.split``
+divides into its column and row factors with no elimination.  The image
+of a subspace under a map is M x for each basis row x, one
+matrix-vector pass (``Matrix.apply``).  A state lift part (x) I is an
+RREF as built, and its one-row part, like every one-row basis, is
+normalised without elimination.
 Scalars appear only at the boundary: parsed and printed amplitudes,
 and the part-states that ``state_lift`` takes.
 Preimages are kernels against a basis of the orthocomplement, and
@@ -245,11 +251,10 @@ class PartialMap:
 
     def image_of(self, sub: Subspace) -> Subspace:
         """Span of the pointwise image of a subspace: M x for each basis
-        row x, one row each."""
+        row x, one row each, in one matrix-vector pass."""
         image = self._images.get(sub)
         if image is None:
-            image = Subspace((self.matrix * sub.basis.transpose()).transpose(),
-                             self.dim)
+            image = Subspace(self.matrix.apply(sub.basis), self.dim)
             self._images[sub] = image
         return image
 
@@ -302,11 +307,11 @@ LOCAL_STATES = {
 
 # Values that depend on n alone, shared by every frame of n qubits and
 # filled on first use: n -> qubits -> layout table, n -> (kind, targets)
-# -> gate-lift matrix, and n -> (amps, (q,)) -> lift of a named state.
+# -> gate-lift matrix, and n -> (char, qubit) -> lift of a named state.
 _LAYOUTS: dict = {}
 _GATE_MATRICES: dict = {}
 _NAMED_LIFTS: dict = {}
-_NAMED_PARTS = frozenset(LOCAL_STATES.values())
+_NAMED_ROWS = {char: Matrix([amps]) for char, amps in LOCAL_STATES.items()}
 
 
 class Frame:
@@ -360,11 +365,12 @@ class Frame:
 
     def ray(self, amps: Iterable) -> Subspace:
         """The state of a nonzero amplitude vector: its one-dimensional span."""
-        row = Matrix([list(amps)])
-        if row == Matrix.zeros(1, row.cols):
-            raise InputError("a ray needs a nonzero amplitude vector")
-        if row.cols != self.dim:
+        amps = list(amps)
+        if len(amps) != self.dim:
             raise InputError("amplitude count differs from frame dimension")
+        row = Matrix([amps])
+        if row == Matrix.zeros(1, self.dim):
+            raise InputError("a ray needs a nonzero amplitude vector")
         return Subspace(row, self.dim)
 
     # ----- gates and blocks --------------------------------------------------
@@ -424,36 +430,47 @@ class Frame:
         """
         if g.shape != (2, 2):
             raise ValueError("need a 2x2 matrix")
-        # g[beta][alpha] goes on |alpha>_i |beta>_j, and state_lift takes
+        # g[beta][alpha] goes on |alpha>_i |beta>_j, and the part row has
         # the lower-numbered qubit as the high bit
-        pairs = zip(*g.entries) if i < j else g.entries
-        return self.state_lift([x for pair in pairs for x in pair], (i, j))
+        key = ((g.transpose() if i < j else g).flatten(), tuple(sorted((i, j))))
+        lifted = self._lifts.get(key)
+        if lifted is None:
+            lifted = self._lifts[key] = self._lift(*key)
+        return lifted
 
     def state_lift(self, amps: Sequence, qubits: Iterable[int]) -> Subspace:
         """States whose I-component is the given part-state: part x H_rest.
 
         One amplitude per part basis index, the lowest-numbered qubit of I
         being the most significant bit, as everywhere else.  Computed once
-        per frame, amplitudes and qubit set, and once per process for a
-        named state of ``LOCAL_STATES`` on one qubit; an error is never
-        remembered.
+        per frame, amplitudes and qubit set; an error is never remembered.
         """
         key = (tuple(amps), tuple(sorted(qubits)))
-        lifts = self._named_lifts if key[0] in _NAMED_PARTS else self._lifts
-        lifted = lifts.get(key)
+        lifted = self._lifts.get(key)
         if lifted is None:
-            table = self.layout(key[1])
-            part = Matrix([key[0]])
-            if part.cols != len(table):
-                raise ValueError("need one amplitude per part basis state")
-            # With the part scaled to lead with 1 at a0, row l of
-            # part (x) I leads with 1 at table[a0][l], a column no other
-            # row touches and one that grows with l: the layout of sorted
-            # qubits grows in a and in l.  So the rows are an RREF.
-            lifted = Subspace(part.row_basis().tensor(
-                Matrix.identity(len(table[0])), table), self.dim, _canonical=True)
-            lifts[key] = lifted
+            lifted = self._lifts[key] = self._lift(Matrix([key[0]]), key[1])
         return lifted
+
+    def named_lift(self, char: str, qubit: int) -> Subspace:
+        """``state_lift`` of the named state ``LOCAL_STATES[char]`` on one
+        qubit, computed once per process and found by (char, qubit)."""
+        key = (char, qubit)
+        lifted = self._named_lifts.get(key)
+        if lifted is None:
+            lifted = self._named_lifts[key] = self._lift(_NAMED_ROWS[char], (qubit,))
+        return lifted
+
+    def _lift(self, part: Matrix, qubits: tuple) -> Subspace:
+        """part (x) I for a one-row part on the sorted ``qubits``."""
+        table = self.layout(qubits)
+        if part.cols != len(table):
+            raise ValueError("need one amplitude per part basis state")
+        # With the part scaled to lead with 1 at a0, row l of part (x) I
+        # leads with 1 at table[a0][l], a column no other row touches and
+        # one that grows with l: the layout of sorted qubits grows in a and
+        # in l.  So the rows are an RREF.
+        return Subspace(part.row_basis().tensor(Matrix.identity(len(table[0])), table),
+                        self.dim, _canonical=True)
 
     def product_form(self, sub: Subspace, qubits: Iterable[int]
                      ) -> Optional[tuple[Subspace, Subspace]]:
@@ -466,7 +483,9 @@ class Frame:
         of rank 2 or more makes both spans at least two-dimensional.  A
         nonzero subspace all of whose rays are I-separated always has this
         form: two elements differing in both factors would superpose to an
-        entangled vector.  Computed once per subspace and qubit set.
+        entangled vector.  A ray has one reshaped row, which the rank-one
+        test ``Matrix.split`` divides with no elimination.  Computed once
+        per subspace and qubit set.
         """
         key = tuple(sorted(self.check_qubits(qubits)))
         if sub.ambient != self.dim:
@@ -480,6 +499,10 @@ class Frame:
         if sub.is_zero():
             return None
         table = self.layout(qubits)
+        if sub.dim == 1:
+            factors = sub.basis.split(table)
+            return None if factors is None else (Subspace(factors[0], len(table)),
+                                                 Subspace(factors[1], len(table[0])))
         rows = range(sub.dim)
         rest = Subspace(sub.basis.gather(rows, table), len(table[0]))
         # a ray part x makes the reshaped rows x (x) r_k, r_k independent

@@ -21,17 +21,25 @@ x_j * y_l of x (x) y at column at[j][l], and ``gather`` reads
 
 Every operation visits nonzero entries only: products and tensors sum
 over nonzero factor pairs, and a monomial row of a left factor copies a
-row of the right factor.  Reduced row echelon form, kernels and the
-solution of a square system come from one fraction-free Gauss-Jordan
-elimination on rows held as dicts from column to (re, im), each with its
-leading column kept beside it.  Each row operation leaves its row
-primitive over the integers; a row whose parts outgrow 64 bits is also
-divided by the Gaussian gcd of its entries, so that no common factor
-such as 1+2i lets the entries grow with every pivot.  A reduced row is
-kept as its primitive multiple with a positive integer pivot, so it maps
-one-to-one onto the RREF row with pivot 1; the RREF basis is the
-canonical representative used for subspace identity throughout the
-package.
+row of the right factor.  ``apply`` maps each row x of a matrix X to
+M x, (M X^T)^T, in one pass over the rows of M and with no transpose.
+Reduced row echelon form, kernels and the solution of a square system
+come from one fraction-free Gauss-Jordan elimination on rows held as
+dicts from column to (re, im), each with its leading column kept beside
+it.  Each row operation leaves its row primitive over the integers; a
+row whose parts outgrow 64 bits is also divided by the Gaussian gcd of
+its entries, so that no common factor such as 1+2i lets the entries grow
+with every pivot.  A reduced row is kept as its primitive multiple with
+a positive integer pivot, so it maps one-to-one onto the RREF row with
+pivot 1; the RREF basis is the canonical representative used for
+subspace identity throughout the package.
+
+A single row needs no elimination: its RREF is the row times the
+conjugate of its leading entry, divided by the integer gcd of its parts,
+the normalisation ``_rref`` gives each pivot row.  Nor does the rank-one
+test ``split`` of a row read as a matrix through a table: the row and
+the column through its first nonzero entry p are its factors when every
+entry times p is their product.
 """
 
 from __future__ import annotations
@@ -325,12 +333,94 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.shape[0]}x{self.shape[1]})"
 
+    def apply(self, vectors: "Matrix") -> "Matrix":
+        """The rows M x, one for each row x of ``vectors``: (M X^T)^T, in
+        one pass over the rows of M and without transposing either.  Row
+        i of M meets row x of X only at the columns both hold; a monomial
+        row of M scales an entry of each x it meets."""
+        if self.cols != vectors.cols:
+            raise ValueError(f"cannot apply {self.shape} to rows of width {vectors.cols}")
+        where = [[] for _ in range(self.cols)]  # column -> the (r, re, im) of X there
+        for r, x in enumerate(vectors.triples):
+            for c, a, b in x:
+                where[c].append((r, a, b))
+        out = [[] for _ in vectors.triples]
+        for i, row in enumerate(self.triples):
+            if len(row) == 1:
+                (j, mr, mi), = row
+                # Z[i] has no zero divisors, so no product vanishes
+                for r, xr, xi in where[j]:
+                    out[r].append((i, mr * xr - mi * xi, mr * xi + mi * xr))
+                continue
+            re, im = {}, {}
+            for j, mr, mi in row:
+                for r, xr, xi in where[j]:
+                    if r in re:
+                        re[r] += mr * xr - mi * xi
+                        im[r] += mr * xi + mi * xr
+                    else:
+                        re[r] = mr * xr - mi * xi
+                        im[r] = mr * xi + mi * xr
+            for r, a in re.items():
+                if a or im[r]:
+                    out[r].append((i, a, im[r]))
+        den = self.den * vectors.den
+        return Matrix.from_parts([(row, den) for row in out], self.rows)
+
+    def split(self, table: Sequence[Sequence[int]]
+              ) -> Optional[tuple["Matrix", "Matrix"]]:
+        """The rank-one split of a nonzero one-row matrix x read as the
+        matrix P[a][b] = x[table[a][b]], all lines of ``table`` being
+        equally long: the column u and the row v of P through the first
+        nonzero entry p = P[a0][b0] of x, as one-row matrices, when P =
+        u v^T / p; None when P has rank 2 or more.
+
+        P has rank one exactly when P[a][b] p = u[a] v[b] for every a, b.
+        Both sides vanish off the support of u times that of v, so it is
+        enough that x has as many nonzero entries as that product and that
+        each one lies in it and satisfies the equation."""
+        x = self.triples[0]
+        c0, pr, pi = x[0]
+        a0 = next(a for a, line in enumerate(table) if c0 in line)
+        b0 = table[a0].index(c0)
+        at = {c: (a, b) for c, a, b in x}
+        u = [(a, *at[line[b0]]) for a, line in enumerate(table) if line[b0] in at]
+        v = [(b, *at[c]) for b, c in enumerate(table[a0]) if c in at]
+        if len(x) != len(u) * len(v):
+            return None
+        for a, ur, ui in u:
+            line = table[a]
+            for b, vr, vi in v:
+                y = at.get(line[b])
+                if y is None:
+                    return None
+                yr, yi = y
+                if (yr * pr - yi * pi != ur * vr - ui * vi
+                        or yr * pi + yi * pr != ur * vi + ui * vr):
+                    return None
+        return (Matrix.from_parts([(u, self.den)], len(table)),
+                Matrix.from_parts([(v, self.den)], len(table[0])))
+
+    def flatten(self) -> "Matrix":
+        """The rows one after another, as one row."""
+        row = [(i * self.cols + c, a, b)
+               for i, x in enumerate(self.triples) for c, a, b in x]
+        return Matrix.from_parts([(row, self.den)], self.rows * self.cols)
+
     def _work(self) -> list:
         """The nonzero rows as elimination rows: dicts col -> (re, im)."""
         return [{c: (a, b) for c, a, b in row} for row in self.triples if row]
 
     def row_basis(self) -> "Matrix":
-        """The nonzero rows of the RREF: a canonical basis of the row space."""
+        """The nonzero rows of the RREF: a canonical basis of the row space.
+        A single row is normalised as ``_rref`` normalises a pivot row,
+        without elimination."""
+        if self.rows == 1:
+            if not self.triples[0]:
+                return Matrix._of((), 1, self.cols)
+            # x is primitive and s one of its parts: x / s is in lowest terms
+            x, s = _lead_one(self.triples[0])
+            return Matrix._of((tuple(x),), s, self.cols)
         return Matrix.from_parts(_rref(self._work(), self.cols)[0], self.cols)
 
     def kernel_basis(self) -> "Matrix":
@@ -499,19 +589,24 @@ def _eliminate(work: list, cols: int) -> list:
 def _rref(work: list, cols: int) -> tuple[list, list]:
     """The nonzero RREF rows of the elimination rows ``work`` and their
     pivot columns.  Each row is (x, s), x its (col, re, im) triples in
-    column order, standing for x / s with pivot 1: pivot row x with pivot
-    p, times conj(p), made primitive over the integers, has the positive
-    integer s as its pivot."""
+    column order, standing for x / s with pivot 1, as ``_lead_one``
+    scales it, since a pivot row's pivot is its first entry."""
     pivots = _eliminate(work, cols)
-    rows = []
-    for row, c in zip(work, pivots):
-        pr, pi = row[c]
-        if pi or pr < 0:  # a positive integer p leaves primitive(x) as it is
-            row = {j: (a * pr + b * pi, b * pr - a * pi) for j, (a, b) in row.items()}
-        g = gcd(*chain.from_iterable(row.values()))
-        rows.append(([(j, a // g, b // g) for j, (a, b) in sorted(row.items())],
-                     row[c][0] // g))
+    rows = [_lead_one([(j, a, b) for j, (a, b) in sorted(row.items())])
+            for row in work]
     return rows, pivots
+
+
+def _lead_one(row: Sequence[tuple]) -> tuple[list, int]:
+    """The nonzero row ``row`` of (col, re, im) triples in column order as
+    (x, s), x / s being the row scaled to lead with 1: row x with first
+    entry p, times conj(p), made primitive over the integers, has the
+    positive integer s as its first entry."""
+    _, pr, pi = row[0]
+    if pi or pr < 0:  # a positive integer p leaves primitive(x) as it is
+        row = [(j, a * pr + b * pi, b * pr - a * pi) for j, a, b in row]
+    g = gcd(*[a for _, a, _ in row], *[b for _, _, b in row])
+    return [(j, a // g, b // g) for j, a, b in row], row[0][1] // g
 
 
 def _kernel(rows: list, pivots: list, cols: int) -> Matrix:

@@ -525,7 +525,8 @@ def test_a_second_schematic_run_composes_no_maps(monkeypatch):
 
 def test_a_gate_circuit_claim_eliminates_no_full_width_matrix(monkeypatch):
     # gate kernels are 0 from construction and a word of gates takes its
-    # first gate's kernel, so no 64 x 64 map is eliminated for one
+    # first gate's kernel, so no 64 x 64 map is eliminated for one; the
+    # image of a ray is normalised without elimination
     rows, eliminate = [], linalg._eliminate
     monkeypatch.setattr(linalg, "_eliminate",
                         lambda work, cols: rows.append(len(work))
@@ -533,7 +534,7 @@ def test_a_gate_circuit_claim_eliminates_no_full_width_matrix(monkeypatch):
     env = Environment(Frame(6))
     witness = check_valid(env, parse_formula("[CNOT_2_1 ; H_2 ; X_4 ; H_3]false"))
     assert witness is not None
-    assert rows and max(rows) == 1
+    assert max(rows, default=0) <= 1
 
 
 def test_a_changed_valuation_answers_as_a_fresh_environment():

@@ -1,6 +1,8 @@
 """States, subspaces, partial maps and the n-qubit frame."""
 
+import contextlib
 import gc
+import io
 import itertools
 import random
 import time
@@ -22,6 +24,7 @@ from qpdl.frame import (
     parse_state,
 )
 from qpdl.checker import Environment, check_valid, denote_program
+from qpdl.cli import main
 from qpdl.linalg import ONE, ZERO, GaussianRational, Matrix
 from qpdl.parser import parse_formula, parse_program
 from qpdl.regions import make_term
@@ -80,6 +83,9 @@ def test_ray_is_a_one_dimensional_subspace_and_keeps_its_errors():
     assert state.any_ray() == state
     with pytest.raises(ValueError, match="amplitude count"):
         fr.ray((1, 0))
+    # the width is checked before the amplitudes
+    with pytest.raises(ValueError, match="amplitude count"):
+        fr.ray((0, 0, 0))
     with pytest.raises(ValueError, match="nonzero amplitude vector"):
         fr.ray((0, 0, 0, 0))
 
@@ -351,14 +357,13 @@ def test_product_form_both_sides():
     assert fr.product_form(Subspace.zero(4), (1,)) is None
 
 
-def test_entangled_ray_is_refused_after_one_elimination(monkeypatch):
-    # rest spans two dimensions, neither 1 nor the ray's own: part is not
-    # eliminated
+def test_entangled_ray_is_refused_without_elimination(monkeypatch):
+    # the reshaped row has rank two, which the rank-one test sees at once
     fr = Frame(3)
     ray = fr.ray([1, 0, 0, 0, 0, 0, 1, 2])
     calls = counted_eliminations(monkeypatch)
     assert fr.product_form(ray, (1,)) is None
-    assert calls == [4]
+    assert calls == []
 
 
 def test_state_file_round_trip():
@@ -559,6 +564,118 @@ def test_rank_one_split_matches_fraction_reference():
     assert None in forms
     assert any(f and f[0].dim == 1 < f[1].dim for f in forms)
     assert any(f and f[1].dim == 1 < f[0].dim for f in forms)
+
+
+def eliminated(m):
+    """Matrix.row_basis as it was for every matrix: the rows of _rref."""
+    return Matrix.from_parts(linalg._rref(m._work(), m.cols)[0], m.cols)
+
+
+def gather_factor(fr, sub, qubits):
+    """Frame._factor as it was before rays were split by rank one: the
+    spans of the rows and of the columns of the reshaped basis rows, each
+    gathered and eliminated."""
+    if sub.is_zero():
+        return None
+    table = fr.layout(qubits)
+    rows = range(sub.dim)
+    rest = Subspace(eliminated(sub.basis.gather(rows, table)), len(table[0]),
+                    _canonical=True)
+    if rest.dim not in (1, sub.dim):
+        return None
+    part = Subspace(eliminated(sub.basis.gather(rows, tuple(zip(*table)))),
+                    len(table), _canonical=True)
+    return (part, rest) if part.dim == 1 or rest.dim == 1 else None
+
+
+def ray_split_inputs():
+    """(frame, sorted qubits, amplitudes) at n = 1..5 on every sorted qubit
+    subset: product rays whose factors have Gaussian, negative and zero
+    leading amplitudes and zero blocks, and entangled rays, some of them
+    zero off a block."""
+    rng = random.Random(225)
+    lead = [GaussianRational(0, Fraction(3, 2)), GaussianRational(-2),
+            GaussianRational(-1, 4)]
+
+    def factor(k):
+        amps = list(rand_amps(rng, k))
+        if k > 1 and rng.random() < 0.5:            # a zero block
+            for i in rng.sample(range(k), rng.randrange(1, k)):
+                amps[i] = ZERO
+        if any(amps) and rng.random() < 0.7:        # a chosen leading amplitude
+            first = next(i for i, x in enumerate(amps) if x)
+            amps[first] = rng.choice(lead)
+        return amps if any(amps) else [ONE] + amps[1:]
+
+    out = []
+    for n in range(1, 6):
+        fr = Frame(n)
+        for inside in all_subsets(n):
+            k, rest_k = 2 ** len(inside), fr.dim >> len(inside)
+            amps = [product_amps(fr, inside, factor(k), factor(rest_k))
+                    for _ in range(4)]
+            amps.append(list(rand_amps(rng, fr.dim)))
+            # two products, and two products on a block
+            for block in (False, True):
+                x, y = (product_amps(fr, inside, factor(k), factor(rest_k))
+                        for _ in range(2))
+                sum_ = [a + b for a, b in zip(x, y)]
+                if block:
+                    sum_ = [a if i % 3 else ZERO for i, a in enumerate(sum_)]
+                if any(sum_):
+                    amps.append(sum_)
+            out += [(fr, inside, a) for a in amps]
+    return out
+
+
+def test_ray_product_form_matches_the_eliminating_factor(monkeypatch):
+    # the rank-one split of a ray gives the very (part, rest) of the
+    # gathered and eliminated spans, or None with it, with no elimination
+    cases = [(fr, inside, a, fr.ray(a)) for fr, inside, a in ray_split_inputs()]
+    wants = [gather_factor(fr, ray, inside) for fr, inside, _, ray in cases]
+    rows = [Matrix([a]) for _, _, a, _ in cases]
+    calls = counted_eliminations(monkeypatch)
+    for (fr, inside, _, ray), want, row in zip(cases, wants, rows):
+        got = fr.product_form(ray, inside)
+        if want is None:
+            assert got is None
+        else:
+            assert got[0] is want[0] and got[1] is want[1]
+        # the split of the raw row, whatever its leading amplitude, spans
+        # the same factors
+        table = fr.layout(inside)
+        split = row.split(table)
+        assert (split is None) == (want is None)
+        if split is not None:
+            assert Subspace(split[0], len(table)) is want[0]
+            assert Subspace(split[1], len(table[0])) is want[1]
+    assert calls == []
+    products = sum(w is not None for w in wants)
+    assert len(cases) >= 400 and 0 < products < len(cases) - 60
+
+
+def test_product_form_of_a_ray_eliminates_nothing_in_teleportation(monkeypatch):
+    # every product form of a one-dimensional subspace that verify
+    # teleportation computes is split by the rank-one test
+    factor, eliminate = Frame._factor, linalg._eliminate
+    stack, rays, within_rays = [], [], []
+
+    def counted(fr, sub, qubits):
+        stack.append(sub.dim == 1)
+        rays.append(sub.dim == 1)
+        try:
+            return factor(fr, sub, qubits)
+        finally:
+            stack.pop()
+
+    monkeypatch.setattr(Frame, "_factor", counted)
+    monkeypatch.setattr(linalg, "_eliminate",
+                        lambda work, cols: within_rays.append(stack[-1:] == [True])
+                        or eliminate(work, cols))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", "teleportation", "--seed", "2026"]) == 0
+    assert rays.count(True) >= 20 and within_rays
+    assert True not in within_rays
 
 
 def tagged_product_form(fr, sub, qubits):
@@ -1136,11 +1253,10 @@ def test_process_tables_stay_bounded_and_frames_drop_the_rest():
     for fr, p, maps in dropped:
         assert fr() is None and p() is None
         assert all(pm() is None for pm in maps)
-    named = set(LOCAL_STATES.values())
     for n in range(1, 6):
         lifts = frame_module._NAMED_LIFTS[n]
         assert 0 < len(lifts) <= 4 * n
-        assert all(amps in named and len(qs) == 1 for amps, qs in lifts)
+        assert all(char in LOCAL_STATES and 1 <= q <= n for char, q in lifts)
         matrices = frame_module._GATE_MATRICES[n]
         targets = sum(len(list(itertools.permutations(range(n), arity[kind])))
                       for kind in GATES)

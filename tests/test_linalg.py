@@ -536,6 +536,81 @@ def test_product_matches_dense_reference():
         Matrix.identity(2) * Matrix([[1, 0, 0]]).transpose()
 
 
+def test_apply_matches_the_transposed_product():
+    # PartialMap.image_of's one matrix-vector pass against (M B^T)^T, the
+    # product with two transposes it replaced, on maps with kernels and
+    # bases of 1 to 2^n rows
+    rng = random.Random(125)
+    sparse = lambda: rand_scalar(rng) if rng.random() < 0.4 else ZERO
+    fill = lambda rows, cols, scalar: Matrix(
+        [[scalar() for _ in range(cols)] for _ in range(rows)], cols=cols)
+    cases = 0
+    for n in range(1, 5):
+        fr = Frame(n)
+        dim = fr.dim
+        maps = [Matrix.zeros(dim, dim), Matrix.identity(dim),
+                fr.gate("H", (1,)).matrix, fr.gate("X", (n,)).matrix,
+                fill(dim, dim, sparse), rand_matrix(rng, dim, dim),
+                Subspace(fill(rng.randint(1, dim - 1), dim, sparse), dim).projector()]
+        maps += [combination_matrix(rng, dim, dim, rng.randint(1, dim - 1), sparse)
+                 for _ in range(2)]
+        for m in maps:
+            bases = [fill(k, dim, sparse) for k in range(1, dim + 1)]
+            bases += [rand_matrix(rng, rng.randint(1, dim), dim),
+                      Subspace(rand_matrix(rng, rng.randint(1, dim), dim), dim).basis,
+                      Matrix.zeros(1, dim), Matrix.identity(dim)]
+            for b in bases:
+                got = m.apply(b)
+                assert got == (m * b.transpose()).transpose()
+                assert_canonical(got)
+                assert got.shape == b.shape
+                cases += 1
+            b = bases[-3]
+            assert exact(m.apply(b).entries) == exact(
+                [reference_apply(m, x) for x in b.entries])
+    assert cases >= 400
+    with pytest.raises(ValueError):
+        Matrix.identity(2).apply(Matrix.identity(3))
+
+
+def test_one_row_row_basis_matches_rref(monkeypatch):
+    # a single row is normalised without elimination, to the row that
+    # _rref makes of it
+    rng = random.Random(126)
+    rows = []
+    for cols in range(1, 10):
+        for _ in range(12):
+            lead = rng.randrange(cols)
+            rows.append([ZERO] * lead + [rand_scalar(rng, nonzero=True)]
+                        + [rand_scalar(rng) if rng.random() < 0.6 else ZERO
+                           for _ in range(cols - lead - 1)])
+        rows.append([ZERO] * cols)
+        # negative and Gaussian leads, and a common Gaussian factor 1 + 2i
+        rows.append([GaussianRational(-3)] + [GaussianRational(6, -9)] * (cols - 1))
+        rows.append([ZERO] * (cols - 1) + [GaussianRational(0, Fraction(2, 7))])
+        rows.append([GaussianRational(1, 2) * rand_scalar(rng, nonzero=True)
+                     for _ in range(cols)])
+        rows.append([GaussianRational(Fraction(-10 ** 20, 3), 10 ** 19)]
+                    + [rand_scalar(rng) for _ in range(cols - 1)])
+    matrices = [Matrix([row]) for row in rows]
+    wants = [Matrix.from_parts(linalg._rref(m._work(), m.cols)[0], m.cols)
+             for m in matrices]
+    calls = []
+    eliminate = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate",
+                        lambda work, cols: calls.append(cols) or eliminate(work, cols))
+    for m, want, row in zip(matrices, wants, rows):
+        got = m.row_basis()
+        assert got == want
+        assert_canonical(got)
+        if any(row):
+            lead = next(x for x in got.entries[0] if x)
+            assert got.rows == 1 and lead == ONE
+        else:
+            assert got.rows == 0
+    assert calls == []
+
+
 # ----- differential test of the placed tensor and the gather ------------------
 
 
