@@ -10,6 +10,15 @@ An identifier that is not a keyword is a variable: ``Var`` in formula
 position, ``PVar`` in program position.  Schemas are written over both
 and instantiated by ``checker.substitute``.
 
+Every node is a record of one base class, ``Node``: its class annotates
+its fields, in order, and ``FIELDS`` maps each field name to its
+annotation.  A node is built positionally, compares equal only to a node
+of its own class with equal fields, hashes as the tuple of its fields,
+prints as ``Cls(field=value, ...)`` and refuses assignment.  In place of
+``dataclasses.fields``, ``replace`` and ``asdict``, read ``FIELDS``:
+``type(node)(*values)`` builds a node from its fields in ``FIELDS``
+order, and ``{f: getattr(node, f) for f in node.FIELDS}`` lists them.
+
 ``PARTS`` states which fields of each node class are subterms; ``parts``
 and ``rebuild`` read it for every walk over a tree (desugaring, the
 one-qubit check, substitution).
@@ -19,321 +28,13 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, fields
 from typing import NamedTuple, Tuple
 
 Bit = int  # a number field whose value must be 0 or 1
 
 
-class Formula:
-    __slots__ = ()
-
-    def __str__(self):
-        return pretty(self)
-
-
-class Program:
-    __slots__ = ()
-
-    def __str__(self):
-        return pretty(self)
-
-
-# ----- formulas --------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Var(Formula):
-    name: str
-
-
-@dataclass(frozen=True)
-class TrueF(Formula):
-    pass
-
-
-@dataclass(frozen=True)
-class FalseF(Formula):
-    pass
-
-
-@dataclass(frozen=True)
-class Top(Formula):
-    """Separation atom: the named qubits carry a component of their own."""
-    qubits: Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Const(Formula):
-    """One fixed 1-qubit state at one qubit: char in '01+-'."""
-    char: str
-    qubit: int
-
-
-@dataclass(frozen=True)
-class One(Formula):
-    pass
-
-
-@dataclass(frozen=True)
-class Plus(Formula):
-    pass
-
-
-@dataclass(frozen=True)
-class VecC(Formula):
-    """A named basis assignment, one of '01+-' per listed qubit."""
-    qubits: Tuple[int, ...]
-    chars: str
-
-
-@dataclass(frozen=True)
-class RayF(Formula):
-    """An exact part-state at the listed qubits: one amplitude per part
-    basis index.  Built programmatically (for instance when a claim is
-    instantiated at a random state); it has no concrete syntax."""
-    qubits: Tuple[int, ...]
-    amps: tuple
-
-
-@dataclass(frozen=True)
-class Not(Formula):
-    body: Formula
-
-
-@dataclass(frozen=True)
-class Ortho(Formula):
-    body: Formula
-
-
-@dataclass(frozen=True)
-class BoxM(Formula):
-    body: Formula
-
-
-@dataclass(frozen=True)
-class DiaM(Formula):
-    body: Formula
-
-
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Sqcup(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Box(Formula):
-    prog: Program
-    body: Formula
-
-
-@dataclass(frozen=True)
-class Dia(Formula):
-    prog: Program
-    body: Formula
-
-
-@dataclass(frozen=True)
-class Leq(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class EqF(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class PerpF(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Testable(Formula):
-    body: Formula
-
-
-@dataclass(frozen=True)
-class EqI(Formula):
-    """Equality of the named qubits' components on both sides."""
-    left: Formula
-    right: Formula
-    qubits: Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Component(Formula):
-    """States separated at the named qubits whose component can satisfy body."""
-    body: Formula
-    qubits: Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class LocalF(Formula):
-    body: Formula
-    qubits: Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class LocalP(Formula):
-    prog: Program
-    qubits: Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Bell(Formula):
-    x: Bit
-    y: Bit
-    i: int
-    j: int
-
-
-@dataclass(frozen=True)
-class GHZ(Formula):
-    i: int
-    j: int
-    k: int
-
-
-@dataclass(frozen=True)
-class Gamma(Formula):
-    i: int
-    j: int
-
-
-@dataclass(frozen=True)
-class Ent(Formula):
-    """States whose {i,j} part encodes the 1-qubit action of prog."""
-    i: int
-    j: int
-    prog: Program
-
-
-@dataclass(frozen=True)
-class Dom(Formula):
-    prog: Program
-
-
-@dataclass(frozen=True)
-class PostF(Formula):
-    prog: Program
-    body: Formula
-
-
-@dataclass(frozen=True)
-class Img(Formula):
-    prog: Program
-    body: Formula
-
-
-# ----- programs --------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PVar(Program):
-    """A schema's program variable, filled by substitution."""
-    name: str
-
-
-@dataclass(frozen=True)
-class TopP(Program):
-    """Arbitrary action local to the named qubits."""
-    qubits: Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Test(Program):
-    formula: Formula
-
-
-@dataclass(frozen=True)
-class GateP(Program):
-    kind: str
-    targets: Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Id(Program):
-    pass
-
-
-@dataclass(frozen=True)
-class Flip(Program):
-    i: int
-    j: int
-
-
-@dataclass(frozen=True)
-class Set0(Program):
-    qubits: Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Proj0(Program):
-    qubits: Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Unary1(Program):
-    prog: Program
-
-
-@dataclass(frozen=True)
-class Mov(Program):
-    i: int
-    j: int
-    prog: Program
-
-
-@dataclass(frozen=True)
-class Adj(Program):
-    prog: Program
-
-
-@dataclass(frozen=True)
-class UnionP(Program):
-    left: Program
-    right: Program
-
-
-@dataclass(frozen=True)
-class SeqP(Program):
-    left: Program
-    right: Program
-
-
-# ----- subterms --------------------------------------------------------------
-
-# The fields of every node class that hold a formula or a program, in field
-# order.  Every walk over the tree reads this one table.
-PARTS = {cls: tuple(f.name for f in fields(cls) if f.type in ("Formula", "Program"))
-         for cls in Formula.__subclasses__() + Program.__subclasses__()}
-_ONLY_PARTS = {cls for cls, names in PARTS.items() if len(names) == len(fields(cls))}
-
-
 def _getter(names):
+    """A function from a node to the tuple of its fields ``names``."""
     # attrgetter gives a bare value, not a tuple, for a single name
     if len(names) > 1:
         return operator.attrgetter(*names)
@@ -343,6 +44,338 @@ def _getter(names):
     return lambda node: ()
 
 
+_set = object.__setattr__
+
+
+def _initializer(names):
+    """``__init__`` taking the fields ``names`` positionally.
+
+    Parsing, desugaring and substitution build nodes on their hot paths,
+    so classes of up to three fields get a body without a loop.  Fields
+    are stored through ``object.__setattr__``, as a frozen dataclass
+    stores them: writing ``self.__dict__`` builds quicker but leaves every
+    later attribute read of the node on a slower path."""
+    if len(names) == 0:
+        def __init__(self):
+            pass
+    elif len(names) == 1:
+        (n0,) = names
+
+        def __init__(self, a):
+            _set(self, n0, a)
+    elif len(names) == 2:
+        n0, n1 = names
+
+        def __init__(self, a, b):
+            _set(self, n0, a)
+            _set(self, n1, b)
+    elif len(names) == 3:
+        n0, n1, n2 = names
+
+        def __init__(self, a, b, c):
+            _set(self, n0, a)
+            _set(self, n1, b)
+            _set(self, n2, c)
+    else:
+        def __init__(self, *values):
+            if len(values) != len(names):
+                raise TypeError(f"{type(self).__name__}() takes {len(names)} "
+                                f"fields, {len(values)} given")
+            for name, value in zip(names, values):
+                _set(self, name, value)
+    return __init__
+
+
+class Node:
+    """A syntax node: a frozen record of the fields its class annotates."""
+    __slots__ = ()
+    FIELDS = {}
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls.FIELDS = dict(cls.__dict__.get("__annotations__", {}))
+        names = tuple(cls.FIELDS)
+        cls.__init__ = _initializer(names)
+        cls.__match_args__ = names
+        cls._astuple = staticmethod(_getter(names))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple(self) == other._astuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple(self))
+
+    def __repr__(self):
+        return (type(self).__qualname__ + "("
+                + ", ".join(f"{name}={value!r}" for name, value
+                            in zip(self.FIELDS, self._astuple(self))) + ")")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __str__(self):
+        return pretty(self)
+
+
+class Formula(Node):
+    __slots__ = ()
+
+
+class Program(Node):
+    __slots__ = ()
+
+
+# ----- formulas --------------------------------------------------------------
+
+
+class Var(Formula):
+    name: str
+
+
+class TrueF(Formula):
+    pass
+
+
+class FalseF(Formula):
+    pass
+
+
+class Top(Formula):
+    """Separation atom: the named qubits carry a component of their own."""
+    qubits: Tuple[int, ...]
+
+
+class Const(Formula):
+    """One fixed 1-qubit state at one qubit: char in '01+-'."""
+    char: str
+    qubit: int
+
+
+class One(Formula):
+    pass
+
+
+class Plus(Formula):
+    pass
+
+
+class VecC(Formula):
+    """A named basis assignment, one of '01+-' per listed qubit."""
+    qubits: Tuple[int, ...]
+    chars: str
+
+
+class RayF(Formula):
+    """An exact part-state at the listed qubits: one amplitude per part
+    basis index.  Built programmatically (for instance when a claim is
+    instantiated at a random state); it has no concrete syntax."""
+    qubits: Tuple[int, ...]
+    amps: tuple
+
+
+class Not(Formula):
+    body: Formula
+
+
+class Ortho(Formula):
+    body: Formula
+
+
+class BoxM(Formula):
+    body: Formula
+
+
+class DiaM(Formula):
+    body: Formula
+
+
+class And(Formula):
+    left: Formula
+    right: Formula
+
+
+class Or(Formula):
+    left: Formula
+    right: Formula
+
+
+class Implies(Formula):
+    left: Formula
+    right: Formula
+
+
+class Sqcup(Formula):
+    left: Formula
+    right: Formula
+
+
+class Box(Formula):
+    prog: Program
+    body: Formula
+
+
+class Dia(Formula):
+    prog: Program
+    body: Formula
+
+
+class Leq(Formula):
+    left: Formula
+    right: Formula
+
+
+class EqF(Formula):
+    left: Formula
+    right: Formula
+
+
+class PerpF(Formula):
+    left: Formula
+    right: Formula
+
+
+class Testable(Formula):
+    body: Formula
+
+
+class EqI(Formula):
+    """Equality of the named qubits' components on both sides."""
+    left: Formula
+    right: Formula
+    qubits: Tuple[int, ...]
+
+
+class Component(Formula):
+    """States separated at the named qubits whose component can satisfy body."""
+    body: Formula
+    qubits: Tuple[int, ...]
+
+
+class LocalF(Formula):
+    body: Formula
+    qubits: Tuple[int, ...]
+
+
+class LocalP(Formula):
+    prog: Program
+    qubits: Tuple[int, ...]
+
+
+class Bell(Formula):
+    x: Bit
+    y: Bit
+    i: int
+    j: int
+
+
+class GHZ(Formula):
+    i: int
+    j: int
+    k: int
+
+
+class Gamma(Formula):
+    i: int
+    j: int
+
+
+class Ent(Formula):
+    """States whose {i,j} part encodes the 1-qubit action of prog."""
+    i: int
+    j: int
+    prog: Program
+
+
+class Dom(Formula):
+    prog: Program
+
+
+class PostF(Formula):
+    prog: Program
+    body: Formula
+
+
+class Img(Formula):
+    prog: Program
+    body: Formula
+
+
+# ----- programs --------------------------------------------------------------
+
+
+class PVar(Program):
+    """A schema's program variable, filled by substitution."""
+    name: str
+
+
+class TopP(Program):
+    """Arbitrary action local to the named qubits."""
+    qubits: Tuple[int, ...]
+
+
+class Test(Program):
+    formula: Formula
+
+
+class GateP(Program):
+    kind: str
+    targets: Tuple[int, ...]
+
+
+class Id(Program):
+    pass
+
+
+class Flip(Program):
+    i: int
+    j: int
+
+
+class Set0(Program):
+    qubits: Tuple[int, ...]
+
+
+class Proj0(Program):
+    qubits: Tuple[int, ...]
+
+
+class Unary1(Program):
+    prog: Program
+
+
+class Mov(Program):
+    i: int
+    j: int
+    prog: Program
+
+
+class Adj(Program):
+    prog: Program
+
+
+class UnionP(Program):
+    left: Program
+    right: Program
+
+
+class SeqP(Program):
+    left: Program
+    right: Program
+
+
+# ----- subterms --------------------------------------------------------------
+
+# The fields of every node class that hold a formula or a program, in field
+# order.  Every walk over the tree reads this one table.
+PARTS = {cls: tuple(name for name, kind in cls.FIELDS.items()
+                   if kind in ("Formula", "Program"))
+         for cls in Formula.__subclasses__() + Program.__subclasses__()}
+_ONLY_PARTS = {cls for cls, names in PARTS.items() if len(names) == len(cls.FIELDS)}
 _GETTERS = {cls: _getter(names) for cls, names in PARTS.items()}
 
 
@@ -360,7 +393,9 @@ def rebuild(node, new_parts):
     cls = type(node)
     if cls in _ONLY_PARTS:
         return cls(*new_parts)
-    return cls(**{**vars(node), **dict(zip(PARTS[cls], new_parts))})
+    fields = dict(zip(cls.FIELDS, node._astuple(node)))
+    fields.update(zip(PARTS[cls], new_parts))
+    return cls(*fields.values())
 
 
 # ----- keyword forms ---------------------------------------------------------
@@ -417,7 +452,7 @@ def _form(cls, text: str) -> Form:
     word, numbers, qubits, args = _FORM_RE.fullmatch(text).groups()
     numbers = tuple(numbers.split(",")) if numbers else ()
     args = tuple(args.split(",")) if args else ()
-    types = {f.name: f.type for f in fields(cls)}
+    types = cls.FIELDS
     if sorted(numbers + args + ((qubits,) if qubits else ())) != sorted(types):
         raise TypeError(f"{cls.__name__}: form {text!r} must name each field once")
     return Form(word, numbers, tuple(n for n in numbers if types[n] == "Bit"),

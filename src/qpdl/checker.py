@@ -29,10 +29,9 @@ quantum actions, so a map composed wrongly shows as a disagreement.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import ast
 from .desugar import desugar_formula, desugar_program
@@ -416,8 +415,7 @@ def check_valid(env: Environment, f: ast.Formula) -> Optional[Subspace]:
 # ----- schematic claims ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InstanceResult:
+class InstanceResult(NamedTuple):
     label: str
     valid: bool
     witness: Optional[Subspace]

@@ -28,8 +28,7 @@ stack of the parser or of the evaluators that walk the tree.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import ast
 from .errors import InputError
@@ -49,8 +48,7 @@ class _Final(ParseError):
     bad index list of a keyword form, which has no other reading."""
 
 
-@dataclass
-class Token:
+class Token(NamedTuple):
     kind: str
     value: object
     line: int
@@ -245,7 +243,7 @@ class _Parser:
         if form.args:
             self.expect(")")
             self.depth -= 1
-        return cls(**fields)
+        return cls(*map(fields.__getitem__, cls.FIELDS))
 
     def infix(self, ops: tuple, operand, level: int = 0):
         """Operands read by ``operand`` joined by the infix operators

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import ast
 from .checker import (
@@ -42,8 +41,7 @@ from .regions import Region
 DEFAULT_SEED = 2026
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     """Outcome of one verification target.
 
     lines has one entry per instance: target, instance id and verdict,

@@ -16,7 +16,8 @@ runs a small deterministic search for a ray only when one is wanted.
 Its candidates, the positive basis rows and then points on a moment
 curve through them, are built one at a time until one lies outside
 every negative; each is already the canonical basis of its span.
-Negatives are ordered by the exact entries of their bases, so a Term is
+Negatives are ordered by dimension and then by the integer rows of their
+unique bases (``Matrix.sort_key``), never through Fractions, so a Term is
 a value, the tuple (positive, negatives), and a Region drops repeated
 terms by hashing.
 The measurement modalities box and dia have no code of their own here;
@@ -38,7 +39,7 @@ class WitnessSearchExhausted(RuntimeError):
 
 
 def _subspace_key(sub: Subspace):
-    return (sub.dim, tuple((x.re, x.im) for row in sub.basis.entries for x in row))
+    return (sub.dim, sub.basis.sort_key())
 
 
 class Term(NamedTuple):

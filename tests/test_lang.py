@@ -441,8 +441,9 @@ def test_generators_cover_every_node_and_keyword_form():
             for sub in subtrees(node):
                 seen.setdefault(type(sub), sub)
     nodes = {cls for cls in vars(ast).values()
-             if dataclasses.is_dataclass(cls)
-             and issubclass(cls, (ast.Formula, ast.Program))}
+             if isinstance(cls, type) and issubclass(cls, ast.Node)
+             and cls not in (ast.Node, ast.Formula, ast.Program)}
+    assert len(nodes) == 47
     # RayF has no concrete syntax; PVar is covered by
     # test_program_variable_round_trip
     assert set(seen) == nodes - {ast.RayF, ast.PVar}
@@ -456,6 +457,58 @@ def test_generators_cover_every_node_and_keyword_form():
         "img", "post", "dom", "vec", "set0", "proj0", "unary1", "mov",
         "adj", "X", "Z", "H", "CNOT", "flip",
     }
+
+
+def _reference_classes():
+    """Each node class rebuilt as the frozen dataclass it replaces."""
+    return {cls: dataclasses.make_dataclass(cls.__name__, list(cls.FIELDS.items()),
+                                            frozen=True)
+            for cls in ast.PARTS}
+
+
+def _as_reference(node, refs):
+    values = [getattr(node, name) for name in node.FIELDS]
+    values = [_as_reference(v, refs) if isinstance(v, ast.Node) else v
+              for v in values]
+    return refs[type(node)](*values)
+
+
+def test_nodes_match_the_frozen_dataclasses_they_replace():
+    refs = _reference_classes()
+    rng = random.Random(405)
+    trees = [rand_formula(rng, 3) for _ in range(40)] + [
+        rand_program(rng, 3) for _ in range(40)]
+    nodes = [ast.PVar("w"), ast.RayF((1, 2), (1, 0, 0, -1)),
+             ast.Box(ast.PVar("w"), ast.Var("p"))]
+    roots = []
+    for t in trees:
+        roots.append(len(nodes))
+        nodes.extend(subtrees(t))
+    # each tree against an equal copy that is not the same object
+    copies = [(root, len(nodes) + k) for k, root in enumerate(roots)]
+    nodes += [parse_formula(pretty(t)) if isinstance(t, ast.Formula)
+              else parse_program(pretty(t)) for t in trees]
+    assert {type(node) for node in nodes} == set(refs)
+    mirror = [_as_reference(node, refs) for node in nodes]
+    for node, ref in zip(nodes, mirror):
+        assert repr(node) == repr(ref)
+        assert hash(node) == hash(ref)
+        for name in node.FIELDS:
+            with pytest.raises(AttributeError):
+                setattr(node, name, None)
+            with pytest.raises(AttributeError):
+                delattr(node, name)
+    picks = random.Random(406).choices(range(len(nodes)), k=4000)
+    for i, j in list(zip(picks[::2], picks[1::2])) + copies:
+        a, b, ra, rb = nodes[i], nodes[j], mirror[i], mirror[j]
+        assert (a == b, a != b) == (ra == rb, ra != rb)
+        assert (a.__eq__(b) is NotImplemented) == (ra.__eq__(rb) is NotImplemented)
+    # the same hashes keep every dict and set keyed on nodes in one order
+    assert list(map(repr, dict.fromkeys(nodes))) == list(map(repr, dict.fromkeys(mirror)))
+    assert list(map(repr, set(nodes))) == list(map(repr, set(mirror)))
+    for t in trees:
+        parse = parse_formula if isinstance(t, ast.Formula) else parse_program
+        assert parse(pretty(t)) == t
 
 
 # The nodes with a form of their own, read by f_atom or p_factor, and

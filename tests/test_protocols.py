@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from qpdl import parser, protocols
-from qpdl.checker import Environment, check_valid, eval_symbolic
+from qpdl.checker import Environment, check_schematic, check_valid, eval_symbolic
 from qpdl.frame import Frame, Subspace
 from qpdl.parser import parse_formula
 from qpdl.protocols import (
@@ -36,6 +36,19 @@ def test_teleportation_passes():
     assert all(line.startswith("teleportation\t") for line in report.lines)
     assert sum("\tPASS" in line for line in report.lines) == 32
 
+
+
+def test_reports_and_their_records_are_immutable():
+    report = protocols.Report("t", True, "PASS", (), None, 0.0)
+    result = check_schematic(
+        Environment(Frame(1)), parse_formula("q -> q"), "q", (1,))[0][0]
+    token = parser.tokenize("p")[0]
+    assert (result.label, result.valid, result.witness) == ("q=0", True, None)
+    assert (token.kind, token.value, token.line, token.col) == ("word", "p", 1, 1)
+    assert report.render_text() == "t: PASS"
+    for record, name in ((report, "passed"), (result, "valid"), (token, "kind")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
 
 def test_teleportation_render_is_byte_stable():
     a = teleportation(seed=7, samples=3).render_text()

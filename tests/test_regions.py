@@ -163,21 +163,7 @@ def test_witness_matches_scalar_moment_curve():
     assert from_curve >= 2
 
 
-def fraction_key(sub):
-    """The order negatives were sorted by when it was read off the integer
-    parts: exact Fractions, real then imaginary, entry by entry, the
-    entries a sparse row does not store being 0."""
-    b = sub.basis
-    cells = []
-    for row in b.triples:
-        dense = [(Fraction(0), Fraction(0))] * b.cols
-        for c, x, y in row:
-            dense[c] = (Fraction(x, b.den), Fraction(y, b.den))
-        cells += dense
-    return (sub.dim, tuple(cells))
-
-
-def test_subspace_key_keeps_the_fraction_order():
+def test_subspace_key_orders_subspaces_by_their_integer_rows():
     rng = random.Random(308)
     subs = [Subspace.zero(4), Subspace.full(4)]
     for dim in (2, 4, 8):
@@ -185,9 +171,19 @@ def test_subspace_key_keeps_the_fraction_order():
     # rays tied on their first entries
     subs += [Subspace.from_rows([[1, 2, GaussianRational(Fraction(k, 3), m), 1]], 4)
              for k in range(-2, 3) for m in range(-1, 2)]
-    assert [_subspace_key(s) for s in subs] == [fraction_key(s) for s in subs]
+    # the unique integer form, read without building a Fraction
+    assert [_subspace_key(s) for s in subs] == [
+        (s.dim, (s.basis.cols, s.basis.den, s.basis.triples)) for s in subs]
+    # a total order that agrees with equality, whatever rows built the subspace
+    keys = {_subspace_key(s) for s in subs}
+    assert len(keys) == len(set(subs)) > 50
+    scaled = [Subspace.from_rows([[GaussianRational(0, 3) * x for x in row]
+                                  for row in s.basis.entries], s.ambient)
+              for s in subs]
+    assert [_subspace_key(s) for s in scaled] == [_subspace_key(s) for s in subs]
+    order = sorted(subs, key=_subspace_key)
     rng.shuffle(subs)
-    assert sorted(subs, key=_subspace_key) == sorted(subs, key=fraction_key)
+    assert sorted(subs, key=_subspace_key) == order
 
 
 def test_make_term_drops_zero_and_full_cuts():
