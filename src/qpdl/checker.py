@@ -221,8 +221,7 @@ def _component_region(env: Environment, f: ast.Component) -> Region:
     if closed.dim != 1:
         raise SpatialAtomInSymbolicMode(
             "cmp{I} of anything but a single state needs a concrete state")
-    return Region.of_subspace(
-        env.frame.state_lift(closed.basis.entries[0], f.qubits))
+    return Region.of_subspace(env.frame.row_lift(closed.basis, f.qubits))
 
 
 def _image_region(env: Environment, f: ast.Img) -> Region:

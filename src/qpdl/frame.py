@@ -38,12 +38,19 @@ What is remembered lives at one of three scopes:
 - per frame: each gate's ``PartialMap``, wrapping the shared matrix, so
   its image and preimage memos die with the frame, and every other
   state lift, with its ortho and projector, keyed on its amplitudes, or
-  for ``map_to_state`` on its part row;
+  for ``row_lift`` (``map_to_state`` and the checker's cmp{I}) on its
+  part row;
 - per environment (in the checker): the maps of each denoted program,
   with their memos.
 
-The join of two live subspaces is remembered in a table that keeps
-neither them nor the join alive, so a repeated meet runs no elimination.
+The join and the meet of two live subspaces are remembered in one pair
+table that keeps neither them nor the result alive, so a repeated join
+or meet runs no elimination.  A meet works from the smaller side A,
+against the orthocomplement P of the other: the product conj(P) A^T,
+the one that decides containment, is 0 when A lies in the other side,
+and otherwise its kernel's rows times A span the meet (0 at once when A
+is a ray).  Beside P, found once per subspace, it eliminates only that
+dim P x dim A product and the meet's own rows.
 A layout table is the index table of ``Matrix.tensor``, which places
 gate lifts g (x) I (rows and columns alike), state lifts part (x) I and
 reachable sets I (x) rest, and of ``Matrix.gather``, which reads blocks
@@ -84,10 +91,24 @@ class BadIndex(InputError):
 _INTERNED: "weakref.WeakValueDictionary[Matrix, Subspace]" = \
     weakref.WeakValueDictionary()
 
-# Joins of live subspaces: (id(a), id(b)) in ascending order -> weak
-# references to a, b and their join.  The first of the three to die
-# removes the entry, before its id can be reused.
-_JOINS: dict = {}
+# Joins and meets of live subspaces: (op, id(a), id(b)), the ids in
+# ascending order -> weak references to a, b and their join or meet.  The
+# first of the three to die removes the entry, before its id can be reused.
+_PAIRS: dict = {}
+
+
+def _paired(op: str, a: "Subspace", b: "Subspace", compute) -> "Subspace":
+    """The ``op`` of a and b from the pair table, or ``compute()`` entered
+    there: once per live pair in either order."""
+    key = (op, *sorted((id(a), id(b))))
+    refs = _PAIRS.get(key)
+    result = refs and refs[2]()
+    if result is None:
+        result = compute()
+        # pop is bound now, since a callback may run as the module is torn down
+        drop = lambda _, pop=_PAIRS.pop: pop(key, None)
+        _PAIRS[key] = tuple(weakref.ref(x, drop) for x in (a, b, result))
+    return result
 
 
 class Subspace:
@@ -146,9 +167,14 @@ class Subspace:
     def contains_subspace(self, other: "Subspace") -> bool:
         """Whether other lies in self: whether it is orthogonal to the
         remembered orthocomplement, one product."""
-        perp = self.ortho().basis
-        product = perp.conj() * other.basis.transpose()
-        return product == Matrix.zeros(perp.rows, other.dim)
+        product = self._against_ortho(other)
+        return product == Matrix.zeros(product.rows, other.dim)
+
+    def _against_ortho(self, other: "Subspace") -> Matrix:
+        """conj(P) A^T, P the basis of self's orthocomplement and A other's:
+        entry (i, j) is the inner product of row i of P with row j of A,
+        so x A lies in self exactly when the product sends x to 0."""
+        return self.ortho().basis.conj() * other.basis.transpose()
 
     def join(self, other: "Subspace") -> "Subspace":
         """The span of both, computed once per live pair in either order."""
@@ -157,15 +183,8 @@ class Subspace:
             return other
         if other.is_zero():
             return self
-        key = tuple(sorted((id(self), id(other))))
-        refs = _JOINS.get(key)
-        joined = refs and refs[2]()
-        if joined is None:
-            joined = Subspace(Matrix.vstack([self.basis, other.basis]), self.ambient)
-            # pop is bound now, since a callback may run as the module is torn down
-            drop = lambda _, pop=_JOINS.pop: pop(key, None)
-            _JOINS[key] = tuple(weakref.ref(x, drop) for x in (self, other, joined))
-        return joined
+        return _paired("join", self, other, lambda: Subspace(
+            Matrix.vstack([self.basis, other.basis]), self.ambient))
 
     def ortho(self) -> "Subspace":
         """Orthocomplement under the conjugate-linear inner product,
@@ -178,8 +197,33 @@ class Subspace:
         return self._ortho
 
     def meet(self, other: "Subspace") -> "Subspace":
+        """The intersection, computed once per live pair in either order,
+        from the smaller side (see ``_meet_from``)."""
         self._same_ambient(other)
-        return self.ortho().join(other.ortho()).ortho()
+        if self is other or self.is_zero() or other.is_full():
+            return self
+        if other.is_zero() or self.is_full():
+            return other
+        small, big = (self, other) if self.dim <= other.dim else (other, self)
+        return _paired("meet", small, big, lambda: big._meet_from(small))
+
+    def _meet_from(self, small: "Subspace") -> "Subspace":
+        """The intersection with ``small``, whose basis A has no more rows
+        than self's: x A lies in self exactly when x is in the kernel of
+        the product that ``contains_subspace`` makes, so the kernel's rows
+        times A span the meet.  When the product is 0, small lies in self;
+        when it is not and small is a ray, the meet is 0.  Neither case
+        eliminates; otherwise the eliminations are of the dim P x dim A
+        product and of the meet's own rows."""
+        product = self._against_ortho(small)
+        if product == Matrix.zeros(product.rows, small.dim):
+            return small
+        if small.dim == 1:
+            return Subspace.zero(self.ambient)
+        kernel = product.kernel_basis()
+        if kernel.rows == 0:
+            return Subspace.zero(self.ambient)
+        return Subspace(kernel * small.basis, self.ambient)
 
     def projector(self) -> Matrix:
         """Orthogonal projector onto the subspace, as an exact matrix."""
@@ -432,7 +476,12 @@ class Frame:
             raise ValueError("need a 2x2 matrix")
         # g[beta][alpha] goes on |alpha>_i |beta>_j, and the part row has
         # the lower-numbered qubit as the high bit
-        key = ((g.transpose() if i < j else g).flatten(), tuple(sorted((i, j))))
+        return self.row_lift((g.transpose() if i < j else g).flatten(), (i, j))
+
+    def row_lift(self, row: Matrix, qubits: Iterable[int]) -> Subspace:
+        """``state_lift`` of the part-state held as a one-row matrix,
+        computed once per frame, row and qubit set."""
+        key = (row, tuple(sorted(qubits)))
         lifted = self._lifts.get(key)
         if lifted is None:
             lifted = self._lifts[key] = self._lift(*key)

@@ -590,7 +590,7 @@ print(code, calls, hashlib.sha256(out.getvalue().encode()).hexdigest())
 
 VERIFY_ALL_SHA256 = \
     "bad8e8100fbefb3faf375c3fc4ce3d8549ece5775dd85bb3bae26bbf6ca9a08a"
-MAX_VERIFY_ALL_ELIMINATIONS = 8_200
+MAX_VERIFY_ALL_ELIMINATIONS = 7_850
 
 
 def fresh_process(args, timeout):
@@ -613,6 +613,36 @@ def test_verify_all_elimination_count():
     assert int(calls) <= MAX_VERIFY_ALL_ELIMINATIONS, calls
     return (f"{calls} eliminations over qpdl verify all --seed 2026 "
             f"<= {MAX_VERIFY_ALL_ELIMINATIONS}")
+
+
+# Prints the verdict of `qpdl valid -n 10` on a claim and the row count
+# of each linalg._eliminate call it runs.
+ROW_PROBE = """\
+import contextlib, io, sys
+from qpdl import linalg
+from qpdl.cli import main
+rows = []
+eliminate = linalg._eliminate
+def counted(work, cols):
+    rows.append(len(work))
+    return eliminate(work, cols)
+linalg._eliminate = counted
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(["valid", "-n", "10", sys.argv[1]])
+print(code, out.getvalue().strip(), *rows)
+"""
+
+
+def test_no_elimination_at_ten_qubits_has_more_rows_than_the_register():
+    # meets once stacked both orthocomplements: 1,792 rows over 1,024 columns
+    proc = fresh_process(["-c", ROW_PROBE,
+                          "bell[0,0,1,2] -> [CNOT_1_2 ; H_1](0_1 & 0_2)"],
+                         timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    code, verdict, *rows = proc.stdout.split()
+    assert (code, verdict) == ("0", "VALID")
+    assert rows and max(map(int, rows)) <= 2 ** 10, rows
 
 
 # ----- 14: bounded entry growth on a crafted state ---------------------------------

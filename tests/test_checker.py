@@ -334,6 +334,18 @@ def test_component_formula_at_states():
     assert not check_state(env, fr.ray([1, 0, 0, 1]), f)
 
 
+def test_component_region_lifts_the_integer_row_of_its_state(monkeypatch):
+    # the body's one state is lifted from its integer row: no scalar is
+    # built, and the lift is the one state_lift makes from amplitudes
+    fr = Frame(3)
+    f = parse_formula("cmp{3,1}(-_1 & +_2)")
+    want = fr.state_lift((1, 1, -1, -1), (1, 3))
+    monkeypatch.setattr(Matrix, "entries", property(
+        lambda m: pytest.fail("a Matrix built its scalar entries")))
+    region = eval_symbolic(Environment(fr), f)
+    assert [t.positive for t in region.terms] == [want]
+
+
 def test_eqi_formula_at_states():
     fr = Frame(3)
     env = Environment(fr)

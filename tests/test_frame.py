@@ -1300,18 +1300,95 @@ def test_join_is_remembered_per_pair_and_warm_meet_eliminates_nothing(
 
 def test_join_table_drops_dead_values():
     rng = random.Random(219)
-    before = set(frame_module._JOINS)
+    before = set(frame_module._PAIRS)
     subs = [rand_sub(rng, 8, 2) for _ in range(6)]
     kept = subs[0].join(subs[1])  # outlives both of its operands
     joins = [a.join(b) for a, b in zip(subs, subs[1:])]
-    added = set(frame_module._JOINS) - before
-    assert len(added) == 5
-    refs = [weakref.ref(x) for x in subs + joins[1:]]
-    del subs, joins
+    # joins of 2-dimensional pairs meet in 0 to 2 dimensions
+    meets = [a.meet(b) for a, b in zip(joins, joins[1:])]
+    added = set(frame_module._PAIRS) - before
+    assert sorted(op for op, *_ in added) == ["join"] * 5 + ["meet"] * 4
+    refs = [weakref.ref(x) for x in subs + joins[1:] + meets]
+    del subs, joins, meets
     gc.collect()
     assert all(r() is None for r in refs)
-    assert not added & set(frame_module._JOINS)
+    assert not added & set(frame_module._PAIRS)
     assert kept.dim == 4
+
+
+def meet_inputs():
+    """Pairs (s, t) at ambients 1 to 16: zero, full and equal operands,
+    rays, one operand inside the other, disjoint spans of basis vectors,
+    and random spans with Gaussian, negative and zero leading entries."""
+    rng = random.Random(2027)
+
+    def rows(dim, k):
+        # small Gaussian entries, often zero, so rows often lead late
+        return [[GaussianRational(rng.choice((0, 0, 0, 1, -1, 2, -3)),
+                                  rng.choice((0, 0, 1, -2)))
+                 for _ in range(dim)] for _ in range(k)]
+
+    def sub(dim, k):
+        return Subspace.from_rows([r for r in rows(dim, k) if any(r)], dim)
+
+    def inside(big, k):
+        # k combinations of big's rows, a subspace of it
+        coeffs = Matrix(rows(big.dim, k), cols=big.dim)
+        return Subspace.from_rows((coeffs * big.basis).entries, big.ambient)
+
+    pairs = []
+    for dim in range(1, 17):
+        zero, full = Subspace.zero(dim), Subspace.full(dim)
+        subs = [sub(dim, rng.randint(1, dim)) for _ in range(4)]
+        subs += [rand_sub(rng, dim), rand_sub(rng, dim, 1)]
+        subs += [inside(s, rng.randint(1, s.dim)) for s in subs if s.dim]
+        cut = rng.randint(0, dim)
+        low = Subspace.from_rows([[ONE if j == i else ZERO for j in range(dim)]
+                                  for i in range(cut)], dim)
+        high = Subspace.from_rows([[ONE if j == i else ZERO for j in range(dim)]
+                                   for i in range(cut, dim)], dim)
+        pairs += [(zero, full), (full, zero), (zero, zero), (full, full),
+                  (low, high), (high, low)]
+        for s in subs:
+            pairs += [(s, s), (s, zero), (full, s), (s, s.ortho())]
+        for s, t in itertools.combinations(subs, 2):
+            pairs.append((s, t) if rng.random() < 0.5 else (t, s))
+    return pairs
+
+
+def test_meet_is_the_ortho_join_ortho_it_replaces():
+    kinds = set()
+    for s, t in meet_inputs():
+        got = s.meet(t)  # cold: computed before the reference warms orthos
+        assert got is s.ortho().join(t.ortho()).ortho()
+        assert t.meet(s) is got and s.meet(t) is got
+        small = min(s, t, key=lambda x: x.dim)
+        kinds.add("zero" if got.is_zero() else "contained" if got is small
+                  else "ray" if got.dim == 1 else "wider")
+    assert kinds == {"zero", "contained", "ray", "wider"}
+
+
+def test_meet_eliminates_nothing_when_warm_contained_or_of_a_ray(monkeypatch):
+    rng = random.Random(2028)
+    cases = []
+    for dim in (4, 8, 16):
+        big = rand_sub(rng, dim, dim // 2)
+        part = Subspace(Matrix(big.basis.entries[:2]), dim)
+        ray = rand_sub(rng, dim, 1)
+        outside = rand_sub(rng, dim, dim // 2)
+        big.ortho(), outside.ortho()  # the larger side's orthocomplement
+        cases.append((big, part, ray, outside))
+    calls = counted_eliminations(monkeypatch)
+    for big, part, ray, outside in cases:
+        assert part.meet(big) is part and big.meet(part) is part
+        assert ray.meet(outside).is_zero()
+    assert calls == []
+    warm = [(big, outside, big.meet(outside)) for big, _, _, outside in cases]
+    assert calls
+    calls.clear()
+    for big, outside, meet in warm:
+        assert outside.meet(big) is meet and big.meet(outside) is meet
+    assert calls == []
 
 
 def test_lift_table_dies_with_its_frame():
