@@ -24,6 +24,21 @@ side composes no map: it runs each branch on the state one action at a
 time, a gate as the image of the state and a test on S as the Sasaki
 projection (s v S^perp) ^ S, the test semantics of Baltag and Smets'
 quantum actions, so a map composed wrongly shows as a disagreement.
+
+``check_schematic`` decides all of its instances in one session, a
+private environment that lives for that one call.  It fills the state
+first and the branch second, so a subtree without ``w`` is one object
+across branches, and it remembers by node identity: the core tree of
+each filled node it desugars, charged to the budgets again at each use,
+and the region of each core formula and the maps of each core program.
+Past the instance that computed them it keeps only the answers for the
+nodes that the desugaring met more than once, such as a branch program
+or ``bell[...]``.  An answer keyed on syntax holds only while the
+valuation does, so the session takes a copy of the caller's valuation,
+which nothing can change during the call; it shares the caller's memo of
+denotations, which is keyed on meanings, so it stays warm across calls.
+A counterexample is re-checked pointwise with the session's regions but
+none of its maps: programs under a box still run one action at a time.
 """
 
 from __future__ import annotations
@@ -34,7 +49,7 @@ from functools import reduce
 from typing import NamedTuple, Optional
 
 from . import ast
-from .desugar import desugar_formula, desugar_program
+from .desugar import DesugarMemo, desugar_formula, desugar_program
 from .errors import (
     NonDeterministicProgram,
     SpatialAtomInSymbolicMode,
@@ -66,11 +81,57 @@ class Environment:
                 value = Region.of_subspace(value)
             self.valuation[name] = value
 
+    # a session's answers by node identity (see ``_Session``); none here
+    _nodes = _maps = None
+
     def lookup(self, name: str) -> Region:
         try:
             return self.valuation[name]
         except KeyError:
             raise UnboundVariable(name) from None
+
+
+class _Regions(Environment):
+    """A session as the pointwise re-check sees it: the same frame,
+    valuation and memo of denotations, and the regions the session
+    remembers by node identity, but none of its maps."""
+
+    __slots__ = ("_nodes",)
+
+    def __init__(self, session: "_Session"):
+        super().__init__(session.frame, session.valuation)
+        self._denotations = session._denotations
+        self._nodes = session._nodes
+
+
+class _Session(Environment):
+    """The environment in which ``check_schematic`` decides all of its
+    instances: the caller's frame, a copy of its valuation, its memo of
+    denotations, the desugared core of each filled node (``_cores``), and
+    answers keyed on node identity: the region of each core formula
+    (``_nodes``) and the maps of each core program (``_maps``).  Each
+    node is held beside its answer, so its id is not reused while the
+    session lives.  An instance's answers are kept past it only for the
+    nodes that the desugaring met more than once.  A counterexample is
+    re-checked pointwise in the session's ``_Regions``."""
+
+    __slots__ = ("_nodes", "_maps", "_cores", "_oracle")
+
+    def __init__(self, env: Environment):
+        super().__init__(env.frame, env.valuation)
+        self._denotations = env._denotations
+        self._nodes, self._maps, self._cores = {}, {}, DesugarMemo()
+        self._oracle = _Regions(self)
+
+    def decide(self, f: ast.Formula) -> Optional[Subspace]:
+        """``check_valid`` of the surface formula."""
+        witness = _decide(self, self._cores.formula(f, self.frame.n), self._oracle)
+        shared = self._cores.shared
+        # in place: the session's _Regions holds the same dict
+        for memo in (self._nodes, self._maps):
+            for key in [key for key in memo if key not in shared]:
+                del memo[key]
+        return witness
 
 
 # ----- program denotation ----------------------------------------------------
@@ -93,7 +154,13 @@ def _denote(env: Environment, prog: ast.Program) -> tuple:
 
     A map takes the kernel that is known when it is built: 0 for a gate
     and ``id``, S^perp for a test on S, and through ``PartialMap.then``
-    the first map's kernel for a composite ending in gates."""
+    the first map's kernel for a composite ending in gates.  A session
+    also answers by node identity."""
+    nodes = env._maps
+    if nodes is not None:
+        known = nodes.get(id(prog))
+        if known is not None:
+            return known[1]
     if isinstance(prog, ast.GateP):
         key = (prog.kind, prog.targets)
     elif isinstance(prog, ast.Id):
@@ -123,6 +190,8 @@ def _denote(env: Environment, prog: ast.Program) -> tuple:
         else:
             maps = left + right
         env._denotations[key] = maps
+    if nodes is not None:
+        nodes[id(prog)] = (prog, maps)
     return maps
 
 
@@ -155,59 +224,73 @@ def eval_symbolic(env: Environment, f: ast.Formula) -> Region:
 
 
 def _eval(env: Environment, f: ast.Formula) -> Region:
+    """The region of a core formula; a session also answers by node
+    identity."""
+    nodes = env._nodes
+    if nodes is not None:
+        known = nodes.get(id(f))
+        if known is not None:
+            return known[1]
     dim = env.frame.dim
     if isinstance(f, ast.Var):
-        return env.lookup(f.name)
-    if isinstance(f, ast.TrueF):
-        return Region.full(dim)
-    if isinstance(f, ast.FalseF):
-        return Region.empty(dim)
-    if isinstance(f, (ast.Const, ast.RayF, ast.Ent)):
-        return Region.of_subspace(_atom_subspace(env, f))
-    if isinstance(f, ast.Top):
+        region = env.lookup(f.name)
+    elif isinstance(f, ast.TrueF):
+        region = Region.full(dim)
+    elif isinstance(f, ast.FalseF):
+        region = Region.empty(dim)
+    elif isinstance(f, (ast.Const, ast.RayF, ast.Ent)):
+        region = Region.of_subspace(_atom_subspace(env, f))
+    elif isinstance(f, ast.Top):
         env.frame.check_qubits(f.qubits)
-        if not f.qubits or len(f.qubits) == env.frame.n:
-            return Region.full(dim)
-        raise SpatialAtomInSymbolicMode(
-            "T{I} membership is state-by-state; use a concrete state")
-    if isinstance(f, ast.Not):
+        if f.qubits and len(f.qubits) != env.frame.n:
+            raise SpatialAtomInSymbolicMode(
+                "T{I} membership is state-by-state; use a concrete state")
+        region = Region.full(dim)
+    elif isinstance(f, ast.Not):
         if isinstance(f.body, ast.Not):
             # a double complement is the region itself, without the cost
-            return _eval(env, f.body.body)
-        return _eval(env, f.body).complement()
-    if isinstance(f, ast.And):
-        return _eval(env, f.left).intersect(_eval(env, f.right))
-    if isinstance(f, ast.Ortho):
+            region = _eval(env, f.body.body)
+        else:
+            region = _eval(env, f.body).complement()
+    elif isinstance(f, ast.And):
+        region = _eval(env, f.left).intersect(_eval(env, f.right))
+    elif isinstance(f, ast.Ortho):
         if isinstance(f.body, ast.Top):
             # basis states are I-separated for every I, so T{I} spans the
             # whole space and its orthocomplement is zero
             env.frame.check_qubits(f.body.qubits)
-            return Region.empty(dim)
-        return Region.of_subspace(_eval(env, f.body).ortho())
-    if isinstance(f, ast.Box):
+            region = Region.empty(dim)
+        else:
+            region = Region.of_subspace(_eval(env, f.body).ortho())
+    elif isinstance(f, ast.Box):
         if isinstance(f.prog, ast.TopP):
             env.frame.check_qubits(f.prog.qubits)
-            if len(f.prog.qubits) == env.frame.n:
-                valid = _eval(env, f.body).complement().is_empty()
-                return Region.full(dim) if valid else Region.empty(dim)
-            raise SpatialAtomInSymbolicMode(
-                "[T{I}] needs a concrete state")
-        return wp(_denote(env, f.prog), _eval(env, f.body))
-    if isinstance(f, ast.EqI):
+            if len(f.prog.qubits) != env.frame.n:
+                raise SpatialAtomInSymbolicMode(
+                    "[T{I}] needs a concrete state")
+            valid = _eval(env, f.body).complement().is_empty()
+            region = Region.full(dim) if valid else Region.empty(dim)
+        else:
+            region = wp(_denote(env, f.prog), _eval(env, f.body))
+    elif isinstance(f, ast.EqI):
         same = eq_component(env, _eval(env, f.left), _eval(env, f.right),
                             f.qubits)
-        return Region.full(dim) if same else Region.empty(dim)
-    if isinstance(f, ast.Component):
-        return _component_region(env, f)
-    if isinstance(f, ast.LocalF):
+        region = Region.full(dim) if same else Region.empty(dim)
+    elif isinstance(f, ast.Component):
+        region = _component_region(env, f)
+    elif isinstance(f, ast.LocalF):
         ok = _region_is_local(env, _eval(env, f.body), f.qubits)
-        return Region.full(dim) if ok else Region.empty(dim)
-    if isinstance(f, ast.LocalP):
+        region = Region.full(dim) if ok else Region.empty(dim)
+    elif isinstance(f, ast.LocalP):
         ok = _program_is_local(env, f.prog, f.qubits)
-        return Region.full(dim) if ok else Region.empty(dim)
-    if isinstance(f, ast.Img):
-        return _image_region(env, f)
-    raise TypeError(f"not a core formula node: {f!r}")
+        region = Region.full(dim) if ok else Region.empty(dim)
+    elif isinstance(f, ast.Img):
+        region = _image_region(env, f)
+    else:
+        raise TypeError(f"not a core formula node: {f!r}")
+    if nodes is not None:
+        nodes[id(f)] = (f, region)
+    return region
 
 
 def _component_region(env: Environment, f: ast.Component) -> Region:
@@ -401,11 +484,18 @@ def _holds(env: Environment, s: Subspace, f: ast.Formula) -> bool:
 def check_valid(env: Environment, f: ast.Formula) -> Optional[Subspace]:
     """None when the formula holds at every state; otherwise a
     counterexample state, re-verified pointwise."""
-    core = desugar_formula(f, env.frame.n)
+    return _decide(env, desugar_formula(f, env.frame.n), env)
+
+
+def _decide(env: Environment, core: ast.Formula,
+            oracle: Environment) -> Optional[Subspace]:
+    """``check_valid`` of a core formula, decided in ``env`` and any
+    counterexample re-verified pointwise in ``oracle``, which holds the
+    same valuation and remembers no maps."""
     witness = _eval(env, ast.Not(core)).witness()
     if witness is None:
         return None
-    if _holds(env, witness, core):
+    if _holds(oracle, witness, core):
         raise RuntimeError(
             "symbolic and pointwise evaluation disagree on the witness")
     return witness
@@ -460,11 +550,13 @@ def check_schematic(env: Environment, template: ast.Formula, var: str, qubits,
     branch."""
     fills = [(f" {label}", {"w": prog})
              for label, prog in (branches or {}).items()] or [("", {})]
+    session = _Session(env)
     instances = []
     for chars in itertools.product("01+", repeat=len(qubits)):
         state = ast.VecC(tuple(qubits), "".join(chars))
+        filled = substitute(template, {var: state})
         for suffix, fill in fills:
-            witness = check_valid(env, substitute(template, {var: state, **fill}))
+            witness = session.decide(substitute(filled, fill))
             instances.append(InstanceResult(f"{var}={state.chars}{suffix}",
                                             witness is None, witness))
     union = {"w": reduce(ast.UnionP, branches.values())} if branches else {}
@@ -473,7 +565,8 @@ def check_schematic(env: Environment, template: ast.Formula, var: str, qubits,
         for k in range(samples):
             state = ast.RayF(tuple(qubits),
                              random_part_state(rng, len(qubits), real_only))
-            witness = check_valid(env, substitute(template, {var: state, **union}))
+            witness = session.decide(
+                substitute(substitute(template, {var: state}), union))
             corroborations.append(
                 InstanceResult(f"random state {k + 1}", witness is None, witness))
     return tuple(instances), tuple(corroborations)

@@ -17,7 +17,10 @@ A rule that uses a part twice (``eqf``, ``testable``) rewrites it twice,
 so nesting them doubles the core tree per level.  Desugaring stops with
 an InputError past ``MAX_NODES`` rewrites, and refuses a finished core
 tree of more than ``MAX_NODES`` nodes, a part used twice counting twice,
-since the evaluators walk it twice.
+since the evaluators walk it twice.  Through a ``DesugarMemo`` each node
+is rewritten once, later uses answering with the same core tree and
+charging the budgets what its first rewrite cost, so the refusals stay
+the same.
 """
 
 from __future__ import annotations
@@ -148,36 +151,95 @@ RULES = {
 }
 
 
+class DesugarMemo:
+    """The core trees of many desugarings whose trees share nodes, such
+    as the instances of one schema, each shared node desugared once.
+
+    ``cores`` is kept per (id(node), n), the node held beside its core
+    tree and the rewrites that made it, and ``sizes`` per id(core), the
+    core held beside the nodes of its tree counted as ``_desugar`` counts
+    them.  A remembered node charges both to the budgets again, so each
+    input is refused exactly when a desugaring without the memo refuses
+    it.  ``shared`` holds the id of each core tree answered from the memo,
+    so met more than once."""
+
+    __slots__ = ("cores", "sizes", "shared")
+
+    def __init__(self):
+        self.cores = {}
+        self.sizes = {}
+        self.shared = set()
+
+    def keep(self, node, n: int, core, rewrites: int):
+        """Remember ``core`` as the core tree of ``node`` at n qubits, made
+        by ``rewrites`` rewrites, and count its nodes, a remembered core
+        counting as many as its tree holds."""
+        self.cores[id(node), n] = (node, core, rewrites)
+        if id(core) in self.sizes:
+            return
+        size, todo = 0, [core]
+        while todo:
+            part = todo.pop()
+            known = self.sizes.get(id(part))
+            if known is None:
+                size += 1
+                todo.extend(ast.parts(part))
+            else:
+                size += known[1]
+        self.sizes[id(core)] = (core, size)
+
+    def formula(self, node: ast.Formula, n: int) -> ast.Formula:
+        """``desugar_formula`` through the memo."""
+        if not isinstance(node, ast.Formula):
+            raise TypeError(f"not a formula node: {node!r}")
+        return _desugar(node, n, self)
+
+
 class _Desugaring:
     """A budget of MAX_NODES steps: the rewrites of one desugaring, or
     the nodes of its core tree as ``_desugar`` counts them."""
 
-    __slots__ = ("left",)
+    __slots__ = ("left", "memo")
 
-    def __init__(self):
+    def __init__(self, memo: DesugarMemo | None = None):
         self.left = MAX_NODES
+        self.memo = memo
 
-    def spend(self):
-        self.left -= 1
+    def spend(self, steps: int = 1):
+        self.left -= steps
         if self.left < 0:
             raise InputError(f"expression expands past {MAX_NODES} nodes")
 
     def core(self, node, n: int):
+        memo = self.memo
+        if memo is not None:
+            known = memo.cores.get((id(node), n))
+            if known is not None:
+                self.spend(known[2])
+                memo.shared.add(id(known[1]))
+                return known[1]
+            before = self.left
         self.spend()
         rule = RULES.get(type(node))
         if rule is not None:
-            return rule(self, node, n)
-        parts = ast.parts(node)
-        if not parts:
-            return node
-        return ast.rebuild(node, map(self.core, parts, repeat(n)))
+            out = rule(self, node, n)
+        else:
+            parts = ast.parts(node)
+            out = ast.rebuild(node, map(self.core, parts, repeat(n))) if parts else node
+        if memo is not None:
+            memo.keep(node, n, out, before - self.left)
+        return out
 
 
-def _desugar(node, n: int):
+def _desugar(node, n: int, memo: DesugarMemo | None = None):
     """The core tree of ``node``, refused past MAX_NODES rewrites or
     MAX_NODES nodes, a part that a rule uses twice counting twice."""
-    tree = _Desugaring().core(node, n)
-    budget, todo = _Desugaring(), [tree]
+    tree = _Desugaring(memo).core(node, n)
+    budget = _Desugaring()
+    if memo is not None:
+        budget.spend(memo.sizes[id(tree)][1])
+        return tree
+    todo = [tree]
     while todo:
         budget.spend()
         todo.extend(ast.parts(todo.pop()))

@@ -214,13 +214,14 @@ class Subspace:
         times A span the meet.  When the product is 0, small lies in self;
         when it is not and small is a ray, the meet is 0.  Neither case
         eliminates; otherwise the eliminations are of the dim P x dim A
-        product and of the meet's own rows."""
+        product and of the meet's own rows, the kernel being read off the
+        product's RREF unreduced, since the meet's rows are eliminated."""
         product = self._against_ortho(small)
         if product == Matrix.zeros(product.rows, small.dim):
             return small
         if small.dim == 1:
             return Subspace.zero(self.ambient)
-        kernel = product.kernel_basis()
+        kernel = product._kernel_vectors()
         if kernel.rows == 0:
             return Subspace.zero(self.ambient)
         return Subspace(kernel * small.basis, self.ambient)

@@ -433,6 +433,14 @@ class Matrix:
         there are cols - rank of them."""
         return _kernel(*_rref(self._work(), self.cols), self.cols)
 
+    def _kernel_vectors(self) -> "Matrix":
+        """Rows spanning the right null space, one per free column of the
+        RREF, not reduced among themselves: ``kernel_basis`` without its
+        second elimination, for a caller that eliminates them anyway."""
+        vectors = _null_vectors(*_rref(self._work(), self.cols), self.cols)
+        return Matrix.from_parts([(sorted((j, a, b) for j, (a, b) in v.items()), 1)
+                                  for v in vectors], self.cols)
+
     def _kernel_of_rref(self) -> "Matrix":
         """``kernel_basis`` of a matrix whose rows already are an RREF, such
         as the conjugate of a ``row_basis``: one elimination fewer."""
@@ -595,8 +603,9 @@ def _rref(work: list, cols: int) -> tuple[list, list]:
     """The nonzero RREF rows of the elimination rows ``work`` and their
     pivot columns.  Each row is (x, s), x its (col, re, im) triples in
     column order, standing for x / s with pivot 1, as ``_lead_one``
-    scales it, since a pivot row's pivot is its first entry."""
-    pivots = _eliminate(work, cols)
+    scales it, since a pivot row's pivot is its first entry.  Fewer than
+    two rows need no elimination: one row is ``_lead_one`` of itself."""
+    pivots = _eliminate(work, cols) if len(work) > 1 else [min(row) for row in work]
     rows = [_lead_one([(j, a, b) for j, (a, b) in sorted(row.items())])
             for row in work]
     return rows, pivots
@@ -617,7 +626,13 @@ def _lead_one(row: Sequence[tuple]) -> tuple[list, int]:
 def _kernel(rows: list, pivots: list, cols: int) -> Matrix:
     """The RREF basis of the null space of a matrix already in RREF, given
     as its rows (x, s) with pivot s and their pivot columns: one
-    elimination, of the kernel vectors."""
+    elimination, of the kernel vectors, when there are two or more."""
+    return Matrix.from_parts(_rref(_null_vectors(rows, pivots, cols), cols)[0], cols)
+
+
+def _null_vectors(rows: list, pivots: list, cols: int) -> list:
+    """One vector of the null space per free column of the RREF given as
+    for ``_kernel``, as an elimination row: together a basis of it."""
     # Free column f gives e_f - sum_r (x_r[f] / s_r) e_{c_r}, where x_r / s_r
     # is RREF row r with pivot column c_r; scaled by the lcm of those s_r.
     hits = {}  # free column -> the (c_r, re, im, s_r) with x_r[f] != 0
@@ -634,7 +649,7 @@ def _kernel(rows: list, pivots: list, cols: int) -> Matrix:
         for c, a, b, s in h:
             vector[c] = (-a * (d // s), -b * (d // s))
         vectors.append(vector)
-    return Matrix.from_parts(_rref(vectors, cols)[0], cols)
+    return vectors
 
 
 def parse_rational(text: str) -> Fraction:

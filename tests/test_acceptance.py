@@ -590,7 +590,7 @@ print(code, calls, hashlib.sha256(out.getvalue().encode()).hexdigest())
 
 VERIFY_ALL_SHA256 = \
     "bad8e8100fbefb3faf375c3fc4ce3d8549ece5775dd85bb3bae26bbf6ca9a08a"
-MAX_VERIFY_ALL_ELIMINATIONS = 7_850
+MAX_VERIFY_ALL_ELIMINATIONS = 6_050
 
 
 def fresh_process(args, timeout):

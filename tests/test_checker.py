@@ -1,15 +1,19 @@
 """The two evaluators, symbolic regions and pointwise checks, and schematic claims."""
 
+import functools
 import gc
+import itertools
 import random
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from qpdl import ast, linalg
+from qpdl import ast, checker, desugar, linalg, protocols
 from qpdl.checker import (
     Environment,
+    InstanceResult,
     _run,
     check_schematic,
     check_state,
@@ -19,9 +23,10 @@ from qpdl.checker import (
     random_part_state,
     substitute,
 )
-from qpdl.desugar import desugar_formula
+from qpdl.desugar import MAX_NODES, desugar_formula
 from qpdl.errors import (
     CheckError,
+    InputError,
     NonDeterministicProgram,
     SpatialAtomInSymbolicMode,
     UnboundVariable,
@@ -31,6 +36,7 @@ from qpdl.frame import LOCAL_STATES, Frame, PartialMap, Subspace
 from qpdl.linalg import ONE, ZERO, Matrix
 from qpdl.parser import parse_formula, parse_program
 from qpdl.protocols import (
+    _ax_entanglement,
     _random_program,
     _random_region,
     _random_subspace,
@@ -679,6 +685,200 @@ def test_schematic_failure_carries_confirmed_witness():
     # the witness refutes the instantiated claim pointwise
     filled = substitute(template, {"q": ast.Const("+", 1)})
     assert not check_state(env, bad[0].witness, filled)
+
+
+# ----- schema sessions ---------------------------------------------------------------
+
+
+def per_instance(env, template, var, qubits, branches=None, rng=None,
+                 samples=20, real_only=False):
+    """``check_schematic`` with each instance filled in one substitution
+    and decided alone by ``check_valid``, as it was before sessions."""
+    fills = [(f" {label}", {"w": prog})
+             for label, prog in (branches or {}).items()] or [("", {})]
+    instances = []
+    for chars in itertools.product("01+", repeat=len(qubits)):
+        state = ast.VecC(tuple(qubits), "".join(chars))
+        for suffix, fill in fills:
+            witness = check_valid(env, substitute(template, {var: state, **fill}))
+            instances.append(InstanceResult(f"{var}={state.chars}{suffix}",
+                                            witness is None, witness))
+    union = {"w": functools.reduce(ast.UnionP, branches.values())} if branches else {}
+    corroborations = []
+    for k in range(samples if rng is not None else 0):
+        state = ast.RayF(tuple(qubits), random_part_state(rng, len(qubits), real_only))
+        witness = check_valid(env, substitute(template, {var: state, **union}))
+        corroborations.append(
+            InstanceResult(f"random state {k + 1}", witness is None, witness))
+    return tuple(instances), tuple(corroborations)
+
+
+def schematic_calls(monkeypatch, run):
+    """The arguments of each ``check_schematic`` call that ``run`` makes
+    through ``protocols``, its rng given as the state it started in."""
+    calls, real = [], protocols.check_schematic
+
+    def spy(env, template, var, qubits, branches=None, rng=None, **options):
+        calls.append((env.frame, dict(env.valuation), template, var, qubits,
+                      branches, rng and rng.getstate(), options))
+        return real(env, template, var, qubits, branches, rng, **options)
+
+    monkeypatch.setattr(protocols, "check_schematic", spy)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+# template texts over q, the program variable w and a region p; {i} and {j}
+# are two distinct qubits, and w fills ent and mov with a one-qubit word
+SESSION_SHAPES = [
+    ("eqi{{{j}}}(img(q?, ent[{i},{j}](w)), img(mov[{i},{j}](w), q))", True),
+    ("testable(q) -> eqi{{{j}}}(img(q?, ent[{i},{j}](w)), img(mov[{i},{j}](w), q))",
+     True),
+    ("eqf(img(adj(w), img(w, q)), q)", False),
+    ("q -> [w ; adj(w)](dia q)", False),
+    ("leq(post(adj(w), q), dia q) | [w](p -> q)", False),
+    ("eqi{{{j}}}(img(w, q & bell[0,1,{i},{j}]), img(mov[{i},{j}](id), q))", False),
+]
+
+
+def random_schemas(rng, count):
+    """Calls of ``check_schematic`` on random schemas at n = 2 and 3: an
+    environment, the template and the rest of the arguments."""
+    for _ in range(count):
+        n = rng.randint(2, 3)
+        fr = Frame(n)
+        i, j = rng.sample(range(1, n + 1), 2)
+        text, one_qubit = rng.choice(SESSION_SHAPES)
+        # ent takes one map, so a corroboration's union of words must be one
+        words = [_random_word(rng)] if one_qubit else [
+            _random_program(rng, n, deterministic=rng.random() < 0.5)
+            for _ in range(rng.randint(1, 3))]
+        qubits = (i,) if one_qubit or rng.random() < 0.6 else (i, j)
+        yield (fr, {"p": _random_region(rng, fr)},
+               parse_formula(text.format(i=i, j=j)), "q", qubits,
+               {f"w{k}": w for k, w in enumerate(words)},
+               random.Random(rng.random()).getstate(), {"samples": 3})
+
+
+def protocol_schemas(monkeypatch):
+    runs = [lambda: protocols.teleportation(2026),
+            lambda: protocols.teleportation(2026, drop_x=True),
+            lambda: protocols.teleportation(2026, drop_z=True),
+            lambda: protocols.quantum_secret_sharing(2026),
+            lambda: protocols.quantum_secret_sharing(2026, omit_z=True),
+            lambda: protocols.quantum_secret_sharing(2026, invert_sign=True),
+            lambda: _ax_entanglement(random.Random(2026), 3)]
+    return [call for run in runs for call in schematic_calls(monkeypatch, run)]
+
+
+def test_a_session_decides_each_instance_as_check_valid_does(monkeypatch):
+    calls = protocol_schemas(monkeypatch)
+    assert len(calls) == 9
+    calls += random_schemas(random.Random(560), 14)
+    refuted = 0
+    for fr, valuation, template, var, qubits, branches, state, options in calls:
+        def rng():
+            if state is None:
+                return None
+            r = random.Random()
+            r.setstate(state)
+            return r
+
+        env = Environment(fr, valuation)
+        want = per_instance(Environment(fr, valuation), template, var, qubits,
+                            branches, rng(), **options)
+        cold = check_schematic(env, template, var, qubits, branches, rng(), **options)
+        warm = check_schematic(env, template, var, qubits, branches, rng(), **options)
+        assert cold == want, ast.pretty(template)
+        assert warm == want, ast.pretty(template)
+        refuted += sum(not r.valid for r in cold[0] + cold[1])
+    assert refuted > 0
+
+
+def test_a_session_rewrites_each_shared_node_once(monkeypatch):
+    # over teleportation's one session each branch program and the Bell
+    # state are rewritten once, where each instance used to rewrite them
+    watched, rewrites = {}, Counter()
+    real, rebuild, bell_rule = (protocols.check_schematic, ast.rebuild,
+                                desugar.RULES[ast.Bell])
+
+    def spy(env, template, var, qubits, branches, **options):
+        bell = template.left.body.right
+        assert bell == ast.Bell(0, 0, 2, 3) and len(branches) == 4
+        watched.update((id(node), node) for node in [bell, *branches.values()])
+        return real(env, template, var, qubits, branches, **options)
+
+    # a branch is rewritten part by part, the Bell state by its rule;
+    # filling rebuilds the Bell state, but never a branch
+    def counted_rebuild(node, parts):
+        rewrites[id(node)] += isinstance(node, ast.Program) and id(node) in watched
+        return rebuild(node, parts)
+
+    def counted_bell(d, f, n):
+        rewrites[id(f)] += id(f) in watched
+        return bell_rule(d, f, n)
+
+    monkeypatch.setattr(protocols, "check_schematic", spy)
+    monkeypatch.setattr(ast, "rebuild", counted_rebuild)
+    monkeypatch.setitem(desugar.RULES, ast.Bell, counted_bell)
+    protocols.teleportation(2026)
+    assert [rewrites[key] for key in watched] == [1] * 5
+
+
+def test_a_session_dies_when_its_claim_is_decided(monkeypatch):
+    sessions, decide = [], checker._decide
+    monkeypatch.setattr(checker, "_decide", lambda env, core, oracle:
+                        sessions.append(weakref.ref(env)) or decide(env, core, oracle))
+    env = Environment(Frame(1))
+    check_schematic(env, parse_formula("q -> [w](dia q)"), "q", (1,),
+                    {"a": parse_program("X_1 ; H_1"), "b": parse_program("Z_1")},
+                    rng=random.Random(7), samples=3)
+    assert len(sessions) == 9 and env._denotations and env._nodes is None
+    assert all(s() is sessions[0]() is not env for s in sessions)
+    gc.collect()
+    assert sessions[0]() is None
+
+
+def test_a_session_rechecks_a_counterexample_without_its_maps(monkeypatch):
+    # the pointwise oracle reads a session's regions but none of its maps,
+    # and under a box it runs each action on the state
+    envs, holds = [], checker._holds
+    monkeypatch.setattr(checker, "_holds",
+                        lambda env, s, f: envs.append(env) or holds(env, s, f))
+    report = protocols.teleportation(2026, drop_x=True)
+    assert not report.passed and envs
+    assert all(env._maps is None and env._nodes is not None for env in envs)
+
+
+def long_word(k):
+    """X_1 k times, as a balanced tree of ; of 2k - 1 nodes."""
+    if k == 1:
+        return ast.GateP("X", (1,))
+    return ast.SeqP(long_word(k // 2), long_word(k - k // 2))
+
+
+@pytest.mark.parametrize("text, k", [
+    # eight uses of w: a session rewrites it once but charges eight times
+    # its 1,399 rewrites, which crosses the rewrite budget before the
+    # unbound v is reached
+    (" & ".join(["[w]q"] * 8 + ["[v]q"]), 700),
+    # eqf uses each part twice: 9,213 rewrites, but a core tree of 10,599
+    # nodes, which crosses the node budget
+    ("eqf(0_1, " * 6 + "[w]q" + ")" * 6, 70),
+])
+def test_a_fill_past_the_budget_is_refused_alike_in_a_session(text, k):
+    # within the instance the session answers the later uses of a node
+    # from its memo, and those answers must cost what their rewrites did
+    env = Environment(Frame(1))
+    template = parse_formula(text)
+    with pytest.raises(InputError) as alone:
+        check_valid(env, substitute(template, {"q": ast.VecC((1,), "0"),
+                                               "w": long_word(k)}))
+    with pytest.raises(InputError) as in_session:
+        check_schematic(env, template, "q", (1,), {"long": long_word(k)})
+    assert str(in_session.value) == str(alone.value) == \
+        f"expression expands past {MAX_NODES} nodes"
 
 
 def test_random_part_state_shapes():

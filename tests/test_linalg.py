@@ -373,7 +373,8 @@ def test_ortho_eliminates_once_cold_and_never_warm(monkeypatch):
     for s in subs:
         calls.clear()
         perp = s.ortho()
-        assert calls == [s.ambient]
+        # a kernel of at most one vector needs no elimination
+        assert calls == ([s.ambient] if s.ambient - s.dim > 1 else [])
         calls.clear()
         assert s.ortho() is perp and perp.ortho() is s
         assert calls == []
