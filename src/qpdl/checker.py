@@ -37,8 +37,10 @@ or ``bell[...]``.  An answer keyed on syntax holds only while the
 valuation does, so the session takes a copy of the caller's valuation,
 which nothing can change during the call; it shares the caller's memo of
 denotations, which is keyed on meanings, so it stays warm across calls.
-A counterexample is re-checked pointwise with the session's regions but
-none of its maps: programs under a box still run one action at a time.
+A counterexample is re-checked pointwise in a second session, which
+remembers only what the re-checks computed, so a region that the
+deciding session remembers wrongly shows as a disagreement rather than
+being confirmed; programs under a box still run one action at a time.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ class Environment:
             self.valuation[name] = value
 
     # a session's answers by node identity (see ``_Session``); none here
-    _nodes = _maps = None
+    _nodes = None
 
     def lookup(self, name: str) -> Region:
         try:
@@ -91,47 +93,26 @@ class Environment:
             raise UnboundVariable(name) from None
 
 
-class _Regions(Environment):
-    """A session as the pointwise re-check sees it: the same frame,
-    valuation and memo of denotations, and the regions the session
-    remembers by node identity, but none of its maps."""
+class _Session(Environment):
+    """An environment in which ``check_schematic`` decides or re-checks
+    all of its instances: the caller's frame, a copy of its valuation,
+    its memo of denotations, and ``_nodes``, answers keyed on node
+    identity: the region of each core formula and the maps of each core
+    program.  Each node is held beside its answer, so its id is not
+    reused while the session lives."""
 
     __slots__ = ("_nodes",)
-
-    def __init__(self, session: "_Session"):
-        super().__init__(session.frame, session.valuation)
-        self._denotations = session._denotations
-        self._nodes = session._nodes
-
-
-class _Session(Environment):
-    """The environment in which ``check_schematic`` decides all of its
-    instances: the caller's frame, a copy of its valuation, its memo of
-    denotations, the desugared core of each filled node (``_cores``), and
-    answers keyed on node identity: the region of each core formula
-    (``_nodes``) and the maps of each core program (``_maps``).  Each
-    node is held beside its answer, so its id is not reused while the
-    session lives.  An instance's answers are kept past it only for the
-    nodes that the desugaring met more than once.  A counterexample is
-    re-checked pointwise in the session's ``_Regions``."""
-
-    __slots__ = ("_nodes", "_maps", "_cores", "_oracle")
 
     def __init__(self, env: Environment):
         super().__init__(env.frame, env.valuation)
         self._denotations = env._denotations
-        self._nodes, self._maps, self._cores = {}, {}, DesugarMemo()
-        self._oracle = _Regions(self)
+        self._nodes = {}
 
-    def decide(self, f: ast.Formula) -> Optional[Subspace]:
-        """``check_valid`` of the surface formula."""
-        witness = _decide(self, self._cores.formula(f, self.frame.n), self._oracle)
-        shared = self._cores.shared
-        # in place: the session's _Regions holds the same dict
-        for memo in (self._nodes, self._maps):
-            for key in [key for key in memo if key not in shared]:
-                del memo[key]
-        return witness
+    def keep(self, ids: set):
+        """Forget every answer but those for the nodes of ``ids``."""
+        nodes = self._nodes
+        for key in [key for key in nodes if key not in ids]:
+            del nodes[key]
 
 
 # ----- program denotation ----------------------------------------------------
@@ -156,7 +137,7 @@ def _denote(env: Environment, prog: ast.Program) -> tuple:
     and ``id``, S^perp for a test on S, and through ``PartialMap.then``
     the first map's kernel for a composite ending in gates.  A session
     also answers by node identity."""
-    nodes = env._maps
+    nodes = env._nodes
     if nodes is not None:
         known = nodes.get(id(prog))
         if known is not None:
@@ -491,7 +472,7 @@ def _decide(env: Environment, core: ast.Formula,
             oracle: Environment) -> Optional[Subspace]:
     """``check_valid`` of a core formula, decided in ``env`` and any
     counterexample re-verified pointwise in ``oracle``, which holds the
-    same valuation and remembers no maps."""
+    same valuation and none of the answers that ``env`` remembers."""
     witness = _eval(env, ast.Not(core)).witness()
     if witness is None:
         return None
@@ -550,13 +531,20 @@ def check_schematic(env: Environment, template: ast.Formula, var: str, qubits,
     branch."""
     fills = [(f" {label}", {"w": prog})
              for label, prog in (branches or {}).items()] or [("", {})]
-    session = _Session(env)
+    cores, session, oracle = DesugarMemo(), _Session(env), _Session(env)
+
+    def decide(f):
+        witness = _decide(session, cores.desugar(f, env.frame.n), oracle)
+        session.keep(cores.shared)
+        oracle.keep(cores.shared)
+        return witness
+
     instances = []
     for chars in itertools.product("01+", repeat=len(qubits)):
         state = ast.VecC(tuple(qubits), "".join(chars))
         filled = substitute(template, {var: state})
         for suffix, fill in fills:
-            witness = session.decide(substitute(filled, fill))
+            witness = decide(substitute(filled, fill))
             instances.append(InstanceResult(f"{var}={state.chars}{suffix}",
                                             witness is None, witness))
     union = {"w": reduce(ast.UnionP, branches.values())} if branches else {}
@@ -565,8 +553,7 @@ def check_schematic(env: Environment, template: ast.Formula, var: str, qubits,
         for k in range(samples):
             state = ast.RayF(tuple(qubits),
                              random_part_state(rng, len(qubits), real_only))
-            witness = session.decide(
-                substitute(substitute(template, {var: state}), union))
+            witness = decide(substitute(substitute(template, {var: state}), union))
             corroborations.append(
                 InstanceResult(f"random state {k + 1}", witness is None, witness))
     return tuple(instances), tuple(corroborations)

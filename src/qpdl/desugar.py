@@ -13,14 +13,15 @@ unsubstituted PVar is an UnboundVariable.  ``one`` and ``plus`` name the
 all-|1> and all-|+> product states, so they expand to one conjunct per
 qubit of the frame.
 
-A rule that uses a part twice (``eqf``, ``testable``) rewrites it twice,
-so nesting them doubles the core tree per level.  Desugaring stops with
-an InputError past ``MAX_NODES`` rewrites, and refuses a finished core
-tree of more than ``MAX_NODES`` nodes, a part used twice counting twice,
-since the evaluators walk it twice.  Through a ``DesugarMemo`` each node
-is rewritten once, later uses answering with the same core tree and
-charging the budgets what its first rewrite cost, so the refusals stay
-the same.
+A rule that uses a part twice (``eqf``, ``testable``) uses its core
+tree twice, so nesting them doubles the core tree per level.  Desugaring
+stops with an InputError past ``MAX_NODES`` rewrites, and refuses a
+finished core tree of more than ``MAX_NODES`` nodes, a part used twice
+counting twice, since the evaluators walk it twice.  Every desugaring
+goes through a ``DesugarMemo``, which rewrites each node but a leaf
+once: a later use answers with the same core tree and charges the
+budgets what its first rewrite cost, so an input is refused as if every
+use were rewritten.
 """
 
 from __future__ import annotations
@@ -152,16 +153,18 @@ RULES = {
 
 
 class DesugarMemo:
-    """The core trees of many desugarings whose trees share nodes, such
-    as the instances of one schema, each shared node desugared once.
+    """The core trees of one or more desugarings, each node rewritten
+    once: a part that a rule uses twice, or the shared nodes of a
+    schema's instances.
 
     ``cores`` is kept per (id(node), n), the node held beside its core
-    tree and the rewrites that made it, and ``sizes`` per id(core), the
-    core held beside the nodes of its tree counted as ``_desugar`` counts
-    them.  A remembered node charges both to the budgets again, so each
-    input is refused exactly when a desugaring without the memo refuses
-    it.  ``shared`` holds the id of each core tree answered from the memo,
-    so met more than once."""
+    tree and the rewrites that made it, and ``sizes`` per id of such a
+    core tree, the nodes it holds, a part used twice counting twice.  A
+    leaf is its own core tree of one node and is not remembered.  A
+    remembered node charges both counts to the budgets again, so an input
+    is refused exactly when rewriting every use of a part refuses it.
+    ``shared`` holds the id of each core tree answered from the memo, so
+    met more than once."""
 
     __slots__ = ("cores", "sizes", "shared")
 
@@ -170,38 +173,35 @@ class DesugarMemo:
         self.sizes = {}
         self.shared = set()
 
-    def keep(self, node, n: int, core, rewrites: int):
-        """Remember ``core`` as the core tree of ``node`` at n qubits, made
-        by ``rewrites`` rewrites, and count its nodes, a remembered core
-        counting as many as its tree holds."""
-        self.cores[id(node), n] = (node, core, rewrites)
-        if id(core) in self.sizes:
-            return
-        size, todo = 0, [core]
+    def size(self, core) -> int:
+        """The nodes of ``core``, a remembered core counting as many as
+        its tree holds."""
+        sizes, size, todo = self.sizes, 0, [core]
         while todo:
             part = todo.pop()
-            known = self.sizes.get(id(part))
+            known = sizes.get(id(part))
             if known is None:
                 size += 1
                 todo.extend(ast.parts(part))
             else:
-                size += known[1]
-        self.sizes[id(core)] = (core, size)
+                size += known
+        return size
 
-    def formula(self, node: ast.Formula, n: int) -> ast.Formula:
-        """``desugar_formula`` through the memo."""
-        if not isinstance(node, ast.Formula):
-            raise TypeError(f"not a formula node: {node!r}")
-        return _desugar(node, n, self)
+    def desugar(self, node, n: int):
+        """The core tree of ``node``, refused past MAX_NODES rewrites or
+        MAX_NODES nodes."""
+        tree = _Desugaring(self).core(node, n)
+        _Desugaring(self).spend(self.sizes.get(id(tree), 1))
+        return tree
 
 
 class _Desugaring:
     """A budget of MAX_NODES steps: the rewrites of one desugaring, or
-    the nodes of its core tree as ``_desugar`` counts them."""
+    the nodes of its core tree."""
 
     __slots__ = ("left", "memo")
 
-    def __init__(self, memo: DesugarMemo | None = None):
+    def __init__(self, memo: DesugarMemo):
         self.left = MAX_NODES
         self.memo = memo
 
@@ -211,48 +211,41 @@ class _Desugaring:
             raise InputError(f"expression expands past {MAX_NODES} nodes")
 
     def core(self, node, n: int):
-        memo = self.memo
-        if memo is not None:
-            known = memo.cores.get((id(node), n))
-            if known is not None:
-                self.spend(known[2])
-                memo.shared.add(id(known[1]))
-                return known[1]
-            before = self.left
-        self.spend()
         rule = RULES.get(type(node))
+        if rule is None:
+            parts = ast.parts(node)
+            if not parts:
+                self.spend()
+                return node
+        memo = self.memo
+        known = memo.cores.get((id(node), n))
+        if known is not None:
+            self.spend(known[2])
+            memo.shared.add(id(known[1]))
+            return known[1]
+        before = self.left
+        self.spend()
         if rule is not None:
             out = rule(self, node, n)
+            size = memo.size(out)
         else:
-            parts = ast.parts(node)
-            out = ast.rebuild(node, map(self.core, parts, repeat(n))) if parts else node
-        if memo is not None:
-            memo.keep(node, n, out, before - self.left)
+            # one node more than its parts' trees, without a walk
+            parts = tuple(map(self.core, parts, repeat(n)))
+            out, sizes, size = ast.rebuild(node, parts), memo.sizes, 1
+            for part in parts:
+                size += sizes.get(id(part), 1)
+        memo.cores[id(node), n] = (node, out, before - self.left)
+        memo.sizes[id(out)] = size
         return out
-
-
-def _desugar(node, n: int, memo: DesugarMemo | None = None):
-    """The core tree of ``node``, refused past MAX_NODES rewrites or
-    MAX_NODES nodes, a part that a rule uses twice counting twice."""
-    tree = _Desugaring(memo).core(node, n)
-    budget = _Desugaring()
-    if memo is not None:
-        budget.spend(memo.sizes[id(tree)][1])
-        return tree
-    todo = [tree]
-    while todo:
-        budget.spend()
-        todo.extend(ast.parts(todo.pop()))
-    return tree
 
 
 def desugar_formula(node: ast.Formula, n: int) -> ast.Formula:
     if not isinstance(node, ast.Formula):
         raise TypeError(f"not a formula node: {node!r}")
-    return _desugar(node, n)
+    return DesugarMemo().desugar(node, n)
 
 
 def desugar_program(node: ast.Program, n: int) -> ast.Program:
     if not isinstance(node, ast.Program):
         raise TypeError(f"not a program node: {node!r}")
-    return _desugar(node, n)
+    return DesugarMemo().desugar(node, n)

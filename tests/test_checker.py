@@ -840,15 +840,20 @@ def test_a_session_dies_when_its_claim_is_decided(monkeypatch):
     assert sessions[0]() is None
 
 
-def test_a_session_rechecks_a_counterexample_without_its_maps(monkeypatch):
-    # the pointwise oracle reads a session's regions but none of its maps,
-    # and under a box it runs each action on the state
-    envs, holds = [], checker._holds
-    monkeypatch.setattr(checker, "_holds",
-                        lambda env, s, f: envs.append(env) or holds(env, s, f))
-    report = protocols.teleportation(2026, drop_x=True)
-    assert not report.passed and envs
-    assert all(env._maps is None and env._nodes is not None for env in envs)
+def test_a_region_a_session_remembers_wrongly_is_a_disagreement(monkeypatch):
+    # the pointwise re-check keeps its own answers, so a wrong region in
+    # the deciding session's memo is caught rather than confirmed
+    decide = checker._decide
+
+    def poisoned(env, core, oracle):
+        assert oracle is not env and oracle._nodes is not env._nodes
+        env._nodes[id(core.left)] = (core.left, Region.empty(env.frame.dim))
+        return decide(env, core, oracle)
+
+    monkeypatch.setattr(checker, "_decide", poisoned)
+    with pytest.raises(RuntimeError, match="disagree"):
+        check_schematic(Environment(Frame(1)), parse_formula("eqi{1}(q & q, q)"),
+                        "q", (1,))
 
 
 def long_word(k):
