@@ -15,7 +15,10 @@ alone under a box, by reachability, or in localp; anywhere else it is
 UnsupportedShape.  An environment remembers each tuple it denotes,
 keyed on meanings rather than syntax (see ``_denote``), so the branches
 of a protocol are composed once however many claims and input states
-use them.
+use them.  [f?]false, which box, dia, leq, eqf, perpf, testable and
+dom(f?) desugar to, is read as the kernel of the test, closure(f)^perp,
+without denoting it: a test's projector is built only when the test is
+composed, imaged or boxed over a body other than false.
 
 A counterexample found symbolically is re-checked pointwise before it
 is reported; the two evaluators share no interpretation code for the
@@ -251,6 +254,9 @@ def _eval(env: Environment, f: ast.Formula) -> Region:
                     "[T{I}] needs a concrete state")
             valid = _eval(env, f.body).complement().is_empty()
             region = Region.full(dim) if valid else Region.empty(dim)
+        elif isinstance(f.prog, ast.Test) and isinstance(f.body, ast.FalseF):
+            # [S?]false is the kernel S^perp of the test: no projector
+            region = Region.of_subspace(_eval(env, f.prog.formula).closure().ortho())
         else:
             region = wp(_denote(env, f.prog), _eval(env, f.body))
     elif isinstance(f, ast.EqI):

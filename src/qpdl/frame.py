@@ -67,8 +67,10 @@ normalised without elimination.
 Scalars appear only at the boundary: parsed and printed amplitudes,
 and the part-states that ``state_lift`` takes.
 Preimages are kernels against a basis of the orthocomplement, and
-containment is one product with it; only tests (f?) need an orthogonal
-projector, built by solving one system in the Gram matrix.
+containment is one product with it.  An orthogonal projector, built by
+solving one system in the Gram matrix, is needed only for a test (f?)
+that is composed, imaged or boxed over a body other than false; the
+checker reads [f?]false as the kernel closure(f)^perp.
 """
 
 from __future__ import annotations

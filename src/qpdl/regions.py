@@ -20,8 +20,10 @@ Negatives are ordered by dimension and then by the integer rows of their
 unique bases (``Matrix.sort_key``), never through Fractions, so a Term is
 a value, the tuple (positive, negatives), and a Region drops repeated
 terms by hashing.
-The measurement modalities box and dia have no code of their own here;
-the checker reaches them as tests (f?), through ``wp``.
+The measurement modalities box and dia have no code of their own here.
+They desugar to [f?]false, which the checker reads as the subspace
+closure(f)^perp without ``wp``; a test reaches ``wp`` only when it is
+composed, imaged or boxed over a body other than false.
 """
 
 from __future__ import annotations

@@ -569,28 +569,34 @@ def test_valid_scales_to_eight_qubits():
 
 # ----- 13: a deterministic cost for verify all ---------------------------------
 
-# Counts linalg._eliminate calls over `qpdl verify all --seed 2026` and
-# prints the exit code, the count and the sha256 of stdout.
+# Counts linalg._eliminate calls and Matrix.solve calls (one per test
+# projector built) over `qpdl verify all --seed 2026` and prints the exit
+# code, the two counts and the sha256 of stdout.
 ELIMINATION_PROBE = """\
 import contextlib, hashlib, io
 from qpdl import linalg
 from qpdl.cli import main
-calls = 0
-eliminate = linalg._eliminate
+calls = solves = 0
+eliminate, solve = linalg._eliminate, linalg.Matrix.solve
 def counted(work, cols):
     global calls
     calls += 1
     return eliminate(work, cols)
-linalg._eliminate = counted
+def counted_solve(self, rhs):
+    global solves
+    solves += 1
+    return solve(self, rhs)
+linalg._eliminate, linalg.Matrix.solve = counted, counted_solve
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = main(["verify", "all", "--seed", "2026"])
-print(code, calls, hashlib.sha256(out.getvalue().encode()).hexdigest())
+print(code, calls, solves, hashlib.sha256(out.getvalue().encode()).hexdigest())
 """
 
 VERIFY_ALL_SHA256 = \
     "bad8e8100fbefb3faf375c3fc4ce3d8549ece5775dd85bb3bae26bbf6ca9a08a"
-MAX_VERIFY_ALL_ELIMINATIONS = 6_050
+MAX_VERIFY_ALL_ELIMINATIONS = 5_900
+MAX_VERIFY_ALL_PROJECTORS = 195
 
 
 def fresh_process(args, timeout):
@@ -608,11 +614,13 @@ def test_verify_all_elimination_count():
     # garbage collection left pending by one can move the count
     proc = fresh_process(["-c", ELIMINATION_PROBE], timeout=120)
     assert proc.returncode == 0, proc.stderr
-    code, calls, digest = proc.stdout.split()
+    code, calls, solves, digest = proc.stdout.split()
     assert (code, digest) == ("0", VERIFY_ALL_SHA256)
     assert int(calls) <= MAX_VERIFY_ALL_ELIMINATIONS, calls
-    return (f"{calls} eliminations over qpdl verify all --seed 2026 "
-            f"<= {MAX_VERIFY_ALL_ELIMINATIONS}")
+    assert int(solves) <= MAX_VERIFY_ALL_PROJECTORS, solves
+    return (f"{calls} eliminations <= {MAX_VERIFY_ALL_ELIMINATIONS} and "
+            f"{solves} projectors <= {MAX_VERIFY_ALL_PROJECTORS} over "
+            f"qpdl verify all --seed 2026")
 
 
 # Prints the verdict of `qpdl valid -n 10` on a claim and the row count

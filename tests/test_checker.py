@@ -42,7 +42,7 @@ from qpdl.protocols import (
     _random_subspace,
     _random_word,
 )
-from qpdl.regions import Region, wp_map
+from qpdl.regions import Region, make_term, wp, wp_map
 
 from exact_reference import product_ray, same_rayset
 
@@ -602,6 +602,85 @@ def test_a_test_runs_as_the_sasaki_projection():
             assert out == PartialMap(sub.projector()).image_of(s)
             zeros += out.is_zero()
     assert zeros > 0
+
+
+# ----- [f?]false read as the kernel of the test ---------------------------------------
+
+
+def kernel_read_valuations(rng, fr):
+    """Values for p: a subspace, a union of two, a term with a negative,
+    and the zero and full spans."""
+    sub = functools.partial(_random_subspace, rng, fr)
+    plane = sub()
+    while plane.dim < 2:
+        plane = sub()
+    yield Region.of_subspace(sub())
+    yield Region.of_subspace(sub()).union(Region.of_subspace(sub()))
+    yield Region(fr.dim, [make_term(plane, [plane.any_ray()])])
+    yield Region.empty(fr.dim)
+    yield Region.full(fr.dim)
+
+
+def basis_rays(fr):
+    return [fr.ray([int(k == j) for k in range(fr.dim)]) for j in range(fr.dim)]
+
+
+def test_a_test_boxed_over_false_is_the_kernel_of_its_projector_map():
+    # the region wp builds from the test's map, and the pointwise oracle,
+    # which runs the test as a Sasaki projection, at basis rays and witnesses
+    rng = random.Random(570)
+    cases = 0
+    for n in (1, 2, 3):
+        fr = Frame(n)
+        for value in kernel_read_valuations(rng, fr):
+            env = Environment(fr, {"p": value})
+            session = checker._Session(env)
+            for f in (ast.Var("p"), ast.Not(ast.Var("p"))):
+                # dia f is the complement of [f?]false; <f?>true boxes over
+                # !true, not false, and keeps the general path
+                none = ast.Box(ast.Test(f), ast.FalseF())
+                dia = ast.Not(none)
+                closed = checker._eval(env, f).closure()
+                want = wp((PartialMap(closed.projector(), closed.ortho()),),
+                          Region.empty(fr.dim))
+                assert checker._eval(env, none).terms == want.terms
+                # a session answers alike, cold and from its memo
+                assert checker._eval(session, none).terms == want.terms
+                assert checker._eval(session, none).terms == want.terms
+                for core in (none, dia):
+                    region = checker._eval(env, core)
+                    rays = basis_rays(fr) + [
+                        r for r in (region.witness(), region.complement().witness())
+                        if r is not None]
+                    for s in rays:
+                        assert checker._holds(env, s, core) == region.contains_ray(s)
+                        assert checker._holds(session, s, core) == \
+                            region.contains_ray(s)
+                cases += 1
+    assert cases == 30
+    # the test's formula is evaluated first and raises as it does under _denote
+    env = Environment(Frame(2))
+    with pytest.raises(UnboundVariable):
+        checker._eval(env, ast.Box(ast.Test(ast.Var("v")), ast.FalseF()))
+    with pytest.raises(SpatialAtomInSymbolicMode):
+        checker._eval(env, ast.Box(ast.Test(ast.Top((1,))), ast.FalseF()))
+
+
+def test_global_judgements_build_no_projector(monkeypatch):
+    # Matrix.solve is the one elimination that builds a test's projector
+    rng = random.Random(571)
+    fr = Frame(2)
+    solves, solve = [], Matrix.solve
+    monkeypatch.setattr(Matrix, "solve",
+                        lambda self, rhs: solves.append(1) or solve(self, rhs))
+    for _ in range(10):
+        env = env_pq(rng, fr)
+        for text in ("leq(p, q)", "eqf(p, q)", "box p -> box p"):
+            check_valid(env, parse_formula(text))
+    assert solves == []
+    # a test boxed over anything but false still denotes its map
+    check_valid(env_pq(rng, fr), parse_formula("[p?]q -> [p?]q"))
+    assert solves
 
 
 # ----- schematic machinery -----------------------------------------------------------
