@@ -18,7 +18,11 @@ of a protocol are composed once however many claims and input states
 use them.  [f?]false, which box, dia, leq, eqf, perpf, testable and
 dom(f?) desugar to, is read as the kernel of the test, closure(f)^perp,
 without denoting it: a test's projector is built only when the test is
-composed, imaged or boxed over a body other than false.
+composed, imaged or boxed over a body other than false.  A test on
+![g?]false is read one step further: [(![g?]false)?]false, which is
+box box x and so leq, eqf, perpf and testable, with g = !x, is every
+state when g is empty and none otherwise, with no closure, ortho or
+complement.
 
 A counterexample found symbolically is re-checked pointwise before it
 is reported; the two evaluators share no interpretation code for the
@@ -64,7 +68,7 @@ from .errors import (
 )
 from .frame import Frame, PartialMap, Subspace
 from .linalg import GaussianRational, Matrix
-from .regions import Region, wp
+from .regions import Region, make_term, wp
 
 
 class Environment:
@@ -255,8 +259,14 @@ def _eval(env: Environment, f: ast.Formula) -> Region:
             valid = _eval(env, f.body).complement().is_empty()
             region = Region.full(dim) if valid else Region.empty(dim)
         elif isinstance(f.prog, ast.Test) and isinstance(f.body, ast.FalseF):
-            # [S?]false is the kernel S^perp of the test: no projector
-            region = Region.of_subspace(_eval(env, f.prog.formula).closure().ortho())
+            inner = _untested(f.prog.formula)
+            if inner is not None:
+                # [(![g?]false)?]false: every state when g is empty, else none
+                region = (Region.full(dim) if _eval(env, inner).is_empty()
+                          else Region.empty(dim))
+            else:
+                # [S?]false is the kernel S^perp of the test: no projector
+                region = Region.of_subspace(_eval(env, f.prog.formula).closure().ortho())
         else:
             region = wp(_denote(env, f.prog), _eval(env, f.body))
     elif isinstance(f, ast.EqI):
@@ -280,6 +290,20 @@ def _eval(env: Environment, f: ast.Formula) -> Region:
     return region
 
 
+def _untested(f: ast.Formula) -> Optional[ast.Formula]:
+    """g when ``f`` is ![g?]false, else None.
+
+    [g?]false is closure(g)^perp, so ![g?]false has closure 0 when g is
+    empty and the whole space otherwise: [(![g?]false)?]false, the kernel
+    of a test on it, is every state or none."""
+    if isinstance(f, ast.Not):
+        body = f.body
+        if (isinstance(body, ast.Box) and isinstance(body.prog, ast.Test)
+                and isinstance(body.body, ast.FalseF)):
+            return body.prog.formula
+    return None
+
+
 def _component_region(env: Environment, f: ast.Component) -> Region:
     """cmp{I}(g) is symbolic only when g denotes a single part-state:
     the lift of that state is λ s . s_I = g, a subspace."""
@@ -297,14 +321,13 @@ def _component_region(env: Environment, f: ast.Component) -> Region:
 def _image_region(env: Environment, f: ast.Img) -> Region:
     maps = _denote(env, f.prog)
     inner = _eval(env, f.body)
-    out = Region.empty(env.frame.dim)
+    images = []
     for t in inner.terms:
         if t.negatives:
             raise UnsupportedShape(
                 "images are taken of unions of subspaces only")
-        for pm in maps:
-            out = out.union(Region.of_subspace(pm.image_of(t.positive)))
-    return out
+        images += (make_term(pm.image_of(t.positive), ()) for pm in maps)
+    return Region(env.frame.dim, images)
 
 
 # ----- component and locality judgements --------------------------------------

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import reduce
+from functools import cache, reduce
 
-from .ast import TopP, pretty
+from .ast import TopP, Var, pretty
 from .checker import (
     Environment,
     check_state,
@@ -43,14 +43,27 @@ def _load_state(path: str, n: int) -> Subspace:
     return state
 
 
+def _is_variable(name: str) -> bool:
+    """Whether a formula can name ``name``: it reads alone as that
+    variable, so it is a word and neither a keyword nor a gate."""
+    try:
+        return parse_formula(name) == Var(name)
+    except ParseError:
+        return False
+
+
 def _bindings(pairs, n: int) -> dict:
     """-b name=@file binds a state (a ray's span); -b name=span:@f1,@f2 the
     span of several."""
     out = {}
     for raw in pairs or ():
         name, eq, rhs = raw.partition("=")
-        if not eq or not name.isidentifier():
+        if not eq:
             raise InputError(f"bad binding {raw!r}, expected name=@file")
+        if not _is_variable(name):
+            raise InputError(f"bad binding {raw!r}, {name!r} is not a variable: "
+                             f"a letter, then letters, digits or _, "
+                             f"not a keyword or a gate")
         if rhs.startswith("span:"):
             states = []
             for part in rhs[len("span:"):].split(","):
@@ -154,7 +167,10 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as
+    it was, each call getting its own namespace."""
     top = argparse.ArgumentParser(
         prog="qpdl",
         description="Exact model checker for a dynamic logic of "

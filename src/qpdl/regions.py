@@ -24,12 +24,21 @@ The measurement modalities box and dia have no code of their own here.
 They desugar to [f?]false, which the checker reads as the subspace
 closure(f)^perp without ``wp``; a test reaches ``wp`` only when it is
 composed, imaged or boxed over a body other than false.
+
+A Region is never changed once built, so ``Region.empty(n)`` and
+``Region.full(n)`` are one object per ambient dimension, and an
+operation may answer with an operand.  ``intersect`` answers with the
+other operand when one is empty or structurally full (one term, the
+whole space, no cuts), ``union`` when one is empty, and ``complement``
+swaps the empty and the full region: in each case the general loop
+would rebuild those very terms in the same order, so witnesses are
+unchanged.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import reduce
+from functools import cache, reduce
 from typing import Iterable, NamedTuple, Optional
 
 from .frame import PartialMap, Subspace
@@ -112,7 +121,8 @@ def make_term(positive: Subspace, negatives: Iterable[Subspace]) -> Optional[Ter
 
 
 class Region:
-    """A finite union of normalised terms over a fixed ambient dimension."""
+    """A finite union of normalised terms over a fixed ambient dimension,
+    never changed once built."""
 
     __slots__ = ("ambient", "terms")
 
@@ -123,16 +133,20 @@ class Region:
         self.terms = tuple(uniq)
 
     @staticmethod
+    @cache
     def empty(ambient: int) -> "Region":
         return Region(ambient)
 
     @staticmethod
+    @cache
     def full(ambient: int) -> "Region":
-        return Region(ambient, [make_term(Subspace.full(ambient), [])])
+        return Region(ambient, (Term(Subspace.full(ambient), ()),))
 
     @staticmethod
     def of_subspace(sub: Subspace) -> "Region":
-        return Region(sub.ambient, [make_term(sub, [])])
+        if sub.is_zero():
+            return Region.empty(sub.ambient)
+        return Region(sub.ambient, (Term(sub, ()),))
 
     def is_empty(self) -> bool:
         """Whether the region has no rays: terms are normalised, so a
@@ -142,12 +156,34 @@ class Region:
     def contains_ray(self, ray: Subspace) -> bool:
         return any(t.contains_ray(ray) for t in self.terms)
 
+    def _is_full(self) -> bool:
+        """Whether the region is one term of every ray: structural, so a
+        region of several terms that covers every ray is not full here."""
+        terms = self.terms
+        return (len(terms) == 1 and not terms[0].negatives
+                and terms[0].positive.is_full())
+
     def union(self, other: "Region") -> "Region":
+        """The terms of both, self's first; an empty operand gives back
+        the other."""
         self._same_ambient(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         return Region(self.ambient, self.terms + other.terms)
 
     def intersect(self, other: "Region") -> "Region":
+        """The meet of each pair of terms, self's terms outermost.  An
+        empty operand is the answer, and so is the other operand when
+        one is full: meeting a normalised term with the full term
+        rebuilds it, so the loop would give back the other's terms in
+        their order."""
         self._same_ambient(other)
+        if not self.terms or other._is_full():
+            return self
+        if not other.terms or self._is_full():
+            return other
         out = []
         for a in self.terms:
             for b in other.terms:
@@ -156,7 +192,12 @@ class Region:
         return Region(self.ambient, out)
 
     def complement(self) -> "Region":
-        """De Morgan over the DNF; complement of a term is a small union."""
+        """De Morgan over the DNF; complement of a term is a small union.
+        The empty and the full region swap without the loop."""
+        if not self.terms:
+            return Region.full(self.ambient)
+        if self._is_full():
+            return Region.empty(self.ambient)
         result = Region.full(self.ambient)
         for t in self.terms:
             parts = [make_term(Subspace.full(self.ambient), [t.positive])]

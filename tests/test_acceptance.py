@@ -569,15 +569,16 @@ def test_valid_scales_to_eight_qubits():
 
 # ----- 13: a deterministic cost for verify all ---------------------------------
 
-# Counts linalg._eliminate calls and Matrix.solve calls (one per test
-# projector built) over `qpdl verify all --seed 2026` and prints the exit
-# code, the two counts and the sha256 of stdout.
+# Counts linalg._eliminate calls, Matrix.solve calls (one per test
+# projector built) and Region constructions over `qpdl verify all --seed
+# 2026` and prints the exit code, the three counts and the sha256 of stdout.
 ELIMINATION_PROBE = """\
 import contextlib, hashlib, io
-from qpdl import linalg
+from qpdl import linalg, regions
 from qpdl.cli import main
-calls = solves = 0
+calls = solves = built = 0
 eliminate, solve = linalg._eliminate, linalg.Matrix.solve
+init = regions.Region.__init__
 def counted(work, cols):
     global calls
     calls += 1
@@ -586,17 +587,23 @@ def counted_solve(self, rhs):
     global solves
     solves += 1
     return solve(self, rhs)
+def counted_init(self, *args):
+    global built
+    built += 1
+    init(self, *args)
 linalg._eliminate, linalg.Matrix.solve = counted, counted_solve
+regions.Region.__init__ = counted_init
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = main(["verify", "all", "--seed", "2026"])
-print(code, calls, solves, hashlib.sha256(out.getvalue().encode()).hexdigest())
+print(code, calls, solves, built, hashlib.sha256(out.getvalue().encode()).hexdigest())
 """
 
 VERIFY_ALL_SHA256 = \
     "bad8e8100fbefb3faf375c3fc4ce3d8549ece5775dd85bb3bae26bbf6ca9a08a"
-MAX_VERIFY_ALL_ELIMINATIONS = 5_900
+MAX_VERIFY_ALL_ELIMINATIONS = 5_700
 MAX_VERIFY_ALL_PROJECTORS = 195
+MAX_VERIFY_ALL_REGIONS = 23_500
 
 
 def fresh_process(args, timeout):
@@ -614,12 +621,14 @@ def test_verify_all_elimination_count():
     # garbage collection left pending by one can move the count
     proc = fresh_process(["-c", ELIMINATION_PROBE], timeout=120)
     assert proc.returncode == 0, proc.stderr
-    code, calls, solves, digest = proc.stdout.split()
+    code, calls, solves, built, digest = proc.stdout.split()
     assert (code, digest) == ("0", VERIFY_ALL_SHA256)
     assert int(calls) <= MAX_VERIFY_ALL_ELIMINATIONS, calls
     assert int(solves) <= MAX_VERIFY_ALL_PROJECTORS, solves
-    return (f"{calls} eliminations <= {MAX_VERIFY_ALL_ELIMINATIONS} and "
-            f"{solves} projectors <= {MAX_VERIFY_ALL_PROJECTORS} over "
+    assert int(built) <= MAX_VERIFY_ALL_REGIONS, built
+    return (f"{calls} eliminations <= {MAX_VERIFY_ALL_ELIMINATIONS}, "
+            f"{solves} projectors <= {MAX_VERIFY_ALL_PROJECTORS} and "
+            f"{built} regions <= {MAX_VERIFY_ALL_REGIONS} over "
             f"qpdl verify all --seed 2026")
 
 

@@ -683,6 +683,97 @@ def test_global_judgements_build_no_projector(monkeypatch):
     assert solves
 
 
+def general_intersect(a, b):
+    """Region.intersect's loop, over every pair of terms."""
+    return Region(a.ambient, [make_term(x.positive.meet(y.positive),
+                                        x.negatives + y.negatives)
+                              for x in a.terms for y in b.terms])
+
+
+def general_complement(a):
+    """Region.complement's loop, from a full region built by make_term."""
+    full = Subspace.full(a.ambient)
+    result = Region(a.ambient, [make_term(full, [])])
+    for t in a.terms:
+        parts = [make_term(full, [t.positive])] + [make_term(b, []) for b in t.negatives]
+        result = general_intersect(result, Region(a.ambient, parts))
+    return result
+
+
+def test_empty_and_full_operands_give_the_terms_of_the_general_loop():
+    rng = random.Random(572)
+    for n in (1, 2, 3):
+        fr = Frame(n)
+        assert Region.full(fr.dim) is Region.full(fr.dim)
+        assert Region.empty(fr.dim) is Region.empty(fr.dim)
+        assert Region.of_subspace(Subspace.zero(fr.dim)) is Region.empty(fr.dim)
+        sub = _random_subspace(rng, fr)
+        assert Region.of_subspace(sub).terms == (make_term(sub, []),)
+        assert Region.full(fr.dim).terms == (make_term(Subspace.full(fr.dim), []),)
+        values = list(kernel_read_valuations(rng, fr))
+        # full built another way; the full positive part less a cut, and
+        # every ray in two terms, which are not structurally full
+        outside = Region.of_subspace(sub).complement()
+        values += [Region.of_subspace(Subspace.full(fr.dim)), outside,
+                   Region.of_subspace(sub).union(outside)]
+        for a in values:
+            assert a.complement().terms == general_complement(a).terms
+            for b in values:
+                assert a.intersect(b).terms == general_intersect(a, b).terms
+                assert a.union(b).terms == Region(fr.dim, a.terms + b.terms).terms
+                assert a.intersect(b).witness() == general_intersect(a, b).witness()
+
+
+def box_of_box(g):
+    """[(![g?]false)?]false."""
+    none = ast.Box(ast.Test(g), ast.FalseF())
+    return ast.Box(ast.Test(ast.Not(none)), ast.FalseF())
+
+
+def test_a_box_of_a_box_is_an_emptiness_test():
+    # the region the closure-ortho-complement tower builds, and the
+    # pointwise oracle, at basis rays and witnesses
+    rng = random.Random(573)
+    cases = 0
+    for n in (1, 2, 3):
+        fr = Frame(n)
+        for value in kernel_read_valuations(rng, fr):
+            env = Environment(fr, {"p": value, "q": _random_region(rng, fr)})
+            session = checker._Session(env)
+            p, q = ast.Var("p"), ast.Var("q")
+            for g in (p, ast.Not(p), ast.And(p, ast.Not(q))):
+                core = box_of_box(g)
+                kernel = Region.of_subspace(checker._eval(env, g).closure().ortho())
+                tower = Region.of_subspace(kernel.complement().closure().ortho())
+                assert checker._eval(env, core).terms == tower.terms
+                # a session answers alike, cold and from its memo
+                assert checker._eval(session, core).terms == tower.terms
+                assert checker._eval(session, core).terms == tower.terms
+                # a box over anything but false inside is the kernel read
+                near = ast.Box(ast.Test(ast.Not(ast.Box(ast.Test(g), ast.TrueF()))),
+                               ast.FalseF())
+                assert checker._eval(env, near).terms == Region.full(fr.dim).terms
+                for f in (core, ast.Not(core)):
+                    region = checker._eval(env, f)
+                    rays = basis_rays(fr) + [
+                        r for r in (region.witness(), region.complement().witness())
+                        if r is not None]
+                    for s in rays:
+                        assert checker._holds(env, s, f) == region.contains_ray(s)
+                        assert checker._holds(session, s, f) == region.contains_ray(s)
+                cases += 1
+    assert cases == 45
+    # box box x is the case g = !x, so the global judgements take this path
+    for text in ("box box p", "leq(p, q)", "perpf(p, q)", "testable(p)"):
+        core = desugar_formula(parse_formula(text), 2)
+        assert core == box_of_box(core.prog.formula.body.prog.formula)
+        assert isinstance(core.prog.formula.body.prog.formula, ast.Not)
+    # g is evaluated, and raises, as under the tower
+    for env in (Environment(Frame(2)), checker._Session(Environment(Frame(2)))):
+        with pytest.raises(UnboundVariable):
+            checker._eval(env, box_of_box(ast.Var("v")))
+
+
 # ----- schematic machinery -----------------------------------------------------------
 
 

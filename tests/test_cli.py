@@ -336,10 +336,44 @@ def test_bad_bindings_exit_two(tmp_path, capsys):
         code, _, err = run(capsys, ["valid", "-n", "1", "-b", bind, "p"])
         assert code == 2
         assert err.startswith("error:")
+    # a name no formula can reference: a keyword, a gate or gate word, a
+    # leading underscore, a non-ASCII letter, a space; the state file is
+    # not read
+    for name in ["box", "dia", "X", "CNOT", "H_1", "flip_1_2", "_p", "\u00f1",
+                 "p q", " p", "p1 ", ""]:
+        code, out, err = run(capsys, ["valid", "-n", "1", "-b", f"{name}=@nope",
+                                      "p -> p"])
+        assert (code, out) == (2, "")
+        assert err == (f"error: bad binding {name + '=@nope'!r}, {name!r} is not "
+                       f"a variable: a letter, then letters, digits or _, "
+                       f"not a keyword or a gate\n")
+    # letters, digits and _ after a letter are variables, bound and read
+    for name in ["p", "P0", "p_1", "Ab9_", "CNOT_1"]:
+        code, out, _ = run(capsys, ["valid", "-n", "1", "-b", f"{name}=@{zero}",
+                                    f"{name} -> 0_1"])
+        assert (code, out) == (0, "VALID\n")
     # dimension mismatch between the file and -n
     code, _, err = run(capsys, ["valid", "-n", "2", "-b", f"p=@{zero}", "p"])
     assert code == 2
     assert "expected n=2" in err
+
+
+def test_parser_is_built_once_and_each_call_keeps_its_own_result(tmp_path, capsys):
+    assert qpdl.cli._build_parser() is qpdl.cli._build_parser()
+    zero = write_state(tmp_path, "zero.state", "n=1\n1 0\n0 0\n")
+    # a binding list is the call's own: p bound by the first call is
+    # unbound in the second
+    assert run(capsys, ["valid", "-n", "1", "-b", f"p=@{zero}", "p -> 0_1"]) == \
+        (0, "VALID\n", "")
+    assert run(capsys, ["valid", "-n", "1", "p -> 0_1"]) == \
+        (2, "", "error: unbound variable 'p'\n")
+    code, out, err = run(capsys, ["valid", "-n", "1", "-b", f"q=@{zero}", "q -> 1_1"])
+    assert (code, out.splitlines()[0], err) == (1, "COUNTEREXAMPLE:", "")
+    with pytest.raises(SystemExit) as exc:
+        main(["valid", "p"])
+    assert exc.value.code == 2
+    assert "-n" in capsys.readouterr().err
+    assert run(capsys, ["parse", "p"]) == (0, "formula: p\n", "")
 
 
 def test_huge_state_file_header_exits_two(tmp_path, capsys):
