@@ -142,7 +142,8 @@ def _denote(env: Environment, prog: ast.Program) -> tuple:
 
     A map takes the kernel that is known when it is built: 0 for a gate
     and ``id``, S^perp for a test on S, and through ``PartialMap.then``
-    the first map's kernel for a composite ending in gates.  A session
+    the first map's kernel for a composite ending in gates.  Gates and
+    ``id`` are also marked unitary, and so is a word of them.  A session
     also answers by node identity."""
     nodes = env._nodes
     if nodes is not None:
@@ -169,7 +170,7 @@ def _denote(env: Environment, prog: ast.Program) -> tuple:
             maps = (env.frame.gate(prog.kind, prog.targets),)
         elif isinstance(prog, ast.Id):
             maps = (PartialMap(Matrix.identity(env.frame.dim),
-                               Subspace.zero(env.frame.dim)),)
+                               Subspace.zero(env.frame.dim), unitary=True),)
         elif isinstance(prog, ast.Test):
             # the projector onto S is undefined exactly on S^perp
             maps = (PartialMap(key.projector(), key.ortho()),)

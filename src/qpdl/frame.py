@@ -23,9 +23,11 @@ known when it is built carries it from construction: a gate lift has
 kernel 0, as every gate is invertible, and f followed by a map of kernel
 0 has f's kernel; the checker seeds ``id`` (kernel 0) and a test on S
 (kernel S^perp) the same way.  Any other kernel is computed on first
-use.  Each map remembers its kernel and the image and closed preimage
-of every subspace it was asked about, keyed on the interned subspace
-and kept alive with the map.
+use.  A gate lift, ``id`` and a word of them are also marked unitary
+(up to a positive scalar) when built; the mark is never inferred.  Each
+map remembers its kernel and the image and closed preimage of every
+subspace it was asked about, keyed on the interned subspace and kept
+alive with the map.
 
 What is remembered lives at one of three scopes:
 
@@ -66,11 +68,14 @@ RREF as built, and its one-row part, like every one-row basis, is
 normalised without elimination.
 Scalars appear only at the boundary: parsed and printed amplitudes,
 and the part-states that ``state_lift`` takes.
-Preimages are kernels against a basis of the orthocomplement, and
-containment is one product with it.  An orthogonal projector, built by
-solving one system in the Gram matrix, is needed only for a test (f?)
-that is composed, imaged or boxed over a body other than false; the
-checker reads [f?]false as the kernel closure(f)^perp.
+The preimage of A under a unitary map M is the span of M^dagger A, the
+image under the adjoint, when dim A is at most half the dimension;
+otherwise, and under any other map, it is a kernel against a basis of
+A's orthocomplement.  Containment is one product with that basis.  An
+orthogonal projector, built by solving one system in the Gram matrix,
+is needed only for a test (f?) that is composed, imaged or boxed over a
+body other than false; the checker reads [f?]false as the kernel
+closure(f)^perp.
 """
 
 from __future__ import annotations
@@ -264,14 +269,25 @@ class PartialMap:
     asked about.  The subspaces are interned, so they key the memo by
     identity; the memo holds its keys, so no id is reused while it is a
     key, and it dies with the map.
+
+    ``unitary`` is set at construction, never inferred, and says that the
+    map is unitary up to a positive scalar: M^dagger M = cI for some
+    c > 0.  The caller vouches for it, as for the kernel: a gate lift
+    (H as [[1, 1], [1, -1]] has H^dagger H = 2I), the checker's ``id``
+    and a composite of two such maps.  A zero kernel alone does not
+    qualify it: ``Frame.lift`` builds invertible maps that are not
+    unitary.
     """
 
-    __slots__ = ("matrix", "_kernel", "_images", "_preimages", "__weakref__")
+    __slots__ = ("matrix", "unitary", "_kernel", "_images", "_preimages",
+                 "__weakref__")
 
-    def __init__(self, matrix: Matrix, kernel: Optional[Subspace] = None):
+    def __init__(self, matrix: Matrix, kernel: Optional[Subspace] = None,
+                 unitary: bool = False):
         if matrix.rows != matrix.cols:
             raise ValueError("maps must be square")
         self.matrix = matrix
+        self.unitary = unitary
         self._kernel = kernel
         self._images = {}
         self._preimages = {}
@@ -285,10 +301,12 @@ class PartialMap:
 
         When other is known to be injective, ker(other * self) = ker self,
         so the composite takes self's kernel, known or not: a gate word,
-        or a test followed by gates, is never eliminated for its kernel."""
+        or a test followed by gates, is never eliminated for its kernel.
+        It is unitary when both maps are: (NM)^dagger NM = c_M c_N I."""
         injective = other._kernel is not None and other._kernel.is_zero()
         return PartialMap(other.matrix * self.matrix,
-                          self._kernel if injective else None)
+                          self._kernel if injective else None,
+                          self.unitary and other.unitary)
 
     def kernel(self) -> Subspace:
         if self._kernel is None:
@@ -306,18 +324,25 @@ class PartialMap:
         return image
 
     def preimage_closed(self, sub: Subspace) -> Subspace:
-        """{x : M x lands in sub (possibly at zero)} = ker(conj(B) * M),
+        """{x : M x lands in sub (possibly at zero)}.
 
-        where the rows of B span sub's orthocomplement: a vector lies in
-        sub exactly when it is orthogonal to every row of B.
+        For a unitary map and sub of at most half the dimension, it is
+        the span of M^dagger a for the rows a of sub's basis A, read as
+        conj(conj(A) * M): M^-1 = M^dagger / c, so the preimage is the
+        image under the adjoint, and its rows are eliminated, none for a
+        ray.  Otherwise it is ker(conj(B) * M), where the rows of B span
+        sub's orthocomplement (for a unitary map, the smaller side): a
+        vector lies in sub exactly when it is orthogonal to every row of
+        B.
         """
         pre = self._preimages.get(sub)
         if pre is None:
-            perp = sub.ortho()
-            if perp.is_zero():
+            if self.unitary and 2 * sub.dim <= self.dim:
+                pre = Subspace((sub.basis.conj() * self.matrix).conj(), self.dim)
+            elif sub.is_full():
                 pre = Subspace.full(self.dim)
             else:
-                reduced = perp.basis.conj() * self.matrix
+                reduced = sub.ortho().basis.conj() * self.matrix
                 pre = Subspace(reduced.kernel_basis(), self.dim, _canonical=True)
             self._preimages[sub] = pre
         return pre
@@ -434,8 +459,9 @@ class Frame:
                     raise BadIndex(f"unknown gate {kind!r}")
                 matrix = self.lift(GATES[kind], key[1]).matrix
                 self._gate_matrices[key] = matrix
-            # every gate is invertible, so its lift has kernel 0
-            pm = self._gates[key] = PartialMap(matrix, Subspace.zero(self.dim))
+            # every gate is unitary up to a scalar, so its lift has kernel 0
+            pm = self._gates[key] = PartialMap(matrix, Subspace.zero(self.dim),
+                                               unitary=True)
         return pm
 
     def lift(self, g: Matrix, qubits: Sequence[int]) -> PartialMap:

@@ -370,7 +370,9 @@ class _Parser:
                 return ast.Test(body)
             except ParseError as exc:
                 self.pos = save[0]
-                self.failed_tests[save] = exc
+                # without its traceback, whose frames would hold this
+                # parser, and so the table itself, in a reference cycle
+                self.failed_tests[save] = exc.with_traceback(None)
         if self.accept("("):
             prog = self.program()
             self.expect(")")

@@ -239,9 +239,19 @@ def wp_map(pm: PartialMap, region: Region) -> Region:
 
     The preimage of a term (A minus Bs) is taken strictly: vectors sent
     into A but not into any B and not to zero; the kernel term restores
-    the states where F is undefined.
+    the states where F is undefined.  A map of kernel 0 is a bijection,
+    which keeps a term normalised: the preimage of a nonzero A is
+    nonzero, and those of the Bs are proper in it, distinct and not
+    nested.  So each term maps to its preimages with the negatives put
+    in ``make_term``'s order, and no meet is taken.
     """
     kernel = pm.kernel()
+    if kernel.is_zero():
+        return Region(region.ambient, (
+            Term(pm.preimage_closed(t.positive),
+                 tuple(sorted((pm.preimage_closed(b) for b in t.negatives),
+                              key=_subspace_key)))
+            for t in region.terms))
     terms = [make_term(kernel, [])]
     for t in region.terms:
         pre_pos = pm.preimage_closed(t.positive)

@@ -601,7 +601,7 @@ print(code, calls, solves, built, hashlib.sha256(out.getvalue().encode()).hexdig
 
 VERIFY_ALL_SHA256 = \
     "bad8e8100fbefb3faf375c3fc4ce3d8549ece5775dd85bb3bae26bbf6ca9a08a"
-MAX_VERIFY_ALL_ELIMINATIONS = 5_700
+MAX_VERIFY_ALL_ELIMINATIONS = 5_200
 MAX_VERIFY_ALL_PROJECTORS = 195
 MAX_VERIFY_ALL_REGIONS = 23_500
 
@@ -700,3 +700,15 @@ def test_valid_scales_to_nine_qubits_on_full_support_rays():
         code = main(["valid", "-n", "9", "plus -> [H_1 ; H_1]plus"])
     assert (code, out.getvalue()) == (0, "VALID\n")
     return "qpdl valid -n 9 on plus -> [H_1 ; H_1]plus over 512 x 512 maps"
+
+
+# ----- 16: past the CLI's register limit, on a unitary word ------------------
+
+
+@criterion(16, 6.0)
+def test_box_over_a_gate_word_scales_to_twelve_qubits():
+    # the preimages under H_1 ; H_1 are the images of its adjoint, which
+    # eliminate no 4,096-column kernel
+    claim = parse_formula("plus -> [H_1 ; H_1]plus")
+    assert check_valid(Environment(Frame(12)), claim) is None
+    return "plus -> [H_1 ; H_1]plus on Frame(12), 4096 x 4096 maps, in-process"

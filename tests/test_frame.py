@@ -1491,6 +1491,87 @@ def test_map_and_subspace_memos_match_cold_fresh_and_memo_free(monkeypatch):
     assert calls == []
 
 
+def rand_word(rng, n, depth=2):
+    """A gate word of X, Z, H, CNOT, id and nested adj, led by an H."""
+    parts = [f"H_{rng.randint(1, n)}"]
+    for _ in range(rng.randint(1, 4)):
+        roll = rng.random()
+        if depth and roll < 0.2:
+            parts.append(f"adj({rand_word(rng, n, depth - 1)})")
+        elif roll < 0.3:
+            parts.append("id")
+        elif n >= 2 and roll < 0.5:
+            parts.append("CNOT_{}_{}".format(*rng.sample(range(1, n + 1), 2)))
+        else:
+            parts.append(f"{rng.choice('XZH')}_{rng.randint(1, n)}")
+    return " ; ".join(parts)
+
+
+def test_adjoint_preimage_matches_the_kernel_route(monkeypatch):
+    # A unitary map takes the preimage of a subspace of at most half the
+    # dimension as its image under the adjoint; the kernel route, on an
+    # unmarked map of the same matrix, and the memo-free helper agree.
+    rng = random.Random(3131)
+    warm, sides = [], set()
+    for n in (1, 2, 3, 4):
+        fr = Frame(n)
+        dim = fr.dim
+        env = Environment(fr)
+        subs = [Subspace.zero(dim), Subspace.full(dim)]
+        subs += [rand_sub(rng, dim, 1) for _ in range(2)]
+        subs += [product_ray(fr, "".join(rng.choice("01+-") for _ in range(n)))]
+        subs += [rand_sub(rng, dim, k) for k in {max(1, dim // 2 - 1), dim // 2,
+                                                 dim // 2 + 1, dim - 1}]
+        for _ in range(4):
+            pm, = denote_program(env, parse_program(rand_word(rng, n)))
+            assert pm.unitary and pm._kernel is Subspace.zero(dim)
+            for sub in subs:
+                calls = counted_eliminations(monkeypatch)
+                cold = pm.preimage_closed(sub)
+                if sub.dim == 1:
+                    # the adjoint image of a ray is one row: no elimination
+                    assert calls == []
+                assert cold is PartialMap(pm.matrix).preimage_closed(sub)
+                assert cold is memo_free_preimage(pm.matrix, sub)
+                assert cold.dim == sub.dim
+                sides.add(2 * sub.dim <= dim)
+                warm.append((pm, sub, cold))
+    assert sides == {True, False}
+    calls = counted_eliminations(monkeypatch)
+    for pm, sub, cold in warm:
+        assert pm.preimage_closed(sub) is cold
+    assert calls == []
+
+
+def test_only_a_map_built_unitary_is_marked_unitary():
+    rng = random.Random(3132)
+    fr = Frame(2)
+    # invertible, not unitary: its preimages stay on the kernel route even
+    # once its kernel is known to be 0
+    lifted = fr.lift(Matrix([[1, 1], [0, 1]]), (1,))
+    assert lifted.kernel().is_zero() and not lifted.unitary
+    subs = [Subspace.zero(4), Subspace.full(4), product_ray(fr, "1+")]
+    subs += [rand_sub(rng, 4, k) for k in (1, 2, 3)]
+    wrong = 0
+    for sub in subs:
+        assert lifted.preimage_closed(sub) is memo_free_preimage(lifted.matrix, sub)
+        adjoint = Subspace((sub.basis.conj() * lifted.matrix).conj(), 4)
+        wrong += adjoint is not lifted.preimage_closed(sub)
+    # the adjoint image would have been wrong
+    assert wrong
+    env = Environment(fr, {"p": subs[2]})
+    marks = {text: [pm.unitary for pm in denote_program(env, parse_program(text))]
+             for text in ("id", "adj(H_1 ; CNOT_1_2) ; id", "X_1 + H_2",
+                          "H_1 ; p? ; X_2", "p? ; H_1", "H_1 ; p?")}
+    assert marks == {"id": [True], "adj(H_1 ; CNOT_1_2) ; id": [True],
+                     "X_1 + H_2": [True, True], "H_1 ; p? ; X_2": [False],
+                     "p? ; H_1": [False], "H_1 ; p?": [False]}
+    word = fr.gate("H", (1,)).then(fr.gate("CNOT", (2, 1)))
+    assert word.unitary
+    assert not PartialMap(word.matrix).unitary
+    assert not word.then(lifted).unitary and not lifted.then(word).unitary
+
+
 def test_every_gate_has_full_rank():
     # the fact behind the kernel 0 that Frame.gate gives every gate lift
     for kind, g in GATES.items():

@@ -1,10 +1,12 @@
 """Concrete syntax: parsing, printing, and their round trip."""
 
 import dataclasses
+import gc
 import operator
 import random
 import re
 import time
+import types
 
 import pytest
 
@@ -738,3 +740,29 @@ def test_nested_test_readings_fail_fast():
     with pytest.raises(ParseError,
                        match=f"nesting deeper than {MAX_DEPTH} levels"):
         parse_formula(text)
+
+
+def test_a_parse_leaves_no_frame_in_a_reference_cycle():
+    # A failed test reading is remembered without its traceback: with it,
+    # its frames would hold the parser and the table of failed readings.
+    text = "[(X_1 ; H_1) ; 0_1?]p -> [X_1 + Z_2]q"
+    expected = parse_formula(text)
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert parse_formula(text) == expected
+        gc.collect()
+        frames = [o for o in gc.garbage if isinstance(o, types.FrameType)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert frames == []
+    # the remembered errors still give the same messages
+    for text, message in FORMULA_ERRORS:
+        with pytest.raises(ParseError) as exc:
+            parse_formula(text)
+        assert str(exc.value) == message, text
+    with pytest.raises(ParseError, match=f"nesting deeper than {MAX_DEPTH} levels"):
+        parse_formula("<(" * 60 + "0_1?" + ")>0_1" * 60)

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+from qpdl import regions
 from qpdl.checker import Environment, denote_program, eval_symbolic
 from qpdl.frame import Frame, PartialMap, Subspace
 from qpdl.linalg import GaussianRational, Matrix
@@ -234,6 +235,53 @@ def test_wp_matches_pointwise_execution():
             out = pm.image_of(s)
             expected = out.is_zero() or region.contains_ray(out)
             assert got.contains_ray(s) == expected
+
+
+def make_term_wp(pm, region):
+    """wp_map as it is for any map: the kernel term, and each term's
+    preimages normalised by make_term against the kernel."""
+    kernel = pm.kernel()
+    terms = [make_term(kernel, [])]
+    for t in region.terms:
+        negs = [pm.preimage_closed(b) for b in t.negatives] + [kernel]
+        terms.append(make_term(pm.preimage_closed(t.positive), negs))
+    return Region(region.ambient, terms)
+
+
+def test_wp_of_a_bijection_matches_the_make_term_route(monkeypatch):
+    # A map of kernel 0 keeps every term normalised: its wp maps term to
+    # term with no make_term, and gives make_term's terms in their order.
+    rng = random.Random(307)
+    made = []
+    monkeypatch.setattr(regions, "make_term",
+                        lambda *args: made.append(args) or make_term(*args))
+    cut = 0
+    for n in (1, 2, 3):
+        fr = Frame(n)
+        env = Environment(fr)
+        maps = list(denote_program(env, parse_program(
+            f"H_1 ; adj(X_{n} ; H_{n}) ; id ; Z_1 + X_1")))
+        maps.append(fr.lift(Matrix([[1, 2], [0, 1]]), (n,)))  # not unitary
+        for _ in range(10):
+            region = rand_region(rng, fr.dim, depth=4)
+            for _ in range(rng.randint(0, 3)):
+                # a subspace with a ray or two cut out of it
+                rays = Region.of_subspace(rand_sub(rng, fr.dim, 1)).union(
+                    Region.of_subspace(rand_sub(rng, fr.dim, 1)))
+                region = region.union(Region.of_subspace(
+                    rand_sub(rng, fr.dim)).intersect(rays.complement()))
+            cut += sum(len(t.negatives) > 1 for t in region.terms)
+            for pm in maps:
+                made.clear()
+                got = wp_map(pm, region)
+                assert made == []
+                assert got.terms == make_term_wp(pm, region).terms
+    assert cut >= 10
+    # a map with a kernel still takes make_term's route
+    singular = PartialMap(Matrix([[1, 0], [0, 0]]))
+    region = rand_region(rng, 2)
+    assert wp_map(singular, region).terms == make_term_wp(singular, region).terms
+    assert made
 
 
 def test_wp_of_union_is_conjunction():
