@@ -8,7 +8,9 @@ built by code and has no concrete syntax: its ``ray{...}(...)`` text is
 printed but not parsed.  ``?`` binds to a formula atom.
 An identifier that is not a keyword is a variable: ``Var`` in formula
 position, ``PVar`` in program position.  Schemas are written over both
-and instantiated by ``checker.substitute``.
+and instantiated by ``instantiate``, which also moves a schema's qubit
+indices: a claim parsed once at qubits 1, 2, ... serves every choice of
+qubits.
 
 Every node is a record of one base class, ``Node``: its class annotates
 its fields, in order, and ``FIELDS`` maps each field name to its
@@ -21,7 +23,8 @@ order, and ``{f: getattr(node, f) for f in node.FIELDS}`` lists them.
 
 ``PARTS`` states which fields of each node class are subterms; ``parts``
 and ``rebuild`` read it for every walk over a tree (desugaring, the
-one-qubit check, substitution).
+one-qubit check) but ``instantiate``, which reads it with the qubit
+fields in one table.
 """
 
 from __future__ import annotations
@@ -460,6 +463,93 @@ def _form(cls, text: str) -> Form:
 
 
 FORMS = {cls: _form(cls, text) for cls, text in SYNTAX.items()}
+
+
+# ----- instantiation ---------------------------------------------------------
+
+# How ``instantiate`` reads each field: a subterm, a one-qubit program (of
+# ent, mov and unary1, at qubit 1 by convention), a qubit index, an index
+# set (kept sorted, as the parser keeps it) or an index list (kept in
+# order).  The number fields of a keyword form but its bits, and its index
+# set, name qubits, and so do these fields of the forms the parser reads
+# itself.  ``instantiate`` moves the one qubit of a RayF itself.
+_PART, _ONE_QUBIT, _INDEX, _SET, _LIST = range(5)
+_OWN_INDICES = {Const: {"qubit": _INDEX}, GateP: {"targets": _LIST},
+                Flip: {"i": _INDEX, "j": _INDEX}, VecC: {"qubits": _LIST}}
+
+
+class _Walks(dict):
+    """Node class -> the (position, how) of each field that ``instantiate``
+    reads, found on the first use of the class, so that importing builds
+    nothing."""
+
+    def __missing__(self, cls):
+        indices = dict(_OWN_INDICES.get(cls, {}))
+        form = FORMS.get(cls)
+        if form:
+            indices.update((name, _INDEX) for name in form.numbers
+                           if name not in form.bits)
+            if form.qubits:
+                indices[form.qubits] = _SET
+        walk = []
+        for k, name in enumerate(cls.FIELDS):
+            if name in PARTS[cls]:
+                walk.append((k, _ONE_QUBIT if cls in (Ent, Mov, Unary1) else _PART))
+            elif name in indices:
+                walk.append((k, indices[name]))
+        walk = self[cls] = tuple(walk)
+        return walk
+
+
+_WALKS = _Walks()
+_NO_QUBITS: dict = {}
+
+
+def instantiate(node, qubits: dict, binding: dict):
+    """``node`` with each qubit index q read as ``qubits.get(q, q)`` and each
+    Var or PVar named in ``binding`` replaced by its value, as it is.
+
+    One walk over the tree, which rebuilds only the nodes that change.
+    Indices inside the one-qubit program of ent, mov and unary1 stay at
+    qubit 1, and a ray on two or more qubits is refused when ``qubits``
+    is not empty, since its amplitudes are ordered by its qubits."""
+    cls = node.__class__
+    if cls is Var or cls is PVar:
+        value = binding.get(node.name, node)
+        kind = Formula if cls is Var else Program
+        if not isinstance(value, kind):
+            raise TypeError(f"variable {node.name!r} takes a "
+                            f"{kind.__name__.lower()}, not {value!r}")
+        return value
+    if cls is RayF:
+        if not qubits:
+            return node
+        if len(node.qubits) > 1:
+            raise ValueError(f"cannot move the qubits of {pretty(node)}")
+        return RayF((qubits.get(node.qubits[0], node.qubits[0]),), node.amps)
+    walk = _WALKS[cls]
+    if not walk:
+        return node
+    values = list(node._astuple(node))
+    changed = False
+    for k, how in walk:
+        old = values[k]
+        if how == _PART:
+            new = instantiate(old, qubits, binding)
+        elif how == _ONE_QUBIT:
+            new = instantiate(old, _NO_QUBITS, binding)
+        elif not qubits:
+            continue
+        elif how == _INDEX:
+            new = qubits.get(old, old)
+        elif how == _SET:
+            new = tuple(sorted([qubits.get(q, q) for q in old]))
+        else:
+            new = tuple([qubits.get(q, q) for q in old])
+        if new is not old:
+            values[k] = new
+            changed = True
+    return cls(*values) if changed else node
 
 
 # ----- operators -------------------------------------------------------------

@@ -523,14 +523,7 @@ class InstanceResult(NamedTuple):
 
 def substitute(node, mapping: dict):
     """Fill a schema: each named Var by a formula, each named PVar by a program."""
-    if isinstance(node, (ast.Var, ast.PVar)) and node.name in mapping:
-        value = mapping[node.name]
-        kind = ast.Formula if isinstance(node, ast.Var) else ast.Program
-        if not isinstance(value, kind):
-            raise TypeError(f"variable {node.name!r} takes a "
-                            f"{kind.__name__.lower()}, not {value!r}")
-        return value
-    return ast.rebuild(node, map(substitute, ast.parts(node), itertools.repeat(mapping)))
+    return ast.instantiate(node, {}, mapping)
 
 
 def random_part_state(rng, nqubits: int, real_only: bool = False) -> tuple:

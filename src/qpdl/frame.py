@@ -33,10 +33,11 @@ What is remembered lives at one of three scopes:
 
 - per process, built on first use and keyed on n, as it depends on the
   register alone: the full and zero subspaces of each dimension, the
-  ``Frame.layout`` tables, the matrix of each gate lift, and the lifts
-  of the four named one-qubit states ``LOCAL_STATES`` at each qubit,
-  found by (char, qubit) through ``Frame.named_lift``, at most 4n
-  subspaces per n, each with its own memos;
+  ``Frame.layout`` tables and their inverses, the matrix of each gate
+  lift, and the lifts of the four named one-qubit states
+  ``LOCAL_STATES`` at each qubit, found by (char, qubit) through
+  ``Frame.named_lift``, at most 4n subspaces per n, each with its own
+  memos;
 - per frame: each gate's ``PartialMap``, wrapping the shared matrix, so
   its image and preimage memos die with the frame, and every other
   state lift, with its ortho and projector, keyed on its amplitudes, or
@@ -56,12 +57,16 @@ dim P x dim A product and the meet's own rows.
 A layout table is the index table of ``Matrix.tensor``, which places
 gate lifts g (x) I (rows and columns alike), state lifts part (x) I and
 reachable sets I (x) rest, and of ``Matrix.gather``, which reads blocks
-and reshaped basis rows.
+and the reshaped state of a reachable set; its inverse locates each
+basis index in it.
 One tensor factorization, ``Frame.product_form``, splits a subspace as
-part (x) rest through the spans of the columns and of the rows of its
-reshaped basis rows; T{I}, cmp{I}, =_I and local{I} all read it.  A
-state has one reshaped row, which the rank-one test ``Matrix.split``
-divides into its column and row factors with no elimination.  The image
+part (x) rest with one side a ray; T{I}, cmp{I}, =_I and local{I} all
+read it.  Qubits are sorted in the layout, so an index grows in each of
+its two coordinates, and the RREF basis of x (x) V is x (x) v_k over
+the RREF rows v_k of V.  So ``Matrix.split`` reads the form off the
+basis rows alone: each must pass the rank-one test and all must share
+one factor, and the others stack to the RREF of the wide side, with no
+elimination.  The image
 of a subspace under a map is M x for each basis row x, one
 matrix-vector pass (``Matrix.apply``).  A state lift part (x) I is an
 RREF as built, and its one-row part, like every one-row basis, is
@@ -378,9 +383,11 @@ LOCAL_STATES = {
 }
 
 # Values that depend on n alone, shared by every frame of n qubits and
-# filled on first use: n -> qubits -> layout table, n -> (kind, targets)
-# -> gate-lift matrix, and n -> (char, qubit) -> lift of a named state.
+# filled on first use: n -> qubits -> layout table and its inverse, n ->
+# (kind, targets) -> gate-lift matrix, and n -> (char, qubit) -> lift of a
+# named state.
 _LAYOUTS: dict = {}
+_INVERSES: dict = {}
 _GATE_MATRICES: dict = {}
 _NAMED_LIFTS: dict = {}
 _NAMED_ROWS = {char: Matrix([amps]) for char, amps in LOCAL_STATES.items()}
@@ -395,6 +402,7 @@ class Frame:
         self.n = n
         self.dim = 2 ** n
         self._layouts = _LAYOUTS.setdefault(n, {})
+        self._inverses = _INVERSES.setdefault(n, {})
         self._gate_matrices = _GATE_MATRICES.setdefault(n, {})
         self._named_lifts = _NAMED_LIFTS.setdefault(n, {})
         self._gates: dict = {}
@@ -432,6 +440,17 @@ class Frame:
                           for a in range(0, self.dim, width))
             self._layouts[key] = table
         return table
+
+    def _where(self, qubits: tuple) -> tuple:
+        """The inverse of ``layout(qubits)``: the (a, b) of each basis index."""
+        where = self._inverses.get(qubits)
+        if where is None:
+            out = [None] * self.dim
+            for a, line in enumerate(self.layout(qubits)):
+                for b, c in enumerate(line):
+                    out[c] = (a, b)
+            where = self._inverses[qubits] = tuple(out)
+        return where
 
     # ----- states ------------------------------------------------------------
 
@@ -555,15 +574,15 @@ class Frame:
         """(part, rest) with sub = part (x) rest, part on I and one of the
         two a single ray; None otherwise, and for the zero subspace.
 
-        Each basis row, reshaped with I indexing rows, contributes its
-        columns to part and its rows to rest.  When one span is a ray x,
-        every reshaped row is x times a row, so sub = part (x) rest; a row
-        of rank 2 or more makes both spans at least two-dimensional.  A
+        Computed once per subspace and qubit set, by ``Matrix.split`` of
+        the RREF basis through the inverse of the layout of sorted I: every
+        basis row, reshaped with I indexing rows, must be rank one, and
+        all must share their column x (then sub = x (x) V) or their row y
+        (then sub = V (x) y).  The other factors, read along the pivot's
+        line, are already the RREF of V, so nothing is eliminated.  A
         nonzero subspace all of whose rays are I-separated always has this
         form: two elements differing in both factors would superpose to an
-        entangled vector.  A ray has one reshaped row, which the rank-one
-        test ``Matrix.split`` divides with no elimination.  Computed once
-        per subspace and qubit set.
+        entangled vector.
         """
         key = tuple(sorted(self.check_qubits(qubits)))
         if sub.ambient != self.dim:
@@ -574,20 +593,15 @@ class Frame:
 
     def _factor(self, sub: Subspace, qubits: tuple
                 ) -> Optional[tuple[Subspace, Subspace]]:
+        """``product_form`` on sorted ``qubits``, with no elimination."""
         if sub.is_zero():
             return None
-        table = self.layout(qubits)
-        if sub.dim == 1:
-            factors = sub.basis.split(table)
-            return None if factors is None else (Subspace(factors[0], len(table)),
-                                                 Subspace(factors[1], len(table[0])))
-        rows = range(sub.dim)
-        rest = Subspace(sub.basis.gather(rows, table), len(table[0]))
-        # a ray part x makes the reshaped rows x (x) r_k, r_k independent
-        if rest.dim not in (1, sub.dim):
+        shape = (1 << len(qubits), self.dim >> len(qubits))
+        factors = sub.basis.split(self._where(qubits), shape)
+        if factors is None:
             return None
-        part = Subspace(sub.basis.gather(rows, tuple(zip(*table))), len(table))
-        return (part, rest) if part.dim == 1 or rest.dim == 1 else None
+        return (Subspace(factors[0], shape[0], _canonical=True),
+                Subspace(factors[1], shape[1], _canonical=True))
 
     def __repr__(self):
         return f"Frame(n={self.n})"

@@ -36,10 +36,11 @@ subspace identity throughout the package.
 
 A single row needs no elimination: its RREF is the row times the
 conjugate of its leading entry, divided by the integer gcd of its parts,
-the normalisation ``_rref`` gives each pivot row.  Nor does the rank-one
-test ``split`` of a row read as a matrix through a table: the row and
-the column through its first nonzero entry p are its factors when every
-entry times p is their product.
+the normalisation ``_rref`` gives each pivot row.  Nor does ``split``,
+the tensor factors of a row space with one side a single row: it reads
+each row as a matrix through the inverse of a table and tests it for
+rank one, the row and the column through its first nonzero entry p
+being its factors when every entry times p is their product.
 """
 
 from __future__ import annotations
@@ -372,39 +373,42 @@ class Matrix:
         den = self.den * vectors.den
         return Matrix.from_parts([(row, den) for row in out], self.rows)
 
-    def split(self, table: Sequence[Sequence[int]]
+    def split(self, where: Sequence[tuple[int, int]], shape: tuple[int, int]
               ) -> Optional[tuple["Matrix", "Matrix"]]:
-        """The rank-one split of a nonzero one-row matrix x read as the
-        matrix P[a][b] = x[table[a][b]], all lines of ``table`` being
-        equally long: the column u and the row v of P through the first
-        nonzero entry p = P[a0][b0] of x, as one-row matrices, when P =
-        u v^T / p; None when P has rank 2 or more.
+        """The tensor factors of the row space when one side is a single
+        row.  Each row x, read as the matrix P with P[a][b] = x[c] for
+        (a, b) = where[c], is split by rank one (``_split_row``) into the
+        column u and the row v of P through the first nonzero entry of x.
+        Returns (U, V) of the given shape: the u of every row and the one
+        v that all rows share, or the one u that all share and the v of
+        every row; None when a row has rank 2 or more or the rows share
+        neither side.
 
-        P has rank one exactly when P[a][b] p = u[a] v[b] for every a, b.
-        Both sides vanish off the support of u times that of v, so it is
-        enough that x has as many nonzero entries as that product and that
-        each one lies in it and satisfies the equation."""
-        x = self.triples[0]
-        c0, pr, pi = x[0]
-        a0 = next(a for a, line in enumerate(table) if c0 in line)
-        b0 = table[a0].index(c0)
-        at = {c: (a, b) for c, a, b in x}
-        u = [(a, *at[line[b0]]) for a, line in enumerate(table) if line[b0] in at]
-        v = [(b, *at[c]) for b, c in enumerate(table[a0]) if c in at]
-        if len(x) != len(u) * len(v):
+        ``where`` inverts a table whose entries grow along each line and
+        down each position, as a layout of sorted qubits does.  On an RREF
+        the answer is then exact and canonical: the RREF of x (x) V is the
+        rows x (x) v_k over the RREF rows v_k of V, each leading with 1
+        where x and v_k lead, so each row splits into the same u = x and
+        its own v_k, and those stack to the RREF of V; likewise for
+        V (x) y.  On one row, U and V span its factors and lead with 1
+        when the row does.  Nothing is eliminated."""
+        rows = self.triples
+        us, vs = [], []
+        for x in rows:
+            factors = _split_row(x, where)
+            if factors is None:
+                return None
+            us.append(factors[0])
+            vs.append(factors[1])
+        if us.count(us[0]) == len(rows):
+            us = us[:1]
+        elif vs.count(vs[0]) == len(rows):
+            vs = vs[:1]
+        else:
             return None
-        for a, ur, ui in u:
-            line = table[a]
-            for b, vr, vi in v:
-                y = at.get(line[b])
-                if y is None:
-                    return None
-                yr, yi = y
-                if (yr * pr - yi * pi != ur * vr - ui * vi
-                        or yr * pi + yi * pr != ur * vi + ui * vr):
-                    return None
-        return (Matrix.from_parts([(u, self.den)], len(table)),
-                Matrix.from_parts([(v, self.den)], len(table[0])))
+        den = self.den
+        return (Matrix.from_parts([(u, den) for u in us], shape[0]),
+                Matrix.from_parts([(v, den) for v in vs], shape[1]))
 
     def flatten(self) -> "Matrix":
         """The rows one after another, as one row."""
@@ -470,6 +474,46 @@ class Matrix:
             raise ValueError("matrix is singular")
         return Matrix.from_parts([([(c - n, a, b) for c, a, b in row if c >= n], s)
                                   for row, s in rows], rhs.cols)
+
+
+def _split_row(x: tuple, where: Sequence[tuple[int, int]]
+               ) -> Optional[tuple[list, list]]:
+    """The rank-one split of a nonzero row x read as P[a][b] = x[c] for
+    (a, b) = where[c], the table of ``where`` growing along each line and
+    down each position: the column u and the row v of P through its first
+    nonzero entry p = P[a0][b0], as (index, re, im) triples in order, when
+    P = u v^T / p; None when P has rank 2 or more.
+
+    P has rank one exactly when P[a][b] p = u[a] v[b] for every a, b.
+    Both sides vanish off the support of u times that of v, so it is
+    enough that x has as many nonzero entries as that product and that
+    each one lies in it and satisfies the equation.  One pass in column
+    order does: an entry (a, b) of a rank-one P comes after (a, b0) and
+    (a0, b), as a >= a0 and b >= b0, or P[a0][b] or P[a][b0] would
+    precede p."""
+    _, pr, pi = x[0]
+    a0, b0 = where[x[0][0]]
+    u, v = {}, {}
+    for c, yr, yi in x:
+        a, b = where[c]
+        if b == b0:
+            u[a] = (yr, yi)
+            if a == a0:
+                v[b] = (yr, yi)
+            continue
+        if a == a0:
+            v[b] = (yr, yi)
+            continue
+        ua, vb = u.get(a), v.get(b)
+        if ua is None or vb is None:
+            return None
+        (ur, ui), (vr, vi) = ua, vb
+        if (yr * pr - yi * pi != ur * vr - ui * vi
+                or yr * pi + yi * pr != ur * vi + ui * vr):
+            return None
+    if len(x) != len(u) * len(v):
+        return None
+    return ([(a, *y) for a, y in u.items()], [(b, *y) for b, y in v.items()])
 
 
 # A row whose largest part reaches this is divided by its Gaussian content.

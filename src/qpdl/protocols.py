@@ -7,10 +7,14 @@ a fixed seed.  Mutation switches (drop_x, drop_z, omit_z, invert_sign)
 damage a protocol on purpose so tests can confirm the checker catches
 the bug with a concrete witness.
 
-A schema is text over variables (p, q, w, ...), parsed once per family
-call (once per distinct choice of qubit indices) and filled by
-``substitute``; random words are program trees.  The exhaustive tables
-stay as text, one parse per instance.  Nothing is parsed at import.
+Every claim is a template: text over variables (p, q, w, ...) written
+at qubits 1, 2, ..., parsed once per process on first use, never at
+import.  A case is built from it by ``ast.instantiate``, one walk that
+moves qubit k to the k-th qubit the case draws and fills the variables
+with formulas, program trees and random words as they are.  A family
+whose qubit sets vary in size writes one template per size, and the
+exhaustive tables one per row.  The protocols' branch programs are
+parsed once per process too.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations
 from typing import NamedTuple, Optional
 
@@ -31,7 +35,6 @@ from .checker import (
     check_valid,
     eval_symbolic,
     random_part_state,
-    substitute,
 )
 from .frame import Frame, Subspace
 from .linalg import GaussianRational, Matrix
@@ -169,6 +172,32 @@ def _local_ray_formula(rng, qubit: int, real_only: bool = False) -> ast.Formula:
     return ast.RayF((qubit,), random_part_state(rng, 1, real_only))
 
 
+# ----- claims -------------------------------------------------------------------
+
+
+@cache
+def _parsed(text: str, program: bool = False):
+    """A claim or program text, parsed once per process."""
+    return (parse_program if program else parse_formula)(text)
+
+
+def _claim(text: str, qubits=(), **binding) -> ast.Formula:
+    """The claim ``text``, written at qubits 1, 2, ..., with qubit k moved
+    to ``qubits[k - 1]`` and each variable of ``binding`` filled; the text
+    is parsed once per process (see ``ast.instantiate``)."""
+    return ast.instantiate(_parsed(text), dict(enumerate(qubits, 1)), binding)
+
+
+def _listed(qubits) -> str:
+    return ",".join(map(str, qubits))
+
+
+def _first(count: int, after: int = 0) -> str:
+    """The qubits after+1 .. after+count as an index list: a set of
+    ``count`` qubits as a claim text writes it, numbered in order."""
+    return _listed(range(after + 1, after + count + 1))
+
+
 # ----- protocols ----------------------------------------------------------------
 
 
@@ -188,10 +217,10 @@ def teleportation(seed: int = DEFAULT_SEED, drop_x: bool = False,
     image of q_1 & bell00_23 has 3-component q.  drop_x / drop_z omit
     Bob's corrections and must make the claim fail."""
     start = time.perf_counter()
-    branches = {f"x={x},y={y}": parse_program(_teleport_branch(x, y, drop_x, drop_z))
+    branches = {f"x={x},y={y}":
+                _parsed(_teleport_branch(x, y, drop_x, drop_z), program=True)
                 for x in (0, 1) for y in (0, 1)}
-    template = parse_formula(
-        "eqi{3}(img(w, q & bell[0,0,2,3]), img(mov[1,3](id), q))")
+    template = _parsed("eqi{3}(img(w, q & bell[0,0,2,3]), img(mov[1,3](id), q))")
     instances, corroborations = check_schematic(
         Environment(Frame(3)), template, "q", (1,), branches,
         rng=random.Random(seed), samples=samples)
@@ -224,17 +253,17 @@ def quantum_secret_sharing(seed: int = DEFAULT_SEED, omit_z: bool = False,
     leaves {2,4} in the Bell state bell[z,0,2,4]."""
     start = time.perf_counter()
     signs = "-+" if invert_sign else "+-"
-    branches = {f"x={x},y={y},z={z}": parse_program(_qss_branch(x, y, z, omit_z, signs))
+    branches = {f"x={x},y={y},z={z}":
+                _parsed(_qss_branch(x, y, z, omit_z, signs), program=True)
                 for x in (0, 1) for y in (0, 1) for z in (0, 1)}
-    template = parse_formula(
-        "eqi{4}(img(w, q & ghz[2,3,4]), img(mov[1,4](id), q))")
+    template = _parsed("eqi{4}(img(w, q & ghz[2,3,4]), img(mov[1,4](id), q))")
     env = Environment(Frame(4))
     instances, corroborations = check_schematic(
         env, template, "q", (1,), branches, rng=random.Random(seed),
         samples=samples)
     extra = []
     for z in (0, 1):
-        witness = check_valid(env, parse_formula(
+        witness = check_valid(env, _parsed(
             f"eqi{{2,4}}(img({signs[z]}_3?, ghz[2,3,4]), bell[{z},0,2,4])"))
         extra.append(InstanceResult(f"ghz intermediate z={z}",
                                     witness is None, witness))
@@ -245,28 +274,14 @@ def quantum_secret_sharing(seed: int = DEFAULT_SEED, omit_z: bool = False,
 # ----- lemma suite ---------------------------------------------------------------
 
 
-def _valid(env: Environment, formula, label: str) -> InstanceResult:
-    if isinstance(formula, str):
-        formula = parse_formula(formula)
+def _valid(env: Environment, formula: ast.Formula, label: str) -> InstanceResult:
     witness = check_valid(env, formula)
     return InstanceResult(label, witness is None, witness)
-
-
-def _schemas():
-    """Parse each distinct schema text once; substitute per instance."""
-    parsed = {}
-
-    def instance(text: str, **binding) -> ast.Formula:
-        if text not in parsed:
-            parsed[text] = parse_formula(text)
-        return substitute(parsed[text], binding)
-    return instance
 
 
 def _lemma_teleportation_property(rng) -> list:
     """(sigma_jk? ; pi_ij?)(p_i) =_k (pi_ij ; sigma_jk)(p_i)."""
     env = Environment(Frame(3))
-    fill = _schemas()
     out = []
     cases = [((1, 2, 3), ast.Id(), ast.Id(), ast.VecC((1,), "+"))]
     while len(cases) < 10:
@@ -274,10 +289,9 @@ def _lemma_teleportation_property(rng) -> list:
         cases.append(((i, j, k), _random_word(rng), _random_word(rng),
                       _local_ray_formula(rng, i)))
     for t, ((i, j, k), pi, sg, p) in enumerate(cases):
-        claim = fill(
-            f"eqi{{{k}}}(img(ent[{j},{k}](sg)? ; ent[{i},{j}](pi)?, p),"
-            f" img(mov[{i},{j}](pi) ; mov[{j},{k}](sg), p))",
-            pi=pi, sg=sg, p=p)
+        claim = _claim("eqi{3}(img(ent[2,3](sg)? ; ent[1,2](pi)?, p),"
+                       " img(mov[1,2](pi) ; mov[2,3](sg), p))",
+                       (i, j, k), pi=pi, sg=sg, p=p)
         out.append(_valid(env, claim,
                           f"teleportation property #{t + 1} i={i},j={j},k={k}"))
     return out
@@ -286,15 +300,13 @@ def _lemma_teleportation_property(rng) -> list:
 def _lemma_corollary6(rng) -> list:
     """pi_ij?(p_i & sigma_jk) =_k (pi_ij ; sigma_jk)(p_i)."""
     env = Environment(Frame(3))
-    fill = _schemas()
     out = []
     for t in range(8):
         i, j, k = rng.sample([1, 2, 3], 3)
         pi, sg = _random_word(rng), _random_word(rng)
-        claim = fill(
-            f"eqi{{{k}}}(img(ent[{i},{j}](pi)?, p & ent[{j},{k}](sg)),"
-            f" img(mov[{i},{j}](pi) ; mov[{j},{k}](sg), p))",
-            pi=pi, sg=sg, p=_local_ray_formula(rng, i))
+        claim = _claim("eqi{3}(img(ent[1,2](pi)?, p & ent[2,3](sg)),"
+                       " img(mov[1,2](pi) ; mov[2,3](sg), p))",
+                       (i, j, k), pi=pi, sg=sg, p=_local_ray_formula(rng, i))
         out.append(_valid(env, claim, f"corollary 6 #{t + 1} i={i},j={j},k={k}"))
     return out
 
@@ -309,11 +321,10 @@ def _lemma_bell_measurement(rng) -> list:
         p = (Region.of_subspace(_random_ray(rng, fr))
              if t % 2 else Region.of_subspace(_random_subspace(rng, fr, 2)))
         env = Environment(fr, {"p": p})
-        out.append(_valid(
-            env,
-            f"eqi{{{k}}}(img(CNOT_{i}_{j} ; H_{i} ; ({x}_{i} & {y}_{j})?, p),"
-            f" img(bell[{x},{y},{i},{j}]?, p))",
-            f"bell measurement #{t + 1} x={x},y={y},i={i},j={j}"))
+        claim = _claim(f"eqi{{3}}(img(CNOT_1_2 ; H_1 ; ({x}_1 & {y}_2)?, p),"
+                       f" img(bell[{x},{y},1,2]?, p))", (i, j, k))
+        out.append(_valid(env, claim,
+                          f"bell measurement #{t + 1} x={x},y={y},i={i},j={j}"))
     return out
 
 
@@ -324,11 +335,10 @@ def _lemma_bell_preparation(rng) -> list:
     for i, j in ((1, 2), (2, 3)):
         for x in (0, 1):
             for y in (0, 1):
-                out.append(_valid(
-                    env,
-                    f"eqf(img(H_{i} ; CNOT_{i}_{j}, {x}_{i} & {y}_{j}),"
-                    f" bell[{x},{y},{i},{j}])",
-                    f"bell preparation x={x},y={y},i={i},j={j}"))
+                claim = _claim(f"eqf(img(H_1 ; CNOT_1_2, {x}_1 & {y}_2),"
+                               f" bell[{x},{y},1,2])", (i, j))
+                out.append(_valid(env, claim,
+                                  f"bell preparation x={x},y={y},i={i},j={j}"))
     return out
 
 
@@ -336,7 +346,6 @@ def _lemma_composition(rng) -> list:
     """Measuring j,k of two entangled pairs by a map-state composes the
     maps onto i,l, with the k-side local map adjointed."""
     env = Environment(Frame(4))
-    fill = _schemas()
     out = []
     cases = [((1, 2, 3, 4), *[ast.Id()] * 5)]
     while len(cases) < 8:
@@ -344,11 +353,10 @@ def _lemma_composition(rng) -> list:
         cases.append(((i, j, k, l),
                       *[_random_word(rng, tests=False) for _ in range(5)]))
     for t, ((i, j, k, l), pi, pi2, mid, sg, rho) in enumerate(cases):
-        claim = fill(
-            f"ent[{i},{j}](pi) & ent[{k},{l}](pi2) -> "
-            f"[mov[{j},{j}](sg) ; mov[{k},{k}](rho) ; ent[{j},{k}](mid)?]"
-            f" ent[{i},{l}](pi ; sg ; mid ; adj(rho) ; pi2)",
-            pi=pi, pi2=pi2, mid=mid, sg=sg, rho=rho)
+        claim = _claim("ent[1,2](pi) & ent[3,4](pi2) ->"
+                       " [mov[2,2](sg) ; mov[3,3](rho) ; ent[2,3](mid)?]"
+                       " ent[1,4](pi ; sg ; mid ; adj(rho) ; pi2)",
+                       (i, j, k, l), pi=pi, pi2=pi2, mid=mid, sg=sg, rho=rho)
         out.append(_valid(env, claim,
                           f"entanglement composition #{t + 1} "
                           f"i={i},j={j},k={k},l={l}"))
@@ -357,7 +365,6 @@ def _lemma_composition(rng) -> list:
 
 def _lemma_compatibility(rng) -> list:
     """Deterministic programs on disjoint qubit sets commute."""
-    fill = _schemas()
     out = []
     sets = [({1}, {2}), ({1}, {2, 3}), ({2}, {3}), ({1, 2}, {3})]
     for t in range(8):
@@ -366,18 +373,18 @@ def _lemma_compatibility(rng) -> list:
         a = _random_program(rng, 3, one)
         b = _random_program(rng, 3, two)
         env = Environment(fr, {"r": _random_union_region(rng, fr)})
-        one_txt = ",".join(str(q) for q in sorted(one))
-        two_txt = ",".join(str(q) for q in sorted(two))
-        claim = fill(f"localp{{{one_txt}}}(a) & localp{{{two_txt}}}(b) ->"
-                       f" eqf(img(a ; b, r), img(b ; a, r))", a=a, b=b)
+        claim = _claim(f"localp{{{_first(len(one))}}}(a)"
+                       f" & localp{{{_first(len(two), len(one))}}}(b) ->"
+                       f" eqf(img(a ; b, r), img(b ; a, r))",
+                       sorted(one) + sorted(two), a=a, b=b)
         out.append(_valid(
-            env, claim, f"compatibility #{t + 1} I={{{one_txt}}},J={{{two_txt}}}"))
+            env, claim, f"compatibility #{t + 1} "
+                        f"I={{{_listed(sorted(one))}}},J={{{_listed(sorted(two))}}}"))
     return out
 
 
 def _lemma_agreement(rng) -> list:
     """Same-domain I-local maps that separate the input agree outside I."""
-    fill = _schemas()
     out = []
     for t in range(8):
         fr = Frame(3)
@@ -386,38 +393,39 @@ def _lemma_agreement(rng) -> list:
             a = ast.SeqP(test, ast.GateP("CNOT", (1, 2)))
             b = ast.SeqP(ast.SeqP(test, ast.GateP("H", (1,))),
                          ast.GateP("H", (2,)))
-            inside, outside = "1,2", "3"
+            inside = [1, 2]
         else:
             c = rng.choice("01+-")
             i = rng.choice([1, 2, 3])
             test = ast.Test(ast.Const(c, i))
             a = ast.SeqP(test, _random_word(rng, tests=False, qubit=i))
             b = ast.SeqP(test, _random_word(rng, tests=False, qubit=i))
-            inside = str(i)
-            outside = ",".join(str(q) for q in sorted({1, 2, 3} - {i}))
+            inside = [i]
+        outside = sorted({1, 2, 3} - set(inside))
         env = Environment(fr, {"p": _random_ray(rng, fr)})
-        claim = fill(
-            f"testable(p) & localp{{{inside}}}(a) & localp{{{inside}}}(b)"
+        one, rest = _first(len(inside)), _first(len(outside), len(inside))
+        claim = _claim(
+            f"testable(p) & localp{{{one}}}(a) & localp{{{one}}}(b)"
             f" & eqf(dom(a), dom(b))"
-            f" & eqi{{{inside}}}(img(a, p), img(a, p))"
-            f" & eqi{{{inside}}}(img(b, p), img(b, p))"
-            f" -> eqi{{{outside}}}(img(a, p), img(b, p))", a=a, b=b)
-        out.append(_valid(env, claim, f"agreement #{t + 1} I={{{inside}}}"))
+            f" & eqi{{{one}}}(img(a, p), img(a, p))"
+            f" & eqi{{{one}}}(img(b, p), img(b, p))"
+            f" -> eqi{{{rest}}}(img(a, p), img(b, p))",
+            inside + outside, a=a, b=b)
+        out.append(_valid(env, claim, f"agreement #{t + 1} I={{{_listed(inside)}}}"))
     return out
 
 
 def _lemma_dual_entanglement(rng) -> list:
     """T(q_j) -> q_j?(pi_ij) =_i adj(pi_ij)(q_j)."""
     env = Environment(Frame(3))
-    fill = _schemas()
     out = []
     for t in range(8):
         i, j = rng.sample([1, 2, 3], 2)
         pi = _random_word(rng)
         q = (_local_ray_formula(rng, j, real_only=True)
              if t % 2 else ast.VecC((j,), rng.choice("01+-")))
-        claim = fill(f"testable(q) -> eqi{{{i}}}(img(q?, ent[{i},{j}](pi)),"
-                       f" img(adj(mov[{i},{j}](pi)), q))", pi=pi, q=q)
+        claim = _claim("testable(q) -> eqi{1}(img(q?, ent[1,2](pi)),"
+                       " img(adj(mov[1,2](pi)), q))", (i, j), pi=pi, q=q)
         out.append(_valid(env, claim, f"dual entanglement #{t + 1} i={i},j={j}"))
     return out
 
@@ -426,7 +434,6 @@ def _lemma_preparation(rng) -> list:
     """pi_ij(p_i) perp q_j -> ent state perp (p_i & q_j)."""
     env = Environment(Frame(3))
     fr = env.frame
-    fill = _schemas()
     out = []
     for t in range(10):
         i, j = rng.sample([1, 2, 3], 2)
@@ -442,8 +449,8 @@ def _lemma_preparation(rng) -> list:
             part = fr.product_form(image.closure().any_ray(), (j,))[0]
             comp = part.basis.entries[0]
             q = ast.RayF((j,), (comp[1].conj(), -comp[0].conj()))
-        claim = fill(f"perpf(img(mov[{i},{j}](pi), p), q) ->"
-                       f" perpf(ent[{i},{j}](pi), p & q)", pi=pi, p=p, q=q)
+        claim = _claim("perpf(img(mov[1,2](pi), p), q) ->"
+                       " perpf(ent[1,2](pi), p & q)", (i, j), pi=pi, p=p, q=q)
         out.append(_valid(env, claim,
                           f"entanglement preparation #{t + 1} i={i},j={j}"))
     return out
@@ -474,7 +481,6 @@ def lemma_suite(seed: int = DEFAULT_SEED) -> Report:
 def _ax_dynamic(rng, count: int) -> list:
     """Modal axioms over arbitrary properties and programs at n=2."""
     fr = Frame(2)
-    fill = _schemas()
     schemas = [
         ("kripke", "[w](p -> q) -> ([w]p -> [w]q)"),
         ("testability-axiom", "box p -> [q?]p"),
@@ -489,7 +495,7 @@ def _ax_dynamic(rng, count: int) -> list:
         w = _random_program(rng, 2, deterministic=bool(t % 2))
         w2 = _random_program(rng, 2)
         name, text = schemas[t % len(schemas)]
-        out.append(_valid(env, fill(text, w=w, w2=w2),
+        out.append(_valid(env, _claim(text, w=w, w2=w2),
                           f"{name} #{t // len(schemas) + 1}"))
     return out
 
@@ -497,7 +503,6 @@ def _ax_dynamic(rng, count: int) -> list:
 def _ax_unitary(rng, count: int) -> list:
     """Unitary functionality, bijectivity and the adjointness axiom."""
     fr = Frame(2)
-    fill = _schemas()
     schemas = [
         ("unitary-functionality",
          "(!([u]q) -> [u](!q)) & ([u](!q) -> !([u]q))"),
@@ -512,7 +517,7 @@ def _ax_unitary(rng, count: int) -> list:
         u = _random_program(rng, 2, tests=False)
         w = _random_program(rng, 2)
         name, text = schemas[t % len(schemas)]
-        out.append(_valid(env, fill(text, u=u, w=w),
+        out.append(_valid(env, _claim(text, u=u, w=w),
                           f"{name} #{t // len(schemas) + 1}"))
     return out
 
@@ -521,7 +526,6 @@ def _ax_testable(rng, count: int) -> list:
     """Repeatability, testability closure, quantum modus ponens and weak
     modularity, over testable (subspace) valuations."""
     fr = Frame(2)
-    fill = _schemas()
     schemas = [
         ("repeatability", "testable(p) -> [p?]p"),
         ("testability-closure",
@@ -536,7 +540,7 @@ def _ax_testable(rng, count: int) -> list:
                                "q": _random_subspace(rng, fr)})
         w = _random_program(rng, 2)
         name, text = schemas[t % len(schemas)]
-        out.append(_valid(env, fill(text, w=w),
+        out.append(_valid(env, _claim(text, w=w),
                           f"{name} #{t // len(schemas) + 1}"))
     return out
 
@@ -545,21 +549,20 @@ def _ax_adjunction(rng, count: int) -> list:
     """Two paired-validity laws: the strongest-postcondition adjunction
     and the adjointness theorem, each over random deterministic maps."""
     fr = Frame(2)
-    fill = _schemas()
     out = []
     for t in range(count):
         w = _random_program(rng, 2)
         if t % 2 == 0:
             env = Environment(fr, {"p": _random_region(rng, fr),
                                    "q": _random_subspace(rng, fr)})
-            a = check_valid(env, fill("leq(post(w, p), q)", w=w))
-            b = check_valid(env, fill("leq(p, [w]q)", w=w))
+            a = check_valid(env, _claim("leq(post(w, p), q)", w=w))
+            b = check_valid(env, _claim("leq(p, [w]q)", w=w))
             name = "post-adjunction"
         else:
             env = Environment(fr, {"p": _random_subspace(rng, fr),
                                    "q": _random_subspace(rng, fr)})
-            a = check_valid(env, fill("perpf(p, post(w, q))", w=w))
-            b = check_valid(env, fill("perpf(post(adj(w), p), q)", w=w))
+            a = check_valid(env, _claim("perpf(p, post(w, q))", w=w))
+            b = check_valid(env, _claim("perpf(post(adj(w), p), q)", w=w))
             name = "adjointness-theorem"
         agree = (a is None) == (b is None)
         out.append(InstanceResult(f"{name} #{t // 2 + 1}", agree,
@@ -619,14 +622,13 @@ def _ax_separation(rng, count: int) -> list:
 def _ax_trivial_local(rng, count: int) -> list:
     """T{I} is an I-local program and the weakest one."""
     fr = Frame(3)
-    fill = _schemas()
     out = []
     for t in range(count):
         qubits = sorted(rng.sample([1, 2, 3], rng.randint(1, 2)))
-        txt = ",".join(str(q) for q in qubits)
+        one = _first(len(qubits))
         env = Environment(fr, {"p": _random_region(rng, fr)})
-        ok = check_valid(env, fill(f"localp{{{txt}}}(T{{{txt}}})")) is None
-        weaker = fill(f"<w>p -> <T{{{txt}}}>p",
+        ok = check_valid(env, _claim(f"localp{{{one}}}(T{{{one}}})", qubits)) is None
+        weaker = _claim(f"<w>p -> <T{{{one}}}>p", qubits,
                         w=_random_program(rng, 3, qubits))
         states = [_random_ray(rng, fr) for _ in range(6)]
         states += [_product_ray(rng, fr, cut=frozenset(qubits))
@@ -647,11 +649,9 @@ def _ax_local_states(rng, count: int) -> list:
     """Instances of LOCAL_STATES_AXIOM on three qubits, p the lift of a
     random part-state."""
     fr = Frame(3)
-    fill = _schemas()
     out = []
     for t in range(count):
         qubits = sorted(rng.sample([1, 2, 3], rng.randint(1, 2)))
-        txt = ",".join(str(q) for q in qubits)
         p = fr.state_lift(random_part_state(rng, len(qubits)), qubits)
         roll = t % 4
         if roll == 0:
@@ -663,7 +663,8 @@ def _ax_local_states(rng, count: int) -> list:
         else:
             q = Subspace.zero(fr.dim)
         env = Environment(fr, {"p": p, "q": q})
-        claim = fill(LOCAL_STATES_AXIOM.replace("{I}", f"{{{txt}}}"))
+        at = "{" + _first(len(qubits)) + "}"
+        claim = _claim(LOCAL_STATES_AXIOM.replace("{I}", at), qubits)
         out.append(_valid(env, claim, f"local-states #{t + 1} I={qubits}"))
     return out
 
@@ -671,16 +672,17 @@ def _ax_local_states(rng, count: int) -> list:
 def _ax_basic_testability(rng, count: int) -> list:
     """Basis constants and map-states are testable and local."""
     env = Environment(Frame(3))
-    fill = _schemas()
     out = []
     for t in range(count):
         c = rng.choice("01+-")
         i, j = rng.sample([1, 2, 3], 2)
         qubits = sorted(rng.sample([1, 2, 3], rng.randint(1, 2)))
         chars = "".join(rng.choice("01+-") for _ in qubits)
-        txt = ",".join(str(q) for q in qubits)
-        claim = fill(f"testable(c) & local{{{txt}}}(v) & testable(ent[{i},{j}](w))"
-                       f" & local{{{i},{j}}}(ent[{i},{j}](w))",
+        # numbered i, j, then the third qubit, which v may also name
+        order = [i, j, 6 - i - j]
+        v_at = _listed(sorted(order.index(q) + 1 for q in qubits))
+        claim = _claim(f"testable(c) & local{{{v_at}}}(v) & testable(ent[1,2](w))"
+                       " & local{1,2}(ent[1,2](w))", order,
                        c=ast.Const(c, i), v=ast.VecC(tuple(qubits), chars),
                        w=_random_word(rng))
         out.append(_valid(env, claim,
@@ -696,7 +698,7 @@ def _ax_superpositions() -> list:
         for i in range(1, n + 1):
             for c in "+-":
                 out.append(_valid(
-                    env, f"{c}_{i} -> dia 0_{i} & dia 1_{i}",
+                    env, _claim(f"{c}_1 -> dia 0_1 & dia 1_1", (i,)),
                     f"proper-superpositions n={n} {c}_{i}"))
     return out
 
@@ -705,7 +707,6 @@ def _ax_determinacy(rng, count: int) -> list:
     """Deterministic maps agreeing on all {0,1,+} product states agree
     everywhere."""
     fr = Frame(2)
-    fill = _schemas()
     vecs = [f"vec{{1,2}}({a},{b})" for a in "01+" for b in "01+"]
     texts = [" & ".join(f"eqf(img(w1, {v}), img({w2}, {v}))" for v in vecs)
              + f" -> eqf(img(w1, p), img({w2}, p))"
@@ -716,7 +717,7 @@ def _ax_determinacy(rng, count: int) -> list:
         if t % 3 == 2:
             words["w2"] = _random_program(rng, 2)
         env = Environment(fr, {"p": _random_union_region(rng, fr)})
-        out.append(_valid(env, fill(texts[t % 3], **words),
+        out.append(_valid(env, _claim(texts[t % 3], **words),
                           f"determinacy #{t + 1}"))
     return out
 
@@ -724,12 +725,11 @@ def _ax_determinacy(rng, count: int) -> list:
 def _ax_entanglement(rng, words: int) -> list:
     """T(p_i) -> p_i?(ent state of w) =_j (w moved to i,j)(p_i),
     schematically over p with real random corroborations."""
-    fill = _schemas()
     out = []
     for t in range(words):
         i, j = rng.sample([1, 2, 3], 2)
-        template = fill(f"testable(p) -> eqi{{{j}}}(img(p?, ent[{i},{j}](w)),"
-                          f" img(mov[{i},{j}](w), p))", w=_random_word(rng))
+        template = _claim("testable(p) -> eqi{2}(img(p?, ent[1,2](w)),"
+                          " img(mov[1,2](w), p))", (i, j), w=_random_word(rng))
         instances, corroborations = check_schematic(
             Environment(Frame(3)), template, "p", (i,), rng=rng, samples=2,
             real_only=True)
@@ -747,13 +747,13 @@ def _ax_gate_locality() -> list:
         env = Environment(Frame(n))
         for i in range(1, n + 1):
             for g in "XZH":
-                out.append(_valid(env, f"localp{{{i}}}({g}_{i})",
+                out.append(_valid(env, _claim(f"localp{{1}}({g}_1)", (i,)),
                                   f"gate-locality n={n} {g}_{i}"))
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 if i != j:
                     out.append(_valid(
-                        env, f"localp{{{i},{j}}}(CNOT_{i}_{j})",
+                        env, _claim("localp{1,2}(CNOT_1_2)", (i, j)),
                         f"gate-locality n={n} CNOT_{i}_{j}"))
     return out
 
@@ -769,13 +769,27 @@ def _ax_characteristic_single() -> list:
         for i in range(1, n + 1):
             for g, pre, post in rows:
                 out.append(_valid(
-                    env, f"{pre}_{i} -> [{g}_{i}]{post}_{i}",
+                    env, _claim(f"{pre}_1 -> [{g}_1]{post}_1", (i,)),
                     f"characteristic n={n} {pre}_{i}->[{g}_{i}]{post}_{i}"))
     return out
 
 
+def _cnot_rows(i: int, j: int) -> list:
+    """The rows (pre, post) of the CNOT transition table at control i and
+    target j."""
+    rows = [(f"0_{i} & {c}_{j}", f"{c}_{j}") for c in "01+-"]
+    rows += [(f"1_{i} & 0_{j}", f"1_{j}"),
+             (f"1_{i} & 1_{j}", f"0_{j}"),
+             (f"1_{i} & +_{j}", f"+_{j}"),
+             (f"+_{i} & 0_{j}", f"bell[0,0,{i},{j}]"),
+             (f"+_{i} & 1_{j}", f"bell[0,1,{i},{j}]"),
+             (f"+_{i} & +_{j}", f"gamma[{i},{j}]")]
+    return rows
+
+
 def _ax_characteristic_cnot() -> list:
     """The CNOT transition table, including the entangling rows."""
+    claims = [f"{pre} -> [CNOT_1_2]{post}" for pre, post in _cnot_rows(1, 2)]
     out = []
     for n in (2, 3):
         env = Environment(Frame(n))
@@ -783,17 +797,9 @@ def _ax_characteristic_cnot() -> list:
             for j in range(1, n + 1):
                 if i == j:
                     continue
-                cases = [(f"0_{i} & {c}_{j}", f"{c}_{j}") for c in "01+-"]
-                cases += [(f"1_{i} & 0_{j}", f"1_{j}"),
-                          (f"1_{i} & 1_{j}", f"0_{j}"),
-                          (f"1_{i} & +_{j}", f"+_{j}"),
-                          (f"+_{i} & 0_{j}", f"bell[0,0,{i},{j}]"),
-                          (f"+_{i} & 1_{j}", f"bell[0,1,{i},{j}]"),
-                          (f"+_{i} & +_{j}", f"gamma[{i},{j}]")]
-                for pre, post in cases:
-                    out.append(_valid(
-                        env, f"{pre} -> [CNOT_{i}_{j}]{post}",
-                        f"cnot n={n} {pre} -> {post}"))
+                for claim, (pre, post) in zip(claims, _cnot_rows(i, j)):
+                    out.append(_valid(env, _claim(claim, (i, j)),
+                                      f"cnot n={n} {pre} -> {post}"))
     return out
 
 
@@ -813,27 +819,27 @@ def _ax_characterizations() -> list:
             for y in (0, 1):
                 out.append(_valid(
                     env,
-                    f"eqf(bell[{x},{y},{i},{j}],"
-                    f" {_bell_characteristic(x, y, i, j)})",
+                    _claim(f"eqf(bell[{x},{y},1,2],"
+                           f" {_bell_characteristic(x, y, 1, 2)})", (i, j)),
                     f"bell characterization n={n} x={x},y={y}"))
     env2 = Environment(Frame(2))
-    out.append(_valid(env2, "eqf(vec{1,2}(0,0), <0_1?>0_2 & [1_1?]false)",
+    out.append(_valid(env2, _claim("eqf(vec{1,2}(0,0), <0_1?>0_2 & [1_1?]false)"),
                       "basis-state characterization |00>"))
     # the test-based description of gamma is strictly weaker than the ray
     # (any product psi x + with nonzero basis projections satisfies it),
     # so only the forward direction and the axiom row hold
     out.append(_valid(env2,
-                      "leq(gamma[1,2], <0_1?>+_2 & <1_1?>+_2 & <+_1?>+_2)",
+                      _claim("leq(gamma[1,2], <0_1?>+_2 & <1_1?>+_2 & <+_1?>+_2)"),
                       "gamma description"))
     out.append(_valid(
         env2,
-        "+_1 & +_2 -> [CNOT_1_2](<0_1?>+_2 & <1_1?>+_2 & <+_1?>+_2)",
+        _claim("+_1 & +_2 -> [CNOT_1_2](<0_1?>+_2 & <1_1?>+_2 & <+_1?>+_2)"),
         "gamma axiom row"))
     env3 = Environment(Frame(3))
     out.append(_valid(
         env3,
-        "eqf(ghz[1,2,3],"
-        " <0_1?>(0_2 & 0_3) & <1_1?>(1_2 & 1_3) & <+_1?>bell[0,0,2,3])",
+        _claim("eqf(ghz[1,2,3],"
+               " <0_1?>(0_2 & 0_3) & <1_1?>(1_2 & 1_3) & <+_1?>bell[0,0,2,3])"),
         "ghz characterization"))
     fr = Frame(2)
     bells = {(0, 0): [1, 0, 0, 1], (0, 1): [0, 1, 1, 0],
@@ -860,29 +866,26 @@ def _ax_derived(rng, count: int) -> list:
         env = Environment(Frame(n))
         for size in range(1, n + 1):
             for I in combinations(range(1, n + 1), size):
-                txt = ",".join(str(q) for q in I)
-                out.append(_valid(env, f"eqf(~T{{{txt}}}, false)",
+                out.append(_valid(env, _claim(f"eqf(~T{{{_first(size)}}}, false)", I),
                                   f"ortho-trivial n={n} I={list(I)}"))
     fr = Frame(3)
-    fill = _schemas()
     for t in range(count):
         qubits = sorted(rng.sample([1, 2, 3], rng.randint(1, 2)))
-        txt = ",".join(str(q) for q in qubits)
+        one = _first(len(qubits))
         other = sorted(set([1, 2, 3]) - set(qubits))
         p = fr.state_lift(random_part_state(rng, len(qubits)), qubits)
         q = fr.state_lift(random_part_state(rng, len(qubits)), qubits)
         r = fr.state_lift(random_part_state(rng, len(other)), other)
         w = _random_program(rng, 3, qubits)
         env = Environment(fr, {"p": p, "q": q, "r": r})
-        claim = fill(f"local{{{txt}}}(p | q) & local{{{txt}}}(p & !q)"
-                       f" & local{{{txt}}}(p & [w]q) & local{{1,2,3}}(p & r)"
-                       f" & localp{{{txt}}}(w + w) & localp{{{txt}}}(p?)"
-                       f" & localp{{{txt}}}(T{{{txt}}})", w=w)
+        claim = _claim(f"local{{{one}}}(p | q) & local{{{one}}}(p & !q)"
+                       f" & local{{{one}}}(p & [w]q) & local{{1,2,3}}(p & r)"
+                       f" & localp{{{one}}}(w + w) & localp{{{one}}}(p?)"
+                       f" & localp{{{one}}}(T{{{one}}})", qubits + other, w=w)
         out.append(_valid(env, claim, f"locality-closure #{t + 1} I={qubits}"))
     for t in range(count):
         i = rng.choice([1, 2, 3])
         rest = sorted({1, 2, 3} - {i})
-        rest_txt = ",".join(str(q) for q in rest)
         shared = random_part_state(rng, 1)
         factors = [(random_part_state(rng, 1), random_part_state(rng, 1))
                    for _ in rest]
@@ -892,15 +895,14 @@ def _ax_derived(rng, count: int) -> list:
         env = Environment(fr, {"p": pv, "q": qv})
         # a test inside w can annihilate p, emptying the image; the law
         # presupposes the program applies, so guard on nonemptiness
-        claim = fill(f"localp{{{i}}}(w) & eqi{{{i}}}(p, q)"
-                       f" & !eqf(img(w, p), false) & !eqf(img(w, q), false) ->"
-                       f" eqi{{{rest_txt}}}(p, img(w, p))"
-                       f" & eqi{{{i}}}(img(w, p), img(w, q))", w=w)
+        claim = _claim("localp{1}(w) & eqi{1}(p, q)"
+                       " & !eqf(img(w, p), false) & !eqf(img(w, q), false) ->"
+                       " eqi{2,3}(p, img(w, p))"
+                       " & eqi{1}(img(w, p), img(w, q))", [i] + rest, w=w)
         out.append(_valid(env, claim, f"act-locally #{t + 1} i={i}"))
         out.append(_valid(
             env,
-            fill(f"eqi{{{i}}}(p, q) & eqi{{{rest_txt}}}(p, q)"
-                   f" -> eqi{{1,2,3}}(p, q)"),
+            _claim("eqi{1}(p, q) & eqi{2,3}(p, q) -> eqi{1,2,3}(p, q)", [i] + rest),
             f"identical-parts #{t + 1} i={i}"))
     for t in range(count):
         i = rng.choice([1, 2, 3])
@@ -909,7 +911,7 @@ def _ax_derived(rng, count: int) -> list:
         qv = _product_state(fr, (i,), comp,
                             [random_part_state(rng, 1) for _ in rest])
         env = Environment(fr, {"q": qv})
-        both = fill("(perpf(p, q) -> perpf(p, c)) & (perpf(p, c) -> perpf(p, q))",
+        both = _claim("(perpf(p, q) -> perpf(p, c)) & (perpf(p, c) -> perpf(p, q))",
                       p=_local_ray_formula(rng, i, real_only=True),
                       c=ast.RayF((i,), comp))
         out.append(_valid(env, both, f"perp-component #{t + 1} i={i}"))

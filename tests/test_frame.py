@@ -644,7 +644,7 @@ def test_ray_product_form_matches_the_eliminating_factor(monkeypatch):
         # the split of the raw row, whatever its leading amplitude, spans
         # the same factors
         table = fr.layout(inside)
-        split = row.split(table)
+        split = row.split(fr._where(tuple(inside)), (len(table), len(table[0])))
         assert (split is None) == (want is None)
         if split is not None:
             assert Subspace(split[0], len(table)) is want[0]
@@ -652,6 +652,83 @@ def test_ray_product_form_matches_the_eliminating_factor(monkeypatch):
     assert calls == []
     products = sum(w is not None for w in wants)
     assert len(cases) >= 400 and 0 < products < len(cases) - 60
+
+
+FORM_KINDS = ("zero", "full", "left", "right", "unshared", "entangled")
+
+
+def form_subspace(fr, inside, kind, k, amps):
+    """A subspace of the given kind on the sorted qubits ``inside``: x (x) V
+    ("left") or V (x) y ("right") with k vectors spanning V, k rank-one
+    rows x_l (x) y_l with no factor shared ("unshared"), k entangled rows,
+    or the zero or full subspace.  ``amps(size)`` gives a nonzero
+    amplitude list."""
+    part_k, rest_k = 2 ** len(inside), fr.dim >> len(inside)
+    if kind == "zero":
+        return Subspace.zero(fr.dim)
+    if kind == "full":
+        return Subspace.full(fr.dim)
+    if kind == "left":
+        x = amps(part_k)
+        rows = [product_amps(fr, inside, x, amps(rest_k)) for _ in range(k)]
+    elif kind == "right":
+        y = amps(rest_k)
+        rows = [product_amps(fr, inside, amps(part_k), y) for _ in range(k)]
+    elif kind == "unshared":
+        rows = [product_amps(fr, inside, amps(part_k), amps(rest_k))
+                for _ in range(k)]
+    else:
+        rows = [amps(fr.dim) for _ in range(k)]
+    return Subspace.from_rows(rows, fr.dim)
+
+
+def nonzero(amps):
+    return amps if any(amps) else [ONE] + amps[1:]
+
+
+def form_cases():
+    """(frame, sorted qubits, kind, subspace) at n = 1..4 on every sorted
+    qubit subset, each kind at every dimension it can take, from sparse
+    Gaussian amplitudes."""
+    rng = random.Random(232)
+
+    def amps(size):
+        return nonzero([GaussianRational(rng.randint(-2, 2),
+                                         rng.randint(-1, 1) if rng.random() < 0.3 else 0)
+                        for _ in range(size)])
+
+    out = []
+    for n in range(1, 5):
+        fr = Frame(n)
+        for inside in all_subsets(n):
+            part_k, rest_k = 2 ** len(inside), fr.dim >> len(inside)
+            dims = {"zero": [0], "full": [fr.dim], "left": range(1, rest_k + 1),
+                    "right": range(1, part_k + 1), "unshared": range(2, 5),
+                    "entangled": range(1, fr.dim + 1)}
+            out += [(fr, inside, kind, form_subspace(fr, inside, kind, k, amps))
+                    for kind in FORM_KINDS for k in dims[kind]]
+    return out
+
+
+def test_product_form_matches_the_eliminating_factor_at_every_dimension(monkeypatch):
+    # Frame._factor reads the form off the RREF rows alone: the very
+    # (part, rest) of the gathered and eliminated spans, or None with it,
+    # with no elimination
+    cases = form_cases()
+    wants = [gather_factor(fr, sub, inside) for fr, inside, _, sub in cases]
+    calls = counted_eliminations(monkeypatch)
+    gots = [fr._factor(sub, inside) for fr, inside, _, sub in cases]
+    assert calls == []
+    for (fr, inside, kind, sub), want, got in zip(cases, wants, gots):
+        assert got == want, (fr, inside, kind, sub.dim)
+    found = {(kind, sub.dim > 1, want is None)
+             for (_, _, kind, sub), want in zip(cases, wants)}
+    # x (x) V and V (x) y of every size are forms; rank-one rows sharing no
+    # factor and wider entangled subspaces are not
+    assert {("left", True, False), ("right", True, False), ("unshared", True, True),
+            ("entangled", True, True), ("entangled", False, True),
+            ("zero", False, True), ("full", True, False)} <= found
+    assert len(cases) >= 700
 
 
 def test_product_form_of_a_ray_eliminates_nothing_in_teleportation(monkeypatch):

@@ -766,3 +766,38 @@ def test_a_parse_leaves_no_frame_in_a_reference_cycle():
         assert str(exc.value) == message, text
     with pytest.raises(ParseError, match=f"nesting deeper than {MAX_DEPTH} levels"):
         parse_formula("<(" * 60 + "0_1?" + ")>0_1" * 60)
+
+
+def test_instantiate_moves_every_qubit_field_and_fills_variables():
+    # a template written at qubits 1, 2, 3 and moved by a permutation is
+    # the parse of the text written at the permuted qubits: index sets
+    # sorted, gate targets and vec qubits in order, the one-qubit program
+    # of ent, mov and unary1 left at qubit 1, bell bits untouched
+    move = {1: 3, 2: 1, 3: 2}
+    texts = [
+        "eqi{1,3}(img(CNOT_1_2 ; H_3 ; flip_2_3, 0_1 & vec{2,1}(+,1)),"
+        " img(mov[1,2](X_1 ; 0_1?) ; ent[2,3](Z_1)?, p)) & T{1,2} & cmp{3}(p)",
+        "local{1,2}(bell[1,0,1,3] & ghz[3,2,1] & gamma[2,1]) -> localp{2,3}(T{1}"
+        " + set0{2,3} ; proj0{1} ; unary1(H_1 ; w))",
+    ]
+    moved = [
+        "eqi{2,3}(img(CNOT_3_1 ; H_2 ; flip_1_2, 0_3 & vec{1,3}(+,1)),"
+        " img(mov[3,1](X_1 ; 0_1?) ; ent[1,2](Z_1)?, p)) & T{1,3} & cmp{2}(p)",
+        "local{1,3}(bell[1,0,3,2] & ghz[2,1,3] & gamma[1,3]) -> localp{1,2}(T{3}"
+        " + set0{1,2} ; proj0{3} ; unary1(H_1 ; w))",
+    ]
+    for text, want in zip(texts, moved):
+        got = ast.instantiate(parse_formula(text), move, {})
+        assert got == parse_formula(want)
+    word = parse_program("X_1 ; Z_1")
+    filled = ast.instantiate(parse_formula(texts[1]), move, {"w": word})
+    assert filled == parse_formula(moved[1].replace("; w)", "; (X_1 ; Z_1))"))
+    # a node that neither moves nor holds a filled variable is kept
+    template = parse_formula("p & [X_1]true")
+    assert ast.instantiate(template, {}, {"q": ast.TrueF()}) is template
+    one = ast.RayF((2,), (1, 2))
+    assert ast.instantiate(one, move, {}) == ast.RayF((1,), (1, 2))
+    with pytest.raises(ValueError):
+        ast.instantiate(ast.RayF((1, 2), (1, 0, 0, 1)), move, {})
+    with pytest.raises(TypeError):
+        ast.instantiate(template, {}, {"p": word})

@@ -20,6 +20,8 @@ from qpdl.protocols import (
     LOCAL_STATES_AXIOM,
     _ax_superpositions,
     _lemma_bell_preparation,
+    axiom_suite,
+    lemma_suite,
     quantum_secret_sharing,
     run_target,
     teleportation,
@@ -111,7 +113,7 @@ def test_qss_with_inverted_sign_reading_fails():
     assert all("\tFAIL" in line for line in ghz)
 
 
-# sha256 of render_text() for the mutants and a second seed, each with its
+# sha256 of render_text() for the mutants and two more seeds, each with its
 # 20 random-state corroborations; the default reports are pinned in
 # test_acceptance.REPORT_SHA256.
 VARIANT_SHA256 = [
@@ -133,6 +135,24 @@ VARIANT_SHA256 = [
     pytest.param(quantum_secret_sharing, {"seed": 7},
                  "722db0852c1176bb882328e442ca405a82c5b664b81772707ec2b242c47ed477",
                  id="qss-seed7"),
+    pytest.param(teleportation, {"seed": 99},
+                 "d22af7cc28ae7828cee33fcc8de5974c79cf9a25972781fd47b1f6ca5e6cd013",
+                 id="teleportation-seed99"),
+    pytest.param(quantum_secret_sharing, {"seed": 99},
+                 "c839559fcebf2a30a5ebc121e91512c1b4319c48f749ea4f78adad5cb05761df",
+                 id="qss-seed99"),
+    pytest.param(lemma_suite, {"seed": 7},
+                 "fb91a890ec1a3e6a7bb073e6da71dc49e171b71a4042c6cd3cd8478dbb52dbd9",
+                 id="lemmas-seed7"),
+    pytest.param(lemma_suite, {"seed": 99},
+                 "5b3746e27ee013053c2a83cd2f87310ee216b06516a74618c9a4778058f281ef",
+                 id="lemmas-seed99"),
+    pytest.param(axiom_suite, {"seed": 7},
+                 "123751f286a650d3989ce970fb7dbdc161bfc17d966070725675529511f38122",
+                 id="axioms-seed7"),
+    pytest.param(axiom_suite, {"seed": 99},
+                 "4f6fd8499075155581ddad8f4bb3f66df9789046670f00e661d052d8cbe9aeb2",
+                 id="axioms-seed99"),
 ]
 
 
@@ -186,34 +206,89 @@ def region(fr, text):
     return eval_symbolic(Environment(fr), parse_formula(text))
 
 
-def test_suites_parse_each_schema_once(monkeypatch):
-    # schemas are parsed once per family and filled by substitution;
-    # random words are trees and are never printed and parsed back
-    counts = {"formula": 0, "program": 0}
+# Runs `qpdl verify all --seed 2026` in a fresh process, then lemma_suite
+# again, and prints the exit code, the number of parses in each and the
+# number of distinct texts parsed: every parse tokenizes its text once.
+PARSE_PROBE = """\
+import contextlib, io, sys
+texts = []
+def profile(frame, event, arg):
+    if (event == 'call' and frame.f_code.co_name == 'tokenize'
+            and frame.f_globals.get('__name__') == 'qpdl.parser'):
+        texts.append(frame.f_locals['text'])
+sys.setprofile(profile)
+from qpdl import protocols
+from qpdl.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(['verify', 'all', '--seed', '2026'])
+first = len(texts)
+assert protocols.lemma_suite(seed=2026).passed
+sys.setprofile(None)
+print(code, first, len(texts) - first, len(set(texts)))
+"""
 
-    def counting(kind, parse):
-        def counted(text):
-            counts[kind] += 1
-            return parse(text)
-        return counted
 
-    monkeypatch.setattr(protocols, "parse_formula",
-                        counting("formula", parser.parse_formula))
-    monkeypatch.setattr(protocols, "parse_program",
-                        counting("program", parser.parse_program))
-    monkeypatch.setattr(parser, "parse_program",
-                        counting("program", parser.parse_program))
-    assert protocols.axiom_suite(seed=2026).passed
-    assert counts["formula"] <= 320 and counts["program"] == 0, counts
-    counts["program"] = 0
-    assert protocols.lemma_suite(seed=2026).passed
-    assert counts["program"] == 0
-    # a protocol parses its claim once and each branch once
-    for run, formulas, programs in ((protocols.teleportation, 1, 4),
-                                    (protocols.quantum_secret_sharing, 3, 8)):
-        counts.update(formula=0, program=0)
-        assert run(samples=2).passed
-        assert counts == {"formula": formulas, "program": programs}, counts
+def test_suites_parse_each_schema_once():
+    # a claim is parsed once per process at qubits 1, 2, ... and each case
+    # is built from it by ast.instantiate, so verify all parses no text
+    # twice, and a second suite in the same process parses nothing
+    proc = subprocess.run([sys.executable, "-c", PARSE_PROBE], env=fresh_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, first, again, distinct = map(int, proc.stdout.split())
+    assert (code, again) == (0, 0)
+    assert first == distinct <= 110, (first, distinct)
+
+
+# sha256 over the repr of every claim each suite hands to check_valid,
+# check_state and check_schematic, in order, with the count of claims:
+# the claims as they were built when each case formatted its text at its
+# own qubits and parsed it, taken at seeds 2026, 7 and 99.  Teleportation
+# and secret sharing check the same claims at every seed.
+CLAIM_SHA256 = [
+    pytest.param(teleportation, 2026, 1,
+                 "babbc0d1bff206bd83ed6430573b5259cad87fa61427fa4df24099a72dbed21a",
+                 id="teleportation"),
+    pytest.param(quantum_secret_sharing, 2026, 3,
+                 "44e9138c5ea954609d2bc8eb43fbefd4afff8b61c3b892b451fbe9e2d5fcae4a",
+                 id="qss"),
+    pytest.param(lemma_suite, 2026, 76,
+                 "36cc4bb30ac48fc6bddac44cba2b59ad81e34d06cc81a4f7178211e9ff6f6653",
+                 id="lemmas-seed2026"),
+    pytest.param(lemma_suite, 7, 76,
+                 "d53beeff0e61b5152b52e41dab1fb44238d3c1435d12e0fd828311d4bd258734",
+                 id="lemmas-seed7"),
+    pytest.param(lemma_suite, 99, 76,
+                 "dd8925d2826eeadbb163994761d6e5c60434e24568bf5b2180a1f2610be0ed3d",
+                 id="lemmas-seed99"),
+    pytest.param(axiom_suite, 2026, 1670,
+                 "afe8af642fb897a5c1b917a62ce428cae48856266022423eb1c28a4e213dfe2e",
+                 id="axioms-seed2026"),
+    pytest.param(axiom_suite, 7, 1670,
+                 "722605819674b1e614f8220211b629be6c96a58165a8a58ff1d73db40d5e6f08",
+                 id="axioms-seed7"),
+    pytest.param(axiom_suite, 99, 1670,
+                 "276eab0cc06bf7ecf35636c0d9109133ba8476417d3cae3065e2052ba8b91076",
+                 id="axioms-seed99"),
+]
+
+
+@pytest.mark.parametrize("target, seed, count, digest", CLAIM_SHA256)
+def test_template_instances_equal_the_parsed_per_case_text(
+        monkeypatch, target, seed, count, digest):
+    seen = []
+
+    def recording(check, at):
+        def record(env, *args, **kwargs):
+            seen.append(repr(args[at]))
+            return check(env, *args, **kwargs)
+        return record
+
+    for name, at in (("check_valid", 0), ("check_state", 1), ("check_schematic", 0)):
+        monkeypatch.setattr(protocols, name, recording(getattr(protocols, name), at))
+    target(seed=seed)
+    text = "\n".join(seen)
+    assert (len(seen), hashlib.sha256(text.encode()).hexdigest()) == (count, digest)
 
 
 def test_importing_protocols_parses_nothing():
@@ -230,11 +305,15 @@ def test_importing_protocols_parses_nothing():
         "qpdl.protocols.parse_formula('p')\n"
         "sys.setprofile(None)\n"
         "print(at_import, len(calls))\n")
-    src = str(Path(protocols.__file__).resolve().parent.parent)
-    path = filter(None, [src, os.environ.get("PYTHONPATH")])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+    proc = subprocess.run([sys.executable, "-c", probe], env=fresh_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     # none at import, and the probe does see the one call of a parse
     assert proc.stdout == "0 1\n"
+
+
+def fresh_env():
+    """The environment of a new process that imports this checkout's qpdl."""
+    src = str(Path(protocols.__file__).resolve().parent.parent)
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
