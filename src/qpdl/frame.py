@@ -51,9 +51,9 @@ table that keeps neither them nor the result alive, so a repeated join
 or meet runs no elimination.  A meet works from the smaller side A,
 against the orthocomplement P of the other: the product conj(P) A^T,
 the one that decides containment, is 0 when A lies in the other side,
-and otherwise its kernel's rows times A span the meet (0 at once when A
-is a ray).  Beside P, found once per subspace, it eliminates only that
-dim P x dim A product and the meet's own rows.
+and otherwise its kernel's RREF basis times A is the meet's RREF basis
+(0 at once when A is a ray).  Beside P, found once per subspace, it
+eliminates only that dim P x dim A product.
 A layout table is the index table of ``Matrix.tensor``, which places
 gate lifts g (x) I (rows and columns alike), state lifts part (x) I and
 reachable sets I (x) rest, and of ``Matrix.gather``, which reads blocks
@@ -202,8 +202,8 @@ class Subspace:
         """Orthocomplement under the conjugate-linear inner product,
         computed once per span and linked back, as (W^perp)^perp = W."""
         if self._ortho is None:
-            # conj keeps the pivots 1 of the RREF basis and the zeros around them
-            perp = Subspace(self.basis.conj()._kernel_of_rref(), self.ambient,
+            # one elimination of the basis rows, none for a ray
+            perp = Subspace(self.basis.conj().kernel_basis(), self.ambient,
                             _canonical=True)
             self._ortho, perp._ortho = perp, self
         return self._ortho
@@ -225,18 +225,18 @@ class Subspace:
         the product that ``contains_subspace`` makes, so the kernel's rows
         times A span the meet.  When the product is 0, small lies in self;
         when it is not and small is a ray, the meet is 0.  Neither case
-        eliminates; otherwise the eliminations are of the dim P x dim A
-        product and of the meet's own rows, the kernel being read off the
-        product's RREF unreduced, since the meet's rows are eliminated."""
+        eliminates; otherwise the one elimination is the kernel's, of the
+        dim P x dim A product.  The kernel's basis K and A are RREFs, so K A
+        is one too: its row i is row f_i of A, f_i being K's pivot i, plus
+        multiples of later rows of A, so it leads with 1 at that row's
+        pivot, where its other rows are 0, as K is 0 at f_i off row i."""
         product = self._against_ortho(small)
         if product == Matrix.zeros(product.rows, small.dim):
             return small
         if small.dim == 1:
             return Subspace.zero(self.ambient)
-        kernel = product._kernel_vectors()
-        if kernel.rows == 0:
-            return Subspace.zero(self.ambient)
-        return Subspace(kernel * small.basis, self.ambient)
+        return Subspace(product.kernel_basis() * small.basis, self.ambient,
+                        _canonical=True)
 
     def projector(self) -> Matrix:
         """Orthogonal projector onto the subspace, as an exact matrix."""

@@ -34,6 +34,12 @@ a positive integer pivot, so it maps one-to-one onto the RREF row with
 pivot 1; the RREF basis is the canonical representative used for
 subspace identity throughout the package.
 
+One routine, ``kernel_basis``, gives every null space, from one
+elimination of the rows with their column order reversed: each pivot is
+then its row's last entry, so the null vector of each free column leads
+there and holds no other free column, and the vectors are the RREF of
+the null space as read off.
+
 A single row needs no elimination: its RREF is the row times the
 conjugate of its leading entry, divided by the integer gcd of its parts,
 the normalisation ``_rref`` gives each pivot row.  Nor does ``split``,
@@ -436,24 +442,33 @@ class Matrix:
         return Matrix.from_parts(_rref(self._work(), self.cols)[0], self.cols)
 
     def kernel_basis(self) -> "Matrix":
-        """Rows spanning the right null space {x : M x = 0}, in RREF;
-        there are cols - rank of them."""
-        return _kernel(*_rref(self._work(), self.cols), self.cols)
-
-    def _kernel_vectors(self) -> "Matrix":
-        """Rows spanning the right null space, one per free column of the
-        RREF, not reduced among themselves: ``kernel_basis`` without its
-        second elimination, for a caller that eliminates them anyway."""
-        vectors = _null_vectors(*_rref(self._work(), self.cols), self.cols)
-        return Matrix.from_parts([(sorted((j, a, b) for j, (a, b) in v.items()), 1)
-                                  for v in vectors], self.cols)
-
-    def _kernel_of_rref(self) -> "Matrix":
-        """``kernel_basis`` of a matrix whose rows already are an RREF, such
-        as the conjugate of a ``row_basis``: one elimination fewer."""
-        # each pivot is 1, i.e. den, the first entry of its row
-        return _kernel([(row, self.den) for row in self.triples],
-                       [row[0][0] for row in self.triples], self.cols)
+        """Rows spanning the right null space {x : M x = 0}, in RREF; there
+        are cols - rank of them.  One ``_rref``, of the rows fed bottom-up
+        with column c relabelled cols-1-c, so that each pivot is its row's
+        last entry: the null vector of a free column f then leads at f and
+        holds no other free column, so the vectors are the RREF as they
+        stand, with no second elimination."""
+        last = self.cols - 1
+        # bottom-up, as a row lower in an RREF tends to end further right:
+        # the relabelled leads then come about in the ascending order in
+        # which _eliminate looks for them
+        rows, pivots = _rref([{last - c: (a, b) for c, a, b in row}
+                              for row in reversed(self.triples) if row], self.cols)
+        # Free column f gives e_f - sum_r (x_r[f] / s_r) e_{c_r}, where x_r /
+        # s_r is RREF row r with pivot column c_r > f; scaled by d, the lcm
+        # of those s_r.  The rows lead relabelled in ascending order, so
+        # taken in reverse their pivots c_r ascend.
+        hits = {}  # free column -> the (c_r, re, im, s_r) with x_r[f] != 0
+        for (row, s), p in zip(reversed(rows), reversed(pivots)):
+            for j, a, b in row[1:]:
+                hits.setdefault(last - j, []).append((last - p, a, b, s))
+        vectors = []
+        for f in sorted(set(range(self.cols)).difference(last - p for p in pivots)):
+            h = hits.get(f, ())
+            d = lcm(*(s for *_, s in h))
+            vectors.append(([(f, d, 0)] + [(c, -a * (d // s), -b * (d // s))
+                                           for c, a, b, s in h], d))
+        return Matrix.from_parts(vectors, self.cols)
 
     def solve(self, rhs: "Matrix") -> "Matrix":
         """The X with self * X = rhs, for an invertible square self: the
@@ -668,35 +683,6 @@ def _lead_one(row: Sequence[tuple]) -> tuple[list, int]:
         row = [(j, a * pr + b * pi, b * pr - a * pi) for j, a, b in row]
     g = gcd(*[a for _, a, _ in row], *[b for _, _, b in row])
     return [(j, a // g, b // g) for j, a, b in row], row[0][1] // g
-
-
-def _kernel(rows: list, pivots: list, cols: int) -> Matrix:
-    """The RREF basis of the null space of a matrix already in RREF, given
-    as its rows (x, s) with pivot s and their pivot columns: one
-    elimination, of the kernel vectors, when there are two or more."""
-    return Matrix.from_parts(_rref(_null_vectors(rows, pivots, cols), cols)[0], cols)
-
-
-def _null_vectors(rows: list, pivots: list, cols: int) -> list:
-    """One vector of the null space per free column of the RREF given as
-    for ``_kernel``, as an elimination row: together a basis of it."""
-    # Free column f gives e_f - sum_r (x_r[f] / s_r) e_{c_r}, where x_r / s_r
-    # is RREF row r with pivot column c_r; scaled by the lcm of those s_r.
-    hits = {}  # free column -> the (c_r, re, im, s_r) with x_r[f] != 0
-    for (row, s), c in zip(rows, pivots):
-        for j, a, b in row:
-            if j != c:
-                hits.setdefault(j, []).append((c, a, b, s))
-    free = set(range(cols)).difference(pivots)
-    vectors = []
-    for f in sorted(free):
-        h = hits.get(f, ())
-        d = lcm(*(s for *_, s in h))
-        vector = {f: (d, 0)}
-        for c, a, b, s in h:
-            vector[c] = (-a * (d // s), -b * (d // s))
-        vectors.append(vector)
-    return vectors
 
 
 def parse_rational(text: str) -> Fraction:

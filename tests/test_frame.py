@@ -465,105 +465,12 @@ def test_preimage_matches_projector_reference():
         assert pm.preimage_closed(sub) == reference_preimage(pm, sub)
 
 
-def reference_rank_one_split(m):
-    """(column, row) with m = column x row in Fraction arithmetic, as
-    one-row matrices, else None: the oracle for the rank test in
-    product_form."""
-    pivot_pos = next(((r, c) for r in range(m.rows) for c in range(m.cols)
-                      if m.entries[r][c]), None)
-    if pivot_pos is None:
-        return None
-    r0, c0 = pivot_pos
-    col = [m.entries[r][c0] for r in range(m.rows)]
-    pivot = m.entries[r0][c0]
-    row = [quotient(m.entries[r0][c], pivot) for c in range(m.cols)]
-    for r in range(m.rows):
-        for c in range(m.cols):
-            if m.entries[r][c] != col[r] * row[c]:
-                return None
-    return Matrix([col]), Matrix([row])
-
-
 def product_amps(fr, inside, part, rest):
     amps = [ZERO] * fr.dim
     for positions, x in zip(fr.layout(inside), part):
         for idx, y in zip(positions, rest):
             amps[idx] = x * y
     return amps
-
-
-def split_inputs():
-    """(frame, qubits, rays, subspaces): product and entangled rays, and
-    subspaces of the forms x_I (x) V, V_I (x) y and neither."""
-    rng = random.Random(209)
-    out = []
-    for n in (2, 3):
-        fr = Frame(n)
-        for size in range(1, n):
-            for inside in itertools.combinations(range(1, n + 1), size):
-                k, rest_k = 2 ** size, fr.dim // 2 ** size
-                part = lambda: rand_amps(rng, k)
-                rest = lambda: rand_amps(rng, rest_k)
-                rays = [fr.ray(product_amps(fr, inside, part(), rest()))
-                        for _ in range(6)]
-                rays += [fr.ray(rand_amps(rng, fr.dim)) for _ in range(4)]
-                rays += [product_ray(fr, "0" * n), product_ray(fr, "+" * n),
-                         fr.ray([1] + [0] * (fr.dim - 2) + [1])]
-                x, y = part(), rest()
-                subs = [
-                    Subspace.from_rows([product_amps(fr, inside, x, rest())
-                                        for _ in range(2)], fr.dim),
-                    Subspace.from_rows([product_amps(fr, inside, part(), y)
-                                        for _ in range(2)], fr.dim),
-                    Subspace.from_rows([product_amps(fr, inside, part(), rest())
-                                        for _ in range(2)], fr.dim),
-                    fr.state_lift(part(), inside),
-                    rays[0],
-                    rand_sub(rng, fr.dim, 2),
-                ]
-                out.append((fr, inside, rays, subs))
-    return out
-
-
-def reference_splits(fr, sub, inside):
-    """Each basis row reshaped by bit arithmetic and split by rank one in
-    Fraction arithmetic; None when a row does not split."""
-    splits = [reference_rank_one_split(old_reshape(fr, amps, inside))
-              for amps in sub.basis.entries]
-    return None if None in splits else splits
-
-
-def per_row_product_form(fr, sub, qubits):
-    """product_form as it was built on rank-one splits: part and rest are
-    the spans of the split columns and rows, returned when one of them is
-    a ray."""
-    splits = not sub.is_zero() and reference_splits(fr, sub, sorted(qubits))
-    if not splits:
-        return None
-    cols, rows = zip(*splits)
-    part = Subspace(Matrix.vstack(cols), cols[0].cols)
-    rest = Subspace(Matrix.vstack(rows), rows[0].cols)
-    return (part, rest) if part.dim == 1 or rest.dim == 1 else None
-
-
-def test_rank_one_split_matches_fraction_reference():
-    cases = split_inputs()
-    new = [([fr.product_form(r, inside) for r in rays],
-            [fr.product_form(s, inside) for s in subs])
-           for fr, inside, rays, subs in cases]
-    old = [([per_row_product_form(fr, r, inside) for r in rays],
-            [per_row_product_form(fr, s, inside) for s in subs])
-           for fr, inside, rays, subs in cases]
-    assert new == old
-    seps = [s for rays, _ in new for s in rays]
-    forms = [f for _, fs in new for f in fs]
-    # rays both split and do not, and wider subspaces meet None, a
-    # single-ray part with a wider rest and a single-ray rest with a wider
-    # part
-    assert None in seps and any(s is not None for s in seps)
-    assert None in forms
-    assert any(f and f[0].dim == 1 < f[1].dim for f in forms)
-    assert any(f and f[1].dim == 1 < f[0].dim for f in forms)
 
 
 def eliminated(m):
@@ -591,8 +498,8 @@ def gather_factor(fr, sub, qubits):
 def ray_split_inputs():
     """(frame, sorted qubits, amplitudes) at n = 1..5 on every sorted qubit
     subset: product rays whose factors have Gaussian, negative and zero
-    leading amplitudes and zero blocks, and entangled rays, some of them
-    zero off a block."""
+    leading amplitudes and zero blocks, entangled rays, some of them zero
+    off a block, and |0...0>, |+...+> and |0...0> + |1...1>."""
     rng = random.Random(225)
     lead = [GaussianRational(0, Fraction(3, 2)), GaussianRational(-2),
             GaussianRational(-1, 4)]
@@ -624,34 +531,10 @@ def ray_split_inputs():
                     sum_ = [a if i % 3 else ZERO for i, a in enumerate(sum_)]
                 if any(sum_):
                     amps.append(sum_)
+            amps += [[ONE] + [ZERO] * (fr.dim - 1), [ONE] * fr.dim,
+                     [ONE] + [ZERO] * (fr.dim - 2) + [ONE]]
             out += [(fr, inside, a) for a in amps]
     return out
-
-
-def test_ray_product_form_matches_the_eliminating_factor(monkeypatch):
-    # the rank-one split of a ray gives the very (part, rest) of the
-    # gathered and eliminated spans, or None with it, with no elimination
-    cases = [(fr, inside, a, fr.ray(a)) for fr, inside, a in ray_split_inputs()]
-    wants = [gather_factor(fr, ray, inside) for fr, inside, _, ray in cases]
-    rows = [Matrix([a]) for _, _, a, _ in cases]
-    calls = counted_eliminations(monkeypatch)
-    for (fr, inside, _, ray), want, row in zip(cases, wants, rows):
-        got = fr.product_form(ray, inside)
-        if want is None:
-            assert got is None
-        else:
-            assert got[0] is want[0] and got[1] is want[1]
-        # the split of the raw row, whatever its leading amplitude, spans
-        # the same factors
-        table = fr.layout(inside)
-        split = row.split(fr._where(tuple(inside)), (len(table), len(table[0])))
-        assert (split is None) == (want is None)
-        if split is not None:
-            assert Subspace(split[0], len(table)) is want[0]
-            assert Subspace(split[1], len(table[0])) is want[1]
-    assert calls == []
-    products = sum(w is not None for w in wants)
-    assert len(cases) >= 400 and 0 < products < len(cases) - 60
 
 
 FORM_KINDS = ("zero", "full", "left", "right", "unshared", "entangled")
@@ -713,22 +596,36 @@ def form_cases():
 def test_product_form_matches_the_eliminating_factor_at_every_dimension(monkeypatch):
     # Frame._factor reads the form off the RREF rows alone: the very
     # (part, rest) of the gathered and eliminated spans, or None with it,
-    # with no elimination
-    cases = form_cases()
+    # with no elimination; and the split of a ray's raw row, whatever its
+    # leading amplitude, spans the same factors
+    rays = [(fr, inside, Matrix([a]), fr.ray(a)) for fr, inside, a in ray_split_inputs()]
+    cases = form_cases() + [(fr, inside, "ray", ray) for fr, inside, _, ray in rays]
     wants = [gather_factor(fr, sub, inside) for fr, inside, _, sub in cases]
     calls = counted_eliminations(monkeypatch)
     gots = [fr._factor(sub, inside) for fr, inside, _, sub in cases]
+    splits = [row.split(fr._where(inside), (1 << len(inside), fr.dim >> len(inside)))
+              for fr, inside, row, _ in rays]
     assert calls == []
     for (fr, inside, kind, sub), want, got in zip(cases, wants, gots):
         assert got == want, (fr, inside, kind, sub.dim)
+    for (fr, inside, _, _), split, want in zip(rays, splits, wants[-len(rays):]):
+        assert (split is None) == (want is None)
+        if split is not None:
+            assert Subspace(split[0], 1 << len(inside)) is want[0]
+            assert Subspace(split[1], fr.dim >> len(inside)) is want[1]
     found = {(kind, sub.dim > 1, want is None)
              for (_, _, kind, sub), want in zip(cases, wants)}
     # x (x) V and V (x) y of every size are forms; rank-one rows sharing no
     # factor and wider entangled subspaces are not
     assert {("left", True, False), ("right", True, False), ("unshared", True, True),
             ("entangled", True, True), ("entangled", False, True),
-            ("zero", False, True), ("full", True, False)} <= found
-    assert len(cases) >= 700
+            ("zero", False, True), ("full", True, False),
+            ("ray", False, False), ("ray", False, True)} <= found
+    assert len(cases) >= 1300 and max(fr.n for fr, *_ in rays) == 5
+    products = sum(w is not None for w in wants[-len(rays):])
+    assert 0 < products < len(rays) - 60
+    leads = {next(x for x in row.entries[0] if x) for _, _, row, _ in rays}
+    assert len(leads - {ONE}) >= 3
 
 
 def test_product_form_of_a_ray_eliminates_nothing_in_teleportation(monkeypatch):
@@ -753,55 +650,6 @@ def test_product_form_of_a_ray_eliminates_nothing_in_teleportation(monkeypatch):
         assert main(["verify", "teleportation", "--seed", "2026"]) == 0
     assert rays.count(True) >= 20 and within_rays
     assert True not in within_rays
-
-
-def tagged_product_form(fr, sub, qubits):
-    """product_form as it was before it returned two subspaces: x_I (x) V
-    as ("left", x, V), V_I (x) y as ("right", V, y), with its own cases
-    for I empty and I all qubits; None otherwise.  The rays x and y are
-    one-dimensional subspaces."""
-    inside = sorted(fr.check_qubits(qubits))
-    if sub.is_zero():
-        return None
-    if not inside:
-        return ("left", Subspace.full(1), sub)
-    if len(inside) == fr.n:
-        if sub.dim == 1:
-            return ("left", sub.any_ray(), Subspace.full(1))
-        return ("right", sub, Subspace.full(1))
-    splits = reference_splits(fr, sub, inside)
-    if splits is None:
-        return None
-    part_rays = [Subspace(col, col.cols) for col, _ in splits]
-    if all(p == part_rays[0] for p in part_rays):
-        rest = Matrix.vstack([row for _, row in splits])
-        return ("left", part_rays[0], Subspace(rest, rest.cols))
-    rest_rays = [Subspace(row, row.cols) for _, row in splits]
-    if all(p == rest_rays[0] for p in rest_rays):
-        part = Matrix.vstack([col for col, _ in splits])
-        return ("right", Subspace(part, part.cols), rest_rays[0])
-    return None
-
-
-def test_product_form_matches_tagged_reference():
-    cases = split_inputs()
-    for n in (1, 2, 3):
-        fr = Frame(n)
-        rng = random.Random(214 + n)
-        subs = [rand_sub(rng, fr.dim, k) for k in range(1, fr.dim + 1)]
-        subs += [fr.ray(rand_amps(rng, fr.dim)), Subspace.zero(fr.dim)]
-        cases += [(fr, inside, [], subs) for inside in ((), range(1, n + 1))]
-    tags = set()
-    for fr, inside, _, subs in cases:
-        for sub in subs:
-            got = fr.product_form(sub, inside)
-            want = tagged_product_form(fr, sub, inside)
-            if want is None:
-                assert got is None
-            else:
-                assert got == want[1:]
-            tags.add(want and want[0])
-    assert tags == {None, "left", "right"}
 
 
 # ----- differential tests against the bit arithmetic of Frame.layout ----------
@@ -1461,7 +1309,9 @@ def test_meet_eliminates_nothing_when_warm_contained_or_of_a_ray(monkeypatch):
         assert ray.meet(outside).is_zero()
     assert calls == []
     warm = [(big, outside, big.meet(outside)) for big, _, _, outside in cases]
-    assert calls
+    # cold, with both orthocomplements known: the kernel's one elimination,
+    # of the dim P x dim A product, and none of the meet's rows
+    assert calls == [dim // 2 for dim in (4, 8, 16)]
     calls.clear()
     for big, outside, meet in warm:
         assert outside.meet(big) is meet and big.meet(outside) is meet
@@ -1556,7 +1406,7 @@ def test_map_and_subspace_memos_match_cold_fresh_and_memo_free(monkeypatch):
                 cold = fr.product_form(sub, qubits)
                 assert fr.product_form(sub, qubits[::-1]) is cold
                 assert Frame(fr.n).product_form(sub, qubits) is cold
-                assert cold == per_row_product_form(fr, sub, qubits)
+                assert cold == gather_factor(fr, sub, sorted(qubits))
                 warm.append((fr.product_form, (sub, qubits), cold))
     forms = [cold for ask, _, cold in warm if ask.__name__ == "product_form"]
     assert None in forms and any(forms)

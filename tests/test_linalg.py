@@ -3,7 +3,7 @@
 import random
 import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -373,11 +373,85 @@ def test_ortho_eliminates_once_cold_and_never_warm(monkeypatch):
     for s in subs:
         calls.clear()
         perp = s.ortho()
-        # a kernel of at most one vector needs no elimination
-        assert calls == ([s.ambient] if s.ambient - s.dim > 1 else [])
+        # one reversed elimination of the basis rows; a ray's one row needs none
+        assert calls == ([s.ambient] if s.dim > 1 else [])
         calls.clear()
         assert s.ortho() is perp and perp.ortho() is s
         assert calls == []
+
+
+def two_elimination_kernel_basis(m):
+    """The RREF kernel basis by the route ``kernel_basis`` replaced: the
+    RREF of m's rows in column order, one null vector per free column,
+    and a second ``_rref`` of those vectors."""
+    rows, pivots = linalg._rref(m._work(), m.cols)
+    hits = {}  # free column -> the (pivot, re, im, s) of the rows holding it
+    for (row, s), c in zip(rows, pivots):
+        for j, a, b in row:
+            if j != c:
+                hits.setdefault(j, []).append((c, a, b, s))
+    vectors = []
+    for f in sorted(set(range(m.cols)).difference(pivots)):
+        h = hits.get(f, ())
+        d = lcm(*(s for *_, s in h))
+        vector = {f: (d, 0)}
+        for c, a, b, s in h:
+            vector[c] = (-a * (d // s), -b * (d // s))
+        vectors.append(vector)
+    return Matrix.from_parts(linalg._rref(vectors, m.cols)[0], m.cols)
+
+
+def kernel_inputs():
+    """Matrices of 1 to 2^12 columns: Gaussian rays, zero and full spans,
+    lifted part (x) I spans, random spans of fewer and of more than half
+    the columns, the conjugated RREF bases that ``ortho`` hands on, and
+    the products conj(P) A^T that ``_meet_from`` forms."""
+    rng = random.Random(2033)
+    gaussian = lambda: GaussianRational(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                                        rng.choice((0, rng.randint(-9, 9))))
+    small = lambda: GaussianRational(rng.choice((0, 0, 1, -1, 2, -3)),
+                                     rng.choice((0, 0, 1, -2)))
+    out = []
+    for n in range(13):
+        dim = 2 ** n
+        out += [Matrix([[gaussian() for _ in range(dim)]]),
+                Matrix.zeros(rng.randint(1, 3), dim), Matrix.identity(dim)]
+        if 1 <= n <= 5:
+            for k in sorted({1, dim // 2 - 1, dim // 2 + 1, dim - 1} - {0}) * 3:
+                out.append(Matrix([[small() for _ in range(dim)] for _ in range(k)]))
+    for n, width in [(1, 1), (2, 1), (3, 2), (4, 1), (5, 3), (6, 2), (10, 2), (12, 1)]:
+        fr = Frame(n)
+        qubits = rng.sample(range(1, n + 1), width)
+        amps = [gaussian() for _ in range(2 ** width)]
+        amps[rng.randrange(len(amps))] = ONE
+        out.append(fr.state_lift(amps, qubits).basis)
+    subs = [Subspace(m, m.cols) for m in out if m.cols <= 32]
+    out += [s.basis.conj() for s in subs if not s.is_zero()]
+    for s in subs:
+        if 1 < s.ambient <= 16 and not s.is_zero() and not s.is_full():
+            others = [t for t in subs if t.ambient == s.ambient and not t.is_zero()]
+            out += [s._against_ortho(t) for t in rng.sample(others, 2)]
+    return out
+
+
+def test_kernel_basis_matches_the_two_elimination_route(monkeypatch):
+    calls = []
+    eliminate = linalg._eliminate
+
+    def counted(work, cols):
+        calls.append((len(work), cols))
+        return eliminate(work, cols)
+
+    inputs = kernel_inputs()
+    assert len(inputs) >= 150 and max(m.cols for m in inputs) == 4096
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    for m in inputs:
+        want = two_elimination_kernel_basis(m)
+        calls.clear()
+        assert m.kernel_basis() == want
+        # at most one elimination, of the input's own nonzero rows
+        own = sum(1 for row in m.triples if row)
+        assert calls == ([(own, m.cols)] if own > 1 else [])
 
 
 def test_projector_matches_fraction_gram_inverse():
@@ -846,8 +920,10 @@ def test_gaussian_gcd_generates_the_ideal():
 
 def cold_ortho_largest_parts():
     """For each ambient n in 8..16, the bit length of the largest part that
-    _eliminate leaves in the cold ortho of the line orthogonal to n - 1
-    random rows with entries in {-2..2} + {-2..2}i."""
+    _eliminate leaves in the cold ortho of the span of n - 1 random rows
+    with entries in {-2..2} + {-2..2}i: the one reversed elimination of
+    its RREF basis.  The line it gives is a ray, so the line's own cold
+    ortho eliminates nothing."""
     rng = random.Random(2026)
     largest = []
     eliminate = linalg._eliminate
@@ -862,23 +938,24 @@ def cold_ortho_largest_parts():
     for n in range(8, 17):
         rows = [[GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2))
                  for _ in range(n)] for _ in range(n - 1)]
-        line = Subspace(Matrix(rows), n).ortho()
+        span = Subspace(Matrix(rows), n)
+        largest.clear()
         linalg._eliminate = recording
         try:
+            line = span.ortho()
+            assert len(largest) == 1
             # what a cold line.ortho() runs: its memo link is set already
-            perp = Subspace(line.basis.conj()._kernel_of_rref(), n, _canonical=True)
+            perp = Subspace(line.basis.conj().kernel_basis(), n, _canonical=True)
+            assert len(largest) == 1
         finally:
             linalg._eliminate = eliminate
-        assert perp.dim == n - 1 and perp.ortho() is line
-        out.append(largest[-1])
+        assert line.dim == 1 and perp is span and line.ortho() is span
+        out.append(largest[0])
     return out
 
 
 def test_cold_ortho_entries_stay_bounded():
     # Rows whose parts outgrow 64 bits are divided by their Gaussian
     # content; without that the same eliminations leave parts of up to
-    # 955 bits here (up to 99,727 bits if the first row leading at a
-    # column were the pivot instead of one of least norm, and up to
-    # 206,007 bits at n = 14 under the dense elimination this form
-    # replaced).
-    assert cold_ortho_largest_parts() == [48, 40, 51, 59, 61, 53, 56, 60, 64]
+    # 358 bits here.
+    assert cold_ortho_largest_parts() == [58, 53, 38, 55, 64, 51, 54, 58, 64]
