@@ -18,7 +18,8 @@ of a protocol are composed once however many claims and input states
 use them.  [f?]false, which box, dia, leq, eqf, perpf, testable and
 dom(f?) desugar to, is read as the kernel of the test, closure(f)^perp,
 without denoting it: a test's projector is built only when the test is
-composed, imaged or boxed over a body other than false.  A test on
+composed, imaged or boxed over a body other than false, or judged by
+localp{I} where its closure has no product form on I.  A test on
 ![g?]false is read one step further: [(![g?]false)?]false, which is
 box box x and so leq, eqf, perpf and testable, with g = !x, is every
 state when g is empty and none otherwise, with no closure, ortho or
@@ -143,8 +144,9 @@ def _denote(env: Environment, prog: ast.Program) -> tuple:
     A map takes the kernel that is known when it is built: 0 for a gate
     and ``id``, S^perp for a test on S, and through ``PartialMap.then``
     the first map's kernel for a composite ending in gates.  Gates and
-    ``id`` are also marked unitary, and so is a word of them.  A session
-    also answers by node identity."""
+    ``id`` are also marked unitary, and so is a word of them.  A
+    composite forms its matrix only when it is read (see ``PartialMap``).
+    A session also answers by node identity."""
     nodes = env._nodes
     if nodes is not None:
         known = nodes.get(id(prog))
@@ -390,10 +392,22 @@ def _region_is_local(env: Environment, region: Region, qubits) -> bool:
 
 
 def _program_is_local(env: Environment, prog: ast.Program, qubits) -> bool:
+    """Whether every branch map factors as a map on the qubits tensor the
+    identity.  A test on S denotes the projector P_S, which does exactly
+    when S is 0, everything, or S' (x) H_rest: when ``product_form``
+    splits S, its rest is full.  Only a test that it does not split
+    (S' (x) R with neither side a ray, say) is denoted for its projector."""
+    inside = env.frame.check_qubits(qubits)
     if isinstance(prog, ast.TopP):
-        inside = env.frame.check_qubits(qubits)
         return set(env.frame.check_qubits(prog.qubits)) <= set(inside)
-    return all(pm.is_local(env.frame, qubits) for pm in _denote(env, prog))
+    if isinstance(prog, ast.Test):
+        closed = _eval(env, prog.formula).closure()
+        if closed.is_zero() or closed.is_full():
+            return True
+        form = env.frame.product_form(closed, inside)
+        if form is not None:
+            return form[1].is_full()
+    return all(pm.is_local(env.frame, inside) for pm in _denote(env, prog))
 
 
 # ----- pointwise evaluation ----------------------------------------------------

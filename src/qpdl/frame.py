@@ -24,10 +24,13 @@ kernel 0, as every gate is invertible, and f followed by a map of kernel
 0 has f's kernel; the checker seeds ``id`` (kernel 0) and a test on S
 (kernel S^perp) the same way.  Any other kernel is computed on first
 use.  A gate lift, ``id`` and a word of them are also marked unitary
-(up to a positive scalar) when built; the mark is never inferred.  Each
-map remembers its kernel and the image and closed preimage of every
-subspace it was asked about, keyed on the interned subspace and kept
-alive with the map.
+(up to a positive scalar) when built; the mark is never inferred.  A
+composite f ; g (``then``) holds f and g, with its dimension, known
+kernel and mark set when built, and forms its matrix on the first read
+of ``matrix``, once, then drops f and g: a box that reads only a gate
+word's kernel forms no product.  Each map remembers its kernel and the
+image and closed preimage of every subspace it was asked about, keyed
+on the interned subspace and kept alive with the map.
 
 What is remembered lives at one of three scopes:
 
@@ -44,7 +47,7 @@ What is remembered lives at one of three scopes:
   for ``row_lift`` (``map_to_state`` and the checker's cmp{I}) on its
   part row;
 - per environment (in the checker): the maps of each denoted program,
-  with their memos.
+  with their memos and, once read, their matrices.
 
 The join and the meet of two live subspaces are remembered in one pair
 table that keeps neither them nor the result alive, so a repeated join
@@ -60,13 +63,13 @@ reachable sets I (x) rest, and of ``Matrix.gather``, which reads blocks
 and the reshaped state of a reachable set; its inverse locates each
 basis index in it.
 One tensor factorization, ``Frame.product_form``, splits a subspace as
-part (x) rest with one side a ray; T{I}, cmp{I}, =_I and local{I} all
-read it.  Qubits are sorted in the layout, so an index grows in each of
-its two coordinates, and the RREF basis of x (x) V is x (x) v_k over
-the RREF rows v_k of V.  So ``Matrix.split`` reads the form off the
-basis rows alone: each must pass the rank-one test and all must share
-one factor, and the others stack to the RREF of the wide side, with no
-elimination.  The image
+part (x) rest with one side a ray; T{I}, cmp{I}, =_I, local{I} and
+localp{I} of a test all read it.  Qubits are sorted in the layout, so
+an index grows in each of its two coordinates, and the RREF basis of
+x (x) V is x (x) v_k over the RREF rows v_k of V.  So ``Matrix.split``
+reads the form off the basis rows alone: each must pass the rank-one
+test and all must share one factor, and the others stack to the RREF of
+the wide side, with no elimination.  The image
 of a subspace under a map is M x for each basis row x, one
 matrix-vector pass (``Matrix.apply``).  A state lift part (x) I is an
 RREF as built, and its one-row part, like every one-row basis, is
@@ -76,11 +79,16 @@ and the part-states that ``state_lift`` takes.
 The preimage of A under a unitary map M is the span of M^dagger A, the
 image under the adjoint, when dim A is at most half the dimension;
 otherwise, and under any other map, it is a kernel against a basis of
-A's orthocomplement.  Containment is one product with that basis.  An
-orthogonal projector, built by solving one system in the Gram matrix,
-is needed only for a test (f?) that is composed, imaged or boxed over a
-body other than false; the checker reads [f?]false as the kernel
-closure(f)^perp.
+A's orthocomplement.  Containment is one product with that basis.
+Under a composite not yet formed, the adjoint image multiplies conj(A)
+through the factors, the last map first, so each step is dim A rows
+times one sparse gate (the cheap order of the matrix chain); the kernel
+route and an image form the product, as a word's images are asked for
+many subspaces.  An orthogonal projector, built by solving one system
+in the Gram matrix, is needed only for a test (f?) that is composed,
+imaged or boxed over a body other than false, or judged by localp{I}
+where its closure has no product form on I; the checker reads [f?]false
+as the kernel closure(f)^perp.
 """
 
 from __future__ import annotations
@@ -282,36 +290,88 @@ class PartialMap:
     and a composite of two such maps.  A zero kernel alone does not
     qualify it: ``Frame.lift`` builds invertible maps that are not
     unitary.
+
+    A composite built by ``then`` holds its two maps, not their product:
+    ``dim``, the kernel it knows and the unitary mark are set when it is
+    built, and ``matrix`` is formed on its first read (``__getattr__``
+    fills the empty slot), once, after which the composite drops its
+    factors.  A preimage under a unitary composite not yet formed is
+    taken through the factors (see ``preimage_closed``).
     """
 
-    __slots__ = ("matrix", "unitary", "_kernel", "_images", "_preimages",
-                 "__weakref__")
+    __slots__ = ("matrix", "dim", "unitary", "_first", "_second", "_kernel",
+                 "_images", "_preimages", "__weakref__")
 
     def __init__(self, matrix: Matrix, kernel: Optional[Subspace] = None,
                  unitary: bool = False):
         if matrix.rows != matrix.cols:
             raise ValueError("maps must be square")
         self.matrix = matrix
+        self.dim = matrix.rows
         self.unitary = unitary
+        self._first = self._second = None
         self._kernel = kernel
         self._images = {}
         self._preimages = {}
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.rows
+    def __getattr__(self, name: str):
+        # called only for an empty slot: the matrix of a composite not read
+        # before
+        if name != "matrix":
+            raise AttributeError(name)
+        self._form()
+        return self.matrix
+
+    def _form(self):
+        """Form the matrix of this composite and of every composite below it
+        not formed yet, inner ones first, each once, dropping their
+        factors; by a loop over the factor tree, so a long word needs no
+        deep stack."""
+        stack = [self]
+        while stack:
+            pm = stack[-1]
+            if pm._first is None:  # formed since it was pushed
+                stack.pop()
+                continue
+            waiting = [f for f in (pm._first, pm._second) if f._first is not None]
+            if waiting:
+                stack += waiting
+            else:
+                stack.pop()
+                pm.matrix = pm._second.matrix * pm._first.matrix
+                pm._first = pm._second = None
+
+    def _after(self, rows: Matrix) -> Matrix:
+        """rows * M, multiplied through the factors of a composite not yet
+        formed, the last map first: rows * M_second * M_first, so each step
+        takes the thin block of rows times one map."""
+        stack = [self]
+        while stack:
+            pm = stack.pop()
+            if pm._first is None:
+                rows = rows * pm.matrix
+            else:
+                stack += (pm._first, pm._second)
+        return rows
 
     def then(self, other: "PartialMap") -> "PartialMap":
-        """self followed by other (matrix other * self).
+        """self followed by other (matrix other * self), formed on first read.
 
         When other is known to be injective, ker(other * self) = ker self,
         so the composite takes self's kernel, known or not: a gate word,
         or a test followed by gates, is never eliminated for its kernel.
         It is unitary when both maps are: (NM)^dagger NM = c_M c_N I."""
+        if other.dim != self.dim:
+            raise ValueError("map dimensions differ")
         injective = other._kernel is not None and other._kernel.is_zero()
-        return PartialMap(other.matrix * self.matrix,
-                          self._kernel if injective else None,
-                          self.unitary and other.unitary)
+        pm = object.__new__(PartialMap)
+        pm.dim = self.dim
+        pm.unitary = self.unitary and other.unitary
+        pm._first, pm._second = self, other
+        pm._kernel = self._kernel if injective else None
+        pm._images = {}
+        pm._preimages = {}
+        return pm
 
     def kernel(self) -> Subspace:
         if self._kernel is None:
@@ -335,7 +395,10 @@ class PartialMap:
         the span of M^dagger a for the rows a of sub's basis A, read as
         conj(conj(A) * M): M^-1 = M^dagger / c, so the preimage is the
         image under the adjoint, and its rows are eliminated, none for a
-        ray.  Otherwise it is ker(conj(B) * M), where the rows of B span
+        ray.  Under a composite not yet formed, conj(A) * M is taken
+        through the factors, conj(A) * M_second * M_first, down to the
+        gates: dim A rows times one sparse map per step, and M is never
+        formed.  Otherwise it is ker(conj(B) * M), where the rows of B span
         sub's orthocomplement (for a unitary map, the smaller side): a
         vector lies in sub exactly when it is orthogonal to every row of
         B.
@@ -343,7 +406,7 @@ class PartialMap:
         pre = self._preimages.get(sub)
         if pre is None:
             if self.unitary and 2 * sub.dim <= self.dim:
-                pre = Subspace((sub.basis.conj() * self.matrix).conj(), self.dim)
+                pre = Subspace(self._after(sub.basis.conj()).conj(), self.dim)
             elif sub.is_full():
                 pre = Subspace.full(self.dim)
             else:

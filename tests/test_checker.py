@@ -23,7 +23,7 @@ from qpdl.checker import (
     random_part_state,
     substitute,
 )
-from qpdl.desugar import MAX_NODES, desugar_formula
+from qpdl.desugar import MAX_NODES, desugar_formula, desugar_program
 from qpdl.errors import (
     CheckError,
     InputError,
@@ -371,6 +371,60 @@ def test_local_formula_and_program():
     assert check_valid(env, parse_formula("localp{2}(X_1)")) is not None
 
 
+def locality_tests(rng, fr):
+    """Core tests f? whose closures are 0, everything, constants, named
+    basis products, lifts of random part-states on each qubit set, Bell
+    pairs, and S' (x) R with neither side a ray."""
+    n = fr.n
+    texts = ["false", "true"]
+    texts += [f"{c}_{q}" for c in "01+-" for q in range(1, n + 1)]
+    texts += ["vec{%s}(%s)" % (",".join(map(str, qs)),
+                               ",".join(rng.choice("01+-") for _ in qs))
+              for qs in itertools.combinations(range(1, n + 1), min(n, 2))]
+    if n >= 2:
+        texts += ["bell[0,1,1,2]", f"bell[1,1,{n},1]", "0_1 | 1_2"]
+    if n >= 4:
+        texts += ["(0_1 | 1_2) & (+_3 | 0_4)", "(0_1 | 1_2) & (+_3 | !+_3)"]
+    tests = [desugar_program(parse_program(f"({t})?"), n) for t in texts]
+    for qs in itertools.chain.from_iterable(
+            itertools.combinations(range(1, n + 1), k) for k in range(1, n + 1)):
+        tests.append(ast.Test(ast.RayF(qs, random_part_state(rng, len(qs)))))
+    return tests
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_a_test_is_judged_local_as_its_projector_is(monkeypatch, n):
+    # localp of a test on S reads S's product form and builds no projector;
+    # the route it replaces denotes the test and compares P_S with the lift
+    # of its block
+    rng = random.Random(366 + n)
+    fr = Frame(n)
+    solves, solve = [], Matrix.solve
+    monkeypatch.setattr(Matrix, "solve",
+                        lambda m, rhs: solves.append(1) or solve(m, rhs))
+    verdicts = set()
+    for test in locality_tests(rng, fr):
+        closed = eval_symbolic(Environment(fr), test.formula).closure()
+        for size in range(n + 1):
+            for inside in itertools.combinations(range(1, n + 1), size):
+                env = Environment(fr)
+                del solves[:]
+                local = checker._program_is_local(env, test, inside)
+                split = (closed.is_zero() or closed.is_full()
+                         or fr.product_form(closed, inside) is not None)
+                if split:
+                    assert solves == [], (test, inside)
+                denoted = all(pm.is_local(fr, inside)
+                              for pm in checker._denote(Environment(fr), test))
+                assert local == denoted, (test, inside)
+                verdicts.add((local, split))
+    # an entangled S is not split; from n = 3, neither is S' (x) H_rest
+    # with both sides of dimension 2 or more, which is local
+    assert verdicts == ({(True, True), (False, True)}
+                        | ({(False, False)} if n >= 2 else set())
+                        | ({(True, False)} if n >= 3 else set()))
+
+
 @pytest.mark.parametrize("n, formula, valid", [
     (2, "local{1}(0_1)", True),
     (2, "local{1}(0_1 | 1_1)", True),
@@ -553,6 +607,24 @@ def test_a_gate_circuit_claim_eliminates_no_full_width_matrix(monkeypatch):
     witness = check_valid(env, parse_formula("[CNOT_2_1 ; H_2 ; X_4 ; H_3]false"))
     assert witness is not None
     assert max(rows, default=0) <= 1
+
+
+def test_a_box_over_a_gate_word_forms_no_product(monkeypatch):
+    # [w]false reads only w's kernel, known when the word is built, and
+    # the preimages under w ; adj(w) of the 16-dimensional 0_1 & +_2 are
+    # taken through the gates: 16 rows times one gate at a time, and no
+    # 64 x 64 product of the word is formed
+    shapes, mul = [], Matrix.__mul__
+    monkeypatch.setattr(Matrix, "__mul__", lambda a, b: shapes.append(
+        (a.rows, a.cols, b.cols)) or mul(a, b))
+    w = "CNOT_2_1 ; H_2 ; X_4 ; H_3 ; CNOT_5_6 ; H_6"
+    witness = check_valid(Environment(Frame(6)), parse_formula(f"[{w}]false"))
+    assert witness is not None
+    assert shapes == []
+    claim = f"0_1 & +_2 -> [{w} ; adj({w})](0_1 & +_2)"
+    assert check_valid(Environment(Frame(6)), parse_formula(claim)) is None
+    assert (16, 64, 64) in shapes
+    assert all(rows < 64 for rows, _, _ in shapes), sorted(set(shapes))
 
 
 def test_a_changed_valuation_answers_as_a_fresh_environment():

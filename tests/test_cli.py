@@ -199,6 +199,24 @@ def test_deep_nesting_is_a_syntax_error(capsys):
     assert err.startswith("syntax error: nesting deeper than")
 
 
+DEEP_WORD = " ; ".join(["(H_1 ; CNOT_1_2 ; X_3)"] * 64)
+WITNESS_00 = "COUNTEREXAMPLE:\nn=3\n1 0\n0 0\n1 0\n" + "0 0\n" * 5
+
+
+@pytest.mark.parametrize("formula, code, out", [
+    (f"0_1 & +_2 -> [{DEEP_WORD} ; adj({DEEP_WORD})](0_1 & +_2)", 0, "VALID\n"),
+    (f"eqf(img({DEEP_WORD} ; adj({DEEP_WORD}), 0_1 & +_2), 0_1 & +_2)", 0,
+     "VALID\n"),
+    (f"0_1 & +_2 -> [{DEEP_WORD}](1_1 & +_2)", 1, WITNESS_00),
+])
+def test_a_word_of_192_gates_keeps_its_verdict(capsys, formula, code, out):
+    # a composite forms its product, and takes a preimage through its
+    # factors, by a loop over the factor tree: a long word is no
+    # RecursionError (exit 4); (H_1 ; CNOT_1_2 ; X_3)^64 is the identity
+    # up to a scalar
+    assert run(capsys, ["valid", "-n", "3", formula]) == (code, out, "")
+
+
 @pytest.mark.parametrize("formula", [
     "testable(" * 60 + "0_1" + ")" * 60,
     "eqf(0_1, " * 40 + "0_1" + ")" * 40,

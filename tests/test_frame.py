@@ -5,14 +5,16 @@ import gc
 import io
 import itertools
 import random
+import sys
 import time
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import qpdl.frame as frame_module
-from qpdl import linalg
+from qpdl import ast, linalg
 from qpdl.frame import (
     GATES,
     LOCAL_STATES,
@@ -23,7 +25,8 @@ from qpdl.frame import (
     format_state,
     parse_state,
 )
-from qpdl.checker import Environment, check_valid, denote_program
+from qpdl.checker import Environment, check_valid, denote_program, eval_symbolic
+from qpdl.desugar import desugar_program
 from qpdl.cli import main
 from qpdl.linalg import ONE, ZERO, GaussianRational, Matrix
 from qpdl.parser import parse_formula, parse_program
@@ -1438,36 +1441,139 @@ def test_adjoint_preimage_matches_the_kernel_route(monkeypatch):
     # A unitary map takes the preimage of a subspace of at most half the
     # dimension as its image under the adjoint; the kernel route, on an
     # unmarked map of the same matrix, and the memo-free helper agree.
+    # Each subspace is asked of a fresh denotation, so each one on the
+    # adjoint side meets a composite not yet formed and is taken through
+    # its factors.
     rng = random.Random(3131)
-    warm, sides = [], set()
+    warm, sides, factored = [], set(), 0
     for n in (1, 2, 3, 4):
         fr = Frame(n)
         dim = fr.dim
-        env = Environment(fr)
         subs = [Subspace.zero(dim), Subspace.full(dim)]
         subs += [rand_sub(rng, dim, 1) for _ in range(2)]
         subs += [product_ray(fr, "".join(rng.choice("01+-") for _ in range(n)))]
         subs += [rand_sub(rng, dim, k) for k in {max(1, dim // 2 - 1), dim // 2,
                                                  dim // 2 + 1, dim - 1}]
         for _ in range(4):
-            pm, = denote_program(env, parse_program(rand_word(rng, n)))
-            assert pm.unitary and pm._kernel is Subspace.zero(dim)
+            word = parse_program(rand_word(rng, n))
             for sub in subs:
+                pm, = denote_program(Environment(fr), word)
+                assert pm.unitary and pm._kernel is Subspace.zero(dim)
+                assert pm._first is not None
                 calls = counted_eliminations(monkeypatch)
                 cold = pm.preimage_closed(sub)
                 if sub.dim == 1:
                     # the adjoint image of a ray is one row: no elimination
                     assert calls == []
+                if 2 * sub.dim <= dim:
+                    # taken through the factors: the product is not formed
+                    assert pm._first is not None
+                    factored += 1
                 assert cold is PartialMap(pm.matrix).preimage_closed(sub)
                 assert cold is memo_free_preimage(pm.matrix, sub)
                 assert cold.dim == sub.dim
                 sides.add(2 * sub.dim <= dim)
                 warm.append((pm, sub, cold))
     assert sides == {True, False}
+    assert factored >= 80
     calls = counted_eliminations(monkeypatch)
     for pm, sub, cold in warm:
         assert pm.preimage_closed(sub) is cold
     assert calls == []
+
+
+def rand_program(rng, n, depth=1):
+    """A program of gates, tests, id, adj of gate words and unions."""
+    parts = []
+    for _ in range(rng.randint(2, 5)):
+        roll = rng.random()
+        if depth and roll < 0.15:
+            parts.append(f"({rand_program(rng, n, depth - 1)} + "
+                         f"{rand_program(rng, n, depth - 1)})")
+        elif roll < 0.3:
+            parts.append(f"adj({rand_word(rng, n, 1)})")
+        elif roll < 0.4:
+            parts.append("id")
+        elif roll < 0.55:
+            parts.append(f"{rng.choice('01+-')}_{rng.randint(1, n)}?")
+        else:
+            parts.append(rand_word(rng, n, 0))
+    return " ; ".join(parts)
+
+
+def eager_matrices(env, prog):
+    """The branch matrices of a core program with each ; multiplied as it
+    is met."""
+    if isinstance(prog, ast.UnionP):
+        return eager_matrices(env, prog.left) + eager_matrices(env, prog.right)
+    if isinstance(prog, ast.SeqP):
+        return [g * f for f in eager_matrices(env, prog.left)
+                for g in eager_matrices(env, prog.right)]
+    if isinstance(prog, ast.Test):
+        return [eval_symbolic(env, prog.formula).closure().projector()]
+    if isinstance(prog, ast.Id):
+        return [Matrix.identity(env.frame.dim)]
+    return [env.frame.gate(prog.kind, prog.targets).matrix]
+
+
+def test_a_composite_answers_as_its_formed_product_cold_and_warm():
+    # Each question goes to a fresh denotation, whose composites are not
+    # formed: its answer is the interned subspace that the formed product
+    # and the memo-free helpers give, before and after the product is
+    # read, and the product read is the one multiplied as ; is met.
+    rng = random.Random(3434)
+    kinds = Counter()
+    for n in (1, 2, 3, 4, 5):
+        fr = Frame(n)
+        dim = fr.dim
+        half = fr.named_lift(rng.choice("01+-"), rng.randint(1, n))
+        subs = [Subspace.zero(dim), Subspace.full(dim), rand_sub(rng, dim, 1),
+                product_ray(fr, "".join(rng.choice("01+-") for _ in range(n))),
+                half, half.join(rand_sub(rng, dim, 1))]
+        asks = [(PartialMap.kernel, (), memo_free_kernel)]
+        asks += [(ask, (sub,), free) for sub in subs
+                 for ask, free in ((PartialMap.image_of, memo_free_image),
+                                   (PartialMap.preimage_closed, memo_free_preimage))]
+        for _ in range(3):
+            core = desugar_program(parse_program(rand_program(rng, n)), n)
+            eager = eager_matrices(Environment(fr), core)
+            for ask, args, free in asks:
+                maps = denote_program(Environment(fr), core)
+                assert len(maps) == len(eager)
+                for pm, m in zip(maps, eager):
+                    deferred = pm._first is not None
+                    cold = ask(pm, *args)
+                    assert cold is ask(PartialMap(m, unitary=pm.unitary), *args)
+                    assert cold is free(m, *args)
+                    kinds[deferred, pm.unitary, pm._first is not None] += 1
+                    assert ask(pm, *args) is cold
+                    assert pm.matrix == m
+                    assert pm._first is pm._second is None
+                    assert ask(pm, *args) is cold
+    # composites, unitary or not, some answered without their product: a
+    # preimage through the factors, a kernel known at construction
+    assert set(kinds) == {(True, True, True), (True, True, False),
+                          (True, False, True), (True, False, False)}, kinds
+
+
+def test_a_long_composite_is_formed_and_pulled_back_by_a_loop():
+    # words of 3 x the recursion limit of gates, nested to the left (each
+    # gate after the word so far) and to the right (each gate before it)
+    fr = Frame(1)
+    gates = [fr.gate(kind, (1,)) for kind in "HXZ"]
+    ray = fr.ray((1, 2))
+    left = right = gates[0]
+    after = before = gates[0].matrix
+    for i in range(1, 3 * sys.getrecursionlimit()):
+        g = gates[i % 3]
+        left, right = left.then(g), g.then(right)
+        after, before = g.matrix * after, before * g.matrix
+    for word, expected in ((left, after), (right, before)):
+        pre = word.preimage_closed(ray)
+        assert word._first is not None
+        assert word.matrix == expected
+        assert pre is memo_free_preimage(expected, ray)
+        assert word.image_of(ray) is memo_free_image(expected, ray)
 
 
 def test_only_a_map_built_unitary_is_marked_unitary():
