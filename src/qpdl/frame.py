@@ -18,19 +18,24 @@ canonical basis, so equal spans are one object, equality is identity
 and a projector is built once per span.  ``ortho`` is computed once per
 instance and linked back, since (W^perp)^perp = W.  A subspace also
 remembers its product form on each qubit set, None included, for as
-long as it lives.  Partial maps are not interned.  A map whose kernel is
-known when it is built carries it from construction: a gate lift has
-kernel 0, as every gate is invertible, and f followed by a map of kernel
-0 has f's kernel; the checker seeds ``id`` (kernel 0) and a test on S
-(kernel S^perp) the same way.  Any other kernel is computed on first
-use.  A gate lift, ``id`` and a word of them are also marked unitary
-(up to a positive scalar) when built; the mark is never inferred.  A
-composite f ; g (``then``) holds f and g, with its dimension, known
-kernel and mark set when built, and forms its matrix on the first read
-of ``matrix``, once, then drops f and g: a box that reads only a gate
-word's kernel forms no product.  Each map remembers its kernel and the
-image and closed preimage of every subspace it was asked about, keyed
-on the interned subspace and kept alive with the map.
+long as it lives.  A lift part (x) H_rest on qubits I, 0 < |I| < n,
+keeps its factor (n, I, part), part being the interned subspace over
+2^|I|; the lifts of ``Frame`` (``state_lift``, ``named_lift``,
+``row_lift``), and the meets and orthos below, build them.
+
+Partial maps are not interned.  A map whose kernel is known when it is
+built carries it from construction: a gate lift has kernel 0, as every
+gate is invertible, and f followed by a map of kernel 0 has f's kernel;
+the checker seeds ``id`` (kernel 0) and a test on S (kernel S^perp) the
+same way.  Any other kernel is computed on first use.  A gate lift,
+``id`` and a word of them are also marked unitary (up to a positive
+scalar) when built; the mark is never inferred.  A composite f ; g
+(``then``) holds f and g, with its dimension, known kernel and mark set
+when built, and forms its matrix on the first read of ``matrix``, once,
+then drops f and g: a box that reads only a gate word's kernel forms no
+product.  Each map remembers its kernel and the image and closed
+preimage of every subspace it was asked about, keyed on the interned
+subspace and kept alive with the map.
 
 What is remembered lives at one of three scopes:
 
@@ -49,6 +54,10 @@ What is remembered lives at one of three scopes:
 - per environment (in the checker): the maps of each denoted program,
   with their memos and, once read, their matrices.
 
+A lift's factor lives on the interned subspace, as its other memos do.
+It names n, not a frame, so a named lift kept per process keeps no
+frame alive, and the part holds no reference back to the lift.
+
 The join and the meet of two live subspaces are remembered in one pair
 table that keeps neither them nor the result alive, so a repeated join
 or meet runs no elimination.  A meet works from the smaller side A,
@@ -57,6 +66,13 @@ the one that decides containment, is 0 when A lies in the other side,
 and otherwise its kernel's RREF basis times A is the meet's RREF basis
 (0 at once when A is a ray).  Beside P, found once per subspace, it
 eliminates only that dim P x dim A product.
+Lifts skip that work.  The meet of P (x) H_rest on I and Q (x) H_rest on
+a disjoint J is P (x) Q (x) H_rest on their union, and the ortho of
+P (x) H_rest is P^perp (x) H_rest, found on the part (no elimination for
+a ray part).  A placed tensor of RREFs, laid out in lead order, is an
+RREF, so neither eliminates at 2^n width, and each is the interned
+subspace the general route gives.  Lifts on overlapping qubit sets, and
+any other pair, take the general route.
 A layout table is the index table of ``Matrix.tensor``, which places
 gate lifts g (x) I (rows and columns alike), state lifts part (x) I and
 reachable sets I (x) rest, and of ``Matrix.gather``, which reads blocks
@@ -64,16 +80,18 @@ and the reshaped state of a reachable set; its inverse locates each
 basis index in it.
 One tensor factorization, ``Frame.product_form``, splits a subspace as
 part (x) rest with one side a ray; T{I}, cmp{I}, =_I, local{I} and
-localp{I} of a test all read it.  Qubits are sorted in the layout, so
-an index grows in each of its two coordinates, and the RREF basis of
-x (x) V is x (x) v_k over the RREF rows v_k of V.  So ``Matrix.split``
-reads the form off the basis rows alone: each must pass the rank-one
-test and all must share one factor, and the others stack to the RREF of
-the wide side, with no elimination.  The image
-of a subspace under a map is M x for each basis row x, one
-matrix-vector pass (``Matrix.apply``).  A state lift part (x) I is an
-RREF as built, and its one-row part, like every one-row basis, is
-normalised without elimination.
+localp{I} of a test all read it.  A lift of a ray part is built with
+its form on I, (part, full), in place.  Qubits are sorted in the
+layout, so an index grows in each of its two coordinates, and the RREF
+basis of x (x) V is x (x) v_k over the RREF rows v_k of V.  So
+``Matrix.split`` reads the form off the basis rows alone: each must
+pass the rank-one test and all must share one factor, and the others
+stack to the RREF of the wide side, with no elimination.  The image of
+a subspace under a map is M x for each basis row x, one matrix-vector
+pass (``Matrix.apply``).  A lift part (x) I is an RREF
+as built (its rows laid out in lead order when the part has several),
+and a one-row part, like every one-row basis, is normalised without
+elimination.
 Scalars appear only at the boundary: parsed and printed amplitudes,
 and the part-states that ``state_lift`` takes.
 The preimage of A under a unitary map M is the span of M^dagger A, the
@@ -136,10 +154,15 @@ class Subspace:
 
     Hash-consed: there is one live instance per basis, so equal spans are
     the same object, and equality and hashing are identity.
+
+    A subspace that ``_lifted`` built as part (x) H_rest keeps its factor
+    in ``_local`` as (n, sorted qubits I, part), part being the canonical
+    subspace over 2^|I|, for 0 < |I| < n; ``meet`` and ``ortho`` read
+    their results off it.  It holds no frame.
     """
 
     __slots__ = ("basis", "ambient", "_projector", "_ortho", "_forms",
-                 "__weakref__")
+                 "_local", "__weakref__")
 
     def __new__(cls, basis: Matrix, ambient: int, _canonical: bool = False):
         if basis.cols != ambient:
@@ -154,6 +177,7 @@ class Subspace:
             self._projector = None
             self._ortho = None
             self._forms = {}
+            self._local = None
             _INTERNED[basis] = self
         return self
 
@@ -208,16 +232,24 @@ class Subspace:
 
     def ortho(self) -> "Subspace":
         """Orthocomplement under the conjugate-linear inner product,
-        computed once per span and linked back, as (W^perp)^perp = W."""
+        computed once per span and linked back, as (W^perp)^perp = W.  Of
+        a lift P (x) H_rest it is the lift P^perp (x) H_rest, found on the
+        part."""
         if self._ortho is None:
-            # one elimination of the basis rows, none for a ray
-            perp = Subspace(self.basis.conj().kernel_basis(), self.ambient,
+            # one elimination of the basis rows, or of a lift's part rows,
+            # none for a ray; a part is not linked to its ortho, which
+            # would make each part of a lift a reference cycle
+            small = self if self._local is None else self._local[2]
+            perp = Subspace(small.basis.conj().kernel_basis(), small.ambient,
                             _canonical=True)
+            if self._local is not None:
+                perp = _lifted(self._local[0], self._local[1], perp)
             self._ortho, perp._ortho = perp, self
         return self._ortho
 
     def meet(self, other: "Subspace") -> "Subspace":
-        """The intersection, computed once per live pair in either order,
+        """The intersection, computed once per live pair in either order:
+        of lifts on disjoint qubit sets, as ``_meet_of_lifts``, and else
         from the smaller side (see ``_meet_from``)."""
         self._same_ambient(other)
         if self is other or self.is_zero() or other.is_full():
@@ -225,7 +257,8 @@ class Subspace:
         if other.is_zero() or self.is_full():
             return other
         small, big = (self, other) if self.dim <= other.dim else (other, self)
-        return _paired("meet", small, big, lambda: big._meet_from(small))
+        return _paired("meet", small, big, lambda: _meet_of_lifts(small, big)
+                       or big._meet_from(small))
 
     def _meet_from(self, small: "Subspace") -> "Subspace":
         """The intersection with ``small``, whose basis A has no more rows
@@ -456,6 +489,56 @@ _NAMED_LIFTS: dict = {}
 _NAMED_ROWS = {char: Matrix([amps]) for char, amps in LOCAL_STATES.items()}
 
 
+def _layout(n: int, qubits: tuple) -> tuple:
+    """``Frame.layout`` of n qubits on ``qubits``, which are valid."""
+    layouts = _LAYOUTS.setdefault(n, {})
+    table = layouts.get(qubits)
+    if table is None:
+        rest = tuple(q for q in range(1, n + 1) if q not in qubits)
+        flat = [0]
+        for q in qubits + rest:
+            flat = [i | b << (n - q) for i in flat for b in (0, 1)]
+        width = 1 << (n - len(qubits))
+        table = layouts[qubits] = tuple(tuple(flat[a:a + width])
+                                        for a in range(0, 1 << n, width))
+    return table
+
+
+def _lifted(n: int, qubits: tuple, part: Subspace) -> Subspace:
+    """part (x) H_rest, for the canonical ``part`` on the sorted ``qubits``
+    of an n-qubit register, with no elimination: the placed tensor of
+    RREFs, laid out in lead order, is the RREF.  A nonzero lift on fewer
+    than n qubits keeps (n, qubits, part), and of a ray part, which is
+    what ``Matrix.split`` reads off it, its product form on the qubits."""
+    table = _layout(n, qubits)
+    basis = part.basis.tensor(Matrix.identity(len(table[0])), table)
+    sub = Subspace(basis.in_lead_order() if part.dim > 1 else basis, 1 << n,
+                   _canonical=True)
+    if len(qubits) < n and not part.is_zero():
+        sub._local = (n, qubits, part)
+        if part.dim == 1:
+            sub._forms.setdefault(qubits, (part, Subspace.full(len(table[0]))))
+    return sub
+
+
+def _meet_of_lifts(a: Subspace, b: Subspace) -> Optional[Subspace]:
+    """The meet of lifts P (x) H_rest on I and Q (x) H_rest on J when I and
+    J are disjoint: P (x) Q (x) H_rest on their union K, the tensor of the
+    parts placed by the layout of a |K|-qubit register on I's places in
+    K, with no elimination.  None for any other pair."""
+    if a._local is None or b._local is None:
+        return None
+    n, i, p = a._local
+    _, j, q = b._local
+    if not set(i).isdisjoint(j):
+        return None
+    k = tuple(sorted(i + j))
+    table = _layout(len(k), tuple(k.index(x) + 1 for x in i))
+    part = Subspace(p.basis.tensor(q.basis, table).in_lead_order(),
+                    1 << len(k), _canonical=True)
+    return _lifted(n, k, part)
+
+
 class Frame:
     """An n-qubit register with its gates and locality structure."""
 
@@ -493,15 +576,7 @@ class Frame:
         key = tuple(qubits)
         table = self._layouts.get(key)
         if table is None:
-            self.check_qubits(key)
-            rest = tuple(q for q in range(1, self.n + 1) if q not in key)
-            flat = [0]
-            for q in key + rest:
-                flat = [i | b << (self.n - q) for i in flat for b in (0, 1)]
-            width = self.dim >> len(key)
-            table = tuple(tuple(flat[a:a + width])
-                          for a in range(0, self.dim, width))
-            self._layouts[key] = table
+            table = _layout(self.n, self.check_qubits(key))
         return table
 
     def _where(self, qubits: tuple) -> tuple:
@@ -621,23 +696,20 @@ class Frame:
         return lifted
 
     def _lift(self, part: Matrix, qubits: tuple) -> Subspace:
-        """part (x) I for a one-row part on the sorted ``qubits``."""
+        """part (x) I for a one-row part on the sorted ``qubits``, as
+        ``_lifted`` builds it."""
         table = self.layout(qubits)
         if part.cols != len(table):
             raise ValueError("need one amplitude per part basis state")
-        # With the part scaled to lead with 1 at a0, row l of part (x) I
-        # leads with 1 at table[a0][l], a column no other row touches and
-        # one that grows with l: the layout of sorted qubits grows in a and
-        # in l.  So the rows are an RREF.
-        return Subspace(part.row_basis().tensor(Matrix.identity(len(table[0])), table),
-                        self.dim, _canonical=True)
+        return _lifted(self.n, qubits, Subspace(part, len(table)))
 
     def product_form(self, sub: Subspace, qubits: Iterable[int]
                      ) -> Optional[tuple[Subspace, Subspace]]:
         """(part, rest) with sub = part (x) rest, part on I and one of the
         two a single ray; None otherwise, and for the zero subspace.
 
-        Computed once per subspace and qubit set, by ``Matrix.split`` of
+        Computed once per subspace and qubit set; a lift of a ray part on
+        I is built with it.  Otherwise it comes from ``Matrix.split`` of
         the RREF basis through the inverse of the layout of sorted I: every
         basis row, reshaped with I indexing rows, must be rank one, and
         all must share their column x (then sub = x (x) V) or their row y

@@ -292,6 +292,14 @@ class Matrix:
             out = placed
         return Matrix.from_parts(out, self.cols * other.cols)
 
+    def in_lead_order(self) -> "Matrix":
+        """The rows, all nonzero and leading at distinct columns, sorted by
+        their leading columns.  A placed tensor of RREFs (a table growing
+        along each line and down each position) is reduced as built: row
+        x_i (x) y_k leads with 1 at at[lead x_i][lead y_k], where every
+        other row is 0.  Laid out in lead order, it is the RREF."""
+        return Matrix._of(tuple(sorted(self.triples)), self.den, self.cols)
+
     def gather(self, rows: Iterable[int], table: Sequence[Sequence[int]]) -> "Matrix":
         """For each listed row x, in order, one row [x[c] for c in t] per
         line t of ``table``, all lines being equally long."""

@@ -601,7 +601,7 @@ print(code, calls, solves, built, hashlib.sha256(out.getvalue().encode()).hexdig
 
 VERIFY_ALL_SHA256 = \
     "bad8e8100fbefb3faf375c3fc4ce3d8549ece5775dd85bb3bae26bbf6ca9a08a"
-MAX_VERIFY_ALL_ELIMINATIONS = 4_000
+MAX_VERIFY_ALL_ELIMINATIONS = 3_500
 MAX_VERIFY_ALL_PROJECTORS = 140
 MAX_VERIFY_ALL_REGIONS = 23_500
 
@@ -660,6 +660,19 @@ def test_no_elimination_at_ten_qubits_has_more_rows_than_the_register():
     code, verdict, *rows = proc.stdout.split()
     assert (code, verdict) == ("0", "VALID")
     assert rows and max(map(int, rows)) <= 2 ** 10, rows
+
+
+def test_meets_and_orthos_of_lifts_at_ten_qubits_run_on_their_parts():
+    # plus is the meet of ten one-qubit lifts, and 0_1 & 1_3 the meet of
+    # two: each is the lift of the tensor of their parts, and the ortho of
+    # a lift the lift of its part's ortho, with no elimination 2^9 rows tall
+    for claim, most in (("plus -> [H_1 ; H_1]plus", 0),
+                        ("0_1 -> [H_1 ; CNOT_1_2 ; CNOT_2_3]!(0_1 & 1_3)", 2 ** 9 - 1)):
+        proc = fresh_process(["-c", ROW_PROBE, claim], timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        code, verdict, *rows = proc.stdout.split()
+        assert (code, verdict) == ("0", "VALID")
+        assert max(map(int, rows), default=0) <= most, (claim, rows)
 
 
 # ----- 14: bounded entry growth on a crafted state ---------------------------------

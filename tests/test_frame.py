@@ -1115,7 +1115,8 @@ def test_a_second_frame_shares_constants_and_builds_its_own_gate_maps(
     assert check_valid(first, claim) is None
     gates = [("H", (2,)), ("CNOT", (1, 3)), ("X", (1,)), ("Z", (2,))]
     first_maps = [first.frame.gate(*g) for g in gates]
-    # count what building lifts and gates costs on a second frame
+    # count what building lifts and gates costs on a second frame; the
+    # meets of lifts tensor their parts, which is no building of either
     inside, tensors, eliminations = [0], [], []
 
     def within(method):
@@ -1131,13 +1132,13 @@ def test_a_second_frame_shares_constants_and_builds_its_own_gate_maps(
     monkeypatch.setattr(Frame, "state_lift", within(Frame.state_lift))
     monkeypatch.setattr(Frame, "gate", within(Frame.gate))
     monkeypatch.setattr(Matrix, "tensor",
-                        lambda *args: tensors.append(1) or tensor(*args))
+                        lambda *args: tensors.append(inside[0]) or tensor(*args))
     monkeypatch.setattr(linalg, "_eliminate",
                         lambda work, cols: eliminations.append(inside[0])
                         or eliminate(work, cols))
     second = Environment(Frame(3))
     assert check_valid(second, claim) is None
-    assert tensors == [] and not any(eliminations)
+    assert not any(tensors) and not any(eliminations)
     for part in LOCAL_STATES.values():
         for q in (1, 2, 3):
             assert second.frame.state_lift(part, (q,)) is \
@@ -1319,6 +1320,93 @@ def test_meet_eliminates_nothing_when_warm_contained_or_of_a_ray(monkeypatch):
     for big, outside, meet in warm:
         assert outside.meet(big) is meet and big.meet(outside) is meet
     assert calls == []
+
+
+def lift_inputs():
+    """(frame, sorted qubits, part, lift) at n = 1..6: state lifts of
+    random one-row parts and lifts of random parts of several rows, on
+    random qubit sets, all n qubits among them."""
+    rng = random.Random(2035)
+    cases = []
+    for n in range(1, 7):
+        fr = Frame(n)
+        for _ in range(12):
+            # mostly few qubits, so that many pairs are disjoint
+            size = rng.randint(1, rng.randint(1, n))
+            qubits = tuple(sorted(rng.sample(range(1, n + 1), size)))
+            k = 2 ** len(qubits)
+            if k == 2 or rng.random() < 0.5:
+                amps = rand_amps(rng, k)
+                part, lifted = Subspace(Matrix([amps]), k), fr.state_lift(amps, qubits)
+            else:
+                part = rand_sub(rng, k, rng.randint(2, min(3, k - 1)))
+                lifted = frame_module._lifted(n, qubits, part)
+            cases.append((fr, qubits, part, lifted))
+    return cases
+
+
+def memo_free_ortho(sub):
+    return Subspace(sub.basis.conj().kernel_basis(), sub.ambient)
+
+
+def test_meets_orthos_and_forms_of_lifts_match_the_general_route(monkeypatch):
+    cases = lift_inputs()
+    calls = counted_eliminations(monkeypatch)
+    for fr, qubits, part, lifted in cases:
+        assert fr.product_form(lifted, qubits) == fr._factor(lifted, qubits)
+        assert (fr.product_form(lifted, qubits) is None) == \
+            (part.dim > 1 and len(qubits) < fr.n)
+        if len(qubits) == fr.n:
+            assert lifted is part and lifted._local is None
+            continue
+        assert lifted._local == (fr.n, qubits, part)
+        del calls[:]
+        linked = part._ortho
+        perp = lifted.ortho()  # cold
+        # the part's one elimination, none for a ray
+        assert calls == ([2 ** len(qubits)] if part.dim > 1 else [])
+        assert perp is memo_free_ortho(lifted) and perp._ortho is lifted
+        # nor is the part linked to its ortho, which would make it a cycle
+        assert part._ortho is linked
+        assert perp._local == (fr.n, qubits, memo_free_ortho(part))
+        assert lifted.ortho() is perp and perp.ortho() is lifted
+    general, tensors = [], []
+    meet_from, tensor = Subspace._meet_from, Matrix.tensor
+    monkeypatch.setattr(Subspace, "_meet_from",
+                        lambda self, small: general.append(1) or meet_from(self, small))
+    monkeypatch.setattr(Matrix, "tensor",
+                        lambda *args: tensors.append(1) or tensor(*args))
+    disjoint, overlapping = [], 0
+    for (fr, i, p, s), (other, j, q, t) in itertools.combinations(cases, 2):
+        if other is not fr:
+            continue
+        general.clear()
+        got = s.meet(t)  # cold
+        perps = Matrix.vstack([s.basis.conj().kernel_basis(),
+                               t.basis.conj().kernel_basis()])
+        want = Subspace(perps.conj().kernel_basis(), fr.dim)
+        small, big = sorted((s, t), key=lambda x: x.dim)
+        assert got is want and big._meet_from(small) is want
+        if set(i).isdisjoint(j):
+            disjoint.append((p.dim > 1) + (q.dim > 1))
+            assert general == [1]  # the reference alone
+            k = tuple(sorted(i + j))
+            if len(k) == fr.n:
+                assert got._local is None
+            else:
+                assert got._local[:2] == (fr.n, k)
+            if p.dim == q.dim == 1:
+                assert fr.product_form(got, k) == fr._factor(got, k) is not None
+        else:
+            overlapping += 1
+            assert general == [1, 1]
+        # warm, from the pair table
+        del calls[:], tensors[:], general[:]
+        assert s.meet(t) is got and t.meet(s) is got
+        assert calls == tensors == general == []
+    assert len(disjoint) > 100 and overlapping > 100
+    # ray parts, a ray and a wider part, and two wider parts
+    assert set(disjoint) == {0, 1, 2}
 
 
 def test_lift_table_dies_with_its_frame():
