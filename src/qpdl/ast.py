@@ -21,6 +21,11 @@ prints as ``Cls(field=value, ...)`` and refuses assignment.  In place of
 ``type(node)(*values)`` builds a node from its fields in ``FIELDS``
 order, and ``{f: getattr(node, f) for f in node.FIELDS}`` lists them.
 
+A parse is one node per distinct subterm, its equal subtrees one object
+(see ``parser``), so code that remembers by node identity meets each
+of them once; a tree built by code may repeat equal subtrees as
+separate objects, and either shape means the same.
+
 ``PARTS`` states which fields of each node class are subterms; ``parts``
 and ``rebuild`` read it for every walk over a tree (desugaring, the
 one-qubit check) but ``instantiate``, which reads it with the qubit

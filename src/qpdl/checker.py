@@ -33,22 +33,30 @@ time, a gate as the image of the state and a test on S as the Sasaki
 projection (s v S^perp) ^ S, the test semantics of Baltag and Smets'
 quantum actions, so a map composed wrongly shows as a disagreement.
 
-``check_schematic`` decides all of its instances in one session, a
-private environment that lives for that one call.  It fills the state
-first and the branch second, so a subtree without ``w`` is one object
-across branches, and it remembers by node identity: the core tree of
-each filled node it desugars, charged to the budgets again at each use,
-and the region of each core formula and the maps of each core program.
-Past the instance that computed them it keeps only the answers for the
-nodes that the desugaring met more than once, such as a branch program
-or ``bell[...]``.  An answer keyed on syntax holds only while the
-valuation does, so the session takes a copy of the caller's valuation,
-which nothing can change during the call; it shares the caller's memo of
-denotations, which is keyed on meanings, so it stays warm across calls.
-A counterexample is re-checked pointwise in a second session, which
-remembers only what the re-checks computed, so a region that the
-deciding session remembers wrongly shows as a disagreement rather than
-being confirmed; programs under a box still run one action at a time.
+Every ``check_valid`` call decides its formula in a session, a private
+environment that lives for that one call and remembers the region of
+each core formula and the maps of each core program by node identity,
+so a node that the formula names more than once (a part of eqf or
+testable, or a subterm that a parse shares) is evaluated once.  Its
+counterexample is re-checked pointwise in the caller's environment,
+which remembers no region.
+
+``check_schematic`` decides all of its instances in one session.  It
+fills the state first and the branch second, so a subtree without ``w``
+is one object across branches, and it remembers by node identity: the
+core tree of each filled node it desugars, charged to the budgets again
+at each use, and the region of each core formula and the maps of each
+core program.  Past the instance that computed them it keeps only the
+answers for the nodes that the desugaring met more than once, such as a
+branch program or ``bell[...]``.  An answer keyed on syntax holds only
+while the valuation does, so the session takes a copy of the caller's
+valuation, which nothing can change during the call; it shares the
+caller's memo of denotations, which is keyed on meanings, so it stays
+warm across calls.  A counterexample is re-checked pointwise in a second
+session, which remembers only what the re-checks computed, so a region
+that the deciding session remembers wrongly shows as a disagreement
+rather than being confirmed; programs under a box still run one action
+at a time.
 """
 
 from __future__ import annotations
@@ -102,12 +110,13 @@ class Environment:
 
 
 class _Session(Environment):
-    """An environment in which ``check_schematic`` decides or re-checks
-    all of its instances: the caller's frame, a copy of its valuation,
-    its memo of denotations, and ``_nodes``, answers keyed on node
-    identity: the region of each core formula and the maps of each core
-    program.  Each node is held beside its answer, so its id is not
-    reused while the session lives."""
+    """An environment in which ``check_valid`` decides its formula, or
+    ``check_schematic`` decides or re-checks all of its instances: the
+    caller's frame, a copy of its valuation, its memo of denotations,
+    and ``_nodes``, answers keyed on node identity: the region of each
+    core formula and the maps of each core program.  Each node is held
+    beside its answer, so its id is not reused while the session
+    lives."""
 
     __slots__ = ("_nodes",)
 
@@ -508,8 +517,13 @@ def _holds(env: Environment, s: Subspace, f: ast.Formula) -> bool:
 
 def check_valid(env: Environment, f: ast.Formula) -> Optional[Subspace]:
     """None when the formula holds at every state; otherwise a
-    counterexample state, re-verified pointwise."""
-    return _decide(env, desugar_formula(f, env.frame.n), env)
+    counterexample state, re-verified pointwise.
+
+    The formula is decided in a session of its own, so a core node that
+    the formula names more than once, as the derived judgements and a
+    parse's shared subterms do, is evaluated once.  The counterexample
+    is re-verified in ``env`` itself, which remembers no region."""
+    return _decide(_Session(env), desugar_formula(f, env.frame.n), env)
 
 
 def _decide(env: Environment, core: ast.Formula,

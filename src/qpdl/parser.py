@@ -23,6 +23,13 @@ reading starts reports the depth limit.
 Input nested deeper than ``MAX_DEPTH`` levels of syntax tree is a
 ParseError, so deep input fails with a message instead of exhausting the
 stack of the parser or of the evaluators that walk the tree.
+
+A parse returns one node per distinct subterm: every node is built
+through a table that lives for that one parse (``_Parser.share``), so
+equal subtrees of one text are one object, and a claim that writes a
+program or formula out several times is desugared and evaluated once
+per distinct subterm.  Nodes still compare and hash by structure, and no
+table outlives its parse.
 """
 
 from __future__ import annotations
@@ -131,7 +138,8 @@ def tokenize(text: str) -> list[Token]:
             continue
         elif kind == "other":
             raise ParseError(f"unexpected character {value!r}", line, col)
-        tokens.append(Token(kind, value, line, col))
+        # the record Token(...) builds, without a Python frame per token
+        tokens.append(tuple.__new__(Token, (kind, value, line, col)))
     tokens.append(Token("eof", None, line, len(text) - line_start + 1))
     return tokens
 
@@ -153,6 +161,9 @@ class _Parser:
         self.far_expected: set = set()
         # (position, depth) -> the error of a test reading that failed there
         self.failed_tests: dict = {}
+        # every node built by this parse, by its class and fields, a child
+        # node by its id (see ``share``)
+        self.nodes: dict = {}
 
     # ----- token plumbing ---------------------------------------------------
 
@@ -202,6 +213,21 @@ class _Parser:
 
     # ----- shared pieces ------------------------------------------------------
 
+    def share(self, key: tuple, cls, *fields):
+        """The node ``cls(*fields)`` of this parse, one object per distinct
+        subterm.  ``key`` is the class and then the fields in order, a node
+        field by its id: every child was built through this table, so equal
+        children are one object already, and the table keeps them alive
+        while their ids are in use."""
+        node = self.nodes.get(key)
+        if node is None:
+            node = self.nodes[key] = cls(*fields)
+        return node
+
+    def atom(self, cls, *fields):
+        """``share`` of a node whose fields are all values."""
+        return self.share((cls, *fields), cls, *fields)
+
     def listed(self, opening: str, item, closing: str) -> list:
         """A non-empty comma-separated list of items between delimiters."""
         self.expect(opening)
@@ -243,7 +269,9 @@ class _Parser:
         if form.args:
             self.expect(")")
             self.depth -= 1
-        return cls(*map(fields.__getitem__, cls.FIELDS))
+        values = [fields[name] for name in cls.FIELDS]
+        key = (cls, *[id(v) if isinstance(v, ast.Node) else v for v in values])
+        return self.share(key, cls, *values)
 
     def infix(self, ops: tuple, operand, level: int = 0):
         """Operands read by ``operand`` joined by the infix operators
@@ -256,8 +284,8 @@ class _Parser:
         while self.accept(token):
             self.descend()
             inner = level if right else level + 1
-            left = cls(left, self.infix(ops, operand, inner) if inner < len(ops)
-                       else operand())
+            rhs = self.infix(ops, operand, inner) if inner < len(ops) else operand()
+            left = self.share((cls, id(left), id(rhs)), cls, left, rhs)
         self.depth = base
         return left
 
@@ -288,10 +316,12 @@ class _Parser:
                 elif word or not self.accept(token):
                     continue
                 if not closing:
-                    return cls(self.f_unary())
+                    body = self.f_unary()
+                    return self.share((cls, id(body)), cls, body)
                 prog = self.program()
                 self.expect(closing)
-                return cls(prog, self.f_unary())
+                body = self.f_unary()
+                return self.share((cls, id(prog), id(body)), cls, prog, body)
             return self.f_atom()
         finally:
             self.depth = base
@@ -304,7 +334,7 @@ class _Parser:
             return body
         if tok.kind == "const":
             self.pos += 1
-            return ast.Const(tok.value[0], tok.value[1])
+            return self.atom(ast.Const, *tok.value)
         if tok.kind != "word":
             self._note("formula")
             self.fail("expected a formula")
@@ -318,12 +348,12 @@ class _Parser:
             chars = self.listed("(", self.vec_char, ")")
             if len(chars) != len(qs):
                 self.fail("one state symbol per qubit expected")
-            return ast.VecC(qs, "".join(chars))
+            return self.atom(ast.VecC, qs, "".join(chars))
         if word in RESERVED:
             self._note("formula")
             self.fail(f"{word!r} cannot appear here")
         self.pos += 1
-        return ast.Var(word)
+        return self.atom(ast.Var, word)
 
     def vec_char(self) -> str:
         tok = self.peek()
@@ -350,14 +380,15 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "gate":
             self.pos += 1
-            return ast.GateP(tok.value[0], tok.value[1])
+            return self.atom(ast.GateP, *tok.value)
         if tok.kind == "flip":
             self.pos += 1
-            return ast.Flip(tok.value[0], tok.value[1])
+            return self.atom(ast.Flip, *tok.value)
         if tok.kind == "word" and tok.value in _PROGRAM_WORDS:
             node = self.keyword(_PROGRAM_WORDS[tok.value])
             if isinstance(node, ast.TopP) and self.accept("?"):
-                return ast.Test(ast.Top(node.qubits))
+                top = self.atom(ast.Top, node.qubits)
+                return self.share((ast.Test, id(top)), ast.Test, top)
             return node
         # Anything else is first read as a test: a formula followed by '?'.
         # Its outcome depends on nothing but the position and the depth,
@@ -367,7 +398,7 @@ class _Parser:
             try:
                 body = self.formula()
                 self.expect("?")
-                return ast.Test(body)
+                return self.share((ast.Test, id(body)), ast.Test, body)
             except ParseError as exc:
                 self.pos = save[0]
                 # without its traceback, whose frames would hold this
@@ -379,7 +410,7 @@ class _Parser:
             return prog
         if tok.kind == "word" and tok.value not in RESERVED:
             self.pos += 1
-            return ast.PVar(tok.value)
+            return self.atom(ast.PVar, tok.value)
         if isinstance(self.failed_tests[save], _Final):
             # no other reading starts here: the test's error is the error
             raise self.failed_tests[save]

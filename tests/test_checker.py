@@ -1098,6 +1098,73 @@ def test_a_region_a_session_remembers_wrongly_is_a_disagreement(monkeypatch):
                         "q", (1,))
 
 
+def unshared(node):
+    """An equal copy of ``node``, rebuilt node by node, so that no two of
+    its uses are one object."""
+    return type(node)(*[unshared(v) if isinstance(v, ast.Node) else v
+                        for v in (getattr(node, f) for f in node.FIELDS)])
+
+
+def outcome(decide):
+    """The witness ``decide()`` returns, or the class and message of what
+    it raises."""
+    try:
+        return decide()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_check_valid_of_a_shared_parse_decides_as_the_cold_route():
+    # check_valid decides a parse, one node per distinct subterm, in a
+    # session; the route it replaces decides an unshared copy, and each
+    # use of a node, in a plain environment
+    rng = random.Random(563)
+    seen = Counter()
+    for _ in range(200):
+        n = rng.randint(1, 3)
+        fr = Frame(n)
+        valuation = env_pq(rng, fr).valuation
+        a, b = (coherent_formula(rng, n, rng.randint(1, 3)) for _ in range(2))
+        f = parse_formula(rng.choice([
+            a, f"(p & ({a})) -> (({a}) | q)", f"eqf(({a}) & p, ({b}) | ({a}))",
+            f"({a}) | img(H_1, p)"]))
+        copy = unshared(f)
+        ids, todo = [], [copy]
+        while todo:
+            node = todo.pop()
+            ids.append(id(node))
+            todo += ast.parts(node)
+        assert copy == f and len(set(ids)) == len(ids)
+        shared = outcome(lambda: check_valid(Environment(fr, valuation),
+                                             parse_formula(ast.pretty(f))))
+        env = Environment(fr, valuation)
+        cold = outcome(lambda: checker._decide(env, desugar_formula(copy, n), env))
+        if isinstance(cold, tuple):
+            assert shared == cold, ast.pretty(f)
+        else:
+            assert shared is cold, ast.pretty(f)
+        seen["valid" if cold is None else "refuted" if isinstance(cold, Subspace)
+             else "raised"] += 1
+    assert min(seen[k] for k in ("valid", "refuted", "raised")) >= 5, seen
+
+
+def test_a_determinacy_claim_images_each_distinct_img_once(monkeypatch):
+    # w1 and w2 are written out in every conjunct, and eqf uses each side
+    # twice; the parse shares them, and the session images each img once
+    w1, w2 = "H_1 ; CNOT_1_2", "Z_2 ; Z_2 ; H_1 ; CNOT_1_2"
+    vecs = ["vec{1,2}(0,0)", "vec{1,2}(+,1)", "vec{1,2}(1,-)", "0_2", "+_1"]
+    ante = " & ".join(f"eqf(img({w1}, {v}), img({w2}, {v}))" for v in vecs)
+    f = parse_formula(f"{ante} -> eqf(img({w1}, p), img({w2}, p))")
+    imaged, image_region = [], checker._image_region
+    monkeypatch.setattr(checker, "_image_region", lambda env, g:
+                        imaged.append(g) or image_region(env, g))
+    fr = Frame(2)
+    p = Region.of_subspace(_random_subspace(random.Random(564), fr, 2))
+    assert check_valid(Environment(fr, {"p": p}), f) is None
+    assert len(imaged) == len({id(g) for g in imaged}) == 2 * len(vecs) + 2
+    assert len({id(g.prog) for g in imaged}) == 2
+
+
 def long_word(k):
     """X_1 k times, as a balanced tree of ; of 2k - 1 nodes."""
     if k == 1:

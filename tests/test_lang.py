@@ -168,6 +168,27 @@ def test_program_round_trip():
         seen += 1
 
 
+def test_a_parse_is_one_node_per_distinct_subterm():
+    # each random tree is written twice, joined by & or +, so that every
+    # parse has equal subtrees to share
+    rng = random.Random(408)
+    for k in range(240):
+        if k % 2:
+            tree = ast.And(*[rand_formula(rng, rng.randint(1, 4))] * 2)
+            parse = parse_formula
+        else:
+            tree = ast.UnionP(*[rand_program(rng, rng.randint(1, 4))] * 2)
+            parse = parse_program
+        text = pretty(tree)
+        got = parse(text)
+        assert got == tree and got.left is got.right, text
+        first = {}
+        for node in subtrees(got):
+            assert first.setdefault(node, node) is node, text
+        # the table lives for one parse: a second parse builds anew
+        assert parse(text) is not got
+
+
 def test_program_variable_round_trip():
     # in program position a non-keyword identifier is a program variable,
     # read only once the test reading f? has failed
