@@ -46,9 +46,7 @@ fills the state first and the branch second, so a subtree without ``w``
 is one object across branches, and it remembers by node identity: the
 core tree of each filled node it desugars, charged to the budgets again
 at each use, and the region of each core formula and the maps of each
-core program.  Past the instance that computed them it keeps only the
-answers for the nodes that the desugaring met more than once, such as a
-branch program or ``bell[...]``.  An answer keyed on syntax holds only
+core program, for the whole call.  An answer keyed on syntax holds only
 while the valuation does, so the session takes a copy of the caller's
 valuation, which nothing can change during the call; it shares the
 caller's memo of denotations, which is keyed on meanings, so it stays
@@ -124,12 +122,6 @@ class _Session(Environment):
         super().__init__(env.frame, env.valuation)
         self._denotations = env._denotations
         self._nodes = {}
-
-    def keep(self, ids: set):
-        """Forget every answer but those for the nodes of ``ids``."""
-        nodes = self._nodes
-        for key in [key for key in nodes if key not in ids]:
-            del nodes[key]
 
 
 # ----- program denotation ----------------------------------------------------
@@ -585,10 +577,7 @@ def check_schematic(env: Environment, template: ast.Formula, var: str, qubits,
     cores, session, oracle = DesugarMemo(), _Session(env), _Session(env)
 
     def decide(f):
-        witness = _decide(session, cores.desugar(f, env.frame.n), oracle)
-        session.keep(cores.shared)
-        oracle.keep(cores.shared)
-        return witness
+        return _decide(session, cores.desugar(f, env.frame.n), oracle)
 
     instances = []
     for chars in itertools.product("01+", repeat=len(qubits)):

@@ -163,16 +163,13 @@ class DesugarMemo:
     core tree, the nodes it holds, a part used twice counting twice.  A
     leaf is its own core tree of one node and is not remembered.  A
     remembered node charges both counts to the budgets again, so an input
-    is refused exactly when rewriting every use of a part refuses it.
-    ``shared`` holds the id of each core tree answered from the memo, so
-    met more than once."""
+    is refused exactly when rewriting every use of a part refuses it."""
 
-    __slots__ = ("cores", "sizes", "shared")
+    __slots__ = ("cores", "sizes")
 
     def __init__(self):
         self.cores = {}
         self.sizes = {}
-        self.shared = set()
 
     def size(self, core) -> int:
         """The nodes of ``core``, a remembered core counting as many as
@@ -222,7 +219,6 @@ class _Desugaring:
         known = memo.cores.get((id(node), n))
         if known is not None:
             self.spend(known[2])
-            memo.shared.add(id(known[1]))
             return known[1]
         before = self.left
         self.spend()

@@ -21,7 +21,8 @@ remembers its product form on each qubit set, None included, for as
 long as it lives.  A lift part (x) H_rest on qubits I, 0 < |I| < n,
 keeps its factor (n, I, part), part being the interned subspace over
 2^|I|; the lifts of ``Frame`` (``state_lift``, ``named_lift``,
-``row_lift``), and the meets and orthos below, build them.
+``row_lift``), its reachable sets, and the meets and orthos below, build
+them.
 
 Partial maps are not interned.  A map whose kernel is known when it is
 built carries it from construction: a gate lift has kernel 0, as every
@@ -37,7 +38,8 @@ product.  Each map remembers its kernel and the image and closed
 preimage of every subspace it was asked about, keyed on the interned
 subspace and kept alive with the map.
 
-What is remembered lives at one of three scopes:
+What is remembered lives at one of two scopes, beside each value's own
+memos:
 
 - per process, built on first use and keyed on n, as it depends on the
   register alone: the full and zero subspaces of each dimension, the
@@ -46,13 +48,13 @@ What is remembered lives at one of three scopes:
   ``LOCAL_STATES`` at each qubit, found by (char, qubit) through
   ``Frame.named_lift``, at most 4n subspaces per n, each with its own
   memos;
-- per frame: each gate's ``PartialMap``, wrapping the shared matrix, so
-  its image and preimage memos die with the frame, and every other
-  state lift, with its ortho and projector, keyed on its amplitudes, or
-  for ``row_lift`` (``map_to_state`` and the checker's cmp{I}) on its
-  part row;
 - per environment (in the checker): the maps of each denoted program,
-  with their memos and, once read, their matrices.
+  gate maps among them, with their memos and, once read, their matrices.
+
+A ``Frame`` holds n and its dimension only.  ``Frame.gate`` wraps the
+shared matrix in a new map at each call, and every other lift is built
+at each call: interning returns the live subspace of an equal basis,
+with its memos, and a lift that nothing holds is freed.
 
 A lift's factor lives on the interned subspace, as its other memos do.
 It names n, not a frame, so a named lift kept per process keeps no
@@ -74,8 +76,8 @@ RREF, so neither eliminates at 2^n width, and each is the interned
 subspace the general route gives.  Lifts on overlapping qubit sets, and
 any other pair, take the general route.
 A layout table is the index table of ``Matrix.tensor``, which places
-gate lifts g (x) I (rows and columns alike), state lifts part (x) I and
-reachable sets I (x) rest, and of ``Matrix.gather``, which reads blocks
+gate lifts g (x) I (rows and columns alike) and lifts part (x) I, a
+reachable set among them, and of ``Matrix.gather``, which reads blocks
 and the reshaped state of a reachable set; its inverse locates each
 basis index in it.
 One tensor factorization, ``Frame.product_form``, splits a subspace as
@@ -326,20 +328,19 @@ class PartialMap:
 
     A composite built by ``then`` holds its two maps, not their product:
     ``dim``, the kernel it knows and the unitary mark are set when it is
-    built, and ``matrix`` is formed on its first read (``__getattr__``
-    fills the empty slot), once, after which the composite drops its
-    factors.  A preimage under a unitary composite not yet formed is
-    taken through the factors (see ``preimage_closed``).
+    built, and ``matrix`` is formed on its first read, once, after which
+    the composite drops its factors.  A preimage under a unitary composite
+    not yet formed is taken through the factors (see ``preimage_closed``).
     """
 
-    __slots__ = ("matrix", "dim", "unitary", "_first", "_second", "_kernel",
+    __slots__ = ("_matrix", "dim", "unitary", "_first", "_second", "_kernel",
                  "_images", "_preimages", "__weakref__")
 
     def __init__(self, matrix: Matrix, kernel: Optional[Subspace] = None,
                  unitary: bool = False):
         if matrix.rows != matrix.cols:
             raise ValueError("maps must be square")
-        self.matrix = matrix
+        self._matrix = matrix
         self.dim = matrix.rows
         self.unitary = unitary
         self._first = self._second = None
@@ -347,13 +348,11 @@ class PartialMap:
         self._images = {}
         self._preimages = {}
 
-    def __getattr__(self, name: str):
-        # called only for an empty slot: the matrix of a composite not read
-        # before
-        if name != "matrix":
-            raise AttributeError(name)
-        self._form()
-        return self.matrix
+    @property
+    def matrix(self) -> Matrix:
+        if self._matrix is None:
+            self._form()
+        return self._matrix
 
     def _form(self):
         """Form the matrix of this composite and of every composite below it
@@ -371,7 +370,7 @@ class PartialMap:
                 stack += waiting
             else:
                 stack.pop()
-                pm.matrix = pm._second.matrix * pm._first.matrix
+                pm._matrix = pm._second._matrix * pm._first._matrix
                 pm._first = pm._second = None
 
     def _after(self, rows: Matrix) -> Matrix:
@@ -382,7 +381,7 @@ class PartialMap:
         while stack:
             pm = stack.pop()
             if pm._first is None:
-                rows = rows * pm.matrix
+                rows = rows * pm._matrix
             else:
                 stack += (pm._first, pm._second)
         return rows
@@ -398,6 +397,7 @@ class PartialMap:
             raise ValueError("map dimensions differ")
         injective = other._kernel is not None and other._kernel.is_zero()
         pm = object.__new__(PartialMap)
+        pm._matrix = None
         pm.dim = self.dim
         pm.unitary = self.unitary and other.unitary
         pm._first, pm._second = self, other
@@ -479,29 +479,32 @@ LOCAL_STATES = {
 }
 
 # Values that depend on n alone, shared by every frame of n qubits and
-# filled on first use: n -> qubits -> layout table and its inverse, n ->
-# (kind, targets) -> gate-lift matrix, and n -> (char, qubit) -> lift of a
-# named state.
-_LAYOUTS: dict = {}
-_INVERSES: dict = {}
+# filled on first use: n -> (kind, targets) -> gate-lift matrix, and n ->
+# (char, qubit) -> lift of a named state.
 _GATE_MATRICES: dict = {}
 _NAMED_LIFTS: dict = {}
 _NAMED_ROWS = {char: Matrix([amps]) for char, amps in LOCAL_STATES.items()}
 
 
+@cache
 def _layout(n: int, qubits: tuple) -> tuple:
     """``Frame.layout`` of n qubits on ``qubits``, which are valid."""
-    layouts = _LAYOUTS.setdefault(n, {})
-    table = layouts.get(qubits)
-    if table is None:
-        rest = tuple(q for q in range(1, n + 1) if q not in qubits)
-        flat = [0]
-        for q in qubits + rest:
-            flat = [i | b << (n - q) for i in flat for b in (0, 1)]
-        width = 1 << (n - len(qubits))
-        table = layouts[qubits] = tuple(tuple(flat[a:a + width])
-                                        for a in range(0, 1 << n, width))
-    return table
+    rest = tuple(q for q in range(1, n + 1) if q not in qubits)
+    flat = [0]
+    for q in qubits + rest:
+        flat = [i | b << (n - q) for i in flat for b in (0, 1)]
+    width = 1 << (n - len(qubits))
+    return tuple(tuple(flat[a:a + width]) for a in range(0, 1 << n, width))
+
+
+@cache
+def _where(n: int, qubits: tuple) -> tuple:
+    """The inverse of ``_layout(n, qubits)``: the (a, b) of each basis index."""
+    out = [None] * (1 << n)
+    for a, line in enumerate(_layout(n, qubits)):
+        for b, c in enumerate(line):
+            out[c] = (a, b)
+    return tuple(out)
 
 
 def _lifted(n: int, qubits: tuple, part: Subspace) -> Subspace:
@@ -540,19 +543,16 @@ def _meet_of_lifts(a: Subspace, b: Subspace) -> Optional[Subspace]:
 
 
 class Frame:
-    """An n-qubit register with its gates and locality structure."""
+    """An n-qubit register with its gates and locality structure.  It
+    remembers nothing: what depends on n alone is kept per process."""
+
+    __slots__ = ("n", "dim", "__weakref__")
 
     def __init__(self, n: int):
         if n < 1:
             raise BadIndex("a frame needs at least one qubit")
         self.n = n
         self.dim = 2 ** n
-        self._layouts = _LAYOUTS.setdefault(n, {})
-        self._inverses = _INVERSES.setdefault(n, {})
-        self._gate_matrices = _GATE_MATRICES.setdefault(n, {})
-        self._named_lifts = _NAMED_LIFTS.setdefault(n, {})
-        self._gates: dict = {}
-        self._lifts: dict = {}
 
     # ----- qubit layout ------------------------------------------------------
 
@@ -573,22 +573,7 @@ class Frame:
         qubits in ascending order.  This is the one place where a qubit
         number becomes a bit position: qubit q is bit n - q of an index.
         """
-        key = tuple(qubits)
-        table = self._layouts.get(key)
-        if table is None:
-            table = _layout(self.n, self.check_qubits(key))
-        return table
-
-    def _where(self, qubits: tuple) -> tuple:
-        """The inverse of ``layout(qubits)``: the (a, b) of each basis index."""
-        where = self._inverses.get(qubits)
-        if where is None:
-            out = [None] * self.dim
-            for a, line in enumerate(self.layout(qubits)):
-                for b, c in enumerate(line):
-                    out[c] = (a, b)
-            where = self._inverses[qubits] = tuple(out)
-        return where
+        return _layout(self.n, self.check_qubits(qubits))
 
     # ----- states ------------------------------------------------------------
 
@@ -605,21 +590,17 @@ class Frame:
     # ----- gates and blocks --------------------------------------------------
 
     def gate(self, kind: str, targets: Sequence[int]) -> PartialMap:
-        """The lift of a gate: this frame's map, with its own memos, over
-        the matrix that every frame of n qubits shares."""
+        """The lift of a gate: a new map, with memos of its own, over the
+        matrix that every frame of n qubits shares."""
         key = (kind, tuple(targets))
-        pm = self._gates.get(key)
-        if pm is None:
-            matrix = self._gate_matrices.get(key)
-            if matrix is None:
-                if kind not in GATES:
-                    raise BadIndex(f"unknown gate {kind!r}")
-                matrix = self.lift(GATES[kind], key[1]).matrix
-                self._gate_matrices[key] = matrix
-            # every gate is unitary up to a scalar, so its lift has kernel 0
-            pm = self._gates[key] = PartialMap(matrix, Subspace.zero(self.dim),
-                                               unitary=True)
-        return pm
+        matrices = _GATE_MATRICES.setdefault(self.n, {})
+        matrix = matrices.get(key)
+        if matrix is None:
+            if kind not in GATES:
+                raise BadIndex(f"unknown gate {kind!r}")
+            matrix = matrices[key] = self.lift(GATES[kind], key[1]).matrix
+        # every gate is unitary up to a scalar, so its lift has kernel 0
+        return PartialMap(matrix, Subspace.zero(self.dim), unitary=True)
 
     def lift(self, g: Matrix, qubits: Sequence[int]) -> PartialMap:
         """g on the listed qubits (in layout order) tensor identity elsewhere:
@@ -644,11 +625,16 @@ class Frame:
         """States reachable from a state by actions local to the given qubits.
 
         An I-local map turns the reshaped matrix M into G*M, so reachable
-        states are exactly H_I tensor (row space of M).
+        states are exactly H_I tensor (row space of M): the lift of that
+        canonical row space on the other qubits.
         """
-        table = self.layout(sorted(qubits))
+        inside = sorted(qubits)
+        table = self.layout(inside)
+        rest = tuple(q for q in range(1, self.n + 1) if q not in inside)
+        if not rest:
+            return Subspace.full(self.dim)
         rows = state.basis.gather((0,), table).row_basis()
-        return Subspace(Matrix.identity(len(table)).tensor(rows, table), self.dim)
+        return _lifted(self.n, rest, Subspace(rows, len(table[0]), _canonical=True))
 
     def map_to_state(self, g: Matrix, i: int, j: int) -> Subspace:
         """States whose {i,j} component encodes the 2x2 map g.
@@ -665,43 +651,30 @@ class Frame:
         return self.row_lift((g.transpose() if i < j else g).flatten(), (i, j))
 
     def row_lift(self, row: Matrix, qubits: Iterable[int]) -> Subspace:
-        """``state_lift`` of the part-state held as a one-row matrix,
-        computed once per frame, row and qubit set."""
-        key = (row, tuple(sorted(qubits)))
-        lifted = self._lifts.get(key)
-        if lifted is None:
-            lifted = self._lifts[key] = self._lift(*key)
-        return lifted
+        """``state_lift`` of the part-state held as a one-row matrix, as
+        ``_lifted`` builds it on the sorted qubits."""
+        qubits = tuple(sorted(qubits))
+        table = self.layout(qubits)
+        if row.cols != len(table):
+            raise ValueError("need one amplitude per part basis state")
+        return _lifted(self.n, qubits, Subspace(row, len(table)))
 
     def state_lift(self, amps: Sequence, qubits: Iterable[int]) -> Subspace:
         """States whose I-component is the given part-state: part x H_rest.
 
         One amplitude per part basis index, the lowest-numbered qubit of I
-        being the most significant bit, as everywhere else.  Computed once
-        per frame, amplitudes and qubit set; an error is never remembered.
+        being the most significant bit, as everywhere else.
         """
-        key = (tuple(amps), tuple(sorted(qubits)))
-        lifted = self._lifts.get(key)
-        if lifted is None:
-            lifted = self._lifts[key] = self._lift(Matrix([key[0]]), key[1])
-        return lifted
+        return self.row_lift(Matrix([tuple(amps)]), qubits)
 
     def named_lift(self, char: str, qubit: int) -> Subspace:
         """``state_lift`` of the named state ``LOCAL_STATES[char]`` on one
         qubit, computed once per process and found by (char, qubit)."""
-        key = (char, qubit)
-        lifted = self._named_lifts.get(key)
+        lifts = _NAMED_LIFTS.setdefault(self.n, {})
+        lifted = lifts.get((char, qubit))
         if lifted is None:
-            lifted = self._named_lifts[key] = self._lift(_NAMED_ROWS[char], (qubit,))
+            lifted = lifts[char, qubit] = self.row_lift(_NAMED_ROWS[char], (qubit,))
         return lifted
-
-    def _lift(self, part: Matrix, qubits: tuple) -> Subspace:
-        """part (x) I for a one-row part on the sorted ``qubits``, as
-        ``_lifted`` builds it."""
-        table = self.layout(qubits)
-        if part.cols != len(table):
-            raise ValueError("need one amplitude per part basis state")
-        return _lifted(self.n, qubits, Subspace(part, len(table)))
 
     def product_form(self, sub: Subspace, qubits: Iterable[int]
                      ) -> Optional[tuple[Subspace, Subspace]]:
@@ -732,7 +705,7 @@ class Frame:
         if sub.is_zero():
             return None
         shape = (1 << len(qubits), self.dim >> len(qubits))
-        factors = sub.basis.split(self._where(qubits), shape)
+        factors = sub.basis.split(_where(self.n, qubits), shape)
         if factors is None:
             return None
         return (Subspace(factors[0], shape[0], _canonical=True),

@@ -606,7 +606,8 @@ def test_product_form_matches_the_eliminating_factor_at_every_dimension(monkeypa
     wants = [gather_factor(fr, sub, inside) for fr, inside, _, sub in cases]
     calls = counted_eliminations(monkeypatch)
     gots = [fr._factor(sub, inside) for fr, inside, _, sub in cases]
-    splits = [row.split(fr._where(inside), (1 << len(inside), fr.dim >> len(inside)))
+    splits = [row.split(frame_module._where(fr.n, inside),
+                        (1 << len(inside), fr.dim >> len(inside)))
               for fr, inside, row, _ in rays]
     assert calls == []
     for (fr, inside, kind, sub), want, got in zip(cases, wants, gots):
@@ -1409,14 +1410,70 @@ def test_meets_orthos_and_forms_of_lifts_match_the_general_route(monkeypatch):
     assert set(disjoint) == {0, 1, 2}
 
 
-def test_lift_table_dies_with_its_frame():
+def test_a_frame_keeps_no_memo():
     fr = Frame(3)
-    lifted = weakref.ref(fr.state_lift((1, 2), (2,)))
-    frame = weakref.ref(fr)
-    assert lifted() is fr.state_lift((1, 2), (2,))
-    del fr
+    assert not hasattr(fr, "__dict__")
+    assert Frame.__slots__ == ("n", "dim", "__weakref__")
+    assert fr.gate("H", (1,)) is not fr.gate("H", (1,))
+
+
+def test_a_lift_lives_as_long_as_its_holders_not_its_frame():
+    fr = Frame(3)
+    held = fr.state_lift((1, 2), (2,))
+    # a second call returns the live lift, whichever way it is asked
+    assert fr.state_lift((1, 2), (2,)) is held
+    assert fr.row_lift(Matrix([(1, 2)]), (2,)) is held
+    lifted = weakref.ref(held)
+    del held
     gc.collect()
-    assert frame() is None and lifted() is None
+    assert lifted() is None and fr.n == 3
+
+
+def test_two_environments_on_one_frame_share_no_gate_map():
+    fr = Frame(2)
+    plus = fr.named_lift("+", 2)
+    first, second = Environment(fr), Environment(fr)
+    # each environment remembers its own maps, and their memos with them
+    (h,), (g,) = (denote_program(env, parse_program("H_1")) for env in (first, second))
+    assert h is not g and h.matrix is g.matrix
+    assert denote_program(first, parse_program("H_1"))[0] is h
+    image = h.image_of(plus)
+    assert plus in h._images and plus not in g._images
+    assert g.image_of(plus) is image
+
+
+def tensored_reachable(fr, ray, qubits):
+    """The construction ``Frame.reachable`` replaced: H_I (x) R placed by the
+    layout of sorted I, then reduced at the width of the register."""
+    table = fr.layout(sorted(qubits))
+    rows = ray.basis.gather((0,), table).row_basis()
+    return Subspace(Matrix.identity(len(table)).tensor(rows, table), fr.dim)
+
+
+def test_reachable_is_the_lift_of_the_row_space_on_the_rest(monkeypatch):
+    rng = random.Random(226)
+    cases = []
+    for n in range(1, 6):
+        fr = Frame(n)
+        rays = [fr.ray(rand_amps(rng, fr.dim)) for _ in range(2)]
+        rays += [product_ray(fr, "".join(rng.choice("01+-") for _ in range(n))),
+                 fr.ray([1] + [0] * (fr.dim - 2) + [1])]
+        for qubits in all_subsets(n):
+            shuffled = tuple(rng.sample(qubits, len(qubits)))
+            cases += [(fr, ray, shuffled, tensored_reachable(fr, ray, qubits))
+                      for ray in rays]
+    calls = counted_eliminations(monkeypatch)
+    for fr, ray, qubits, want in cases:
+        del calls[:]
+        got = fr.reachable(ray, iter(qubits))
+        assert got is want, (fr, qubits)
+        # no elimination at the register's width: only the reshaped ray's
+        assert all(cols < fr.dim for cols in calls), (fr, qubits, calls)
+        rest = tuple(q for q in range(1, fr.n + 1) if q not in qubits)
+        if 0 < len(rest) < fr.n:
+            part = ray.basis.gather((0,), fr.layout(sorted(qubits))).row_basis()
+            assert got._local == (fr.n, rest, Subspace(part, 1 << len(rest)))
+    assert len(cases) == 4 * sum(2 ** n for n in range(1, 6))
 
 
 def memo_inputs():
