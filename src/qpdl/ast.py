@@ -35,8 +35,7 @@ fields in one table.
 from __future__ import annotations
 
 import operator
-import re
-from typing import NamedTuple, Tuple
+from collections import namedtuple
 
 Bit = int  # a number field whose value must be 0 or 1
 
@@ -155,7 +154,7 @@ class FalseF(Formula):
 
 class Top(Formula):
     """Separation atom: the named qubits carry a component of their own."""
-    qubits: Tuple[int, ...]
+    qubits: tuple[int, ...]
 
 
 class Const(Formula):
@@ -174,7 +173,7 @@ class Plus(Formula):
 
 class VecC(Formula):
     """A named basis assignment, one of '01+-' per listed qubit."""
-    qubits: Tuple[int, ...]
+    qubits: tuple[int, ...]
     chars: str
 
 
@@ -182,7 +181,7 @@ class RayF(Formula):
     """An exact part-state at the listed qubits: one amplitude per part
     basis index.  Built programmatically (for instance when a claim is
     instantiated at a random state); it has no concrete syntax."""
-    qubits: Tuple[int, ...]
+    qubits: tuple[int, ...]
     amps: tuple
 
 
@@ -255,23 +254,23 @@ class EqI(Formula):
     """Equality of the named qubits' components on both sides."""
     left: Formula
     right: Formula
-    qubits: Tuple[int, ...]
+    qubits: tuple[int, ...]
 
 
 class Component(Formula):
     """States separated at the named qubits whose component can satisfy body."""
     body: Formula
-    qubits: Tuple[int, ...]
+    qubits: tuple[int, ...]
 
 
 class LocalF(Formula):
     body: Formula
-    qubits: Tuple[int, ...]
+    qubits: tuple[int, ...]
 
 
 class LocalP(Formula):
     prog: Program
-    qubits: Tuple[int, ...]
+    qubits: tuple[int, ...]
 
 
 class Bell(Formula):
@@ -323,7 +322,7 @@ class PVar(Program):
 
 class TopP(Program):
     """Arbitrary action local to the named qubits."""
-    qubits: Tuple[int, ...]
+    qubits: tuple[int, ...]
 
 
 class Test(Program):
@@ -332,7 +331,7 @@ class Test(Program):
 
 class GateP(Program):
     kind: str
-    targets: Tuple[int, ...]
+    targets: tuple[int, ...]
 
 
 class Id(Program):
@@ -345,11 +344,11 @@ class Flip(Program):
 
 
 class Set0(Program):
-    qubits: Tuple[int, ...]
+    qubits: tuple[int, ...]
 
 
 class Proj0(Program):
-    qubits: Tuple[int, ...]
+    qubits: tuple[int, ...]
 
 
 class Unary1(Program):
@@ -445,26 +444,28 @@ SYNTAX = {
 }
 
 
-class Form(NamedTuple):
-    word: str
-    numbers: tuple  # bracketed number fields, in text order
-    bits: tuple     # those of them typed Bit
-    qubits: str     # the index-set field, or ""
-    args: tuple     # (field, is_formula) per argument, in text order
+# A keyword form of SYNTAX: its word, its bracketed number fields in text
+# order and those of them typed Bit, its index-set field or "", and
+# (field, is_formula) per argument in text order.
+Form = namedtuple("Form", "word numbers bits qubits args")
 
 
-_FORM_RE = re.compile(r"(\w+)(?:\[([\w,]+)\])?(?:\{(\w+)\})?(?:\(([\w,]+)\))?")
+def _names(text: str, open_: str, close: str) -> tuple:
+    """``text`` split at its section ``open_ name,... close``: what comes
+    before the section, and the names in it."""
+    head, _, names = text.partition(open_)
+    return head, tuple(names.removesuffix(close).split(",")) if names else ()
 
 
 def _form(cls, text: str) -> Form:
-    word, numbers, qubits, args = _FORM_RE.fullmatch(text).groups()
-    numbers = tuple(numbers.split(",")) if numbers else ()
-    args = tuple(args.split(",")) if args else ()
+    head, args = _names(text, "(", ")")
+    head, qubits = _names(head, "{", "}")
+    word, numbers = _names(head, "[", "]")
     types = cls.FIELDS
-    if sorted(numbers + args + ((qubits,) if qubits else ())) != sorted(types):
+    if len(qubits) > 1 or sorted(numbers + qubits + args) != sorted(types):
         raise TypeError(f"{cls.__name__}: form {text!r} must name each field once")
     return Form(word, numbers, tuple(n for n in numbers if types[n] == "Bit"),
-                qubits or "", tuple((a, types[a] == "Formula") for a in args))
+                "".join(qubits), tuple((a, types[a] == "Formula") for a in args))
 
 
 FORMS = {cls: _form(cls, text) for cls, text in SYNTAX.items()}
@@ -560,21 +561,15 @@ def instantiate(node, qubits: dict, binding: dict):
 # ----- operators -------------------------------------------------------------
 
 
-class Infix(NamedTuple):
-    cls: type
-    text: str            # printed spelling; the parser reads it stripped
-    right: bool = False  # right-associative
-
-
-class Prefix(NamedTuple):
-    cls: type
-    text: str          # printed spelling, before the body
-    closing: str = ""  # for [p]f and <p>f: closes the program before the body
-
-
-class Operators(NamedTuple):
-    infix: tuple   # loosest first
-    prefix: tuple  # tighter than every infix operator, looser than atoms
+# An infix operator: its class, its printed spelling (the parser reads it
+# stripped), and whether it is right-associative.
+Infix = namedtuple("Infix", "cls text right", defaults=(False,))
+# A prefix form: its class, its printed spelling before the body, and for
+# [p]f and <p>f what closes the program before the body.
+Prefix = namedtuple("Prefix", "cls text closing", defaults=("",))
+# The infix operators of a position, loosest first, and its prefix forms,
+# tighter than every infix operator and looser than atoms.
+Operators = namedtuple("Operators", "infix prefix")
 
 
 # The operators of each position, read by both the parser and the printer.

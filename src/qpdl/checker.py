@@ -60,9 +60,9 @@ at a time.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
-from typing import NamedTuple, Optional
 
 from . import ast
 from .desugar import DesugarMemo, desugar_formula, desugar_program
@@ -294,7 +294,7 @@ def _eval(env: Environment, f: ast.Formula) -> Region:
     return region
 
 
-def _untested(f: ast.Formula) -> Optional[ast.Formula]:
+def _untested(f: ast.Formula) -> ast.Formula | None:
     """g when ``f`` is ![g?]false, else None.
 
     [g?]false is closure(g)^perp, so ![g?]false has closure 0 when g is
@@ -507,7 +507,7 @@ def _holds(env: Environment, s: Subspace, f: ast.Formula) -> bool:
 # ----- validity ----------------------------------------------------------------
 
 
-def check_valid(env: Environment, f: ast.Formula) -> Optional[Subspace]:
+def check_valid(env: Environment, f: ast.Formula) -> Subspace | None:
     """None when the formula holds at every state; otherwise a
     counterexample state, re-verified pointwise.
 
@@ -519,7 +519,7 @@ def check_valid(env: Environment, f: ast.Formula) -> Optional[Subspace]:
 
 
 def _decide(env: Environment, core: ast.Formula,
-            oracle: Environment) -> Optional[Subspace]:
+            oracle: Environment) -> Subspace | None:
     """``check_valid`` of a core formula, decided in ``env`` and any
     counterexample re-verified pointwise in ``oracle``, which holds the
     same valuation and none of the answers that ``env`` remembers."""
@@ -535,10 +535,8 @@ def _decide(env: Environment, core: ast.Formula,
 # ----- schematic claims ---------------------------------------------------------
 
 
-class InstanceResult(NamedTuple):
-    label: str
-    valid: bool
-    witness: Optional[Subspace]
+# One decided instance of a schematic claim; witness is None when it is valid.
+InstanceResult = namedtuple("InstanceResult", "label valid witness")
 
 
 def substitute(node, mapping: dict):
@@ -560,7 +558,7 @@ def random_part_state(rng, nqubits: int, real_only: bool = False) -> tuple:
 
 
 def check_schematic(env: Environment, template: ast.Formula, var: str, qubits,
-                    branches: Optional[dict] = None, rng=None, samples: int = 20,
+                    branches: dict | None = None, rng=None, samples: int = 20,
                     real_only: bool = False) -> tuple:
     """(instances, corroborations) of a schema claimed for every state of
     ``var`` on ``qubits``.

@@ -115,8 +115,8 @@ from __future__ import annotations
 
 import re
 import weakref
+from collections.abc import Iterable, Sequence
 from functools import cache
-from typing import Iterable, Optional, Sequence
 
 from .errors import InputError
 from .linalg import GaussianRational, Matrix, ONE, ZERO, parse_rational
@@ -336,7 +336,7 @@ class PartialMap:
     __slots__ = ("_matrix", "dim", "unitary", "_first", "_second", "_kernel",
                  "_images", "_preimages", "__weakref__")
 
-    def __init__(self, matrix: Matrix, kernel: Optional[Subspace] = None,
+    def __init__(self, matrix: Matrix, kernel: Subspace | None = None,
                  unitary: bool = False):
         if matrix.rows != matrix.cols:
             raise ValueError("maps must be square")
@@ -524,7 +524,7 @@ def _lifted(n: int, qubits: tuple, part: Subspace) -> Subspace:
     return sub
 
 
-def _meet_of_lifts(a: Subspace, b: Subspace) -> Optional[Subspace]:
+def _meet_of_lifts(a: Subspace, b: Subspace) -> Subspace | None:
     """The meet of lifts P (x) H_rest on I and Q (x) H_rest on J when I and
     J are disjoint: P (x) Q (x) H_rest on their union K, the tensor of the
     parts placed by the layout of a |K|-qubit register on I's places in
@@ -677,7 +677,7 @@ class Frame:
         return lifted
 
     def product_form(self, sub: Subspace, qubits: Iterable[int]
-                     ) -> Optional[tuple[Subspace, Subspace]]:
+                     ) -> tuple[Subspace, Subspace] | None:
         """(part, rest) with sub = part (x) rest, part on I and one of the
         two a single ray; None otherwise, and for the zero subspace.
 
@@ -700,7 +700,7 @@ class Frame:
         return sub._forms[key]
 
     def _factor(self, sub: Subspace, qubits: tuple
-                ) -> Optional[tuple[Subspace, Subspace]]:
+                ) -> tuple[Subspace, Subspace] | None:
         """``product_form`` on sorted ``qubits``, with no elimination."""
         if sub.is_zero():
             return None

@@ -51,15 +51,15 @@ being its factors when every entry times p is their product.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from re import fullmatch
-from typing import Iterable, Optional, Sequence, Union
 
 from .errors import InputError
 
-Rational = Union[int, Fraction]
+Rational = int | Fraction
 
 
 class GaussianRational:
@@ -132,7 +132,7 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
-ScalarLike = Union[int, Fraction, GaussianRational]
+ScalarLike = int | Fraction | GaussianRational
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
@@ -144,7 +144,7 @@ class Matrix:
 
     __slots__ = ("triples", "den", "rows", "cols", "_hash")
 
-    def __init__(self, entries: Iterable[Iterable[ScalarLike]], cols: Optional[int] = None):
+    def __init__(self, entries: Iterable[Iterable[ScalarLike]], cols: int | None = None):
         rows = [[GaussianRational.of(x) for x in row] for row in entries]
         if cols is None and not rows:
             raise ValueError("empty matrix needs an explicit column count")
@@ -160,12 +160,14 @@ class Matrix:
                             for j, x in nonzero], s))
         m = Matrix.from_parts(scaled, cols)
         self.triples, self.den, self.rows, self.cols = m.triples, m.den, m.rows, cols
+        self._hash = None
 
     @staticmethod
     def _of(triples: tuple, den: int, cols: int) -> "Matrix":
         """The matrix on the row tuples ``triples`` over ``den``, as they are."""
         m = object.__new__(Matrix)
         m.triples, m.den, m.rows, m.cols = triples, den, len(triples), cols
+        m._hash = None  # computed on the first hash
         return m
 
     @staticmethod
@@ -267,7 +269,7 @@ class Matrix:
         return Matrix.from_parts([(self.triples[i], self.den)], self.cols)
 
     def tensor(self, other: "Matrix", at: Sequence[Sequence[int]],
-               rows_at: Optional[Sequence[Sequence[int]]] = None) -> "Matrix":
+               rows_at: Sequence[Sequence[int]] | None = None) -> "Matrix":
         """The placed tensor product: for each row x of self and then each
         row y of other, the row x (x) y that puts x_j * y_l at column
         at[j][l].  ``at`` has a line per column of self and an entry per
@@ -341,11 +343,10 @@ class Matrix:
                 and self.triples == other.triples)
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            self._hash = hash((self.cols, self.den, self.triples))
-            return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.cols, self.den, self.triples))
+        return h
 
     def __str__(self):
         return "\n".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.entries)
@@ -388,7 +389,7 @@ class Matrix:
         return Matrix.from_parts([(row, den) for row in out], self.rows)
 
     def split(self, where: Sequence[tuple[int, int]], shape: tuple[int, int]
-              ) -> Optional[tuple["Matrix", "Matrix"]]:
+              ) -> tuple["Matrix", "Matrix"] | None:
         """The tensor factors of the row space when one side is a single
         row.  Each row x, read as the matrix P with P[a][b] = x[c] for
         (a, b) = where[c], is split by rank one (``_split_row``) into the
@@ -500,7 +501,7 @@ class Matrix:
 
 
 def _split_row(x: tuple, where: Sequence[tuple[int, int]]
-               ) -> Optional[tuple[list, list]]:
+               ) -> tuple[list, list] | None:
     """The rank-one split of a nonzero row x read as P[a][b] = x[c] for
     (a, b) = where[c], the table of ``where`` growing along each line and
     down each position: the column u and the row v of P through its first

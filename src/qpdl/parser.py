@@ -2,9 +2,9 @@
 
 ``tokenize`` matches one compiled token pattern once per token.  Its
 symbols are the operator spellings of ``ast.OPERATORS`` plus fixed
-punctuation, and its gate words are the names of ``frame.GATES``, each
-with one index per qubit the gate acts on.  Every index is decimal
-without a leading zero.
+punctuation.  A matched word is a gate when it is a name of
+``frame.GATES`` with one index per qubit the gate acts on.  Every index
+is decimal without a leading zero.
 
 Every keyword form of ``ast.SYNTAX`` is read by one method, ``keyword``.
 The operators of ``ast.OPERATORS`` are read by one precedence loop,
@@ -35,7 +35,7 @@ table outlives its parse.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
 from . import ast
 from .errors import InputError
@@ -55,11 +55,7 @@ class _Final(ParseError):
     bad index list of a keyword form, which has no other reading."""
 
 
-class Token(NamedTuple):
-    kind: str
-    value: object
-    line: int
-    col: int
+Token = namedtuple("Token", "kind value line col")
 
 
 # The keyword forms of ast.SYNTAX by keyword, one table per position.
@@ -79,28 +75,34 @@ RESERVED = frozenset(_FORMULA_WORDS.keys() | _PROGRAM_WORDS.keys() | {
     token for token, word, _, _ in _PREFIX if word} | {"vec", "flip"} | GATES.keys())
 
 # The token pattern, one alternative per token kind, tried in order and
-# matched once per token.  A gate word is a GATES name with one index per
-# qubit it acts on (log2 of its size), flip takes two, and the word must
-# end there, so CNOT_1 and X_01 are identifiers.  Symbols go longest first,
-# so that -> is not read as - and >.
-_DECIMAL = "0|[1-9][0-9]*"  # every number and index: no leading zero
-_INDEX = f"_(?:{_DECIMAL})"
-_GATE_WORDS = "|".join(f"{re.escape(name)}(?:{_INDEX}){{{g.rows.bit_length() - 1}}}"
-                       for name, g in GATES.items())
+# matched once per token.  A gate or flip is read from a word by
+# ``_INDICES``, after the match.  Symbols go longest first, so that -> is
+# not read as - and >, and the one-character ones are a single class.
 _SYMBOLS = sorted({token for token, _, _ in _FORMULA_INFIX + _PROGRAM_INFIX}
                   | {text for token, word, _, closing in _PREFIX if not word
                      for text in (token, closing) if text}
                   | set("?(){},-"), key=lambda s: (-len(s), s))
+_SYMBOL = "|".join([re.escape(s) for s in _SYMBOLS if len(s) > 1]
+                   + ["[" + "".join(re.escape(s) for s in _SYMBOLS if len(s) == 1) + "]"])
 _TOKEN = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in (
     ("space", "[ \t\r]+"),
     ("newline", "\n"),
     ("const", "[01+-]_[0-9]*"),
     ("number", "[0-9]+"),
-    ("gate", f"(?:{_GATE_WORDS})(?![A-Za-z0-9_])"),
-    ("flip", f"flip(?:{_INDEX}){{2}}(?![A-Za-z0-9_])"),
     ("word", "[A-Za-z][A-Za-z0-9_]*"),
-    ("symbol", "|".join(map(re.escape, _SYMBOLS))),
+    ("symbol", _SYMBOL),
     ("other", "."))))
+# A word is a gate when it is a GATES name followed by one index per qubit
+# the gate acts on (log2 of its size) and nothing else, and a flip when it
+# is flip followed by two: CNOT_1 and X_1_2 are identifiers.
+_INDICES = {name: g.rows.bit_length() - 1 for name, g in GATES.items()} | {"flip": 2}
+
+
+def _is_decimal(digits: str) -> bool:
+    """Whether the ASCII ``digits`` are a number or index as the syntax
+    writes them: decimal without a leading zero, so X_01 is an
+    identifier."""
+    return digits.isdigit() and (digits[0] != "0" or len(digits) == 1)
 
 
 def _decimal(digits: str, line: int, col: int) -> int:
@@ -108,7 +110,7 @@ def _decimal(digits: str, line: int, col: int) -> int:
     after a '_'."""
     if not digits:
         raise ParseError("qubit index expected after '_'", line, col)
-    if not re.fullmatch(_DECIMAL, digits):
+    if not _is_decimal(digits):
         raise ParseError("number with a leading zero", line, col)
     return int(digits)
 
@@ -126,11 +128,12 @@ def tokenize(text: str) -> list[Token]:
             kind = value
         elif kind == "number":
             value = _decimal(value, line, col)
-        elif kind == "gate" or kind == "flip":
-            name, *qubits = value.split("_")
-            value = tuple(map(int, qubits))
-            if kind == "gate":
-                value = (name, value)
+        elif kind == "word" and "_" in value:
+            name, *indices = value.split("_")
+            if _INDICES.get(name) == len(indices) and all(map(_is_decimal, indices)):
+                kind, value = "flip", tuple(map(int, indices))
+                if name != "flip":
+                    kind, value = "gate", (name, value)
         elif kind == "const":
             value = (value[0], _decimal(value[2:], line, col + 2))
         elif kind == "newline":
@@ -170,7 +173,7 @@ class _Parser:
     def peek(self) -> Token:
         return self.tokens[self.pos]
 
-    def accept(self, kind: str) -> Optional[Token]:
+    def accept(self, kind: str) -> Token | None:
         tok = self.tokens[self.pos]
         if tok.kind == kind:
             self.pos += 1

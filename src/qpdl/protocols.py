@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import random
 import time
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import combinations
-from typing import NamedTuple, Optional
 
 from . import ast
 from .checker import (
@@ -44,18 +44,13 @@ from .regions import Region
 DEFAULT_SEED = 2026
 
 
-class Report(NamedTuple):
+class Report(namedtuple("Report", "name passed headline lines seed duration")):
     """Outcome of one verification target.
 
     lines has one entry per instance: target, instance id and verdict,
     tab-separated, with the witness appended on failures.  duration is
     not rendered, keeping output byte-stable across runs."""
-    name: str
-    passed: bool
-    headline: str
-    lines: tuple
-    seed: Optional[int]
-    duration: float
+    __slots__ = ()
 
     def render_text(self) -> str:
         out = [f"{self.name}: {self.headline}"]
@@ -130,7 +125,7 @@ def _random_program(rng, n: int, qubits=None, deterministic: bool = True,
     return word
 
 
-def _random_subspace(rng, fr: Frame, max_dim: Optional[int] = None) -> Subspace:
+def _random_subspace(rng, fr: Frame, max_dim: int | None = None) -> Subspace:
     while True:
         k = rng.randint(1, max_dim or fr.dim)
         rows = [[GaussianRational(Fraction(rng.randint(-4, 4)),

@@ -38,8 +38,9 @@ unchanged.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
+from collections.abc import Iterable
 from functools import cache, reduce
-from typing import Iterable, NamedTuple, Optional
 
 from .frame import PartialMap, Subspace
 from .linalg import Matrix
@@ -53,7 +54,7 @@ def _subspace_key(sub: Subspace):
     return (sub.dim, sub.basis.sort_key())
 
 
-class Term(NamedTuple):
+class Term(namedtuple("Term", "positive negatives")):
     """Rays of ``positive`` outside every subspace in ``negatives``.
 
     Normalised: every negative is a nonzero proper subspace of the
@@ -62,8 +63,7 @@ class Term(NamedTuple):
     are equal tuples.  Use ``make_term``.
     """
 
-    positive: Subspace
-    negatives: tuple
+    __slots__ = ()
 
     def contains_ray(self, ray: Subspace) -> bool:
         """Whether the one-dimensional subspace ``ray`` is a ray of the term."""
@@ -101,7 +101,7 @@ class Term(NamedTuple):
         return f"Term(dim={self.positive.dim}, minus={len(self.negatives)})"
 
 
-def make_term(positive: Subspace, negatives: Iterable[Subspace]) -> Optional[Term]:
+def make_term(positive: Subspace, negatives: Iterable[Subspace]) -> Term | None:
     """Normalise; None when the term denotes no ray."""
     if positive.is_zero():
         return None
@@ -220,7 +220,7 @@ class Region:
     def ortho(self) -> Subspace:
         return self.closure().ortho()
 
-    def witness(self) -> Optional[Subspace]:
+    def witness(self) -> Subspace | None:
         """A ray of the region, or None when it is empty."""
         if self.is_empty():
             return None

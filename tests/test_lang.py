@@ -619,6 +619,9 @@ LEXER_CASES = [
     "0_01", "+_01", "-_00", "vec{1}(01)", "T{01}", "bell[0,0,01,2]", "0_", "1_",
     "+_", "-_x", "CNOT_1", "X_1_2", "X_1x", "X_0", "0_1x", "10_1", "a_$",
     "->-", "-_1->+_2", "p\n  & é", "[X_1]0_1 -> flip_1_2",
+    # words that read as gates or flips only when the whole word fits
+    "Xy_1", "CNOTX_1_2", "flipper_1_2", "CNOT_1_2_3", "H_1_", "flip_1",
+    "flip_1_2_3", "Z_10", "CNOT_10_0", "X_1X_2", "H__1", "xflip_1_2",
 ]
 # Single characters and fragments that make gate words, constants and
 # indices, with and without leading zeros, when spliced into a text.

@@ -25,12 +25,12 @@ def test_runtime_imports_only_stdlib():
     assert outside == set()
 
 
-def test_import_pulls_in_neither_dataclasses_nor_inspect():
+def test_import_pulls_in_none_of_dataclasses_inspect_or_typing():
     # A fresh interpreter without site, so that no .pth file of the
-    # environment imports either module first.
+    # environment imports any of them first.
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
              "import qpdl, qpdl.cli, qpdl.protocols; "
-             "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+             "print(sorted({'dataclasses', 'inspect', 'typing'} & sys.modules.keys()))")
     proc = subprocess.run([sys.executable, "-S", "-c", probe, str(SRC.parent)],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
