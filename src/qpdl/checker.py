@@ -15,7 +15,9 @@ alone under a box, by reachability, or in localp; anywhere else it is
 UnsupportedShape.  An environment remembers each tuple it denotes,
 keyed on meanings rather than syntax (see ``_denote``), so the branches
 of a protocol are composed once however many claims and input states
-use them.  [f?]false, which box, dia, leq, eqf, perpf, testable and
+use them.  The one-qubit program of ``ent[i,j]`` is denoted in a
+one-qubit environment that lives with the caller's, and its 2x2 matrix
+is read there.  [f?]false, which box, dia, leq, eqf, perpf, testable and
 dom(f?) desugar to, is read as the kernel of the test, closure(f)^perp,
 without denoting it: a test's projector is built only when the test is
 composed, imaged or boxed over a body other than false, or judged by
@@ -83,14 +85,18 @@ class Environment:
 
     Valuation values may be given as Subspace or Region; they are held
     as Regions.  The environment also holds the memo of the programs it
-    has denoted (see ``_denote``), which dies with it.
+    has denoted (see ``_denote``), and, once ``ent`` needs it, the
+    one-qubit environment in which the programs of ``ent`` are denoted;
+    both die with it.
     """
 
-    __slots__ = ("frame", "valuation", "_denotations", "__weakref__")
+    __slots__ = ("frame", "valuation", "_denotations", "_one_qubit",
+                 "__weakref__")
 
     def __init__(self, frame: Frame, valuation=None):
         self.frame = frame
         self._denotations = {}
+        self._one_qubit = None
         self.valuation = {}
         for name, value in dict(valuation or {}).items():
             if isinstance(value, Subspace):
@@ -106,6 +112,13 @@ class Environment:
         except KeyError:
             raise UnboundVariable(name) from None
 
+    def one_qubit(self) -> "Environment":
+        """The environment of one qubit, with no valuation, in which the
+        one-qubit programs of ``ent`` are denoted; made on first use."""
+        if self._one_qubit is None:
+            self._one_qubit = Environment(Frame(1))
+        return self._one_qubit
+
 
 class _Session(Environment):
     """An environment in which ``check_valid`` decides its formula, or
@@ -113,14 +126,16 @@ class _Session(Environment):
     caller's frame, a copy of its valuation, its memo of denotations,
     and ``_nodes``, answers keyed on node identity: the region of each
     core formula and the maps of each core program.  Each node is held
-    beside its answer, so its id is not reused while the session
-    lives."""
+    beside its answer, so its id is not reused while the session lives.
+    It denotes the programs of ``ent`` in its caller's one-qubit
+    environment."""
 
     __slots__ = ("_nodes",)
 
     def __init__(self, env: Environment):
         super().__init__(env.frame, env.valuation)
         self._denotations = env._denotations
+        self._one_qubit = env.one_qubit()
         self._nodes = {}
 
 
@@ -138,8 +153,9 @@ def _denote(env: Environment, prog: ast.Program) -> tuple:
     The memo is keyed on what each part means, never on its syntax: a
     gate on its (kind, targets), ``id`` on one constant, a test on the
     closure of its formula (an interned subspace, so one object per
-    span), and ``;`` or ``+`` on its type and the ids of the remembered
-    tuples of its two sides, which the memo keeps alive.  A key names
+    span; of a state atom, its subspace, with no region built), and
+    ``;`` or ``+`` on its type and the ids of the remembered tuples of
+    its two sides, which the memo keeps alive.  A key names
     the same maps under any valuation, so the memo never goes stale.
 
     A map takes the kernel that is known when it is built: 0 for a gate
@@ -158,7 +174,11 @@ def _denote(env: Environment, prog: ast.Program) -> tuple:
     elif isinstance(prog, ast.Id):
         key = ast.Id
     elif isinstance(prog, ast.Test):
-        key = _eval(env, prog.formula).closure()
+        test = prog.formula
+        # an atom's subspace is its own closure, with no region to build
+        key = (_atom_subspace(env, test)
+               if isinstance(test, (ast.Const, ast.RayF, ast.Ent))
+               else _eval(env, test).closure())
     elif isinstance(prog, (ast.SeqP, ast.UnionP)):
         left, right = _denote(env, prog.left), _denote(env, prog.right)
         key = (type(prog), id(left), id(right))
@@ -195,14 +215,14 @@ def _atom_subspace(env: Environment, f: ast.Formula) -> Subspace:
     if isinstance(f, ast.RayF):
         return fr.state_lift(f.amps, f.qubits)
     if isinstance(f, ast.Ent):
-        maps = _denote(env, f.prog)
+        # the program acts on qubit 1 alone, so in the n-qubit frame its
+        # map is g (x) I: g is its 2x2 map in the one-qubit environment,
+        # read there with no 2^n-wide product formed
+        maps = _denote(env.one_qubit(), f.prog)
         if len(maps) != 1:
             raise NonDeterministicProgram(
                 "ent encodes one linear map, not a union")
-        # the 2x2 map x -> P_W F(x (x) |0...0>) on the first qubit, W being
-        # spanned by |0...0> and |10...0>
-        g = fr.block(maps[0], (1,))
-        return fr.map_to_state(g, f.i, f.j)
+        return fr.map_to_state(maps[0].matrix, f.i, f.j)
     raise TypeError(f"not a state atom: {f!r}")
 
 

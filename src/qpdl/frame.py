@@ -76,10 +76,11 @@ RREF, so neither eliminates at 2^n width, and each is the interned
 subspace the general route gives.  Lifts on overlapping qubit sets, and
 any other pair, take the general route.
 A layout table is the index table of ``Matrix.tensor``, which places
-gate lifts g (x) I (rows and columns alike) and lifts part (x) I, a
-reachable set among them, and of ``Matrix.gather``, which reads blocks
-and the reshaped state of a reachable set; its inverse locates each
-basis index in it.
+gate lifts g (x) I and the projectors of lifts (rows and columns alike)
+and lifts part (x) I, a reachable set among them, and of
+``Matrix.gather``, which reads the blocks that the locality test of a
+map compares and the reshaped state of a reachable set; its inverse
+locates each basis index in it.
 One tensor factorization, ``Frame.product_form``, splits a subspace as
 part (x) rest with one side a ray; T{I}, cmp{I}, =_I, local{I} and
 localp{I} of a test all read it.  A lift of a ray part is built with
@@ -104,11 +105,13 @@ Under a composite not yet formed, the adjoint image multiplies conj(A)
 through the factors, the last map first, so each step is dim A rows
 times one sparse gate (the cheap order of the matrix chain); the kernel
 route and an image form the product, as a word's images are asked for
-many subspaces.  An orthogonal projector, built by solving one system
-in the Gram matrix, is needed only for a test (f?) that is composed,
-imaged or boxed over a body other than false, or judged by localp{I}
-where its closure has no product form on I; the checker reads [f?]false
-as the kernel closure(f)^perp.
+many subspaces.  An orthogonal projector is built by solving one
+system in the Gram matrix; a lift's is its part's projector (x) I,
+placed by the layout table, so that system is only as wide as the
+part.  It is needed only for a test (f?) that is composed, imaged or
+boxed over a body other than false, or judged by localp{I} where its
+closure has no product form on I; the checker reads [f?]false as the
+kernel closure(f)^perp.
 """
 
 from __future__ import annotations
@@ -282,10 +285,17 @@ class Subspace:
                         _canonical=True)
 
     def projector(self) -> Matrix:
-        """Orthogonal projector onto the subspace, as an exact matrix."""
+        """Orthogonal projector onto the subspace, as an exact matrix.  Of
+        a lift P (x) H_rest it is P's projector (x) I, rows and columns
+        placed by the layout table as ``Frame.lift`` places a gate."""
         if self._projector is None:
             if self.is_zero():
                 self._projector = Matrix.zeros(self.ambient, self.ambient)
+            elif self._local is not None:
+                n, qubits, part = self._local
+                table = _layout(n, qubits)
+                self._projector = part.projector().tensor(
+                    Matrix.identity(len(table[0])), table, table)
             else:
                 # B^T G^-1 conj(B) for the Gram matrix G = conj(B) B^T
                 b = self.basis
@@ -613,7 +623,8 @@ class Frame:
 
     def block(self, pm: PartialMap, qubits: Sequence[int]) -> Matrix:
         """The map on the listed qubits with the others held at |0...0>:
-        entry [a][c] is the amplitude of |a>|0...0> in M(|c>|0...0>)."""
+        entry [a][c] is the amplitude of |a>|0...0> in M(|c>|0...0>).
+        ``PartialMap.is_local`` compares a map with the lift of this."""
         if pm.dim != self.dim:
             raise ValueError("map dimension differs from frame")
         at_zero = [row[0] for row in self.layout(qubits)]

@@ -22,7 +22,11 @@ x_j * y_l of x (x) y at column at[j][l], and ``gather`` reads
 Every operation visits nonzero entries only: products and tensors sum
 over nonzero factor pairs, and a monomial row of a left factor copies a
 row of the right factor.  ``apply`` maps each row x of a matrix X to
-M x, (M X^T)^T, in one pass over the rows of M and with no transpose.
+M x, (M X^T)^T, with no transpose: x is read once into a dense list, and
+each entry of M x is one dot product over a row of M.  Rows that share
+one denominator, as every product, tensor and image gives them, are
+taken by ``from_parts`` as they are, with no lcm; the identity of each
+size is built once.
 Reduced row echelon form, kernels and the solution of a square system
 come from one fraction-free Gauss-Jordan elimination on rows held as
 dicts from column to (re, im), each with its leading column kept beside
@@ -53,6 +57,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 from math import gcd, lcm
 from re import fullmatch
@@ -177,22 +182,30 @@ class Matrix:
         entries of the row as (col, re, im) triples in ascending column
         order.
 
-        Every row is brought to the lcm of the s_k, and that denominator is
-        divided by its gcd with every part.
+        Rows on one shared denominator, as products, ``apply``,
+        ``tensor``, ``split`` and ``gather`` give them, are taken as they
+        are; otherwise every row is brought to the lcm of the s_k.  That
+        denominator is then divided by its gcd with every part, a scan
+        that stops once the gcd is 1.
         """
-        den = lcm(*(s for _, s in rows))
-        g = den
-        scaled = []
-        for row, s in rows:
+        den = rows[0][1] if rows else 1
+        for _, s in rows:
             if s != den:
-                f = den // s
-                row = [(c, a * f, b * f) for c, a, b in row]
-            if g > 1 and row:
+                den = lcm(*(s for _, s in rows))
+                rows = [(row if s == den else
+                         [(c, a * (den // s), b * (den // s)) for c, a, b in row], den)
+                        for row, s in rows]
+                break
+        g = den
+        for row, _ in rows:
+            if g == 1:
+                break
+            if row:
                 g = gcd(g, *[a for _, a, _ in row], *[b for _, _, b in row])
-            scaled.append(row)
         if g > 1:
-            scaled = [[(c, a // g, b // g) for c, a, b in row] for row in scaled]
-        return Matrix._of(tuple(map(tuple, scaled)), den // g, cols)
+            return Matrix._of(tuple([tuple([(c, a // g, b // g) for c, a, b in row])
+                                     for row, _ in rows]), den // g, cols)
+        return Matrix._of(tuple([tuple(row) for row, _ in rows]), den, cols)
 
     @staticmethod
     def of_integers(rows: Sequence[Sequence[int]]) -> "Matrix":
@@ -202,7 +215,10 @@ class Matrix:
                                   for row in rows], len(rows[0]))
 
     @staticmethod
+    @cache
     def identity(n: int) -> "Matrix":
+        """The n x n identity, built once per n and shared, as a matrix is
+        immutable."""
         return Matrix._of(tuple(((i, 1, 0),) for i in range(n)), 1, n)
 
     @staticmethod
@@ -355,38 +371,30 @@ class Matrix:
         return f"Matrix({self.shape[0]}x{self.shape[1]})"
 
     def apply(self, vectors: "Matrix") -> "Matrix":
-        """The rows M x, one for each row x of ``vectors``: (M X^T)^T, in
-        one pass over the rows of M and without transposing either.  Row
-        i of M meets row x of X only at the columns both hold; a monomial
-        row of M scales an entry of each x it meets."""
+        """The rows M x, one for each row x of ``vectors``: (M X^T)^T,
+        without transposing either.  Each x is read once into a dense list
+        of its (re, im) parts, and entry i of M x is then one dot product
+        over the nonzero entries of row i of M."""
         if self.cols != vectors.cols:
             raise ValueError(f"cannot apply {self.shape} to rows of width {vectors.cols}")
-        where = [[] for _ in range(self.cols)]  # column -> the (r, re, im) of X there
-        for r, x in enumerate(vectors.triples):
-            for c, a, b in x:
-                where[c].append((r, a, b))
-        out = [[] for _ in vectors.triples]
-        for i, row in enumerate(self.triples):
-            if len(row) == 1:
-                (j, mr, mi), = row
-                # Z[i] has no zero divisors, so no product vanishes
-                for r, xr, xi in where[j]:
-                    out[r].append((i, mr * xr - mi * xi, mr * xi + mi * xr))
-                continue
-            re, im = {}, {}
-            for j, mr, mi in row:
-                for r, xr, xi in where[j]:
-                    if r in re:
-                        re[r] += mr * xr - mi * xi
-                        im[r] += mr * xi + mi * xr
-                    else:
-                        re[r] = mr * xr - mi * xi
-                        im[r] = mr * xi + mi * xr
-            for r, a in re.items():
-                if a or im[r]:
-                    out[r].append((i, a, im[r]))
         den = self.den * vectors.den
-        return Matrix.from_parts([(row, den) for row in out], self.rows)
+        zero = [(0, 0)] * self.cols
+        out = []
+        for x in vectors.triples:
+            dense = zero.copy()
+            for c, a, b in x:
+                dense[c] = (a, b)
+            y = []
+            for i, row in enumerate(self.triples):
+                re = im = 0
+                for j, mr, mi in row:
+                    xr, xi = dense[j]
+                    re += mr * xr - mi * xi
+                    im += mr * xi + mi * xr
+                if re or im:
+                    y.append((i, re, im))
+            out.append((y, den))
+        return Matrix.from_parts(out, self.rows)
 
     def split(self, where: Sequence[tuple[int, int]], shape: tuple[int, int]
               ) -> tuple["Matrix", "Matrix"] | None:

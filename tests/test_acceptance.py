@@ -601,9 +601,9 @@ print(code, calls, solves, built, hashlib.sha256(out.getvalue().encode()).hexdig
 
 VERIFY_ALL_SHA256 = \
     "bad8e8100fbefb3faf375c3fc4ce3d8549ece5775dd85bb3bae26bbf6ca9a08a"
-MAX_VERIFY_ALL_ELIMINATIONS = 3_400
-MAX_VERIFY_ALL_PROJECTORS = 140
-MAX_VERIFY_ALL_REGIONS = 15_000
+MAX_VERIFY_ALL_ELIMINATIONS = 3_000
+MAX_VERIFY_ALL_PROJECTORS = 90
+MAX_VERIFY_ALL_REGIONS = 14_400
 
 
 def fresh_process(args, timeout):

@@ -33,7 +33,7 @@ from qpdl.errors import (
     UnsupportedShape,
 )
 from qpdl.frame import LOCAL_STATES, Frame, PartialMap, Subspace
-from qpdl.linalg import ONE, ZERO, Matrix
+from qpdl.linalg import ONE, ZERO, GaussianRational, Matrix
 from qpdl.parser import parse_formula, parse_program
 from qpdl.protocols import (
     _ax_entanglement,
@@ -132,6 +132,76 @@ def test_ent_atom_matches_hand_built_map_state():
         via_eval = eval_symbolic(Environment(big),
                                  parse_formula(f"ent[1,2]({word})"))
         assert same_rayset(via_eval, direct)
+
+
+def ent_words(rng, count):
+    """One-qubit words of X, Z and H with tests inserted: on a named state,
+    a ray, an ortho, a meet (empty or a state) and a complement (every
+    state), so that a test's map is a projector of each rank."""
+    tests = [ast.Const(c, 1) for c in "01+-"] + [
+        ast.RayF((1,), (GaussianRational(1, 2), GaussianRational(Fraction(-1, 3)))),
+        ast.Ortho(ast.Const("+", 1)),
+        ast.And(ast.Const("0", 1), ast.Const("+", 1)),
+        ast.And(ast.Const("1", 1), ast.Not(ast.Const("0", 1))),
+        ast.Not(ast.Const("-", 1))]
+    words = []
+    for _ in range(count):
+        steps = [ast.GateP(rng.choice("XZH"), (1,)) for _ in range(rng.randint(1, 4))]
+        for _ in range(rng.randint(1, 2)):
+            steps.insert(rng.randrange(len(steps) + 1), ast.Test(rng.choice(tests)))
+        words.append(functools.reduce(ast.SeqP, steps))
+    return words
+
+
+def test_ent_reads_the_one_qubit_map_as_the_block_did():
+    # ent denotes its one-qubit program in a one-qubit environment and
+    # reads the 2x2 map; the route it replaced denoted the program in the
+    # n-qubit frame and read the block on qubit 1 with the rest at |0...0>
+    rng = random.Random(2040)
+    cases = Counter()
+    for n in range(2, 5):
+        env = Environment(Frame(n))
+        fr = env.frame
+        for word in ent_words(rng, 8):
+            for i, j in itertools.permutations(range(1, n + 1), 2):
+                core = desugar_formula(ast.Ent(i, j, word), n)
+                got = checker._atom_subspace(env, core)
+                block = fr.block(checker._denote(env, core.prog)[0], (1,))
+                assert got is fr.map_to_state(block, i, j)
+                cases[got.is_zero()] += 1
+    # maps that are 0 and maps that are not
+    assert cases[True] > 10 and cases[False] > 100, cases
+
+
+def test_ent_forms_no_register_wide_product(monkeypatch):
+    widths = []
+    mul = Matrix.__mul__
+    monkeypatch.setattr(Matrix, "__mul__",
+                        lambda a, b: widths.append(max(a.cols, b.cols)) or mul(a, b))
+    env = Environment(Frame(4))
+    region = eval_symbolic(env, parse_formula("ent[1,4](H_1 ; 0_1? ; X_1 ; -_1? ; Z_1)"))
+    assert region.closure().dim == 4
+    assert widths and max(widths) == 2
+    # nothing was denoted in the 4-qubit environment
+    assert env._denotations == {}
+
+
+def test_ent_programs_are_denoted_in_the_callers_one_qubit_environment():
+    env = Environment(Frame(3))
+    assert env._one_qubit is None  # made on first use
+    claim = parse_formula("ent[1,2](H_1 ; 0_1?) & ent[2,3](X_1) -> ent[1,2](H_1 ; 0_1?)")
+    assert check_valid(env, claim) is None
+    one = env.one_qubit()
+    assert one.frame.n == 1 and one.valuation == {}
+    remembered = dict(one._denotations)
+    assert len(remembered) >= 3  # H, the test, their word and X
+    # every session of env uses it, and it outlives them
+    session = checker._Session(env)
+    assert session.one_qubit() is one
+    assert check_valid(env, claim) is None
+    assert env.one_qubit() is one and one._denotations == remembered
+    # an environment of its own has its own
+    assert Environment(Frame(3)).one_qubit() is not one
 
 
 # ----- native atoms against their defining circuits, both directions ----------

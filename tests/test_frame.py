@@ -1410,6 +1410,40 @@ def test_meets_orthos_and_forms_of_lifts_match_the_general_route(monkeypatch):
     assert set(disjoint) == {0, 1, 2}
 
 
+def test_a_lift_projector_is_its_parts_placed_by_the_layout(monkeypatch):
+    # the projector of part (x) H_rest, placed from the part's, against the
+    # Gram route B^T G^-1 conj(B) on the lift's whole basis; a cold one
+    # solves a system no wider than the part
+    rng = random.Random(2039)
+    solves = []
+    solve = Matrix.solve
+    monkeypatch.setattr(Matrix, "solve",
+                        lambda self, rhs: solves.append(self.rows) or solve(self, rhs))
+    cases = Counter()
+    for n in range(2, 6):
+        fr = Frame(n)
+        for _ in range(12):
+            qubits = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(1, n - 1))))
+            k = 2 ** len(qubits)
+            if k == 2 or rng.random() < 0.5:
+                lifted = fr.state_lift(rand_amps(rng, k), qubits)
+            else:
+                part = rand_sub(rng, k, rng.randint(2, k - 1))
+                lifted = frame_module._lifted(n, qubits, part)
+            assert lifted._local is not None
+            cold = lifted._projector is None
+            del solves[:]
+            got = lifted.projector()
+            if cold:
+                assert all(rows <= k for rows in solves), solves
+            b = lifted.basis
+            gram = b.conj() * b.transpose()
+            assert got == b.transpose() * solve(gram, b.conj())
+            cases[lifted.dim > fr.dim // k] += 1
+    # ray parts and parts of several rows
+    assert cases[False] > 20 and cases[True] > 5, cases
+
+
 def test_a_frame_keeps_no_memo():
     fr = Frame(3)
     assert not hasattr(fr, "__dict__")

@@ -648,6 +648,150 @@ def test_apply_matches_the_transposed_product():
         Matrix.identity(2).apply(Matrix.identity(3))
 
 
+# The routines that apply and from_parts replaced, as they stood, kept as
+# their differential oracles beside the Fraction references.
+def replaced_from_parts(rows, cols):
+    den = lcm(*(s for _, s in rows))
+    g = den
+    scaled = []
+    for row, s in rows:
+        if s != den:
+            f = den // s
+            row = [(c, a * f, b * f) for c, a, b in row]
+        if g > 1 and row:
+            g = gcd(g, *[a for _, a, _ in row], *[b for _, _, b in row])
+        scaled.append(row)
+    if g > 1:
+        scaled = [[(c, a // g, b // g) for c, a, b in row] for row in scaled]
+    return Matrix._of(tuple(map(tuple, scaled)), den // g, cols)
+
+
+def replaced_apply(m, vectors):
+    where = [[] for _ in range(m.cols)]
+    for r, x in enumerate(vectors.triples):
+        for c, a, b in x:
+            where[c].append((r, a, b))
+    out = [[] for _ in vectors.triples]
+    for i, row in enumerate(m.triples):
+        if len(row) == 1:
+            (j, mr, mi), = row
+            for r, xr, xi in where[j]:
+                out[r].append((i, mr * xr - mi * xi, mr * xi + mi * xr))
+            continue
+        re, im = {}, {}
+        for j, mr, mi in row:
+            for r, xr, xi in where[j]:
+                if r in re:
+                    re[r] += mr * xr - mi * xi
+                    im[r] += mr * xi + mi * xr
+                else:
+                    re[r] = mr * xr - mi * xi
+                    im[r] = mr * xi + mi * xr
+        for r, a in re.items():
+            if a or im[r]:
+                out[r].append((i, a, im[r]))
+    den = m.den * vectors.den
+    return replaced_from_parts([(row, den) for row in out], m.rows)
+
+
+def apply_inputs():
+    """(M, X) pairs: M with dense, monomial and empty rows, X with 0, 1
+    and many rows, zero rows among them, both over denominators above 1
+    and with real, imaginary and complex entries."""
+    rng = random.Random(139)
+    imaginary = lambda: GaussianRational(0, Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+    real = lambda: GaussianRational(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+    kinds = (lambda: rand_scalar(rng, nonzero=True), imaginary, real)
+
+    def row(cols, kind):
+        scalar = rng.choice(kinds)
+        if kind == "dense":
+            return [scalar() or ONE for _ in range(cols)]
+        if kind == "monomial":
+            out = [ZERO] * cols
+            out[rng.randrange(cols)] = scalar() or ONE
+            return out
+        if kind == "empty":
+            return [ZERO] * cols
+        return [scalar() if rng.random() < 0.4 else ZERO for _ in range(cols)]
+
+    pairs = []
+    for cols in (1, 2, 3, 4, 8):
+        for _ in range(12):
+            m = Matrix([row(cols, rng.choice(("dense", "monomial", "empty", "sparse")))
+                        for _ in range(rng.randint(1, 2 * cols))], cols=cols)
+            for count in (0, 1, rng.randint(2, 2 * cols + 1)):
+                x = [row(cols, rng.choice(("dense", "monomial", "sparse")))
+                     for _ in range(count)]
+                if count > 1:                           # a zero row among them
+                    x[rng.randrange(count)] = [ZERO] * cols
+                pairs.append((m, Matrix(x, cols=cols)))
+    return pairs
+
+
+def test_apply_matches_the_replaced_routine_and_fractions():
+    pairs = apply_inputs()
+    assert len(pairs) >= 150
+    assert any(m.den > 1 and x.den > 1 for m, x in pairs)
+    for m, x in pairs:
+        got = m.apply(x)
+        assert got == replaced_apply(m, x)
+        assert got.shape == (x.rows, m.rows)
+        assert_canonical(got, [reference_apply(m, v) for v in x.entries])
+
+
+def from_parts_inputs():
+    """Row lists over mixed, equal and single denominators, with empty
+    rows, no rows, and common factors of the denominator and every part."""
+    rng = random.Random(140)
+
+    def parts(cols):
+        return [(c, rng.randint(-9, 9), rng.randint(-9, 9))
+                for c in sorted(rng.sample(range(cols), rng.randint(0, cols)))
+                if rng.random() < 0.8]
+
+    def nonzero(row):
+        return [(c, a, b) for c, a, b in row if a or b]
+
+    cases = []
+    for cols in (1, 2, 3, 5, 8):
+        cases.append(([], cols))
+        for _ in range(15):
+            count = rng.randint(1, 5)
+            rows = [nonzero(parts(cols)) for _ in range(count)]
+            mixed = [(row, rng.randint(1, 12)) for row in rows]
+            shared = rng.randint(1, 12)
+            f = rng.randint(2, 6)               # a factor of den and every part
+            scaled = [([(c, a * f, b * f) for c, a, b in row], shared * f)
+                      for row in rows]
+            cases += [(mixed, cols), ([(row, shared) for row in rows], cols),
+                      (scaled, cols), (scaled[:1], cols), (mixed[:1], cols),
+                      ([([], shared * f)] * count, cols)]
+    return cases
+
+
+def test_from_parts_matches_the_replaced_routine_and_fractions():
+    cases = from_parts_inputs()
+    assert len(cases) >= 400
+    for rows, cols in cases:
+        got = Matrix.from_parts(rows, cols)
+        assert got == replaced_from_parts(rows, cols)
+        assert got.shape == (len(rows), cols)
+        want = []
+        for row, s in rows:
+            dense = [ZERO] * cols
+            for c, a, b in row:
+                dense[c] = GaussianRational(Fraction(a, s), Fraction(b, s))
+            want.append(dense)
+        assert_canonical(got, want)
+
+
+def test_the_identity_of_each_size_is_built_once():
+    assert Matrix.identity(5) is Matrix.identity(5)
+    assert Matrix.identity(5) == Matrix.of_integers(
+        [[int(i == j) for j in range(5)] for i in range(5)])
+
+
 def test_one_row_row_basis_matches_rref(monkeypatch):
     # a single row is normalised without elimination, to the row that
     # _rref makes of it
