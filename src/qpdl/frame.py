@@ -14,9 +14,11 @@ Everything here is exact.  States and properties are one type,
 ``Subspace``, held as a canonical RREF basis; a state's basis is its one
 amplitude row scaled so that its first nonzero entry is 1.  Subspaces
 are interned: the constructor returns the live instance of its
-canonical basis, so equal spans are one object, equality is identity
-and a projector is built once per span.  ``ortho`` is computed once per
-instance and linked back, since (W^perp)^perp = W.  A subspace also
+canonical basis, found through a plain dict of weak references whose
+callbacks each remove their own entry only, so equal spans are one
+object, equality is identity and a projector is built once per span.
+``ortho`` is computed once per instance and linked back, since
+(W^perp)^perp = W.  A subspace also
 remembers its product form on each qubit set, None included, for as
 long as it lives.  A lift part (x) H_rest on qubits I, 0 < |I| < n,
 keeps its factor (n, I, part), part being the interned subspace over
@@ -91,10 +93,11 @@ basis of x (x) V is x (x) v_k over the RREF rows v_k of V.  So
 pass the rank-one test and all must share one factor, and the others
 stack to the RREF of the wide side, with no elimination.  The image of
 a subspace under a map is M x for each basis row x, one matrix-vector
-pass (``Matrix.apply``).  A lift part (x) I is an RREF
-as built (its rows laid out in lead order when the part has several),
-and a one-row part, like every one-row basis, is normalised without
-elimination.
+pass (``Matrix.apply``); images of a lift under X, Z and CNOT words
+keep its rows on disjoint columns, and such a basis, a one-row one
+among them, is normalised without elimination.  A lift part (x) I is
+an RREF as built (its rows laid out in lead order when the part has
+several).
 Scalars appear only at the boundary: parsed and printed amplitudes,
 and the part-states that ``state_lift`` takes.
 The preimage of A under a unitary map M is the span of M^dagger A, the
@@ -129,10 +132,25 @@ class BadIndex(InputError):
     """A qubit index is out of range or repeated."""
 
 
-# The live subspace of each canonical basis.  It holds no subspace alive,
-# so it is bounded by the subspaces in use.
-_INTERNED: "weakref.WeakValueDictionary[Matrix, Subspace]" = \
-    weakref.WeakValueDictionary()
+# Each canonical basis -> a weak reference to its live subspace, which
+# holds the basis as its key.  The table holds no subspace alive, so it is
+# bounded by the subspaces in use.
+_INTERNED: dict = {}
+
+
+class _InternRef(weakref.ref):
+    __slots__ = ("key",)
+
+
+def _unintern(ref: _InternRef, get=_INTERNED.get, pop=_INTERNED.pop) -> None:
+    """The callback of every intern reference: it removes the reference's
+    entry only while the entry is that reference, so a callback that runs
+    late never drops a newer live subspace of the same basis.  The table's
+    methods are bound now, since a callback may run as the module is torn
+    down."""
+    if get(ref.key) is ref:
+        pop(ref.key)
+
 
 # Joins and meets of live subspaces: (op, id(a), id(b)), the ids in
 # ascending order -> weak references to a, b and their join or meet.  The
@@ -174,7 +192,8 @@ class Subspace:
             raise ValueError("basis width differs from ambient dimension")
         if not _canonical:
             basis = basis.row_basis()
-        self = _INTERNED.get(basis)
+        ref = _INTERNED.get(basis)
+        self = ref and ref()
         if self is None:
             self = object.__new__(cls)
             self.basis = basis
@@ -183,7 +202,8 @@ class Subspace:
             self._ortho = None
             self._forms = {}
             self._local = None
-            _INTERNED[basis] = self
+            ref = _INTERNED[basis] = _InternRef(self, _unintern)
+            ref.key = basis
         return self
 
     @staticmethod

@@ -44,13 +44,16 @@ then its row's last entry, so the null vector of each free column leads
 there and holds no other free column, and the vectors are the RREF of
 the null space as read off.
 
-A single row needs no elimination: its RREF is the row times the
-conjugate of its leading entry, divided by the integer gcd of its parts,
-the normalisation ``_rref`` gives each pivot row.  Nor does ``split``,
-the tensor factors of a row space with one side a single row: it reads
-each row as a matrix through the inverse of a table and tests it for
-rank one, the row and the column through its first nonzero entry p
-being its factors when every entry times p is their product.
+Rows on pairwise disjoint columns need no elimination, a single row
+among them: the RREF is each nonzero row times the conjugate of its
+leading entry, divided by the integer gcd of its parts (the
+normalisation ``_rref`` gives each pivot row), in the order of their
+leading columns.  A column shared by two rows sends ``row_basis`` to
+``_rref``.  Nor does ``split``, the tensor factors of a row space with
+one side a single row: it reads each row as a matrix through the
+inverse of a table and tests it for rank one, the row and the column
+through its first nonzero entry p being its factors when every entry
+times p is their product.
 """
 
 from __future__ import annotations
@@ -208,10 +211,10 @@ class Matrix:
         return Matrix._of(tuple([tuple(row) for row, _ in rows]), den, cols)
 
     @staticmethod
-    def of_integers(rows: Sequence[Sequence[int]]) -> "Matrix":
-        """The matrix of one or more equally long rows of Python integers,
-        built without scalars."""
-        return Matrix.from_parts([([(j, a, 0) for j, a in enumerate(row) if a], 1)
+    def of_integers(rows: Sequence[Sequence[tuple[int, int]]]) -> "Matrix":
+        """The matrix of one or more equally long rows of Gaussian integers,
+        each entry given as its (re, im) parts, built without scalars."""
+        return Matrix.from_parts([([(j, a, b) for j, (a, b) in enumerate(row) if a or b], 1)
                                   for row in rows], len(rows[0]))
 
     @staticmethod
@@ -445,18 +448,23 @@ class Matrix:
 
     def row_basis(self) -> "Matrix":
         """The nonzero rows of the RREF: a canonical basis of the row space.
-        A single row is normalised as ``_rref`` normalises a pivot row,
-        without elimination."""
-        if self.rows == 1:
-            # as _rref would give it, without the round trip through an
-            # elimination row and from_parts, which costs a protocols
-            # block about 4% more Python opcodes
-            if not self.triples[0]:
-                return Matrix._of((), 1, self.cols)
-            # x is primitive and s one of its parts: x / s is in lowest terms
-            x, s = _lead_one(self.triples[0])
-            return Matrix._of((tuple(x),), s, self.cols)
-        return Matrix.from_parts(_rref(self._work(), self.cols)[0], self.cols)
+        Rows on pairwise disjoint columns need no elimination: each scaled
+        to lead with 1 as ``_lead_one`` scales a pivot row, and sorted by
+        leading column, they are the RREF."""
+        rows = [row for row in self.triples if row]
+        if len(rows) > 1 and (len({c for row in rows for c, _, _ in row})
+                              < sum(map(len, rows))):
+            return Matrix.from_parts(_rref(self._work(), self.cols)[0], self.cols)
+        # distinct leads, so the sort compares leading columns only
+        rows = [_lead_one(row) for row in sorted(rows)]
+        # Each x / s is in lowest terms, as x is primitive and s one of its
+        # parts; so is the stack over d = lcm(s): a prime power dividing d
+        # exactly divides some s, whose row x (d / s) keeps a part it does
+        # not divide.
+        d = lcm(*[s for _, s in rows])
+        return Matrix._of(tuple([tuple(x) if s == d else
+                                 tuple([(c, a * (d // s), b * (d // s)) for c, a, b in x])
+                                 for x, s in rows]), d, self.cols)
 
     def kernel_basis(self) -> "Matrix":
         """Rows spanning the right null space {x : M x = 0}, in RREF; there
@@ -690,15 +698,18 @@ def _rref(work: list, cols: int) -> tuple[list, list]:
     return rows, pivots
 
 
-def _lead_one(row: Sequence[tuple]) -> tuple[list, int]:
+def _lead_one(row: Sequence[tuple]) -> tuple[Sequence[tuple], int]:
     """The nonzero row ``row`` of (col, re, im) triples in column order as
     (x, s), x / s being the row scaled to lead with 1: row x with first
     entry p, times conj(p), made primitive over the integers, has the
-    positive integer s as its first entry."""
+    positive integer s as its first entry.  A row that leads with a
+    positive integer and is primitive already is its own x."""
     _, pr, pi = row[0]
     if pi or pr < 0:  # a positive integer p leaves primitive(x) as it is
         row = [(j, a * pr + b * pi, b * pr - a * pi) for j, a, b in row]
     g = gcd(*[a for _, a, _ in row], *[b for _, _, b in row])
+    if g == 1:
+        return row, row[0][1]
     return [(j, a // g, b // g) for j, a, b in row], row[0][1] // g
 
 

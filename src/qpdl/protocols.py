@@ -22,7 +22,6 @@ from __future__ import annotations
 import random
 import time
 from collections import namedtuple
-from fractions import Fraction
 from functools import cache, reduce
 from itertools import combinations
 
@@ -37,7 +36,7 @@ from .checker import (
     random_part_state,
 )
 from .frame import Frame, Subspace
-from .linalg import GaussianRational, Matrix
+from .linalg import Matrix
 from .parser import parse_formula, parse_program
 from .regions import Region
 
@@ -128,10 +127,9 @@ def _random_program(rng, n: int, qubits=None, deterministic: bool = True,
 def _random_subspace(rng, fr: Frame, max_dim: int | None = None) -> Subspace:
     while True:
         k = rng.randint(1, max_dim or fr.dim)
-        rows = [[GaussianRational(Fraction(rng.randint(-4, 4)),
-                                  Fraction(rng.randint(-4, 4)))
-                 for _ in range(fr.dim)] for _ in range(k)]
-        sub = Subspace.from_rows(rows, fr.dim)
+        rows = [[(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(fr.dim)]
+                for _ in range(k)]
+        sub = Subspace(Matrix.of_integers(rows), fr.dim)
         if not sub.is_zero():
             return sub
 

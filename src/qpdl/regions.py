@@ -88,7 +88,7 @@ class Term(namedtuple("Term", "positive negatives")):
         basis = self.positive.basis
         limit = max(8, (basis.rows - 1) * len(self.negatives) + 2)
         rows = (basis.row(k) for k in range(basis.rows))
-        points = (Matrix.of_integers([[t ** j for j in range(basis.rows)]]) * basis
+        points = (Matrix.of_integers([[(t ** j, 0) for j in range(basis.rows)]]) * basis
                   for t in range(1, limit + 1))
         for candidate in itertools.chain(rows, points):
             ray = Subspace(candidate, basis.cols, _canonical=True)

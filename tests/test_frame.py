@@ -33,7 +33,8 @@ from qpdl.parser import parse_formula, parse_program
 from qpdl.regions import make_term
 
 from exact_reference import orthogonal, product_ray, quotient
-from test_linalg import exact, reference_apply, reference_kernel_basis, reference_reduced
+from test_linalg import (exact, reference_apply, reference_kernel_basis, reference_reduced,
+                         reference_row_basis)
 
 
 def rand_amps(rng, dim, real=False):
@@ -159,6 +160,66 @@ def test_intern_table_drops_dead_subspaces():
     gc.collect()  # a subspace and its linked orthocomplement form a cycle
     assert all(r() is None for r in refs)
     assert all(k not in frame_module._INTERNED for k in keys)
+
+
+def test_equal_bases_intern_to_one_subspace():
+    # cold, the constructor enters the subspace; warm, every basis of the
+    # same span, canonical or not, finds that one object
+    rng = random.Random(240)
+    for dim in (2, 4, 8):
+        for _ in range(10):
+            cold = rand_sub(rng, dim)
+            rows = [list(row) for row in cold.basis.entries]
+            c = GaussianRational(rng.randint(1, 3), rng.randint(-2, 2))
+            warm = [[c * x for x in row] for row in rows[::-1]]
+            if len(rows) > 1:
+                warm.append([x + y for x, y in zip(rows[0], rows[-1])])
+            assert Subspace(Matrix(warm), dim) is cold
+            assert Subspace(Matrix(rows), dim, _canonical=True) is cold
+            assert frame_module._INTERNED[cold.basis]() is cold
+
+
+def test_a_dropped_subspace_leaves_the_intern_table():
+    # with the cyclic collector off: a subspace that nothing holds is freed
+    # at once, and so is its entry, so the table adds no reference cycle
+    key = Matrix([[1, GaussianRational(2, -1), 0, 5]])
+    gc.disable()
+    try:
+        sub = Subspace(key, 4)
+        key = sub.basis
+        gone = weakref.ref(sub)
+        assert frame_module._INTERNED[key]() is sub
+        del sub
+        assert gone() is None
+        assert key not in frame_module._INTERNED
+    finally:
+        gc.enable()
+
+
+def test_rebuilding_a_basis_never_loses_its_live_entry():
+    key = Subspace(Matrix([[0, 3, GaussianRational(0, 1), 0, 1, 0, 0, 2]]), 8).basis
+    for _ in range(3):                      # built, dropped and built again
+        sub = Subspace(key, 8, _canonical=True)
+        assert frame_module._INTERNED[key]() is sub
+        del sub
+        assert key not in frame_module._INTERNED
+    sub = Subspace(key, 8, _canonical=True)
+    old = frame_module._INTERNED[key]
+    late = old.__callback__
+    # a callback of another reference, run before the table's own, rebuilds
+    # the basis while the dropped subspace's entry is still there
+    rebuilt = []
+    watch = weakref.ref(sub, lambda _: rebuilt.append(Subspace(key, 8, _canonical=True)))
+    del sub
+    assert watch() is None and len(rebuilt) == 1
+    assert Subspace(key, 8, _canonical=True) is rebuilt[0]
+    # the dropped subspace's callback, however late it runs, keeps the newer
+    # entry
+    late(old)
+    assert frame_module._INTERNED[key]() is rebuilt[0]
+    assert Subspace(key, 8, _canonical=True) is rebuilt[0]
+    rebuilt.clear()
+    assert key not in frame_module._INTERNED
 
 
 def test_projector_is_idempotent_selfadjoint():
@@ -652,8 +713,47 @@ def test_product_form_of_a_ray_eliminates_nothing_in_teleportation(monkeypatch):
                         or eliminate(work, cols))
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["verify", "teleportation", "--seed", "2026"]) == 0
-    assert rays.count(True) >= 20 and within_rays
-    assert True not in within_rays
+    seen = list(within_rays)
+    # the probe is in place: a basis with a shared column, outside any
+    # product form, is recorded
+    Matrix([[1, 1], [0, 1]]).row_basis()
+    assert within_rays == seen + [False]
+    # rows on disjoint columns are not eliminated, and no other basis of
+    # verify teleportation has a shared column
+    assert rays.count(True) >= 20 and seen == []
+    assert True not in seen
+
+
+def test_images_of_ray_lifts_under_x_z_and_cnot_words_eliminate_nothing(monkeypatch):
+    # part (x) H_rest for a ray part holds its rows on disjoint columns, and
+    # X, Z and CNOT permute and sign the basis, so an image of the lift has
+    # its rows on disjoint columns too, in any lead order: its basis is the
+    # RREF that _rref and Fraction Gauss-Jordan give, with no elimination
+    rng = random.Random(241)
+    cases = []
+    for n in range(1, 7):
+        fr = Frame(n)
+        kinds = ["X", "Z", "CNOT"] if n > 1 else ["X", "Z"]
+        for k in range(10):
+            qubits = sorted(rng.sample(range(1, n + 1), 1 + k % n))
+            lift = fr.state_lift(rand_amps(rng, 2 ** len(qubits)), qubits)
+            rows = lift.basis
+            for _ in range(rng.randint(1, 4)):
+                kind = rng.choice(kinds)
+                targets = rng.sample(range(1, n + 1), 2 if kind == "CNOT" else 1)
+                rows = fr.gate(kind, targets).matrix.apply(rows)
+            cases.append((fr, rows))
+    wants = [eliminated(rows) for _, rows in cases]
+    references = [reference_row_basis(rows) for _, rows in cases]
+    calls = counted_eliminations(monkeypatch)
+    for (fr, rows), want, reference in zip(cases, wants, references):
+        assert rows.row_basis() == want == reference
+        assert Subspace(rows, fr.dim) is Subspace(want, fr.dim, _canonical=True)
+    assert calls == []
+    leads = [[next(c for c, x in enumerate(row) if x) for row in rows.entries]
+             for _, rows in cases]
+    assert max(map(len, leads)) == 32
+    assert sum(lead != sorted(lead) for lead in leads) >= 10
 
 
 # ----- differential tests against the bit arithmetic of Frame.layout ----------

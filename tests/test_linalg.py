@@ -789,7 +789,7 @@ def test_from_parts_matches_the_replaced_routine_and_fractions():
 def test_the_identity_of_each_size_is_built_once():
     assert Matrix.identity(5) is Matrix.identity(5)
     assert Matrix.identity(5) == Matrix.of_integers(
-        [[int(i == j) for j in range(5)] for i in range(5)])
+        [[(int(i == j), 0) for j in range(5)] for i in range(5)])
 
 
 def test_one_row_row_basis_matches_rref(monkeypatch):
@@ -828,6 +828,90 @@ def test_one_row_row_basis_matches_rref(monkeypatch):
         else:
             assert got.rows == 0
     assert calls == []
+
+
+def disjoint_matrix(rng, cols):
+    """Rows of one to three nonzero scalars on pairwise disjoint columns,
+    taken from a random order of the columns, so that the rows lead in
+    any order, with up to two zero rows among them."""
+    free = rng.sample(range(cols), cols)
+    rows = []
+    while free and rng.random() < 0.8:
+        row = [ZERO] * cols
+        k = rng.randint(1, 3)
+        for c in free[:k]:
+            row[c] = rand_scalar(rng, nonzero=True)
+        del free[:k]
+        rows.append(row)
+    rows += [[ZERO] * cols for _ in range(rng.randint(0, 2))]
+    rng.shuffle(rows)
+    return Matrix(rows, cols=cols)
+
+
+def test_disjoint_row_basis_matches_rref_and_fractions(monkeypatch):
+    # rows on pairwise disjoint columns are scaled to lead with 1 and
+    # sorted by leading column, the RREF that _rref and Fraction
+    # Gauss-Jordan give, with no elimination
+    rng = random.Random(140)
+    matrices = [disjoint_matrix(rng, cols) for cols in range(1, 13) for _ in range(20)]
+    i = GaussianRational(0, 1)
+    matrices += [
+        Matrix([[0, 0, 5, 0], [-3 * i, 0, 0, 0], [0, 0, 0, 0],
+                [0, GaussianRational(2, 7), 0, GaussianRational(-10 ** 20, 10 ** 19)]]),
+        Matrix([[0, 0, 0, 1 + 2 * i], [0, 0, -4, 0], [0, Fraction(1, 3), 0, 0],
+                [Fraction(-6, 5) * i, 0, 0, 0]]),
+        Matrix([[0, 0, 0]] * 3),
+        Matrix([[0, 0, 7 - i]]),
+    ]
+    wants = [Matrix.from_parts(linalg._rref(m._work(), m.cols)[0], m.cols)
+             for m in matrices]
+    references = [reference_row_basis(m) for m in matrices]
+    calls = []
+    eliminate = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate",
+                        lambda work, cols: calls.append(cols) or eliminate(work, cols))
+    for m, want, reference in zip(matrices, wants, references):
+        got = m.row_basis()
+        assert got == want == reference
+        assert_canonical(got)
+        assert pivot_columns(got) == sorted(pivot_columns(got))
+    assert calls == []
+    leads = [[next((c for c, x in enumerate(row) if x), None) for row in m.entries]
+             for m in matrices]
+    nonzero = [[c for c in lead if c is not None] for lead in leads]
+    # one row, several, zero rows mixed in, leads out of order, Gaussian entries
+    assert {len(lead) for lead in nonzero} >= {0, 1, 2, 3, 4}
+    assert sum(None in lead and len(lead) > 1 for lead in leads) >= 20
+    assert sum(lead != sorted(lead) for lead in nonzero) >= 50
+    assert sum(any(x.im for row in m.entries for x in row) for m in matrices) >= 100
+
+
+def test_a_shared_column_is_eliminated(monkeypatch):
+    # rows that share any column, a leading one or not, go to _rref
+    rng = random.Random(141)
+    matrices = [Matrix([[1, 1], [0, 1]]), Matrix([[0, 1, 2], [1, 0, 3]]),
+                Matrix([[0, 0, 2, 1], [1, 0, 0, 0], [0, 0, 0, 0], [0, 3, 0, 5]])]
+    while len(matrices) < 150:
+        m = disjoint_matrix(rng, rng.randint(2, 10))
+        rows = [list(row) for row in m.entries if any(row)]
+        if len(rows) < 2:
+            continue
+        # another row's column, leading or not, joins this row
+        a, b = rng.sample(range(len(rows)), 2)
+        c = rng.choice([c for c, x in enumerate(rows[b]) if x])
+        rows[a][c] = rand_scalar(rng, nonzero=True)
+        matrices.append(Matrix(rows))
+    references = [reference_row_basis(m) for m in matrices]
+    for m, reference in zip(matrices, references):
+        calls = []
+        eliminate = linalg._eliminate
+        monkeypatch.setattr(linalg, "_eliminate",
+                            lambda work, cols: calls.append(cols) or eliminate(work, cols))
+        got = m.row_basis()
+        monkeypatch.setattr(linalg, "_eliminate", eliminate)
+        assert got == reference
+        assert_canonical(got)
+        assert len(calls) >= 1
 
 
 # ----- differential test of the placed tensor and the gather ------------------

@@ -98,6 +98,57 @@ MUTANTS = [
         frame.Subspace.projector = swapped
         """,
      "tests/test_frame.py::test_a_lift_projector_is_its_parts_placed_by_the_layout"),
+    ("a disjoint row basis is left in row order", """
+        from math import lcm
+        from qpdl.linalg import Matrix, _lead_one, _rref
+
+        def row_basis(self):
+            rows = [row for row in self.triples if row]
+            if len(rows) > 1 and (len({c for row in rows for c, _, _ in row})
+                                  < sum(map(len, rows))):
+                return Matrix.from_parts(_rref(self._work(), self.cols)[0], self.cols)
+            rows = [_lead_one(row) for row in rows]  # lost: sorted(rows)
+            d = lcm(*[s for _, s in rows])
+            return Matrix._of(tuple([tuple(x) if s == d else
+                                     tuple([(c, a * (d // s), b * (d // s)) for c, a, b in x])
+                                     for x, s in rows]), d, self.cols)
+
+        Matrix.row_basis = row_basis
+        """,
+     "tests/test_linalg.py::test_disjoint_row_basis_matches_rref_and_fractions"),
+    ("disjointness compares leading columns only", """
+        from math import lcm
+        from qpdl.linalg import Matrix, _lead_one, _rref
+
+        def row_basis(self):
+            rows = [row for row in self.triples if row]
+            # lost: every column, not just the first of each row
+            if len(rows) > 1 and len({row[0][0] for row in rows}) < len(rows):
+                return Matrix.from_parts(_rref(self._work(), self.cols)[0], self.cols)
+            rows = [_lead_one(row) for row in sorted(rows)]
+            d = lcm(*[s for _, s in rows])
+            return Matrix._of(tuple([tuple(x) if s == d else
+                                     tuple([(c, a * (d // s), b * (d // s)) for c, a, b in x])
+                                     for x, s in rows]), d, self.cols)
+
+        Matrix.row_basis = row_basis
+        """,
+     "tests/test_linalg.py::test_a_shared_column_is_eliminated"),
+    ("an intern callback pops unconditionally", """
+        from qpdl import frame
+
+        def _unintern(ref, pop=frame._INTERNED.pop):
+            pop(ref.key, None)  # lost: only while the entry is ref
+
+        frame._unintern = _unintern
+        """,
+     "tests/test_frame.py::test_rebuilding_a_basis_never_loses_its_live_entry"),
+    ("an intern callback never pops", """
+        from qpdl import frame
+
+        frame._unintern = lambda ref: None
+        """,
+     "tests/test_frame.py::test_a_dropped_subspace_leaves_the_intern_table"),
 ]
 
 
