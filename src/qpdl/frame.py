@@ -64,12 +64,18 @@ frame alive, and the part holds no reference back to the lift.
 
 The join and the meet of two live subspaces are remembered in one pair
 table that keeps neither them nor the result alive, so a repeated join
-or meet runs no elimination.  A meet works from the smaller side A,
-against the orthocomplement P of the other: the product conj(P) A^T,
-the one that decides containment, is 0 when A lies in the other side,
-and otherwise its kernel's RREF basis times A is the meet's RREF basis
-(0 at once when A is a ray).  Beside P, found once per subspace, it
-eliminates only that dim P x dim A product.
+or meet runs no elimination.  Containment, meets and the kernel route
+of preimages test against the other side's orthocomplement only through
+its span, so they read rows R spanning its conjugate off that side's
+RREF basis B, one null vector of B per free column, with no elimination:
+ker B = conj(ker conj B), and ker conj B is the orthocomplement.  R is
+kept per subspace as a plain matrix.  A meet works from the smaller side
+A: the product R A^T, the one that decides containment, is 0 when A lies
+in the other side, and otherwise its kernel's RREF basis times A is the
+meet's RREF basis (0 at once when A is a ray).  So it eliminates only
+that dim R x dim A product.  The canonical ``ortho`` is left to what
+needs the subspace itself: ~f, [f?]false, a test's kernel and the
+Sasaki step of a test in a run.
 Lifts skip that work.  The meet of P (x) H_rest on I and Q (x) H_rest on
 a disjoint J is P (x) Q (x) H_rest on their union, and the ortho of
 P (x) H_rest is P^perp (x) H_rest, found on the part (no elimination for
@@ -102,8 +108,8 @@ Scalars appear only at the boundary: parsed and printed amplitudes,
 and the part-states that ``state_lift`` takes.
 The preimage of A under a unitary map M is the span of M^dagger A, the
 image under the adjoint, when dim A is at most half the dimension;
-otherwise, and under any other map, it is a kernel against a basis of
-A's orthocomplement.  Containment is one product with that basis.
+otherwise, and under any other map, it is the kernel of R M, R the
+rows read off A's basis as above.  Containment is one product with R.
 Under a composite not yet formed, the adjoint image multiplies conj(A)
 through the factors, the last map first, so each step is dim A rows
 times one sparse gate (the cheap order of the matrix chain); the kernel
@@ -182,9 +188,15 @@ class Subspace:
     in ``_local`` as (n, sorted qubits I, part), part being the canonical
     subspace over 2^|I|, for 0 < |I| < n; ``meet`` and ``ortho`` read
     their results off it.  It holds no frame.
+
+    ``_ortho`` links the canonical orthocomplement both ways; ``_perp``
+    holds rows that span its conjugate, read off the basis with no
+    elimination, for the tests that need only that span (containment,
+    ``_meet_from`` and ``PartialMap.preimage_closed``).  ``_perp`` is a
+    plain matrix, so it forms no reference cycle.
     """
 
-    __slots__ = ("basis", "ambient", "_projector", "_ortho", "_forms",
+    __slots__ = ("basis", "ambient", "_projector", "_ortho", "_perp", "_forms",
                  "_local", "__weakref__")
 
     def __new__(cls, basis: Matrix, ambient: int, _canonical: bool = False):
@@ -200,6 +212,7 @@ class Subspace:
             self.ambient = ambient
             self._projector = None
             self._ortho = None
+            self._perp = None
             self._forms = {}
             self._local = None
             ref = _INTERNED[basis] = _InternRef(self, _unintern)
@@ -234,16 +247,29 @@ class Subspace:
         return self.basis.rows == self.ambient
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        """Whether other lies in self: whether it is orthogonal to the
-        remembered orthocomplement, one product."""
+        """Whether other lies in self: whether it is orthogonal to
+        self's orthocomplement, one product (see ``_against_ortho``)."""
+        self._same_ambient(other)
         product = self._against_ortho(other)
         return product == Matrix.zeros(product.rows, other.dim)
 
     def _against_ortho(self, other: "Subspace") -> Matrix:
-        """conj(P) A^T, P the basis of self's orthocomplement and A other's:
-        entry (i, j) is the inner product of row i of P with row j of A,
-        so x A lies in self exactly when the product sends x to 0."""
-        return self.ortho().basis.conj() * other.basis.transpose()
+        """R A^T, A being other's basis and R the rows that ``_perp_rows``
+        reads off self's basis B.  They span ker(B) = conj(ker(conj B)),
+        the conjugate of self's orthocomplement, so entry (i, j) is the
+        inner product of a vector of that orthocomplement with row j of A,
+        and x A lies in self exactly when the product sends x to 0.  Only
+        the span of R counts there: the product is 0, or has a kernel, for
+        every spanning set alike."""
+        return self._perp_rows() * other.basis.transpose()
+
+    def _perp_rows(self) -> Matrix:
+        """Rows spanning conj(self^perp), read off the RREF basis once per
+        subspace with no elimination (``Matrix.kernel_of_rref``); a plain
+        matrix, so it links to no other subspace."""
+        if self._perp is None:
+            self._perp = self.basis.kernel_of_rref()
+        return self._perp
 
     def join(self, other: "Subspace") -> "Subspace":
         """The span of both, computed once per live pair in either order."""
@@ -288,11 +314,14 @@ class Subspace:
     def _meet_from(self, small: "Subspace") -> "Subspace":
         """The intersection with ``small``, whose basis A has no more rows
         than self's: x A lies in self exactly when x is in the kernel of
-        the product that ``contains_subspace`` makes, so the kernel's rows
-        times A span the meet.  When the product is 0, small lies in self;
-        when it is not and small is a ray, the meet is 0.  Neither case
-        eliminates; otherwise the one elimination is the kernel's, of the
-        dim P x dim A product.  The kernel's basis K and A are RREFs, so K A
+        the product R A^T that ``contains_subspace`` makes, R being read
+        off self's basis, so the kernel's rows times A span the meet.  The
+        kernel depends on the span of R only, so its RREF is the one that
+        any basis of self's orthocomplement gives.  When the product is
+        0, small lies in self; when it is not and small is a ray, the meet
+        is 0.  Neither case eliminates; otherwise the one elimination is
+        the kernel's, of the dim R x dim A product.  The kernel's basis K
+        and A are RREFs, so K A
         is one too: its row i is row f_i of A, f_i being K's pivot i, plus
         multiples of later rows of A, so it leads with 1 at that row's
         pivot, where its other rows are 0, as K is 0 at f_i off row i."""
@@ -461,10 +490,12 @@ class PartialMap:
         ray.  Under a composite not yet formed, conj(A) * M is taken
         through the factors, conj(A) * M_second * M_first, down to the
         gates: dim A rows times one sparse map per step, and M is never
-        formed.  Otherwise it is ker(conj(B) * M), where the rows of B span
-        sub's orthocomplement (for a unitary map, the smaller side): a
-        vector lies in sub exactly when it is orthogonal to every row of
-        B.
+        formed.  Otherwise it is ker(R * M), R being the rows that
+        ``Subspace._perp_rows`` reads off sub's basis with no elimination,
+        which span conj(sub^perp) (for a unitary map, the smaller side): a
+        vector lies in sub exactly when it is orthogonal to sub^perp, that
+        is, when R sends it to 0.  The kernel depends on the span of R
+        only, so its RREF is the one any basis of sub^perp gives.
         """
         pre = self._preimages.get(sub)
         if pre is None:
@@ -473,7 +504,7 @@ class PartialMap:
             elif sub.is_full():
                 pre = Subspace.full(self.dim)
             else:
-                reduced = sub.ortho().basis.conj() * self.matrix
+                reduced = sub._perp_rows() * self.matrix
                 pre = Subspace(reduced.kernel_basis(), self.dim, _canonical=True)
             self._preimages[sub] = pre
         return pre

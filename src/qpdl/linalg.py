@@ -38,11 +38,15 @@ a positive integer pivot, so it maps one-to-one onto the RREF row with
 pivot 1; the RREF basis is the canonical representative used for
 subspace identity throughout the package.
 
-One routine, ``kernel_basis``, gives every null space, from one
-elimination of the rows with their column order reversed: each pivot is
-then its row's last entry, so the null vector of each free column leads
-there and holds no other free column, and the vectors are the RREF of
-the null space as read off.
+One helper, ``_null_vectors``, reads every null space off an RREF, one
+null vector per free column.  ``kernel_basis`` gives it one elimination
+of the rows with their column order reversed: each pivot is then its
+row's last entry, so the null vector of each free column leads there
+and holds no other free column, and the vectors are the RREF of the
+null space as read off.  ``kernel_of_rref`` gives it a matrix already in
+RREF, with no elimination, and keeps the vectors as they are read: they
+span the null space, which is all that a test of containment or a
+kernel taken of their product needs, but are no RREF.
 
 Rows on pairwise disjoint columns need no elimination, a single row
 among them: the RREF is each nonzero row times the conjugate of its
@@ -470,30 +474,33 @@ class Matrix:
         """Rows spanning the right null space {x : M x = 0}, in RREF; there
         are cols - rank of them.  One ``_rref``, of the rows fed bottom-up
         with column c relabelled cols-1-c, so that each pivot is its row's
-        last entry: the null vector of a free column f then leads at f and
-        holds no other free column, so the vectors are the RREF as they
-        stand, with no second elimination."""
+        last entry: the null vector of a free column f, as ``_null_vectors``
+        reads it, then leads at f and holds no other free column, so the
+        vectors are the RREF as they stand, with no second elimination."""
         last = self.cols - 1
         # bottom-up, as a row lower in an RREF tends to end further right:
         # the relabelled leads then come about in the ascending order in
         # which _eliminate looks for them
         rows, pivots = _rref([{last - c: (a, b) for c, a, b in row}
                               for row in reversed(self.triples) if row], self.cols)
-        # Free column f gives e_f - sum_r (x_r[f] / s_r) e_{c_r}, where x_r /
-        # s_r is RREF row r with pivot column c_r > f; scaled by d, the lcm
-        # of those s_r.  The rows lead relabelled in ascending order, so
-        # taken in reverse their pivots c_r ascend.
-        hits = {}  # free column -> the (c_r, re, im, s_r) with x_r[f] != 0
-        for (row, s), p in zip(reversed(rows), reversed(pivots)):
-            for j, a, b in row[1:]:
-                hits.setdefault(last - j, []).append((last - p, a, b, s))
-        vectors = []
-        for f in sorted(set(range(self.cols)).difference(last - p for p in pivots)):
-            h = hits.get(f, ())
-            d = lcm(*(s for *_, s in h))
-            vectors.append(([(f, d, 0)] + [(c, -a * (d // s), -b * (d // s))
-                                           for c, a, b, s in h], d))
-        return Matrix.from_parts(vectors, self.cols)
+        # Relabelled back, each row ends at its pivot, where it is s_r and
+        # every other row 0: an RREF up to column order, whose null vector
+        # of free column f leads there with d.
+        rows = [([(last - j, a, b) for j, a, b in reversed(row)], s)
+                for row, s in reversed(rows)]
+        pivots = [last - p for p in reversed(pivots)]
+        return Matrix.from_parts(_null_vectors(rows, pivots, self.cols), self.cols)
+
+    def kernel_of_rref(self) -> "Matrix":
+        """Rows spanning the right null space of a matrix in RREF, read off
+        its rows with no elimination: for each free column f, the integer
+        row d e_f - sum_r x_r[f] e_{p_r}, x_r / d being row r and p_r its
+        pivot.  They are no RREF, and need none where only their span
+        counts."""
+        rows = self.triples
+        vectors = _null_vectors([(row, self.den) for row in rows],
+                                [row[0][0] for row in rows], self.cols)
+        return Matrix.from_parts([(v, 1) for v, _ in vectors], self.cols)
 
     def solve(self, rhs: "Matrix") -> "Matrix":
         """The X with self * X = rhs, for an invertible square self: the
@@ -514,6 +521,30 @@ class Matrix:
             raise ValueError("matrix is singular")
         return Matrix.from_parts([([(c - n, a, b) for c, a, b in row if c >= n], s)
                                   for row, s in rows], rhs.cols)
+
+
+def _null_vectors(rows: Sequence[tuple], pivots: Sequence[int], cols: int) -> list:
+    """The null space of rows (x_r, s_r) that are an RREF up to column
+    order: x_r / s_r is 1 at its pivot column p_r, where every other row is
+    0.  Returns one (v, d) per free column f, in ascending order, v being
+    the (col, re, im) triples in column order of d e_f - sum_r x_r[f]
+    (d / s_r) e_{p_r}, d the lcm of the s_r with x_r[f] != 0: v / d holds
+    no other free column, so row r of the rows times it is x_r[f] / s_r -
+    x_r[f] / s_r = 0."""
+    hits = {}  # free column -> the (p_r, re, im, s_r) with x_r[f] != 0
+    for (row, s), p in zip(rows, pivots):
+        for j, a, b in row:
+            if j != p:
+                hits.setdefault(j, []).append((p, a, b, s))
+    vectors = []
+    for f in sorted(set(range(cols)).difference(pivots)):
+        h = hits.get(f, ())
+        d = lcm(*(s for *_, s in h))
+        v = [(c, -a * (d // s), -b * (d // s)) for c, a, b, s in h]
+        v.append((f, d, 0))
+        v.sort()  # columns are distinct, so only they are compared
+        vectors.append((v, d))
+    return vectors
 
 
 def _split_row(x: tuple, where: Sequence[tuple[int, int]]

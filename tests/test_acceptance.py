@@ -601,7 +601,7 @@ print(code, calls, solves, built, hashlib.sha256(out.getvalue().encode()).hexdig
 
 VERIFY_ALL_SHA256 = \
     "bad8e8100fbefb3faf375c3fc4ce3d8549ece5775dd85bb3bae26bbf6ca9a08a"
-MAX_VERIFY_ALL_ELIMINATIONS = 2_600
+MAX_VERIFY_ALL_ELIMINATIONS = 2_100
 MAX_VERIFY_ALL_PROJECTORS = 90
 MAX_VERIFY_ALL_REGIONS = 14_400
 

@@ -1510,6 +1510,105 @@ def test_meets_orthos_and_forms_of_lifts_match_the_general_route(monkeypatch):
     assert set(disjoint) == {0, 1, 2}
 
 
+def perp_inputs():
+    """(subspaces, maps) at n = 1..5: zero, full, rays, a product ray,
+    state lifts and lifts of several-row parts, and spans of small
+    Gaussian rows, often zero, at rank 1, about half and one short of
+    full; a singular map of small rows, a lift projector and an unmarked
+    gate word, whose preimages all take the kernel route."""
+    rng = random.Random(2042)
+
+    def rows(dim, k):
+        return [[GaussianRational(rng.choice((0, 0, 0, 1, -1, 2)), rng.choice((0, 0, 1, -1)))
+                 for _ in range(dim)] for _ in range(k)]
+
+    out = []
+    for n in range(1, 6):
+        fr = Frame(n)
+        dim = fr.dim
+        subs = [Subspace.zero(dim), Subspace.full(dim), rand_sub(rng, dim, 1),
+                product_ray(fr, "".join(rng.choice("01+-") for _ in range(n)))]
+        lifts = []
+        for _ in range(2):
+            qubits = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(1, n))))
+            k = 2 ** len(qubits)
+            lifts.append(fr.state_lift(rand_amps(rng, k), qubits))
+            if k > 2:
+                part = rand_sub(rng, k, rng.randint(2, k - 1))
+                lifts.append(frame_module._lifted(n, qubits, part))
+        subs += lifts
+        subs += [Subspace.from_rows(rows(dim, k), dim)
+                 for k in sorted({1, dim // 2, dim - 1} - {0})]
+        word = fr.gate("H", (1,))
+        for q in range(2, n + 1):
+            word = word.then(fr.gate("CNOT", (q - 1, q)))
+        square = rows(dim, dim - 1)
+        square.append([a - b for a, b in zip(square[0], square[-1])])
+        maps = [Matrix(square), lifts[0].projector(), word.matrix]
+        out.append((subs, maps))
+    return out
+
+
+def replaced_perp_rows(sub):
+    """The rows containment, meets and preimages multiplied by before the
+    read-off: conj(P), P the basis of the canonical orthocomplement."""
+    return sub.ortho().basis.conj()
+
+
+def replaced_meet_from(big, small):
+    product = replaced_perp_rows(big) * small.basis.transpose()
+    if product == Matrix.zeros(product.rows, small.dim):
+        return small
+    if small.dim == 1:
+        return Subspace.zero(big.ambient)
+    return Subspace(product.kernel_basis() * small.basis, big.ambient)
+
+
+def test_containment_meets_and_preimages_match_the_ortho_route_cold_and_warm(
+        monkeypatch):
+    cases = perp_inputs()
+    calls = counted_eliminations(monkeypatch)
+    seen = Counter()
+    for subs, maps in cases:
+        for big in subs:
+            big._perp = None  # cold: read off at its first use below
+            for small in subs:
+                seen["warm" if big._perp is not None else "cold"] += 1
+                calls.clear()
+                inside = big.contains_subspace(small)
+                # a product with rows read off the basis: nothing eliminated
+                assert calls == []
+                perp = big._perp
+                want = replaced_perp_rows(big)
+                assert perp.row_basis() == want.row_basis()
+                product = want * small.basis.transpose()
+                assert inside is (product == Matrix.zeros(product.rows, small.dim))
+                seen[inside] += 1
+                if small.dim <= big.dim:
+                    got = big._meet_from(small)
+                    assert got is replaced_meet_from(big, small)
+                    seen["zero" if got.is_zero() else "contained" if got is small
+                         else "wider"] += 1
+                assert big._perp is perp  # kept, not read again
+            for m in maps:
+                # a fresh map each time: its preimage memo is empty
+                assert PartialMap(m).preimage_closed(big) is memo_free_preimage(m, big)
+    assert seen["cold"] == sum(len(subs) for subs, _ in cases)
+    assert seen["warm"] > 400
+    assert seen[True] > 100 and seen[False] > 100
+    assert seen["zero"] and seen["contained"] and seen["wider"] > 10
+
+
+def test_containment_of_another_ambient_is_refused():
+    # as join and meet refuse it, rather than failing inside the product
+    rng = random.Random(2043)
+    small, big = rand_sub(rng, 2, 1), rand_sub(rng, 4, 3)
+    for a, b in ((big, small), (small, big)):
+        for ask in (Subspace.contains_subspace, Subspace.join, Subspace.meet):
+            with pytest.raises(ValueError, match="ambient dimensions differ"):
+                ask(a, b)
+
+
 def test_a_lift_projector_is_its_parts_placed_by_the_layout(monkeypatch):
     # the projector of part (x) H_rest, placed from the part's, against the
     # Gram route B^T G^-1 conj(B) on the lift's whole basis; a cold one

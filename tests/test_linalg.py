@@ -454,6 +454,55 @@ def test_kernel_basis_matches_the_two_elimination_route(monkeypatch):
         assert calls == ([(own, m.cols)] if own > 1 else [])
 
 
+def rref_inputs():
+    """RREFs of 1 to 64 columns, built as such: the zero and full-rank ones,
+    and rank 1, about half and one short of full on random pivot columns,
+    each row 1 at its pivot, 0 at every other pivot and Gaussian, often
+    zero, at the free columns after its pivot."""
+    rng = random.Random(2041)
+    entry = lambda: GaussianRational(
+        Fraction(rng.choice((0, 0, 0, 1, -1, 2, -3)), rng.randint(1, 3)),
+        rng.choice((0, 0, 1, -2)))
+    out = []
+    for cols in [*range(1, 17), 24, 31, 32, 48, 64]:
+        out += [Matrix.zeros(0, cols), Matrix.identity(cols)]
+        for k in sorted({1, cols // 2, cols - 1} - {0}):
+            pivots = sorted(rng.sample(range(cols), k))
+            out.append(Matrix([[ONE if c == p else
+                                entry() if c > p and c not in pivots else ZERO
+                                for c in range(cols)] for p in pivots]))
+    return out
+
+
+def test_kernel_of_rref_spans_the_kernel_basis_with_no_elimination(monkeypatch):
+    inputs = rref_inputs()
+    assert max(m.cols for m in inputs) == 64
+    calls = []
+    eliminate = linalg._eliminate
+
+    def counted(work, cols):
+        calls.append(cols)
+        return eliminate(work, cols)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    kinds = set()
+    for m in inputs:
+        want = m.kernel_basis()
+        calls.clear()
+        got = m.kernel_of_rref()
+        assert calls == []
+        assert_canonical(got)
+        assert got.rows == m.cols - m.rows
+        assert m.row_basis() == m  # the input is an RREF
+        # the same span as the eliminated kernel, and annihilated by m
+        assert got.row_basis() == want
+        assert m * got.transpose() == Matrix.zeros(m.rows, got.rows)
+        kinds.add("zero" if m.rows == 0 else "full" if got.rows == 0
+                  else "gaussian" if any(b for row in m.triples for _, _, b in row)
+                  else "real")
+    assert kinds == {"zero", "full", "gaussian", "real"}
+
+
 def test_projector_matches_fraction_gram_inverse():
     # B^T G^-1 conj(B) for the Gram matrix G = conj(B) B^T, with the
     # inverse and the products in Fractions, against one solve in G

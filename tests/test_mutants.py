@@ -134,6 +134,50 @@ MUTANTS = [
         Matrix.row_basis = row_basis
         """,
      "tests/test_linalg.py::test_a_shared_column_is_eliminated"),
+    ("the null-space read-off drops the pivot entries", """
+        from qpdl.linalg import Matrix
+
+        def kernel_of_rref(self):
+            pivots = {row[0][0] for row in self.triples}
+            # lost: - x_r[f] at each pivot p_r
+            return Matrix.from_parts([([(f, 1, 0)], 1) for f in range(self.cols)
+                                      if f not in pivots], self.cols)
+
+        Matrix.kernel_of_rref = kernel_of_rref
+        """,
+     "tests/test_linalg.py::test_kernel_of_rref_spans_the_kernel_basis_with_no_elimination"),
+    ("the null-space read-off keeps x_r[f] unnegated", """
+        from qpdl.linalg import Matrix
+
+        def kernel_of_rref(self):
+            rows, den = self.triples, self.den
+            pivots = [row[0][0] for row in rows]
+            vectors = []
+            for f in range(self.cols):
+                if f not in pivots:
+                    # lost: the sign of x_r[f]
+                    v = [(p, a, b) for row, p in zip(rows, pivots)
+                         for j, a, b in row if j == f]
+                    vectors.append((sorted(v + [(f, den, 0)]), 1))
+            return Matrix.from_parts(vectors, self.cols)
+
+        Matrix.kernel_of_rref = kernel_of_rref
+        """,
+     "tests/test_frame.py::"
+     "test_containment_meets_and_preimages_match_the_ortho_route_cold_and_warm"),
+    ("the perp rows are read off the conjugated basis", """
+        from qpdl import frame
+
+        def _perp_rows(self):
+            if self._perp is None:
+                # lost: ker B is conj(B^perp); this is B^perp itself
+                self._perp = self.basis.conj().kernel_of_rref()
+            return self._perp
+
+        frame.Subspace._perp_rows = _perp_rows
+        """,
+     "tests/test_frame.py::"
+     "test_containment_meets_and_preimages_match_the_ortho_route_cold_and_warm"),
     ("an intern callback pops unconditionally", """
         from qpdl import frame
 
