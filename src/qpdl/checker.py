@@ -17,15 +17,17 @@ keyed on meanings rather than syntax (see ``_denote``), so the branches
 of a protocol are composed once however many claims and input states
 use them.  The one-qubit program of ``ent[i,j]`` is denoted in a
 one-qubit environment that lives with the caller's, and its 2x2 matrix
-is read there.  [f?]false, which box, dia, leq, eqf, perpf, testable and
-dom(f?) desugar to, is read as the kernel of the test, closure(f)^perp,
-without denoting it: a test's projector is built only when the test is
-composed, imaged or boxed over a body other than false, or judged by
-localp{I} where its closure has no product form on I.  A test on
-![g?]false is read one step further: [(![g?]false)?]false, which is
-box box x and so leq, eqf, perpf and testable, with g = !x, is every
-state when g is empty and none otherwise, with no closure, ortho or
-complement.
+is read there.  [f?]false, which box, dia and dom(f?) desugar to, is
+read as the kernel of the test, closure(f)^perp, without denoting it: a
+test's projector is built only when the test is composed, imaged or
+boxed over a body other than false, or judged by localp{I} where its
+closure has no product form on I.  A test on ![g?]false is read one
+step further: [(![g?]false)?]false, which is box box x with g = !x, is
+every state when g is empty and none otherwise, with no closure, ortho
+or complement.  Leq(a, b), which leq, eqf, perpf and testable desugar
+to, is box box (a -> b) and is read the same way, as every state when
+a & !b is empty and none otherwise; the pointwise side runs its
+unfolding, built by ``desugar.unfold_leq``, state by state.
 
 A counterexample found symbolically is re-checked pointwise before it
 is reported; the two evaluators share no interpretation code for the
@@ -67,7 +69,7 @@ from fractions import Fraction
 from functools import reduce
 
 from . import ast
-from .desugar import DesugarMemo, desugar_formula, desugar_program
+from .desugar import DesugarMemo, desugar_formula, desugar_program, unfold_leq
 from .errors import (
     NonDeterministicProgram,
     SpatialAtomInSymbolicMode,
@@ -244,7 +246,25 @@ def _eval(env: Environment, f: ast.Formula) -> Region:
         if known is not None:
             return known[1]
     dim = env.frame.dim
-    if isinstance(f, ast.Var):
+    # the commonest classes first; no node class has a subclass
+    cls = type(f)
+    if cls is ast.And:
+        region = _eval(env, f.left).intersect(_eval(env, f.right))
+    elif cls is ast.Not:
+        if type(f.body) is ast.Not:
+            # a double complement is the region itself, without the cost
+            region = _eval(env, f.body.body)
+        else:
+            region = _eval(env, f.body).complement()
+    elif cls is ast.Leq:
+        # box box (a -> b): every state when a meets !b in no ray, else
+        # none; !b of a b that is !x is x itself
+        inside, right = _eval(env, f.left), f.right
+        outside = (_eval(env, right.body) if type(right) is ast.Not
+                   else _eval(env, right).complement())
+        region = (Region.full(dim) if inside.intersect(outside).is_empty()
+                  else Region.empty(dim))
+    elif isinstance(f, ast.Var):
         region = env.lookup(f.name)
     elif isinstance(f, ast.TrueF):
         region = Region.full(dim)
@@ -258,14 +278,6 @@ def _eval(env: Environment, f: ast.Formula) -> Region:
             raise SpatialAtomInSymbolicMode(
                 "T{I} membership is state-by-state; use a concrete state")
         region = Region.full(dim)
-    elif isinstance(f, ast.Not):
-        if isinstance(f.body, ast.Not):
-            # a double complement is the region itself, without the cost
-            region = _eval(env, f.body.body)
-        else:
-            region = _eval(env, f.body).complement()
-    elif isinstance(f, ast.And):
-        region = _eval(env, f.left).intersect(_eval(env, f.right))
     elif isinstance(f, ast.Ortho):
         if isinstance(f.body, ast.Top):
             # basis states are I-separated for every I, so T{I} spans the
@@ -493,6 +505,9 @@ def _holds(env: Environment, s: Subspace, f: ast.Formula) -> bool:
         return not _holds(env, s, f.body)
     if isinstance(f, ast.And):
         return _holds(env, s, f.left) and _holds(env, s, f.right)
+    if isinstance(f, ast.Leq):
+        # the definition, box box (a -> b), run state by state
+        return _holds(env, s, unfold_leq(f))
     if isinstance(f, ast.Ortho):
         if isinstance(f.body, ast.Top):
             fr.check_qubits(f.body.qubits)

@@ -1,17 +1,25 @@
 """Rewrites surface constructs into the core the evaluators handle.
 
 Core formulas: Var, TrueF, FalseF, Const, RayF, Top, Not, Ortho, And,
-Box, Ent, EqI, Component, LocalF, LocalP, Img.  Core programs: Test,
-GateP, Id, SeqP, UnionP, TopP.  ``RULES`` maps every other class, and
-the core classes whose parts need more than a rewrite in the same frame
-(``ent``, ``cmp``, ``T{}``), to a rule that returns the finished core
-tree; every remaining node is rewritten part by part through
-``ast.parts`` and ``ast.rebuild``.  ``ghz`` and ``gamma`` become RayF.
+Box, Leq, Ent, EqI, Component, LocalF, LocalP, Img.  Core programs: Test,
+GateP, Id, SeqP, UnionP, TopP.  ``RULES`` maps every other class, the
+core classes whose parts need more than a rewrite in the same frame
+(``ent``, ``cmp``, ``T{}``), and Leq, which counts as more than one
+node, to a rule that returns the finished core tree; every remaining
+node is rewritten part by part through ``ast.parts`` and
+``ast.rebuild``.  ``ghz`` and ``gamma`` become RayF.
 Adjoints distribute down to the atoms, which are all self-adjoint
 (gates, tests, swaps built from gates), so no Adj survives.  An
 unsubstituted PVar is an UnboundVariable.  ``one`` and ``plus`` name the
 all-|1> and all-|+> product states, so they expand to one conjunct per
 qubit of the frame.
+
+The derived judgements ``leq``, ``eqf``, ``perpf`` and ``testable``
+become ``Leq`` nodes: eqf(a, b) is Leq(a, b) & Leq(b, a), perpf(a, b)
+is Leq(a, ~b) and testable(a) is Leq(~~a, a).  Leq(a, b) is defined as
+box box (a -> b), and ``unfold_leq`` builds that tower on demand for
+the pointwise evaluator; the budgets charge a Leq the nodes of its
+unfolding, so an input is refused exactly as if it were unfolded.
 
 A rule that uses a part twice (``eqf``, ``testable``) uses its core
 tree twice, so nesting them doubles the core tree per level.  Desugaring
@@ -102,8 +110,10 @@ def _boxm(a):
     return ast.Box(ast.Test(ast.Not(a)), ast.FalseF())
 
 
-def _leq(a, b):
-    return _boxm(_boxm(_implies(a, b)))
+def unfold_leq(f: ast.Leq) -> ast.Formula:
+    """box box (a -> b), the definition of Leq(a, b): a tower of new
+    nodes over the two sides, built afresh at each call."""
+    return _boxm(_boxm(_implies(f.left, f.right)))
 
 
 def _unbound(d, p, n):
@@ -125,12 +135,12 @@ RULES = {
                                              ast.Not(d.core(f.body, n)))),
     ast.Sqcup: lambda d, f, n: ast.Ortho(ast.And(ast.Ortho(d.core(f.left, n)),
                                                  ast.Ortho(d.core(f.right, n)))),
-    ast.Leq: lambda d, f, n: _leq(d.core(f.left, n), d.core(f.right, n)),
-    ast.EqF: lambda d, f, n: ast.And(_leq(d.core(f.left, n), d.core(f.right, n)),
-                                     _leq(d.core(f.right, n), d.core(f.left, n))),
-    ast.PerpF: lambda d, f, n: _leq(d.core(f.left, n), ast.Ortho(d.core(f.right, n))),
-    ast.Testable: lambda d, f, n: _leq(ast.Ortho(ast.Ortho(d.core(f.body, n))),
-                                       d.core(f.body, n)),
+    ast.Leq: lambda d, f, n: ast.Leq(d.core(f.left, n), d.core(f.right, n)),
+    ast.EqF: lambda d, f, n: ast.And(ast.Leq(d.core(f.left, n), d.core(f.right, n)),
+                                     ast.Leq(d.core(f.right, n), d.core(f.left, n))),
+    ast.PerpF: lambda d, f, n: ast.Leq(d.core(f.left, n), ast.Ortho(d.core(f.right, n))),
+    ast.Testable: lambda d, f, n: ast.Leq(ast.Ortho(ast.Ortho(d.core(f.body, n))),
+                                          d.core(f.body, n)),
     ast.Dom: lambda d, f, n: ast.Not(ast.Box(d.core(f.prog, n), ast.FalseF())),
     ast.PostF: lambda d, f, n: ast.Ortho(ast.Box(adjoint(d.core(f.prog, n)),
                                                  ast.Ortho(d.core(f.body, n)))),
@@ -158,10 +168,11 @@ class DesugarMemo:
     once: a part that a rule uses twice, or the shared nodes of a
     schema's instances.
 
-    ``cores`` is kept per (id(node), n), the node held beside its core
-    tree and the rewrites that made it, and ``sizes`` per id of such a
-    core tree, the nodes it holds, a part used twice counting twice.  A
-    leaf is its own core tree of one node and is not remembered.  A
+    ``cores`` holds one dict per qubit count n, keyed by id(node): the
+    node held beside its core tree and the rewrites that made it.
+    ``sizes`` is kept per id of such a core tree: the nodes it holds, a
+    part used twice counting twice and a Leq counting as its unfolding.
+    A leaf is its own core tree of one node and is not remembered.  A
     remembered node charges both counts to the budgets again, so an input
     is refused exactly when rewriting every use of a part refuses it."""
 
@@ -179,7 +190,7 @@ class DesugarMemo:
             part = todo.pop()
             known = sizes.get(id(part))
             if known is None:
-                size += 1
+                size += _LEQ_NODES if type(part) is ast.Leq else 1
                 todo.extend(ast.parts(part))
             else:
                 size += known
@@ -191,6 +202,10 @@ class DesugarMemo:
         tree = _Desugaring(self).core(node, n)
         _Desugaring(self).spend(self.sizes.get(id(tree), 1))
         return tree
+
+
+# The nodes a Leq stands for beside its two sides: those of its unfolding.
+_LEQ_NODES = DesugarMemo().size(unfold_leq(ast.Leq(ast.TrueF(), ast.TrueF()))) - 2
 
 
 class _Desugaring:
@@ -216,7 +231,10 @@ class _Desugaring:
                 self.spend()
                 return node
         memo = self.memo
-        known = memo.cores.get((id(node), n))
+        cores = memo.cores.get(n)
+        if cores is None:
+            cores = memo.cores[n] = {}
+        known = cores.get(id(node))
         if known is not None:
             self.spend(known[2])
             return known[1]
@@ -231,7 +249,7 @@ class _Desugaring:
             out, sizes, size = ast.rebuild(node, parts), memo.sizes, 1
             for part in parts:
                 size += sizes.get(id(part), 1)
-        memo.cores[id(node), n] = (node, out, before - self.left)
+        cores[id(node)] = (node, out, before - self.left)
         memo.sizes[id(out)] = size
         return out
 

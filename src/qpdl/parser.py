@@ -9,11 +9,12 @@ is decimal without a leading zero.
 Every keyword form of ``ast.SYNTAX`` is read by one method, ``keyword``.
 The operators of ``ast.OPERATORS`` are read by one precedence loop,
 ``infix``, in formula and program position alike, and the prefix forms by
-one method, ``f_unary``.  ``RESERVED`` is derived from both tables.  The
-bespoke atoms (constants, ``vec``, gates, ``flip``, tests and variables)
-are read by ``f_atom`` and ``p_factor``.  Errors carry a 1-based line
-and column plus the set of token kinds that would have been accepted
-there.  The only backtracking point is in program position, where a test
+one method, ``f_unary``; both look the token up in a table, so an operand
+costs one lookup per method, not one failed ``accept`` per operator.
+``RESERVED`` is derived from both tables.  The bespoke atoms
+(constants, ``vec``, gates, ``flip``, tests and variables) are read by
+``f_atom`` and ``p_factor``.  Errors carry a 1-based line and column
+plus the set of token kinds that would have been accepted there.  The only backtracking point is in program position, where a test
 ``f?`` is tried first: failing that, a ``(`` opens a parenthesised
 program, and an identifier that is not a keyword is a program variable
 (``PVar``).  The parser reports the failure that got farthest when every
@@ -62,25 +63,48 @@ Token = namedtuple("Token", "kind value line col")
 _FORMULA_WORDS, _PROGRAM_WORDS = (
     {form.word: cls for cls, form in ast.FORMS.items() if issubclass(cls, kind)}
     for kind in (ast.Formula, ast.Program))
-# ast.OPERATORS by the token that reads each operator: infix ones as (token,
-# class, right-associative), loosest first; prefix forms as (token, is a
-# keyword such as "box", read from a word token, class, closing).
-_FORMULA_INFIX, _PROGRAM_INFIX = (
-    tuple((op.text.strip(), op.cls, op.right) for op in ast.OPERATORS[kind].infix)
-    for kind in (ast.Formula, ast.Program))
-_PREFIX = tuple((op.text.strip(), op.text.strip().isalpha(), op.cls, op.closing)
-                for op in ast.OPERATORS[ast.Formula].prefix)
+def _infix_table(kind) -> tuple:
+    """The infix operators of ``ast.OPERATORS[kind]`` by their token, as
+    (level, class, right-associative, the tokens of the tighter levels),
+    the loosest at level 0; and per level, the tokens of it and every
+    tighter level."""
+    ops = ast.OPERATORS[kind].infix
+    tokens = tuple(op.text.strip() for op in ops)
+    table = {token: (level, op.cls, op.right, tokens[level + 1:])
+             for level, (token, op) in enumerate(zip(tokens, ops))}
+    return table, tuple(tokens[level:] for level in range(len(tokens)))
+
+
+_FORMULA_INFIX, _PROGRAM_INFIX = map(_infix_table, (ast.Formula, ast.Program))
+
+
+def _prefix_table() -> tuple:
+    """The prefix forms of ``ast.OPERATORS`` by the token that reads
+    each, a word such as "box" by its text, as (class, closing, the
+    symbol tokens of the forms tried before it); and every symbol token,
+    which an atom is tried after."""
+    table, symbols = {}, ()
+    for op in ast.OPERATORS[ast.Formula].prefix:
+        token = op.text.strip()
+        table[token] = (op.cls, op.closing, symbols)
+        if not token.isalpha():
+            symbols += (token,)
+    return table, symbols
+
+
+_PREFIX, _PREFIX_SYMBOLS = _prefix_table()
+_ATOM_SYMBOLS = _PREFIX_SYMBOLS + ("(",)
 # Keywords are never variables; vec, flip and the gates have bespoke syntax.
 RESERVED = frozenset(_FORMULA_WORDS.keys() | _PROGRAM_WORDS.keys() | {
-    token for token, word, _, _ in _PREFIX if word} | {"vec", "flip"} | GATES.keys())
+    token for token in _PREFIX if token.isalpha()} | {"vec", "flip"} | GATES.keys())
 
 # The token pattern, one alternative per token kind, tried in order and
 # matched once per token.  A gate or flip is read from a word by
 # ``_INDICES``, after the match.  Symbols go longest first, so that -> is
 # not read as - and >, and the one-character ones are a single class.
-_SYMBOLS = sorted({token for token, _, _ in _FORMULA_INFIX + _PROGRAM_INFIX}
-                  | {text for token, word, _, closing in _PREFIX if not word
-                     for text in (token, closing) if text}
+_SYMBOLS = sorted(_FORMULA_INFIX[0].keys() | _PROGRAM_INFIX[0].keys()
+                  | {text for token, (_, closing, _) in _PREFIX.items()
+                     if not token.isalpha() for text in (token, closing) if text}
                   | set("?(){},-"), key=lambda s: (-len(s), s))
 _SYMBOL = "|".join([re.escape(s) for s in _SYMBOLS if len(s) > 1]
                    + ["[" + "".join(re.escape(s) for s in _SYMBOLS if len(s) == 1) + "]"])
@@ -151,7 +175,8 @@ def tokenize(text: str) -> list[Token]:
 # stack frames, so 200 levels stay inside the interpreter's default
 # recursion limit of 1000 with 300 frames to spare for the caller.  A
 # keyword form with arguments counts a level of its own, since it stands
-# for up to ten levels of core tree (perpf) and eight parser frames.
+# for up to ten levels of formula that the pointwise evaluator walks (the
+# unfolding of perpf) and eight parser frames.
 MAX_DEPTH = 200
 
 
@@ -190,16 +215,19 @@ class _Parser:
     def descend(self):
         self.depth += 1
         if self.depth > MAX_DEPTH:
-            tok = self.peek()
-            raise _Final(f"nesting deeper than {MAX_DEPTH} levels",
-                         tok.line, tok.col)
+            self.too_deep()
 
-    def _note(self, kind: str):
+    def too_deep(self):
+        tok = self.peek()
+        raise _Final(f"nesting deeper than {MAX_DEPTH} levels", tok.line, tok.col)
+
+    def _note(self, *kinds: str):
+        """Note that ``kinds`` would have been accepted at this position."""
         if self.pos > self.far_pos:
             self.far_pos = self.pos
             self.far_expected = set()
         if self.pos == self.far_pos:
-            self.far_expected.add(kind)
+            self.far_expected.update(kinds)
 
     def fail(self, message: str):
         at = max(self.pos, self.far_pos)
@@ -276,18 +304,39 @@ class _Parser:
         key = (cls, *[id(v) if isinstance(v, ast.Node) else v for v in values])
         return self.share(key, cls, *values)
 
-    def infix(self, ops: tuple, operand, level: int = 0):
-        """Operands read by ``operand`` joined by the infix operators
-        ``ops[level:]``, loosest first.  Each operator reads its right
-        operand one level deeper: the rest of its own level if it is
-        right-associative, else its tighter levels."""
-        token, cls, right = ops[level]
+    def infix(self, ops: tuple, operand, lowest: int = 0):
+        """Operands read by ``operand`` joined by the infix operators of
+        ``ops`` (see ``_infix_table``) at level ``lowest`` or tighter, by
+        precedence climbing: an operator reads its right operand as the
+        rest of its own level if it is right-associative, else of its
+        tighter levels.
+
+        Each operator reads its right operand one level deeper than the
+        last operator of its own or a looser level read here, or than
+        the start: a chain of k operators of one level is k levels deep,
+        and a looser operator ends the chains of the tighter levels."""
+        table, from_level = ops
         base = self.depth
-        left = self.infix(ops, operand, level + 1) if level + 1 < len(ops) else operand()
-        while self.accept(token):
-            self.descend()
+        left = operand()
+        # the depth after the last operator at each level or looser
+        after = None
+        while True:
+            op = table.get(self.tokens[self.pos].kind)
+            if op is None or op[0] < lowest:
+                self._note(*from_level[lowest])
+                break
+            level, cls, right, tighter = op
+            if tighter:
+                self._note(*tighter)
+            self.pos += 1
+            if after is None:
+                after = [base] * len(from_level)
+            depth = self.depth = after[level] + 1
+            after[level:] = [depth] * (len(after) - level)
+            if depth > MAX_DEPTH:
+                self.too_deep()
             inner = level if right else level + 1
-            rhs = self.infix(ops, operand, inner) if inner < len(ops) else operand()
+            rhs = self.infix(ops, operand, inner) if inner < len(from_level) else operand()
             left = self.share((cls, id(left), id(rhs)), cls, left, rhs)
         self.depth = base
         return left
@@ -312,29 +361,34 @@ class _Parser:
         base = self.depth
         try:
             self.descend()
-            tok = self.peek()
-            for token, word, cls, closing in _PREFIX:
-                if word and tok.kind == "word" and tok.value == token:
-                    self.pos += 1
-                elif word or not self.accept(token):
-                    continue
-                if not closing:
-                    body = self.f_unary()
-                    return self.share((cls, id(body)), cls, body)
-                prog = self.program()
-                self.expect(closing)
+            tok = self.tokens[self.pos]
+            prefix = _PREFIX.get(tok.value if tok.kind == "word" else tok.kind)
+            if prefix is None:
+                return self.f_atom(tok)
+            cls, closing, before = prefix
+            if before:
+                self._note(*before)
+            self.pos += 1
+            if not closing:
                 body = self.f_unary()
-                return self.share((cls, id(prog), id(body)), cls, prog, body)
-            return self.f_atom()
+                return self.share((cls, id(body)), cls, body)
+            prog = self.program()
+            self.expect(closing)
+            body = self.f_unary()
+            return self.share((cls, id(prog), id(body)), cls, prog, body)
         finally:
             self.depth = base
 
-    def f_atom(self) -> ast.Formula:
-        tok = self.peek()
-        if self.accept("("):
+    def f_atom(self, tok: Token) -> ast.Formula:
+        """The atom at ``tok``, where no prefix form starts: the prefix
+        symbols and "(" are noted in one call."""
+        if tok.kind == "(":
+            self._note(*_PREFIX_SYMBOLS)
+            self.pos += 1
             body = self.formula()
             self.expect(")")
             return body
+        self._note(*_ATOM_SYMBOLS)
         if tok.kind == "const":
             self.pos += 1
             return self.atom(ast.Const, *tok.value)

@@ -23,7 +23,7 @@ from qpdl.checker import (
     random_part_state,
     substitute,
 )
-from qpdl.desugar import MAX_NODES, desugar_formula, desugar_program
+from qpdl.desugar import MAX_NODES, desugar_formula, desugar_program, unfold_leq
 from qpdl.errors import (
     CheckError,
     InputError,
@@ -45,6 +45,7 @@ from qpdl.protocols import (
 from qpdl.regions import Region, make_term, wp, wp_map
 
 from exact_reference import product_ray, same_rayset
+from test_lang import CORE, rand_formula, subtrees
 
 
 def rand_ray(rng, n):
@@ -905,15 +906,116 @@ def test_a_box_of_a_box_is_an_emptiness_test():
                         assert checker._holds(session, s, f) == region.contains_ray(s)
                 cases += 1
     assert cases == 45
-    # box box x is the case g = !x, so the global judgements take this path
-    for text in ("box box p", "leq(p, q)", "perpf(p, q)", "testable(p)"):
+    # box box x is the case g = !x; the global judgements desugar to a
+    # Leq node, whose unfolding is that tower
+    core = desugar_formula(parse_formula("box box p"), 2)
+    assert core == box_of_box(core.prog.formula.body.prog.formula)
+    assert isinstance(core.prog.formula.body.prog.formula, ast.Not)
+    for text in ("leq(p, q)", "perpf(p, q)", "testable(p)"):
         core = desugar_formula(parse_formula(text), 2)
-        assert core == box_of_box(core.prog.formula.body.prog.formula)
-        assert isinstance(core.prog.formula.body.prog.formula, ast.Not)
+        assert isinstance(core, ast.Leq)
+        tower = unfold_leq(core)
+        assert tower == box_of_box(tower.prog.formula.body.prog.formula)
+        assert isinstance(tower.prog.formula.body.prog.formula, ast.Not)
     # g is evaluated, and raises, as under the tower
     for env in (Environment(Frame(2)), checker._Session(Environment(Frame(2)))):
         with pytest.raises(UnboundVariable):
             checker._eval(env, box_of_box(ast.Var("v")))
+
+
+def unfolded(node):
+    """``node`` with every Leq replaced by its unfolding: the core tree
+    desugaring built while Leq was no core node."""
+    if type(node) is ast.Leq:
+        node = unfold_leq(node)
+    return ast.rebuild(node, [unfolded(part) for part in ast.parts(node)])
+
+
+def charged(node, n):
+    """The core tree of ``node``, or the class and message of the error
+    that refuses it, with the rewrites and the nodes of the core tree
+    charged to the budgets."""
+    memo = desugar.DesugarMemo()
+    budget = desugar._Desugaring(memo)
+    try:
+        tree = budget.core(node, n)
+    except (CheckError, InputError) as exc:
+        return (type(exc), str(exc)), MAX_NODES - budget.left, None
+    return tree, MAX_NODES - budget.left, memo.sizes.get(id(tree), 1)
+
+
+def nodes_in(tree):
+    """The nodes of ``tree``, each use of a shared node counted."""
+    return 1 + sum(map(nodes_in, ast.parts(tree)))
+
+
+# The inputs of the budget tests: refused for their rewrites, for their
+# core nodes, or accepted just below the node budget.
+BUDGET_TEXTS = (["testable(" * 60 + "0_1" + ")" * 60]
+                + ["eqf(0_1, " * k + "0_1" + ")" * k for k in (6, 8, 9, 10, 11, 40)]
+                + ["perpf(" * 4 + "0_1" + ", leq(0_1, 1_1))" * 4])
+BUDGET_FILLS = [(" & ".join(["[w]q"] * 8 + ["[v]q"]), 700),
+                ("eqf(0_1, " * 6 + "[w]q" + ")" * 6, 70)]
+
+
+def test_a_leq_node_decides_and_costs_as_its_unfolding(monkeypatch):
+    # today's desugaring against the one that unfolds every Leq, which
+    # the rules did before: the same charges, the same regions cold and
+    # warm, and the pointwise oracle on the Leq agreeing with them
+    def towers(d, f, n, rule):
+        return unfolded(rule(d, f, n))
+
+    rng = random.Random(575)
+    cases = [(rand_formula(rng, rng.randint(1, 3)), 1 + k % 4) for k in range(240)]
+    cases += [(parse_formula(text), 1) for text in BUDGET_TEXTS]
+    # a box over T{I} and localp, whose T{I} the generator rarely makes
+    # on every qubit of the frame
+    cases.append((parse_formula("eqf([T{1,2}]p, q) -> leq(localp{1}(T{1}),"
+                                " [T{1,2}](p | q))"), 2))
+    cases += [(substitute(parse_formula(text), {"q": ast.VecC((1,), "0"),
+                                                 "w": long_word(k)}), 1)
+              for text, k in BUDGET_FILLS]
+    seen, outcomes = set(), Counter()
+    for node, n in cases:
+        with monkeypatch.context() as m:
+            for cls in (ast.Leq, ast.EqF, ast.PerpF, ast.Testable):
+                m.setitem(desugar.RULES, cls,
+                          functools.partial(towers, rule=desugar.RULES[cls]))
+            tower, *want = charged(node, n)
+        core, *got = charged(node, n)
+        assert got == want, ast.pretty(node)
+        if isinstance(tower, tuple):
+            assert core == tower
+            outcomes[tower[0].__name__] += 1
+            continue
+        assert unfolded(core) == tower and nodes_in(tower) == want[1]
+        if want[1] > MAX_NODES:
+            outcomes["past the node budget"] += 1
+            continue
+        fr = Frame(n)
+        env = Environment(fr, {v: _random_region(rng, fr) for v in "pqr"})
+        region = outcome(lambda: checker._eval(env, core))
+        if isinstance(region, tuple):
+            assert outcome(lambda: checker._eval(env, tower)) == region
+            outcomes["refused"] += 1
+            continue
+        assert checker._eval(env, tower).terms == region.terms
+        session = checker._Session(env)
+        for _ in "cold", "warm":
+            assert checker._eval(session, core).terms == region.terms
+        rays = basis_rays(fr) + [r for r in (region.witness(),
+                                             region.complement().witness()) if r]
+        for s in rays:
+            holds = outcome(lambda: checker._holds(env, s, core))
+            assert holds == outcome(lambda: checker._holds(env, s, tower))
+            if isinstance(holds, tuple):
+                break
+            assert holds == region.contains_ray(s), ast.pretty(node)
+        else:
+            seen |= {type(sub) for sub in subtrees(core)}
+            outcomes["decided"] += 1
+    assert seen == CORE
+    assert min(outcomes.values()) >= 3, outcomes
 
 
 # ----- schematic machinery -----------------------------------------------------------

@@ -7,6 +7,7 @@ import random
 import re
 import time
 import types
+from collections import Counter
 
 import pytest
 
@@ -20,6 +21,7 @@ from qpdl.parser import (MAX_DEPTH, RESERVED, ParseError, parse_formula,
                           parse_program, tokenize)
 
 import lexer_reference
+import parser_reference
 
 N = 3
 
@@ -722,15 +724,91 @@ def test_nesting_depth_limit():
         assert got == outcome, shape(1)
 
 
+def parsed(parse, text):
+    """The tree ``parse`` gives for ``text`` with the number of distinct
+    node objects in it, or the class, message, line, column and expected
+    tokens of the ParseError it raises."""
+    try:
+        tree = parse(text)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.line, exc.col, exc.expected
+    return tree, len({id(node) for node in subtrees(tree)})
+
+
+# Token texts spliced into printed trees, and chains and nests of each
+# construct whose depth the parser counts.
+_PARSER_PIECES = ["->", "|", "&", "!", "~", "box ", "dia ", "[", "]", "<", ">",
+                  "(", ")", "?", ";", "+", ",", "{", "}", "X_1", "0_1", "p",
+                  "w", "leq(", "T{1}", "vec{1}(", "id", "1", " "]
+_NESTS = [
+    lambda k: "!" * k + "0_1", lambda k: "~" * k + "p", lambda k: "box " * k + "p",
+    lambda k: "(" * k + "0_1" + ")" * k, lambda k: "0_1 -> " * k + "0_1",
+    lambda k: " | ".join(["p"] * k), lambda k: " & ".join(["p"] * k),
+    lambda k: "p & q | " * (k // 2) + "r", lambda k: "p | q -> " * (k // 2) + "r",
+    lambda k: "p -> q & " * (k // 2) + "r", lambda k: "[X_1]" * k + "0_1",
+    lambda k: "[" + ";".join(["X_1"] * k) + "]0_1",
+    lambda k: "[" + " + ".join(["X_1"] * k) + "]0_1",
+    lambda k: "[" + "X_1 ; Z_1 + " * (k // 2) + "H_1]p",
+    lambda k: "<(" * (k // 2) + "0_1?" + ")>0_1" * (k // 2),
+    lambda k: "[" + "(" * (k // 2) + "p?" + ")" * (k // 2) + "]q",
+    lambda k: "leq(" * (k // 2) + "p" + ", q)" * (k // 2),
+    lambda k: "[adj(" * (k // 3) + "X_1" + ")]" * (k // 3) + "p",
+]
+
+
+def parser_corpus(rng):
+    """Printed random trees and the nests at MAX_DEPTH - 10 and
+    MAX_DEPTH + 10, each with a truncation and three edits (a token text
+    inserted, one replaced, one character dropped); the nests at the
+    limit and one past it; and the error texts."""
+    corpus = [text for text, _ in FORMULA_ERRORS + PROGRAM_ERRORS]
+    corpus += [nest(k) for nest in _NESTS for k in (MAX_DEPTH, MAX_DEPTH + 1)]
+    edits = [nest(k) for nest in _NESTS for k in (MAX_DEPTH - 10, MAX_DEPTH + 10)]
+    for _ in range(1000):
+        depth = rng.randint(0, 4)
+        node = rand_formula(rng, depth) if rng.random() < 0.6 else rand_program(rng, depth)
+        edits.append(pretty(node))
+    for text in edits:
+        corpus += [text, text[:rng.randrange(len(text) + 1)]]
+        for _ in range(3):
+            i = rng.randrange(len(text) + 1)
+            piece = rng.choice(_PARSER_PIECES)
+            corpus.append(rng.choice([text[:i] + piece + text[i:],
+                                      text[:i] + piece + text[i + 1:],
+                                      text[:i] + text[i + 1:]]))
+    return corpus
+
+
+def test_parser_matches_reference():
+    # the precedence loop and the prefix dispatch give the tree, with its
+    # sharing, or the message, position and expected tokens of the
+    # reference's recursion per level and accept per operator
+    corpus = parser_corpus(random.Random(421))
+    outcomes = Counter()
+    for text in corpus:
+        for parse, reference in ((parse_formula, parser_reference.parse_formula),
+                                 (parse_program, parser_reference.parse_program)):
+            got = parsed(parse, text)
+            assert got == parsed(reference, text), text
+            outcomes["refused" if isinstance(got[0], type) else "parsed"] += 1
+            outcomes["too deep"] += "nesting deeper" in str(got[1])
+    assert min(outcomes.values()) >= 100, outcomes
+
+
 CORE = {ast.Var, ast.TrueF, ast.FalseF, ast.Const, ast.RayF, ast.Top, ast.Not,
-        ast.Ortho, ast.And, ast.Box, ast.Ent, ast.EqI, ast.Component, ast.LocalF,
-        ast.LocalP, ast.Img, ast.Test, ast.GateP, ast.Id, ast.SeqP, ast.UnionP,
-        ast.TopP}
+        ast.Ortho, ast.And, ast.Box, ast.Leq, ast.Ent, ast.EqI, ast.Component,
+        ast.LocalF, ast.LocalP, ast.Img, ast.Test, ast.GateP, ast.Id, ast.SeqP,
+        ast.UnionP, ast.TopP}
 
 
 def test_desugared_trees_are_core_only():
     # A class missing from the desugaring rules would pass through to the
     # evaluators, which reject it as "not a core node" (an internal error).
+    # The evaluators dispatch on ``type(f) is``, which matches isinstance
+    # because each core class derives from Formula or Program directly
+    # and has no subclass.
+    assert all(cls.__bases__ in ((ast.Formula,), (ast.Program,))
+               and not cls.__subclasses__() for cls in CORE)
     rng = random.Random(1313)
     desugared = 0
     for k in range(2000):

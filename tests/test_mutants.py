@@ -193,6 +193,31 @@ MUTANTS = [
         frame._unintern = lambda ref: None
         """,
      "tests/test_frame.py::test_a_dropped_subspace_leaves_the_intern_table"),
+    ("leq decides b and not a", """
+        from qpdl import ast, checker
+        from qpdl.regions import Region
+
+        evaluate = checker._eval
+
+        def swapped(env, f):
+            if type(f) is not ast.Leq:
+                return evaluate(env, f)
+            # lost: a meets !b; this is b meets !a
+            outside = evaluate(env, f.left).complement()
+            inside = evaluate(env, f.right)
+            dim = env.frame.dim
+            return (Region.full(dim) if inside.intersect(outside).is_empty()
+                    else Region.empty(dim))
+
+        checker._eval = swapped
+        """,
+     "tests/test_checker.py::test_a_leq_node_decides_and_costs_as_its_unfolding"),
+    ("leq is charged one node less than its unfolding", """
+        from qpdl import desugar
+
+        desugar._LEQ_NODES -= 1
+        """,
+     "tests/test_checker.py::test_a_leq_node_decides_and_costs_as_its_unfolding"),
 ]
 
 
